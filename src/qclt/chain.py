@@ -25,6 +25,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     NegativeEntry,
+    NonFiniteValue,
     NonStochasticRow,
     NotMeanZero,
     SingularStationary,
@@ -103,6 +104,11 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=np.float64)
     a.flags.writeable = False
     return a
+
+
+def _require_finite(a: np.ndarray, what: str) -> None:
+    if not np.all(np.isfinite(a)):
+        raise NonFiniteValue(f"{what} contains NaN or infinite entries")
 
 
 def _support_edges(kernel: np.ndarray):
@@ -213,6 +219,7 @@ def make_chain(state_labels, kernel, stationary=None,
     labels = tuple(str(s) for s in state_labels)
     if len(labels) != n:
         raise DimensionMismatch(f"{len(labels)} labels for {n} states")
+    _require_finite(q, "kernel")
     if np.min(q) < 0.0:
         x, y = np.unravel_index(np.argmin(q), q.shape)
         raise NegativeEntry(f"kernel[{x}][{y}] = {q[x, y]} is negative")
@@ -227,6 +234,7 @@ def make_chain(state_labels, kernel, stationary=None,
         pi = np.array(stationary, dtype=np.float64)
         if pi.shape != (n,):
             raise DimensionMismatch(f"pi has shape {pi.shape}, expected ({n},)")
+        _require_finite(pi, "supplied pi")
         if np.min(pi) <= 0.0:
             raise SingularStationary("supplied pi must have strictly positive entries")
         if abs(pi.sum() - 1.0) > STATIONARY_TOL:
@@ -314,6 +322,7 @@ def center_observable(chain: FiniteChain, raw) -> Observable:
         raise DimensionMismatch(
             f"raw vector has shape {raw.shape}, expected ({chain.n_states},)"
         )
+    _require_finite(raw, "observable")
     pi = chain.stationary
     vals = raw - float(pi @ raw)
     mean = float(pi @ vals)
@@ -327,6 +336,7 @@ def as_observable(chain: FiniteChain, values) -> Observable:
         raise DimensionMismatch(
             f"vector has shape {vals.shape}, expected ({chain.n_states},)"
         )
+    _require_finite(vals, "observable")
     mean = float(chain.stationary @ vals)
     if abs(mean) > MEAN_ZERO_TOL:
         raise NotMeanZero(f"stationary mean {mean!r} exceeds 1e-12; center first")

@@ -19,6 +19,10 @@ class NegativeEntry(QcltError):
     """A kernel entry is negative."""
 
 
+class NonFiniteValue(QcltError):
+    """A kernel, stationary law or observable holds a NaN or an infinity."""
+
+
 class SingularStationary(QcltError):
     """The stationary-law solve failed; the chain is reducible or ill posed."""
 
@@ -38,7 +42,13 @@ class NotReversible(QcltError):
 
 
 class JacobiNoConvergence(QcltError):
-    """The cyclic Jacobi sweep limit was hit before the off-diagonal vanished."""
+    """An eigendecomposition failed or does not reproduce the spectral mass.
+
+    Raised when LAPACK does not converge on a chain's symmetrized kernel,
+    when the cyclic Jacobi oracle hits its sweep limit before the
+    off-diagonal vanishes, or when a spectral measure's total mass misses
+    ``<f, f>_pi``.
+    """
 
 
 class DivergentIntegral(QcltError):

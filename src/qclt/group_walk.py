@@ -67,10 +67,6 @@ def _neg(element, moduli) -> tuple:
     return tuple((-e) % m for e, m in zip(element, moduli))
 
 
-def _sub(a, b, moduli) -> tuple:
-    return tuple((x - y) % m for x, y, m in zip(a, b, moduli))
-
-
 def character_values(moduli, g, elements) -> np.ndarray:
     """Values of the character indexed by ``g`` at the listed elements."""
     ang = np.zeros(len(elements))

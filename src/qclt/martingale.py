@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import FiniteChain, Observable
+from .chain import MEAN_ZERO_TOL, FiniteChain, Observable
 from .errors import (
     BadIndexOrder,
     NearSingular,
@@ -22,10 +22,9 @@ from .errors import (
     NotMeanZero,
     RateNotContractive,
 )
-from .spectral import jacobi_eigh
+from .spectral import chain_spectrum
 
 POISSON_RESIDUAL_RTOL = 1e-10
-MEAN_ZERO_TOL = 1e-12
 UNIT_EIGENVALUE_TOL = 1e-12
 
 
@@ -90,18 +89,15 @@ def _pair_weights(chain: FiniteChain) -> np.ndarray:
 
 
 def _mean_zero_rate(chain: FiniteChain) -> float:
-    # Second-largest eigenvalue modulus.  Reversible chains reuse the Jacobi
-    # spectrum; otherwise deflate constants (Q - 1 pi^T) and take the largest
-    # modulus, which is exact at this scale.
-    pi, q = chain.stationary, chain.kernel
+    # Second-largest eigenvalue modulus.  Reversible chains reuse the cached
+    # chain spectrum; otherwise deflate constants (Q - 1 pi^T) and take the
+    # largest modulus, which is exact at this scale.
     if chain.flags.reversible:
-        rt = np.sqrt(pi)
-        sym = (rt[:, None] * q) / rt[None, :]
-        eigvals, _ = jacobi_eigh(0.5 * (sym + sym.T))
+        eigvals, _ = chain_spectrum(chain)
         drop = int(np.argmin(np.abs(eigvals - 1.0)))
         rest = np.delete(eigvals, drop)
         return float(np.max(np.abs(rest))) if len(rest) else 0.0
-    deflated = q - np.outer(np.ones(chain.n_states), pi)
+    deflated = chain.kernel - np.outer(np.ones(chain.n_states), chain.stationary)
     return float(np.max(np.abs(np.linalg.eigvals(deflated))))
 
 

@@ -46,11 +46,6 @@ def mix64_vec(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def uniform_from_bits(z: np.ndarray) -> np.ndarray:
-    """Map 64-bit words to doubles in [0, 1) using the top 53 bits."""
-    return (z >> np.uint64(11)).astype(np.float64) * TWO_NEG53
-
-
 class PathStream:
     """Scalar view of one path's stream; replays exactly what the kernels draw."""
 

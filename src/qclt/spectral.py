@@ -6,6 +6,10 @@ atomic spectral measure of an observable ``f``: atom ``i`` sits at eigenvalue
 ``t_i`` and carries mass ``(u_i . D^{1/2} f)^2``.  Group walks contribute
 measures with complex atoms on the closed unit disk; those are built by the
 :mod:`qclt.group_walk` module and consumed by the same integral evaluator.
+
+Each chain is decomposed once, by LAPACK (:func:`chain_spectrum`), and the
+result is cached on the chain.  The cyclic Jacobi solver :func:`jacobi_eigh`
+is kept as an independent oracle for tests and the ``verify`` suite.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import FiniteChain, Observable, inner_product
+from .chain import FiniteChain, Observable
 from .errors import (
     BadIndexOrder,
     DivergentIntegral,
@@ -114,6 +118,43 @@ def jacobi_eigh(sym: np.ndarray, rel_tol: float = JACOBI_REL_TOL,
     )
 
 
+def chain_spectrum(chain: FiniteChain):
+    """Eigendecomposition ``(eigenvalues, eigenvectors)`` of the symmetrized
+    kernel ``D^{1/2} Q D^{-1/2}`` of a reversible chain.
+
+    Computed by LAPACK (``np.linalg.eigh``, ascending eigenvalues,
+    orthonormal eigenvector columns) on the first call and cached on the
+    chain, so each chain is decomposed at most once.  The arrays are
+    read-only.
+
+    Raises
+    ------
+    NotReversible
+        If the chain is not reversible.
+    JacobiNoConvergence
+        If LAPACK fails to converge.
+    """
+    cached = chain.__dict__.get("_spectrum")
+    if cached is not None:
+        return cached
+    if not chain.flags.reversible:
+        raise NotReversible("the symmetrized kernel exists for reversible chains only")
+    rt = np.sqrt(chain.stationary)
+    sym = (rt[:, None] * chain.kernel) / rt[None, :]
+    sym = 0.5 * (sym + sym.T)  # kill roundoff asymmetry from detailed balance
+    try:
+        eigvals, eigvecs = np.linalg.eigh(sym)
+    except np.linalg.LinAlgError as exc:
+        raise JacobiNoConvergence(f"LAPACK eigh failed: {exc}") from exc
+    eigvals.flags.writeable = False
+    eigvecs.flags.writeable = False
+    # the chain is a frozen dataclass with read-only arrays, so the cache
+    # goes straight into the instance dict and can never go stale; racing
+    # first calls store equal results
+    chain.__dict__["_spectrum"] = (eigvals, eigvecs)
+    return eigvals, eigvecs
+
+
 def _merge_atoms(locations: np.ndarray, masses: np.ndarray):
     # Degenerate eigenvalues must not create spurious distinct atoms, so
     # locations within ATOM_MERGE_TOL are pooled (mass-weighted position).
@@ -144,12 +185,8 @@ def spectral_measure(chain: FiniteChain, f: Observable) -> SpectralMeasure:
     """
     if not chain.flags.reversible:
         raise NotReversible("spectral measures are computed for reversible chains only")
-    pi = chain.stationary
-    rt = np.sqrt(pi)
-    sym = (rt[:, None] * chain.kernel) / rt[None, :]
-    sym = 0.5 * (sym + sym.T)  # kill roundoff asymmetry from detailed balance
-    eigvals, eigvecs = jacobi_eigh(sym)
-    weights = eigvecs.T @ (rt * f.values)
+    eigvals, eigvecs = chain_spectrum(chain)
+    weights = eigvecs.T @ (np.sqrt(chain.stationary) * f.values)
     locations = np.clip(eigvals, -1.0, 1.0)
     locations, masses = _merge_atoms(locations, weights * weights)
     # roundoff-sized atoms (relative to the total) are dropped so that e.g.
@@ -158,7 +195,8 @@ def spectral_measure(chain: FiniteChain, f: Observable) -> SpectralMeasure:
     locations, masses = locations[keep], masses[keep]
     total = float(np.sum(masses))
     norm_sq = f.norm_sq
-    if norm_sq > 0.0 and abs(total - norm_sq) > TOTAL_MASS_RTOL * max(total, norm_sq):
+    # written so that a NaN anywhere fails the check instead of skipping it
+    if norm_sq != 0.0 and not abs(total - norm_sq) <= TOTAL_MASS_RTOL * max(total, norm_sq):
         raise JacobiNoConvergence(
             f"spectral mass {total!r} does not reproduce <f,f> = {norm_sq!r}"
         )
@@ -311,9 +349,3 @@ def variance_tail_constant(measure: SpectralMeasure) -> float:
     keep = ~near_one
     tt = t[keep]
     return float(np.sum(measure.masses[keep] * np.abs(tt) / (1.0 - tt) ** 2))
-
-
-def sigma_sq_identity_gap(chain: FiniteChain, f: Observable, n: int) -> float:
-    """Convenience: ``|var(S_n)/n - integral((1+t)/(1-t))|`` at horizon n."""
-    measure = spectral_measure(chain, f)
-    return abs(variance_growth(chain, f, n) - spectral_integral(measure, "sigma_sq"))

@@ -18,6 +18,7 @@ from qclt.chain import (
 from qclt.errors import (
     DimensionMismatch,
     NegativeEntry,
+    NonFiniteValue,
     NonStochasticRow,
     NotMeanZero,
     SingularStationary,
@@ -52,6 +53,18 @@ def test_identity_kernel_needs_explicit_pi():
 def test_row_sum_rejected():
     with pytest.raises(NonStochasticRow):
         make_chain("01", [[0.6, 0.6], [0.5, 0.5]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_rejected(two_state, bad):
+    with pytest.raises(NonFiniteValue):
+        make_chain("01", [[bad, 0.5], [0.5, 0.5]])
+    with pytest.raises(NonFiniteValue):
+        make_chain("01", [[0.5, 0.5], [0.5, 0.5]], stationary=[bad, 0.5])
+    with pytest.raises(NonFiniteValue):
+        center_observable(two_state, [1.0, bad])
+    with pytest.raises(NonFiniteValue):
+        as_observable(two_state, [bad, bad])
 
 
 def test_negative_entry_rejected():

@@ -42,6 +42,16 @@ def test_analyze_unknown_observable_exits_2(capsys, chain_file):
     assert "error:" in err
 
 
+def test_analyze_nan_observable_exits_2(capsys, tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({"Q": [[0.75, 0.25], [0.25, 0.75]],
+                                "observables": {"f": [1.0, float("nan")]}}))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "[spectral]" not in out
+
+
 def test_unknown_flag_exits_2(chain_file):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", chain_file, "--bogus"])

@@ -9,6 +9,7 @@ from qclt.errors import (
     RateNotContractive,
 )
 from qclt.martingale import (
+    _mean_zero_rate,
     kernel_gap_msq,
     poisson_solve,
     projection_series,
@@ -18,6 +19,7 @@ from qclt.martingale import (
 )
 from qclt.spectral import spectral_integral, spectral_measure
 from tests.test_chain import random_reversible
+from tests.test_spectral import jacobi_spectrum, wide_walk
 
 
 def test_poisson_two_state(two_state, sign):
@@ -173,3 +175,34 @@ def test_scheme_sigma_matches_spectral():
         sigma_spec = spectral_integral(spectral_measure(chain, f), "sigma_sq")
         sigma_scheme = poisson_solve(chain, f).sigma_sq
         assert sigma_scheme == pytest.approx(sigma_spec, rel=1e-9)
+
+
+def jacobi_rate(chain):
+    vals, _ = jacobi_spectrum(chain)
+    rest = np.delete(vals, int(np.argmin(np.abs(vals - 1.0))))
+    return float(np.max(np.abs(rest))) if len(rest) else 0.0
+
+
+def test_mean_zero_rate_matches_jacobi(two_state, iid, flip):
+    rng = np.random.default_rng(37)
+    chains = [two_state, iid, flip, wide_walk().chain]
+    chains += [random_reversible(rng, size) for size in (2, 3, 7, 40)]
+    for chain in chains:
+        assert abs(_mean_zero_rate(chain) - jacobi_rate(chain)) <= 1e-12
+
+
+def test_one_eigendecomposition_per_chain(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    chain = random_reversible(np.random.default_rng(43), 6)
+    f = center_observable(chain, np.arange(6.0))
+    spectral_measure(chain, f)
+    poisson_solve(chain, f)
+    spectral_measure(chain, center_observable(chain, np.arange(6.0) ** 2))
+    assert calls == [(6, 6)]

@@ -1,13 +1,24 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qclt.chain import as_observable, center_observable, make_chain
-from qclt.errors import BadIndexOrder, DivergentIntegral, NotReversible
+from qclt.cli import main
+from qclt.errors import (
+    BadIndexOrder,
+    DivergentIntegral,
+    JacobiNoConvergence,
+    NotReversible,
+)
+from qclt.group_walk import build_group_walk
 from qclt.martingale import kernel_gap_msq
 from qclt.spectral import (
     SpectralMeasure,
+    _merge_atoms,
+    chain_spectrum,
     jacobi_eigh,
     kernel_gap_msq_spectral,
     spectral_integral,
@@ -46,6 +57,104 @@ def test_jacobi_zero_and_diagonal():
     np.testing.assert_array_equal(vals, np.zeros(3))
     vals, _ = jacobi_eigh(np.diag([3.0, -1.0, 2.0]))
     np.testing.assert_array_equal(vals, [3.0, -1.0, 2.0])
+
+
+# -- LAPACK chain spectrum against the Jacobi oracle --------------------------------
+
+# the order-110 walk on Z_11 x Z_10: half the mass at the identity, the rest
+# split evenly over +-g, so every character pair gives a double eigenvalue
+WIDE_MODULI = (11, 10)
+WIDE_STEP = [((1, 0), 0.16), ((0, 1), 0.12), ((3, 2), 0.12), ((5, 7), 0.10)]
+
+
+def wide_walk():
+    step = {(0, 0): 0.5}
+    for g, w in WIDE_STEP:
+        for e in (g, tuple(-c for c in g)):
+            e = tuple(c % m for c, m in zip(e, WIDE_MODULI))
+            step[e] = step.get(e, 0.0) + w / 2.0
+    return build_group_walk(WIDE_MODULI, step)
+
+
+def jacobi_spectrum(chain):
+    rt = np.sqrt(chain.stationary)
+    sym = rt[:, None] * chain.kernel / rt[None, :]
+    return jacobi_eigh(0.5 * (sym + sym.T))
+
+
+def assert_measure_matches_jacobi(chain, f, jacobi):
+    # the oracle measure goes through the same merge and roundoff-atom drop
+    vals, vecs = jacobi
+    w = vecs.T @ (np.sqrt(chain.stationary) * f.values)
+    locs, masses = _merge_atoms(np.clip(vals, -1.0, 1.0), w * w)
+    keep = masses > 1e-14 * float(np.sum(masses))
+    m = spectral_measure(chain, f)
+    assert len(m.masses) == int(np.sum(keep))
+    np.testing.assert_allclose(m.locations, locs[keep], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(m.masses, masses[keep], rtol=0, atol=1e-12 * m.total)
+
+
+@pytest.mark.parametrize("size", [2, 3, 7, 40])
+def test_lapack_measure_matches_jacobi(size):
+    rng = np.random.default_rng(size)
+    for _ in range(3):
+        chain = random_reversible(rng, size)
+        jacobi = jacobi_spectrum(chain)
+        for _ in range(2):
+            f = center_observable(chain, rng.normal(size=size))
+            assert_measure_matches_jacobi(chain, f, jacobi)
+
+
+def test_lapack_measure_matches_jacobi_degenerate_walk():
+    walk = wide_walk()
+    chain = walk.chain
+    vals = chain_spectrum(chain)[0]
+    assert np.min(np.diff(vals)) <= 1e-12  # the +- character pairs
+    jacobi = jacobi_spectrum(chain)
+    rng = np.random.default_rng(110)
+    elements = np.array(walk.elements, dtype=float)
+    harmonic = np.sqrt(2.0) * np.cos(2 * np.pi * (3 * elements[:, 0] / 11 + elements[:, 1] / 10))
+    for raw in (harmonic, rng.normal(size=chain.n_states)):
+        assert_measure_matches_jacobi(chain, center_observable(chain, raw), jacobi)
+
+
+def test_chain_spectrum_cached_and_read_only(two_state):
+    vals, vecs = chain_spectrum(two_state)
+    assert chain_spectrum(two_state)[0] is vals
+    np.testing.assert_allclose(vals, [0.5, 1.0], atol=1e-15)
+    assert not vals.flags.writeable and not vecs.flags.writeable
+
+
+def test_chain_spectrum_errors(two_state, monkeypatch):
+    rotation = make_chain("012", [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
+                          stationary=[1 / 3] * 3)
+    with pytest.raises(NotReversible):
+        chain_spectrum(rotation)
+
+    def no_convergence(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    with pytest.raises(JacobiNoConvergence):
+        chain_spectrum(two_state)
+
+
+def test_hot_path_never_calls_jacobi(monkeypatch, tmp_path, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("jacobi_eigh is an oracle, not a hot-path solver")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qclt") and hasattr(module, "jacobi_eigh"):
+            monkeypatch.setattr(module, "jacobi_eigh", forbidden)
+    doc = tmp_path / "walk.json"
+    assert main(["group", "--moduli", "4,3", "--step",
+                 "0.0:0.5,1.0:0.125,3.0:0.125,0.1:0.125,0.2:0.125",
+                 "--harmonic", "1,1", "--output", str(doc)]) == 0
+    assert "SR_spectral" in capsys.readouterr().out
+    common = [str(doc), "--observable", "harmonic1_1"]
+    for argv in (["analyze", *common], ["approx", *common, "--n", "1,4"],
+                 ["simulate", *common, "--start", "0,0", "--n", "16", "--paths", "100"]):
+        assert main(argv) == 0, argv
 
 
 # -- measures -------------------------------------------------------------------
