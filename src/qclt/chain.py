@@ -23,7 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    BadFile,
     DimensionMismatch,
+    DuplicateLabel,
     NegativeEntry,
     NonFiniteValue,
     NonStochasticRow,
@@ -104,6 +106,13 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=np.float64)
     a.flags.writeable = False
     return a
+
+
+def _float_array(value, what: str) -> np.ndarray:
+    try:
+        return np.array(value, dtype=np.float64)
+    except (TypeError, ValueError):   # ragged rows, strings, nested objects
+        raise DimensionMismatch(f"{what} is not a numeric array") from None
 
 
 def _require_finite(a: np.ndarray, what: str) -> None:
@@ -212,13 +221,16 @@ def make_chain(state_labels, kernel, stationary=None,
     recomputed (this supports reducible fixtures such as the identity
     kernel); otherwise it is obtained by a direct linear solve.
     """
-    q = np.array(kernel, dtype=np.float64)
+    q = _float_array(kernel, "kernel")
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise DimensionMismatch(f"kernel must be square, got shape {q.shape}")
     n = q.shape[0]
     labels = tuple(str(s) for s in state_labels)
     if len(labels) != n:
         raise DimensionMismatch(f"{len(labels)} labels for {n} states")
+    if len(set(labels)) != n:
+        dup = next(s for i, s in enumerate(labels) if s in labels[:i])
+        raise DuplicateLabel(f"state label {dup!r} is used more than once")
     _require_finite(q, "kernel")
     if np.min(q) < 0.0:
         x, y = np.unravel_index(np.argmin(q), q.shape)
@@ -231,7 +243,7 @@ def make_chain(state_labels, kernel, stationary=None,
     q = q / row_sums[:, None]
 
     if stationary is not None:
-        pi = np.array(stationary, dtype=np.float64)
+        pi = _float_array(stationary, "supplied pi")
         if pi.shape != (n,):
             raise DimensionMismatch(f"pi has shape {pi.shape}, expected ({n},)")
         _require_finite(pi, "supplied pi")
@@ -260,16 +272,32 @@ def load_document(source, tol: float = DEFAULT_CLASSIFY_TOL):
             is_file = Path(str(source)).exists()
         except (OSError, ValueError):  # e.g. JSON text too long for a path
             is_file = False
-        doc = json.loads(Path(source).read_text() if is_file else str(source))
+        if is_file:
+            doc = read_json(source)
+        else:
+            try:
+                doc = json.loads(str(source))
+            except json.JSONDecodeError:
+                raise BadFile(f"{str(source)[:80]!r} is neither an existing file "
+                              "nor JSON text") from None
     else:
         doc = dict(source)
+    if not isinstance(doc, dict):
+        raise DimensionMismatch("a chain document is a JSON object")
     if "Q" not in doc:
         raise DimensionMismatch("document is missing the kernel field 'Q'")
+    if not isinstance(doc["Q"], list):
+        raise DimensionMismatch("the kernel field 'Q' must be a list of rows")
     states = doc.get("states") or [str(i) for i in range(len(doc["Q"]))]
+    if not isinstance(states, list):
+        raise DimensionMismatch("the field 'states' must be a list of labels")
     chain = make_chain(states, doc["Q"], stationary=doc.get("pi"), tol=tol)
+    named = doc.get("observables") or {}
+    if not isinstance(named, dict):
+        raise DimensionMismatch("the field 'observables' must map names to vectors")
     observables = {}
-    for name, vec in (doc.get("observables") or {}).items():
-        arr = np.asarray(vec, dtype=np.float64)
+    for name, vec in named.items():
+        arr = _float_array(vec, f"observable {name!r}")
         if arr.shape != (chain.n_states,):
             raise DimensionMismatch(
                 f"observable {name!r} has shape {arr.shape}, "
@@ -277,6 +305,26 @@ def load_document(source, tol: float = DEFAULT_CLASSIFY_TOL):
             )
         observables[name] = arr
     return chain, observables
+
+
+def read_json(path):
+    """Parse the JSON file at ``path``, raising :class:`BadFile` if it cannot
+    be read or does not parse."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise BadFile(f"cannot read {str(path)!r}: {exc.strerror or exc}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise BadFile(f"{str(path)!r} is not valid JSON: {exc}") from None
+
+
+def open_output(path):
+    """Open ``path`` for writing text, raising :class:`BadFile` if it cannot be."""
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise BadFile(f"cannot write {str(path)!r}: {exc.strerror or exc}") from None
 
 
 def load_chain(source, tol: float = DEFAULT_CLASSIFY_TOL) -> FiniteChain:

@@ -13,14 +13,19 @@ included.  Exit codes: 0 success, 2 validation error, 3 suite failure.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
 import numpy as np
 
 from . import kernels
-from .chain import center_observable, dump_document, load_document
+from .chain import (
+    center_observable,
+    dump_document,
+    load_document,
+    open_output,
+    read_json,
+)
 from .errors import DivergentIntegral, QcltError
 from .group_walk import (
     GOLDEN_ALPHA,
@@ -88,18 +93,23 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _parse_int_list(text: str):
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+def _parse_int_list(text: str, option: str):
+    try:
+        return [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise QcltError(f"{option} needs comma-separated integers, got {text!r}") from None
 
 
 def _cmd_approx(args) -> int:
     chain, observables = load_document(args.chain, tol=args.tol)
     name, raw = _pick_observable(observables, args.observable)
     f = center_observable(chain, raw)
-    scheme = poisson_solve(chain, f)
-    horizons = _parse_int_list(args.n)
+    horizons = _parse_int_list(args.n, "--n")
+    if not horizons or min(horizons) < 1:
+        raise QcltError(f"--n needs horizons >= 1, got {args.n!r}")
     starts = ([chain.index_of(args.start)] if args.start is not None
               else list(range(chain.n_states)))
+    scheme = poisson_solve(chain, f)
     _emit("config", [("command", "approx"), ("chain", args.chain),
                      ("observable", name), ("n", args.n),
                      ("start", "all" if args.start is None else str(args.start)),
@@ -120,14 +130,15 @@ def _cmd_simulate(args) -> int:
     name, raw = _pick_observable(observables, args.observable)
     f = center_observable(chain, raw)
     scheme = poisson_solve(chain, f)
+    # every input, the dump path included, is validated before anything prints
+    report = simulate_quenched(chain, scheme, args.start, args.n, args.paths,
+                               seed=args.seed, workers=args.threads,
+                               dump_path=args.dump)
     _emit("config", [("command", "simulate"), ("chain", args.chain),
                      ("observable", name), ("start", str(args.start)),
                      ("n", args.n), ("paths", args.paths), ("seed", args.seed),
                      ("threads", args.threads), ("tol", args.tol),
                      ("backend", kernels.BACKEND)])
-    report = simulate_quenched(chain, scheme, args.start, args.n, args.paths,
-                               seed=args.seed, workers=args.threads,
-                               dump_path=args.dump)
     _emit("report", [("start_state", report.start_state), ("n", report.n),
                      ("num_paths", report.num_paths), ("seed", report.seed),
                      ("sample_mean", report.sample_mean),
@@ -138,10 +149,6 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _parse_moduli(text: str):
-    return [int(tok) for tok in text.split(",") if tok.strip()]
-
-
 def _parse_step(text: str, moduli):
     atoms = {}
     for part in text.split(","):
@@ -149,12 +156,16 @@ def _parse_step(text: str, moduli):
         if not part:
             continue
         elem_text, _, prob_text = part.partition(":")
-        comps = tuple(int(c) for c in elem_text.split("."))
+        try:
+            comps = tuple(int(c) for c in elem_text.split("."))
+            prob = float(prob_text)
+        except ValueError:
+            raise QcltError(f"--step atom {part!r} is not element:probability") from None
         if len(moduli) == 1 and len(comps) == 1:
             key = comps[0]
         else:
             key = comps
-        atoms[key] = atoms.get(key, 0.0) + float(prob_text)
+        atoms[key] = atoms.get(key, 0.0) + prob
     return atoms
 
 
@@ -166,12 +177,12 @@ def _harmonic_vector(moduli, freqs, elements):
 
 
 def _cmd_group(args) -> int:
-    moduli = _parse_moduli(args.moduli)
+    moduli = _parse_int_list(args.moduli, "--moduli")
     walk = build_group_walk(moduli, _parse_step(args.step, moduli))
     observables = {}
     f = None
     if args.harmonic is not None:
-        freqs = _parse_int_list(args.harmonic)
+        freqs = _parse_int_list(args.harmonic, "--harmonic")
         if len(freqs) != len(moduli):
             raise QcltError(f"--harmonic needs {len(moduli)} components")
         raw = _harmonic_vector(moduli, freqs, walk.elements)
@@ -182,7 +193,7 @@ def _cmd_group(args) -> int:
     if args.output is None:
         print(document)
         return 0
-    with open(args.output, "w") as fh:
+    with open_output(args.output) as fh:
         fh.write(document + "\n")
     _emit("config", [("command", "group"), ("moduli", args.moduli),
                      ("step", args.step),
@@ -204,23 +215,31 @@ def _cmd_group(args) -> int:
 def _load_coeffs(path):
     if path is None:
         return {1: 0.5}  # f(x) = cos(2 pi x)
-    with open(path) as fh:
-        data = json.load(fh)
+    data = read_json(path)
     out = {}
-    if isinstance(data, dict):
-        items = [(int(k), v) for k, v in data.items()]
-    else:
-        items = [(int(row[0]), row[1:]) for row in data]
-    for n, value in items:
-        if isinstance(value, (int, float)):
-            out[n] = complex(value)
+    try:
+        if isinstance(data, dict):
+            items = [(int(k), v) for k, v in data.items()]
         else:
-            out[n] = complex(float(value[0]), float(value[1]) if len(value) > 1 else 0.0)
+            items = [(int(row[0]), row[1:]) for row in data]
+        for n, value in items:
+            if isinstance(value, (int, float)):
+                out[n] = complex(value)
+            else:
+                out[n] = complex(float(value[0]),
+                                 float(value[1]) if len(value) > 1 else 0.0)
+    except (TypeError, ValueError, IndexError):
+        raise QcltError(f"--coeffs {path!r} needs {{n: value}} or [[n, re, im], ...] "
+                        "with integer frequencies and numeric values") from None
     return out
 
 
 def _cmd_torus(args) -> int:
-    alpha = GOLDEN_ALPHA if args.alpha.strip().lower() == "golden" else float(args.alpha)
+    try:
+        alpha = (GOLDEN_ALPHA if args.alpha.strip().lower() == "golden"
+                 else float(args.alpha))
+    except ValueError:
+        raise QcltError(f"--alpha needs 'golden' or a decimal, got {args.alpha!r}") from None
     walk = make_torus_walk(alpha, lazy=args.lazy, fhat=_load_coeffs(args.coeffs))
     report = torus_condition(walk, args.cutoff)
     _emit("config", [("command", "torus"), ("alpha", walk.alpha),

@@ -9,6 +9,10 @@ class QcltError(ValueError):
     """Base class for all validation and computation errors."""
 
 
+class BadFile(QcltError):
+    """A file cannot be opened, read or written, or its JSON does not parse."""
+
+
 # -- chain construction ------------------------------------------------------
 
 class NonStochasticRow(QcltError):
@@ -29,6 +33,10 @@ class SingularStationary(QcltError):
 
 class DimensionMismatch(QcltError):
     """Vector or matrix sizes do not match the chain's state space."""
+
+
+class DuplicateLabel(QcltError):
+    """Two states share a label, so a label no longer names one state."""
 
 
 class NotMeanZero(QcltError):

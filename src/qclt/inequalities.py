@@ -98,18 +98,22 @@ def chaining_maximal_check(family: DyadicFamily) -> ChainingCheck:
         sampled = True
     else:
         tbl, weights, sampled = family.values, family.probs, False
-    dev = tbl - tbl[:, :1]
-    sup = np.max(np.abs(dev[:, 1:]), axis=1)
-    msq = float(np.sum(weights * sup * sup))
-    lhs = math.sqrt(msq)
+    cols = np.ascontiguousarray(tbl.T)          # (2^d + 1, paths)
+    # rounded subtraction is monotone, so this is max_k |T_k - T_0| exactly
+    sup = np.maximum(np.max(cols[1:], axis=0) - cols[0],
+                     cols[0] - np.min(cols[1:], axis=0))
+
+    def moment(rows):   # sum_j weights[j] * sum_i rows[i, j]^2
+        return float(np.einsum("ij,ij->j", rows, rows) @ weights)
+
+    # one reduction for both sides, so the d = 0 equality lhs == rhs is exact
+    lhs = math.sqrt(moment(sup[None, :]))
     rhs = 0.0
     for r in range(d + 1):
         step = 2 ** r
-        idx = np.arange(0, 2 ** d + 1, step)
-        inc = tbl[:, idx[1:]] - tbl[:, idx[:-1]]
-        rhs += math.sqrt(float(np.sum(weights[:, None] * inc * inc)))
+        rhs += math.sqrt(moment(cols[step::step] - cols[:-step:step]))
     if sampled:
-        se_msq = float(np.std(sup * sup)) / math.sqrt(tbl.shape[0])
+        se_msq = float(np.std(sup * sup)) / math.sqrt(cols.shape[1])
         slack = 3.0 * se_msq / (2.0 * lhs) if lhs > 0 else 0.0
     else:
         slack = EXACT_SLACK

@@ -9,13 +9,14 @@ pathwise on every run.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .chain import FiniteChain
+from .chain import FiniteChain, open_output
 from .errors import BadIndexOrder, DegenerateSigma, EmptySample
 from .martingale import MartingaleScheme
 from .rng import PathStream
@@ -118,21 +119,24 @@ def simulate_quenched(chain: FiniteChain, scheme: MartingaleScheme, x,
     start = chain.index_of(x)
     fvals = np.ascontiguousarray(scheme.g - scheme.qg)
     hmat = np.ascontiguousarray(scheme.diff_kernel)
-    sums, mart_sums, last = kernels.run_chain_paths(
-        cumulative_rows(chain), fvals, hmat, start, n, num_paths, seed,
-        workers=workers, backend=backend)
+    # the dump file is opened before the run, so a bad path fails at once
+    with (contextlib.nullcontext() if dump_path is None
+          else open_output(dump_path)) as dump:
+        sums, mart_sums, last = kernels.run_chain_paths(
+            cumulative_rows(chain), fvals, hmat, start, n, num_paths, seed,
+            workers=workers, backend=backend)
 
-    jump = scheme.qg[start] - scheme.qg[last]
-    residual_max = float(np.max(np.abs(sums - mart_sums - jump)))
-    sqrt_n = math.sqrt(n)
-    scaled = sums / sqrt_n
-    mean = float(np.mean(scaled))
-    var = float(np.sum((scaled - mean) ** 2) / (num_paths - 1))
-    sigma = math.sqrt(scheme.sigma_sq)
-    kd = ks_distance(np.sort(scaled / sigma), standard_normal_cdf)
+        jump = scheme.qg[start] - scheme.qg[last]
+        residual_max = float(np.max(np.abs(sums - mart_sums - jump)))
+        sqrt_n = math.sqrt(n)
+        scaled = sums / sqrt_n
+        mean = float(np.mean(scaled))
+        var = float(np.sum((scaled - mean) ** 2) / (num_paths - 1))
+        sigma = math.sqrt(scheme.sigma_sq)
+        kd = ks_distance(np.sort(scaled / sigma), standard_normal_cdf)
 
-    if dump_path is not None:
-        _dump_samples(dump_path, scaled, mart_sums / sqrt_n)
+        if dump is not None:
+            _dump_samples(dump, scaled, mart_sums / sqrt_n)
 
     return SimulationReport(
         start_state=start, n=n, num_paths=num_paths, seed=seed,
@@ -141,8 +145,7 @@ def simulate_quenched(chain: FiniteChain, scheme: MartingaleScheme, x,
         backend=backend or kernels.BACKEND)
 
 
-def _dump_samples(path, s_scaled: np.ndarray, m_scaled: np.ndarray) -> None:
-    with open(path, "w") as fh:
-        fh.write("path_index,s_scaled,m_scaled\n")
-        for i in range(s_scaled.shape[0]):
-            fh.write(f"{i},{s_scaled[i]:.12g},{m_scaled[i]:.12g}\n")
+def _dump_samples(fh, s_scaled: np.ndarray, m_scaled: np.ndarray) -> None:
+    fh.write("path_index,s_scaled,m_scaled\n")
+    for i in range(s_scaled.shape[0]):
+        fh.write(f"{i},{s_scaled[i]:.12g},{m_scaled[i]:.12g}\n")

@@ -288,16 +288,13 @@ def spectral_integral(measure: SpectralMeasure, weight: str, custom=None) -> flo
     return float(np.sum(vals * measure.masses[keep]))
 
 
-def _power_block_sum(t: np.ndarray, m: int, n: int) -> np.ndarray:
-    # sum_{k=m}^{n-1} t^k, stable at t = +-1 and for large exponents.
+def _power_block_sum(t, m, n) -> np.ndarray:
+    # sum_{k=m}^{n-1} t^k, stable at t = +-1 and for large exponents; the
+    # exponents m and n may be arrays that broadcast against t.
     t = np.asarray(t, dtype=np.float64)
-    out = np.empty_like(t)
     near_one = np.abs(1.0 - t) < 1e-12
-    safe = ~near_one
-    ts = t[safe]
-    out[safe] = (ts ** m - ts ** n) / (1.0 - ts)
-    out[near_one] = float(n - m)
-    return out
+    ts = np.where(near_one, 0.0, t)
+    return np.where(near_one, n - m, (ts ** m - ts ** n) / (1.0 - ts))
 
 
 def kernel_gap_msq_spectral(measure: SpectralMeasure, m: int, n: int) -> float:
@@ -317,6 +314,28 @@ def kernel_gap_msq_spectral(measure: SpectralMeasure, m: int, n: int) -> float:
     t = measure.locations
     block = _power_block_sum(t, m, n)
     return float(np.sum((1.0 - t * t) * block * block * measure.masses))
+
+
+def kernel_gap_msq_spectral_table(measure: SpectralMeasure, n_max: int) -> np.ndarray:
+    """All horizon-gap moments :func:`kernel_gap_msq_spectral` for
+    ``1 <= m < n <= n_max`` at once.
+
+    Entry ``[m-1, n-1]`` holds
+    ``sum_i (1 - t_i^2) (t_i^m - t_i^n)^2 / (1 - t_i)^2 mass_i``, the layout
+    of :func:`qclt.martingale.kernel_gap_msq_table`; the lower triangle and
+    the diagonal are zero.  Atoms are accumulated one at a time, so memory
+    stays at one ``(n_max + 1)^2`` table.
+    """
+    if n_max < 2:
+        raise BadIndexOrder(f"need n_max >= 2, got {n_max}")
+    if not measure.is_real:
+        raise NotReversible("horizon-gap moments require a real-supported measure")
+    span = np.arange(n_max + 1)
+    table = np.zeros((n_max + 1, n_max + 1))
+    for t, mass in zip(measure.locations, measure.masses):
+        block = _power_block_sum(t, span[:, None], span[None, :])
+        table += (1.0 - t * t) * block * block * mass
+    return np.triu(table[1:, 1:], k=1)
 
 
 def variance_growth(chain: FiniteChain, f: Observable, n: int) -> float:

@@ -14,9 +14,13 @@ from qclt.chain import (
     load_chain,
     load_document,
     make_chain,
+    open_output,
+    read_json,
 )
 from qclt.errors import (
+    BadFile,
     DimensionMismatch,
+    DuplicateLabel,
     NegativeEntry,
     NonFiniteValue,
     NonStochasticRow,
@@ -171,3 +175,42 @@ def test_random_reversible_invariants(n, seed):
                                atol=1e-12)
     np.testing.assert_allclose(adjoint_kernel(chain), chain.kernel, atol=1e-9)
     assert abs(chain.stationary.sum() - 1.0) <= 1e-12
+
+
+def test_duplicate_labels_rejected():
+    with pytest.raises(DuplicateLabel, match="'a'"):
+        make_chain(["a", "b", "a"], np.full((3, 3), 1 / 3))
+    with pytest.raises(DuplicateLabel):
+        make_chain([0, "0"], [[0.5, 0.5], [0.5, 0.5]])   # labels compare as text
+
+
+@pytest.mark.parametrize("kernel", [[[0.5, 0.5], [1.0]], [["a", "b"], ["c", "d"]],
+                                    [[{}, 1.0], [0.5, 0.5]]])
+def test_non_numeric_kernel_rejected(kernel):
+    with pytest.raises(DimensionMismatch, match="numeric"):
+        make_chain("01", kernel)
+
+
+def test_load_document_structure_errors():
+    q = [[0.5, 0.5], [0.5, 0.5]]
+    for doc in ([1, 2], {"Q": q, "states": 3}, {"Q": q, "observables": [1.0]},
+                {"Q": q, "observables": {"f": [1.0, "x"]}}, {"Q": q, "pi": ["x", 1]}):
+        with pytest.raises(DimensionMismatch):
+            load_document(json.dumps(doc))
+
+
+def test_load_document_file_errors(tmp_path):
+    with pytest.raises(BadFile, match="neither an existing file"):
+        load_document(str(tmp_path / "absent.json"))
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"Q": [[1.0')
+    with pytest.raises(BadFile, match="not valid JSON"):
+        load_document(bad)
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe")
+    with pytest.raises(BadFile):
+        read_json(binary)
+    with pytest.raises(BadFile, match="cannot read"):
+        read_json(tmp_path)                      # a directory
+    with pytest.raises(BadFile, match="cannot write"):
+        open_output(tmp_path / "absent" / "out.csv")

@@ -128,3 +128,89 @@ def test_verify_quick_exits_0(capsys):
     code, out, _ = run(capsys, "verify", "--quick")
     assert code == 0
     assert "result = 12/12 passed" in out
+
+
+# -- malformed input exits 2 before anything is printed ------------------------
+
+def _assert_clean_exit_2(code, out, err):
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("text", ['{"Q": [[1, 0], [0', "[1, 2]",
+                                  '{"Q": [[0.5, 0.5], [1]]}',
+                                  '{"Q": [["a", "b"], ["c", "d"]]}',
+                                  '{"Q": [[0.5, 0.5], [0.5, 0.5]], "states": 3}',
+                                  '{"Q": [[0.5, 0.5], [0.5, 0.5]], "observables": [1]}',
+                                  '{"Q": 5}'])
+def test_analyze_malformed_document_exits_2(capsys, tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    _assert_clean_exit_2(*run(capsys, "analyze", str(path)))
+
+
+def test_analyze_missing_file_exits_2(capsys, tmp_path):
+    code, out, err = run(capsys, "analyze", str(tmp_path / "absent.json"))
+    _assert_clean_exit_2(code, out, err)
+    assert "neither an existing file nor JSON text" in err
+
+
+def test_analyze_duplicate_labels_exit_2(capsys, tmp_path):
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps({"states": ["a", "a"], "Q": [[0.75, 0.25], [0.25, 0.75]],
+                                "observables": {"f": [1.0, -1.0]}}))
+    code, out, err = run(capsys, "analyze", str(path))
+    _assert_clean_exit_2(code, out, err)
+    assert "'a'" in err
+
+
+@pytest.mark.parametrize("text", ['{"1": [0.5', '{"x": 1}', "[[1]]", "[3]"])
+def test_torus_malformed_coeffs_exit_2(capsys, tmp_path, text):
+    path = tmp_path / "coeffs.json"
+    path.write_text(text)
+    _assert_clean_exit_2(*run(capsys, "torus", "--coeffs", str(path), "--cutoff", "100"))
+
+
+def test_torus_missing_coeffs_exit_2(capsys, tmp_path):
+    code, out, err = run(capsys, "torus", "--coeffs", str(tmp_path / "absent.json"))
+    _assert_clean_exit_2(code, out, err)
+    assert "cannot read" in err
+
+
+def test_simulate_bad_dump_path_fails_before_the_run(capsys, chain_file, tmp_path,
+                                                     monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the simulation ran before the dump path was checked")
+    monkeypatch.setattr("qclt.kernels.run_chain_paths", no_run)
+    dump = tmp_path / "no" / "such" / "dir" / "x.csv"
+    code, out, err = run(capsys, "simulate", chain_file, "--observable", "f",
+                         "--start", "0", "--paths", "500", "--dump", str(dump))
+    _assert_clean_exit_2(code, out, err)
+    assert "cannot write" in err
+
+
+def test_group_bad_output_path_exits_2(capsys, tmp_path):
+    code, out, err = run(capsys, "group", "--moduli", "5", "--step", "1:0.5,4:0.5",
+                         "--output", str(tmp_path / "no" / "z5.json"))
+    _assert_clean_exit_2(code, out, err)
+
+
+@pytest.mark.parametrize("argv", [("--n", "0"), ("--n", "1,x"), ("--n", "4,-2"),
+                                  ("--n", ","), ("--start", "9")])
+def test_approx_validates_before_printing(capsys, chain_file, argv):
+    _assert_clean_exit_2(*run(capsys, "approx", chain_file, "--observable", "f", *argv))
+
+
+@pytest.mark.parametrize("option, argv", [
+    ("--moduli", ["group", "--moduli", "5,x", "--step", "1:1.0"]),
+    ("--harmonic", ["group", "--moduli", "5", "--step", "1:1.0", "--harmonic", "y"]),
+    ("--step", ["group", "--moduli", "5", "--step", "1:x"]),
+    ("--step", ["group", "--moduli", "5", "--step", "a:1.0"]),
+    ("--alpha", ["torus", "--alpha", "x", "--cutoff", "100"]),
+])
+def test_malformed_numbers_exit_2(capsys, option, argv):
+    code, out, err = run(capsys, *argv)
+    _assert_clean_exit_2(code, out, err)
+    assert option in err

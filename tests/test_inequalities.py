@@ -62,6 +62,102 @@ def test_chaining_random_families_never_violate():
         assert res.ok
 
 
+# -- the whole-array chaining check and AR(1) generator against their
+# -- earlier loop-based forms, kept here as references
+
+def _reference_chaining(family):
+    if family.samples is not None:
+        tbl = family.samples
+        weights = np.full(tbl.shape[0], 1.0 / tbl.shape[0])
+        sampled = True
+    else:
+        tbl, weights, sampled = family.values, family.probs, False
+    dev = tbl - tbl[:, :1]
+    sup = np.max(np.abs(dev[:, 1:]), axis=1)
+    lhs = math.sqrt(float(np.sum(weights * sup * sup)))
+    rhs = 0.0
+    for r in range(family.d + 1):
+        idx = np.arange(0, 2 ** family.d + 1, 2 ** r)
+        inc = tbl[:, idx[1:]] - tbl[:, idx[:-1]]
+        rhs += math.sqrt(float(np.sum(weights[:, None] * inc * inc)))
+    if sampled:
+        se_msq = float(np.std(sup * sup)) / math.sqrt(tbl.shape[0])
+        slack = 3.0 * se_msq / (2.0 * lhs) if lhs > 0 else 0.0
+    else:
+        slack = 1e-12
+    return lhs, rhs, slack, lhs <= rhs + slack
+
+
+def _reference_dyadic_family(rng, d, paths):
+    count = 2 ** d + 1
+    shape = rng.integers(0, 5)
+    if shape == 0:
+        inc = rng.normal(0.0, rng.uniform(0.2, 2.0), size=(paths, count))
+        t = np.cumsum(inc, axis=1)
+    elif shape == 1:
+        inc = rng.choice([-1.0, 1.0], size=(paths, count))
+        t = np.cumsum(inc, axis=1)
+    elif shape == 2:
+        a = rng.uniform(-0.9, 0.9)
+        noise = rng.normal(size=(paths, count))
+        t = np.empty_like(noise)
+        t[:, 0] = noise[:, 0]
+        for k in range(1, count):
+            t[:, k] = a * t[:, k - 1] + noise[:, k]
+    elif shape == 3:
+        z = rng.normal(size=(paths, 1))
+        profile = rng.uniform(-1.0, 1.0, size=count)
+        t = z * profile[None, :] + 0.1 * rng.normal(size=(paths, count))
+    else:
+        inc = rng.exponential(1.0, size=(paths, count)) - rng.uniform(0.0, 2.0)
+        t = np.cumsum(inc, axis=1)
+    return int(shape), t
+
+
+def _assert_matches_reference(family):
+    res = chaining_maximal_check(family)
+    lhs, rhs, slack, ok = _reference_chaining(family)
+    np.testing.assert_allclose([res.lhs, res.rhs, res.slack], [lhs, rhs, slack],
+                               rtol=1e-12, atol=0.0)
+    assert res.ok == ok
+
+
+def test_chaining_matches_reference_on_sampled_families():
+    rng = np.random.default_rng(2024)
+    for _ in range(40):
+        d = int(rng.integers(0, 6))
+        _assert_matches_reference(random_dyadic_family(rng, d, int(rng.integers(1, 500))))
+
+
+def test_chaining_matches_reference_on_exact_families():
+    rng = np.random.default_rng(99)
+    for _ in range(40):
+        d = int(rng.integers(0, 6))
+        atoms = int(rng.integers(1, 30))
+        values = np.cumsum(rng.normal(size=(atoms, 2 ** d + 1)), axis=1)
+        probs = rng.uniform(0.0, 1.0, size=atoms) ** 3
+        probs[0] += 1e-3                       # keep the total weight positive
+        _assert_matches_reference(DyadicFamily.from_exact(values, probs))
+
+
+def test_chaining_matches_reference_on_deterministic_cases():
+    for seq in ([0.0, 1.0, 0.0], [2.0] * 5, [3.0] * 9, [0.0, -4.0, 1.0, 1.0, 7.5]):
+        _assert_matches_reference(DyadicFamily.deterministic(seq))
+
+
+def test_random_dyadic_family_bit_identical_to_reference():
+    shapes = set()
+    for seed in range(50):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        d = seed % 6
+        fam = random_dyadic_family(rng, d, 257)
+        shape, ref = _reference_dyadic_family(ref_rng, d, 257)
+        shapes.add(shape)
+        assert np.array_equal(fam.samples, ref)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert shapes == {0, 1, 2, 3, 4}
+
+
 def test_domination_equality_two_state(two_state, sign):
     weights = AtomicWeightFamily.from_measure(spectral_measure(two_state, sign))
     seq = kernel_dyadic_sequence(two_state, sign, 5)

@@ -14,13 +14,14 @@ from qclt.errors import (
     NotReversible,
 )
 from qclt.group_walk import build_group_walk
-from qclt.martingale import kernel_gap_msq
+from qclt.martingale import kernel_gap_msq, kernel_gap_msq_table
 from qclt.spectral import (
     SpectralMeasure,
     _merge_atoms,
     chain_spectrum,
     jacobi_eigh,
     kernel_gap_msq_spectral,
+    kernel_gap_msq_spectral_table,
     spectral_integral,
     spectral_measure,
     variance_growth,
@@ -264,6 +265,47 @@ def test_gap_msq_matches_direct():
             direct = kernel_gap_msq(chain, f, mm, nn)
             assert kernel_gap_msq_spectral(m, mm, nn) == pytest.approx(
                 direct, rel=1e-9, abs=1e-12)
+
+
+def test_gap_msq_spectral_table_matches_scalar():
+    rng = np.random.default_rng(43)
+    measures = []
+    for _ in range(5):
+        chain = random_reversible(rng, int(rng.integers(3, 11)))
+        f = center_observable(chain, rng.normal(size=chain.n_states))
+        measures.append(spectral_measure(chain, f))
+    # atoms at -1, 0, just inside and exactly on the near-one branch, and at 1
+    measures.append(atoms((-1.0, 0.5), (0.0, 0.25), (1.0 - 1e-13, 0.125),
+                          (1.0, 0.125), (0.3, 0.0625)))
+    n_max = 40
+    for measure in measures:
+        table = kernel_gap_msq_spectral_table(measure, n_max)
+        expect = np.zeros((n_max, n_max))
+        for m in range(1, n_max):
+            for n in range(m + 1, n_max + 1):
+                expect[m - 1, n - 1] = kernel_gap_msq_spectral(measure, m, n)
+        assert table.shape == (n_max, n_max)
+        assert np.all(np.isfinite(table))
+        np.testing.assert_allclose(table, expect, rtol=1e-13, atol=1e-15)
+        assert not np.any(np.tril(table))    # lower triangle and diagonal
+
+
+def test_gap_msq_spectral_table_matches_direct_table():
+    rng = np.random.default_rng(44)
+    for _ in range(3):
+        chain = random_reversible(rng, int(rng.integers(3, 9)))
+        f = center_observable(chain, rng.normal(size=chain.n_states))
+        direct = kernel_gap_msq_table(chain, f, 32)
+        spectral = kernel_gap_msq_spectral_table(spectral_measure(chain, f), 32)
+        np.testing.assert_allclose(spectral, direct, rtol=1e-9, atol=1e-12)
+
+
+def test_gap_msq_spectral_table_rejects_bad_input():
+    with pytest.raises(BadIndexOrder):
+        kernel_gap_msq_spectral_table(atoms((0.5, 1.0)), 1)
+    disk = SpectralMeasure(locations=np.array([0.5j]), masses=np.array([1.0]), total=1.0)
+    with pytest.raises(NotReversible):
+        kernel_gap_msq_spectral_table(disk, 4)
 
 
 # -- variance growth ---------------------------------------------------------------
