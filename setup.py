@@ -1,25 +1,16 @@
-import os
-
 from setuptools import Extension, setup
 
-# The compiled kernels are an optional speedup: if Cython is unavailable the
-# package falls back to the numpy implementation selected at import time.
-ext_modules = []
-if os.environ.get("QCLT_NO_EXTENSION") != "1":
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        pass
-    else:
-        ext_modules = cythonize(
-            [
-                Extension(
-                    "qclt._kernels",
-                    ["src/qclt/_kernels.pyx"],
-                    extra_compile_args=["-O3"],
-                )
-            ],
-            compiler_directives={"language_level": "3"},
+# The path kernels are a small plain-C extension. It is optional: where it
+# cannot be built (no C compiler), the package falls back at import to the
+# numpy kernels. -ffp-contract=off keeps fused multiply-adds out, so the
+# chain kernel stays bit-identical to the numpy one on FMA targets.
+setup(
+    ext_modules=[
+        Extension(
+            "qclt._kernels",
+            ["src/qclt/_kernels.c"],
+            extra_compile_args=["-O3", "-ffp-contract=off"],
+            optional=True,
         )
-
-setup(ext_modules=ext_modules)
+    ]
+)

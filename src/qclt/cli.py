@@ -73,13 +73,13 @@ def _cmd_analyze(args) -> int:
     chain, observables = load_document(args.chain, tol=args.tol)
     name, raw = _pick_observable(observables, args.observable)
     f = center_observable(chain, raw)
+    measure = spectral_measure(chain, f)  # rejects before any output is printed
     _emit("config", [("command", "analyze"), ("chain", args.chain),
                      ("observable", name), ("tol", args.tol)])
     flags = chain.flags
     _emit("classification", [("reversible", flags.reversible), ("normal", flags.normal),
                              ("irreducible", flags.irreducible),
                              ("aperiodic", flags.aperiodic), ("tol", flags.tol)])
-    measure = spectral_measure(chain, f)
     rows = [("atom_count", len(measure.masses))]
     for i, (loc, mass) in enumerate(zip(measure.locations, measure.masses)):
         rows.append((f"atom_{i}", f"{_fmt(loc)} {_fmt(mass)}"))

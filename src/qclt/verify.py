@@ -269,11 +269,24 @@ def check_group_identities() -> CheckResult:
                        f"eig gap={gap_eigs:.3e} SR gap={gap_sr:.3e}")
 
 
+def torus_identity_gap(n_limit: int, chunk: int = 1 << 16) -> float:
+    """``max |(1 - cos 2 pi d) - 2 sin^2(pi d)|`` over ``d`` the distance of
+    ``n * GOLDEN_ALPHA`` to the nearest integer, ``1 <= n <= n_limit``.
+
+    Evaluated ``chunk`` frequencies at a time, so no temporary grows with
+    ``n_limit``; every element is computed as in one pass.
+    """
+    gap = 0.0
+    for lo in range(1, n_limit + 1, chunk):
+        dist = nearest_integer_distance(np.arange(lo, min(lo + chunk, n_limit + 1)),
+                                        GOLDEN_ALPHA)
+        gap = max(gap, float(np.max(np.abs((1.0 - np.cos(2.0 * np.pi * dist))
+                                           - 2.0 * np.sin(np.pi * dist) ** 2))))
+    return gap
+
+
 def check_torus_identities(n_limit: int) -> CheckResult:
-    ns = np.arange(1, n_limit + 1)
-    dist = nearest_integer_distance(ns, GOLDEN_ALPHA)
-    gap = np.max(np.abs((1.0 - np.cos(2.0 * np.pi * dist))
-                        - 2.0 * np.sin(np.pi * dist) ** 2))
+    gap = torus_identity_gap(n_limit)
     walk = make_torus_walk(GOLDEN_ALPHA, fhat={1: 0.5})
     qs = [q for _, q in convergents(walk.alpha, n_limit)]
     fib = [1, 1]

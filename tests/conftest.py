@@ -1,7 +1,43 @@
+import importlib.util
+import shutil
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from qclt import kernels
 from qclt.chain import center_observable, make_chain
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="session")
+def compiled_kernels(tmp_path_factory):
+    """The C path kernels built from this checkout into a temporary directory
+    and loaded from there; skips only where no C compiler is found."""
+    cc = (sysconfig.get_config_var("CC") or "cc").split()[0]
+    if shutil.which(cc) is None:
+        pytest.skip(f"no C compiler ({cc}) to build the compiled kernels")
+    out = tmp_path_factory.mktemp("kernels_build")
+    proc = subprocess.run([sys.executable, "setup.py", "-q", "build_ext",
+                           "--build-lib", str(out / "lib"), "--build-temp", str(out / "tmp")],
+                          cwd=REPO, capture_output=True, text=True, timeout=300)
+    built = sorted((out / "lib" / "qclt").glob("_kernels*"))
+    assert proc.returncode == 0 and built, f"build failed:\n{proc.stdout}{proc.stderr}"
+    spec = importlib.util.spec_from_file_location("qclt._kernels", built[0])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def compiled_backend(compiled_kernels, monkeypatch):
+    """``kernels`` with the freshly built extension as its ``compiled`` backend."""
+    monkeypatch.setattr(kernels, "_compiled", compiled_kernels)
+    return kernels
 
 
 @pytest.fixture

@@ -166,6 +166,16 @@ def test_analyze_duplicate_labels_exit_2(capsys, tmp_path):
     assert "'a'" in err
 
 
+def test_analyze_non_reversible_exits_2_before_output(capsys, tmp_path):
+    # the 3-cycle rotation has uniform pi but is not reversible
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps({"Q": [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
+                                "observables": {"f": [1, -1, 0]}}))
+    code, out, err = run(capsys, "analyze", str(path))
+    _assert_clean_exit_2(code, out, err)
+    assert "reversible" in err
+
+
 @pytest.mark.parametrize("text", ['{"1": [0.5', '{"x": 1}', "[[1]]", "[3]"])
 def test_torus_malformed_coeffs_exit_2(capsys, tmp_path, text):
     path = tmp_path / "coeffs.json"

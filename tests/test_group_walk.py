@@ -27,6 +27,7 @@ from qclt.group_walk import (
     walk_fourier,
 )
 from qclt.spectral import jacobi_eigh, spectral_integral, spectral_measure
+from qclt.verify import torus_identity_gap
 
 
 def harmonic(chain, k, n):
@@ -219,10 +220,8 @@ def test_simulate_torus_reproducible_and_variance():
     assert a.sample_var == pytest.approx(target, rel=0.10)
 
 
-def test_torus_backends_agree():
-    backends = kernels.available_backends()
-    if len(backends) < 2:
-        pytest.skip("compiled extension not built")
+def test_torus_backends_agree(compiled_backend):
+    backends = compiled_backend.available_backends()
     omegas = np.array([2 * np.pi, 6 * np.pi])
     ccos = np.array([0.7, 0.2])
     csin = np.array([0.1, -0.3])
@@ -232,3 +231,13 @@ def test_torus_backends_agree():
                                             0.125, 300, 400, 11, backend=name)
     np.testing.assert_array_equal(out["python"][1], out["compiled"][1])  # positions
     np.testing.assert_allclose(out["python"][0], out["compiled"][0], atol=1e-9)
+
+
+def test_torus_identity_gap_chunked_equals_one_shot():
+    n_limit = 5 * 2 ** 16 + 123                      # several chunks plus a partial one
+    dist = nearest_integer_distance(np.arange(1, n_limit + 1), GOLDEN_ALPHA)
+    one_shot = np.max(np.abs((1.0 - np.cos(2.0 * np.pi * dist))
+                             - 2.0 * np.sin(np.pi * dist) ** 2))
+    assert torus_identity_gap(n_limit) == one_shot
+    assert torus_identity_gap(n_limit, chunk=1000) == one_shot
+    assert torus_identity_gap(n_limit, chunk=n_limit) == one_shot

@@ -55,10 +55,8 @@ def test_sample_path_consistent_with_kernels(two_state, sign):
                 float(np.sum(h[states[:-1], states[1:]])), abs=1e-12)
 
 
-def test_backends_bitwise_identical_on_chain(two_state, sign):
-    backends = kernels.available_backends()
-    if len(backends) < 2:
-        pytest.skip("compiled extension not built")
+def test_backends_bitwise_identical_on_chain(two_state, sign, compiled_backend):
+    backends = compiled_backend.available_backends()
     scheme = poisson_solve(two_state, sign)
     args = (cumulative_rows(two_state), sign.values,
             np.ascontiguousarray(scheme.diff_kernel), 0, 257, 512, 77)
