@@ -269,16 +269,19 @@ def check_group_identities() -> CheckResult:
                        f"eig gap={gap_eigs:.3e} SR gap={gap_sr:.3e}")
 
 
-def torus_identity_gap(n_limit: int, chunk: int = 1 << 16) -> float:
+_TORUS_CHUNK = 1 << 16
+
+
+def torus_identity_gap(n_limit: int) -> float:
     """``max |(1 - cos 2 pi d) - 2 sin^2(pi d)|`` over ``d`` the distance of
     ``n * GOLDEN_ALPHA`` to the nearest integer, ``1 <= n <= n_limit``.
 
-    Evaluated ``chunk`` frequencies at a time, so no temporary grows with
-    ``n_limit``; every element is computed as in one pass.
+    Evaluated ``_TORUS_CHUNK`` frequencies at a time, so no temporary grows
+    with ``n_limit``; every element is computed as in one pass.
     """
     gap = 0.0
-    for lo in range(1, n_limit + 1, chunk):
-        dist = nearest_integer_distance(np.arange(lo, min(lo + chunk, n_limit + 1)),
+    for lo in range(1, n_limit + 1, _TORUS_CHUNK):
+        dist = nearest_integer_distance(np.arange(lo, min(lo + _TORUS_CHUNK, n_limit + 1)),
                                         GOLDEN_ALPHA)
         gap = max(gap, float(np.max(np.abs((1.0 - np.cos(2.0 * np.pi * dist))
                                            - 2.0 * np.sin(np.pi * dist) ** 2))))

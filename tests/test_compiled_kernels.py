@@ -31,9 +31,8 @@ def _chain_case(S, rng, zero_cols=0):
     return _cum_rows(q), rng.standard_normal(S), rng.standard_normal((S, S))
 
 
+# the two-state chain is covered by test_simulate's backend-identity test
 CASES = {
-    "S2": lambda rng: (_cum_rows(np.array([[0.75, 0.25], [0.25, 0.75]])),
-                       np.array([1.0, -1.0]), rng.standard_normal((2, 2))),
     "S7": lambda rng: _chain_case(7, rng),
     "S110-zero-cols": lambda rng: _chain_case(110, rng, zero_cols=40),
 }
@@ -51,18 +50,6 @@ def test_chain_bitwise_identical_to_numpy(compiled_backend, case, workers):
     for a, b in zip(ref, got):
         assert np.array_equal(a, b)
     assert got[2].dtype == np.int64 and 0 <= got[2].min() and got[2].max() < S
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_torus_matches_numpy(compiled_backend, workers):
-    omegas = np.array([2 * np.pi, 6 * np.pi, 10 * np.pi])
-    ccos = np.array([0.7, 0.2, -0.05])
-    csin = np.array([0.1, -0.3, 0.4])
-    args = (0.6180339887498949, 0.3, omegas, ccos, csin, 0.4, 400, 300, 5)
-    ref = compiled_backend.run_torus_paths(*args, workers=1, backend="python")
-    got = compiled_backend.run_torus_paths(*args, workers=workers, backend="compiled")
-    assert np.array_equal(ref[1], got[1])
-    np.testing.assert_allclose(got[0], ref[0], rtol=0, atol=1e-9)
 
 
 def _unshift(z, k):
@@ -112,7 +99,12 @@ BAD_CHAIN_ARGS = {                     # case: (argument, how to spoil it)
     "short fvals": ("fvals", lambda v: v[:-1]),
     "short out slot": ("out_m", lambda v: v[:-1]),
     "float32 fvals": ("fvals", lambda v: v.astype(np.float32)),
+    "int64 fvals": ("fvals", lambda v: v.astype(np.int64)),
+    "int64 keys": ("keys", lambda v: v.astype(np.int64)),
     "int32 out_last": ("out_last", lambda v: v.astype(np.int32)),
+    "float64 out_last": ("out_last", lambda v: v.astype(np.float64)),
+    "big-endian hmat": ("hmat", lambda v: v.astype(">f8")),
+    "read-only out slot": ("out_s", lambda v: np.frombuffer(v.tobytes())),
     "non-contiguous keys": ("keys", lambda v: np.repeat(v, 2)[::2]),
     "non-contiguous hmat": ("hmat", np.asfortranarray),
 }

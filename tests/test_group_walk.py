@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from qclt import kernels
 from qclt.chain import adjoint_kernel, center_observable
 from qclt.errors import (
     BadProbabilities,
@@ -220,15 +219,16 @@ def test_simulate_torus_reproducible_and_variance():
     assert a.sample_var == pytest.approx(target, rel=0.10)
 
 
-def test_torus_backends_agree(compiled_backend):
-    backends = compiled_backend.available_backends()
+@pytest.mark.parametrize("workers", [1, 2])
+def test_torus_backends_agree(compiled_backend, workers):
     omegas = np.array([2 * np.pi, 6 * np.pi])
     ccos = np.array([0.7, 0.2])
     csin = np.array([0.1, -0.3])
     out = {}
-    for name in backends:
-        out[name] = kernels.run_torus_paths(GOLDEN_ALPHA, 0.25, omegas, ccos, csin,
-                                            0.125, 300, 400, 11, backend=name)
+    for name in ("python", "compiled"):
+        out[name] = compiled_backend.run_torus_paths(GOLDEN_ALPHA, 0.25, omegas, ccos, csin,
+                                                     0.125, 300, 400, 11, workers=workers,
+                                                     backend=name)
     np.testing.assert_array_equal(out["python"][1], out["compiled"][1])  # positions
     np.testing.assert_allclose(out["python"][0], out["compiled"][0], atol=1e-9)
 
@@ -239,5 +239,3 @@ def test_torus_identity_gap_chunked_equals_one_shot():
     one_shot = np.max(np.abs((1.0 - np.cos(2.0 * np.pi * dist))
                              - 2.0 * np.sin(np.pi * dist) ** 2))
     assert torus_identity_gap(n_limit) == one_shot
-    assert torus_identity_gap(n_limit, chunk=1000) == one_shot
-    assert torus_identity_gap(n_limit, chunk=n_limit) == one_shot

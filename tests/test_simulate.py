@@ -55,12 +55,13 @@ def test_sample_path_consistent_with_kernels(two_state, sign):
                 float(np.sum(h[states[:-1], states[1:]])), abs=1e-12)
 
 
-def test_backends_bitwise_identical_on_chain(two_state, sign, compiled_backend):
-    backends = compiled_backend.available_backends()
+@pytest.mark.parametrize("workers", [1, 2])
+def test_backends_bitwise_identical_on_chain(two_state, sign, compiled_backend, workers):
     scheme = poisson_solve(two_state, sign)
     args = (cumulative_rows(two_state), sign.values,
             np.ascontiguousarray(scheme.diff_kernel), 0, 257, 512, 77)
-    out = {name: kernels.run_chain_paths(*args, backend=name) for name in backends}
+    out = {name: compiled_backend.run_chain_paths(*args, workers=workers, backend=name)
+           for name in ("python", "compiled")}
     a, b = out["python"], out["compiled"]
     np.testing.assert_array_equal(a[0], b[0])
     np.testing.assert_array_equal(a[1], b[1])
