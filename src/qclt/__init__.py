@@ -23,7 +23,6 @@ from .chain import (
 )
 from .martingale import (
     MartingaleScheme,
-    kernel_gap_msq,
     poisson_solve,
     projection_series,
     quenched_diagnostics,
@@ -33,8 +32,6 @@ from .martingale import (
 from .simulate import SimulationReport, ks_distance, sample_path, simulate_quenched
 from .spectral import (
     SpectralMeasure,
-    jacobi_eigh,
-    kernel_gap_msq_spectral,
     spectral_integral,
     spectral_measure,
     variance_growth,
@@ -45,9 +42,9 @@ __version__ = "0.1.0"
 __all__ = [
     "FiniteChain", "Observable", "MartingaleScheme", "SimulationReport",
     "SpectralMeasure", "adjoint_kernel", "as_observable", "center_observable",
-    "classify_chain", "inner_product", "jacobi_eigh", "kernel_gap_msq",
-    "kernel_gap_msq_spectral", "ks_distance", "load_chain", "load_document",
-    "make_chain", "poisson_solve", "projection_series", "quenched_diagnostics",
-    "sample_path", "simulate_quenched", "spectral_integral", "spectral_measure",
-    "tail_sup_deviation", "truncated_scheme", "variance_growth",
+    "classify_chain", "inner_product", "ks_distance", "load_chain",
+    "load_document", "make_chain", "poisson_solve", "projection_series",
+    "quenched_diagnostics", "sample_path", "simulate_quenched",
+    "spectral_integral", "spectral_measure", "tail_sup_deviation",
+    "truncated_scheme", "variance_growth",
 ]

@@ -16,7 +16,6 @@ The chain document format accepted by :func:`load_document` is JSON::
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -120,47 +119,18 @@ def _require_finite(a: np.ndarray, what: str) -> None:
         raise NonFiniteValue(f"{what} contains NaN or infinite entries")
 
 
-def _support_edges(kernel: np.ndarray):
-    n = kernel.shape[0]
-    for x in range(n):
-        for y in range(n):
-            if kernel[x, y] > 0.0:
-                yield x, y
-
-
-def _reachable(kernel: np.ndarray, start: int, reverse: bool = False) -> np.ndarray:
-    n = kernel.shape[0]
-    adj = kernel.T if reverse else kernel
-    seen = np.zeros(n, dtype=bool)
-    seen[start] = True
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in np.nonzero(adj[x] > 0.0)[0]:
-            if not seen[y]:
-                seen[y] = True
-                stack.append(int(y))
-    return seen
-
-
-def _period_gcd(kernel: np.ndarray) -> int:
-    # gcd of cycle lengths through state 0, via BFS levels on the support
-    # graph restricted to states reachable from 0.
-    n = kernel.shape[0]
-    dist = np.full(n, -1, dtype=np.int64)
+def _bfs_levels(adj: np.ndarray) -> np.ndarray:
+    # breadth-first distance from state 0 along the boolean adjacency, one
+    # whole frontier per step; -1 marks states that cannot be reached
+    dist = np.full(adj.shape[0], -1, dtype=np.int64)
     dist[0] = 0
-    queue = [0]
-    while queue:
-        x = queue.pop(0)
-        for y in np.nonzero(kernel[x] > 0.0)[0]:
-            if dist[y] < 0:
-                dist[y] = dist[x] + 1
-                queue.append(int(y))
-    g = 0
-    for x, y in _support_edges(kernel):
-        if dist[x] >= 0 and dist[y] >= 0:
-            g = math.gcd(g, int(dist[x]) + 1 - int(dist[y]))
-    return g
+    frontier = dist == 0
+    level = 0
+    while frontier.any():
+        level += 1
+        frontier = adj[frontier].any(axis=0) & (dist < 0)
+        dist[frontier] = level
+    return dist
 
 
 def classify_chain(kernel: np.ndarray, stationary: np.ndarray,
@@ -179,8 +149,14 @@ def classify_chain(kernel: np.ndarray, stationary: np.ndarray,
     reversible = bool(np.max(np.abs(flux - flux.T)) <= tol)
     qstar = (pi[None, :] * q.T) / pi[:, None]
     normal = bool(np.max(np.abs(q @ qstar - qstar @ q)) <= tol)
-    irreducible = bool(np.all(_reachable(q, 0)) and np.all(_reachable(q, 0, reverse=True)))
-    aperiodic = _period_gcd(q) == 1
+    adj = q > 0.0
+    dist = _bfs_levels(adj)
+    irreducible = bool(np.all(dist >= 0) and np.all(_bfs_levels(adj.T) >= 0))
+    # the period is the gcd of dist[x] + 1 - dist[y] over support edges
+    # leaving states reachable from 0 (their heads are reachable too)
+    x, y = np.nonzero(adj)
+    keep = dist[x] >= 0
+    aperiodic = int(np.gcd.reduce(dist[x[keep]] + 1 - dist[y[keep]])) == 1
     return ChainFlags(reversible=reversible, normal=normal,
                       irreducible=irreducible, aperiodic=aperiodic, tol=tol)
 

@@ -53,9 +53,7 @@ class JacobiNoConvergence(QcltError):
     """An eigendecomposition failed or does not reproduce the spectral mass.
 
     Raised when LAPACK does not converge on a chain's symmetrized kernel,
-    when the cyclic Jacobi oracle hits its sweep limit before the
-    off-diagonal vanishes, or when a spectral measure's total mass misses
-    ``<f, f>_pi``.
+    or when a spectral measure's total mass misses ``<f, f>_pi``.
     """
 
 

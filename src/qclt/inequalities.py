@@ -23,7 +23,7 @@ from .errors import (
     GridTouchesSingularity,
     NotReversible,
 )
-from .martingale import truncated_scheme
+from .martingale import kernel_powers
 from .spectral import SpectralMeasure, spectral_integral, spectral_measure
 
 COND_RTOL = 1e-9
@@ -193,12 +193,12 @@ def kernel_dyadic_sequence(chain: FiniteChain, f: Observable, M: int) -> ExactSe
     measure (the block ``g_{m+1} + ... + g_n`` covers exponents
     ``2^{m+1} .. 2^{n+1}-1``, matching the horizon gap of ``W``).
     """
-    n_states = chain.n_states
+    powers = kernel_powers(chain, f.values, 2 ** (M + 1))
+    ends = 2 ** np.arange(2, M + 2) - 1       # row n-1 of each sum is horizon n
+    v = np.cumsum(powers[:-1], axis=0)[ends]
+    qv = np.cumsum(powers[1:], axis=0)[ends]
+    vals = (v[:, None, :] - qv[:, :, None]).reshape(-1, chain.n_states ** 2)
     pair_probs = (chain.stationary[:, None] * chain.kernel).reshape(-1)
-    vals = np.empty((M, n_states * n_states))
-    for i in range(M):
-        _, hmat = truncated_scheme(chain, f, 2 ** (i + 2))
-        vals[i] = hmat.reshape(-1)
     return ExactSequence(values=vals, probs=pair_probs)
 
 
@@ -278,25 +278,21 @@ def dyadic_block_maxsum(chain: FiniteChain, f: Observable, D: int):
         raise BadIndexOrder(f"need 0 <= D <= 12, got D={D}")
     measure = spectral_measure(chain, f)
     rhs = spectral_integral(measure, "sigma_sq")
-    q = chain.kernel
-    fv = f.values
-    pair_w = chain.stationary[:, None] * q
-    # partial Poisson sums v_k for k = 1..2^(D+2), reused across blocks
-    top = 2 ** (D + 2)
-    v = np.empty((top + 1, chain.n_states))
-    v[0] = 0.0
-    qkf = fv.copy()
-    for k in range(1, top + 1):
-        v[k] = v[k - 1] + qkf
-        qkf = q @ qkf
+    pair_w = chain.stationary[:, None] * chain.kernel
+    # partial Poisson sums for horizons 1..2^(D+2), reused across blocks;
+    # row n-1 holds horizon n
+    powers = kernel_powers(chain, f.values, 2 ** (D + 2))
+    v = np.cumsum(powers[:-1], axis=0)
+    qv = np.cumsum(powers[1:], axis=0)
     lhs = 0.0
     for d in range(D + 1):
-        ref = 2 ** (d + 1)
-        per_pair = np.zeros((chain.n_states, chain.n_states))
-        for n in range(2 ** d + 1, 2 ** (d + 1) + 1):
-            dv = v[2 * n] - v[ref]
-            gap = dv[None, :] - (q @ dv)[:, None]
-            np.maximum(per_pair, gap * gap, out=per_pair)
+        ref = 2 ** (d + 1) - 1
+        rows = 2 * np.arange(2 ** d + 1, 2 ** (d + 1) + 1) - 1
+        dv = v[rows] - v[ref]
+        qdv = qv[rows] - qv[ref]
+        # per_pair[x, y] = max_n (dv[n, y] - qdv[n, x])^2, one start x at a time
+        per_pair = np.array([np.max((dv - qdv[:, [x]]) ** 2, axis=0)
+                             for x in range(chain.n_states)])
         lhs += float(np.sum(pair_w * per_pair))
     return lhs, rhs
 

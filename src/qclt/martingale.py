@@ -144,66 +144,55 @@ def poisson_solve(chain: FiniteChain, f: Observable) -> MartingaleScheme:
     return MartingaleScheme(g=g, qg=qg, diff_kernel=h, sigma_sq=sigma_sq, rate=rate)
 
 
+def kernel_powers(chain: FiniteChain, v: np.ndarray, n: int) -> np.ndarray:
+    """Rows ``Q^k v`` for ``k = 0..n``, stacked into shape ``(n + 1, S)``.
+
+    Row ``k`` is ``chain.kernel @ row[k - 1]``.  Partial Poisson sums
+    ``V_n v = sum_{k<n} Q^k v`` are prefix sums of these rows, taken with
+    ``np.cumsum(axis=0)`` so they add in sequence.
+    """
+    q = chain.kernel
+    rows = np.empty((n + 1, chain.n_states))
+    rows[0] = v
+    for k in range(1, n + 1):
+        rows[k] = q @ rows[k - 1]
+    return rows
+
+
 def truncated_scheme(chain: FiniteChain, f: Observable, n: int):
     """Partial Poisson sum ``V_n f = (I + Q + ... + Q^{n-1}) f`` and its
     horizon-n difference kernel ``H_n[x, y] = (V_n f)(y) - (Q V_n f)(x)``.
 
-    ``V_n f`` is accumulated Horner style; for irreducible chains it equals
+    Both ``V_n f`` and ``Q V_n f = Qf + ... + Q^n f`` are sums of the rows
+    of :func:`kernel_powers`; for irreducible chains ``V_n f`` equals
     ``g - Q^n g`` up to roundoff.
     """
     if n < 1:
         raise BadIndexOrder(f"need n >= 1, got n={n}")
-    q = chain.kernel
-    v = f.values.copy()
-    for _ in range(n - 1):
-        v = f.values + q @ v
-    qv = q @ v
+    powers = kernel_powers(chain, f.values, n)
+    v = powers[:-1].sum(axis=0)
+    qv = powers[1:].sum(axis=0)
     return v, v[None, :] - qv[:, None]
 
 
-def kernel_gap_msq(chain: FiniteChain, f: Observable, m: int, n: int) -> float:
-    """Exact stationary second moment of ``(H_n - H_m)(xi_0, xi_1)``.
-
-    The pair ``(xi_0, xi_1)`` carries the law ``pi(x) Q(x, y)``, so the
-    moment is a finite weighted sum; it agrees with the spectral evaluation
-    in :func:`qclt.spectral.kernel_gap_msq_spectral`.
-    """
-    if m >= n:
-        raise BadIndexOrder(f"need m < n, got m={m}, n={n}")
-    if m < 1:
-        raise BadIndexOrder(f"need m >= 1, got m={m}")
-    q = chain.kernel
-    # V_n f - V_m f directly, accumulated from Q^m f
-    qkf = f.values.copy()
-    for _ in range(m):
-        qkf = q @ qkf
-    dv = np.zeros_like(qkf)
-    for _ in range(n - m):
-        dv = dv + qkf
-        qkf = q @ qkf
-    dh = dv[None, :] - (q @ dv)[:, None]
-    return float(np.sum(_pair_weights(chain) * dh * dh))
-
-
 def kernel_gap_msq_table(chain: FiniteChain, f: Observable, n_max: int) -> np.ndarray:
-    """All pair moments ``E (H_n - H_m)^2`` for ``1 <= m < n <= n_max`` at once.
+    """Exact stationary second moments ``E (H_n - H_m)(xi_0, xi_1)^2`` for
+    all ``1 <= m < n <= n_max`` at once.
 
-    Same pair-space computation as :func:`kernel_gap_msq`, vectorized: the
-    horizon kernels are stacked over the pair space and the moments expand
-    through their weighted Gram matrix.  Entry ``[m-1, n-1]`` holds the
-    moment; the lower triangle and diagonal are zero.
+    The pair ``(xi_0, xi_1)`` carries the law ``pi(x) Q(x, y)``, so each
+    moment is a finite weighted sum.  The horizon kernels are stacked over
+    the pair space and the moments expand through their weighted Gram
+    matrix.  Entry ``[m-1, n-1]`` holds the moment; the lower triangle and
+    diagonal are zero.  It agrees with the spectral evaluation in
+    :func:`qclt.spectral.kernel_gap_msq_spectral_table`.
     """
     if n_max < 2:
         raise BadIndexOrder(f"need n_max >= 2, got {n_max}")
-    q = chain.kernel
+    powers = kernel_powers(chain, f.values, n_max)
+    v = np.cumsum(powers[:-1], axis=0)     # row n-1: V_n f
+    qv = np.cumsum(powers[1:], axis=0)     # row n-1: Q V_n f
+    flat = (v[:, None, :] - qv[:, :, None]).reshape(n_max, -1)
     pair_w = _pair_weights(chain).reshape(-1)
-    flat = np.empty((n_max, chain.n_states ** 2))
-    v = np.zeros(chain.n_states)
-    qkf = f.values.copy()
-    for n in range(1, n_max + 1):
-        v = v + qkf
-        qkf = q @ qkf
-        flat[n - 1] = (v[None, :] - (q @ v)[:, None]).reshape(-1)
     gram = (flat * pair_w[None, :]) @ flat.T
     diag = np.diag(gram)
     table = diag[None, :] - 2.0 * gram + diag[:, None]
@@ -228,9 +217,7 @@ def tail_sup_deviation(chain: FiniteChain, scheme: MartingaleScheme, N: int) -> 
             "the tail supremum does not vanish"
         )
     q = chain.kernel
-    qmg = scheme.g.copy()
-    for _ in range(N + 1):
-        qmg = q @ qmg          # Q^{N+1} g
+    qmg = kernel_powers(chain, scheme.g, N + 1)[-1]    # Q^{N+1} g
     per_pair = np.zeros((chain.n_states, chain.n_states))
     m = N + 1
     while True:
@@ -259,11 +246,7 @@ def quenched_diagnostics(chain: FiniteChain, scheme: MartingaleScheme,
     xi = chain.index_of(x)
     q = chain.kernel
     fv = scheme.g - scheme.qg  # equals f up to 1e-10 relative
-    cond_means = np.zeros(chain.n_states)
-    qkf = fv.copy()
-    for _ in range(n):
-        qkf = q @ qkf
-        cond_means += qkf
+    cond_means = np.cumsum(kernel_powers(chain, fv, n)[1:], axis=0)[-1]
     row = np.zeros(chain.n_states)
     row[xi] = 1.0
     for _ in range(n):
@@ -296,25 +279,13 @@ def projection_series(chain: FiniteChain, f: Observable, K: int) -> SeriesReport
     """
     if K < 1:
         raise BadIndexOrder(f"need K >= 1, got K={K}")
-    pi, q = chain.stationary, chain.kernel
-    pr = np.zeros(K)
-    mix = np.zeros(K)
-    res = np.zeros(K)
-    qprev = f.values.copy()    # Q^{j-1} f at the top of iteration j
-    qcur = q @ qprev           # Q^j f
-    vj = np.zeros_like(qprev)
-    for j in range(1, K + 1):
-        vj = vj + qprev        # V_j f = f + Qf + ... + Q^{j-1} f
-        qnext = q @ qcur       # Q^{j+1} f
-        norm_j = float(np.sum(pi * qcur * qcur))
-        norm_j1 = float(np.sum(pi * qnext * qnext))
-        v_norm = float(np.sum(pi * vj * vj))
-        pr_term = np.sqrt(max(norm_j - norm_j1, 0.0))
-        mix_term = np.sqrt(norm_j) / np.sqrt(j)
-        res_term = np.log(np.log(max(j, 3))) ** 2 * v_norm / float(j) ** 2
-        prev = j - 2
-        pr[j - 1] = pr_term + (pr[prev] if j > 1 else 0.0)
-        mix[j - 1] = mix_term + (mix[prev] if j > 1 else 0.0)
-        res[j - 1] = res_term + (res[prev] if j > 1 else 0.0)
-        qprev, qcur = qcur, qnext
+    pi = chain.stationary
+    powers = kernel_powers(chain, f.values, K + 1)
+    norms = np.sum(pi * powers * powers, axis=1)            # ||Q^j f||^2
+    vj = np.cumsum(powers[:-2], axis=0)                     # V_j f, j = 1..K
+    v_norms = np.sum(pi * vj * vj, axis=1)
+    j = np.arange(1, K + 1)
+    pr = np.cumsum(np.sqrt(np.maximum(norms[1:-1] - norms[2:], 0.0)))
+    mix = np.cumsum(np.sqrt(norms[1:-1]) / np.sqrt(j))
+    res = np.cumsum(np.log(np.log(np.maximum(j, 3))) ** 2 * v_norms / j.astype(float) ** 2)
     return SeriesReport(projection_partial=pr, mixing_partial=mix, resolvent_partial=res)

@@ -8,13 +8,12 @@ measures with complex atoms on the closed unit disk; those are built by the
 :mod:`qclt.group_walk` module and consumed by the same integral evaluator.
 
 Each chain is decomposed once, by LAPACK (:func:`chain_spectrum`), and the
-result is cached on the chain.  The cyclic Jacobi solver :func:`jacobi_eigh`
-is kept as an independent oracle for tests and the ``verify`` suite.
+result is cached on the chain.  The ``verify`` suite checks that spectrum
+against the Fourier multipliers of a group walk, an independent route.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +26,6 @@ from .errors import (
     NotReversible,
 )
 
-JACOBI_REL_TOL = 1e-13
-JACOBI_MAX_SWEEPS = 100
 ATOM_MERGE_TOL = 1e-10
 MASS_SINGULARITY_TOL = 1e-9    # atoms lighter than this may sit on a pole
 LOCATION_SINGULARITY_TOL = 1e-12
@@ -57,65 +54,6 @@ class SpectralMeasure:
             raise ValueError("spectral masses must be nonnegative")
         if np.max(np.abs(self.locations), initial=0.0) > 1.0 + 1e-12:
             raise ValueError("spectral locations must lie in the closed unit disk")
-
-
-def _off_diag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
-
-
-def jacobi_eigh(sym: np.ndarray, rel_tol: float = JACOBI_REL_TOL,
-                max_sweeps: int = JACOBI_MAX_SWEEPS):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps rotate every upper-triangle pair in turn until the off-diagonal
-    Frobenius norm falls below ``rel_tol`` times the Frobenius norm of the
-    input.  Returns ``(eigenvalues, eigenvectors)`` with orthonormal
-    eigenvector columns.
-
-    Raises
-    ------
-    JacobiNoConvergence
-        If the sweep limit is reached first (pathological input).
-    """
-    a = np.array(sym, dtype=np.float64)
-    n = a.shape[0]
-    v = np.eye(n)
-    scale = float(np.linalg.norm(a))
-    if scale == 0.0 or n == 1:
-        return np.diag(a).copy(), v
-    for _ in range(max_sweeps):
-        if _off_diag_norm(a) <= rel_tol * scale:
-            return np.diag(a).copy(), v
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                # classical symmetric Schur rotation zeroing a[p, q]
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    if _off_diag_norm(a) <= rel_tol * scale:
-        return np.diag(a).copy(), v
-    raise JacobiNoConvergence(
-        f"off-diagonal norm {_off_diag_norm(a)!r} after {max_sweeps} sweeps"
-    )
 
 
 def chain_spectrum(chain: FiniteChain):
@@ -297,34 +235,17 @@ def _power_block_sum(t, m, n) -> np.ndarray:
     return np.where(near_one, n - m, (ts ** m - ts ** n) / (1.0 - ts))
 
 
-def kernel_gap_msq_spectral(measure: SpectralMeasure, m: int, n: int) -> float:
-    """Mean square of the horizon gap of martingale-difference kernels,
+def kernel_gap_msq_spectral_table(measure: SpectralMeasure, n_max: int) -> np.ndarray:
+    """Mean squares of the horizon gaps ``H_n - H_m`` of the
+    martingale-difference kernels for all ``1 <= m < n <= n_max``,
     evaluated spectrally.
 
-    Returns ``sum_i (1 - t_i^2) (sum_{k=m}^{n-1} t_i^k)^2 mass_i`` for a
-    real-supported measure; this equals the direct pair-space moment
-    computed by :func:`qclt.martingale.kernel_gap_msq`.
-    """
-    if m >= n:
-        raise BadIndexOrder(f"need m < n, got m={m}, n={n}")
-    if m < 1:
-        raise BadIndexOrder(f"need m >= 1, got m={m}")
-    if not measure.is_real:
-        raise NotReversible("horizon-gap moments require a real-supported measure")
-    t = measure.locations
-    block = _power_block_sum(t, m, n)
-    return float(np.sum((1.0 - t * t) * block * block * measure.masses))
-
-
-def kernel_gap_msq_spectral_table(measure: SpectralMeasure, n_max: int) -> np.ndarray:
-    """All horizon-gap moments :func:`kernel_gap_msq_spectral` for
-    ``1 <= m < n <= n_max`` at once.
-
     Entry ``[m-1, n-1]`` holds
-    ``sum_i (1 - t_i^2) (t_i^m - t_i^n)^2 / (1 - t_i)^2 mass_i``, the layout
-    of :func:`qclt.martingale.kernel_gap_msq_table`; the lower triangle and
-    the diagonal are zero.  Atoms are accumulated one at a time, so memory
-    stays at one ``(n_max + 1)^2`` table.
+    ``sum_i (1 - t_i^2) (sum_{k=m}^{n-1} t_i^k)^2 mass_i``, which equals the
+    pair-space moment of :func:`qclt.martingale.kernel_gap_msq_table` in
+    the same layout; the lower triangle and the diagonal are zero.  Atoms
+    are accumulated one at a time, so memory stays at one
+    ``(n_max + 1)^2`` table.
     """
     if n_max < 2:
         raise BadIndexOrder(f"need n_max >= 2, got {n_max}")

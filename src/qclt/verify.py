@@ -34,7 +34,7 @@ from .inequalities import (
 from .martingale import kernel_gap_msq_table, poisson_solve
 from .simulate import simulate_quenched
 from .spectral import (
-    jacobi_eigh,
+    chain_spectrum,
     kernel_gap_msq_spectral_table,
     spectral_integral,
     spectral_measure,
@@ -66,12 +66,12 @@ def flip_chain() -> FiniteChain:
 
 def random_reversible_chain(rng: np.random.Generator, size: int) -> FiniteChain:
     # random walk on a weighted complete graph: symmetric weights give
-    # detailed balance with pi proportional to the row sums
+    # detailed balance with pi proportional to the row sums (make_chain
+    # solves for it)
     w = rng.uniform(0.1, 1.0, size=(size, size))
     w = 0.5 * (w + w.T)
     kernel = w / w.sum(axis=1, keepdims=True)
-    pi = w.sum(axis=1) / w.sum()
-    return make_chain([str(i) for i in range(size)], kernel, stationary=None)
+    return make_chain([str(i) for i in range(size)], kernel)
 
 
 def random_observable(rng: np.random.Generator, chain: FiniteChain):
@@ -258,10 +258,9 @@ def check_group_identities() -> CheckResult:
     f = center_observable(walk.chain,
                           math.sqrt(2.0) * np.cos(2.0 * math.pi * np.arange(5) / 5.0))
     nuhat, _ = walk_fourier(walk, f)
-    sym = np.sqrt(walk.chain.stationary)[:, None] * walk.chain.kernel \
-        / np.sqrt(walk.chain.stationary)[None, :]
-    eigvals, _ = jacobi_eigh(0.5 * (sym + sym.T))
-    gap_eigs = float(np.max(np.abs(np.sort(eigvals) - np.sort(nuhat.real))))
+    # LAPACK eigenvalues (ascending) against the characters' multipliers
+    eigvals, _ = chain_spectrum(walk.chain)
+    gap_eigs = float(np.max(np.abs(eigvals - np.sort(nuhat.real))))
     rep = condition_sums(walk, f)
     gap_sr = abs(rep.sr_sum - rep.sr_spectral)
     ok = gap_eigs <= 1e-9 and gap_sr <= 1e-9

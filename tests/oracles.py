@@ -1,0 +1,255 @@
+"""Independent reference implementations the library no longer ships.
+
+The tests check the library against these slower, simpler forms:
+
+* :func:`jacobi_eigh`, a cyclic Jacobi eigensolver, against LAPACK;
+* the scalar horizon-gap moments :func:`kernel_gap_msq` (pair space) and
+  :func:`kernel_gap_msq_spectral` (spectral measure), against the tables;
+* the explicit ``q @ v`` loops that the partial-sum routines ran before
+  they were built on :func:`qclt.martingale.kernel_powers`;
+* the graph walks that classified chains before the whole-array
+  breadth-first search.
+"""
+
+import math
+
+import numpy as np
+
+from qclt.chain import ChainFlags
+from qclt.errors import BadIndexOrder, JacobiNoConvergence, NotReversible
+from qclt.spectral import _power_block_sum
+
+JACOBI_REL_TOL = 1e-13
+JACOBI_MAX_SWEEPS = 100
+
+
+# -- cyclic Jacobi eigensolver ---------------------------------------------------
+
+def _off_diag_norm(a: np.ndarray) -> float:
+    off = a - np.diag(np.diag(a))
+    return float(np.linalg.norm(off))
+
+
+def jacobi_eigh(sym: np.ndarray, rel_tol: float = JACOBI_REL_TOL,
+                max_sweeps: int = JACOBI_MAX_SWEEPS):
+    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+
+    Sweeps rotate every upper-triangle pair in turn until the off-diagonal
+    Frobenius norm falls below ``rel_tol`` times the Frobenius norm of the
+    input.  Returns ``(eigenvalues, eigenvectors)`` with orthonormal
+    eigenvector columns; raises :class:`JacobiNoConvergence` if the sweep
+    limit is reached first.
+    """
+    a = np.array(sym, dtype=np.float64)
+    n = a.shape[0]
+    v = np.eye(n)
+    scale = float(np.linalg.norm(a))
+    if scale == 0.0 or n == 1:
+        return np.diag(a).copy(), v
+    for _ in range(max_sweeps):
+        if _off_diag_norm(a) <= rel_tol * scale:
+            return np.diag(a).copy(), v
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if apq == 0.0:
+                    continue
+                # classical symmetric Schur rotation zeroing a[p, q]
+                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
+                if tau >= 0.0:
+                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
+                else:
+                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                rp, rq = a[p, :].copy(), a[q, :].copy()
+                a[p, :] = c * rp - s * rq
+                a[q, :] = s * rp + c * rq
+                cp, cq = a[:, p].copy(), a[:, q].copy()
+                a[:, p] = c * cp - s * cq
+                a[:, q] = s * cp + c * cq
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+                vp, vq = v[:, p].copy(), v[:, q].copy()
+                v[:, p] = c * vp - s * vq
+                v[:, q] = s * vp + c * vq
+    if _off_diag_norm(a) <= rel_tol * scale:
+        return np.diag(a).copy(), v
+    raise JacobiNoConvergence(
+        f"off-diagonal norm {_off_diag_norm(a)!r} after {max_sweeps} sweeps"
+    )
+
+
+# -- scalar horizon-gap moments ----------------------------------------------------
+
+def kernel_gap_msq(chain, f, m: int, n: int) -> float:
+    """Exact stationary second moment of ``(H_n - H_m)(xi_0, xi_1)``, one
+    pair ``(m, n)`` at a time, from ``V_n f - V_m f`` accumulated directly."""
+    if m >= n:
+        raise BadIndexOrder(f"need m < n, got m={m}, n={n}")
+    if m < 1:
+        raise BadIndexOrder(f"need m >= 1, got m={m}")
+    q = chain.kernel
+    qkf = f.values.copy()
+    for _ in range(m):
+        qkf = q @ qkf
+    dv = np.zeros_like(qkf)
+    for _ in range(n - m):
+        dv = dv + qkf
+        qkf = q @ qkf
+    dh = dv[None, :] - (q @ dv)[:, None]
+    return float(np.sum(chain.stationary[:, None] * q * dh * dh))
+
+
+def kernel_gap_msq_spectral(measure, m: int, n: int) -> float:
+    """``sum_i (1 - t_i^2) (sum_{k=m}^{n-1} t_i^k)^2 mass_i`` for one pair."""
+    if m >= n:
+        raise BadIndexOrder(f"need m < n, got m={m}, n={n}")
+    if m < 1:
+        raise BadIndexOrder(f"need m >= 1, got m={m}")
+    if not measure.is_real:
+        raise NotReversible("horizon-gap moments require a real-supported measure")
+    t = measure.locations
+    block = _power_block_sum(t, m, n)
+    return float(np.sum((1.0 - t * t) * block * block * measure.masses))
+
+
+# -- explicit power loops -------------------------------------------------------------
+
+def truncated_scheme_loop(chain, f, n: int):
+    """``(V_n f, H_n)`` with ``V_n f`` accumulated Horner style."""
+    q = chain.kernel
+    v = f.values.copy()
+    for _ in range(n - 1):
+        v = f.values + q @ v
+    qv = q @ v
+    return v, v[None, :] - qv[:, None]
+
+
+def kernel_gap_msq_table_loop(chain, f, n_max: int) -> np.ndarray:
+    """Pair-space Gram table of the horizon gaps, one horizon per step."""
+    q = chain.kernel
+    pair_w = (chain.stationary[:, None] * q).reshape(-1)
+    flat = np.empty((n_max, chain.n_states ** 2))
+    v = np.zeros(chain.n_states)
+    qkf = f.values.copy()
+    for n in range(1, n_max + 1):
+        v = v + qkf
+        qkf = q @ qkf
+        flat[n - 1] = (v[None, :] - (q @ v)[:, None]).reshape(-1)
+    gram = (flat * pair_w[None, :]) @ flat.T
+    diag = np.diag(gram)
+    return np.triu(diag[None, :] - 2.0 * gram + diag[:, None], k=1)
+
+
+def projection_series_loop(chain, f, K: int):
+    """``(projection, mixing, resolvent)`` partial sums, one index per step."""
+    pi, q = chain.stationary, chain.kernel
+    pr, mix, res = np.zeros(K), np.zeros(K), np.zeros(K)
+    qprev = f.values.copy()    # Q^{j-1} f at the top of iteration j
+    qcur = q @ qprev           # Q^j f
+    vj = np.zeros_like(qprev)
+    for j in range(1, K + 1):
+        vj = vj + qprev
+        qnext = q @ qcur
+        norm_j = float(np.sum(pi * qcur * qcur))
+        norm_j1 = float(np.sum(pi * qnext * qnext))
+        v_norm = float(np.sum(pi * vj * vj))
+        prev = j - 2
+        pr[j - 1] = np.sqrt(max(norm_j - norm_j1, 0.0)) + (pr[prev] if j > 1 else 0.0)
+        mix[j - 1] = np.sqrt(norm_j) / np.sqrt(j) + (mix[prev] if j > 1 else 0.0)
+        res[j - 1] = (np.log(np.log(max(j, 3))) ** 2 * v_norm / float(j) ** 2
+                      + (res[prev] if j > 1 else 0.0))
+        qprev, qcur = qcur, qnext
+    return pr, mix, res
+
+
+def kernel_dyadic_sequence_loop(chain, f, M: int) -> np.ndarray:
+    """Rows ``H_{2^{n+1}}`` flattened over the pair space, ``n = 1..M``,
+    each from its own Horner-style truncated scheme."""
+    vals = np.empty((M, chain.n_states ** 2))
+    for i in range(M):
+        _, hmat = truncated_scheme_loop(chain, f, 2 ** (i + 2))
+        vals[i] = hmat.reshape(-1)
+    return vals
+
+
+def dyadic_block_maxsum_loop(chain, f, D: int) -> float:
+    """Left side of the dyadic block-maximum bound, one matvec per horizon."""
+    q = chain.kernel
+    pair_w = chain.stationary[:, None] * q
+    top = 2 ** (D + 2)
+    v = np.empty((top + 1, chain.n_states))
+    v[0] = 0.0
+    qkf = f.values.copy()
+    for k in range(1, top + 1):
+        v[k] = v[k - 1] + qkf
+        qkf = q @ qkf
+    lhs = 0.0
+    for d in range(D + 1):
+        ref = 2 ** (d + 1)
+        per_pair = np.zeros((chain.n_states, chain.n_states))
+        for n in range(2 ** d + 1, 2 ** (d + 1) + 1):
+            dv = v[2 * n] - v[ref]
+            gap = dv[None, :] - (q @ dv)[:, None]
+            np.maximum(per_pair, gap * gap, out=per_pair)
+        lhs += float(np.sum(pair_w * per_pair))
+    return lhs
+
+
+# -- graph classification by explicit search ---------------------------------------
+
+def _support_edges(kernel):
+    n = kernel.shape[0]
+    for x in range(n):
+        for y in range(n):
+            if kernel[x, y] > 0.0:
+                yield x, y
+
+
+def _reachable(kernel, start: int, reverse: bool = False) -> np.ndarray:
+    adj = kernel.T if reverse else kernel
+    seen = np.zeros(kernel.shape[0], dtype=bool)
+    seen[start] = True
+    stack = [start]
+    while stack:
+        x = stack.pop()
+        for y in np.nonzero(adj[x] > 0.0)[0]:
+            if not seen[y]:
+                seen[y] = True
+                stack.append(int(y))
+    return seen
+
+
+def _period_gcd(kernel) -> int:
+    # gcd of cycle lengths through state 0, via BFS levels on the support
+    # graph restricted to states reachable from 0
+    n = kernel.shape[0]
+    dist = np.full(n, -1, dtype=np.int64)
+    dist[0] = 0
+    queue = [0]
+    while queue:
+        x = queue.pop(0)
+        for y in np.nonzero(kernel[x] > 0.0)[0]:
+            if dist[y] < 0:
+                dist[y] = dist[x] + 1
+                queue.append(int(y))
+    g = 0
+    for x, y in _support_edges(kernel):
+        if dist[x] >= 0 and dist[y] >= 0:
+            g = math.gcd(g, int(dist[x]) + 1 - int(dist[y]))
+    return g
+
+
+def classify_chain_search(kernel, stationary, tol: float) -> ChainFlags:
+    """:func:`qclt.chain.classify_chain` with a depth-first reachability
+    search and a queue-based period search."""
+    q = np.asarray(kernel, dtype=np.float64)
+    pi = np.asarray(stationary, dtype=np.float64)
+    flux = pi[:, None] * q
+    reversible = bool(np.max(np.abs(flux - flux.T)) <= tol)
+    qstar = (pi[None, :] * q.T) / pi[:, None]
+    normal = bool(np.max(np.abs(q @ qstar - qstar @ q)) <= tol)
+    irreducible = bool(np.all(_reachable(q, 0)) and np.all(_reachable(q, 0, reverse=True)))
+    return ChainFlags(reversible=reversible, normal=normal, irreducible=irreducible,
+                      aperiodic=_period_gcd(q) == 1, tol=tol)

@@ -32,8 +32,6 @@ from qclt.martingale import (
 )
 from qclt.simulate import simulate_quenched
 from qclt.spectral import (
-    jacobi_eigh,
-    kernel_gap_msq_spectral,
     spectral_integral,
     spectral_measure,
     variance_growth,
@@ -41,6 +39,7 @@ from qclt.spectral import (
 )
 from qclt.verify import random_dyadic_family
 from tests.conftest import sign_of
+from tests.oracles import jacobi_eigh, kernel_gap_msq_spectral
 from tests.test_chain import random_reversible
 
 

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qclt.chain import (
+    DEFAULT_CLASSIFY_TOL,
     adjoint_kernel,
     as_observable,
     center_observable,
+    classify_chain,
     dump_document,
     inner_product,
     load_chain,
@@ -27,6 +29,7 @@ from qclt.errors import (
     NotMeanZero,
     SingularStationary,
 )
+from tests.oracles import classify_chain_search
 
 ROTATION3 = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]
 
@@ -214,3 +217,85 @@ def test_load_document_file_errors(tmp_path):
         read_json(tmp_path)                      # a directory
     with pytest.raises(BadFile, match="cannot write"):
         open_output(tmp_path / "absent" / "out.csv")
+
+
+# -- classification against the explicit graph search ------------------------------
+
+def assert_flags_match_search(chain):
+    expect = classify_chain_search(chain.kernel, chain.stationary, chain.flags.tol)
+    assert chain.flags == expect
+    return expect
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.floats(0.02, 0.6), st.integers(0, 2 ** 32 - 1))
+def test_classify_matches_search_on_sparse_kernels(n, density, seed):
+    # every row keeps at least one edge; pi is any positive vector, since
+    # reachability and period read the support graph only
+    rng = np.random.default_rng(seed)
+    mask = rng.random((n, n)) < density
+    mask[np.arange(n), rng.integers(0, n, size=n)] = True
+    q = np.where(mask, rng.uniform(0.1, 1.0, size=(n, n)), 0.0)
+    q = q / q.sum(axis=1, keepdims=True)
+    pi = rng.uniform(0.5, 1.0, size=n)
+    pi = pi / pi.sum()
+    assert classify_chain(q, pi) == classify_chain_search(q, pi, DEFAULT_CLASSIFY_TOL)
+
+
+def cycle(length):
+    return np.roll(np.eye(length), 1, axis=1)
+
+
+@pytest.mark.parametrize("period", [2, 3, 6])
+def test_classify_cycles(period):
+    chain = make_chain([str(i) for i in range(period)], cycle(period),
+                       stationary=[1.0 / period] * period)
+    flags = assert_flags_match_search(chain)
+    assert flags.irreducible and not flags.aperiodic
+
+
+def test_classify_cycles_sharing_a_state():
+    # loops of lengths 4 and 6 through state 0 give period 2; adding a
+    # loop of length 3 makes the chain aperiodic
+    def two_loops(extra):
+        n = 9 + (2 if extra else 0)
+        q = np.zeros((n, n))
+        loops = [[0, 1, 2, 3], [0, 4, 5, 6, 7, 8]] + ([[0, 9, 10]] if extra else [])
+        for loop in loops:
+            for a, b in zip(loop, loop[1:] + [0]):
+                q[a, b] = 1.0
+        return make_chain([str(i) for i in range(n)], q / q.sum(axis=1, keepdims=True))
+    assert not assert_flags_match_search(two_loops(False)).aperiodic
+    assert assert_flags_match_search(two_loops(True)).aperiodic
+
+
+def test_classify_bipartite_walk():
+    # simple random walk on the complete bipartite graph K_{3,4}
+    adj = np.zeros((7, 7))
+    adj[:3, 3:] = 1.0
+    adj[3:, :3] = 1.0
+    chain = make_chain([str(i) for i in range(7)], adj / adj.sum(axis=1, keepdims=True))
+    flags = assert_flags_match_search(chain)
+    assert flags.reversible and flags.irreducible and not flags.aperiodic
+
+
+def test_classify_reducible_with_supplied_pi():
+    rng = np.random.default_rng(3)
+    identity = make_chain("abc", np.eye(3), stationary=[0.2, 0.3, 0.5])
+    assert not assert_flags_match_search(identity).irreducible
+    # two closed classes (a random reversible block and a 3-cycle) under a
+    # random relabelling, with pi mixing the two stationary laws
+    block = random_reversible(rng, 4)
+    q = np.zeros((7, 7))
+    q[:4, :4] = block.kernel
+    q[4:, 4:] = cycle(3)
+    pi = np.concatenate([0.5 * block.stationary, [0.5 / 3] * 3])
+    perm = rng.permutation(7)
+    chain = make_chain([str(i) for i in range(7)], q[np.ix_(perm, perm)], stationary=pi[perm])
+    flags = assert_flags_match_search(chain)
+    assert not flags.irreducible
+
+
+def test_classify_single_state():
+    flags = assert_flags_match_search(make_chain(["only"], [[1.0]]))
+    assert flags.reversible and flags.irreducible and flags.aperiodic

@@ -25,8 +25,9 @@ from qclt.group_walk import (
     torus_sigma_sq,
     walk_fourier,
 )
-from qclt.spectral import jacobi_eigh, spectral_integral, spectral_measure
+from qclt.spectral import spectral_integral, spectral_measure
 from qclt.verify import torus_identity_gap
+from tests.oracles import jacobi_eigh
 
 
 def harmonic(chain, k, n):

@@ -10,7 +10,6 @@ from qclt.errors import (
 )
 from qclt.martingale import (
     _mean_zero_rate,
-    kernel_gap_msq,
     poisson_solve,
     projection_series,
     quenched_diagnostics,
@@ -18,6 +17,7 @@ from qclt.martingale import (
     truncated_scheme,
 )
 from qclt.spectral import spectral_integral, spectral_measure
+from tests.oracles import kernel_gap_msq
 from tests.test_chain import random_reversible
 from tests.test_spectral import jacobi_spectrum, wide_walk
 
