@@ -169,10 +169,11 @@ def _parse_step(text: str, moduli):
     return atoms
 
 
-def _harmonic_vector(moduli, freqs, elements):
-    ang = np.zeros(len(elements))
+def _harmonic_vector(moduli, freqs):
+    coords = np.indices(moduli).reshape(len(moduli), -1)
+    ang = np.zeros(coords.shape[1])
     for d, m in enumerate(moduli):
-        ang += (2.0 * math.pi * freqs[d] / m) * np.array([e[d] for e in elements])
+        ang += (2.0 * math.pi * freqs[d] / m) * coords[d]
     return math.sqrt(2.0) * np.cos(ang)
 
 
@@ -185,7 +186,7 @@ def _cmd_group(args) -> int:
         freqs = _parse_int_list(args.harmonic, "--harmonic")
         if len(freqs) != len(moduli):
             raise QcltError(f"--harmonic needs {len(moduli)} components")
-        raw = _harmonic_vector(moduli, freqs, walk.elements)
+        raw = _harmonic_vector(walk.moduli, freqs)
         name = "harmonic" + "_".join(str(k) for k in freqs)
         observables[name] = raw
         f = center_observable(walk.chain, raw)
@@ -242,6 +243,9 @@ def _cmd_torus(args) -> int:
         raise QcltError(f"--alpha needs 'golden' or a decimal, got {args.alpha!r}") from None
     walk = make_torus_walk(alpha, lazy=args.lazy, fhat=_load_coeffs(args.coeffs))
     report = torus_condition(walk, args.cutoff)
+    # simulate before the first section prints, so a bad start exits cleanly
+    sim = (simulate_torus(walk, args.start, args.n, args.paths, seed=args.seed,
+                          workers=args.threads) if args.paths else None)
     _emit("config", [("command", "torus"), ("alpha", walk.alpha),
                      ("lazy", walk.lazy), ("cutoff", args.cutoff),
                      ("coeffs", args.coeffs or "default cos(2 pi x)"),
@@ -253,9 +257,7 @@ def _cmd_torus(args) -> int:
     for row in report.rows:
         print(",".join([str(row.n), _fmt(row.dist), _fmt(row.one_minus_nuhat),
                         _fmt(row.ratio), _fmt(row.partial_sum)]))
-    if args.paths:
-        sim = simulate_torus(walk, args.start, args.n, args.paths,
-                             seed=args.seed, workers=args.threads)
+    if sim is not None:
         _emit("report", [("start", args.start), ("n", sim.n),
                          ("num_paths", sim.num_paths), ("seed", sim.seed),
                          ("sample_mean", sim.sample_mean),

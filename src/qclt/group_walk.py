@@ -3,15 +3,16 @@
 A step measure ``nu`` on a product of cyclic groups induces the kernel
 ``Q(x, y) = nu(y - x)``; the Haar (uniform) law is stationary, characters
 diagonalize the kernel with multipliers ``nuhat(g)``, and every condition
-sum becomes a finite Fourier sum.  The torus walk with irrational step is
-handled by direct floating-point simulation plus per-frequency series data;
+sum becomes a finite Fourier sum.  ``nu`` is held as a dense grid of shape
+``moduli``, so the multipliers and the observable's coefficients are each
+one FFT over the group.  The torus walk with irrational step is handled by
+direct floating-point simulation plus per-frequency series data;
 ``{n alpha}`` quantities use the distance to the nearest integer, with the
 raw fractional part reported alongside.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -25,17 +26,29 @@ from .errors import (
     DimensionMismatch,
     EmptySample,
     EmptySupport,
+    NonFiniteValue,
     NotErgodic,
     RationalAlpha,
 )
-from .simulate import SimulationReport, ks_distance, standard_normal_cdf
-from .spectral import SpectralMeasure, spectral_integral, spectral_measure
+from .simulate import SimulationReport, scaled_sum_stats
+from .spectral import (
+    SpectralMeasure,
+    drop_roundoff_atoms,
+    spectral_integral,
+    spectral_measure,
+)
 
 GOLDEN_ALPHA = (math.sqrt(5.0) - 1.0) / 2.0
 PROB_TOL = 1e-12
 ERGODIC_TOL = 1e-12
 RATIONAL_DENOMINATOR_CAP = 10 ** 6
 RATIONAL_GAP_TOL = 1e-14
+
+
+def _finite(value, what: str):
+    if not np.isfinite(value):
+        raise NonFiniteValue(f"{what} must be finite, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -63,16 +76,12 @@ def _reduce(element, moduli) -> tuple:
     return tuple(int(e) % m for e, m in zip(element, moduli))
 
 
-def _neg(element, moduli) -> tuple:
-    return tuple((-e) % m for e, m in zip(element, moduli))
-
-
-def character_values(moduli, g, elements) -> np.ndarray:
-    """Values of the character indexed by ``g`` at the listed elements."""
-    ang = np.zeros(len(elements))
-    for d, m in enumerate(moduli):
-        ang += (2.0 * math.pi * g[d] / m) * np.array([e[d] for e in elements], dtype=float)
-    return np.exp(1j * ang)
+def _multipliers(moduli, atoms) -> np.ndarray:
+    # nuhat(g) = sum_z nu(z) exp(+2 pi i <g, z>) = N ifftn(nu), in element order
+    nu = np.zeros(moduli)
+    for z, p in atoms:
+        nu[z] = p
+    return nu.size * np.fft.ifftn(nu).ravel()
 
 
 def build_group_walk(moduli, atoms) -> GroupWalk:
@@ -88,52 +97,36 @@ def build_group_walk(moduli, atoms) -> GroupWalk:
     if any(m < 1 for m in moduli):
         raise BadProbabilities(f"moduli must be positive, got {moduli}")
     items = atoms.items() if hasattr(atoms, "items") else list(atoms)
-    pooled: dict = {}
+    nu = np.zeros(moduli)        # pooled step measure; C order is element order
     for element, prob in items:
-        p = float(prob)
+        p = _finite(float(prob), f"probability for element {element!r}")
         if p < 0.0:
             raise BadProbabilities(f"negative probability {p} for element {element!r}")
-        key = _reduce(element, moduli)
-        pooled[key] = pooled.get(key, 0.0) + p
-    pooled = {k: v for k, v in pooled.items() if v > 0.0}
+        nu[_reduce(element, moduli)] += p
+    pooled = tuple((z, float(nu[z])) for z in map(tuple, np.argwhere(nu > 0.0).tolist()))
     if not pooled:
         raise EmptySupport("the step measure has no atoms with positive mass")
-    total = sum(pooled.values())
+    total = float(np.sum(nu))
     if abs(total - 1.0) > PROB_TOL:
         raise BadProbabilities(f"step probabilities sum to {total!r}")
 
-    elements = tuple(itertools.product(*(range(m) for m in moduli)))
-    index = {e: i for i, e in enumerate(elements)}
-    n = len(elements)
+    n = nu.size
+    coords = np.indices(moduli).reshape(len(moduli), n)
+    elements = tuple(map(tuple, coords.T.tolist()))
+    # Q(x, x + z) = nu(z): one scatter per atom, each a permutation of columns
     kernel = np.zeros((n, n))
-    for x, ex in enumerate(elements):
-        for step, p in pooled.items():
-            ey = tuple((a + b) % m for a, b, m in zip(ex, step, moduli))
-            kernel[x, index[ey]] += p
-    labels = [",".join(str(c) for c in e) if len(moduli) > 1 else str(e[0])
-              for e in elements]
-    pi = np.full(n, 1.0 / n)
-    chain = make_chain(labels, kernel, stationary=pi)
+    for z, p in pooled:
+        cols = np.ravel_multi_index([(c + s) % m for c, s, m in zip(coords, z, moduli)],
+                                    moduli)
+        kernel[np.arange(n), cols] = p
+    labels = [",".join(map(str, e)) for e in elements]
+    chain = make_chain(labels, kernel, stationary=np.full(n, 1.0 / n))
 
-    symmetric = all(abs(pooled.get(_neg(e, moduli), 0.0) - p) <= PROB_TOL
-                    for e, p in pooled.items())
-    nuhat = _nuhat_all(moduli, pooled, elements)
-    ergodic = bool(np.all(np.abs(nuhat[1:] - 1.0) > ERGODIC_TOL))
-    return GroupWalk(moduli=moduli, atoms=tuple(sorted(pooled.items())),
-                     symmetric=symmetric, ergodic=ergodic, chain=chain,
-                     elements=elements)
-
-
-def _nuhat_all(moduli, pooled, elements) -> np.ndarray:
-    # multiplier nuhat(g) = sum_z nu(z) chi_g(z) for every character g
-    out = np.zeros(len(elements), dtype=complex)
-    for i, g in enumerate(elements):
-        acc = 0.0 + 0.0j
-        for z, p in pooled.items():
-            ang = 2.0 * math.pi * sum(g[d] * z[d] / m for d, m in enumerate(moduli))
-            acc += p * complex(math.cos(ang), math.sin(ang))
-        out[i] = acc
-    return out
+    reflected = nu[np.ix_(*((-np.arange(m)) % m for m in moduli))]
+    symmetric = bool(np.all(np.abs(nu - reflected) <= PROB_TOL))
+    ergodic = bool(np.all(np.abs(_multipliers(moduli, pooled)[1:] - 1.0) > ERGODIC_TOL))
+    return GroupWalk(moduli=moduli, atoms=pooled, symmetric=symmetric, ergodic=ergodic,
+                     chain=chain, elements=elements)
 
 
 def walk_fourier(walk: GroupWalk, f: Observable):
@@ -141,18 +134,13 @@ def walk_fourier(walk: GroupWalk, f: Observable):
 
     Returns ``(nuhat, fhat)`` indexed like ``walk.elements`` (the dual group
     of a finite abelian group is isomorphic to the group itself).  ``fhat``
-    is the direct O(N^2) transform ``<f, chi_g>``; Parseval is validated to
+    is ``<f, chi_g>``, one FFT over the group; Parseval is validated to
     1e-9 relative.
     """
     if f.values.shape != (len(walk.elements),):
         raise DimensionMismatch("observable does not match the group order")
-    pooled = dict(walk.atoms)
-    nuhat = _nuhat_all(walk.moduli, pooled, walk.elements)
-    n = len(walk.elements)
-    fhat = np.zeros(n, dtype=complex)
-    for i, g in enumerate(walk.elements):
-        chi = character_values(walk.moduli, g, walk.elements)
-        fhat[i] = np.sum(f.values * np.conj(chi)) / n
+    nuhat = _multipliers(walk.moduli, walk.atoms)
+    fhat = np.fft.fftn(f.values.reshape(walk.moduli)).ravel() / len(walk.elements)
     mass = float(np.sum(np.abs(fhat) ** 2))
     if abs(mass - f.norm_sq) > 1e-9 * max(mass, f.norm_sq, 1e-30):
         raise BadProbabilities(
@@ -163,10 +151,10 @@ def walk_fourier(walk: GroupWalk, f: Observable):
 
 def fourier_measure(walk: GroupWalk, f: Observable) -> SpectralMeasure:
     """Unit-disk spectral measure of ``f``: mass ``|fhat(g)|^2`` at each
-    multiplier ``nuhat(g)``, non-identity characters only."""
+    multiplier ``nuhat(g)``, non-identity characters only, without the
+    roundoff-sized atoms that :func:`spectral_measure` also drops."""
     nuhat, fhat = walk_fourier(walk, f)
-    masses = np.abs(fhat[1:]) ** 2
-    locations = nuhat[1:].copy()
+    locations, masses = drop_roundoff_atoms(nuhat[1:], np.abs(fhat[1:]) ** 2)
     # clip roundoff excursions outside the closed disk
     mods = np.abs(locations)
     locations[mods > 1.0] /= mods[mods > 1.0]
@@ -206,7 +194,7 @@ def condition_sums(walk: GroupWalk, f: Observable) -> ConditionReport:
     gaps = np.abs(1.0 - measure.locations)
     keep = gaps > 0
     logs = np.abs(np.log(gaps[keep]))
-    logplus = np.where(logs > 1.0, np.log(logs), 0.0)
+    logplus = np.log(np.maximum(logs, 1.0))    # log+, without log(0) at |1 - nuhat| = 1
     g1 = float(np.sum(logplus ** 2 * measure.masses[keep] / gaps[keep]))
     sr_spectral = None
     if walk.symmetric:
@@ -264,7 +252,7 @@ def make_torus_walk(alpha: float, lazy: float = 0.0, fhat=None) -> TorusWalk:
     may list positive frequencies only, or both signs (then Hermitian
     symmetry is checked before folding).
     """
-    alpha = float(alpha) % 1.0
+    alpha = _finite(float(alpha), "alpha") % 1.0
     if alpha == 0.0:
         raise RationalAlpha("alpha reduces to 0 mod 1")
     if not 0.0 <= lazy < 1.0:
@@ -277,7 +265,7 @@ def make_torus_walk(alpha: float, lazy: float = 0.0, fhat=None) -> TorusWalk:
         nn = int(freq)
         if nn == 0:
             raise DimensionMismatch("frequency 0 is not allowed (observables are centered)")
-        c = complex(coeff)
+        c = _finite(complex(coeff), f"coefficient at frequency {nn}")
         key = abs(nn)
         want = c if nn > 0 else c.conjugate()
         if key in folded and abs(folded[key] - want) > 1e-12:
@@ -373,7 +361,7 @@ def simulate_torus(walk: TorusWalk, x: float, n: int, num_paths: int,
     """
     if n < 1 or num_paths < 1:
         raise EmptySample(f"need n >= 1 and paths >= 1, got n={n}, paths={num_paths}")
-    x0 = float(x) % 1.0
+    x0 = _finite(float(x), "torus start") % 1.0
     sigma_sq = torus_sigma_sq(walk)
     total_mass = sum(abs(c) ** 2 for _, c in walk.fhat)
     if sigma_sq <= 1e-12:
@@ -392,10 +380,7 @@ def simulate_torus(walk: TorusWalk, x: float, n: int, num_paths: int,
     sums, _ = kernels.run_torus_paths(walk.alpha, walk.lazy, omegas, ccos, csin,
                                       x0, n, num_paths, seed,
                                       workers=workers, backend=backend)
-    scaled = sums / math.sqrt(n)
-    mean = float(np.mean(scaled))
-    var = float(np.sum((scaled - mean) ** 2) / max(num_paths - 1, 1))
-    kd = ks_distance(np.sort(scaled / math.sqrt(sigma_sq)), standard_normal_cdf)
+    _, mean, var, kd = scaled_sum_stats(sums, n, sigma_sq)
     return SimulationReport(start_state=0, n=n, num_paths=num_paths, seed=seed,
                             sample_mean=mean, sample_var=var, ks_distance=kd,
                             residual_max=None, sigma_sq_used=sigma_sq,

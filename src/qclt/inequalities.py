@@ -24,7 +24,7 @@ from .errors import (
     NotReversible,
 )
 from .martingale import kernel_powers
-from .spectral import SpectralMeasure, spectral_integral, spectral_measure
+from .spectral import SpectralMeasure, _power_block_sum, spectral_integral, spectral_measure
 
 COND_RTOL = 1e-9
 EXACT_SLACK = 1e-12
@@ -150,11 +150,7 @@ class AtomicWeightFamily:
 def builtin_block_weight(n: int, t: np.ndarray) -> np.ndarray:
     """``sqrt(1 - t^2) * (t^{2^n} + ... + t^{2^{n+1}-1})``, nonnegative on [-1, 1]."""
     t = np.asarray(t, dtype=np.float64)
-    lo, hi = 2 ** n, 2 ** (n + 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        block = np.where(np.abs(1.0 - t) < 1e-12, float(hi - lo),
-                         (t ** lo - t ** hi) / np.where(t == 1.0, 1.0, 1.0 - t))
-    return np.sqrt(np.maximum(1.0 - t * t, 0.0)) * block
+    return np.sqrt(np.maximum(1.0 - t * t, 0.0)) * _power_block_sum(t, 2 ** n, 2 ** (n + 1))
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,14 @@
 """Backend selection and deterministic parallel dispatch for path kernels.
 
-The compiled extension is preferred when importable; set ``QCLT_KERNELS`` to
-``python`` or ``compiled`` to force a backend.  Worker threads split the
-path range into contiguous chunks writing disjoint output slots, so results
-are identical for every worker count (each path's stream depends only on
-``(seed, path_index)``).
+The compiled extension runs when it imports, the numpy fallback otherwise;
+``backend=`` picks one of :func:`available_backends` for a single call.
+Worker threads split the path range into contiguous chunks writing disjoint
+output slots, so results are identical for every worker count (each path's
+stream depends only on ``(seed, path_index)``).
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -22,15 +21,7 @@ try:
 except ImportError:  # extension not built; numpy fallback only
     _compiled = None
 
-_FORCED = os.environ.get("QCLT_KERNELS", "").strip().lower()
-if _FORCED == "python":
-    _impl = _kernels_py
-elif _FORCED == "compiled":
-    if _compiled is None:
-        raise ImportError("QCLT_KERNELS=compiled but the extension is not built")
-    _impl = _compiled
-else:
-    _impl = _compiled if _compiled is not None else _kernels_py
+_impl = _compiled if _compiled is not None else _kernels_py
 
 BACKEND = _impl.BACKEND_NAME
 

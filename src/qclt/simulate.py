@@ -65,6 +65,16 @@ def ks_distance(sample, cdf) -> float:
     return float(max(np.max(grid - fx), np.max(fx - (grid - 1.0 / n))))
 
 
+def scaled_sum_stats(sums: np.ndarray, n: int, sigma_sq: float):
+    """Scaled sums ``S_n / sqrt(n)`` with their mean, unbiased variance and
+    KS distance from ``N(0, sigma_sq)``, as ``(scaled, mean, var, ks)``."""
+    scaled = sums / math.sqrt(n)
+    mean = float(np.mean(scaled))
+    var = float(np.sum((scaled - mean) ** 2) / max(len(scaled) - 1, 1))
+    kd = ks_distance(np.sort(scaled / math.sqrt(sigma_sq)), standard_normal_cdf)
+    return scaled, mean, var, kd
+
+
 def cumulative_rows(chain: FiniteChain) -> np.ndarray:
     """Per-row cumulative kernel sums with the last column pinned to 1.0."""
     cum = np.cumsum(chain.kernel, axis=1)
@@ -128,15 +138,9 @@ def simulate_quenched(chain: FiniteChain, scheme: MartingaleScheme, x,
 
         jump = scheme.qg[start] - scheme.qg[last]
         residual_max = float(np.max(np.abs(sums - mart_sums - jump)))
-        sqrt_n = math.sqrt(n)
-        scaled = sums / sqrt_n
-        mean = float(np.mean(scaled))
-        var = float(np.sum((scaled - mean) ** 2) / (num_paths - 1))
-        sigma = math.sqrt(scheme.sigma_sq)
-        kd = ks_distance(np.sort(scaled / sigma), standard_normal_cdf)
-
+        scaled, mean, var, kd = scaled_sum_stats(sums, n, scheme.sigma_sq)
         if dump is not None:
-            _dump_samples(dump, scaled, mart_sums / sqrt_n)
+            _dump_samples(dump, scaled, mart_sums / math.sqrt(n))
 
     return SimulationReport(
         start_state=start, n=n, num_paths=num_paths, seed=seed,

@@ -113,6 +113,13 @@ def _merge_atoms(locations: np.ndarray, masses: np.ndarray):
     return np.asarray(out_loc), np.asarray(out_mass)
 
 
+def drop_roundoff_atoms(locations: np.ndarray, masses: np.ndarray):
+    """Keep the atoms above ``1e-14`` of the total mass, so directions
+    orthogonal to f (roundoff mass only) do not show up as spurious atoms."""
+    keep = masses > 1e-14 * float(np.sum(masses))
+    return locations[keep], masses[keep]
+
+
 def spectral_measure(chain: FiniteChain, f: Observable) -> SpectralMeasure:
     """Spectral measure of ``f`` with respect to the kernel.
 
@@ -126,11 +133,7 @@ def spectral_measure(chain: FiniteChain, f: Observable) -> SpectralMeasure:
     eigvals, eigvecs = chain_spectrum(chain)
     weights = eigvecs.T @ (np.sqrt(chain.stationary) * f.values)
     locations = np.clip(eigvals, -1.0, 1.0)
-    locations, masses = _merge_atoms(locations, weights * weights)
-    # roundoff-sized atoms (relative to the total) are dropped so that e.g.
-    # eigendirections orthogonal to f do not show up as spurious atoms
-    keep = masses > 1e-14 * float(np.sum(masses))
-    locations, masses = locations[keep], masses[keep]
+    locations, masses = drop_roundoff_atoms(*_merge_atoms(locations, weights * weights))
     total = float(np.sum(masses))
     norm_sq = f.norm_sq
     # written so that a NaN anywhere fails the check instead of skipping it

@@ -8,14 +8,17 @@ The tests check the library against these slower, simpler forms:
 * the explicit ``q @ v`` loops that the partial-sum routines ran before
   they were built on :func:`qclt.martingale.kernel_powers`;
 * the graph walks that classified chains before the whole-array
-  breadth-first search.
+  breadth-first search;
+* the element-tuple loops that built group walks and their Fourier
+  transforms before the dense step grid and ``np.fft``.
 """
 
+import itertools
 import math
 
 import numpy as np
 
-from qclt.chain import ChainFlags
+from qclt.chain import ChainFlags, make_chain
 from qclt.errors import BadIndexOrder, JacobiNoConvergence, NotReversible
 from qclt.spectral import _power_block_sum
 
@@ -253,3 +256,67 @@ def classify_chain_search(kernel, stationary, tol: float) -> ChainFlags:
     irreducible = bool(np.all(_reachable(q, 0)) and np.all(_reachable(q, 0, reverse=True)))
     return ChainFlags(reversible=reversible, normal=normal, irreducible=irreducible,
                       aperiodic=_period_gcd(q) == 1, tol=tol)
+
+
+# -- group walks by loops over element tuples --------------------------------------
+
+def _neg(element, moduli) -> tuple:
+    return tuple((-e) % m for e, m in zip(element, moduli))
+
+
+def character_values(moduli, g, elements) -> np.ndarray:
+    """Values of the character indexed by ``g`` at the listed elements."""
+    ang = np.zeros(len(elements))
+    for d, m in enumerate(moduli):
+        ang += (2.0 * math.pi * g[d] / m) * np.array([e[d] for e in elements], dtype=float)
+    return np.exp(1j * ang)
+
+
+def nuhat_all(moduli, pooled, elements) -> np.ndarray:
+    """Multiplier ``nuhat(g) = sum_z nu(z) chi_g(z)`` for every character g."""
+    out = np.zeros(len(elements), dtype=complex)
+    for i, g in enumerate(elements):
+        acc = 0.0 + 0.0j
+        for z, p in pooled.items():
+            ang = 2.0 * math.pi * sum(g[d] * z[d] / m for d, m in enumerate(moduli))
+            acc += p * complex(math.cos(ang), math.sin(ang))
+        out[i] = acc
+    return out
+
+
+def group_walk_loop(moduli, atoms):
+    """``(atoms, elements, chain, symmetric, ergodic)`` of the walk with step
+    atoms ``{element tuple: probability}`` or a list of such pairs, pooled in
+    a dict and built by a tuple/dict loop over every (element, atom) pair."""
+    moduli = tuple(moduli)
+    pooled: dict = {}
+    for element, p in (atoms.items() if hasattr(atoms, "items") else atoms):
+        key = tuple(int(e) % m for e, m in zip(np.atleast_1d(element), moduli))
+        pooled[key] = pooled.get(key, 0.0) + float(p)
+    pooled = {k: v for k, v in pooled.items() if v > 0.0}
+    elements = tuple(itertools.product(*(range(m) for m in moduli)))
+    index = {e: i for i, e in enumerate(elements)}
+    n = len(elements)
+    kernel = np.zeros((n, n))
+    for x, ex in enumerate(elements):
+        for step, p in pooled.items():
+            ey = tuple((a + b) % m for a, b, m in zip(ex, step, moduli))
+            kernel[x, index[ey]] += p
+    labels = [",".join(str(c) for c in e) if len(moduli) > 1 else str(e[0])
+              for e in elements]
+    chain = make_chain(labels, kernel, stationary=np.full(n, 1.0 / n))
+    symmetric = all(abs(pooled.get(_neg(e, moduli), 0.0) - p) <= 1e-12
+                    for e, p in pooled.items())
+    nuhat = nuhat_all(moduli, pooled, elements)
+    ergodic = bool(np.all(np.abs(nuhat[1:] - 1.0) > 1e-12))
+    return tuple(sorted(pooled.items())), elements, chain, symmetric, ergodic
+
+
+def walk_fourier_loop(moduli, pooled, fvalues):
+    """``(nuhat, fhat)`` by the direct O(N^2) transform ``<f, chi_g>``."""
+    elements = tuple(itertools.product(*(range(m) for m in moduli)))
+    n = len(elements)
+    fhat = np.zeros(n, dtype=complex)
+    for i, g in enumerate(elements):
+        fhat[i] = np.sum(fvalues * np.conj(character_values(moduli, g, elements))) / n
+    return nuhat_all(moduli, pooled, elements), fhat

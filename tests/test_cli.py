@@ -224,3 +224,22 @@ def test_malformed_numbers_exit_2(capsys, option, argv):
     code, out, err = run(capsys, *argv)
     _assert_clean_exit_2(code, out, err)
     assert option in err
+
+
+def test_group_non_finite_probability_exits_2(capsys, tmp_path):
+    out_path = tmp_path / "x.json"
+    code, out, err = run(capsys, "group", "--moduli", "5", "--step", "1:0.5,2:nan,4:0.5",
+                         "--harmonic", "1", "--output", str(out_path))
+    _assert_clean_exit_2(code, out, err)
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv", [["--alpha", "nan"], ["--alpha", "inf"],
+                                  ["--coeffs", "NAN_COEFFS", "--paths", "200", "--n", "8"],
+                                  ["--start", "nan", "--paths", "200", "--n", "8"],
+                                  ["--start", "inf", "--paths", "200", "--n", "8"]])
+def test_torus_non_finite_input_exits_2(capsys, tmp_path, argv):
+    coeffs = tmp_path / "c.json"
+    coeffs.write_text('{"1": [NaN, 0]}')
+    argv = [str(coeffs) if a == "NAN_COEFFS" else a for a in argv]
+    _assert_clean_exit_2(*run(capsys, "torus", *argv))

@@ -65,7 +65,7 @@ GOLDEN = {
         'reversible = true\n'
         '[conditions]\n'
         'SR_sum = 1.6\n'
-        'G1_sum = 2.08217047807e-33\n'
+        'G1_sum = 0\n'
         'SN1_sum = 0.752005806793\n'
         'SR_spectral = 1.6\n'
     ),

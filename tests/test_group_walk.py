@@ -8,6 +8,7 @@ from qclt.errors import (
     BadProbabilities,
     DimensionMismatch,
     EmptySupport,
+    NonFiniteValue,
     NotErgodic,
     RationalAlpha,
 )
@@ -62,6 +63,13 @@ def test_build_validation():
         build_group_walk([5], {1: -0.5, 4: 1.5})
     with pytest.raises(EmptySupport):
         build_group_walk([5], {})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_step_probability_rejected(bad):
+    # a NaN atom used to fail the positivity filter and vanish silently
+    with pytest.raises(NonFiniteValue):
+        build_group_walk([5], {1: 0.5, 2: bad, 4: 0.5})
 
 
 def test_adjoint_is_reflected_walk():
@@ -157,6 +165,25 @@ def test_make_torus_walk_validation():
         make_torus_walk(GOLDEN_ALPHA, fhat={1: 0.5 + 0.1j, -1: 0.5 + 0.1j})
     folded = make_torus_walk(GOLDEN_ALPHA, fhat={1: 0.5 + 0.1j, -1: 0.5 - 0.1j})
     assert folded.fhat == ((1, 0.5 + 0.1j),)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_alpha_rejected(bad):
+    with pytest.raises(NonFiniteValue):
+        make_torus_walk(bad, fhat={1: 0.5})
+
+
+@pytest.mark.parametrize("coeff", [complex(math.nan, 0.0), complex(0.5, math.inf), math.nan])
+def test_non_finite_coefficient_rejected(coeff):
+    with pytest.raises(NonFiniteValue):
+        make_torus_walk(GOLDEN_ALPHA, fhat={1: coeff})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_torus_start_rejected(bad):
+    walk = make_torus_walk(GOLDEN_ALPHA, fhat={1: 0.5})
+    with pytest.raises(NonFiniteValue):
+        simulate_torus(walk, bad, 8, 200, seed=0)
 
 
 def test_convergents_golden_are_fibonacci():

@@ -193,6 +193,14 @@ def test_builtin_block_weight_nonnegative():
         assert np.min(builtin_block_weight(n, t)) >= -1e-15
 
 
+def test_builtin_block_weight_is_the_explicit_power_sum():
+    t = np.concatenate([np.linspace(-1.0, 1.0, 2001), [0.999, -0.999]])
+    for n in range(7):
+        powers = t[:, None] ** np.arange(2 ** n, 2 ** (n + 1))[None, :]
+        want = np.sqrt(np.maximum(1.0 - t * t, 0.0)) * powers.sum(axis=1)
+        np.testing.assert_allclose(builtin_block_weight(n, t), want, rtol=1e-12, atol=1e-15)
+
+
 def test_dyadic_block_maxsum_fixtures(two_state, iid, flip):
     lhs, rhs = dyadic_block_maxsum(iid, center_observable(iid, [1.0, -1.0]), 6)
     assert lhs == pytest.approx(0.0, abs=1e-15)
