@@ -1,10 +1,11 @@
 /* Compiled path kernels; the same per-path recurrence as _kernels_py.
  *
  * Per path: a splitmix64 counter stream keyed off the path index drives
- * inverse-CDF transitions on precomputed cumulative kernel rows.  The chain
- * kernel is bit-for-bit identical to the numpy fallback; the torus kernel
- * matches up to libm rounding in cos/sin.  Build with -ffp-contract=off so
- * no fused multiply-add changes a rounding.
+ * inverse-CDF transitions on precomputed cumulative kernel rows, or lazy
+ * +-1 steps of a lattice index into a table of the torus observable.  Both
+ * kernels are bit-for-bit identical to the numpy fallback: the torus table
+ * takes its cos/sin from the C library, as math.cos/math.sin do there.
+ * Build with -ffp-contract=off so no fused multiply-add changes a rounding.
  *
  * Arrays arrive through the buffer protocol and must be C-contiguous, of
  * float64 for values, uint64 for keys and int64 for last states; the out
@@ -74,6 +75,16 @@ static int check_len(const Py_buffer *b, Py_ssize_t n, const char *name)
     return 0;
 }
 
+/* 0 if `n_steps` is a valid step count, else set ValueError */
+static int check_steps(Py_ssize_t n_steps)
+{
+    if (n_steps < 0) {
+        PyErr_Format(PyExc_ValueError, "n_steps %zd is negative", n_steps);
+        return -1;
+    }
+    return 0;
+}
+
 static void release_all(Py_buffer *b, int n)
 {
     for (int i = 0; i < n; i++)
@@ -102,7 +113,7 @@ static PyObject *chain_paths(PyObject *self, PyObject *args)
     }
     ok = ok && check_len(&b[0], S * S, names[0]) == 0 && check_len(&b[2], S * S, names[2]) == 0
         && check_len(&b[4], npaths, names[4]) == 0 && check_len(&b[5], npaths, names[5]) == 0
-        && check_len(&b[6], npaths, names[6]) == 0;
+        && check_len(&b[6], npaths, names[6]) == 0 && check_steps(n_steps) == 0;
     if (ok) {
         const double *cum = b[0].buf, *fvals = b[1].buf, *hmat = b[2].buf;
         const uint64_t *keys = b[3].buf;
@@ -142,6 +153,16 @@ static PyObject *chain_paths(PyObject *self, PyObject *args)
     Py_RETURN_NONE;
 }
 
+/* x0 + d * alpha reduced to [0, 1): the torus point d lattice steps from x0 */
+static inline double lattice_point(double x0, double alpha, Py_ssize_t d)
+{
+    double x = x0 + (double)d * alpha;
+    return x - floor(x);
+}
+
+/* The table is built in _kernels_py's operation order, so both backends
+ * agree bit for bit.  gcc may merge the cos/sin pair into one sincos call;
+ * the backend-identity tests check that it rounds as cos and sin do. */
 static PyObject *torus_paths(PyObject *self, PyObject *args)
 {
     static const char *const names[] = {"omegas", "ccos", "csin", "keys", "out_s", "out_x"};
@@ -155,35 +176,50 @@ static PyObject *torus_paths(PyObject *self, PyObject *args)
     int ok = get_arrays(o, b, "dddQdd", names, 4, 6) == 0;
     Py_ssize_t nfreq = b[0].len / 8, npaths = b[3].len / 8;
     ok = ok && check_len(&b[1], nfreq, names[1]) == 0 && check_len(&b[2], nfreq, names[2]) == 0
-        && check_len(&b[4], npaths, names[4]) == 0 && check_len(&b[5], npaths, names[5]) == 0;
+        && check_len(&b[4], npaths, names[4]) == 0 && check_len(&b[5], npaths, names[5]) == 0
+        && check_steps(n_steps) == 0;
+    if (ok && n_steps > (PY_SSIZE_T_MAX / 8 - 1) / 2) {  /* (2n + 1) * 8 would overflow */
+        PyErr_Format(PyExc_ValueError, "n_steps: a table of 2 * %zd + 1 values is too large",
+                     n_steps);
+        ok = 0;
+    }
+    else if (ok && !(lazy >= 0.0 && lazy < 1.0)) {
+        PyErr_Format(PyExc_ValueError, "lazy %R outside [0, 1)", PyTuple_GET_ITEM(args, 1));
+        ok = 0;
+    }
+    double *table = NULL;
+    if (ok && (table = PyMem_RawMalloc((2 * n_steps + 1) * sizeof(double))) == NULL) {
+        PyErr_NoMemory();
+        ok = 0;
+    }
     if (ok) {
         const double *omegas = b[0].buf, *ccos = b[1].buf, *csin = b[2].buf;
         const uint64_t *keys = b[3].buf;
         double *out_s = b[4].buf, *out_x = b[5].buf;
         double mid = lazy + 0.5 * (1.0 - lazy);
         Py_BEGIN_ALLOW_THREADS
+        for (Py_ssize_t j = 0; j <= 2 * n_steps; j++) {
+            double x = lattice_point(x0, alpha, j - n_steps), fval = 0.0;
+            for (Py_ssize_t k = 0; k < nfreq; k++)
+                fval += ccos[k] * cos(x * omegas[k]) + csin[k] * sin(x * omegas[k]);
+            table[j] = fval;
+        }
         for (Py_ssize_t i = 0; i < npaths; i++) {
             uint64_t ctr = keys[i];
-            double x = x0, s = 0.0;
+            Py_ssize_t j = n_steps;
+            double s = 0.0;
             for (Py_ssize_t k = 0; k < n_steps; k++) {
                 double u = next_uniform(&ctr);
-                if (u < lazy)
-                    ;
-                else if (u < mid)
-                    x = x + alpha;
-                else
-                    x = x - alpha;
-                x = x - floor(x);
-                double fval = 0.0;
-                for (Py_ssize_t j = 0; j < nfreq; j++)
-                    fval += ccos[j] * cos(x * omegas[j]) + csin[j] * sin(x * omegas[j]);
-                s += fval;
+                /* stay if u < lazy, +alpha if u < mid, else -alpha */
+                j += (u >= lazy) - 2 * (u >= mid);
+                s += table[j];
             }
             out_s[i] = s;
-            out_x[i] = x;
+            out_x[i] = lattice_point(x0, alpha, j - n_steps);
         }
         Py_END_ALLOW_THREADS
     }
+    PyMem_RawFree(table);
     release_all(b, 6);
     if (!ok)
         return NULL;
@@ -196,7 +232,10 @@ static PyMethodDef methods[] = {
      "Walk len(keys) paths of n_steps transitions from `start`."},
     {"torus_paths", torus_paths, METH_VARARGS,
      "torus_paths(alpha, lazy, omegas, ccos, csin, x0, n_steps, keys, out_s, out_x)\n"
-     "Lazy +-alpha rotation walk on [0, 1) accumulating the observable sum."},
+     "Lazy +-alpha rotation walk on [0, 1) accumulating the observable sum.\n\n"
+     "Tabulates f at x0 + (j - n_steps) alpha mod 1 for j = 0..2 n_steps, a\n"
+     "(2 n_steps + 1) * 8-byte table per call, then walks the lattice index j\n"
+     "from n_steps by lazy +-1 steps, adding table[j] per step."},
     {NULL, NULL, 0, NULL},
 };
 

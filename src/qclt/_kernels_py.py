@@ -1,12 +1,16 @@
 """Pure numpy path kernels; drop-in fallback for the compiled extension.
 
-Both backends implement the identical per-path recurrence, so the chain
-kernel is bit-for-bit reproducible across backends (all operations are
-integer mixes, table lookups and float additions applied in the same order).
-The torus kernel matches up to libm rounding in cos/sin.
+Both backends implement the identical per-path recurrence, so both kernels
+are bit-for-bit reproducible across backends: all operations are integer
+mixes, table lookups and float additions applied in the same order.  The
+torus table takes cos/sin from the C library through ``math``, as the
+compiled kernel does, and not from numpy's own vectorised trig.
 """
 
 from __future__ import annotations
+
+import math
+import sys
 
 import numpy as np
 
@@ -25,6 +29,11 @@ def _uniforms(counters: np.ndarray) -> np.ndarray:
     return (z >> _S11).astype(np.float64) * TWO_NEG53
 
 
+def _check_steps(n_steps) -> None:
+    if n_steps < 0:
+        raise ValueError(f"n_steps {n_steps} is negative")
+
+
 def chain_paths(cum_rows, fvals, hmat, start, n_steps, keys,
                 out_s, out_m, out_last) -> None:
     """Walk ``len(keys)`` paths of ``n_steps`` transitions from ``start``.
@@ -33,6 +42,7 @@ def chain_paths(cum_rows, fvals, hmat, start, n_steps, keys,
     pinned at 1.0.  Writes the additive functional sum, the martingale sum
     and the final state for each path into the ``out_*`` slots.
     """
+    _check_steps(n_steps)
     npaths = keys.shape[0]
     ctr = keys.astype(np.uint64).copy()
     state = np.full(npaths, start, dtype=np.int64)
@@ -54,22 +64,39 @@ def torus_paths(alpha, lazy, omegas, ccos, csin, x0, n_steps, keys,
                 out_s, out_x) -> None:
     """Lazy +-alpha rotation walk on [0, 1) accumulating the observable sum.
 
-    The observable is ``f(x) = sum_j ccos[j] cos(omegas[j] x) +
-    csin[j] sin(omegas[j] x)`` with ``omegas`` the pre-scaled angular
+    The observable is ``f(x) = sum_k ccos[k] cos(omegas[k] x) +
+    csin[k] sin(omegas[k] x)`` with ``omegas`` the pre-scaled angular
     frequencies ``2 pi nu``.  Step rule per uniform ``u``: stay if
     ``u < lazy``, step ``+alpha`` if ``u < lazy + (1 - lazy)/2``, else
     ``-alpha``.
+
+    After ``k <= n_steps`` steps a path sits at ``x0 + (j - n_steps) alpha
+    mod 1`` for an integer lattice index ``j`` in ``[0, 2 n_steps]``.  So
+    ``f`` is tabulated once per call at those ``2 n_steps + 1`` points (a
+    ``(2 n_steps + 1) * 8``-byte table), and each path moves ``j`` from
+    ``n_steps`` by lazy +-1 steps and adds ``table[j]`` per step.
     """
+    _check_steps(n_steps)
+    if n_steps > (sys.maxsize // 8 - 1) // 2:
+        raise ValueError(f"n_steps: a table of 2 * {n_steps} + 1 values is too large")
+    if not 0.0 <= lazy < 1.0:
+        raise ValueError(f"lazy {lazy!r} outside [0, 1)")
+    x = x0 + np.arange(-n_steps, n_steps + 1) * alpha     # x[j]: lattice point j
+    x -= np.floor(x)
+    table = np.zeros_like(x)
+    for om, cc, cs in zip(omegas.tolist(), ccos.tolist(), csin.tolist()):
+        phase = (x * om).tolist()
+        table += (cc * np.array(list(map(math.cos, phase)))
+                  + cs * np.array(list(map(math.sin, phase))))
     npaths = keys.shape[0]
     ctr = keys.astype(np.uint64).copy()
-    x = np.full(npaths, x0, dtype=np.float64)
+    j = np.full(npaths, n_steps, dtype=np.int64)
     s = np.zeros(npaths)
     mid = lazy + 0.5 * (1.0 - lazy)
     for _ in range(n_steps):
         u = _uniforms(ctr)
-        x = np.where(u < lazy, x, np.where(u < mid, x + alpha, x - alpha))
-        x -= np.floor(x)
-        phase = x[:, None] * omegas[None, :]
-        s += np.cos(phase) @ ccos + np.sin(phase) @ csin
+        j += u >= lazy                # stay if u < lazy, +1 if u < mid, else -1
+        j -= 2 * (u >= mid)
+        s += table[j]
     out_s[:] = s
-    out_x[:] = x
+    out_x[:] = x[j]

@@ -35,15 +35,17 @@ def available_backends() -> dict:
 
 
 def _chunks(num_paths: int, workers: int):
+    # at most `workers` contiguous spans covering range(num_paths); none if empty
     workers = max(1, min(workers, num_paths))
-    step = (num_paths + workers - 1) // workers
+    step = max(1, (num_paths + workers - 1) // workers)
     return [(i, min(i + step, num_paths)) for i in range(0, num_paths, step)]
 
 
 def _run(fn, num_paths: int, workers: int, args_for_chunk) -> None:
     spans = _chunks(num_paths, workers)
-    if len(spans) == 1:
-        fn(*args_for_chunk(*spans[0]))
+    if len(spans) <= 1:
+        for span in spans:
+            fn(*args_for_chunk(*span))
         return
     with ThreadPoolExecutor(max_workers=len(spans)) as pool:
         futures = [pool.submit(fn, *args_for_chunk(i0, i1)) for i0, i1 in spans]

@@ -10,7 +10,9 @@ The tests check the library against these slower, simpler forms:
 * the graph walks that classified chains before the whole-array
   breadth-first search;
 * the element-tuple loops that built group walks and their Fourier
-  transforms before the dense step grid and ``np.fft``.
+  transforms before the dense step grid and ``np.fft``;
+* the torus path kernel that accumulated the position and evaluated the
+  observable's trig at every step, before the lattice-index table.
 """
 
 import itertools
@@ -18,6 +20,7 @@ import math
 
 import numpy as np
 
+from qclt import _kernels_py
 from qclt.chain import ChainFlags, make_chain
 from qclt.errors import BadIndexOrder, JacobiNoConvergence, NotReversible
 from qclt.spectral import _power_block_sum
@@ -320,3 +323,22 @@ def walk_fourier_loop(moduli, pooled, fvalues):
     for i, g in enumerate(elements):
         fhat[i] = np.sum(fvalues * np.conj(character_values(moduli, g, elements))) / n
     return nuhat_all(moduli, pooled, elements), fhat
+
+
+# -- torus walk with an accumulated position ------------------------------------------
+
+def torus_paths_accumulating(alpha, lazy, omegas, ccos, csin, x0, n_steps, keys):
+    """``(sums, positions)`` of the rotation walk: each step adds +-alpha to
+    a float position, reduces it mod 1 and evaluates the observable there."""
+    npaths = keys.shape[0]
+    ctr = keys.astype(np.uint64).copy()
+    x = np.full(npaths, x0, dtype=np.float64)
+    s = np.zeros(npaths)
+    mid = lazy + 0.5 * (1.0 - lazy)
+    for _ in range(n_steps):
+        u = _kernels_py._uniforms(ctr)
+        x = np.where(u < lazy, x, np.where(u < mid, x + alpha, x - alpha))
+        x -= np.floor(x)
+        phase = x[:, None] * omegas[None, :]
+        s += np.cos(phase) @ ccos + np.sin(phase) @ csin
+    return s, x

@@ -5,6 +5,8 @@ directory (the ``compiled_kernels`` fixture), so these tests run wherever a
 C compiler exists, whether or not the package was installed.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -151,3 +153,69 @@ def test_torus_rejects_bad_buffers(compiled_kernels):
 
 def test_backend_name(compiled_kernels):
     assert compiled_kernels.BACKEND_NAME == "compiled"
+
+
+def _torus_args(npaths=4):
+    return dict(alpha=0.3, lazy=0.5, omegas=np.array([2 * np.pi]), ccos=np.array([0.5]),
+                csin=np.array([0.0]), x0=0.25, n_steps=5, keys=stream_keys(1, npaths),
+                out_s=np.full(npaths, -7.0), out_x=np.full(npaths, -7.0))
+
+
+def _impl(compiled_kernels, backend):
+    return compiled_kernels if backend == "compiled" else _kernels_py
+
+
+@pytest.mark.parametrize("backend", ["python", "compiled"])
+def test_negative_step_count_rejected(compiled_kernels, backend):
+    impl = _impl(compiled_kernels, backend)
+    chain = _chain_args()
+    chain["n_steps"] = -1
+    chain["out_s"][:] = -7.0
+    with pytest.raises(ValueError, match="n_steps -1 is negative"):
+        impl.chain_paths(*chain.values())
+    assert (chain["out_s"] == -7.0).all()
+    torus = _torus_args()
+    torus["n_steps"] = -1
+    with pytest.raises(ValueError, match="n_steps -1 is negative"):
+        impl.torus_paths(*torus.values())
+    assert (torus["out_s"] == -7.0).all() and (torus["out_x"] == -7.0).all()
+
+
+@pytest.mark.parametrize("backend", ["python", "compiled"])
+def test_torus_table_size_overflow_rejected(compiled_kernels, backend):
+    # 2 * 2**62 + 1 table entries overflow a signed 64-bit size; the guard
+    # must fire before anything of that size is requested
+    args = _torus_args()
+    args["n_steps"] = 2 ** 62
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="too large"):
+            _impl(compiled_kernels, backend).torus_paths(*args.values())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert (args["out_s"] == -7.0).all() and (args["out_x"] == -7.0).all()
+
+
+@pytest.mark.parametrize("lazy", [-0.1, 1.0, float("nan")])
+@pytest.mark.parametrize("backend", ["python", "compiled"])
+def test_torus_lazy_outside_unit_interval_rejected(compiled_kernels, backend, lazy):
+    args = _torus_args()
+    args["lazy"] = lazy
+    with pytest.raises(ValueError, match="lazy"):
+        _impl(compiled_kernels, backend).torus_paths(*args.values())
+    assert (args["out_s"] == -7.0).all()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("backend", ["python", "compiled"])
+def test_zero_paths_give_empty_arrays(compiled_backend, backend, workers):
+    cum, fvals, hmat = _chain_case(3, np.random.default_rng(0))
+    chain = compiled_backend.run_chain_paths(cum, fvals, hmat, 0, 5, 0, 1,
+                                             workers=workers, backend=backend)
+    torus = compiled_backend.run_torus_paths(0.3, 0.5, np.array([2 * np.pi]), np.array([0.5]),
+                                             np.array([0.0]), 0.25, 5, 0, 1,
+                                             workers=workers, backend=backend)
+    for out, dtype in zip(chain + torus, [np.float64, np.float64, np.int64] + [np.float64] * 2):
+        assert out.shape == (0,) and out.dtype == dtype

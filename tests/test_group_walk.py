@@ -258,7 +258,7 @@ def test_torus_backends_agree(compiled_backend, workers):
                                                      0.125, 300, 400, 11, workers=workers,
                                                      backend=name)
     np.testing.assert_array_equal(out["python"][1], out["compiled"][1])  # positions
-    np.testing.assert_allclose(out["python"][0], out["compiled"][0], atol=1e-9)
+    np.testing.assert_array_equal(out["python"][0], out["compiled"][0])  # sums
 
 
 def test_torus_identity_gap_chunked_equals_one_shot():

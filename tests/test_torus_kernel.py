@@ -1,0 +1,63 @@
+"""The lattice-table torus kernel against the accumulating trig kernel.
+
+Both backends tabulate the observable at ``x0 + j alpha mod 1`` and walk an
+integer index; :func:`tests.oracles.torus_paths_accumulating` adds +-alpha
+to a float position and evaluates the trig at every step.  The same stream
+gives the same lattice path in both, so the positions agree to roundoff
+and the sums to the accumulated roundoff of the old position.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from qclt import _kernels_py
+from qclt.group_walk import GOLDEN_ALPHA
+from qclt.rng import stream_keys
+from tests.oracles import torus_paths_accumulating
+
+ALPHAS = {"golden": GOLDEN_ALPHA, "sqrt2-1": math.sqrt(2.0) - 1.0}
+OBSERVABLES = {                 # name: (omegas, ccos, csin)
+    "one harmonic": ([2 * math.pi], [1.0], [0.0]),
+    "two harmonics": ([2 * math.pi, 26 * math.pi], [0.7, -0.2], [0.1, 0.4]),
+    "three harmonics": ([2 * math.pi, -4 * math.pi, 10 * math.pi],
+                        [0.3, 0.5, -0.1], [-0.6, 0.2, 0.25]),
+    # not 1-periodic: the table must reduce its points mod 1
+    "non-integer frequency": ([3.0], [0.8], [0.5]),
+}
+NUM_PATHS = 96
+
+
+def _circular_gap(a, b):
+    d = np.abs(a - b) % 1.0
+    return np.minimum(d, 1.0 - d)
+
+
+def _run(impl, alpha, lazy, observable, x0, n_steps):
+    omegas, ccos, csin = (np.array(v, dtype=np.float64) for v in observable)
+    keys = stream_keys(17, NUM_PATHS)
+    out_s, out_x = np.full(NUM_PATHS, np.nan), np.full(NUM_PATHS, np.nan)
+    impl.torus_paths(alpha, lazy, omegas, ccos, csin, x0, n_steps, keys, out_s, out_x)
+    ref = torus_paths_accumulating(alpha, lazy, omegas, ccos, csin, x0, n_steps, keys)
+    return (out_s, out_x), ref
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 7, 300])
+@pytest.mark.parametrize("lazy", [0.0, 0.25, 0.5])
+@pytest.mark.parametrize("alpha", sorted(ALPHAS))
+def test_lattice_kernel_matches_accumulating_oracle(compiled_kernels, alpha, lazy, n_steps):
+    x0 = 0.3125
+    for name, observable in OBSERVABLES.items():
+        outs = {}
+        for impl in (_kernels_py, compiled_kernels):
+            (sums, pos), (ref_sums, ref_pos) = _run(impl, ALPHAS[alpha], lazy,
+                                                    observable, x0, n_steps)
+            assert np.max(_circular_gap(pos, ref_pos)) <= 1e-12, (impl, name)
+            assert np.max(np.abs(sums - ref_sums)) <= 1e-9, (impl, name)
+            if n_steps == 0:
+                assert np.all(sums == 0.0) and np.all(pos == x0)
+            outs[impl.BACKEND_NAME] = sums, pos
+        for a, b in zip(outs["python"], outs["compiled"]):
+            np.testing.assert_array_equal(a, b)
+
