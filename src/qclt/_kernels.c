@@ -1,17 +1,25 @@
-/* Compiled path kernels; the same per-path recurrence as _kernels_py.
+/* Compiled kernels; the same loops, in the same order, as _kernels_py.
  *
- * Per path: a splitmix64 counter stream keyed off the path index drives
- * inverse-CDF transitions on precomputed cumulative kernel rows, or lazy
- * +-1 steps of a lattice index into a table of the torus observable.  Both
- * kernels are bit-for-bit identical to the numpy fallback: the torus table
- * takes its cos/sin from the C library, as math.cos/math.sin do there.
- * Build with -ffp-contract=off so no fused multiply-add changes a rounding.
+ * Path kernels: per path, a splitmix64 counter stream keyed off the path
+ * index drives inverse-CDF transitions on precomputed cumulative kernel
+ * rows, or lazy +-1 steps of a lattice index into a table of the torus
+ * observable.  The torus table takes its cos/sin from the C library, as
+ * math.cos/math.sin do in the fallback.
+ *
+ * dyadic_moments: one pass over a row-major (rows, 2^d + 1) table of a
+ * dyadic family.  Per row it builds T, as given or by T_0 = z_0,
+ * T_k = z_k + a T_{k-1}, and writes sup_k |T_k - T_0| and, for each scale
+ * r = 0..d, the sum over i of (T_{(i+1) 2^r} - T_{i 2^r})^2 added in
+ * increasing i.
+ *
+ * Every kernel is bit-for-bit identical to the numpy fallback.  Build with
+ * -ffp-contract=off so no fused multiply-add changes a rounding.
  *
  * Arrays arrive through the buffer protocol and must be C-contiguous, of
  * float64 for values, uint64 for keys and int64 for last states; the out
  * slots must be writable.  Every type, length and the start state are
- * checked before the loops run, and the loops run without the GIL so worker
- * threads scale.
+ * checked before the loops run, so a rejected call writes no output slot,
+ * and the loops run without the GIL so worker threads scale.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -226,6 +234,105 @@ static PyObject *torus_paths(PyObject *self, PyObject *args)
     Py_RETURN_NONE;
 }
 
+/* Width 2^d + 1 of a dyadic table row: d, or -1 with ValueError set. */
+static int dyadic_level(Py_ssize_t width)
+{
+    Py_ssize_t span = width - 1;
+    if (span < 1 || (span & (span - 1)) != 0) {
+        PyErr_Format(PyExc_ValueError, "table: need 2^d + 1 columns, got %zd", width);
+        return -1;
+    }
+    int d = 0;
+    while (((Py_ssize_t)1 << d) < span)
+        d++;
+    return d;
+}
+
+/* Rows per block of dyadic_moments: a block is transposed into a small
+ * column-major buffer, so the loops below run across its rows, which are
+ * independent, and not along one row's chain of dependent additions.  Each
+ * row's values still meet the same operations in the same order. */
+#define DYADIC_BLOCK_ROWS 32
+#define DYADIC_BLOCK_ITEMS 4096
+
+static PyObject *dyadic_moments(PyObject *self, PyObject *args)
+{
+    static const char *const names[] = {"table", "out_sup", "out_acc"};
+    PyObject *o[3], *ar;
+    Py_buffer b[3] = {{0}};
+    double a = 0.0;
+    if (!PyArg_ParseTuple(args, "OOOO:dyadic_moments", &o[0], &ar, &o[1], &o[2]))
+        return NULL;
+    if (ar != Py_None && (a = PyFloat_AsDouble(ar)) == -1.0 && PyErr_Occurred())
+        return NULL;
+    int recurse = ar != Py_None;
+    int ok = get_arrays(o, b, "ddd", names, 1, 3) == 0;
+    if (ok && b[0].ndim != 2) {
+        PyErr_Format(PyExc_ValueError, "table: need 2 dimensions, got %d", b[0].ndim);
+        ok = 0;
+    }
+    Py_ssize_t rows = ok ? b[0].shape[0] : 0, width = ok ? b[0].shape[1] : 0;
+    int d = ok ? dyadic_level(width) : -1;
+    ok = ok && d >= 0 && check_len(&b[1], rows, names[1]) == 0
+        && check_len(&b[2], (d + 1) * rows, names[2]) == 0;
+    /* at most DYADIC_BLOCK_ITEMS values per block, or one row if it is longer */
+    Py_ssize_t nb = ok ? DYADIC_BLOCK_ITEMS / width : 0;
+    nb = nb < 1 ? 1 : nb > DYADIC_BLOCK_ROWS ? DYADIC_BLOCK_ROWS : nb;
+    double *t = NULL;       /* t[k * nb + j]: T_k of row j of the block */
+    if (ok && (t = PyMem_RawMalloc(width * nb * sizeof(double))) == NULL) {
+        PyErr_NoMemory();
+        ok = 0;
+    }
+    if (ok) {
+        const double *table = b[0].buf;
+        double *out_sup = b[1].buf, *out_acc = b[2].buf;
+        double hi[DYADIC_BLOCK_ROWS], lo[DYADIC_BLOCK_ROWS], acc[DYADIC_BLOCK_ROWS];
+        Py_BEGIN_ALLOW_THREADS
+        for (Py_ssize_t i0 = 0; i0 < rows; i0 += nb) {
+            Py_ssize_t n = rows - i0 < nb ? rows - i0 : nb;
+            const double *z = table + i0 * width;
+            for (Py_ssize_t j = 0; j < n; j++)
+                for (Py_ssize_t k = 0; k < width; k++)
+                    t[k * nb + j] = z[j * width + k];
+            if (recurse)
+                for (Py_ssize_t k = 1; k < width; k++)
+                    for (Py_ssize_t j = 0; j < n; j++)
+                        t[k * nb + j] += a * t[(k - 1) * nb + j];
+            for (Py_ssize_t j = 0; j < n; j++)
+                hi[j] = lo[j] = t[nb + j];
+            for (Py_ssize_t k = 2; k < width; k++)
+                for (Py_ssize_t j = 0; j < n; j++) {
+                    double v = t[k * nb + j];
+                    hi[j] = v > hi[j] ? v : hi[j];
+                    lo[j] = v < lo[j] ? v : lo[j];
+                }
+            /* rounded subtraction is monotone, so this is max_k |T_k - T_0| */
+            for (Py_ssize_t j = 0; j < n; j++) {
+                double up = hi[j] - t[j], down = t[j] - lo[j];
+                out_sup[i0 + j] = up >= down ? up : down;
+            }
+            for (int r = 0; r <= d; r++) {
+                Py_ssize_t step = (Py_ssize_t)1 << r;
+                for (Py_ssize_t j = 0; j < n; j++)
+                    acc[j] = 0.0;
+                for (Py_ssize_t k = step; k < width; k += step)
+                    for (Py_ssize_t j = 0; j < n; j++) {
+                        double inc = t[k * nb + j] - t[(k - step) * nb + j];
+                        acc[j] += inc * inc;
+                    }
+                for (Py_ssize_t j = 0; j < n; j++)
+                    out_acc[r * rows + i0 + j] = acc[j];
+            }
+        }
+        Py_END_ALLOW_THREADS
+    }
+    PyMem_RawFree(t);
+    release_all(b, 3);
+    if (!ok)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
 static PyMethodDef methods[] = {
     {"chain_paths", chain_paths, METH_VARARGS,
      "chain_paths(cum_rows, fvals, hmat, start, n_steps, keys, out_s, out_m, out_last)\n"
@@ -236,6 +343,12 @@ static PyMethodDef methods[] = {
      "Tabulates f at x0 + (j - n_steps) alpha mod 1 for j = 0..2 n_steps, a\n"
      "(2 n_steps + 1) * 8-byte table per call, then walks the lattice index j\n"
      "from n_steps by lazy +-1 steps, adding table[j] per step."},
+    {"dyadic_moments", dyadic_moments, METH_VARARGS,
+     "dyadic_moments(table, ar, out_sup, out_acc)\n"
+     "Per-row sup_k |T_k - T_0| and per-scale squared-increment sums.\n\n"
+     "`table` is (rows, 2^d + 1); T is its rows if `ar` is None, else\n"
+     "T_0 = z_0, T_k = z_k + ar T_{k-1} over the rows z.  out_acc[r * rows + i]\n"
+     "gets sum_i' (T_{(i'+1) 2^r} - T_{i' 2^r})^2 of row i for r = 0..d."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -251,7 +364,7 @@ static PyModuleDef_Slot slots[] = {
 
 static struct PyModuleDef module_def = {
     PyModuleDef_HEAD_INIT, "_kernels",
-    "Compiled path kernels; the same per-path recurrence as _kernels_py.",
+    "Compiled kernels; the same loops, in the same order, as _kernels_py.",
     0, methods, slots, NULL, NULL, NULL,
 };
 

@@ -1,10 +1,12 @@
-"""Pure numpy path kernels; drop-in fallback for the compiled extension.
+"""Pure numpy kernels; drop-in fallback for the compiled extension.
 
-Both backends implement the identical per-path recurrence, so both kernels
-are bit-for-bit reproducible across backends: all operations are integer
-mixes, table lookups and float additions applied in the same order.  The
-torus table takes cos/sin from the C library through ``math``, as the
-compiled kernel does, and not from numpy's own vectorised trig.
+Both backends run the same arithmetic in the same order, so every kernel is
+bit-for-bit reproducible across backends.  The path kernels are integer
+mixes, table lookups and float additions; the torus table takes cos/sin
+from the C library through ``math``, as the compiled kernel does, and not
+from numpy's own vectorised trig.  :func:`dyadic_moments` reduces a dyadic
+family's table to per-row maxima and per-scale squared-increment sums,
+adding each row's increments in increasing order as the C loop does.
 """
 
 from __future__ import annotations
@@ -100,3 +102,55 @@ def torus_paths(alpha, lazy, omegas, ccos, csin, x0, n_steps, keys,
         s += table[j]
     out_s[:] = s
     out_x[:] = x[j]
+
+
+def _dyadic_level(width: int) -> int:
+    span = width - 1
+    if span < 1 or span & (span - 1):
+        raise ValueError(f"table: need 2^d + 1 columns, got {width}")
+    return span.bit_length() - 1
+
+
+def _check_float_array(arr, name: str, writable: bool = False) -> None:
+    if not isinstance(arr, np.ndarray) or arr.dtype != np.float64:
+        raise ValueError(f"{name}: need a float64 array")
+    if not arr.flags.c_contiguous:
+        raise ValueError(f"{name}: need a C-contiguous array")
+    if writable and not arr.flags.writeable:
+        raise ValueError(f"{name}: need a writable array")
+
+
+def dyadic_moments(table, ar, out_sup, out_acc) -> None:
+    """Per-row ``sup_k |T_k - T_0|`` and per-scale squared-increment sums.
+
+    ``table`` is ``(rows, 2^d + 1)``.  ``T`` is its rows if ``ar`` is None,
+    else ``T_0 = z_0``, ``T_k = z_k + ar T_{k-1}`` over the rows ``z``
+    (partial sums for ``ar = 1``).  Writes ``out_sup[i]`` and, for each
+    scale ``r = 0..d``, ``out_acc[r * rows + i] = sum_j (T_{(j+1) 2^r} -
+    T_{j 2^r})^2`` of row ``i``, added in increasing ``j``.
+    """
+    _check_float_array(table, "table")
+    _check_float_array(out_sup, "out_sup", writable=True)
+    _check_float_array(out_acc, "out_acc", writable=True)
+    if table.ndim != 2:
+        raise ValueError(f"table: need 2 dimensions, got {table.ndim}")
+    rows, width = table.shape
+    d = _dyadic_level(width)
+    if out_sup.size != rows:
+        raise ValueError(f"out_sup: need {rows} items, got {out_sup.size}")
+    if out_acc.size != (d + 1) * rows:
+        raise ValueError(f"out_acc: need {(d + 1) * rows} items, got {out_acc.size}")
+    cols = np.array(table.T, order="C")           # a copy; cols[k] is T_k (z_k) of every row
+    if ar is not None:
+        for k in range(1, width):
+            cols[k] += ar * cols[k - 1]
+    # rounded subtraction is monotone, so this is max_k |T_k - T_0| exactly
+    np.maximum(np.max(cols[1:], axis=0) - cols[0], cols[0] - np.min(cols[1:], axis=0),
+               out=out_sup.reshape(rows))
+    acc = out_acc.reshape(d + 1, rows)
+    for r in range(d + 1):
+        step = 2 ** r
+        inc = cols[step::step] - cols[:-step:step]
+        acc[r] = inc[0] * inc[0]
+        for row in inc[1:]:
+            acc[r] += row * row

@@ -11,16 +11,18 @@ slack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import kernels
 from .chain import FiniteChain, Observable
 from .errors import (
     BadIndexOrder,
     BadLength,
     CondViolated,
     GridTouchesSingularity,
+    NonFiniteValue,
     NotReversible,
 )
 from .martingale import kernel_powers
@@ -39,33 +41,64 @@ ENVELOPE_FLOOR = 1e-3
 class DyadicFamily:
     """Random variables ``T_0 .. T_{2^d}`` given by samples or a finite law.
 
-    Exactly one of ``samples`` (paths x (2^d + 1)) and the pair
-    ``values``/``probs`` (atoms x (2^d + 1), atom weights) is set.
+    ``table`` has one row per sample path or atom and ``2^d + 1`` columns.
+    ``probs`` holds the atom weights of an exact family and is None for a
+    sampled one, whose paths weigh ``1/paths`` each.  With ``ar`` set the
+    rows hold innovations ``z`` and ``T_0 = z_0``, ``T_k = z_k + ar T_{k-1}``
+    (partial sums for ``ar = 1``), built row by row when the family is
+    checked.
     """
 
     d: int
-    samples: np.ndarray | None = None
-    values: np.ndarray | None = None
+    table: np.ndarray
     probs: np.ndarray | None = None
+    ar: float | None = None
 
     @classmethod
     def from_samples(cls, samples) -> "DyadicFamily":
-        samples = np.asarray(samples, dtype=np.float64)
-        d = _level_for(samples.shape[1])
-        return cls(d=d, samples=samples)
+        """Sample paths, one per row of ``samples``."""
+        samples = _finite_table(samples, "samples")
+        if samples.shape[0] == 0:
+            raise BadLength("a sampled dyadic family needs at least one path")
+        return cls(d=_level_for(samples.shape[1]), table=samples)
+
+    @classmethod
+    def from_recursion(cls, innovations, ar: float) -> "DyadicFamily":
+        """Sample paths ``T_0 = z_0``, ``T_k = z_k + ar T_{k-1}``, one per row
+        ``z`` of ``innovations``."""
+        if not math.isfinite(ar):
+            raise NonFiniteValue(f"recursion coefficient must be finite, got {ar!r}")
+        return replace(cls.from_samples(innovations), ar=float(ar))
 
     @classmethod
     def from_exact(cls, values, probs) -> "DyadicFamily":
-        values = np.atleast_2d(np.asarray(values, dtype=np.float64))
+        values = _finite_table(np.atleast_2d(values), "values")
         probs = np.asarray(probs, dtype=np.float64)
         d = _level_for(values.shape[1])
-        if probs.shape != (values.shape[0],) or np.min(probs) < 0:
-            raise BadLength("atom weights must be nonnegative, one per atom row")
-        return cls(d=d, values=values, probs=probs / probs.sum())
+        if probs.shape != (values.shape[0],):
+            raise BadLength("atom weights must be one per atom row")
+        if not np.all(np.isfinite(probs)):
+            raise NonFiniteValue("atom weights contain NaN or infinite entries")
+        if np.any(probs < 0):
+            raise BadLength("atom weights must be nonnegative")
+        total = probs.sum()
+        if not total > 0:
+            raise BadLength("atom weights must have a positive total")
+        return cls(d=d, table=values, probs=probs / total)
 
     @classmethod
     def deterministic(cls, sequence) -> "DyadicFamily":
         return cls.from_exact(np.asarray(sequence, dtype=np.float64)[None, :], [1.0])
+
+
+def _finite_table(rows, what: str) -> np.ndarray:
+    table = np.ascontiguousarray(rows, dtype=np.float64)
+    if table.ndim != 2:
+        raise BadLength(f"{what} must be a 2-d table, got {table.ndim} dimensions")
+    # the kernel's max/min and numpy's disagree on NaN, so none may reach them
+    if not np.all(np.isfinite(table)):
+        raise NonFiniteValue(f"{what} contain NaN or infinite entries")
+    return table
 
 
 def _level_for(count: int) -> int:
@@ -91,29 +124,18 @@ def chaining_maximal_check(family: DyadicFamily) -> ChainingCheck:
     ``2^r``.  The inequality is unconditional for L2 variables; sampled
     families get a 3-standard-error slack, exact families 1e-12.
     """
-    d = family.d
-    if family.samples is not None:
-        tbl = family.samples
-        weights = np.full(tbl.shape[0], 1.0 / tbl.shape[0])
-        sampled = True
-    else:
-        tbl, weights, sampled = family.values, family.probs, False
-    cols = np.ascontiguousarray(tbl.T)          # (2^d + 1, paths)
-    # rounded subtraction is monotone, so this is max_k |T_k - T_0| exactly
-    sup = np.maximum(np.max(cols[1:], axis=0) - cols[0],
-                     cols[0] - np.min(cols[1:], axis=0))
-
-    def moment(rows):   # sum_j weights[j] * sum_i rows[i, j]^2
-        return float(np.einsum("ij,ij->j", rows, rows) @ weights)
-
+    rows = family.table.shape[0]
+    sampled = family.probs is None
+    weights = np.full(rows, 1.0 / rows) if sampled else family.probs
+    sup, acc = kernels.dyadic_moments(family.table, family.ar)
+    sup_sq = sup * sup
     # one reduction for both sides, so the d = 0 equality lhs == rhs is exact
-    lhs = math.sqrt(moment(sup[None, :]))
+    lhs = math.sqrt(float(sup_sq @ weights))
     rhs = 0.0
-    for r in range(d + 1):
-        step = 2 ** r
-        rhs += math.sqrt(moment(cols[step::step] - cols[:-step:step]))
+    for scale in acc:
+        rhs += math.sqrt(float(scale @ weights))
     if sampled:
-        se_msq = float(np.std(sup * sup)) / math.sqrt(cols.shape[1])
+        se_msq = float(np.std(sup_sq)) / math.sqrt(rows)
         slack = 3.0 * se_msq / (2.0 * lhs) if lhs > 0 else 0.0
     else:
         slack = EXACT_SLACK

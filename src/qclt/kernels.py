@@ -1,10 +1,10 @@
-"""Backend selection and deterministic parallel dispatch for path kernels.
+"""Backend selection and deterministic parallel dispatch for the kernels.
 
 The compiled extension runs when it imports, the numpy fallback otherwise;
-``backend=`` picks one of :func:`available_backends` for a single call.
-Worker threads split the path range into contiguous chunks writing disjoint
-output slots, so results are identical for every worker count (each path's
-stream depends only on ``(seed, path_index)``).
+``backend=`` picks one of :func:`available_backends` for a single path-kernel
+call.  Worker threads split the path range into contiguous chunks writing
+disjoint output slots, so results are identical for every worker count (each
+path's stream depends only on ``(seed, path_index)``).
 """
 
 from __future__ import annotations
@@ -84,3 +84,18 @@ def run_torus_paths(alpha, lazy, omegas, ccos, csin, x0, n_steps, num_paths,
 
     _run(impl.torus_paths, num_paths, workers, args)
     return out_s, out_x
+
+
+def dyadic_moments(table, ar=None):
+    """Per-row sup and per-scale squared-increment sums of a dyadic table.
+
+    ``table`` is ``(rows, 2^d + 1)`` float64, C-contiguous; see
+    ``_kernels_py.dyadic_moments`` for ``ar``.  Returns ``(sup, acc)``:
+    ``sup[i] = max_k |T_k - T_0|`` of row ``i`` and ``acc[r, i]`` the sum of
+    its squared increments at scale ``2^r``, ``acc`` of shape ``(d + 1, rows)``.
+    """
+    rows, width = table.shape
+    out_sup = np.empty(rows)
+    out_acc = np.empty(((width - 1).bit_length(), rows))
+    _impl.dyadic_moments(table, ar, out_sup, out_acc)
+    return out_sup, out_acc

@@ -270,13 +270,13 @@ def variance_growth(chain: FiniteChain, f: Observable, n: int) -> float:
     """
     if n < 1:
         raise BadIndexOrder(f"need n >= 1, got n={n}")
-    pi, q = chain.stationary, chain.kernel
-    fv = f.values
+    q = chain.kernel
+    pi_f = chain.stationary * f.values      # pi * f * Q^k f rounds as (pi * f) * Q^k f
     acc = float(n) * f.norm_sq
-    qkf = fv.copy()
+    qkf = f.values.copy()
     for k in range(1, n):
         qkf = q @ qkf
-        acc += 2.0 * float(n - k) * float(np.sum(pi * fv * qkf))
+        acc += 2.0 * float(n - k) * float(np.add.reduce(pi_f * qkf))
     return acc / float(n)
 
 

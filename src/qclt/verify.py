@@ -85,31 +85,52 @@ def sign_observable(chain: FiniteChain):
 
 # -- chaining ----------------------------------------------------------------
 
-def random_dyadic_family(rng: np.random.Generator, d: int, paths: int) -> DyadicFamily:
+CHAINING_MAX_D = 5
+
+
+def random_dyadic_family(rng: np.random.Generator, d: int, paths: int,
+                         out: np.ndarray | None = None) -> DyadicFamily:
     """A varied zoo of L2 sequences: iid walks, AR(1), shared factors, and
-    non-martingale drifts; the chaining bound is unconditional over all."""
+    non-martingale drifts; the chaining bound is unconditional over all.
+
+    The draws fill the first ``paths * (2^d + 1)`` items of ``out``, a
+    float64 workspace reused across families, or a new array if ``out`` is
+    None; a family drawn into ``out`` holds until the next draw into it.
+    Walks keep their increments and AR(1) its noise, and the check builds
+    the sequence from them.  The ``out=`` draws consume the generator as
+    ``normal(0, s, size)``, ``choice([-1, 1], size)`` and
+    ``exponential(1, size)`` do and give the same values: ``s * N``,
+    ``2 i - 1`` for ``i`` of ``integers(0, 2, size)``, and ``E``.
+    """
     count = 2 ** d + 1
+    buf = np.empty(paths * count) if out is None else out[:paths * count]
+    z = buf.reshape(paths, count)
     shape = rng.integers(0, 5)
     if shape == 0:       # random walk with scaled gaussian increments
-        inc = rng.normal(0.0, rng.uniform(0.2, 2.0), size=(paths, count))
-        t = np.cumsum(inc, axis=1)
-    elif shape == 1:     # +-1 martingale random walk
-        inc = rng.choice([-1.0, 1.0], size=(paths, count))
-        t = np.cumsum(inc, axis=1)
-    elif shape == 2:     # AR(1) with random coefficient
+        scale = rng.uniform(0.2, 2.0)
+        rng.standard_normal(out=z)
+        z *= scale
+        return DyadicFamily.from_recursion(z, 1.0)
+    if shape == 1:       # +-1 martingale random walk: the draws of choice([-1, 1])
+        np.multiply(rng.integers(0, 2, size=z.shape), 2.0, out=z)
+        z -= 1.0
+        return DyadicFamily.from_recursion(z, 1.0)
+    if shape == 2:       # AR(1) with random coefficient
         a = rng.uniform(-0.9, 0.9)
-        cols = np.ascontiguousarray(rng.normal(size=(paths, count)).T)
-        for k in range(1, count):
-            cols[k] += a * cols[k - 1]
-        t = cols.T
-    elif shape == 3:     # shared factor times deterministic profile
-        z = rng.normal(size=(paths, 1))
+        rng.standard_normal(out=z)
+        return DyadicFamily.from_recursion(z, a)
+    if shape == 3:       # shared factor times deterministic profile
+        factor = rng.standard_normal(paths)
         profile = rng.uniform(-1.0, 1.0, size=count)
-        t = z * profile[None, :] + 0.1 * rng.normal(size=(paths, count))
-    else:                # drifting exponential sums (not a martingale)
-        inc = rng.exponential(1.0, size=(paths, count)) - rng.uniform(0.0, 2.0)
-        t = np.cumsum(inc, axis=1)
-    return DyadicFamily.from_samples(t)
+        rng.standard_normal(out=z)
+        z *= 0.1
+        for k in range(count):      # one column at a time: no (paths, count) temporary
+            z[:, k] += factor * profile[k]
+        return DyadicFamily.from_samples(z)
+    # drifting exponential sums (not a martingale)
+    rng.standard_exponential(out=z)
+    z -= rng.uniform(0.0, 2.0)
+    return DyadicFamily.from_recursion(z, 1.0)
 
 
 def check_chaining_deterministic() -> CheckResult:
@@ -124,10 +145,12 @@ def check_chaining_deterministic() -> CheckResult:
 
 def check_chaining_randomized(families: int, paths: int, seed: int = 2024) -> CheckResult:
     rng = np.random.default_rng(seed)
+    workspace = np.empty(paths * (2 ** CHAINING_MAX_D + 1))
     violations = 0
     worst = math.inf
     for _ in range(families):
-        fam = random_dyadic_family(rng, int(rng.integers(1, 6)), paths)
+        d = int(rng.integers(1, CHAINING_MAX_D + 1))
+        fam = random_dyadic_family(rng, d, paths, out=workspace)
         res = chaining_maximal_check(fam)
         worst = min(worst, res.rhs + res.slack - res.lhs)
         violations += 0 if res.ok else 1

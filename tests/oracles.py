@@ -12,7 +12,12 @@ The tests check the library against these slower, simpler forms:
 * the element-tuple loops that built group walks and their Fourier
   transforms before the dense step grid and ``np.fft``;
 * the torus path kernel that accumulated the position and evaluated the
-  observable's trig at every step, before the lattice-index table.
+  observable's trig at every step, before the lattice-index table;
+* the chaining families drawn as fresh ``(paths, 2^d + 1)`` tables with
+  ``cumsum``, and the chaining check that transposed them and took each
+  scale's moment with ``einsum``, before the reused workspace and the
+  one-pass ``dyadic_moments`` kernel;
+* the ``variance_growth`` loop that formed ``pi * f * Q^k f`` per step.
 """
 
 import itertools
@@ -342,3 +347,93 @@ def torus_paths_accumulating(alpha, lazy, omegas, ccos, csin, x0, n_steps, keys)
         phase = x[:, None] * omegas[None, :]
         s += np.cos(phase) @ ccos + np.sin(phase) @ csin
     return s, x
+
+
+# -- chaining families and check on whole (paths, 2^d + 1) tables ---------------------
+
+def random_dyadic_table(rng, d: int, paths: int) -> np.ndarray:
+    """The ``T`` table of one random chaining family: the same generator calls,
+    in the same order and shapes, as ``qclt.verify.random_dyadic_family``."""
+    count = 2 ** d + 1
+    shape = rng.integers(0, 5)
+    if shape == 0:       # random walk with scaled gaussian increments
+        inc = rng.normal(0.0, rng.uniform(0.2, 2.0), size=(paths, count))
+        t = np.cumsum(inc, axis=1)
+    elif shape == 1:     # +-1 martingale random walk
+        inc = rng.choice([-1.0, 1.0], size=(paths, count))
+        t = np.cumsum(inc, axis=1)
+    elif shape == 2:     # AR(1) with random coefficient
+        a = rng.uniform(-0.9, 0.9)
+        cols = np.ascontiguousarray(rng.normal(size=(paths, count)).T)
+        for k in range(1, count):
+            cols[k] += a * cols[k - 1]
+        t = cols.T
+    elif shape == 3:     # shared factor times deterministic profile
+        z = rng.normal(size=(paths, 1))
+        profile = rng.uniform(-1.0, 1.0, size=count)
+        t = z * profile[None, :] + 0.1 * rng.normal(size=(paths, count))
+    else:                # drifting exponential sums (not a martingale)
+        inc = rng.exponential(1.0, size=(paths, count)) - rng.uniform(0.0, 2.0)
+        t = np.cumsum(inc, axis=1)
+    return t
+
+
+def dyadic_table(family) -> np.ndarray:
+    """The ``T`` table of a ``DyadicFamily``, its recursion run column by column."""
+    if family.ar is None:
+        return family.table
+    t = np.array(family.table)
+    for k in range(1, t.shape[1]):
+        t[:, k] = t[:, k] + family.ar * t[:, k - 1]
+    return t
+
+
+def chaining_check_einsum(table, probs=None):
+    """``(lhs, rhs, slack, ok)`` of the chaining check on a ``T`` table, with
+    row weights ``probs`` (an exact family) or ``1/rows`` (a sampled one)."""
+    d = (table.shape[1] - 1).bit_length() - 1
+    sampled = probs is None
+    weights = np.full(table.shape[0], 1.0 / table.shape[0]) if sampled else probs
+    cols = np.ascontiguousarray(table.T)          # (2^d + 1, paths)
+    sup = np.maximum(np.max(cols[1:], axis=0) - cols[0],
+                     cols[0] - np.min(cols[1:], axis=0))
+
+    def moment(rows):   # sum_j weights[j] * sum_i rows[i, j]^2
+        return float(np.einsum("ij,ij->j", rows, rows) @ weights)
+
+    lhs = math.sqrt(moment(sup[None, :]))
+    rhs = 0.0
+    for r in range(d + 1):
+        step = 2 ** r
+        rhs += math.sqrt(moment(cols[step::step] - cols[:-step:step]))
+    if sampled:
+        se_msq = float(np.std(sup * sup)) / math.sqrt(cols.shape[1])
+        slack = 3.0 * se_msq / (2.0 * lhs) if lhs > 0 else 0.0
+    else:
+        slack = 1e-12
+    return lhs, rhs, slack, lhs <= rhs + slack
+
+
+def chaining_randomized_results(families: int, paths: int, seed: int = 2024):
+    """Every family's ``(lhs, rhs, slack, ok)`` in the draw order of
+    ``qclt.verify.check_chaining_randomized``, and the generator after the loop."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(families):
+        table = random_dyadic_table(rng, int(rng.integers(1, 6)), paths)
+        out.append(chaining_check_einsum(table))
+    return out, rng
+
+
+# -- variance growth ----------------------------------------------------------------
+
+def variance_growth_loop(chain, f, n: int) -> float:
+    """``var(S_n)/n`` with ``pi * f * Q^k f`` formed and summed every step."""
+    pi, q = chain.stationary, chain.kernel
+    fv = f.values
+    acc = float(n) * f.norm_sq
+    qkf = fv.copy()
+    for k in range(1, n):
+        qkf = q @ qkf
+        acc += 2.0 * float(n - k) * float(np.sum(pi * fv * qkf))
+    return acc / float(n)

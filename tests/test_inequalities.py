@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from qclt.chain import center_observable
-from qclt.errors import BadLength, CondViolated, GridTouchesSingularity, NotReversible
+from qclt.errors import (
+    BadLength,
+    CondViolated,
+    GridTouchesSingularity,
+    NonFiniteValue,
+    NotReversible,
+)
 from qclt.inequalities import (
     AtomicWeightFamily,
     DyadicFamily,
@@ -17,7 +23,8 @@ from qclt.inequalities import (
     log_envelope_ratio,
 )
 from qclt.spectral import spectral_integral, spectral_measure
-from qclt.verify import random_dyadic_family
+from qclt.verify import check_chaining_randomized, random_dyadic_family
+from tests import oracles
 from tests.conftest import sign_of
 from tests.test_chain import random_reversible
 
@@ -66,12 +73,12 @@ def test_chaining_random_families_never_violate():
 # -- earlier loop-based forms, kept here as references
 
 def _reference_chaining(family):
-    if family.samples is not None:
-        tbl = family.samples
+    tbl = oracles.dyadic_table(family)
+    if family.probs is None:
         weights = np.full(tbl.shape[0], 1.0 / tbl.shape[0])
         sampled = True
     else:
-        tbl, weights, sampled = family.values, family.probs, False
+        weights, sampled = family.probs, False
     dev = tbl - tbl[:, :1]
     sup = np.max(np.abs(dev[:, 1:]), axis=1)
     lhs = math.sqrt(float(np.sum(weights * sup * sup)))
@@ -116,6 +123,10 @@ def _reference_dyadic_family(rng, d, paths):
 
 def _assert_matches_reference(family):
     res = chaining_maximal_check(family)
+    got = (res.lhs, res.rhs, res.slack, res.ok)
+    # the einsum check runs the same arithmetic in the same order: exact
+    assert got == oracles.chaining_check_einsum(oracles.dyadic_table(family), family.probs)
+    # the loop form sums in another order (np.sum, weights * sup * sup)
     lhs, rhs, slack, ok = _reference_chaining(family)
     np.testing.assert_allclose([res.lhs, res.rhs, res.slack], [lhs, rhs, slack],
                                rtol=1e-12, atol=0.0)
@@ -147,15 +158,86 @@ def test_chaining_matches_reference_on_deterministic_cases():
 
 def test_random_dyadic_family_bit_identical_to_reference():
     shapes = set()
+    workspace = np.full(257 * 65, np.nan)     # one workspace serves every d, as in verify
     for seed in range(50):
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         d = seed % 6
-        fam = random_dyadic_family(rng, d, 257)
+        ref_rng = np.random.default_rng(seed)
         shape, ref = _reference_dyadic_family(ref_rng, d, 257)
         shapes.add(shape)
-        assert np.array_equal(fam.samples, ref)
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        for out in (None, workspace):
+            rng = np.random.default_rng(seed)
+            fam = random_dyadic_family(rng, d, 257, out=out)
+            assert np.array_equal(oracles.dyadic_table(fam), ref)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert np.shares_memory(fam.table, workspace)
     assert shapes == {0, 1, 2, 3, 4}
+
+
+def test_chaining_randomized_matches_the_einsum_oracle():
+    # a reduced size of verify's seed-2024 check: every family's (lhs, rhs,
+    # slack, ok) and the generator state after the loop, bit for bit
+    families, paths = 60, 300
+    want, ref_rng = oracles.chaining_randomized_results(families, paths)
+    got = []
+    real_check = chaining_maximal_check
+
+    def recording_check(family):
+        res = real_check(family)
+        got.append((res.lhs, res.rhs, res.slack, res.ok))
+        return res
+
+    real_rng = np.random.default_rng
+    made = []
+
+    def recording_rng(seed):
+        made.append(real_rng(seed))
+        return made[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("qclt.verify.chaining_maximal_check", recording_check)
+        mp.setattr("qclt.verify.np.random.default_rng", recording_rng)
+        result = check_chaining_randomized(families, paths)
+    assert got == want
+    assert made[0].bit_generator.state == ref_rng.bit_generator.state
+    worst = min(rhs + slack - lhs for lhs, rhs, slack, _ in want)
+    assert result.detail == f"violations=0 min margin={worst:.3e}" and result.ok
+
+
+def test_from_samples_rejects_non_finite():
+    for bad in (np.nan, np.inf, -np.inf):
+        table = np.zeros((4, 3))
+        table[2, 1] = bad
+        with pytest.raises(NonFiniteValue):
+            DyadicFamily.from_samples(table)
+        with pytest.raises(NonFiniteValue):
+            DyadicFamily.from_recursion(table, 1.0)
+        with pytest.raises(NonFiniteValue):
+            DyadicFamily.from_recursion(np.zeros((4, 3)), bad)
+
+
+def test_from_samples_rejects_bad_shapes():
+    for bad in (np.zeros((0, 3)), np.zeros(3), np.zeros((2, 4))):
+        with pytest.raises(BadLength):
+            DyadicFamily.from_samples(bad)
+
+
+def test_from_exact_rejects_non_finite():
+    for bad in (np.nan, np.inf, -np.inf):
+        values = np.zeros((2, 3))
+        values[1, 2] = bad
+        with pytest.raises(NonFiniteValue):
+            DyadicFamily.from_exact(values, [0.5, 0.5])
+        with pytest.raises(NonFiniteValue):
+            DyadicFamily.from_exact(np.zeros((2, 3)), [0.5, bad])
+
+
+def test_from_exact_rejects_zero_total_weight():
+    with pytest.raises(BadLength):
+        DyadicFamily.from_exact(np.zeros((2, 3)), [0.0, 0.0])
+    with pytest.raises(BadLength):
+        DyadicFamily.from_exact(np.zeros((0, 3)), [])
+    with pytest.raises(BadLength):
+        DyadicFamily.from_exact(np.zeros((2, 3)), [0.5, -0.5])
 
 
 def test_domination_equality_two_state(two_state, sign):

@@ -27,7 +27,12 @@ from qclt.spectral import (
     variance_growth,
     variance_tail_constant,
 )
-from tests.oracles import jacobi_eigh, kernel_gap_msq, kernel_gap_msq_spectral
+from tests.oracles import (
+    jacobi_eigh,
+    kernel_gap_msq,
+    kernel_gap_msq_spectral,
+    variance_growth_loop,
+)
 from tests.test_chain import random_reversible
 
 
@@ -318,6 +323,18 @@ def test_variance_growth_values(two_state, iid, sign):
     for n in (1, 7, 64):
         assert variance_growth(iid, f, n) == pytest.approx(1.0, abs=1e-12)
     assert abs(variance_growth(two_state, sign, 10_000) - 3.0) <= 4.0 / 10_000
+
+
+def test_variance_growth_equals_the_loop_oracle(two_state, iid, flip, sign):
+    rng = np.random.default_rng(21)
+    cases = [(two_state, sign), (iid, center_observable(iid, [1.0, -1.0])),
+             (flip, center_observable(flip, [1.0, -1.0]))]
+    for size in (3, 5, 9, 14):
+        chain = random_reversible(rng, size)
+        cases.append((chain, center_observable(chain, rng.normal(size=size))))
+    for chain, f in cases:
+        for n in (1, 2, 17, 300):
+            assert variance_growth(chain, f, n) == variance_growth_loop(chain, f, n)
 
 
 def test_variance_growth_tail_bound(two_state, sign):
