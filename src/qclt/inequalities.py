@@ -11,7 +11,7 @@ slack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,25 +54,34 @@ class DyadicFamily:
     probs: np.ndarray | None = None
     ar: float | None = None
 
+    def __post_init__(self):
+        table = self.table
+        if not isinstance(table, np.ndarray) or table.ndim != 2 or table.shape[0] == 0:
+            raise BadLength("a dyadic family needs a 2-d table with at least one row")
+        if _level_for(table.shape[1]) != self.d:
+            raise BadLength(f"a table of {table.shape[1]} columns is not of level d={self.d}")
+        # the kernel's max/min and numpy's disagree on NaN, so none may reach them
+        if not np.all(np.isfinite(table)):
+            raise NonFiniteValue("a dyadic family's table contains NaN or infinite entries")
+        if self.ar is not None and not math.isfinite(self.ar):
+            raise NonFiniteValue(f"recursion coefficient must be finite, got {self.ar!r}")
+
     @classmethod
     def from_samples(cls, samples) -> "DyadicFamily":
         """Sample paths, one per row of ``samples``."""
-        samples = _finite_table(samples, "samples")
-        if samples.shape[0] == 0:
-            raise BadLength("a sampled dyadic family needs at least one path")
-        return cls(d=_level_for(samples.shape[1]), table=samples)
+        table = _as_table(samples)
+        return cls(d=_level_for(table.shape[1]), table=table)
 
     @classmethod
     def from_recursion(cls, innovations, ar: float) -> "DyadicFamily":
         """Sample paths ``T_0 = z_0``, ``T_k = z_k + ar T_{k-1}``, one per row
         ``z`` of ``innovations``."""
-        if not math.isfinite(ar):
-            raise NonFiniteValue(f"recursion coefficient must be finite, got {ar!r}")
-        return replace(cls.from_samples(innovations), ar=float(ar))
+        table = _as_table(innovations)
+        return cls(d=_level_for(table.shape[1]), table=table, ar=float(ar))
 
     @classmethod
     def from_exact(cls, values, probs) -> "DyadicFamily":
-        values = _finite_table(np.atleast_2d(values), "values")
+        values = _as_table(np.atleast_2d(values))
         probs = np.asarray(probs, dtype=np.float64)
         d = _level_for(values.shape[1])
         if probs.shape != (values.shape[0],):
@@ -91,13 +100,10 @@ class DyadicFamily:
         return cls.from_exact(np.asarray(sequence, dtype=np.float64)[None, :], [1.0])
 
 
-def _finite_table(rows, what: str) -> np.ndarray:
+def _as_table(rows) -> np.ndarray:
     table = np.ascontiguousarray(rows, dtype=np.float64)
     if table.ndim != 2:
-        raise BadLength(f"{what} must be a 2-d table, got {table.ndim} dimensions")
-    # the kernel's max/min and numpy's disagree on NaN, so none may reach them
-    if not np.all(np.isfinite(table)):
-        raise NonFiniteValue(f"{what} contain NaN or infinite entries")
+        raise BadLength(f"a dyadic family needs a 2-d table, got {table.ndim} dimensions")
     return table
 
 

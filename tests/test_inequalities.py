@@ -221,6 +221,18 @@ def test_from_samples_rejects_bad_shapes():
             DyadicFamily.from_samples(bad)
 
 
+def test_constructor_validates_as_the_factories_do():
+    nan_row = np.array([[0.0, 1.0, np.nan]])
+    with pytest.raises(NonFiniteValue):
+        DyadicFamily(d=1, table=nan_row)
+    with pytest.raises(NonFiniteValue):
+        DyadicFamily(d=1, table=np.zeros((2, 3)), ar=float("nan"))
+    with pytest.raises(BadLength):
+        DyadicFamily(d=2, table=np.zeros((2, 3)))
+    with pytest.raises(BadLength):
+        DyadicFamily(d=1, table=[[0.0, 1.0, 2.0]])
+
+
 def test_from_exact_rejects_non_finite():
     for bad in (np.nan, np.inf, -np.inf):
         values = np.zeros((2, 3))
