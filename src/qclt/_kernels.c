@@ -6,6 +6,18 @@
  * observable.  The torus table takes its cos/sin from the C library, as
  * math.cos/math.sin do in the fallback.
  *
+ * The chain kernel advances LANES paths in lockstep, each with its own
+ * counter, state and sums.  A step's next state is the count of entries
+ * <= u among the first S - 1 of the state's cumulative row, found by a
+ * fixed number of branch-free halvings and one final compare.  Those
+ * entries never decrease, so the count is the first j < S - 1 with
+ * u < row[j], or S - 1 if there is none; u < 1.0 always, so that is the
+ * first j with u < row[j] over the whole row, and the pinned 1.0 column
+ * is never read.  The fallback's binary lifting,
+ * simulate.sample_path's searchsorted and the per-path bisection this
+ * replaced all pick that same state, and every path adds its terms in
+ * step order, so the lanes change no bit of the output.
+ *
  * dyadic_moments: one pass over a row-major (rows, 2^d + 1) table of a
  * dyadic family.  Per row it builds T, as given or by T_0 = z_0,
  * T_k = z_k + a T_{k-1}, and writes sup_k |T_k - T_0| and, for each scale
@@ -30,6 +42,10 @@
 #define MIX_A 0xBF58476D1CE4E5B9ULL
 #define MIX_B 0x94D049BB133111EBULL
 #define TWO_NEG53 (1.0 / 9007199254740992.0)
+
+/* chain paths advanced in lockstep: independent lanes overlap their
+ * dependent step chains (draw, row loads, compare, next state) */
+#define LANES 8
 
 /* advance one stream a draw and return its uniform in [0, 1) */
 static inline double next_uniform(uint64_t *ctr)
@@ -127,31 +143,51 @@ static PyObject *chain_paths(PyObject *self, PyObject *args)
         const uint64_t *keys = b[3].buf;
         double *out_s = b[4].buf, *out_m = b[5].buf;
         int64_t *out_last = b[6].buf;
+        /* halves[t]: the bisection's t-th step over the first S - 1 entries;
+         * S * S * 8 fits a Py_ssize_t, so there are fewer than 64 */
+        Py_ssize_t halves[64];
+        int depth = 0;
+        for (Py_ssize_t len = S - 1; len > 1; len -= halves[depth++])
+            halves[depth] = len / 2;
         Py_BEGIN_ALLOW_THREADS
-        for (Py_ssize_t i = 0; i < npaths; i++) {
-            uint64_t ctr = keys[i];
-            Py_ssize_t state = start;
-            double s = 0.0, m = 0.0;
-            for (Py_ssize_t k = 0; k < n_steps; k++) {
-                double u = next_uniform(&ctr);
-                const double *row = cum + state * S;
-                /* first j with u < row[j]: the row is nondecreasing and
-                 * u < 1.0 = row[S - 1], so the linear scan stops there too */
-                Py_ssize_t lo = 0, hi = S - 1;
-                while (lo < hi) {
-                    Py_ssize_t mid = (lo + hi) >> 1;
-                    if (u < row[mid])
-                        hi = mid;
-                    else
-                        lo = mid + 1;
-                }
-                m += hmat[state * S + lo];
-                s += fvals[lo];
-                state = lo;
+        for (Py_ssize_t i0 = 0; i0 < npaths; i0 += LANES) {
+            Py_ssize_t nl = npaths - i0 < LANES ? npaths - i0 : LANES;
+            uint64_t ctr[LANES];
+            Py_ssize_t state[LANES];
+            double s[LANES], m[LANES];
+            /* lanes past the last path walk a copy of its stream; their
+             * results are never written */
+            for (int l = 0; l < LANES; l++) {
+                ctr[l] = keys[i0 + (l < nl ? l : nl - 1)];
+                state[l] = start;
+                s[l] = m[l] = 0.0;
             }
-            out_s[i] = s;
-            out_m[i] = m;
-            out_last[i] = state;
+            for (Py_ssize_t k = 0; k < n_steps; k++) {
+                double u[LANES];
+                const double *row[LANES], *base[LANES];
+                for (int l = 0; l < LANES; l++) {
+                    u[l] = next_uniform(&ctr[l]);
+                    row[l] = base[l] = cum + state[l] * S;
+                }
+                for (int t = 0; t < depth; t++) {
+                    Py_ssize_t half = halves[t];
+                    for (int l = 0; l < LANES; l++)
+                        base[l] = base[l][half] <= u[l] ? base[l] + half : base[l];
+                }
+                for (int l = 0; l < LANES; l++) {
+                    Py_ssize_t nxt = base[l] - row[l];
+                    if (S > 1)      /* else the only entry is the pinned 1.0 */
+                        nxt += base[l][0] <= u[l];
+                    m[l] += hmat[state[l] * S + nxt];
+                    s[l] += fvals[nxt];
+                    state[l] = nxt;
+                }
+            }
+            for (int l = 0; l < nl; l++) {
+                out_s[i0 + l] = s[l];
+                out_m[i0 + l] = m[l];
+                out_last[i0 + l] = state[l];
+            }
         }
         Py_END_ALLOW_THREADS
     }

@@ -4,9 +4,15 @@ Both backends run the same arithmetic in the same order, so every kernel is
 bit-for-bit reproducible across backends.  The path kernels are integer
 mixes, table lookups and float additions; the torus table takes cos/sin
 from the C library through ``math``, as the compiled kernel does, and not
-from numpy's own vectorised trig.  :func:`dyadic_moments` reduces a dyadic
-family's table to per-row maxima and per-scale squared-increment sums,
-adding each row's increments in increasing order as the C loop does.
+from numpy's own vectorised trig.  :func:`chain_paths` advances every path
+at once through in-place ufuncs on buffers allocated once per call.  Its
+next state is the count of entries ``<= u`` among the first ``S - 1`` of
+the flat cumulative row, found by ``ceil(log2(S - 1))`` binary-lifting
+probes and one final compare: the same fixed-depth search as the C lanes,
+so both pick the unique first ``j`` with ``u < row[j]``.
+:func:`dyadic_moments` reduces a dyadic family's table to per-row maxima
+and per-scale squared-increment sums, adding each row's increments in
+increasing order as the C loop does.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .rng import GOLDEN, TWO_NEG53, mix64_vec
+from .rng import GOLDEN, TWO_NEG53, mix64_into
 
 BACKEND_NAME = "python"
 
@@ -24,11 +30,21 @@ _G = np.uint64(GOLDEN)
 _S11 = np.uint64(11)
 
 
+def _uniforms_into(counters, z, zt, u) -> None:
+    # advance every stream one draw, in place, and write the uniforms to
+    # ``u``; ``z`` and ``zt`` are uint64 scratch of the counters' shape
+    counters += _G
+    np.copyto(z, counters)
+    mix64_into(z, zt)
+    z >>= _S11
+    np.multiply(z, TWO_NEG53, out=u)
+
+
 def _uniforms(counters: np.ndarray) -> np.ndarray:
     # advance every stream one draw, in place, and return the uniforms
-    counters += _G
-    z = mix64_vec(counters)
-    return (z >> _S11).astype(np.float64) * TWO_NEG53
+    u = np.empty(counters.shape)
+    _uniforms_into(counters, np.empty_like(counters), np.empty_like(counters), u)
+    return u
 
 
 def _check_steps(n_steps) -> None:
@@ -45,18 +61,39 @@ def chain_paths(cum_rows, fvals, hmat, start, n_steps, keys,
     and the final state for each path into the ``out_*`` slots.
     """
     _check_steps(n_steps)
+    S = fvals.shape[0]
+    cum, hflat = cum_rows.reshape(-1), hmat.reshape(-1)
     npaths = keys.shape[0]
-    ctr = keys.astype(np.uint64).copy()
+    ctr = keys.astype(np.uint64)                 # a copy: the streams advance in place
+    z, zt = np.empty_like(ctr), np.empty_like(ctr)
+    u, vals = np.empty(npaths), np.empty(npaths)
+    le = np.empty(npaths, dtype=bool)
     state = np.full(npaths, start, dtype=np.int64)
+    row = state * S                              # flat index of each path's row
+    pos, idx, inc, end = (np.empty_like(row) for _ in range(4))
     s = np.zeros(npaths)
     m = np.zeros(npaths)
+    # binary lifting over the first S - 1 entries, the largest step first;
+    # a probe past them reads the pinned 1.0, which no uniform reaches
+    steps = [1 << t for t in reversed(range(max(S - 2, 0).bit_length()))]
     for _ in range(n_steps):
-        u = _uniforms(ctr)
-        rows = cum_rows[state]                       # (npaths, n_states)
-        nxt = (u[:, None] >= rows).sum(axis=1)       # first j with u < cum[j]
-        m += hmat[state, nxt]
-        s += fvals[nxt]
-        state = nxt
+        _uniforms_into(ctr, z, zt, u)
+        np.copyto(pos, row)
+        np.add(row, S - 1, out=end)              # the pinned column
+        for b in steps:
+            np.add(pos, b - 1, out=idx)
+            np.minimum(idx, end, out=idx)
+            cum.take(idx, out=vals)
+            np.less_equal(vals, u, out=le)
+            np.multiply(le, b, out=inc)
+            pos += inc
+        cum.take(pos, out=vals)                  # final compare: count of entries <= u
+        np.less_equal(vals, u, out=le)
+        pos += le
+        m += hflat.take(pos, out=vals)           # hmat[state, nxt]
+        np.subtract(pos, row, out=state)
+        s += fvals.take(state, out=vals)
+        np.multiply(state, S, out=row)
     out_s[:] = s
     out_m[:] = m
     out_last[:] = state

@@ -125,7 +125,13 @@ def _cmd_approx(args) -> int:
     return 0
 
 
+def _check_threads(threads: int) -> None:
+    if threads < 1:
+        raise QcltError(f"--threads needs a count >= 1, got {threads}")
+
+
 def _cmd_simulate(args) -> int:
+    _check_threads(args.threads)
     chain, observables = load_document(args.chain, tol=args.tol)
     name, raw = _pick_observable(observables, args.observable)
     f = center_observable(chain, raw)
@@ -236,6 +242,7 @@ def _load_coeffs(path):
 
 
 def _cmd_torus(args) -> int:
+    _check_threads(args.threads)
     try:
         alpha = (GOLDEN_ALPHA if args.alpha.strip().lower() == "golden"
                  else float(args.alpha))

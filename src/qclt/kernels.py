@@ -9,6 +9,7 @@ path's stream depends only on ``(seed, path_index)``).
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -47,7 +48,9 @@ def _run(fn, num_paths: int, workers: int, args_for_chunk) -> None:
         for span in spans:
             fn(*args_for_chunk(*span))
         return
-    with ThreadPoolExecutor(max_workers=len(spans)) as pool:
+    # the chunks, and so each chunk's output slots, depend only on `workers`;
+    # the pool that runs them needs no more threads than there are cores
+    with ThreadPoolExecutor(max_workers=min(len(spans), os.cpu_count() or 1)) as pool:
         futures = [pool.submit(fn, *args_for_chunk(i0, i1)) for i0, i1 in spans]
         for fut in futures:
             fut.result()

@@ -41,9 +41,20 @@ def stream_keys(seed: int, num_paths: int, first_path: int = 0) -> np.ndarray:
 
 def mix64_vec(z: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer on uint64 arrays (wraparound arithmetic)."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(MIX_A)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(MIX_B)
-    return z ^ (z >> np.uint64(31))
+    out = np.array(z, dtype=np.uint64)
+    mix64_into(out, np.empty_like(out))
+    return out
+
+
+def mix64_into(z: np.ndarray, scratch: np.ndarray) -> None:
+    """:func:`mix64_vec` in place on the uint64 array ``z``, with ``scratch``
+    a uint64 array of its shape that it overwrites; allocates nothing."""
+    for shift, mult in ((30, MIX_A), (27, MIX_B)):
+        np.right_shift(z, np.uint64(shift), out=scratch)
+        z ^= scratch
+        z *= np.uint64(mult)
+    np.right_shift(z, np.uint64(31), out=scratch)
+    z ^= scratch
 
 
 class PathStream:

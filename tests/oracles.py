@@ -11,6 +11,10 @@ The tests check the library against these slower, simpler forms:
   breadth-first search;
 * the element-tuple loops that built group walks and their Fourier
   transforms before the dense step grid and ``np.fft``;
+* the chain path kernels that walked one path at a time, bisecting each
+  cumulative row with a branch, and that compared every uniform with its
+  whole gathered row, before both backends advanced paths together with a
+  fixed-depth search;
 * the torus path kernel that accumulated the position and evaluated the
   observable's trig at every step, before the lattice-index table;
 * the chaining families drawn as fresh ``(paths, 2^d + 1)`` tables with
@@ -25,9 +29,9 @@ import math
 
 import numpy as np
 
-from qclt import _kernels_py
 from qclt.chain import ChainFlags, make_chain
 from qclt.errors import BadIndexOrder, JacobiNoConvergence, NotReversible
+from qclt.rng import GOLDEN, MASK64, MIX_A, MIX_B, TWO_NEG53, mix64
 from qclt.spectral import _power_block_sum
 
 JACOBI_REL_TOL = 1e-13
@@ -330,6 +334,62 @@ def walk_fourier_loop(moduli, pooled, fvalues):
     return nuhat_all(moduli, pooled, elements), fhat
 
 
+# -- path kernels ---------------------------------------------------------------------
+
+def _uniforms(counters: np.ndarray) -> np.ndarray:
+    # advance every stream one draw, in place, and return the uniforms, with
+    # a fresh array for every operation of the splitmix64 finalizer
+    counters += np.uint64(GOLDEN)
+    z = (counters ^ (counters >> np.uint64(30))) * np.uint64(MIX_A)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(MIX_B)
+    z = z ^ (z >> np.uint64(31))
+    return (z >> np.uint64(11)).astype(np.float64) * TWO_NEG53
+
+
+def chain_paths_bisect(cum_rows, fvals, hmat, start, n_steps, keys):
+    """``(sums, mart_sums, last_states)`` one path at a time on Python floats,
+    each next state the first ``j < S - 1`` with ``u < cum_rows[state, j]``,
+    found by a bisection that branches on every compare."""
+    S = len(fvals)
+    cum, f, h = cum_rows.tolist(), fvals.tolist(), hmat.tolist()
+    out_s, out_m = np.empty(len(keys)), np.empty(len(keys))
+    out_last = np.empty(len(keys), dtype=np.int64)
+    for i, ctr in enumerate(keys.tolist()):
+        state, s, m = start, 0.0, 0.0
+        for _ in range(n_steps):
+            ctr = (ctr + GOLDEN) & MASK64
+            u = (mix64(ctr) >> 11) * TWO_NEG53
+            row, lo, hi = cum[state], 0, S - 1
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if u < row[mid]:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            m += h[state][lo]
+            s += f[lo]
+            state = lo
+        out_s[i], out_m[i], out_last[i] = s, m, state
+    return out_s, out_m, out_last
+
+
+def chain_paths_scan(cum_rows, fvals, hmat, start, n_steps, keys):
+    """``(sums, mart_sums, last_states)`` with every path's next state the count
+    of entries of its gathered ``(paths, S)`` cumulative row at most ``u``."""
+    npaths = keys.shape[0]
+    ctr = keys.astype(np.uint64)
+    state = np.full(npaths, start, dtype=np.int64)
+    s = np.zeros(npaths)
+    m = np.zeros(npaths)
+    for _ in range(n_steps):
+        u = _uniforms(ctr)
+        nxt = (u[:, None] >= cum_rows[state]).sum(axis=1)
+        m += hmat[state, nxt]
+        s += fvals[nxt]
+        state = nxt
+    return s, m, state
+
+
 # -- torus walk with an accumulated position ------------------------------------------
 
 def torus_paths_accumulating(alpha, lazy, omegas, ccos, csin, x0, n_steps, keys):
@@ -341,7 +401,7 @@ def torus_paths_accumulating(alpha, lazy, omegas, ccos, csin, x0, n_steps, keys)
     s = np.zeros(npaths)
     mid = lazy + 0.5 * (1.0 - lazy)
     for _ in range(n_steps):
-        u = _kernels_py._uniforms(ctr)
+        u = _uniforms(ctr)
         x = np.where(u < lazy, x, np.where(u < mid, x + alpha, x - alpha))
         x -= np.floor(x)
         phase = x[:, None] * omegas[None, :]

@@ -207,6 +207,22 @@ def test_group_bad_output_path_exits_2(capsys, tmp_path):
     _assert_clean_exit_2(code, out, err)
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_simulate_bad_threads_exit_2(capsys, chain_file, threads):
+    code, out, err = run(capsys, "simulate", chain_file, "--observable", "f", "--start", "0",
+                         "--paths", "200", "--n", "8", "--threads", threads)
+    _assert_clean_exit_2(code, out, err)
+    assert "--threads" in err
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_torus_bad_threads_exit_2(capsys, threads):
+    code, out, err = run(capsys, "torus", "--cutoff", "100", "--paths", "200", "--n", "8",
+                         "--threads", threads)
+    _assert_clean_exit_2(code, out, err)
+    assert "--threads" in err
+
+
 @pytest.mark.parametrize("argv", [("--n", "0"), ("--n", "1,x"), ("--n", "4,-2"),
                                   ("--n", ","), ("--start", "9")])
 def test_approx_validates_before_printing(capsys, chain_file, argv):

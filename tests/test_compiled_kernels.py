@@ -1,4 +1,5 @@
-"""The C path kernels against the numpy fallback, and their argument checks.
+"""The C path kernels against the numpy fallback and the oracles, their
+argument checks, and the thread pool that runs them.
 
 The extension is built from this checkout's ``setup.py`` into a temporary
 directory (the ``compiled_kernels`` fixture), so these tests run wherever a
@@ -6,12 +7,14 @@ C compiler exists, whether or not the package was installed.
 """
 
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
-from qclt import _kernels_py
+from qclt import _kernels_py, kernels
 from qclt.rng import GOLDEN, MASK64, MIX_A, MIX_B, mix64, stream_keys
+from tests.oracles import chain_paths_bisect, chain_paths_scan
 
 
 def _cum_rows(q):
@@ -52,6 +55,55 @@ def test_chain_bitwise_identical_to_numpy(compiled_backend, case, workers):
     for a, b in zip(ref, got):
         assert np.array_equal(a, b)
     assert got[2].dtype == np.int64 and 0 <= got[2].min() and got[2].max() < S
+
+
+def _oracle_case(S, rows, rng):
+    q = rng.random((S, S))
+    if rows == "repeats":
+        # zero-probability columns, the last one included, so the cumulative
+        # rows repeat values and reach 1.0 before the pinned column
+        q[:, rng.random(S) < 0.4] = 0.0
+        q[:, S - 1] = 0.0
+        q[:, 0] += 1e-3
+    q /= q.sum(axis=1, keepdims=True)
+    cum = _cum_rows(q)
+    if rows == "overshoot":
+        cum[:, :-1] *= 1.5      # the sums pass 1.0 before the pinned column
+    return cum, rng.standard_normal(S), rng.standard_normal((S, S))
+
+
+LANE_PATH_COUNTS = [0, 1, 7, 8, 9, 37]     # around the C kernel's 8 lanes
+
+
+@pytest.mark.parametrize("rows", ["plain", "repeats", "overshoot"])
+@pytest.mark.parametrize("S", [1, 2, 3, 7, 8, 9, 17, 33, 110])
+def test_chain_kernels_match_oracles(compiled_kernels, compiled_backend, S, rows):
+    rng = np.random.default_rng(S)
+    cum, fvals, hmat = _oracle_case(S, rows, rng)
+    n_steps, pad = 24, 16
+    impls = {"python": _kernels_py, "compiled": compiled_kernels}
+    for start in sorted({0, S - 1}):
+        for npaths in LANE_PATH_COUNTS:
+            seed = 1000 * S + npaths
+            keys = stream_keys(seed, npaths)
+            want = chain_paths_bisect(cum, fvals, hmat, start, n_steps, keys)
+            for a, b in zip(want, chain_paths_scan(cum, fvals, hmat, start, n_steps, keys)):
+                assert np.array_equal(a, b)
+            for name, impl in impls.items():
+                # out slots are views into longer arrays: nothing past them may change
+                outs = [np.full(npaths + pad, -7.0), np.full(npaths + pad, -7.0),
+                        np.full(npaths + pad, -7, dtype=np.int64)]
+                impl.chain_paths(cum, fvals, hmat, start, n_steps, keys,
+                                 *(o[:npaths] for o in outs))
+                for o, w in zip(outs, want):
+                    assert np.array_equal(o[:npaths], w), (name, start, npaths)
+                    assert (o[npaths:] == -7).all(), (name, start, npaths)
+                for workers in (1, 2, 3):
+                    got = compiled_backend.run_chain_paths(cum, fvals, hmat, start, n_steps,
+                                                           npaths, seed, workers=workers,
+                                                           backend=name)
+                    for g, w in zip(got, want):
+                        assert np.array_equal(g, w), (name, start, npaths, workers)
 
 
 def _unshift(z, k):
@@ -219,3 +271,41 @@ def test_zero_paths_give_empty_arrays(compiled_backend, backend, workers):
                                              workers=workers, backend=backend)
     for out, dtype in zip(chain + torus, [np.float64, np.float64, np.int64] + [np.float64] * 2):
         assert out.shape == (0,) and out.dtype == dtype
+
+
+class _InlinePool:
+    """A stand-in for ThreadPoolExecutor that records its size and runs each
+    chunk as it is submitted, so no thread starts."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        fut = Future()
+        fut.set_result(fn(*args))
+        return fut
+
+
+@pytest.mark.parametrize("cpus, pool", [(2, 2), (None, 1), (64, 5)])
+def test_pool_is_capped_at_cpu_count_and_chunks_are_not(monkeypatch, cpus, pool):
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(kernels, "ThreadPoolExecutor", _InlinePool)
+    monkeypatch.setattr(kernels.os, "cpu_count", lambda: cpus)
+    spans = []
+    kernels._run(lambda i0, i1: spans.append((i0, i1)), 23, 5, lambda i0, i1: (i0, i1))
+    assert spans == [(0, 5), (5, 10), (10, 15), (15, 20), (20, 23)]
+    cum, fvals, hmat = _chain_case(7, np.random.default_rng(5))
+    args = (cum, fvals, hmat, 3, 40, 23, 9)
+    got = kernels.run_chain_paths(*args, workers=5, backend="python")
+    want = kernels.run_chain_paths(*args, workers=1, backend="python")
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    assert _InlinePool.sizes == [pool, pool]

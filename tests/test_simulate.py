@@ -156,3 +156,21 @@ def test_dump_format(tmp_path, two_state, sign):
     first = lines[1].split(",")
     assert first[0] == "0"
     float(first[1]), float(first[2])
+
+
+def test_sample_path_matches_kernel_last_states_on_wide_chain(compiled_backend):
+    # nine states, a third of the transitions impossible: the scalar replay's
+    # searchsorted and both kernels' searches land on the same states
+    rng = np.random.default_rng(9)
+    q = rng.random((9, 9))
+    q[rng.random((9, 9)) < 0.35] = 0.0
+    q += 1e-3 * np.eye(9)
+    q /= q.sum(axis=1, keepdims=True)
+    chain = make_chain([str(i) for i in range(9)], q)
+    fvals, hmat = rng.standard_normal(9), rng.standard_normal((9, 9))
+    n, paths, seed = 40, 11, 31
+    for backend in ("python", "compiled"):
+        _, _, last = compiled_backend.run_chain_paths(cumulative_rows(chain), fvals, hmat, 8,
+                                                      n, paths, seed, backend=backend)
+        for i in range(paths):
+            assert last[i] == sample_path(chain, "8", n, PathStream(seed, i))[-1]
