@@ -4,12 +4,13 @@ Both backends run the same arithmetic in the same order, so every kernel is
 bit-for-bit reproducible across backends.  The path kernels are integer
 mixes, table lookups and float additions; the torus table takes cos/sin
 from the C library through ``math``, as the compiled kernel does, and not
-from numpy's own vectorised trig.  :func:`chain_paths` advances every path
-at once through in-place ufuncs on buffers allocated once per call.  Its
-next state is the count of entries ``<= u`` among the first ``S - 1`` of
-the flat cumulative row, found by ``ceil(log2(S - 1))`` binary-lifting
-probes and one final compare: the same fixed-depth search as the C lanes,
-so both pick the unique first ``j`` with ``u < row[j]``.
+from numpy's own vectorised trig.  Both path kernels advance every path at
+once through in-place ufuncs on buffers allocated once per call, drawing
+through :func:`_uniforms_into`.  :func:`chain_paths`'s next state is the
+count of entries ``<= u`` among the first ``S - 1`` of the flat cumulative
+row, found by ``ceil(log2(S - 1))`` binary-lifting probes and one final
+compare: the same fixed-depth search as the C lanes, so both pick the unique
+first ``j`` with ``u < row[j]``.
 :func:`dyadic_moments` reduces a dyadic family's table to per-row maxima
 and per-scale squared-increment sums, adding each row's increments in
 increasing order as the C loop does.
@@ -38,13 +39,6 @@ def _uniforms_into(counters, z, zt, u) -> None:
     mix64_into(z, zt)
     z >>= _S11
     np.multiply(z, TWO_NEG53, out=u)
-
-
-def _uniforms(counters: np.ndarray) -> np.ndarray:
-    # advance every stream one draw, in place, and return the uniforms
-    u = np.empty(counters.shape)
-    _uniforms_into(counters, np.empty_like(counters), np.empty_like(counters), u)
-    return u
 
 
 def _check_steps(n_steps) -> None:
@@ -128,15 +122,22 @@ def torus_paths(alpha, lazy, omegas, ccos, csin, x0, n_steps, keys,
         table += (cc * np.array(list(map(math.cos, phase)))
                   + cs * np.array(list(map(math.sin, phase))))
     npaths = keys.shape[0]
-    ctr = keys.astype(np.uint64).copy()
+    ctr = keys.astype(np.uint64)                 # a copy: the streams advance in place
+    z, zt = np.empty_like(ctr), np.empty_like(ctr)
+    u, vals = np.empty(npaths), np.empty(npaths)
+    ge = np.empty(npaths, dtype=bool)
     j = np.full(npaths, n_steps, dtype=np.int64)
     s = np.zeros(npaths)
     mid = lazy + 0.5 * (1.0 - lazy)
     for _ in range(n_steps):
-        u = _uniforms(ctr)
-        j += u >= lazy                # stay if u < lazy, +1 if u < mid, else -1
-        j -= 2 * (u >= mid)
-        s += table[j]
+        _uniforms_into(ctr, z, zt, u)
+        # stay if u < lazy, +1 if u < mid, else -1: j += [u >= lazy] - 2 [u >= mid]
+        np.greater_equal(u, lazy, out=ge)
+        j += ge
+        np.greater_equal(u, mid, out=ge)
+        j -= ge
+        j -= ge
+        s += table.take(j, out=vals)
     out_s[:] = s
     out_x[:] = x[j]
 

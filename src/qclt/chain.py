@@ -147,8 +147,10 @@ def classify_chain(kernel: np.ndarray, stationary: np.ndarray,
     pi = np.asarray(stationary, dtype=np.float64)
     flux = pi[:, None] * q
     reversible = bool(np.max(np.abs(flux - flux.T)) <= tol)
-    qstar = (pi[None, :] * q.T) / pi[:, None]
-    normal = bool(np.max(np.abs(q @ qstar - qstar @ q)) <= tol)
+    normal = reversible    # a reversible kernel is self-adjoint in L2(pi)
+    if not reversible:
+        qstar = (pi[None, :] * q.T) / pi[:, None]
+        normal = bool(np.max(np.abs(q @ qstar - qstar @ q)) <= tol)
     adj = q > 0.0
     dist = _bfs_levels(adj)
     irreducible = bool(np.all(dist >= 0) and np.all(_bfs_levels(adj.T) >= 0))
@@ -328,6 +330,25 @@ def adjoint_kernel(chain: FiniteChain) -> np.ndarray:
     """
     pi = chain.stationary
     return (pi[None, :] * chain.kernel.T) / pi[:, None]
+
+
+def kernel_powers(chain: FiniteChain, v: np.ndarray, n: int) -> np.ndarray:
+    """Rows ``Q^k v`` for ``k = 0..n``, stacked into shape ``(n + 1, S)``;
+    row ``k`` is ``chain.kernel @ row[k - 1]``."""
+    q = chain.kernel
+    rows = np.empty((n + 1, chain.n_states))
+    rows[0] = v
+    for k in range(1, n + 1):
+        rows[k] = q @ rows[k - 1]
+    return rows
+
+
+def partial_sums(chain: FiniteChain, v: np.ndarray, n: int):
+    """Partial Poisson sums ``(V, QV)`` of shape ``(n, S)``: row ``k - 1``
+    holds ``V_k v = v + ... + Q^{k-1} v`` and ``Q V_k v = Qv + ... + Q^k v``,
+    prefix sums of :func:`kernel_powers` added in sequence."""
+    powers = kernel_powers(chain, v, n)
+    return np.cumsum(powers[:-1], axis=0), np.cumsum(powers[1:], axis=0)
 
 
 def inner_product(chain: FiniteChain, u: Observable, v: Observable) -> float:

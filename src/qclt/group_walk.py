@@ -167,8 +167,9 @@ class ConditionReport:
     """Finite Fourier condition sums over non-identity characters.
 
     ``sr_sum`` is ``sum |fhat|^2 / |1 - nuhat|`` (for symmetric walks this
-    is the real-axis reciprocal-gap sum), ``g1_sum`` weights each term by
-    ``(log+ |log|1 - nuhat||)^2`` and ``sn1_sum`` by ``|log|1 - nuhat||``.
+    is the real-axis reciprocal-gap sum), ``g1_sum`` (the ``SR2`` integral)
+    weights each term by ``(log+ |log|1 - nuhat||)^2`` and ``sn1_sum`` by
+    ``|log|1 - nuhat||``.
     ``sr_spectral`` cross-validates ``sr_sum`` against the eigensolver route
     on the materialized chain (symmetric walks only; None otherwise).
     """
@@ -190,12 +191,8 @@ def condition_sums(walk: GroupWalk, f: Observable) -> ConditionReport:
         raise NotErgodic("a non-identity character has multiplier 1")
     measure = fourier_measure(walk, f)
     sr = spectral_integral(measure, "SN")
+    g1 = spectral_integral(measure, "SR2")
     sn1 = spectral_integral(measure, "SN1")
-    gaps = np.abs(1.0 - measure.locations)
-    keep = gaps > 0
-    logs = np.abs(np.log(gaps[keep]))
-    logplus = np.log(np.maximum(logs, 1.0))    # log+, without log(0) at |1 - nuhat| = 1
-    g1 = float(np.sum(logplus ** 2 * measure.masses[keep] / gaps[keep]))
     sr_spectral = None
     if walk.symmetric:
         chain_measure = spectral_measure(walk.chain, f)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .chain import FiniteChain, Observable
+from .chain import FiniteChain, Observable, partial_sums
 from .errors import (
     BadIndexOrder,
     BadLength,
@@ -25,7 +25,6 @@ from .errors import (
     NonFiniteValue,
     NotReversible,
 )
-from .martingale import kernel_powers
 from .spectral import SpectralMeasure, _power_block_sum, spectral_integral, spectral_measure
 
 COND_RTOL = 1e-9
@@ -217,10 +216,9 @@ def kernel_dyadic_sequence(chain: FiniteChain, f: Observable, M: int) -> ExactSe
     measure (the block ``g_{m+1} + ... + g_n`` covers exponents
     ``2^{m+1} .. 2^{n+1}-1``, matching the horizon gap of ``W``).
     """
-    powers = kernel_powers(chain, f.values, 2 ** (M + 1))
+    v, qv = partial_sums(chain, f.values, 2 ** (M + 1))
     ends = 2 ** np.arange(2, M + 2) - 1       # row n-1 of each sum is horizon n
-    v = np.cumsum(powers[:-1], axis=0)[ends]
-    qv = np.cumsum(powers[1:], axis=0)[ends]
+    v, qv = v[ends], qv[ends]
     vals = (v[:, None, :] - qv[:, :, None]).reshape(-1, chain.n_states ** 2)
     pair_probs = (chain.stationary[:, None] * chain.kernel).reshape(-1)
     return ExactSequence(values=vals, probs=pair_probs)
@@ -305,9 +303,7 @@ def dyadic_block_maxsum(chain: FiniteChain, f: Observable, D: int):
     pair_w = chain.stationary[:, None] * chain.kernel
     # partial Poisson sums for horizons 1..2^(D+2), reused across blocks;
     # row n-1 holds horizon n
-    powers = kernel_powers(chain, f.values, 2 ** (D + 2))
-    v = np.cumsum(powers[:-1], axis=0)
-    qv = np.cumsum(powers[1:], axis=0)
+    v, qv = partial_sums(chain, f.values, 2 ** (D + 2))
     lhs = 0.0
     for d in range(D + 1):
         ref = 2 ** (d + 1) - 1

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import MEAN_ZERO_TOL, FiniteChain, Observable
+from .chain import MEAN_ZERO_TOL, FiniteChain, Observable, kernel_powers, partial_sums
 from .errors import (
     BadIndexOrder,
     NearSingular,
@@ -97,17 +97,23 @@ def _pair_weights(chain: FiniteChain) -> np.ndarray:
     return chain.stationary[:, None] * chain.kernel
 
 
-def _mean_zero_rate(chain: FiniteChain) -> float:
-    # Second-largest eigenvalue modulus.  Reversible chains reuse the cached
-    # chain spectrum; otherwise deflate constants (Q - 1 pi^T) and take the
-    # largest modulus, which is exact at this scale.
+def _mean_zero_eigenvalues(chain: FiniteChain) -> np.ndarray:
+    # Reversible chains reuse the cached spectrum less its unit eigenvalue;
+    # otherwise deflate constants (Q - 1 pi^T), sending that eigenvalue to 0.
     if chain.flags.reversible:
         eigvals, _ = chain_spectrum(chain)
-        drop = int(np.argmin(np.abs(eigvals - 1.0)))
-        rest = np.delete(eigvals, drop)
-        return float(np.max(np.abs(rest))) if len(rest) else 0.0
+        return np.delete(eigvals, int(np.argmin(np.abs(eigvals - 1.0))))
     deflated = chain.kernel - np.outer(np.ones(chain.n_states), chain.stationary)
-    return float(np.max(np.abs(np.linalg.eigvals(deflated))))
+    return np.linalg.eigvals(deflated)
+
+
+def _spectral_radius(eigvals: np.ndarray) -> float:
+    return float(np.max(np.abs(eigvals), initial=0.0))
+
+
+def _mean_zero_rate(chain: FiniteChain) -> float:
+    # second-largest eigenvalue modulus; 0 for a single state
+    return _spectral_radius(_mean_zero_eigenvalues(chain))
 
 
 def poisson_solve(chain: FiniteChain, f: Observable) -> MartingaleScheme:
@@ -122,13 +128,11 @@ def poisson_solve(chain: FiniteChain, f: Observable) -> MartingaleScheme:
     if abs(f.mean) > MEAN_ZERO_TOL:
         raise NotMeanZero(f"observable mean {f.mean!r} exceeds 1e-12")
     pi, q = chain.stationary, chain.kernel
-    rate = _mean_zero_rate(chain)
-    if rate >= 1.0 - UNIT_EIGENVALUE_TOL:
-        # eigenvalue modulus 1 on the mean-zero subspace; the solve is still
-        # fine unless the eigenvalue is +1 itself
-        deflated = q - np.outer(np.ones(chain.n_states), pi)
-        if np.min(np.abs(np.linalg.eigvals(deflated) - 1.0)) <= UNIT_EIGENVALUE_TOL:
-            raise NearSingular("an eigenvalue on the mean-zero subspace is within 1e-12 of 1")
+    eigvals = _mean_zero_eigenvalues(chain)
+    # an eigenvalue of modulus 1 on the mean-zero subspace (a periodic
+    # chain) leaves the solve fine unless the eigenvalue is +1 itself
+    if np.any(np.abs(eigvals - 1.0) <= UNIT_EIGENVALUE_TOL):
+        raise NearSingular("an eigenvalue on the mean-zero subspace is within 1e-12 of 1")
     n = chain.n_states
     g = np.linalg.solve(np.eye(n) - q + np.outer(np.ones(n), pi), f.values)
     g = g - float(pi @ g)  # roundoff hygiene; the solve already centers g
@@ -141,38 +145,22 @@ def poisson_solve(chain: FiniteChain, f: Observable) -> MartingaleScheme:
     sigma_sq = float(np.sum(_pair_weights(chain) * h * h))
     for arr in (g, qg, h):
         arr.flags.writeable = False
-    return MartingaleScheme(g=g, qg=qg, diff_kernel=h, sigma_sq=sigma_sq, rate=rate)
-
-
-def kernel_powers(chain: FiniteChain, v: np.ndarray, n: int) -> np.ndarray:
-    """Rows ``Q^k v`` for ``k = 0..n``, stacked into shape ``(n + 1, S)``.
-
-    Row ``k`` is ``chain.kernel @ row[k - 1]``.  Partial Poisson sums
-    ``V_n v = sum_{k<n} Q^k v`` are prefix sums of these rows, taken with
-    ``np.cumsum(axis=0)`` so they add in sequence.
-    """
-    q = chain.kernel
-    rows = np.empty((n + 1, chain.n_states))
-    rows[0] = v
-    for k in range(1, n + 1):
-        rows[k] = q @ rows[k - 1]
-    return rows
+    return MartingaleScheme(g=g, qg=qg, diff_kernel=h, sigma_sq=sigma_sq,
+                            rate=_spectral_radius(eigvals))
 
 
 def truncated_scheme(chain: FiniteChain, f: Observable, n: int):
     """Partial Poisson sum ``V_n f = (I + Q + ... + Q^{n-1}) f`` and its
     horizon-n difference kernel ``H_n[x, y] = (V_n f)(y) - (Q V_n f)(x)``.
 
-    Both ``V_n f`` and ``Q V_n f = Qf + ... + Q^n f`` are sums of the rows
-    of :func:`kernel_powers`; for irreducible chains ``V_n f`` equals
+    Both ``V_n f`` and ``Q V_n f = Qf + ... + Q^n f`` are the last rows of
+    :func:`qclt.chain.partial_sums`; for irreducible chains ``V_n f`` equals
     ``g - Q^n g`` up to roundoff.
     """
     if n < 1:
         raise BadIndexOrder(f"need n >= 1, got n={n}")
-    powers = kernel_powers(chain, f.values, n)
-    v = powers[:-1].sum(axis=0)
-    qv = powers[1:].sum(axis=0)
-    return v, v[None, :] - qv[:, None]
+    v, qv = partial_sums(chain, f.values, n)
+    return v[-1].copy(), v[-1][None, :] - qv[-1][:, None]
 
 
 def kernel_gap_msq_table(chain: FiniteChain, f: Observable, n_max: int) -> np.ndarray:
@@ -188,9 +176,7 @@ def kernel_gap_msq_table(chain: FiniteChain, f: Observable, n_max: int) -> np.nd
     """
     if n_max < 2:
         raise BadIndexOrder(f"need n_max >= 2, got {n_max}")
-    powers = kernel_powers(chain, f.values, n_max)
-    v = np.cumsum(powers[:-1], axis=0)     # row n-1: V_n f
-    qv = np.cumsum(powers[1:], axis=0)     # row n-1: Q V_n f
+    v, qv = partial_sums(chain, f.values, n_max)     # row n-1: V_n f, Q V_n f
     flat = (v[:, None, :] - qv[:, :, None]).reshape(n_max, -1)
     pair_w = _pair_weights(chain).reshape(-1)
     gram = (flat * pair_w[None, :]) @ flat.T
@@ -246,7 +232,7 @@ def quenched_diagnostics(chain: FiniteChain, scheme: MartingaleScheme,
     xi = chain.index_of(x)
     q = chain.kernel
     fv = scheme.g - scheme.qg  # equals f up to 1e-10 relative
-    cond_means = np.cumsum(kernel_powers(chain, fv, n)[1:], axis=0)[-1]
+    cond_means = kernel_powers(chain, fv, n)[1:].sum(axis=0)   # Q V_n fv, added in sequence
     row = np.zeros(chain.n_states)
     row[xi] = 1.0
     for _ in range(n):

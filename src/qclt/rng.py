@@ -35,20 +35,18 @@ def stream_keys(seed: int, num_paths: int, first_path: int = 0) -> np.ndarray:
     """Vectorized :func:`stream_key` for path indices ``first_path + 0..num_paths-1``."""
     idx = np.arange(first_path, first_path + num_paths, dtype=np.uint64)
     seed_mix = np.uint64(mix64(seed + GOLDEN))
-    keys = mix64_vec((idx + np.uint64(1)) * np.uint64(GOLDEN))
-    return mix64_vec(seed_mix ^ keys)
-
-
-def mix64_vec(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer on uint64 arrays (wraparound arithmetic)."""
-    out = np.array(z, dtype=np.uint64)
-    mix64_into(out, np.empty_like(out))
-    return out
+    keys = (idx + np.uint64(1)) * np.uint64(GOLDEN)
+    scratch = np.empty_like(keys)
+    mix64_into(keys, scratch)
+    keys ^= seed_mix
+    mix64_into(keys, scratch)
+    return keys
 
 
 def mix64_into(z: np.ndarray, scratch: np.ndarray) -> None:
-    """:func:`mix64_vec` in place on the uint64 array ``z``, with ``scratch``
-    a uint64 array of its shape that it overwrites; allocates nothing."""
+    """:func:`mix64` in place on the uint64 array ``z`` (wraparound
+    arithmetic), with ``scratch`` a uint64 array of its shape that it
+    overwrites; allocates nothing."""
     for shift, mult in ((30, MIX_A), (27, MIX_B)):
         np.right_shift(z, np.uint64(shift), out=scratch)
         z ^= scratch

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import FiniteChain, Observable
+from .chain import FiniteChain, Observable, kernel_powers
 from .errors import (
     BadIndexOrder,
     DivergentIntegral,
@@ -151,19 +151,17 @@ def spectral_measure(chain: FiniteChain, f: Observable) -> SpectralMeasure:
     return SpectralMeasure(locations=locations, masses=masses, total=total)
 
 
-def _log_plus(u: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.maximum(np.log(u), 0.0)
-
-
 def _weight_sr(t):
     return 1.0 / (1.0 - t)
 
 
-def _weight_sr2(t):
+def _weight_sr2(z):
+    # at |1 - z|, which is 1 - t bitwise on real locations t <= 1; log+
+    # vanishes where |log|1 - z|| <= 1, including log(0) at |1 - z| = 1
+    gap = np.abs(1.0 - z)
     with np.errstate(divide="ignore"):
-        inner = np.abs(np.log(1.0 - t))
-    return _log_plus(inner) ** 2 / (1.0 - t)
+        log_plus = np.maximum(np.log(np.abs(np.log(gap))), 0.0)
+    return log_plus ** 2 / gap
 
 
 def _weight_sigma_sq(t):
@@ -180,11 +178,12 @@ def _weight_sn1(z):
         return np.abs(np.log(gap)) / gap
 
 
-# Condition integrands keyed by the names used in reports.  SR, SR2 and
-# sigma_sq act on real spectra; SN and SN1 accept unit-disk locations.
+# Condition integrands keyed by the names used in reports.  SR and sigma_sq
+# act on real spectra; SR2, SN and SN1 are functions of |1 - z| and accept
+# unit-disk locations, where SR2 is the Fourier G1 weight.
 WEIGHTS = {
     "SR": (_weight_sr, True),
-    "SR2": (_weight_sr2, True),
+    "SR2": (_weight_sr2, False),
     "sigma_sq": (_weight_sigma_sq, True),
     "SN": (_weight_sn, False),
     "SN1": (_weight_sn1, False),
@@ -195,7 +194,7 @@ def spectral_integral(measure: SpectralMeasure, weight: str, custom=None) -> flo
     """Integrate a named condition weight against the measure.
 
     ``weight`` is one of ``SR`` (``1/(1-t)``), ``SR2``
-    (``(log+ |log(1-t)|)^2/(1-t)``), ``sigma_sq`` (``(1+t)/(1-t)``),
+    (``(log+ |log|1-z||)^2/|1-z|``), ``sigma_sq`` (``(1+t)/(1-t)``),
     ``SN`` (``1/|1-z|``), ``SN1`` (``|log|1-z||/|1-z|``), or ``custom`` with a
     caller-supplied integrand evaluated at the atom locations.
 
@@ -266,17 +265,17 @@ def variance_growth(chain: FiniteChain, f: Observable, n: int) -> float:
     """Exact ``var(S_n)/n`` for the stationary partial sum of ``f``.
 
     Computed as ``(1/n) [n <f,f> + 2 sum_{k=1}^{n-1} (n-k) <f, Q^k f>]``
-    with iterated kernel applications; no simulation involved.
+    from the ``n x S`` rows of :func:`qclt.chain.kernel_powers`, adding the
+    terms in increasing ``k``; no simulation involved.
     """
     if n < 1:
         raise BadIndexOrder(f"need n >= 1, got n={n}")
-    q = chain.kernel
-    pi_f = chain.stationary * f.values      # pi * f * Q^k f rounds as (pi * f) * Q^k f
+    terms = kernel_powers(chain, f.values, n - 1)[1:]
+    terms *= chain.stationary * f.values    # pi * f * Q^k f rounds as (pi * f) * Q^k f
+    overlaps = np.add.reduce(terms, axis=1)
     acc = float(n) * f.norm_sq
-    qkf = f.values.copy()
-    for k in range(1, n):
-        qkf = q @ qkf
-        acc += 2.0 * float(n - k) * float(np.add.reduce(pi_f * qkf))
+    for k, overlap in enumerate(overlaps.tolist(), start=1):
+        acc += 2.0 * float(n - k) * overlap
     return acc / float(n)
 
 

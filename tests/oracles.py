@@ -6,7 +6,8 @@ The tests check the library against these slower, simpler forms:
 * the scalar horizon-gap moments :func:`kernel_gap_msq` (pair space) and
   :func:`kernel_gap_msq_spectral` (spectral measure), against the tables;
 * the explicit ``q @ v`` loops that the partial-sum routines ran before
-  they were built on :func:`qclt.martingale.kernel_powers`;
+  they were built on :func:`qclt.chain.kernel_powers` and
+  :func:`qclt.chain.partial_sums`;
 * the graph walks that classified chains before the whole-array
   breadth-first search;
 * the element-tuple loops that built group walks and their Fourier

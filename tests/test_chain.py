@@ -29,6 +29,7 @@ from qclt.errors import (
     NotMeanZero,
     SingularStationary,
 )
+from qclt.group_walk import build_group_walk
 from tests.oracles import classify_chain_search
 
 ROTATION3 = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]
@@ -299,3 +300,49 @@ def test_classify_reducible_with_supplied_pi():
 def test_classify_single_state():
     flags = assert_flags_match_search(make_chain(["only"], [[1.0]]))
     assert flags.reversible and flags.irreducible and flags.aperiodic
+
+
+# -- the normality flag: reversible chains skip the two products -------------------
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 12), st.floats(0.05, 1.0), st.integers(0, 2 ** 32 - 1))
+def test_reversible_normal_flag_matches_products(n, density, seed):
+    # symmetric weights on a symmetric support with a full diagonal: detailed
+    # balance holds for pi proportional to the row sums, and the support may
+    # split into several classes
+    rng = np.random.default_rng(seed)
+    mask = rng.random((n, n)) < density
+    w = np.where(mask | mask.T, rng.uniform(0.1, 1.0, size=(n, n)), 0.0)
+    w = np.triu(w) + np.triu(w, 1).T + np.diag(rng.uniform(0.1, 1.0, size=n))
+    mass = w.sum(axis=1)
+    chain = make_chain([str(i) for i in range(n)], w / mass[:, None],
+                       stationary=mass / mass.sum())
+    flags = assert_flags_match_search(chain)
+    assert flags.reversible and flags.normal
+
+
+def test_normal_flag_matches_products_on_fixtures(two_state, iid, flip):
+    chains = [two_state, iid, flip, make_chain("012", ROTATION3, stationary=[1 / 3] * 3),
+              make_chain("abc", np.eye(3), stationary=[0.2, 0.3, 0.5]),
+              make_chain(["only"], [[1.0]])]
+    rng = np.random.default_rng(7)
+    chains += [random_reversible(rng, size) for size in (2, 5, 40)]
+    chains += [make_chain([str(i) for i in range(p)], cycle(p), stationary=[1.0 / p] * p)
+               for p in (2, 3, 6)]
+    w = rng.uniform(0.1, 1.0, size=(6, 6))   # neither reversible nor normal
+    chains.append(make_chain([str(i) for i in range(6)], w / w.sum(axis=1, keepdims=True)))
+    assert not chains[-1].flags.normal
+    for chain in chains:
+        assert_flags_match_search(chain)
+
+
+@pytest.mark.parametrize("moduli, atoms", [
+    ((7,), {0: 0.5, 1: 0.3, 6: 0.2}),
+    ((5,), {1: 0.5, 4: 0.5}),
+    ((11, 10), {(1, 0): 0.4, (0, 3): 0.35, (5, 7): 0.25}),
+    ((40, 25), {(1, 0): 0.25, (39, 0): 0.25, (0, 1): 0.25, (0, 24): 0.25}),
+])
+def test_normal_flag_matches_products_on_group_walks(moduli, atoms):
+    walk = build_group_walk(moduli, atoms)
+    flags = assert_flags_match_search(walk.chain)
+    assert flags.normal and flags.reversible == walk.symmetric

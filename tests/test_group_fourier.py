@@ -94,3 +94,29 @@ def test_unit_gap_gives_zero_log_weights_without_warnings():
         rep = condition_sums(walk, f)
     assert rep.g1_sum == 0.0 and rep.sn1_sum == 0.0
     assert rep.sr_sum == pytest.approx(1.0, abs=1e-15)
+
+
+def g1_loop(moduli, pooled, fvalues) -> float:
+    """``sum (log+ |log|1 - nuhat||)^2 |fhat|^2 / |1 - nuhat|`` over the
+    non-identity characters, one character at a time on Python floats."""
+    nuhat, fhat = walk_fourier_loop(moduli, pooled, fvalues)
+    total = 0.0
+    for nu, c in zip(nuhat[1:].tolist(), fhat[1:].tolist()):
+        gap = abs(1.0 - nu)
+        total += math.log(max(abs(math.log(gap)), 1.0)) ** 2 * abs(c) ** 2 / gap
+    return total
+
+
+@pytest.mark.parametrize("moduli, atoms", [
+    ((7,), {0: 0.5, 1: 0.3, 6: 0.2}),
+    ((11, 10), {(0, 0): 0.5, (1, 0): 0.125, (10, 0): 0.125, (0, 1): 0.125, (0, 9): 0.125}),
+    ((11, 10), {(1, 0): 0.4, (0, 3): 0.35, (5, 7): 0.25}),
+    ((9,), {0: 0.3, 1: 0.5, 8: 0.2}),
+], ids=["Z7-lazy-drift", "Z11xZ10-lazy-symmetric", "Z11xZ10-drift", "Z9-lazy-drift"])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_positive_g1_sum_matches_the_character_loop(moduli, atoms, seed):
+    walk = build_group_walk(moduli, atoms)
+    f = center_observable(walk.chain, np.random.default_rng(seed).normal(size=len(walk.elements)))
+    expect = g1_loop(moduli, dict(walk.atoms), f.values)
+    assert expect > 1e-3
+    assert condition_sums(walk, f).g1_sum == pytest.approx(expect, rel=1e-12, abs=0.0)

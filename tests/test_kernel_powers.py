@@ -4,7 +4,9 @@
 import numpy as np
 import pytest
 
-from qclt.chain import center_observable, make_chain
+from qclt import chain as chain_module
+from qclt import martingale
+from qclt.chain import center_observable, make_chain, partial_sums
 from qclt.inequalities import dyadic_block_maxsum, kernel_dyadic_sequence
 from qclt.martingale import (
     kernel_gap_msq_table,
@@ -59,6 +61,25 @@ def test_kernel_powers_rows_match_loop(size):
             expect.append(qkf)
         assert rows.shape == (10, size)
         assert np.array_equal(rows, np.array(expect))
+
+
+def test_kernel_powers_lives_in_chain_and_imports_from_martingale():
+    assert martingale.kernel_powers is chain_module.kernel_powers
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_partial_sums_match_loop(size):
+    # row k-1: V_k v and Q V_k v, each added in increasing power
+    for chain, f in cases(size):
+        v, qv = partial_sums(chain, f.values, 9)
+        assert v.shape == qv.shape == (9, size)
+        qkf, v_k, qv_k = f.values.copy(), np.zeros(size), np.zeros(size)
+        for k in range(9):
+            v_k = v_k + qkf
+            qkf = chain.kernel @ qkf
+            qv_k = qv_k + qkf
+            assert np.array_equal(v[k], v_k)
+            assert np.array_equal(qv[k], qv_k)
 
 
 def test_kernel_powers_zero_power_is_v(two_state, sign):

@@ -4,6 +4,7 @@ import pytest
 from qclt.chain import center_observable, make_chain
 from qclt.errors import (
     BadIndexOrder,
+    NearSingular,
     NotIrreducible,
     NotMeanZero,
     RateNotContractive,
@@ -206,3 +207,45 @@ def test_one_eigendecomposition_per_chain(monkeypatch):
     poisson_solve(chain, f)
     spectral_measure(chain, center_observable(chain, np.arange(6.0) ** 2))
     assert calls == [(6, 6)]
+
+
+def count_eigvals(monkeypatch):
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counting_eigvals(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvals(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+    return calls
+
+
+def test_poisson_solve_takes_one_spectrum_on_the_three_cycle(monkeypatch):
+    # non-reversible, with mean-zero eigenvalues of modulus 1: the rate and
+    # the near-+1 test read the same eigvals call
+    calls = count_eigvals(monkeypatch)
+    cycle = make_chain("012", [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    scheme = poisson_solve(cycle, center_observable(cycle, [1.0, 0.0, 0.0]))
+    assert calls == [(3, 3)]
+    assert scheme.rate == pytest.approx(1.0, abs=1e-12)
+
+
+def test_poisson_solve_reuses_the_cached_spectrum_on_the_flip_chain(monkeypatch, flip):
+    calls = count_eigvals(monkeypatch)
+    scheme = poisson_solve(flip, center_observable(flip, [1.0, -1.0]))
+    assert calls == []
+    assert scheme.rate == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(scheme.g, [0.5, -0.5], atol=1e-12)
+
+
+@pytest.mark.parametrize("kernel", [
+    [[1 - 1e-14, 1e-14], [1e-14, 1 - 1e-14]],                            # reversible
+    [[1 - 1e-14, 1e-14, 0], [0, 1 - 1e-14, 1e-14], [1e-14, 0, 1 - 1e-14]],  # a slow cycle
+], ids=["reversible", "non-reversible"])
+def test_poisson_solve_rejects_an_eigenvalue_near_one(kernel):
+    n = len(kernel)
+    chain = make_chain([str(i) for i in range(n)], kernel, stationary=[1.0 / n] * n)
+    assert chain.flags.irreducible
+    with pytest.raises(NearSingular):
+        poisson_solve(chain, center_observable(chain, np.arange(float(n))))

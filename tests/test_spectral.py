@@ -18,6 +18,7 @@ from qclt.errors import (
 from qclt.group_walk import build_group_walk
 from qclt.martingale import kernel_gap_msq_table
 from qclt.spectral import (
+    WEIGHTS,
     SpectralMeasure,
     _merge_atoms,
     chain_spectrum,
@@ -243,6 +244,27 @@ def test_integral_custom_and_unknown():
     assert spectral_integral(m, "custom", custom=lambda t: t ** 2) == pytest.approx(0.5)
     with pytest.raises(ValueError):
         spectral_integral(m, "nope")
+
+
+def test_sr2_on_real_locations_is_the_real_axis_formula():
+    # |1 - t| is 1 - t bitwise for t <= 1, so the disk form of the weight
+    # rounds as (log+ |log(1 - t)|)^2 / (1 - t) did
+    t = np.concatenate([np.linspace(-1.0, 1.0 - 1e-9, 2001), 1.0 - np.logspace(-11, -1, 50)])
+    with np.errstate(divide="ignore"):
+        old = np.maximum(np.log(np.abs(np.log(1.0 - t))), 0.0) ** 2 / (1.0 - t)
+    weight, real_only = WEIGHTS["SR2"]
+    assert not real_only
+    assert np.array_equal(weight(t), old)
+
+
+def test_sr2_on_disk():
+    # (log+ |log|1 - z||)^2 / |1 - z| at two conjugate atoms near 1 and one
+    # at |1 - z| = 1, where log+ vanishes
+    z = np.array([1.0 - 0.01 + 0.02j, 1.0 - 0.01 - 0.02j, 0j])
+    m = SpectralMeasure(locations=z, masses=np.array([0.25, 0.25, 0.5]), total=1.0)
+    gap = abs(0.01 - 0.02j)
+    assert spectral_integral(m, "SR2") == pytest.approx(
+        0.5 * np.log(abs(np.log(gap))) ** 2 / gap, rel=1e-14)
 
 
 def test_sn_weights_on_disk():
