@@ -311,15 +311,21 @@ def load_chain(source, tol: float = DEFAULT_CLASSIFY_TOL) -> FiniteChain:
 
 
 def dump_document(chain: FiniteChain, observables=None) -> str:
-    """Serialize a chain (and optional raw observables) back to JSON text."""
-    doc = {
-        "states": list(chain.state_labels),
-        "Q": chain.kernel.tolist(),
-        "pi": chain.stationary.tolist(),
-    }
+    """Serialize a chain (and optional raw observables) back to JSON text.
+
+    Each kernel row and each observable is one line, encoded by
+    :func:`json.dumps` without indentation, which keeps its C encoder.
+    """
+    enc = json.dumps
+    rows = ",\n    ".join(enc(row) for row in chain.kernel.tolist())
+    fields = [f'"states": {enc(list(chain.state_labels))}',
+              f'"Q": [\n    {rows}\n  ]',
+              f'"pi": {enc(chain.stationary.tolist())}']
     if observables:
-        doc["observables"] = {k: np.asarray(v).tolist() for k, v in observables.items()}
-    return json.dumps(doc, indent=2)
+        named = ",\n    ".join(f"{enc(k)}: {enc(np.asarray(v).tolist())}"
+                                for k, v in observables.items())
+        fields.append(f'"observables": {{\n    {named}\n  }}')
+    return "{\n  " + ",\n  ".join(fields) + "\n}"
 
 
 def adjoint_kernel(chain: FiniteChain) -> np.ndarray:
@@ -330,6 +336,12 @@ def adjoint_kernel(chain: FiniteChain) -> np.ndarray:
     """
     pi = chain.stationary
     return (pi[None, :] * chain.kernel.T) / pi[:, None]
+
+
+def pair_law(chain: FiniteChain) -> np.ndarray:
+    """Law ``pi(x) Q(x, y)`` of the stationary pair ``(xi_0, xi_1)``, shape
+    ``(S, S)``; every pair-space moment is a sum weighted by it."""
+    return chain.stationary[:, None] * chain.kernel
 
 
 def kernel_powers(chain: FiniteChain, v: np.ndarray, n: int) -> np.ndarray:

@@ -13,11 +13,14 @@ included.  Exit codes: 0 success, 2 validation error, 3 suite failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 
 import numpy as np
 
+# Each command imports the modules it runs inside its own function, so a
+# process pays only for what its command uses.
 from . import kernels
 from .chain import (
     center_observable,
@@ -27,18 +30,6 @@ from .chain import (
     read_json,
 )
 from .errors import DivergentIntegral, QcltError
-from .group_walk import (
-    GOLDEN_ALPHA,
-    build_group_walk,
-    condition_sums,
-    make_torus_walk,
-    simulate_torus,
-    torus_condition,
-)
-from .martingale import poisson_solve, quenched_diagnostics
-from .simulate import simulate_quenched
-from .spectral import spectral_integral, spectral_measure
-from .verify import run_suite
 
 
 def _fmt(x) -> str:
@@ -70,6 +61,8 @@ def _pick_observable(observables: dict, name: str | None):
 
 
 def _cmd_analyze(args) -> int:
+    from .spectral import spectral_integral, spectral_measure
+
     chain, observables = load_document(args.chain, tol=args.tol)
     name, raw = _pick_observable(observables, args.observable)
     f = center_observable(chain, raw)
@@ -101,6 +94,8 @@ def _parse_int_list(text: str, option: str):
 
 
 def _cmd_approx(args) -> int:
+    from .martingale import poisson_solve, quenched_diagnostics
+
     chain, observables = load_document(args.chain, tol=args.tol)
     name, raw = _pick_observable(observables, args.observable)
     f = center_observable(chain, raw)
@@ -131,6 +126,9 @@ def _check_threads(threads: int) -> None:
 
 
 def _cmd_simulate(args) -> int:
+    from .martingale import poisson_solve
+    from .simulate import simulate_quenched
+
     _check_threads(args.threads)
     chain, observables = load_document(args.chain, tol=args.tol)
     name, raw = _pick_observable(observables, args.observable)
@@ -184,6 +182,8 @@ def _harmonic_vector(moduli, freqs):
 
 
 def _cmd_group(args) -> int:
+    from .group_walk import build_group_walk, condition_sums
+
     moduli = _parse_int_list(args.moduli, "--moduli")
     walk = build_group_walk(moduli, _parse_step(args.step, moduli))
     observables = {}
@@ -242,6 +242,8 @@ def _load_coeffs(path):
 
 
 def _cmd_torus(args) -> int:
+    from .group_walk import GOLDEN_ALPHA, make_torus_walk, simulate_torus, torus_condition
+
     _check_threads(args.threads)
     try:
         alpha = (GOLDEN_ALPHA if args.alpha.strip().lower() == "golden"
@@ -275,6 +277,8 @@ def _cmd_torus(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_suite
+
     results = run_suite(quick=args.quick)
     print("[verify]")
     passed = 0
@@ -355,5 +359,18 @@ def main(argv=None) -> int:
         return 2
 
 
+def entry(argv=None) -> int:
+    """Console entry point: :func:`main`, then freeze the garbage collector.
+
+    Objects frozen by :func:`gc.freeze` are skipped by the interpreter's
+    final collection, so the process exits without walking the objects
+    that imports and the command made.  ``main`` itself changes no
+    process-wide state, so it stays safe to call in process.
+    """
+    code = main(argv)
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

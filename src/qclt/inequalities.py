@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .chain import FiniteChain, Observable, partial_sums
+from .chain import FiniteChain, Observable, pair_law, partial_sums
 from .errors import (
     BadIndexOrder,
     BadLength,
@@ -220,7 +220,7 @@ def kernel_dyadic_sequence(chain: FiniteChain, f: Observable, M: int) -> ExactSe
     ends = 2 ** np.arange(2, M + 2) - 1       # row n-1 of each sum is horizon n
     v, qv = v[ends], qv[ends]
     vals = (v[:, None, :] - qv[:, :, None]).reshape(-1, chain.n_states ** 2)
-    pair_probs = (chain.stationary[:, None] * chain.kernel).reshape(-1)
+    pair_probs = pair_law(chain).reshape(-1)
     return ExactSequence(values=vals, probs=pair_probs)
 
 
@@ -300,7 +300,7 @@ def dyadic_block_maxsum(chain: FiniteChain, f: Observable, D: int):
         raise BadIndexOrder(f"need 0 <= D <= 12, got D={D}")
     measure = spectral_measure(chain, f)
     rhs = spectral_integral(measure, "sigma_sq")
-    pair_w = chain.stationary[:, None] * chain.kernel
+    pair_w = pair_law(chain)
     # partial Poisson sums for horizons 1..2^(D+2), reused across blocks;
     # row n-1 holds horizon n
     v, qv = partial_sums(chain, f.values, 2 ** (D + 2))

@@ -14,7 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import MEAN_ZERO_TOL, FiniteChain, Observable, kernel_powers, partial_sums
+from .chain import (
+    MEAN_ZERO_TOL,
+    FiniteChain,
+    Observable,
+    kernel_powers,
+    pair_law,
+    partial_sums,
+)
 from .errors import (
     BadIndexOrder,
     NearSingular,
@@ -93,10 +100,6 @@ class SeriesReport:
     resolvent_partial: np.ndarray
 
 
-def _pair_weights(chain: FiniteChain) -> np.ndarray:
-    return chain.stationary[:, None] * chain.kernel
-
-
 def _mean_zero_eigenvalues(chain: FiniteChain) -> np.ndarray:
     # Reversible chains reuse the cached spectrum less its unit eigenvalue;
     # otherwise deflate constants (Q - 1 pi^T), sending that eigenvalue to 0.
@@ -142,7 +145,7 @@ def poisson_solve(chain: FiniteChain, f: Observable) -> MartingaleScheme:
     if residual > POISSON_RESIDUAL_RTOL * scale:
         raise NearSingular(f"Poisson residual {residual!r} exceeds 1e-10 relative")
     h = g[None, :] - qg[:, None]
-    sigma_sq = float(np.sum(_pair_weights(chain) * h * h))
+    sigma_sq = float(np.sum(pair_law(chain) * h * h))
     for arr in (g, qg, h):
         arr.flags.writeable = False
     return MartingaleScheme(g=g, qg=qg, diff_kernel=h, sigma_sq=sigma_sq,
@@ -178,7 +181,7 @@ def kernel_gap_msq_table(chain: FiniteChain, f: Observable, n_max: int) -> np.nd
         raise BadIndexOrder(f"need n_max >= 2, got {n_max}")
     v, qv = partial_sums(chain, f.values, n_max)     # row n-1: V_n f, Q V_n f
     flat = (v[:, None, :] - qv[:, :, None]).reshape(n_max, -1)
-    pair_w = _pair_weights(chain).reshape(-1)
+    pair_w = pair_law(chain).reshape(-1)
     gram = (flat * pair_w[None, :]) @ flat.T
     diag = np.diag(gram)
     table = diag[None, :] - 2.0 * gram + diag[:, None]
@@ -217,7 +220,7 @@ def tail_sup_deviation(chain: FiniteChain, scheme: MartingaleScheme, N: int) -> 
         m += 1
         if m > N + 1_000_000:
             raise RateNotContractive("tail enumeration failed to terminate")
-    return float(np.sum(_pair_weights(chain) * per_pair))
+    return float(np.sum(pair_law(chain) * per_pair))
 
 
 def quenched_diagnostics(chain: FiniteChain, scheme: MartingaleScheme,

@@ -150,6 +150,6 @@ def simulate_quenched(chain: FiniteChain, scheme: MartingaleScheme, x,
 
 
 def _dump_samples(fh, s_scaled: np.ndarray, m_scaled: np.ndarray) -> None:
-    fh.write("path_index,s_scaled,m_scaled\n")
-    for i in range(s_scaled.shape[0]):
-        fh.write(f"{i},{s_scaled[i]:.12g},{m_scaled[i]:.12g}\n")
+    rows = map("{},{:.12g},{:.12g}\n".format, range(s_scaled.shape[0]),
+               s_scaled.tolist(), m_scaled.tolist())
+    fh.write("".join(["path_index,s_scaled,m_scaled\n", *rows]))

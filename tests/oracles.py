@@ -22,10 +22,13 @@ The tests check the library against these slower, simpler forms:
   ``cumsum``, and the chaining check that transposed them and took each
   scale's moment with ``einsum``, before the reused workspace and the
   one-pass ``dyadic_moments`` kernel;
-* the ``variance_growth`` loop that formed ``pi * f * Q^k f`` per step.
+* the ``variance_growth`` loop that formed ``pi * f * Q^k f`` per step;
+* the writers that pretty-printed a chain document with ``indent=2`` and
+  wrote a simulation dump one row at a time.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -498,3 +501,25 @@ def variance_growth_loop(chain, f, n: int) -> float:
         qkf = q @ qkf
         acc += 2.0 * float(n - k) * float(np.sum(pi * fv * qkf))
     return acc / float(n)
+
+
+# -- writers ----------------------------------------------------------------------
+
+def dump_document_indented(chain, observables=None) -> str:
+    """The chain document as one ``json.dumps(doc, indent=2)``, one number
+    per line."""
+    doc = {
+        "states": list(chain.state_labels),
+        "Q": chain.kernel.tolist(),
+        "pi": chain.stationary.tolist(),
+    }
+    if observables:
+        doc["observables"] = {k: np.asarray(v).tolist() for k, v in observables.items()}
+    return json.dumps(doc, indent=2)
+
+
+def dump_samples_loop(fh, s_scaled, m_scaled) -> None:
+    """The simulation dump written one ``fh.write`` per row."""
+    fh.write("path_index,s_scaled,m_scaled\n")
+    for i in range(s_scaled.shape[0]):
+        fh.write(f"{i},{s_scaled[i]:.12g},{m_scaled[i]:.12g}\n")

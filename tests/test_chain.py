@@ -17,6 +17,7 @@ from qclt.chain import (
     load_document,
     make_chain,
     open_output,
+    pair_law,
     read_json,
 )
 from qclt.errors import (
@@ -30,7 +31,7 @@ from qclt.errors import (
     SingularStationary,
 )
 from qclt.group_walk import build_group_walk
-from tests.oracles import classify_chain_search
+from tests.oracles import classify_chain_search, dump_document_indented
 
 ROTATION3 = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]
 
@@ -168,6 +169,40 @@ def test_document_roundtrip(tmp_path, two_state):
     np.testing.assert_array_equal(chain2.kernel, two_state.kernel)
     chain3 = load_chain(json.loads(text))
     np.testing.assert_array_equal(chain3.kernel, two_state.kernel)
+
+
+# Z7 with a non-symmetric step, the 4x3 walk of the golden tests with a
+# harmonic and a non-eigen observable, and the order-1000 walk Z40 x Z25
+DOCUMENT_WALKS = [
+    ((7,), {0: 0.3, 1: 0.5, 6: 0.2}),
+    ((4, 3), {(0, 0): 0.5, (1, 0): 0.125, (3, 0): 0.125, (0, 1): 0.125, (0, 2): 0.125}),
+    ((40, 25), {(0, 0): 0.5, (1, 0): 0.125, (39, 0): 0.125, (0, 1): 0.125,
+                (0, 24): 0.125}),
+]
+
+
+@pytest.mark.parametrize("moduli, atoms", DOCUMENT_WALKS)
+def test_document_parses_as_indented_dump(moduli, atoms):
+    walk = build_group_walk(moduli, atoms)
+    coords = np.indices(moduli).reshape(len(moduli), -1)
+    ang = sum(2.0 * np.pi * c / m for c, m in zip(coords, moduli))
+    observables = {"harmonic": np.sqrt(2.0) * np.cos(ang),
+                   "mix": [float((3 * i * i + i) % 7) - 3.0 for i in range(coords.shape[1])]}
+    for obs in (None, observables):
+        text = dump_document(walk.chain, obs)
+        assert json.loads(text) == json.loads(dump_document_indented(walk.chain, obs))
+        assert text.count("\n") == walk.chain.n_states + 5 + (len(obs) + 2 if obs else 0)
+
+
+def test_pair_law_is_pi_times_kernel():
+    rng = np.random.default_rng(3)
+    chains = [random_reversible(rng, 6),
+              build_group_walk((7,), {0: 0.3, 1: 0.5, 6: 0.2}).chain,
+              make_chain("012", ROTATION3)]
+    for chain in chains:
+        law = pair_law(chain)
+        assert np.array_equal(law, chain.stationary[:, None] * chain.kernel)
+        assert abs(law.sum() - 1.0) < 1e-12
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -12,8 +14,10 @@ from qclt.simulate import (
     ks_distance,
     sample_path,
     simulate_quenched,
+    _dump_samples,
     standard_normal_cdf,
 )
+from tests.oracles import dump_samples_loop
 
 
 def test_stream_keys_match_scalar():
@@ -156,6 +160,17 @@ def test_dump_format(tmp_path, two_state, sign):
     first = lines[1].split(",")
     assert first[0] == "0"
     float(first[1]), float(first[2])
+
+
+def test_dump_matches_row_loop():
+    rng = np.random.default_rng(12)
+    s_scaled = rng.standard_normal(1000)
+    s_scaled[:4] = [0.0, -0.0, 1e-300, 123456789.123456789]
+    m_scaled = s_scaled + 1e-9 * rng.standard_normal(1000)
+    joined, looped = io.StringIO(), io.StringIO()
+    _dump_samples(joined, s_scaled, m_scaled)
+    dump_samples_loop(looped, s_scaled, m_scaled)
+    assert joined.getvalue() == looped.getvalue()
 
 
 def test_sample_path_matches_kernel_last_states_on_wide_chain(compiled_backend):
