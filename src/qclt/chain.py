@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import (
     BadFile,
+    BadTolerance,
     DimensionMismatch,
     DuplicateLabel,
     NegativeEntry,
@@ -33,7 +34,6 @@ from .errors import (
 )
 
 ROW_SUM_LOAD_TOL = 1e-9      # reject rows whose sum deviates more than this
-ROW_SUM_STORE_TOL = 1e-12    # stored kernels meet this after renormalisation
 STATIONARY_TOL = 1e-12
 DEFAULT_CLASSIFY_TOL = 1e-10
 MEAN_ZERO_TOL = 1e-12
@@ -141,8 +141,11 @@ def classify_chain(kernel: np.ndarray, stationary: np.ndarray,
     ``tol``; normality is ``Q Q* = Q* Q`` up to ``tol`` in the max norm,
     where ``Q*`` is the stationary adjoint.  Irreducibility is two-sided
     reachability on the support graph, and aperiodicity is a unit gcd of
-    cycle lengths through state 0.
+    cycle lengths through state 0.  A NaN, infinite or negative ``tol``
+    raises :class:`BadTolerance`.
     """
+    if not 0.0 <= tol < np.inf:
+        raise BadTolerance(f"classification tolerance must be finite and >= 0, got {tol!r}")
     q = np.asarray(kernel, dtype=np.float64)
     pi = np.asarray(stationary, dtype=np.float64)
     flux = pi[:, None] * q
@@ -381,9 +384,10 @@ def center_observable(chain: FiniteChain, raw) -> Observable:
         )
     _require_finite(raw, "observable")
     pi = chain.stationary
-    vals = raw - float(pi @ raw)
-    mean = float(pi @ vals)
-    return Observable(values=_freeze(vals), norm_sq=float(pi @ (vals * vals)), mean=mean)
+    with np.errstate(over="ignore"):    # the moment below then overflows too
+        vals = raw - float(pi @ raw)
+    return Observable(values=_freeze(vals), norm_sq=_second_moment(pi, vals),
+                      mean=float(pi @ vals))
 
 
 def as_observable(chain: FiniteChain, values) -> Observable:
@@ -397,5 +401,14 @@ def as_observable(chain: FiniteChain, values) -> Observable:
     mean = float(chain.stationary @ vals)
     if abs(mean) > MEAN_ZERO_TOL:
         raise NotMeanZero(f"stationary mean {mean!r} exceeds 1e-12; center first")
-    return Observable(values=_freeze(vals), norm_sq=float(chain.stationary @ (vals * vals)),
+    return Observable(values=_freeze(vals), norm_sq=_second_moment(chain.stationary, vals),
                       mean=mean)
+
+
+def _second_moment(pi: np.ndarray, vals: np.ndarray) -> float:
+    # sum_x pi(x) f(x)^2; overflowed, it would pass on as a zero or infinite mass
+    with np.errstate(over="ignore"):
+        norm_sq = float(pi @ (vals * vals))
+    if not np.isfinite(norm_sq):
+        raise NonFiniteValue("the observable's second moment sum_x pi(x) f(x)^2 overflows")
+    return norm_sq

@@ -43,6 +43,10 @@ class NotMeanZero(QcltError):
     """An observable has nonzero stationary mean."""
 
 
+class BadTolerance(QcltError):
+    """A classification tolerance is NaN, infinite or negative."""
+
+
 # -- spectral ----------------------------------------------------------------
 
 class NotReversible(QcltError):

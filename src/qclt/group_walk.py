@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -30,13 +31,15 @@ from .errors import (
     NotErgodic,
     RationalAlpha,
 )
-from .simulate import SimulationReport, scaled_sum_stats
 from .spectral import (
     SpectralMeasure,
     drop_roundoff_atoms,
     spectral_integral,
     spectral_measure,
 )
+
+if TYPE_CHECKING:
+    from .simulate import SimulationReport
 
 GOLDEN_ALPHA = (math.sqrt(5.0) - 1.0) / 2.0
 PROB_TOL = 1e-12
@@ -247,7 +250,8 @@ def make_torus_walk(alpha: float, lazy: float = 0.0, fhat=None) -> TorusWalk:
     ``alpha`` is reduced mod 1 and rejected when some convergent ``p/q``
     with ``q <= 10^6`` matches it to 1e-14 (numerically rational).  ``fhat``
     may list positive frequencies only, or both signs (then Hermitian
-    symmetry is checked before folding).
+    symmetry is checked before folding); a squared norm
+    ``sum_n 2 |fhat(n)|^2`` that overflows raises :class:`NonFiniteValue`.
     """
     alpha = _finite(float(alpha), "alpha") % 1.0
     if alpha == 0.0:
@@ -270,6 +274,10 @@ def make_torus_walk(alpha: float, lazy: float = 0.0, fhat=None) -> TorusWalk:
                 f"coefficients at +-{key} violate Hermitian symmetry"
             )
         folded[key] = want
+    # abs(c) * abs(c) reaches inf where abs(c) ** 2 raises OverflowError
+    mass = sum(2.0 * abs(c) * abs(c) for c in folded.values())
+    if not math.isfinite(mass):
+        raise NonFiniteValue("the observable's squared norm sum_n 2 |fhat(n)|^2 overflows")
     return TorusWalk(alpha=alpha, lazy=float(lazy),
                      fhat=tuple(sorted(folded.items())))
 
@@ -348,14 +356,16 @@ def torus_sigma_sq(walk: TorusWalk) -> float:
 
 
 def simulate_torus(walk: TorusWalk, x: float, n: int, num_paths: int,
-                   seed: int, workers: int = 1,
-                   backend: str | None = None) -> SimulationReport:
+                   seed: int, workers: int = 1) -> SimulationReport:
     """Monte Carlo law of ``S_n / sqrt(n)`` for the rotation walk from ``x``.
 
     A zero observable short-circuits to an all-zero report; a nonzero
     observable with numerically zero limit variance raises
     :class:`DegenerateSigma`.
     """
+    # imported here: group walks alone need neither simulate nor martingale
+    from .simulate import SimulationReport, scaled_sum_stats
+
     if n < 1 or num_paths < 1:
         raise EmptySample(f"need n >= 1 and paths >= 1, got n={n}, paths={num_paths}")
     x0 = _finite(float(x), "torus start") % 1.0
@@ -367,7 +377,7 @@ def simulate_torus(walk: TorusWalk, x: float, n: int, num_paths: int,
                                     seed=seed, sample_mean=0.0, sample_var=0.0,
                                     ks_distance=0.0, residual_max=None,
                                     sigma_sq_used=0.0,
-                                    backend=backend or kernels.BACKEND)
+                                    backend=kernels.BACKEND)
         raise DegenerateSigma(f"limit variance {sigma_sq!r} is numerically zero")
     freqs = np.array([n_ for n_, _ in walk.fhat], dtype=np.float64)
     coeffs = np.array([c for _, c in walk.fhat], dtype=complex)
@@ -376,9 +386,9 @@ def simulate_torus(walk: TorusWalk, x: float, n: int, num_paths: int,
     csin = np.ascontiguousarray(-2.0 * coeffs.imag)
     sums, _ = kernels.run_torus_paths(walk.alpha, walk.lazy, omegas, ccos, csin,
                                       x0, n, num_paths, seed,
-                                      workers=workers, backend=backend)
+                                      workers=workers)
     _, mean, var, kd = scaled_sum_stats(sums, n, sigma_sq)
     return SimulationReport(start_state=0, n=n, num_paths=num_paths, seed=seed,
                             sample_mean=mean, sample_var=var, ks_distance=kd,
                             residual_max=None, sigma_sq_used=sigma_sq,
-                            backend=backend or kernels.BACKEND)
+                            backend=kernels.BACKEND)

@@ -150,30 +150,6 @@ def chaining_maximal_check(family: DyadicFamily) -> ChainingCheck:
 # ---------------------------------------------------------------------------
 # dominated dyadic convergence
 
-@dataclass(frozen=True)
-class AtomicWeightFamily:
-    """Atomic measure on [-1, 1] plus a nonnegative function family ``g_n``.
-
-    The built-in family is
-    ``g_n(t) = sqrt(1 - t^2) * sum_{k=2^n}^{2^{n+1}-1} t^k``.
-    """
-
-    locations: np.ndarray
-    masses: np.ndarray
-    g: object = None   # callable (n, t_array) -> array; None selects built-in
-
-    @classmethod
-    def from_measure(cls, measure: SpectralMeasure, g=None) -> "AtomicWeightFamily":
-        if not measure.is_real:
-            raise NotReversible("weight families live on [-1, 1]")
-        return cls(locations=measure.locations.copy(), masses=measure.masses.copy(), g=g)
-
-    def g_values(self, n: int, t: np.ndarray) -> np.ndarray:
-        if self.g is not None:
-            return np.asarray(self.g(n, t), dtype=np.float64)
-        return builtin_block_weight(n, t)
-
-
 def builtin_block_weight(n: int, t: np.ndarray) -> np.ndarray:
     """``sqrt(1 - t^2) * (t^{2^n} + ... + t^{2^{n+1}-1})``, nonnegative on [-1, 1]."""
     t = np.asarray(t, dtype=np.float64)
@@ -235,21 +211,26 @@ class DominationReport:
     ok: bool
 
 
-def dyadic_domination_check(weights: AtomicWeightFamily, seq: ExactSequence,
+def dyadic_domination_check(measure: SpectralMeasure, seq: ExactSequence,
                             M: int | None = None) -> DominationReport:
-    """Verify domination of a sequence by a measure/function family.
+    """Verify domination of a sequence by a real spectral measure ``mu`` and
+    the block weights ``g_n`` of :func:`builtin_block_weight`.
 
     Checks, for every ``1 <= m < n <= M``, that ``E (W_n - W_m)^2`` is at
     most ``int (g_{m+1} + ... + g_n)^2 dmu`` (raising :class:`CondViolated`
     on the first failing pair), then evaluates the truncated weighted-series
     integral, the dyadic block bounds, and the finite-scale maximal bound
     ``E max_{n<=M} W_n^2 <= 3 (E W_1^2 + increment bound + block bound)``.
+    A complex measure raises :class:`NotReversible`: the weights live on
+    ``[-1, 1]``.
     """
+    if not measure.is_real:
+        raise NotReversible("the block weights live on [-1, 1]")
     M = seq.m_max if M is None else M
     if M < 2 or M > seq.m_max:
         raise BadIndexOrder(f"need 2 <= M <= {seq.m_max}, got {M}")
-    t, mass = weights.locations, weights.masses
-    gs = np.array([weights.g_values(n, t) for n in range(1, M + 1)])
+    t, mass = measure.locations, measure.masses
+    gs = np.array([builtin_block_weight(n, t) for n in range(1, M + 1)])
     g_cum = np.vstack([np.zeros_like(t), np.cumsum(gs, axis=0)])  # g_1+..+g_n rows
     worst = math.inf
     for m in range(1, M):

@@ -114,11 +114,6 @@ def _spectral_radius(eigvals: np.ndarray) -> float:
     return float(np.max(np.abs(eigvals), initial=0.0))
 
 
-def _mean_zero_rate(chain: FiniteChain) -> float:
-    # second-largest eigenvalue modulus; 0 for a single state
-    return _spectral_radius(_mean_zero_eigenvalues(chain))
-
-
 def poisson_solve(chain: FiniteChain, f: Observable) -> MartingaleScheme:
     """Solve the Poisson equation and assemble the martingale scheme.
 
@@ -228,20 +223,17 @@ def quenched_diagnostics(chain: FiniteChain, scheme: MartingaleScheme,
     """Exact fixed-start residual and conditional-mean diagnostics.
 
     ``E^x(S_n) = sum_{k<=n} (Q^k f)(x)`` and, via the telescoping identity,
-    ``E^x (S_n - M_n)^2 = sum_y Q^n(x, y) ((Qg)(x) - (Qg)(y))^2``.
+    ``E^x (S_n - M_n)^2 = sum_y Q^n(x, y) ((Qg)(x) - (Qg)(y))^2``, which is
+    ``(Q^n j)(x)`` for ``j(y) = ((Qg)(x) - (Qg)(y))^2``.  Both come from
+    :func:`qclt.chain.kernel_powers`.
     """
     if n < 1:
         raise BadIndexOrder(f"need n >= 1, got n={n}")
     xi = chain.index_of(x)
-    q = chain.kernel
     fv = scheme.g - scheme.qg  # equals f up to 1e-10 relative
     cond_means = kernel_powers(chain, fv, n)[1:].sum(axis=0)   # Q V_n fv, added in sequence
-    row = np.zeros(chain.n_states)
-    row[xi] = 1.0
-    for _ in range(n):
-        row = row @ q          # row of Q^n from state x
     jump = scheme.qg[xi] - scheme.qg
-    residual_msq = float(np.sum(row * jump * jump))
+    residual_msq = float(kernel_powers(chain, jump * jump, n)[-1][xi])
     sqrt_n = float(np.sqrt(n))
     return ApproximationDiagnostics(
         start_state=xi,

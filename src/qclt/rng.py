@@ -31,9 +31,9 @@ def stream_key(seed: int, path_index: int) -> int:
     return mix64(mix64((seed + GOLDEN) & MASK64) ^ mix64(((path_index + 1) * GOLDEN) & MASK64))
 
 
-def stream_keys(seed: int, num_paths: int, first_path: int = 0) -> np.ndarray:
-    """Vectorized :func:`stream_key` for path indices ``first_path + 0..num_paths-1``."""
-    idx = np.arange(first_path, first_path + num_paths, dtype=np.uint64)
+def stream_keys(seed: int, num_paths: int) -> np.ndarray:
+    """Vectorized :func:`stream_key` for path indices ``0..num_paths-1``."""
+    idx = np.arange(num_paths, dtype=np.uint64)
     seed_mix = np.uint64(mix64(seed + GOLDEN))
     keys = (idx + np.uint64(1)) * np.uint64(GOLDEN)
     scratch = np.empty_like(keys)

@@ -12,14 +12,17 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import kernels
 from .chain import FiniteChain, open_output
 from .errors import BadIndexOrder, DegenerateSigma, EmptySample
-from .martingale import MartingaleScheme
 from .rng import PathStream
+
+if TYPE_CHECKING:
+    from .martingale import MartingaleScheme
 
 SIGMA_FLOOR = 1e-12
 MIN_PATHS = 100
@@ -103,8 +106,7 @@ def sample_path(chain: FiniteChain, x, n: int, stream: PathStream) -> np.ndarray
 
 def simulate_quenched(chain: FiniteChain, scheme: MartingaleScheme, x,
                       n: int, num_paths: int, seed: int,
-                      workers: int = 1, backend: str | None = None,
-                      dump_path=None) -> SimulationReport:
+                      workers: int = 1, dump_path=None) -> SimulationReport:
     """Monte Carlo law of ``S_n / sqrt(n)`` started at ``x``.
 
     Results are bit-identical for any ``workers`` value: per-path streams
@@ -134,7 +136,7 @@ def simulate_quenched(chain: FiniteChain, scheme: MartingaleScheme, x,
           else open_output(dump_path)) as dump:
         sums, mart_sums, last = kernels.run_chain_paths(
             cumulative_rows(chain), fvals, hmat, start, n, num_paths, seed,
-            workers=workers, backend=backend)
+            workers=workers)
 
         jump = scheme.qg[start] - scheme.qg[last]
         residual_max = float(np.max(np.abs(sums - mart_sums - jump)))
@@ -146,7 +148,7 @@ def simulate_quenched(chain: FiniteChain, scheme: MartingaleScheme, x,
         start_state=start, n=n, num_paths=num_paths, seed=seed,
         sample_mean=mean, sample_var=var, ks_distance=kd,
         residual_max=residual_max, sigma_sq_used=scheme.sigma_sq,
-        backend=backend or kernels.BACKEND)
+        backend=kernels.BACKEND)
 
 
 def _dump_samples(fh, s_scaled: np.ndarray, m_scaled: np.ndarray) -> None:

@@ -190,40 +190,34 @@ WEIGHTS = {
 }
 
 
-def spectral_integral(measure: SpectralMeasure, weight: str, custom=None) -> float:
+def spectral_integral(measure: SpectralMeasure, weight: str) -> float:
     """Integrate a named condition weight against the measure.
 
     ``weight`` is one of ``SR`` (``1/(1-t)``), ``SR2``
     (``(log+ |log|1-z||)^2/|1-z|``), ``sigma_sq`` (``(1+t)/(1-t)``),
-    ``SN`` (``1/|1-z|``), ``SN1`` (``|log|1-z||/|1-z|``), or ``custom`` with a
-    caller-supplied integrand evaluated at the atom locations.
+    ``SN`` (``1/|1-z|``) or ``SN1`` (``|log|1-z||/|1-z|``); any other name
+    raises :class:`ValueError`.  ``SR`` and ``sigma_sq`` need a real measure
+    and raise :class:`NotReversible` on a complex one.
 
     Atoms within 1e-12 of the pole at 1 are skipped when their mass is
     roundoff-sized (at most 1e-9); heavier atoms there raise
     :class:`DivergentIntegral`, signalling that the condition fails.
     """
-    if weight == "custom":
-        if custom is None:
-            raise ValueError("weight='custom' requires an integrand")
-        fn, keep = custom, np.ones(len(measure.masses), dtype=bool)
-    else:
-        try:
-            fn, real_only = WEIGHTS[weight]
-        except KeyError:
-            raise ValueError(f"unknown weight {weight!r}") from None
-        if real_only and not measure.is_real:
-            raise NotReversible(f"weight {weight!r} requires a real-supported measure")
-        near_pole = np.abs(measure.locations - 1.0) <= LOCATION_SINGULARITY_TOL
-        heavy = measure.masses > MASS_SINGULARITY_TOL
-        if np.any(near_pole & heavy):
-            i = int(np.nonzero(near_pole & heavy)[0][0])
-            raise DivergentIntegral(
-                f"atom at {measure.locations[i]!r} with mass {measure.masses[i]!r} "
-                f"sits on the singularity of weight {weight!r}"
-            )
-        keep = ~near_pole
-    if not np.any(keep):
-        return 0.0
+    try:
+        fn, real_only = WEIGHTS[weight]
+    except KeyError:
+        raise ValueError(f"unknown weight {weight!r}") from None
+    if real_only and not measure.is_real:
+        raise NotReversible(f"weight {weight!r} requires a real-supported measure")
+    near_pole = np.abs(measure.locations - 1.0) <= LOCATION_SINGULARITY_TOL
+    heavy = measure.masses > MASS_SINGULARITY_TOL
+    if np.any(near_pole & heavy):
+        i = int(np.nonzero(near_pole & heavy)[0][0])
+        raise DivergentIntegral(
+            f"atom at {measure.locations[i]!r} with mass {measure.masses[i]!r} "
+            f"sits on the singularity of weight {weight!r}"
+        )
+    keep = ~near_pole
     vals = np.asarray(fn(measure.locations[keep]), dtype=np.float64)
     return float(np.sum(vals * measure.masses[keep]))
 

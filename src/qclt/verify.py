@@ -23,7 +23,6 @@ from .group_walk import (
     walk_fourier,
 )
 from .inequalities import (
-    AtomicWeightFamily,
     DyadicFamily,
     chaining_maximal_check,
     dyadic_block_maxsum,
@@ -34,6 +33,7 @@ from .inequalities import (
 from .martingale import kernel_gap_msq_table, poisson_solve
 from .simulate import simulate_quenched
 from .spectral import (
+    SpectralMeasure,
     chain_spectrum,
     kernel_gap_msq_spectral_table,
     spectral_integral,
@@ -164,9 +164,8 @@ def check_chaining_randomized(families: int, paths: int, seed: int = 2024) -> Ch
 def check_domination_equality(M: int = 5) -> CheckResult:
     chain = two_state_chain(0.25)
     f = sign_observable(chain)
-    weights = AtomicWeightFamily.from_measure(spectral_measure(chain, f))
     seq = kernel_dyadic_sequence(chain, f, M)
-    rep = dyadic_domination_check(weights, seq)
+    rep = dyadic_domination_check(spectral_measure(chain, f), seq)
     # the hypothesis is an identity here: the worst slack must be ~0
     ok = rep.ok and abs(rep.cond_worst_slack) <= 1e-9
     return CheckResult("domination bound holds with equality", ok,
@@ -178,8 +177,8 @@ def check_domination_violation(M: int = 5) -> CheckResult:
     chain = two_state_chain(0.25)
     f = sign_observable(chain)
     measure = spectral_measure(chain, f)
-    shrunk = AtomicWeightFamily(locations=measure.locations.copy(),
-                                masses=0.5 * measure.masses)
+    shrunk = SpectralMeasure(measure.locations, 0.5 * measure.masses,
+                             total=0.5 * measure.total)
     seq = kernel_dyadic_sequence(chain, f, M)
     try:
         dyadic_domination_check(shrunk, seq)
@@ -191,11 +190,10 @@ def check_domination_violation(M: int = 5) -> CheckResult:
 
 def check_dyadic_block_bound(D: int, seed: int = 5) -> CheckResult:
     rng = np.random.default_rng(seed)
-    cases = [(two_state_chain(0.25), None), (iid_chain(), None), (flip_chain(), None)]
-    cases += [(random_reversible_chain(rng, int(rng.integers(3, 8))), None)
-              for _ in range(3)]
+    chains = [two_state_chain(0.25), iid_chain(), flip_chain()]
+    chains += [random_reversible_chain(rng, int(rng.integers(3, 8))) for _ in range(3)]
     worst = -math.inf
-    for chain, _ in cases:
+    for chain in chains:
         f = sign_observable(chain)
         lhs, rhs = dyadic_block_maxsum(chain, f, D)
         worst = max(worst, lhs - rhs)

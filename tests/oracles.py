@@ -7,7 +7,8 @@ The tests check the library against these slower, simpler forms:
   :func:`kernel_gap_msq_spectral` (spectral measure), against the tables;
 * the explicit ``q @ v`` loops that the partial-sum routines ran before
   they were built on :func:`qclt.chain.kernel_powers` and
-  :func:`qclt.chain.partial_sums`;
+  :func:`qclt.chain.partial_sums`, and the ``row @ q`` loop that took the
+  quenched residual from a row of ``Q^n``;
 * the graph walks that classified chains before the whole-array
   breadth-first search;
 * the element-tuple loops that built group walks and their Fourier
@@ -181,6 +182,17 @@ def projection_series_loop(chain, f, K: int):
                       + (res[prev] if j > 1 else 0.0))
         qprev, qcur = qcur, qnext
     return pr, mix, res
+
+
+def quenched_residual_loop(chain, scheme, x: int, n: int) -> float:
+    """``E^x (S_n - M_n)^2`` from the row of ``Q^n`` at ``x``, built by
+    ``n`` row-vector products."""
+    row = np.zeros(chain.n_states)
+    row[x] = 1.0
+    for _ in range(n):
+        row = row @ chain.kernel
+    jump = scheme.qg[x] - scheme.qg
+    return float(np.sum(row * jump * jump))
 
 
 def kernel_dyadic_sequence_loop(chain, f, M: int) -> np.ndarray:

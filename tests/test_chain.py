@@ -76,6 +76,17 @@ def test_non_finite_input_rejected(two_state, bad):
         as_observable(two_state, [bad, bad])
 
 
+@pytest.mark.parametrize("big", [1e200, 1.7e308])
+def test_overflowing_second_moment_rejected(two_state, big):
+    with pytest.raises(NonFiniteValue, match="overflows"):
+        center_observable(two_state, [big, -big])
+    with pytest.raises(NonFiniteValue, match="overflows"):
+        as_observable(two_state, [big, -big])
+    skewed = make_chain("01", [[0.5, 0.5], [0.9, 0.1]])    # pi = (9/14, 5/14)
+    with pytest.raises(NonFiniteValue, match="overflows"):
+        center_observable(skewed, [big, -big])
+
+
 def test_negative_entry_rejected():
     with pytest.raises(NegativeEntry):
         make_chain("01", [[1.2, -0.2], [0.5, 0.5]])

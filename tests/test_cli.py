@@ -253,9 +253,33 @@ def test_group_non_finite_probability_exits_2(capsys, tmp_path):
 @pytest.mark.parametrize("argv", [["--alpha", "nan"], ["--alpha", "inf"],
                                   ["--coeffs", "NAN_COEFFS", "--paths", "200", "--n", "8"],
                                   ["--start", "nan", "--paths", "200", "--n", "8"],
-                                  ["--start", "inf", "--paths", "200", "--n", "8"]])
+                                  ["--start", "inf", "--paths", "200", "--n", "8"],
+                                  ["--coeffs", "HUGE_COEFFS"]])
 def test_torus_non_finite_input_exits_2(capsys, tmp_path, argv):
-    coeffs = tmp_path / "c.json"
-    coeffs.write_text('{"1": [NaN, 0]}')
-    argv = [str(coeffs) if a == "NAN_COEFFS" else a for a in argv]
+    files = {"NAN_COEFFS": '{"1": [NaN, 0]}', "HUGE_COEFFS": '{"1": [1e308, 1e308]}'}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
     _assert_clean_exit_2(*run(capsys, "torus", *argv))
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_bad_tolerance_exits_2(capsys, tmp_path, tol):
+    # not reversible: an infinite tolerance used to classify it as reversible
+    path = tmp_path / "nonrev.json"
+    path.write_text(json.dumps({"Q": [[0.2, 0.5, 0.3], [0.1, 0.3, 0.6], [0.5, 0.2, 0.3]],
+                                "observables": {"f": [1, -1, 0.5]}}))
+    code, out, err = run(capsys, "analyze", str(path), "--tol", tol)
+    _assert_clean_exit_2(code, out, err)
+    assert "tolerance" in err
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["approx"],
+                                  ["simulate", "--start", "0", "--paths", "200", "--n", "8"]])
+def test_overflowing_observable_exits_2(capsys, tmp_path, argv):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"Q": [[0.75, 0.25], [0.25, 0.75]],
+                                "observables": {"f": [1e200, -1e200]}}))
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    _assert_clean_exit_2(code, out, err)
+    assert "overflows" in err

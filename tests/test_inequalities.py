@@ -12,7 +12,6 @@ from qclt.errors import (
     NotReversible,
 )
 from qclt.inequalities import (
-    AtomicWeightFamily,
     DyadicFamily,
     ExactSequence,
     builtin_block_weight,
@@ -22,7 +21,7 @@ from qclt.inequalities import (
     kernel_dyadic_sequence,
     log_envelope_ratio,
 )
-from qclt.spectral import spectral_integral, spectral_measure
+from qclt.spectral import SpectralMeasure, spectral_measure
 from qclt.verify import check_chaining_randomized, random_dyadic_family
 from tests import oracles
 from tests.conftest import sign_of
@@ -253,9 +252,8 @@ def test_from_exact_rejects_zero_total_weight():
 
 
 def test_domination_equality_two_state(two_state, sign):
-    weights = AtomicWeightFamily.from_measure(spectral_measure(two_state, sign))
     seq = kernel_dyadic_sequence(two_state, sign, 5)
-    rep = dyadic_domination_check(weights, seq)
+    rep = dyadic_domination_check(spectral_measure(two_state, sign), seq)
     assert rep.ok
     assert abs(rep.cond_worst_slack) <= 1e-9
     assert rep.cond2_value > 0.0
@@ -264,21 +262,27 @@ def test_domination_equality_two_state(two_state, sign):
 
 def test_domination_shrunken_measure_violates(two_state, sign):
     measure = spectral_measure(two_state, sign)
-    shrunk = AtomicWeightFamily(locations=measure.locations.copy(),
-                                masses=0.5 * measure.masses)
+    shrunk = SpectralMeasure(measure.locations, 0.5 * measure.masses,
+                             total=0.5 * measure.total)
     seq = kernel_dyadic_sequence(two_state, sign, 5)
     with pytest.raises(CondViolated):
         dyadic_domination_check(shrunk, seq)
 
 
 def test_domination_zero_family_constant_sequence():
-    weights = AtomicWeightFamily(locations=np.array([0.5]), masses=np.array([1.0]),
-                                 g=lambda n, t: np.zeros_like(t))
+    zero = SpectralMeasure(np.array([0.5]), np.array([0.0]), 0.0)
     const = ExactSequence(values=np.zeros((4, 3)), probs=np.full(3, 1 / 3))
-    rep = dyadic_domination_check(weights, const)
+    rep = dyadic_domination_check(zero, const)
     assert rep.ok
     assert rep.cond2_value == 0.0
     assert rep.max_msq == 0.0 and rep.dyadic_bound_sum == 0.0
+
+
+def test_domination_rejects_a_complex_measure():
+    disk = SpectralMeasure(np.array([0.5j]), np.array([1.0]), 1.0)
+    const = ExactSequence(values=np.zeros((4, 3)), probs=np.full(3, 1 / 3))
+    with pytest.raises(NotReversible):
+        dyadic_domination_check(disk, const)
 
 
 def test_builtin_block_weight_nonnegative():

@@ -21,6 +21,7 @@ from tests.oracles import (
     kernel_dyadic_sequence_loop,
     kernel_gap_msq_table_loop,
     projection_series_loop,
+    quenched_residual_loop,
     truncated_scheme_loop,
 )
 from tests.test_chain import random_reversible
@@ -148,3 +149,14 @@ def test_quenched_cond_mean_matches_loop(size):
                 assert np.array_equal(d.cond_mean, cond_means[x])
                 assert np.array_equal(d.asdl_sup,
                                       float(np.max(np.abs(cond_means))) / float(np.sqrt(n)))
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_quenched_residual_matches_row_loop(size):
+    # Q^n applied to the squared jumps, not a row of Q^n: equal up to roundoff
+    for chain, f in cases(size):
+        scheme = poisson_solve(chain, f)
+        for n in (1, 3, 16, 257):
+            for x in range(size):
+                d = quenched_diagnostics(chain, scheme, x, n)
+                assert_close(d.residual_msq, quenched_residual_loop(chain, scheme, x, n))

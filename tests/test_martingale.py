@@ -10,7 +10,6 @@ from qclt.errors import (
     RateNotContractive,
 )
 from qclt.martingale import (
-    _mean_zero_rate,
     poisson_solve,
     projection_series,
     quenched_diagnostics,
@@ -18,6 +17,7 @@ from qclt.martingale import (
     truncated_scheme,
 )
 from qclt.spectral import spectral_integral, spectral_measure
+from tests.conftest import sign_of
 from tests.oracles import kernel_gap_msq
 from tests.test_chain import random_reversible
 from tests.test_spectral import jacobi_spectrum, wide_walk
@@ -189,7 +189,8 @@ def test_mean_zero_rate_matches_jacobi(two_state, iid, flip):
     chains = [two_state, iid, flip, wide_walk().chain]
     chains += [random_reversible(rng, size) for size in (2, 3, 7, 40)]
     for chain in chains:
-        assert abs(_mean_zero_rate(chain) - jacobi_rate(chain)) <= 1e-12
+        rate = poisson_solve(chain, sign_of(chain)).rate
+        assert abs(rate - jacobi_rate(chain)) <= 1e-12
 
 
 def test_one_eigendecomposition_per_chain(monkeypatch):

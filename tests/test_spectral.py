@@ -239,9 +239,8 @@ def test_integral_divergence_and_roundoff_mass():
     assert spectral_integral(m, "SR") == pytest.approx(2.0, abs=1e-12)
 
 
-def test_integral_custom_and_unknown():
+def test_integral_unknown_weight():
     m = atoms((0.5, 2.0))
-    assert spectral_integral(m, "custom", custom=lambda t: t ** 2) == pytest.approx(0.5)
     with pytest.raises(ValueError):
         spectral_integral(m, "nope")
 

@@ -46,12 +46,28 @@ def in_process(capsys, *argv):
 
 # -- imports -----------------------------------------------------------------------
 
-def test_cli_import_loads_no_command_module():
-    proc = python("-c", "import json, sys, qclt.cli; print(json.dumps(sorted(sys.modules)))")
+def loaded_by(module):
+    proc = python("-c", f"import json, sys, {module}; print(json.dumps(sorted(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
-    loaded = set(json.loads(proc.stdout))
+    return set(json.loads(proc.stdout))
+
+
+def test_cli_import_loads_no_command_module():
+    loaded = loaded_by("qclt.cli")
     assert "qclt.kernels" in loaded
     assert not loaded & {f"qclt.{name}" for name in COMMAND_MODULES}
+
+
+def test_group_walk_import_loads_neither_simulate_nor_martingale():
+    loaded = loaded_by("qclt.group_walk")
+    assert "qclt.spectral" in loaded
+    assert not loaded & {"qclt.simulate", "qclt.martingale"}
+
+
+def test_simulate_import_does_not_load_martingale():
+    loaded = loaded_by("qclt.simulate")
+    assert "qclt.kernels" in loaded
+    assert "qclt.martingale" not in loaded
 
 
 def test_exports_resolve_in_fresh_interpreter():
