@@ -60,12 +60,28 @@ def _pick_observable(observables: dict, name: str | None):
     return name, observables[name]
 
 
+def _load_observable(args):
+    """``(chain, name, f)``: the document's chain and its chosen, centered observable."""
+    chain, observables = load_document(args.chain, tol=args.tol)
+    name, raw = _pick_observable(observables, args.observable)
+    return chain, name, center_observable(chain, raw)
+
+
+def _emit_report(first_pair, report) -> None:
+    """The ``[report]`` section of a fixed-start simulation."""
+    rows = [first_pair, ("n", report.n), ("num_paths", report.num_paths),
+            ("seed", report.seed), ("sample_mean", report.sample_mean),
+            ("sample_var", report.sample_var), ("ks_distance", report.ks_distance)]
+    if report.residual_max is not None:
+        rows.append(("residual_max", report.residual_max))
+    rows.append(("sigma_sq_used", report.sigma_sq_used))
+    _emit("report", rows)
+
+
 def _cmd_analyze(args) -> int:
     from .spectral import spectral_integral, spectral_measure
 
-    chain, observables = load_document(args.chain, tol=args.tol)
-    name, raw = _pick_observable(observables, args.observable)
-    f = center_observable(chain, raw)
+    chain, name, f = _load_observable(args)
     measure = spectral_measure(chain, f)  # rejects before any output is printed
     _emit("config", [("command", "analyze"), ("chain", args.chain),
                      ("observable", name), ("tol", args.tol)])
@@ -96,9 +112,7 @@ def _parse_int_list(text: str, option: str):
 def _cmd_approx(args) -> int:
     from .martingale import poisson_solve, quenched_diagnostics
 
-    chain, observables = load_document(args.chain, tol=args.tol)
-    name, raw = _pick_observable(observables, args.observable)
-    f = center_observable(chain, raw)
+    chain, name, f = _load_observable(args)
     horizons = _parse_int_list(args.n, "--n")
     if not horizons or min(horizons) < 1:
         raise QcltError(f"--n needs horizons >= 1, got {args.n!r}")
@@ -130,9 +144,7 @@ def _cmd_simulate(args) -> int:
     from .simulate import simulate_quenched
 
     _check_threads(args.threads)
-    chain, observables = load_document(args.chain, tol=args.tol)
-    name, raw = _pick_observable(observables, args.observable)
-    f = center_observable(chain, raw)
+    chain, name, f = _load_observable(args)
     scheme = poisson_solve(chain, f)
     # every input, the dump path included, is validated before anything prints
     report = simulate_quenched(chain, scheme, args.start, args.n, args.paths,
@@ -143,13 +155,7 @@ def _cmd_simulate(args) -> int:
                      ("n", args.n), ("paths", args.paths), ("seed", args.seed),
                      ("threads", args.threads), ("tol", args.tol),
                      ("backend", kernels.BACKEND)])
-    _emit("report", [("start_state", report.start_state), ("n", report.n),
-                     ("num_paths", report.num_paths), ("seed", report.seed),
-                     ("sample_mean", report.sample_mean),
-                     ("sample_var", report.sample_var),
-                     ("ks_distance", report.ks_distance),
-                     ("residual_max", report.residual_max),
-                     ("sigma_sq_used", report.sigma_sq_used)])
+    _emit_report(("start_state", report.start_state), report)
     return 0
 
 
@@ -267,12 +273,7 @@ def _cmd_torus(args) -> int:
         print(",".join([str(row.n), _fmt(row.dist), _fmt(row.one_minus_nuhat),
                         _fmt(row.ratio), _fmt(row.partial_sum)]))
     if sim is not None:
-        _emit("report", [("start", args.start), ("n", sim.n),
-                         ("num_paths", sim.num_paths), ("seed", sim.seed),
-                         ("sample_mean", sim.sample_mean),
-                         ("sample_var", sim.sample_var),
-                         ("ks_distance", sim.ks_distance),
-                         ("sigma_sq_used", sim.sigma_sq_used)])
+        _emit_report(("start", args.start), sim)
     return 0
 
 

@@ -23,9 +23,7 @@ from . import kernels
 from .chain import FiniteChain, Observable, make_chain
 from .errors import (
     BadProbabilities,
-    DegenerateSigma,
     DimensionMismatch,
-    EmptySample,
     EmptySupport,
     NonFiniteValue,
     NotErgodic,
@@ -359,26 +357,16 @@ def simulate_torus(walk: TorusWalk, x: float, n: int, num_paths: int,
                    seed: int, workers: int = 1) -> SimulationReport:
     """Monte Carlo law of ``S_n / sqrt(n)`` for the rotation walk from ``x``.
 
-    A zero observable short-circuits to an all-zero report; a nonzero
-    observable with numerically zero limit variance raises
-    :class:`DegenerateSigma`.
+    The run policy and the report are those of finite chains
+    (:func:`qclt.simulate.check_run`, :func:`qclt.simulate.sample_report`),
+    so a zero observable raises :class:`qclt.errors.DegenerateSigma` too.
     """
     # imported here: group walks alone need neither simulate nor martingale
-    from .simulate import SimulationReport, scaled_sum_stats
+    from .simulate import check_run, sample_report
 
-    if n < 1 or num_paths < 1:
-        raise EmptySample(f"need n >= 1 and paths >= 1, got n={n}, paths={num_paths}")
-    x0 = _finite(float(x), "torus start") % 1.0
     sigma_sq = torus_sigma_sq(walk)
-    total_mass = sum(abs(c) ** 2 for _, c in walk.fhat)
-    if sigma_sq <= 1e-12:
-        if total_mass <= 1e-30:
-            return SimulationReport(start_state=0, n=n, num_paths=num_paths,
-                                    seed=seed, sample_mean=0.0, sample_var=0.0,
-                                    ks_distance=0.0, residual_max=None,
-                                    sigma_sq_used=0.0,
-                                    backend=kernels.BACKEND)
-        raise DegenerateSigma(f"limit variance {sigma_sq!r} is numerically zero")
+    check_run(n, num_paths, sigma_sq)
+    x0 = _finite(float(x), "torus start") % 1.0
     freqs = np.array([n_ for n_, _ in walk.fhat], dtype=np.float64)
     coeffs = np.array([c for _, c in walk.fhat], dtype=complex)
     omegas = np.ascontiguousarray(2.0 * np.pi * freqs)
@@ -387,8 +375,4 @@ def simulate_torus(walk: TorusWalk, x: float, n: int, num_paths: int,
     sums, _ = kernels.run_torus_paths(walk.alpha, walk.lazy, omegas, ccos, csin,
                                       x0, n, num_paths, seed,
                                       workers=workers)
-    _, mean, var, kd = scaled_sum_stats(sums, n, sigma_sq)
-    return SimulationReport(start_state=0, n=n, num_paths=num_paths, seed=seed,
-                            sample_mean=mean, sample_var=var, ks_distance=kd,
-                            residual_max=None, sigma_sq_used=sigma_sq,
-                            backend=kernels.BACKEND)
+    return sample_report(sums, 0, n, seed, sigma_sq)

@@ -25,6 +25,7 @@ from .chain import (
 from .errors import (
     BadIndexOrder,
     NearSingular,
+    NonFiniteValue,
     NotIrreducible,
     NotMeanZero,
     RateNotContractive,
@@ -119,7 +120,8 @@ def poisson_solve(chain: FiniteChain, f: Observable) -> MartingaleScheme:
 
     The solve augments ``I - Q`` with the rank-one term ``1 pi^T`` (the
     fundamental-matrix trick), which pins the stationary mean of ``g`` to
-    zero and is nonsingular for irreducible chains.
+    zero and is nonsingular for irreducible chains.  A limit variance
+    that is not finite raises :class:`NonFiniteValue`.
     """
     if not chain.flags.irreducible:
         raise NotIrreducible("the Poisson equation needs an irreducible chain")
@@ -140,7 +142,11 @@ def poisson_solve(chain: FiniteChain, f: Observable) -> MartingaleScheme:
     if residual > POISSON_RESIDUAL_RTOL * scale:
         raise NearSingular(f"Poisson residual {residual!r} exceeds 1e-10 relative")
     h = g[None, :] - qg[:, None]
-    sigma_sq = float(np.sum(pair_law(chain) * h * h))
+    # a NaN in g, which the residual test above lets through, reaches sigma_sq too
+    with np.errstate(over="ignore"):
+        sigma_sq = float(np.sum(pair_law(chain) * h * h))
+    if not np.isfinite(sigma_sq):
+        raise NonFiniteValue(f"limit variance {sigma_sq!r} is not finite")
     for arr in (g, qg, h):
         arr.flags.writeable = False
     return MartingaleScheme(g=g, qg=qg, diff_kernel=h, sigma_sq=sigma_sq,

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import kernels
 from .chain import FiniteChain, open_output
-from .errors import BadIndexOrder, DegenerateSigma, EmptySample
+from .errors import BadIndexOrder, DegenerateSigma, EmptySample, NonFiniteValue
 from .rng import PathStream
 
 if TYPE_CHECKING:
@@ -68,14 +68,37 @@ def ks_distance(sample, cdf) -> float:
     return float(max(np.max(grid - fx), np.max(fx - (grid - 1.0 / n))))
 
 
-def scaled_sum_stats(sums: np.ndarray, n: int, sigma_sq: float):
-    """Scaled sums ``S_n / sqrt(n)`` with their mean, unbiased variance and
-    KS distance from ``N(0, sigma_sq)``, as ``(scaled, mean, var, ks)``."""
+def check_run(n: int, num_paths: int, sigma_sq: float) -> None:
+    """Refuse a fixed-start run, before its kernel, with fewer than ``MIN_PATHS``
+    paths, ``n < 1``, or a limit variance that is not finite or is at most
+    ``SIGMA_FLOOR`` (the scaled sums collapse; a KS comparison is meaningless)."""
+    if num_paths < MIN_PATHS:
+        raise EmptySample(f"need at least {MIN_PATHS} paths, got {num_paths}")
+    if n < 1:
+        raise BadIndexOrder(f"need n >= 1, got n={n}")
+    if not math.isfinite(sigma_sq):
+        raise NonFiniteValue(f"limit variance {sigma_sq!r} is not finite")
+    if sigma_sq <= SIGMA_FLOOR:
+        raise DegenerateSigma(f"limit variance {sigma_sq!r} is numerically zero")
+
+
+def sample_report(sums: np.ndarray, start_state: int, n: int, seed: int,
+                  sigma_sq: float, residual_max: float | None = None) -> SimulationReport:
+    """Mean, unbiased variance and KS distance from ``N(0, sigma_sq)`` of the
+    scaled sums ``S_n / sqrt(n)``.  The squared deviations are summed in units
+    of a power of two near the largest, exactly, so the variance is the plain
+    two-pass one bit for bit, and finite wherever the answer is."""
     scaled = sums / math.sqrt(n)
     mean = float(np.mean(scaled))
-    var = float(np.sum((scaled - mean) ** 2) / max(len(scaled) - 1, 1))
+    dev = scaled - mean
+    s = math.ldexp(1.0, math.frexp(float(np.max(np.abs(dev))))[1] - 1)
+    var = float(np.sum((dev / s) ** 2)) / max(len(scaled) - 1, 1) * s * s
     kd = ks_distance(np.sort(scaled / math.sqrt(sigma_sq)), standard_normal_cdf)
-    return scaled, mean, var, kd
+    return SimulationReport(
+        start_state=start_state, n=n, num_paths=len(scaled), seed=seed,
+        sample_mean=mean, sample_var=var, ks_distance=kd,
+        residual_max=residual_max, sigma_sq_used=sigma_sq,
+        backend=kernels.BACKEND)
 
 
 def cumulative_rows(chain: FiniteChain) -> np.ndarray:
@@ -111,23 +134,10 @@ def simulate_quenched(chain: FiniteChain, scheme: MartingaleScheme, x,
 
     Results are bit-identical for any ``workers`` value: per-path streams
     are counter-based in the path index and aggregation is an ordered
-    two-pass mean/variance over the path-indexed array.
-
-    Raises
-    ------
-    DegenerateSigma
-        If the scheme's limit variance is at most 1e-12 (the scaled sums
-        collapse; a KS comparison is meaningless).
+    two-pass mean/variance over the path-indexed array.  The run policy is
+    :func:`check_run`'s.
     """
-    if num_paths < MIN_PATHS:
-        raise EmptySample(f"need at least {MIN_PATHS} paths, got {num_paths}")
-    if n < 1:
-        raise BadIndexOrder(f"need n >= 1, got n={n}")
-    if scheme.sigma_sq <= SIGMA_FLOOR:
-        raise DegenerateSigma(
-            f"limit variance {scheme.sigma_sq!r} is numerically zero; "
-            "only residual checks are meaningful for this observable"
-        )
+    check_run(n, num_paths, scheme.sigma_sq)
     start = chain.index_of(x)
     fvals = np.ascontiguousarray(scheme.g - scheme.qg)
     hmat = np.ascontiguousarray(scheme.diff_kernel)
@@ -137,18 +147,11 @@ def simulate_quenched(chain: FiniteChain, scheme: MartingaleScheme, x,
         sums, mart_sums, last = kernels.run_chain_paths(
             cumulative_rows(chain), fvals, hmat, start, n, num_paths, seed,
             workers=workers)
-
         jump = scheme.qg[start] - scheme.qg[last]
         residual_max = float(np.max(np.abs(sums - mart_sums - jump)))
-        scaled, mean, var, kd = scaled_sum_stats(sums, n, scheme.sigma_sq)
         if dump is not None:
-            _dump_samples(dump, scaled, mart_sums / math.sqrt(n))
-
-    return SimulationReport(
-        start_state=start, n=n, num_paths=num_paths, seed=seed,
-        sample_mean=mean, sample_var=var, ks_distance=kd,
-        residual_max=residual_max, sigma_sq_used=scheme.sigma_sq,
-        backend=kernels.BACKEND)
+            _dump_samples(dump, sums / math.sqrt(n), mart_sums / math.sqrt(n))
+    return sample_report(sums, start, n, seed, scheme.sigma_sq, residual_max)
 
 
 def _dump_samples(fh, s_scaled: np.ndarray, m_scaled: np.ndarray) -> None:

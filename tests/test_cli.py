@@ -263,6 +263,42 @@ def test_torus_non_finite_input_exits_2(capsys, tmp_path, argv):
     _assert_clean_exit_2(*run(capsys, "torus", *argv))
 
 
+def _two_state_file(tmp_path, c):
+    path = tmp_path / "huge.json"
+    path.write_text(dump_document(make_chain(["0", "1"], [[0.75, 0.25], [0.25, 0.75]]),
+                                  {"f": [c, -c]}))
+    return str(path)
+
+
+def test_simulate_huge_observable_variance_is_finite(capsys, tmp_path):
+    code, out, err = run(capsys, "simulate", _two_state_file(tmp_path, 1e153), "--start", "0",
+                         "--paths", "200", "--n", "8")
+    assert code == 0 and err == ""
+    assert "sample_var = 2.4808919598e+306" in out
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--start", "0", "--paths", "200", "--n", "8"],
+                                  ["approx", "--n", "1,2"]])
+def test_non_finite_sigma_sq_exits_2(capsys, tmp_path, argv):
+    code, out, err = run(capsys, argv[0], _two_state_file(tmp_path, 1e154), *argv[1:])
+    _assert_clean_exit_2(code, out, err)
+    assert "not finite" in err
+
+
+def test_torus_too_few_paths_exits_2(capsys):
+    code, out, err = run(capsys, "torus", "--paths", "50", "--n", "8")
+    _assert_clean_exit_2(code, out, err)
+    assert "100 paths" in err
+
+
+def test_torus_zero_observable_exits_2(capsys, tmp_path):
+    path = tmp_path / "zero.json"
+    path.write_text("{}")
+    code, out, err = run(capsys, "torus", "--coeffs", str(path), "--paths", "200", "--n", "8")
+    _assert_clean_exit_2(code, out, err)
+    assert "numerically zero" in err
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
 def test_bad_tolerance_exits_2(capsys, tmp_path, tol):
     # not reversible: an infinite tolerance used to classify it as reversible

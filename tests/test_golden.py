@@ -1,9 +1,10 @@
 """Golden-output tests: the default text reports, pinned byte for byte.
 
-Inputs are the README two-state chain and a ``--moduli 4,3`` group walk with
+Inputs are the README two-state chain, a ``--moduli 4,3`` group walk with
 a second, non-eigen observable (so its measure has several atoms, some at
-degenerate eigenvalues).  ``[config]`` lines that echo file paths or the
-selected backend are dropped; every other line must match exactly.  The
+degenerate eigenvalues) and a lazy golden rotation walk on the torus whose
+observable has two frequencies.  ``[config]`` lines that echo file paths or
+the selected backend are dropped; every other line must match exactly.  The
 whole stdout of ``verify --quick`` and ``verify`` is pinned too, detail
 lines and margins included.
 """
@@ -18,7 +19,8 @@ README_DOC = {"states": ["0", "1"],
               "observables": {"f": [1.0, -1.0]}}
 WALK_STEP = "0.0:0.5,1.0:0.125,3.0:0.125,0.1:0.125,0.2:0.125"
 WALK_OBSERVABLE = [float((3 * i * i + i) % 7) - 3.0 for i in range(12)]
-MACHINE_KEYS = ("chain = ", "output = ", "backend = ")
+TORUS_COEFFS = {"1": 0.5, "3": [0.25, -0.125]}
+MACHINE_KEYS = ("chain = ", "output = ", "coeffs = ", "backend = ")
 
 
 def _report(capsys, argv) -> str:
@@ -49,6 +51,11 @@ def render(capsys, tmp_path) -> dict:
         out[f"{tag} simulate"] = _report(capsys, ["simulate", *common, "--start", start,
                                                   "--n", "32", "--paths", "200",
                                                   "--seed", "5"])
+    coeffs = tmp_path / "coeffs.json"
+    coeffs.write_text(json.dumps(TORUS_COEFFS))
+    out["torus simulate"] = _report(capsys, ["torus", "--lazy", "0.5", "--coeffs", str(coeffs),
+                                             "--paths", "200", "--n", "32", "--start", "0.3",
+                                             "--seed", "5", "--threads", "2"])
     return out
 
 
@@ -238,6 +245,29 @@ GOLDEN = {
         'ks_distance = 0.0561918511718\n'
         'residual_max = 1.85407245112e-14\n'
         'sigma_sq_used = 6.73181216931\n'
+    ),
+    'torus simulate': (
+        '[config]\n'
+        'command = torus\n'
+        'alpha = 0.61803398875\n'
+        'lazy = 0.5\n'
+        'cutoff = 10000\n'
+        'seed = 5\n'
+        '[convergents]\n'
+        '0/1 1/1 1/2 2/3 3/5 5/8 8/13 13/21 21/34 34/55 55/89 89/144 144/233 233/377 377/610 610/987 987/1597 1597/2584 2584/4181 4181/6765\n'
+        '[series]\n'
+        'n,dist,one_minus_nuhat,ratio,partial_sum\n'
+        '1,0.38196601125,0.868684439039,0.301635783954,0\n'
+        '3,0.14589803375,0.195780569511,0.465951772825,0.190875862408\n'
+        '[report]\n'
+        'start = 0.3\n'
+        'n = 32\n'
+        'num_paths = 200\n'
+        'seed = 5\n'
+        'sample_mean = 0.304956733333\n'
+        'sample_var = 1.67588376275\n'
+        'ks_distance = 0.128330071902\n'
+        'sigma_sq_used = 2.09109075228\n'
     ),
 }
 

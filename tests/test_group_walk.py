@@ -6,7 +6,9 @@ import pytest
 from qclt.chain import adjoint_kernel, center_observable
 from qclt.errors import (
     BadProbabilities,
+    DegenerateSigma,
     DimensionMismatch,
+    EmptySample,
     EmptySupport,
     NonFiniteValue,
     NotErgodic,
@@ -231,9 +233,35 @@ def test_torus_condition_report():
 
 
 def test_simulate_torus_zero_observable():
+    # a zero sample has no KS distance to N(0, 0); finite chains refuse it too
     walk = make_torus_walk(GOLDEN_ALPHA, fhat={})
-    rep = simulate_torus(walk, 0.25, 64, 500, seed=4)
-    assert rep.sample_mean == rep.sample_var == rep.ks_distance == 0.0
+    with pytest.raises(DegenerateSigma):
+        simulate_torus(walk, 0.25, 64, 500, seed=4)
+
+
+def test_simulate_torus_rejects_infinite_sigma_sq():
+    # sum 2 |fhat|^2 = 5e307 is accepted, but a lazy walk's (1 + nuhat) / (1 - nuhat)
+    # of about 10.5 takes the limit variance past the float limit
+    walk = make_torus_walk(GOLDEN_ALPHA, lazy=0.9, fhat={1: 5e153})
+    with pytest.raises(NonFiniteValue):
+        simulate_torus(walk, 0.0, 8, 200, seed=0)
+
+
+def test_simulate_torus_needs_min_paths():
+    walk = make_torus_walk(GOLDEN_ALPHA, fhat={1: 0.5})
+    with pytest.raises(EmptySample):
+        simulate_torus(walk, 0.0, 8, 99, seed=0)
+
+
+def test_simulate_torus_huge_coefficient_scales_exactly():
+    # 2^511 scales the sums exactly; the squared deviations alone would overflow
+    big = 2.0 ** 511
+    unit = simulate_torus(make_torus_walk(GOLDEN_ALPHA, fhat={1: 0.5}), 0.0, 8, 200, seed=3)
+    huge = simulate_torus(make_torus_walk(GOLDEN_ALPHA, fhat={1: 0.5 * big}), 0.0, 8, 200,
+                          seed=3)
+    assert huge.sample_var == unit.sample_var * big * big
+    assert huge.sample_mean == unit.sample_mean * big
+    assert huge.ks_distance == unit.ks_distance
 
 
 def test_simulate_torus_reproducible_and_variance():

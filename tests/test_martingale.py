@@ -5,6 +5,7 @@ from qclt.chain import center_observable, make_chain
 from qclt.errors import (
     BadIndexOrder,
     NearSingular,
+    NonFiniteValue,
     NotIrreducible,
     NotMeanZero,
     RateNotContractive,
@@ -51,6 +52,17 @@ def test_poisson_rejects_bad_inputs(two_state):
     reducible = make_chain("01", np.eye(2), stationary=[0.5, 0.5])
     with pytest.raises(NotIrreducible):
         poisson_solve(reducible, center_observable(reducible, [1.0, -1.0]))
+
+
+def test_poisson_rejects_non_finite_sigma_sq(two_state):
+    from qclt.chain import Observable
+    # sum pi f^2 = 1e308 is finite, but the squared martingale jumps overflow
+    with pytest.raises(NonFiniteValue):
+        poisson_solve(two_state, center_observable(two_state, [1e154, -1e154]))
+    # a NaN passes the residual test; it reaches sigma^2 and is caught there
+    nan = Observable(values=np.array([np.nan, np.nan]), norm_sq=0.0, mean=0.0)
+    with pytest.raises(NonFiniteValue):
+        poisson_solve(two_state, nan)
 
 
 def test_martingale_property_random_chains():

@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from qclt.simulate import (
     cumulative_rows,
     ks_distance,
     sample_path,
+    sample_report,
     simulate_quenched,
     _dump_samples,
     standard_normal_cdf,
@@ -148,6 +150,29 @@ def test_simulate_rejects_degenerate_and_tiny(flip, two_state, sign):
         simulate_quenched(flip, scheme, 0, 64, 1000, seed=0)
     with pytest.raises(EmptySample):
         simulate_quenched(two_state, poisson_solve(two_state, sign), 0, 8, 99, seed=0)
+
+
+def test_sample_variance_is_the_two_pass_variance():
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        sums = rng.standard_normal(int(rng.integers(100, 400))) * 10.0 ** rng.uniform(-100, 100)
+        scaled = sums / math.sqrt(16)
+        mean = float(np.mean(scaled))
+        two_pass = float(np.sum((scaled - mean) ** 2) / (len(scaled) - 1))
+        assert sample_report(sums, 0, 16, 0, 1.0).sample_var == two_pass
+
+
+def test_huge_observable_scales_exactly(two_state):
+    # 2^510 scales every path sum exactly; the squared deviations alone would overflow
+    big = 2.0 ** 510
+    unit, huge = (simulate_quenched(two_state,
+                                    poisson_solve(two_state,
+                                                  center_observable(two_state, [c, -c])),
+                                    0, 8, 200, seed=4)
+                  for c in (1.0, big))
+    assert huge.sample_var == unit.sample_var * big * big
+    assert huge.sample_mean == unit.sample_mean * big
+    assert huge.ks_distance == unit.ks_distance
 
 
 def test_dump_format(tmp_path, two_state, sign):
