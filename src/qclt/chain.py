@@ -349,12 +349,12 @@ def pair_law(chain: FiniteChain) -> np.ndarray:
 
 def kernel_powers(chain: FiniteChain, v: np.ndarray, n: int) -> np.ndarray:
     """Rows ``Q^k v`` for ``k = 0..n``, stacked into shape ``(n + 1, S)``;
-    row ``k`` is ``chain.kernel @ row[k - 1]``."""
+    row ``k`` is ``chain.kernel @ row[k - 1]``, written in place."""
     q = chain.kernel
     rows = np.empty((n + 1, chain.n_states))
     rows[0] = v
     for k in range(1, n + 1):
-        rows[k] = q @ rows[k - 1]
+        np.dot(q, rows[k - 1], out=rows[k])
     return rows
 
 

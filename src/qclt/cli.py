@@ -82,7 +82,14 @@ def _cmd_analyze(args) -> int:
     from .spectral import spectral_integral, spectral_measure
 
     chain, name, f = _load_observable(args)
-    measure = spectral_measure(chain, f)  # rejects before any output is printed
+    # the measure and its sums reject bad input before any output is printed
+    measure = spectral_measure(chain, f)
+    sums = []
+    for weight in ("SR", "SR2", "sigma_sq"):
+        try:
+            sums.append((weight, spectral_integral(measure, weight)))
+        except DivergentIntegral:
+            sums.append((weight, "divergent"))
     _emit("config", [("command", "analyze"), ("chain", args.chain),
                      ("observable", name), ("tol", args.tol)])
     flags = chain.flags
@@ -93,12 +100,7 @@ def _cmd_analyze(args) -> int:
     for i, (loc, mass) in enumerate(zip(measure.locations, measure.masses)):
         rows.append((f"atom_{i}", f"{_fmt(loc)} {_fmt(mass)}"))
     rows.append(("total_mass", measure.total))
-    for weight in ("SR", "SR2", "sigma_sq"):
-        try:
-            rows.append((weight, spectral_integral(measure, weight)))
-        except DivergentIntegral:
-            rows.append((weight, "divergent"))
-    _emit("spectral", rows)
+    _emit("spectral", rows + sums)
     return 0
 
 

@@ -59,8 +59,10 @@ class DyadicFamily:
             raise BadLength("a dyadic family needs a 2-d table with at least one row")
         if _level_for(table.shape[1]) != self.d:
             raise BadLength(f"a table of {table.shape[1]} columns is not of level d={self.d}")
-        # the kernel's max/min and numpy's disagree on NaN, so none may reach them
-        if not np.all(np.isfinite(table)):
+        # the kernel's max/min and numpy's disagree on NaN, so none may reach
+        # them; any NaN or infinity reaches the table's min or max, and
+        # checking those two builds no table-sized mask
+        if not (math.isfinite(table.min()) and math.isfinite(table.max())):
             raise NonFiniteValue("a dyadic family's table contains NaN or infinite entries")
         if self.ar is not None and not math.isfinite(self.ar):
             raise NonFiniteValue(f"recursion coefficient must be finite, got {self.ar!r}")

@@ -10,7 +10,6 @@ path's stream depends only on ``(seed, path_index)``).
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -48,6 +47,10 @@ def _run(fn, num_paths: int, workers: int, args_for_chunk) -> None:
         for span in spans:
             fn(*args_for_chunk(*span))
         return
+    # imported here, so a single-chunk run (and `import qclt.cli`) does not
+    # load concurrent.futures and the logging, queue and heapq it pulls in
+    from concurrent.futures import ThreadPoolExecutor
+
     # the chunks, and so each chunk's output slots, depend only on `workers`;
     # the pool that runs them needs no more threads than there are cores
     with ThreadPoolExecutor(max_workers=min(len(spans), os.cpu_count() or 1)) as pool:

@@ -14,6 +14,7 @@ against the Fourier multipliers of a group walk, an independent route.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ from .errors import (
     BadIndexOrder,
     DivergentIntegral,
     JacobiNoConvergence,
+    NonFiniteValue,
     NotReversible,
 )
 
@@ -201,7 +203,8 @@ def spectral_integral(measure: SpectralMeasure, weight: str) -> float:
 
     Atoms within 1e-12 of the pole at 1 are skipped when their mass is
     roundoff-sized (at most 1e-9); heavier atoms there raise
-    :class:`DivergentIntegral`, signalling that the condition fails.
+    :class:`DivergentIntegral`, signalling that the condition fails.  A sum
+    that overflows raises :class:`NonFiniteValue`.
     """
     try:
         fn, real_only = WEIGHTS[weight]
@@ -209,17 +212,32 @@ def spectral_integral(measure: SpectralMeasure, weight: str) -> float:
         raise ValueError(f"unknown weight {weight!r}") from None
     if real_only and not measure.is_real:
         raise NotReversible(f"weight {weight!r} requires a real-supported measure")
+    return _pole_sum(measure, f"weight {weight!r}",
+                     lambda t, m: np.asarray(fn(t), dtype=np.float64) * m)
+
+
+def _pole_sum(measure: SpectralMeasure, what: str, terms) -> float:
+    """``sum(terms(t, m))`` over the atoms ``(t, m)`` off the pole at 1: the
+    one rule for what a spectral sum may return.
+
+    Atoms within 1e-12 of 1 are dropped when their mass is at most 1e-9; a
+    heavier atom there raises :class:`DivergentIntegral`.  A sum that is
+    not finite raises :class:`NonFiniteValue`, so no caller reports one.
+    """
     near_pole = np.abs(measure.locations - 1.0) <= LOCATION_SINGULARITY_TOL
-    heavy = measure.masses > MASS_SINGULARITY_TOL
-    if np.any(near_pole & heavy):
-        i = int(np.nonzero(near_pole & heavy)[0][0])
+    heavy = near_pole & (measure.masses > MASS_SINGULARITY_TOL)
+    if np.any(heavy):
+        i = int(np.nonzero(heavy)[0][0])
         raise DivergentIntegral(
             f"atom at {measure.locations[i]!r} with mass {measure.masses[i]!r} "
-            f"sits on the singularity of weight {weight!r}"
+            f"sits on the singularity of {what}"
         )
     keep = ~near_pole
-    vals = np.asarray(fn(measure.locations[keep]), dtype=np.float64)
-    return float(np.sum(vals * measure.masses[keep]))
+    with np.errstate(over="ignore"):    # the check below reports an overflow
+        total = float(np.sum(terms(measure.locations[keep], measure.masses[keep])))
+    if not math.isfinite(total):
+        raise NonFiniteValue(f"the spectral sum of {what} is not finite ({total!r})")
+    return total
 
 
 def _power_block_sum(t, m, n) -> np.ndarray:
@@ -275,13 +293,9 @@ def variance_growth(chain: FiniteChain, f: Observable, n: int) -> float:
 
 def variance_tail_constant(measure: SpectralMeasure) -> float:
     """Constant ``C = sum_i mass_i |t_i| / (1 - t_i)^2`` controlling the
-    approach of ``var(S_n)/n`` to its limit: the gap is at most ``4C/n``."""
-    t = measure.locations
+    approach of ``var(S_n)/n`` to its limit: the gap is at most ``4C/n``.
+    Atoms at the pole and overflow are treated as in :func:`spectral_integral`."""
     if not measure.is_real:
         raise NotReversible("variance tail constant requires a real-supported measure")
-    near_one = np.abs(1.0 - t) <= LOCATION_SINGULARITY_TOL
-    if np.any(near_one & (measure.masses > MASS_SINGULARITY_TOL)):
-        raise DivergentIntegral("variance tail constant diverges with mass at 1")
-    keep = ~near_one
-    tt = t[keep]
-    return float(np.sum(measure.masses[keep] * np.abs(tt) / (1.0 - tt) ** 2))
+    return _pole_sum(measure, "the variance tail constant",
+                     lambda t, m: m * np.abs(t) / (1.0 - t) ** 2)

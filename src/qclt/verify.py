@@ -86,6 +86,7 @@ def sign_observable(chain: FiniteChain):
 # -- chaining ----------------------------------------------------------------
 
 CHAINING_MAX_D = 5
+_SIGN_BLOCK_ROWS = 1024
 
 
 def random_dyadic_family(rng: np.random.Generator, d: int, paths: int,
@@ -112,7 +113,12 @@ def random_dyadic_family(rng: np.random.Generator, d: int, paths: int,
         z *= scale
         return DyadicFamily.from_recursion(z, 1.0)
     if shape == 1:       # +-1 martingale random walk: the draws of choice([-1, 1])
-        np.multiply(rng.integers(0, 2, size=z.shape), 2.0, out=z)
+        # the int64 draws go in row blocks, so none is table-sized; numpy keeps
+        # the spare half of a 64-bit output in the bit generator, so blocks
+        # give the values and the generator state of one whole-table call
+        for lo in range(0, paths, _SIGN_BLOCK_ROWS):
+            block = z[lo:lo + _SIGN_BLOCK_ROWS]
+            np.multiply(rng.integers(0, 2, size=block.shape), 2.0, out=block)
         z -= 1.0
         return DyadicFamily.from_recursion(z, 1.0)
     if shape == 2:       # AR(1) with random coefficient
@@ -289,7 +295,7 @@ def check_group_identities() -> CheckResult:
                        f"eig gap={gap_eigs:.3e} SR gap={gap_sr:.3e}")
 
 
-_TORUS_CHUNK = 1 << 16
+_TORUS_CHUNK = 1 << 14
 
 
 def torus_identity_gap(n_limit: int) -> float:

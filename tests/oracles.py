@@ -23,6 +23,8 @@ The tests check the library against these slower, simpler forms:
   ``cumsum``, and the chaining check that transposed them and took each
   scale's moment with ``einsum``, before the reused workspace and the
   one-pass ``dyadic_moments`` kernel;
+* the +-1 increments drawn as one whole-table int64 array, before the
+  draws went into the workspace in row blocks;
 * the ``variance_growth`` loop that formed ``pi * f * Q^k f`` per step;
 * the writers that pretty-printed a chain document with ``indent=2`` and
   wrote a simulation dump one row at a time.
@@ -452,6 +454,15 @@ def random_dyadic_table(rng, d: int, paths: int) -> np.ndarray:
         inc = rng.exponential(1.0, size=(paths, count)) - rng.uniform(0.0, 2.0)
         t = np.cumsum(inc, axis=1)
     return t
+
+
+def sign_increments_whole(rng, paths: int, count: int) -> np.ndarray:
+    """The +-1 increments of a chaining family drawn in one call: a
+    ``(paths, count)`` int64 table of ``integers(0, 2)``, mapped to ``2 i - 1``."""
+    z = np.empty((paths, count))
+    np.multiply(rng.integers(0, 2, size=z.shape), 2.0, out=z)
+    z -= 1.0
+    return z
 
 
 def dyadic_table(family) -> np.ndarray:

@@ -278,7 +278,7 @@ def test_simulate_huge_observable_variance_is_finite(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("argv", [["simulate", "--start", "0", "--paths", "200", "--n", "8"],
-                                  ["approx", "--n", "1,2"]])
+                                  ["approx", "--n", "1,2"], ["analyze"]])
 def test_non_finite_sigma_sq_exits_2(capsys, tmp_path, argv):
     code, out, err = run(capsys, argv[0], _two_state_file(tmp_path, 1e154), *argv[1:])
     _assert_clean_exit_2(code, out, err)

@@ -297,7 +297,7 @@ class _InlinePool:
 @pytest.mark.parametrize("cpus, pool", [(2, 2), (None, 1), (64, 5)])
 def test_pool_is_capped_at_cpu_count_and_chunks_are_not(monkeypatch, cpus, pool):
     monkeypatch.setattr(_InlinePool, "sizes", [])
-    monkeypatch.setattr(kernels, "ThreadPoolExecutor", _InlinePool)
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", _InlinePool)
     monkeypatch.setattr(kernels.os, "cpu_count", lambda: cpus)
     spans = []
     kernels._run(lambda i0, i1: spans.append((i0, i1)), 23, 5, lambda i0, i1: (i0, i1))

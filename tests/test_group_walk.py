@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -295,3 +296,14 @@ def test_torus_identity_gap_chunked_equals_one_shot():
     one_shot = np.max(np.abs((1.0 - np.cos(2.0 * np.pi * dist))
                              - 2.0 * np.sin(np.pi * dist) ** 2))
     assert torus_identity_gap(n_limit) == one_shot
+
+
+def test_torus_identity_gap_memory_does_not_grow_with_the_limit():
+    torus_identity_gap(10)
+    tracemalloc.start()
+    try:
+        torus_identity_gap(10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

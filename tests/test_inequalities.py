@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qclt import verify
 from qclt.chain import center_observable
 from qclt.errors import (
     BadLength,
@@ -172,6 +174,57 @@ def test_random_dyadic_family_bit_identical_to_reference():
     assert shapes == {0, 1, 2, 3, 4}
 
 
+def _seed_per_shape():
+    # the first seed whose family takes each shape: the shape is the first draw
+    seeds = {}
+    for seed in range(100):
+        seeds.setdefault(int(np.random.default_rng(seed).integers(0, 5)), seed)
+    assert sorted(seeds) == [0, 1, 2, 3, 4]
+    return seeds
+
+
+@pytest.mark.parametrize("block", [7, 1024])
+@pytest.mark.parametrize("paths", [1, 999, 1025, 10 ** 4])
+def test_row_block_draws_match_the_whole_table_draws(monkeypatch, paths, block):
+    # 7-row blocks hold an odd number of draws at every d, so the generator
+    # carries a spare 32-bit half from one block into the next
+    monkeypatch.setattr(verify, "_SIGN_BLOCK_ROWS", block)
+    workspace = np.full(paths * (2 ** 5 + 1), np.nan)
+    for shape, seed in sorted(_seed_per_shape().items()):
+        for d in range(1, 6):
+            ref_rng = np.random.default_rng(seed)
+            ref = oracles.random_dyadic_table(ref_rng, d, paths)
+            rng = np.random.default_rng(seed)
+            fam = random_dyadic_family(rng, d, paths, out=workspace)
+            assert np.array_equal(oracles.dyadic_table(fam), ref)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            if shape == 1:
+                ref_rng = np.random.default_rng(seed)
+                ref_rng.integers(0, 5)
+                want = oracles.sign_increments_whole(ref_rng, paths, 2 ** d + 1)
+                assert np.array_equal(fam.table, want)
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_drawing_a_family_allocates_no_table_sized_temporary():
+    # a d = 5 family of 10^4 paths is a 2.6 MB table; the workspace holds it
+    paths, d = 10 ** 4, 5
+    workspace = np.empty(paths * (2 ** d + 1))
+    for shape, seed in sorted(_seed_per_shape().items()):
+        rng = np.random.default_rng(seed)
+        tracemalloc.start()
+        try:
+            fam = random_dyadic_family(rng, d, paths, out=workspace)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            DyadicFamily(d=d, table=fam.table, ar=fam.ar)
+            check_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (shape, peak)
+        assert check_peak < 1 << 16, (shape, check_peak)    # no mask of the table
+
+
 def test_chaining_randomized_matches_the_einsum_oracle():
     # a reduced size of verify's seed-2024 check: every family's (lhs, rhs,
     # slack, ok) and the generator state after the loop, bit for bit
@@ -221,9 +274,11 @@ def test_from_samples_rejects_bad_shapes():
 
 
 def test_constructor_validates_as_the_factories_do():
-    nan_row = np.array([[0.0, 1.0, np.nan]])
-    with pytest.raises(NonFiniteValue):
-        DyadicFamily(d=1, table=nan_row)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NonFiniteValue):
+            DyadicFamily(d=1, table=np.array([[0.0, 1.0, bad]]))
+    for big in (1e308, -1e308):
+        DyadicFamily(d=1, table=np.array([[0.0, big, -big]]))
     with pytest.raises(NonFiniteValue):
         DyadicFamily(d=1, table=np.zeros((2, 3)), ar=float("nan"))
     with pytest.raises(BadLength):

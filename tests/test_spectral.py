@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from qclt.errors import (
     BadIndexOrder,
     DivergentIntegral,
     JacobiNoConvergence,
+    NonFiniteValue,
     NotReversible,
 )
 from qclt.group_walk import build_group_walk
@@ -237,6 +239,27 @@ def test_integral_divergence_and_roundoff_mass():
     # roundoff-sized mass at the pole must not fail the condition
     m = atoms((1.0, 1e-12), (0.5, 1.0))
     assert spectral_integral(m, "SR") == pytest.approx(2.0, abs=1e-12)
+
+
+def test_overflowing_sum_raises_without_a_warning():
+    m = atoms((0.5, 1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for weight in ("SR", "sigma_sq"):
+            with pytest.raises(NonFiniteValue, match="is not finite"):
+                spectral_integral(m, weight)
+        with pytest.raises(NonFiniteValue, match="is not finite"):
+            variance_tail_constant(m)
+        assert spectral_integral(m, "SR2") == 0.0
+
+
+def test_tail_constant_shares_the_pole_rule():
+    with pytest.raises(DivergentIntegral):
+        variance_tail_constant(atoms((1.0, 0.5), (0.5, 1.0)))
+    # the roundoff-sized atom at the pole is dropped; the rest sums as before
+    t, mass = np.array([0.5, -0.25, 0.9]), np.array([1.0, 0.3, 0.7])
+    m = atoms((1.0, 1e-12), *zip(t, mass))
+    assert variance_tail_constant(m) == float(np.sum(mass * np.abs(t) / (1.0 - t) ** 2))
 
 
 def test_integral_unknown_weight():

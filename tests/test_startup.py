@@ -56,6 +56,7 @@ def test_cli_import_loads_no_command_module():
     loaded = loaded_by("qclt.cli")
     assert "qclt.kernels" in loaded
     assert not loaded & {f"qclt.{name}" for name in COMMAND_MODULES}
+    assert "concurrent.futures" not in loaded
 
 
 def test_group_walk_import_loads_neither_simulate_nor_martingale():
