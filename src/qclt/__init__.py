@@ -20,7 +20,7 @@ _EXPORTS = {
               "load_document", "make_chain"),
     "martingale": ("MartingaleScheme", "poisson_solve", "projection_series",
                    "quenched_diagnostics", "tail_sup_deviation", "truncated_scheme"),
-    "simulate": ("SimulationReport", "ks_distance", "sample_path", "simulate_quenched"),
+    "simulate": ("SimulationReport", "ks_distance", "simulate_quenched"),
     "spectral": ("SpectralMeasure", "spectral_integral", "spectral_measure",
                  "variance_growth"),
 }

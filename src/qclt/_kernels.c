@@ -13,10 +13,10 @@
  * entries never decrease, so the count is the first j < S - 1 with
  * u < row[j], or S - 1 if there is none; u < 1.0 always, so that is the
  * first j with u < row[j] over the whole row, and the pinned 1.0 column
- * is never read.  The fallback's binary lifting,
- * simulate.sample_path's searchsorted and the per-path bisection this
- * replaced all pick that same state, and every path adds its terms in
- * step order, so the lanes change no bit of the output.
+ * is never read.  The fallback's binary lifting, and the searchsorted
+ * replay and per-path bisection that the tests keep as references, all
+ * pick that same state, and every path adds its terms in step order, so
+ * the lanes change no bit of the output.
  *
  * dyadic_moments: one pass over a row-major (rows, 2^d + 1) table of a
  * dyadic family.  Per row it builds T, as given or by T_0 = z_0,

@@ -13,7 +13,7 @@ compare: the same fixed-depth search as the C lanes, so both pick the unique
 first ``j`` with ``u < row[j]``.
 :func:`dyadic_moments` reduces a dyadic family's table to per-row maxima
 and per-scale squared-increment sums, adding each row's increments in
-increasing order as the C loop does.
+increasing order as the C loop does, one block of rows at a time.
 """
 
 from __future__ import annotations
@@ -26,6 +26,11 @@ import numpy as np
 from .rng import GOLDEN, TWO_NEG53, mix64_into
 
 BACKEND_NAME = "python"
+# dyadic_moments takes max(ROW_BLOCK, BLOCK_ITEMS // width) rows per pass:
+# enough rows to amortise each pass's loops, and copies of at most
+# max(ROW_BLOCK * width, BLOCK_ITEMS) values
+ROW_BLOCK = 1024
+BLOCK_ITEMS = 1 << 15
 
 _G = np.uint64(GOLDEN)
 _S11 = np.uint64(11)
@@ -178,17 +183,23 @@ def dyadic_moments(table, ar, out_sup, out_acc) -> None:
         raise ValueError(f"out_sup: need {rows} items, got {out_sup.size}")
     if out_acc.size != (d + 1) * rows:
         raise ValueError(f"out_acc: need {(d + 1) * rows} items, got {out_acc.size}")
-    cols = np.array(table.T, order="C")           # a copy; cols[k] is T_k (z_k) of every row
-    if ar is not None:
-        for k in range(1, width):
-            cols[k] += ar * cols[k - 1]
-    # rounded subtraction is monotone, so this is max_k |T_k - T_0| exactly
-    np.maximum(np.max(cols[1:], axis=0) - cols[0], cols[0] - np.min(cols[1:], axis=0),
-               out=out_sup.reshape(rows))
-    acc = out_acc.reshape(d + 1, rows)
-    for r in range(d + 1):
-        step = 2 ** r
-        inc = cols[step::step] - cols[:-step:step]
-        acc[r] = inc[0] * inc[0]
-        for row in inc[1:]:
-            acc[r] += row * row
+    sup, acc = out_sup.reshape(rows), out_acc.reshape(d + 1, rows)
+    # every operation is per row, so a block's rows get the values that a
+    # whole-table pass gives them
+    per_block = max(ROW_BLOCK, BLOCK_ITEMS // width)
+    for i0 in range(0, rows, per_block):
+        block = slice(i0, i0 + per_block)
+        cols = np.array(table[block].T, order="C")    # a copy; cols[k] is T_k (z_k) of every row
+        if ar is not None:
+            for k in range(1, width):
+                cols[k] += ar * cols[k - 1]
+        # rounded subtraction is monotone, so this is max_k |T_k - T_0| exactly
+        np.maximum(np.max(cols[1:], axis=0) - cols[0], cols[0] - np.min(cols[1:], axis=0),
+                   out=sup[block])
+        for r in range(d + 1):
+            step = 2 ** r
+            inc = cols[step::step] - cols[:-step:step]
+            acc_r = acc[r, block]
+            acc_r[:] = inc[0] * inc[0]
+            for row in inc[1:]:
+                acc_r += row * row

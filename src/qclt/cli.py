@@ -127,12 +127,9 @@ def _cmd_approx(args) -> int:
                      ("tol", args.tol)])
     print("[diagnostics]")
     print("n,x,cond_mean,residual_msq,residual_over_n,asdl_sup")
-    for n in horizons:
-        for x in starts:
-            d = quenched_diagnostics(chain, scheme, x, n)
-            print(",".join([str(n), chain.state_labels[x], _fmt(d.cond_mean),
-                            _fmt(d.residual_msq), _fmt(d.residual_over_n),
-                            _fmt(d.asdl_sup)]))
+    for d in quenched_diagnostics(chain, scheme, starts, horizons):
+        print(",".join([str(d.n), chain.state_labels[d.start_state], _fmt(d.cond_mean),
+                        _fmt(d.residual_msq), _fmt(d.residual_over_n), _fmt(d.asdl_sup)]))
     return 0
 
 

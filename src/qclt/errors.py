@@ -53,7 +53,7 @@ class NotReversible(QcltError):
     """Operation requires a reversible chain."""
 
 
-class JacobiNoConvergence(QcltError):
+class SpectralDefect(QcltError):
     """An eigendecomposition failed or does not reproduce the spectral mass.
 
     Raised when LAPACK does not converge on a chain's symmetrized kernel,

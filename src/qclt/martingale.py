@@ -225,30 +225,42 @@ def tail_sup_deviation(chain: FiniteChain, scheme: MartingaleScheme, N: int) -> 
 
 
 def quenched_diagnostics(chain: FiniteChain, scheme: MartingaleScheme,
-                         x, n: int) -> ApproximationDiagnostics:
-    """Exact fixed-start residual and conditional-mean diagnostics.
+                         starts, horizons) -> list[ApproximationDiagnostics]:
+    """Exact fixed-start residual and conditional-mean diagnostics, one row
+    per (horizon, start): horizon by horizon in the order of ``horizons``,
+    repeats kept, and within each horizon in the order of ``starts``.
 
     ``E^x(S_n) = sum_{k<=n} (Q^k f)(x)`` and, via the telescoping identity,
     ``E^x (S_n - M_n)^2 = sum_y Q^n(x, y) ((Qg)(x) - (Qg)(y))^2``, which is
-    ``(Q^n j)(x)`` for ``j(y) = ((Qg)(x) - (Qg)(y))^2``.  Both come from
-    :func:`qclt.chain.kernel_powers`.
+    ``(Q^n j)(x)`` for ``j(y) = ((Qg)(x) - (Qg)(y))^2``.  One
+    :func:`qclt.chain.kernel_powers` table up to the largest horizon gives
+    the conditional means of every state at every horizon; each start then
+    takes one table of its own squared jumps.  Only the requested rows are
+    kept, so at most one table is alive at a time.
     """
-    if n < 1:
-        raise BadIndexOrder(f"need n >= 1, got n={n}")
-    xi = chain.index_of(x)
-    fv = scheme.g - scheme.qg  # equals f up to 1e-10 relative
-    cond_means = kernel_powers(chain, fv, n)[1:].sum(axis=0)   # Q V_n fv, added in sequence
-    jump = scheme.qg[xi] - scheme.qg
-    residual_msq = float(kernel_powers(chain, jump * jump, n)[-1][xi])
-    sqrt_n = float(np.sqrt(n))
-    return ApproximationDiagnostics(
-        start_state=xi,
-        n=n,
-        cond_mean=float(cond_means[xi]),
-        residual_msq=residual_msq,
-        residual_over_n=residual_msq / float(n),
-        asdl_sup=float(np.max(np.abs(cond_means))) / sqrt_n,
-    )
+    horizons = list(horizons)
+    if min(horizons, default=0) < 1:
+        raise BadIndexOrder(f"need horizons n >= 1, got {horizons}")
+    xis = [chain.index_of(x) for x in starts]
+    top = max(horizons)
+    # row n: 0 + Q fv + ... + Q^n fv, added in sequence from zero as a sum
+    # over the rows does; fv equals f up to 1e-10 relative
+    sums = kernel_powers(chain, scheme.g - scheme.qg, top)
+    sums[0] = 0.0
+    np.cumsum(sums, axis=0, out=sums)
+    cond_means = sums[horizons]     # a copy, so the table is freed before the next
+    del sums
+    asdl_sup = np.max(np.abs(cond_means), axis=1) / np.sqrt(horizons)
+    residual = np.empty_like(cond_means)
+    for xi in set(xis):
+        jump = scheme.qg[xi] - scheme.qg
+        residual[:, xi] = kernel_powers(chain, jump * jump, top)[horizons, xi]
+    return [ApproximationDiagnostics(
+                start_state=xi, n=n, cond_mean=float(cond_means[i, xi]),
+                residual_msq=float(residual[i, xi]),
+                residual_over_n=float(residual[i, xi]) / float(n),
+                asdl_sup=float(asdl_sup[i]))
+            for i, n in enumerate(horizons) for xi in xis]
 
 
 def projection_series(chain: FiniteChain, f: Observable, K: int) -> SeriesReport:

@@ -26,13 +26,9 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def stream_key(seed: int, path_index: int) -> int:
-    """Well-mixed 64-bit starting counter for one path's stream."""
-    return mix64(mix64((seed + GOLDEN) & MASK64) ^ mix64(((path_index + 1) * GOLDEN) & MASK64))
-
-
 def stream_keys(seed: int, num_paths: int) -> np.ndarray:
-    """Vectorized :func:`stream_key` for path indices ``0..num_paths-1``."""
+    """Starting counters of the streams for path indices ``0..num_paths-1``:
+    ``mix64(mix64(seed + GOLDEN) ^ mix64((path_index + 1) * GOLDEN))``."""
     idx = np.arange(num_paths, dtype=np.uint64)
     seed_mix = np.uint64(mix64(seed + GOLDEN))
     keys = (idx + np.uint64(1)) * np.uint64(GOLDEN)
@@ -54,15 +50,3 @@ def mix64_into(z: np.ndarray, scratch: np.ndarray) -> None:
     np.right_shift(z, np.uint64(31), out=scratch)
     z ^= scratch
 
-
-class PathStream:
-    """Scalar view of one path's stream; replays exactly what the kernels draw."""
-
-    def __init__(self, seed: int, path_index: int):
-        self.key = stream_key(seed, path_index)
-        self.counter = 0
-
-    def uniform(self) -> float:
-        self.counter += 1
-        z = mix64((self.key + self.counter * GOLDEN) & MASK64)
-        return (z >> 11) * TWO_NEG53

@@ -19,7 +19,6 @@ import numpy as np
 from . import kernels
 from .chain import FiniteChain, open_output
 from .errors import BadIndexOrder, DegenerateSigma, EmptySample, NonFiniteValue
-from .rng import PathStream
 
 if TYPE_CHECKING:
     from .martingale import MartingaleScheme
@@ -106,25 +105,6 @@ def cumulative_rows(chain: FiniteChain) -> np.ndarray:
     cum = np.cumsum(chain.kernel, axis=1)
     cum[:, -1] = 1.0
     return np.ascontiguousarray(cum)
-
-
-def sample_path(chain: FiniteChain, x, n: int, stream: PathStream) -> np.ndarray:
-    """One path ``xi_0 = x, xi_1, ..., xi_n`` by inverse-CDF lookup.
-
-    Replays exactly the transitions the batch kernels draw for the stream's
-    ``(seed, path_index)``.
-    """
-    if n < 1:
-        raise BadIndexOrder(f"need n >= 1, got n={n}")
-    cum = cumulative_rows(chain)
-    state = chain.index_of(x)
-    out = np.empty(n + 1, dtype=np.int64)
-    out[0] = state
-    for k in range(1, n + 1):
-        u = stream.uniform()
-        state = int(np.searchsorted(cum[state], u, side="right"))
-        out[k] = state
-    return out
 
 
 def simulate_quenched(chain: FiniteChain, scheme: MartingaleScheme, x,

@@ -23,9 +23,9 @@ from .chain import FiniteChain, Observable, kernel_powers
 from .errors import (
     BadIndexOrder,
     DivergentIntegral,
-    JacobiNoConvergence,
     NonFiniteValue,
     NotReversible,
+    SpectralDefect,
 )
 
 ATOM_MERGE_TOL = 1e-10
@@ -71,7 +71,7 @@ def chain_spectrum(chain: FiniteChain):
     ------
     NotReversible
         If the chain is not reversible.
-    JacobiNoConvergence
+    SpectralDefect
         If LAPACK fails to converge.
     """
     cached = chain.__dict__.get("_spectrum")
@@ -85,7 +85,7 @@ def chain_spectrum(chain: FiniteChain):
     try:
         eigvals, eigvecs = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
-        raise JacobiNoConvergence(f"LAPACK eigh failed: {exc}") from exc
+        raise SpectralDefect(f"LAPACK eigh failed: {exc}") from exc
     eigvals.flags.writeable = False
     eigvecs.flags.writeable = False
     # the chain is a frozen dataclass with read-only arrays, so the cache
@@ -140,7 +140,7 @@ def spectral_measure(chain: FiniteChain, f: Observable) -> SpectralMeasure:
     norm_sq = f.norm_sq
     # written so that a NaN anywhere fails the check instead of skipping it
     if norm_sq != 0.0 and not abs(total - norm_sq) <= TOTAL_MASS_RTOL * max(total, norm_sq):
-        raise JacobiNoConvergence(
+        raise SpectralDefect(
             f"spectral mass {total!r} does not reproduce <f,f> = {norm_sq!r}"
         )
     if chain.flags.irreducible and len(masses):

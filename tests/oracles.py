@@ -25,6 +25,11 @@ The tests check the library against these slower, simpler forms:
   one-pass ``dyadic_moments`` kernel;
 * the +-1 increments drawn as one whole-table int64 array, before the
   draws went into the workspace in row blocks;
+* the fixed-start diagnostics computed one (start, horizon) cell at a
+  time, each with its own power tables, before the one-pass table of
+  :func:`qclt.martingale.quenched_diagnostics`;
+* the scalar stream and the per-step path replay by ``searchsorted`` that
+  the batch path kernels are checked against;
 * the ``variance_growth`` loop that formed ``pi * f * Q^k f`` per step;
 * the writers that pretty-printed a chain document with ``indent=2`` and
   wrote a simulation dump one row at a time.
@@ -36,9 +41,11 @@ import math
 
 import numpy as np
 
-from qclt.chain import ChainFlags, make_chain
-from qclt.errors import BadIndexOrder, JacobiNoConvergence, NotReversible
+from qclt.chain import ChainFlags, kernel_powers, make_chain
+from qclt.errors import BadIndexOrder, NotReversible, SpectralDefect
+from qclt.martingale import ApproximationDiagnostics
 from qclt.rng import GOLDEN, MASK64, MIX_A, MIX_B, TWO_NEG53, mix64
+from qclt.simulate import cumulative_rows
 from qclt.spectral import _power_block_sum
 
 JACOBI_REL_TOL = 1e-13
@@ -59,7 +66,7 @@ def jacobi_eigh(sym: np.ndarray, rel_tol: float = JACOBI_REL_TOL,
     Sweeps rotate every upper-triangle pair in turn until the off-diagonal
     Frobenius norm falls below ``rel_tol`` times the Frobenius norm of the
     input.  Returns ``(eigenvalues, eigenvectors)`` with orthonormal
-    eigenvector columns; raises :class:`JacobiNoConvergence` if the sweep
+    eigenvector columns; raises :class:`SpectralDefect` if the sweep
     limit is reached first.
     """
     a = np.array(sym, dtype=np.float64)
@@ -97,7 +104,7 @@ def jacobi_eigh(sym: np.ndarray, rel_tol: float = JACOBI_REL_TOL,
                 v[:, q] = s * vp + c * vq
     if _off_diag_norm(a) <= rel_tol * scale:
         return np.diag(a).copy(), v
-    raise JacobiNoConvergence(
+    raise SpectralDefect(
         f"off-diagonal norm {_off_diag_norm(a)!r} after {max_sweeps} sweeps"
     )
 
@@ -195,6 +202,28 @@ def quenched_residual_loop(chain, scheme, x: int, n: int) -> float:
         row = row @ chain.kernel
     jump = scheme.qg[x] - scheme.qg
     return float(np.sum(row * jump * jump))
+
+
+def quenched_diagnostics_cell(chain, scheme, x, n: int) -> ApproximationDiagnostics:
+    """One row of the fixed-start table: the conditional means of every state
+    summed over a fresh ``kernel_powers`` table to ``n``, and a fresh table of
+    the squared jumps from ``x``."""
+    if n < 1:
+        raise BadIndexOrder(f"need n >= 1, got n={n}")
+    xi = chain.index_of(x)
+    fv = scheme.g - scheme.qg
+    cond_means = kernel_powers(chain, fv, n)[1:].sum(axis=0)
+    jump = scheme.qg[xi] - scheme.qg
+    residual_msq = float(kernel_powers(chain, jump * jump, n)[-1][xi])
+    sqrt_n = float(np.sqrt(n))
+    return ApproximationDiagnostics(
+        start_state=xi,
+        n=n,
+        cond_mean=float(cond_means[xi]),
+        residual_msq=residual_msq,
+        residual_over_n=residual_msq / float(n),
+        asdl_sup=float(np.max(np.abs(cond_means))) / sqrt_n,
+    )
 
 
 def kernel_dyadic_sequence_loop(chain, f, M: int) -> np.ndarray:
@@ -353,6 +382,43 @@ def walk_fourier_loop(moduli, pooled, fvalues):
 
 
 # -- path kernels ---------------------------------------------------------------------
+
+def stream_key(seed: int, path_index: int) -> int:
+    """Well-mixed 64-bit starting counter for one path's stream."""
+    return mix64(mix64((seed + GOLDEN) & MASK64) ^ mix64(((path_index + 1) * GOLDEN) & MASK64))
+
+
+class PathStream:
+    """Scalar view of one path's stream; replays exactly what the kernels draw."""
+
+    def __init__(self, seed: int, path_index: int):
+        self.key = stream_key(seed, path_index)
+        self.counter = 0
+
+    def uniform(self) -> float:
+        self.counter += 1
+        z = mix64((self.key + self.counter * GOLDEN) & MASK64)
+        return (z >> 11) * TWO_NEG53
+
+
+def sample_path(chain, x, n: int, stream: PathStream) -> np.ndarray:
+    """One path ``xi_0 = x, xi_1, ..., xi_n`` by inverse-CDF lookup.
+
+    Replays exactly the transitions the batch kernels draw for the stream's
+    ``(seed, path_index)``.
+    """
+    if n < 1:
+        raise BadIndexOrder(f"need n >= 1, got n={n}")
+    cum = cumulative_rows(chain)
+    state = chain.index_of(x)
+    out = np.empty(n + 1, dtype=np.int64)
+    out[0] = state
+    for k in range(1, n + 1):
+        u = stream.uniform()
+        state = int(np.searchsorted(cum[state], u, side="right"))
+        out[k] = state
+    return out
+
 
 def _uniforms(counters: np.ndarray) -> np.ndarray:
     # advance every stream one draw, in place, and return the uniforms, with

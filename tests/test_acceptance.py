@@ -129,7 +129,7 @@ def test_c05_telescoping_residual():
             rep = simulate_quenched(chain, scheme, 0, 256, 1000, seed=42)
             assert rep.residual_max <= 1e-9
         scheme = poisson_solve(two, sign_of(two))
-        diag = quenched_diagnostics(two, scheme, 0, 3)
+        diag = quenched_diagnostics(two, scheme, [0], [3])[0]
         assert abs(diag.residual_msq - 1.75) <= 1e-12
 
 

@@ -70,6 +70,17 @@ def test_approx_table(capsys, chain_file):
     assert rows[0].startswith("1,0,0.5,")
 
 
+def test_approx_rows_follow_the_given_horizons(capsys, chain_file):
+    # unsorted and repeated horizons print as given, every start within each
+    code, out, _ = run(capsys, "approx", chain_file, "--observable", "f", "--n", "4,1,4")
+    assert code == 0
+    lines = out.splitlines()
+    rows = lines[lines.index("[diagnostics]") + 2:]
+    assert [row.split(",")[:2] for row in rows] == [
+        ["4", "0"], ["4", "1"], ["1", "0"], ["1", "1"], ["4", "0"], ["4", "1"]]
+    assert rows[4:] == rows[:2]
+
+
 def test_simulate_reruns_byte_identical(capsys, chain_file):
     args = ("simulate", chain_file, "--observable", "f", "--start", "0",
             "--n", "128", "--paths", "500", "--seed", "7", "--threads", "1")

@@ -47,16 +47,29 @@ def _row_loop(table, ar):
     return sup, acc
 
 
-@pytest.mark.parametrize("ar", RECURSIONS)
-@pytest.mark.parametrize("rows", [0, 1, 257])
-@pytest.mark.parametrize("d", range(7))
-def test_backends_bitwise_identical(backends, d, rows, ar):
+def _assert_backends_agree(backends, d, rows, ar):
     rng = np.random.default_rng([d, rows])
     table = rng.standard_normal((rows, 2 ** d + 1)) * rng.uniform(0.1, 10.0)
     py_sup, py_acc = _run(backends["python"], table, ar)
     c_sup, c_acc = _run(backends["compiled"], table, ar)
     assert np.array_equal(py_sup, c_sup) and np.array_equal(py_acc, c_acc)
     assert py_sup.shape == (rows,) and py_acc.shape == (d + 1, rows)
+
+
+@pytest.mark.parametrize("ar", RECURSIONS)
+@pytest.mark.parametrize("rows", [0, 1, 257])
+@pytest.mark.parametrize("d", range(7))
+def test_backends_bitwise_identical(backends, d, rows, ar):
+    _assert_backends_agree(backends, d, rows, ar)
+
+
+@pytest.mark.parametrize("ar", RECURSIONS)
+@pytest.mark.parametrize("d", range(7))
+def test_backends_bitwise_identical_across_row_blocks(backends, d, ar):
+    # the fallback walks the table in blocks of this many rows
+    block = max(_kernels_py.ROW_BLOCK, _kernels_py.BLOCK_ITEMS // (2 ** d + 1))
+    for rows in (block - 1, block, block + 1, 2 * block + 7):
+        _assert_backends_agree(backends, d, rows, ar)
 
 
 @pytest.mark.parametrize("ar", RECURSIONS)

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qclt import verify
+from qclt import _kernels_py, verify
 from qclt.chain import center_observable
 from qclt.errors import (
     BadLength,
@@ -223,6 +223,21 @@ def test_drawing_a_family_allocates_no_table_sized_temporary():
             tracemalloc.stop()
         assert peak < 1 << 20, (shape, peak)
         assert check_peak < 1 << 16, (shape, check_peak)    # no mask of the table
+
+
+@pytest.mark.parametrize("ar", [None, 0.3])
+def test_fallback_chaining_moments_allocate_no_table_sized_temporary(ar):
+    # the numpy dyadic_moments walks this 2.6 MB table in row blocks
+    paths, d = 10 ** 4, 5
+    table = np.random.default_rng(4).standard_normal((paths, 2 ** d + 1))
+    out_sup, out_acc = np.empty(paths), np.empty((d + 1) * paths)
+    tracemalloc.start()
+    try:
+        _kernels_py.dyadic_moments(table, ar, out_sup, out_acc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_chaining_randomized_matches_the_einsum_oracle():

@@ -1,6 +1,8 @@
 """The partial-sum routines built on ``kernel_powers`` against the explicit
 ``q @ v`` loops they replaced (kept in ``tests/oracles.py``)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from tests.oracles import (
     kernel_dyadic_sequence_loop,
     kernel_gap_msq_table_loop,
     projection_series_loop,
+    quenched_diagnostics_cell,
     quenched_residual_loop,
     truncated_scheme_loop,
 )
@@ -145,7 +148,7 @@ def test_quenched_cond_mean_matches_loop(size):
                 qkf = chain.kernel @ qkf
                 cond_means += qkf
             for x in range(size):
-                d = quenched_diagnostics(chain, scheme, x, n)
+                d = quenched_diagnostics(chain, scheme, [x], [n])[0]
                 assert np.array_equal(d.cond_mean, cond_means[x])
                 assert np.array_equal(d.asdl_sup,
                                       float(np.max(np.abs(cond_means))) / float(np.sqrt(n)))
@@ -158,5 +161,38 @@ def test_quenched_residual_matches_row_loop(size):
         scheme = poisson_solve(chain, f)
         for n in (1, 3, 16, 257):
             for x in range(size):
-                d = quenched_diagnostics(chain, scheme, x, n)
+                d = quenched_diagnostics(chain, scheme, [x], [n])[0]
                 assert_close(d.residual_msq, quenched_residual_loop(chain, scheme, x, n))
+
+
+def _bits(d):
+    return (d.start_state, d.n, *(float(v).hex() for v in
+                                  (d.cond_mean, d.residual_msq, d.residual_over_n, d.asdl_sup)))
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_quenched_table_matches_per_cell_oracle_bitwise(size):
+    # unsorted and repeated horizons, starts in reverse: rows come horizon by
+    # horizon as given, and every field is the per-cell value bit for bit
+    horizons = [16, 1, 257, 3, 16, 2]
+    starts = list(reversed(range(size)))
+    for chain, f in cases(size):
+        scheme = poisson_solve(chain, f)
+        table = quenched_diagnostics(chain, scheme, starts, horizons)
+        want = [quenched_diagnostics_cell(chain, scheme, x, n) for n in horizons for x in starts]
+        assert [_bits(d) for d in table] == [_bits(d) for d in want]
+
+
+def test_quenched_table_holds_one_power_table_at_a_time():
+    size, top = 200, 1024
+    rng = np.random.default_rng(3)
+    chain = random_nonreversible(rng, size)
+    scheme = poisson_solve(chain, center_observable(chain, rng.normal(size=size)))
+    table_bytes = (top + 1) * size * 8
+    tracemalloc.start()
+    try:
+        quenched_diagnostics(chain, scheme, [0, 7, 199], [1, 64, top])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * table_bytes, (peak, table_bytes)

@@ -128,7 +128,7 @@ def test_tail_sup_deviation(two_state, iid, flip, sign):
 
 def test_quenched_diagnostics_fixture(two_state, sign):
     scheme = poisson_solve(two_state, sign)
-    d = quenched_diagnostics(two_state, scheme, 0, 3)
+    d = quenched_diagnostics(two_state, scheme, [0], [3])[0]
     assert d.cond_mean == pytest.approx(0.875, abs=1e-10)
     assert d.residual_msq == pytest.approx(1.75, abs=1e-12)
     assert d.residual_over_n == pytest.approx(1.75 / 3.0, abs=1e-12)
@@ -139,12 +139,18 @@ def test_quenched_diagnostics_iid_and_bound(two_state, iid, sign):
     f = center_observable(iid, [1.0, -1.0])
     s = poisson_solve(iid, f)
     for x in (0, 1):
-        assert quenched_diagnostics(iid, s, x, 9).residual_msq == pytest.approx(0.0, abs=1e-15)
+        assert quenched_diagnostics(iid, s, [x], [9])[0].residual_msq == pytest.approx(0.0, abs=1e-15)
     scheme = poisson_solve(two_state, sign)
     bound = 4.0 * float(np.max(np.abs(scheme.qg))) ** 2
     for n in (64, 512, 4096):
-        d = quenched_diagnostics(two_state, scheme, 1, n)
+        d = quenched_diagnostics(two_state, scheme, [1], [n])[0]
         assert d.residual_over_n <= bound / n + 1e-12
+
+
+@pytest.mark.parametrize("horizons", [[], [4, 0]])
+def test_quenched_diagnostics_needs_horizons_of_at_least_one(two_state, sign, horizons):
+    with pytest.raises(BadIndexOrder):
+        quenched_diagnostics(two_state, poisson_solve(two_state, sign), [0], horizons)
 
 
 def test_projection_series_fixture(two_state, sign):

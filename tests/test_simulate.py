@@ -9,17 +9,16 @@ from qclt import kernels
 from qclt.chain import center_observable, make_chain
 from qclt.errors import DegenerateSigma, EmptySample
 from qclt.martingale import poisson_solve, quenched_diagnostics
-from qclt.rng import PathStream, stream_key, stream_keys
+from qclt.rng import stream_keys
 from qclt.simulate import (
     cumulative_rows,
     ks_distance,
-    sample_path,
     sample_report,
     simulate_quenched,
     _dump_samples,
     standard_normal_cdf,
 )
-from tests.oracles import dump_samples_loop
+from tests.oracles import PathStream, dump_samples_loop, sample_path, stream_key
 
 
 def test_stream_keys_match_scalar():
@@ -120,7 +119,7 @@ def test_simulate_residual_and_moments(two_state, sign):
     rep = simulate_quenched(two_state, scheme, 1, 512, 4000, seed=9)
     assert rep.residual_max <= 1e-9
     # E^x(S_n)/sqrt(n) within 4 standard errors of the empirical mean
-    diag = quenched_diagnostics(two_state, scheme, 1, 512)
+    diag = quenched_diagnostics(two_state, scheme, [1], [512])[0]
     se = np.sqrt(rep.sample_var / rep.num_paths)
     assert abs(rep.sample_mean - diag.cond_mean / np.sqrt(512)) <= 4 * se
 

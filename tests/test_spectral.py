@@ -13,9 +13,9 @@ from qclt.cli import main
 from qclt.errors import (
     BadIndexOrder,
     DivergentIntegral,
-    JacobiNoConvergence,
     NonFiniteValue,
     NotReversible,
+    SpectralDefect,
 )
 from qclt.group_walk import build_group_walk
 from qclt.martingale import kernel_gap_msq_table
@@ -145,7 +145,7 @@ def test_chain_spectrum_errors(two_state, monkeypatch):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigh", no_convergence)
-    with pytest.raises(JacobiNoConvergence):
+    with pytest.raises(SpectralDefect):
         chain_spectrum(two_state)
 
 

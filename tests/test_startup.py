@@ -77,7 +77,7 @@ def test_exports_resolve_in_fresh_interpreter():
                         "getattr(qclt, n).__module__], n) for n in qclt.__all__}]))")
     assert proc.returncode == 0, proc.stderr
     listed, defining = json.loads(proc.stdout)
-    assert len(qclt.__all__) == 24
+    assert len(qclt.__all__) == 23
     assert set(qclt.__all__) <= set(listed)
     assert set(defining) == set(qclt.__all__) and all(defining.values())
     assert qclt.chain.make_chain is qclt.make_chain
@@ -87,7 +87,7 @@ def test_exports_resolve_in_fresh_interpreter():
 def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         qclt.no_such_name
-    assert not hasattr(qclt, "jacobi_eigh")
+    assert not hasattr(qclt, "jacobi_eigh") and not hasattr(qclt, "sample_path")
     with pytest.raises(ImportError):
         from qclt import no_such_name  # noqa: F401
 
