@@ -16,8 +16,8 @@ import importlib
 # only what is used.
 _EXPORTS = {
     "chain": ("FiniteChain", "Observable", "adjoint_kernel", "as_observable",
-              "center_observable", "classify_chain", "inner_product", "load_chain",
-              "load_document", "make_chain"),
+              "center_observable", "classify_chain", "inner_product", "load_document",
+              "make_chain"),
     "martingale": ("MartingaleScheme", "poisson_solve", "projection_series",
                    "quenched_diagnostics", "tail_sup_deviation", "truncated_scheme"),
     "simulate": ("SimulationReport", "ks_distance", "simulate_quenched"),

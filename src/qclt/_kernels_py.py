@@ -23,6 +23,7 @@ import sys
 
 import numpy as np
 
+from .errors import BadLength
 from .rng import GOLDEN, TWO_NEG53, mix64_into
 
 BACKEND_NAME = "python"
@@ -147,10 +148,12 @@ def torus_paths(alpha, lazy, omegas, ccos, csin, x0, n_steps, keys,
     out_x[:] = x[j]
 
 
-def _dyadic_level(width: int) -> int:
+def dyadic_level(width: int) -> int:
+    """The ``d`` of a dyadic table ``2^d + 1`` columns wide, ``d >= 0``; any
+    other width raises :class:`qclt.errors.BadLength`."""
     span = width - 1
     if span < 1 or span & (span - 1):
-        raise ValueError(f"table: need 2^d + 1 columns, got {width}")
+        raise BadLength(f"a dyadic table needs 2^d + 1 columns, got {width}")
     return span.bit_length() - 1
 
 
@@ -178,7 +181,7 @@ def dyadic_moments(table, ar, out_sup, out_acc) -> None:
     if table.ndim != 2:
         raise ValueError(f"table: need 2 dimensions, got {table.ndim}")
     rows, width = table.shape
-    d = _dyadic_level(width)
+    d = dyadic_level(width)
     if out_sup.size != rows:
         raise ValueError(f"out_sup: need {rows} items, got {out_sup.size}")
     if out_acc.size != (d + 1) * rows:

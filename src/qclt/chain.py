@@ -15,6 +15,7 @@ The chain document format accepted by :func:`load_document` is JSON::
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,6 +31,7 @@ from .errors import (
     NonFiniteValue,
     NonStochasticRow,
     NotMeanZero,
+    QcltError,
     SingularStationary,
 )
 
@@ -300,17 +302,21 @@ def read_json(path):
         raise BadFile(f"{str(path)!r} is not valid JSON: {exc}") from None
 
 
-def open_output(path):
-    """Open ``path`` for writing text, raising :class:`BadFile` if it cannot be."""
+@contextlib.contextmanager
+def guarded_writes(name):
+    """Raise :class:`BadFile` for an :class:`OSError` in the ``with`` block,
+    which writes to, flushes or closes the output called ``name``."""
     try:
-        return open(path, "w")
+        yield
     except OSError as exc:
-        raise BadFile(f"cannot write {str(path)!r}: {exc.strerror or exc}") from None
+        raise BadFile(f"cannot write {str(name)!r}: {exc.strerror or exc}") from None
 
 
-def load_chain(source, tol: float = DEFAULT_CLASSIFY_TOL) -> FiniteChain:
-    """Load and validate the chain from a document; see :func:`load_document`."""
-    return load_document(source, tol=tol)[0]
+@contextlib.contextmanager
+def open_output(path):
+    """``path`` open for writing text in the ``with`` block, under :func:`guarded_writes`."""
+    with guarded_writes(path), open(path, "w") as fh:
+        yield fh
 
 
 def dump_document(chain: FiniteChain, observables=None) -> str:
@@ -347,11 +353,21 @@ def pair_law(chain: FiniteChain) -> np.ndarray:
     return chain.stationary[:, None] * chain.kernel
 
 
+def pair_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a(y) - b(x)`` at pair-space index ``[..., x, y]``: the difference
+    kernel of the vectors in the last axes of ``a`` and ``b``, one ``(S, S)``
+    kernel per leading index."""
+    return a[..., None, :] - b[..., :, None]
+
+
 def kernel_powers(chain: FiniteChain, v: np.ndarray, n: int) -> np.ndarray:
     """Rows ``Q^k v`` for ``k = 0..n``, stacked into shape ``(n + 1, S)``;
     row ``k`` is ``chain.kernel @ row[k - 1]``, written in place."""
     q = chain.kernel
-    rows = np.empty((n + 1, chain.n_states))
+    try:
+        rows = np.empty((n + 1, chain.n_states))
+    except (MemoryError, ValueError):     # ValueError: more items than numpy can index
+        raise QcltError(f"horizon {n}: no room for {n + 1} x {chain.n_states} values") from None
     rows[0] = v
     for k in range(1, n + 1):
         np.dot(q, rows[k - 1], out=rows[k])
@@ -377,12 +393,7 @@ def inner_product(chain: FiniteChain, u: Observable, v: Observable) -> float:
 def center_observable(chain: FiniteChain, raw) -> Observable:
     """Project a raw vector onto mean-zero functions by subtracting its
     stationary mean.  Idempotent."""
-    raw = np.asarray(raw, dtype=np.float64)
-    if raw.shape != (chain.n_states,):
-        raise DimensionMismatch(
-            f"raw vector has shape {raw.shape}, expected ({chain.n_states},)"
-        )
-    _require_finite(raw, "observable")
+    raw = _state_vector(chain, raw)
     pi = chain.stationary
     with np.errstate(over="ignore"):    # the moment below then overflows too
         vals = raw - float(pi @ raw)
@@ -392,17 +403,20 @@ def center_observable(chain: FiniteChain, raw) -> Observable:
 
 def as_observable(chain: FiniteChain, values) -> Observable:
     """Wrap an already mean-zero vector, validating membership in L2_0(pi)."""
-    vals = np.asarray(values, dtype=np.float64)
-    if vals.shape != (chain.n_states,):
-        raise DimensionMismatch(
-            f"vector has shape {vals.shape}, expected ({chain.n_states},)"
-        )
-    _require_finite(vals, "observable")
+    vals = _state_vector(chain, values)
     mean = float(chain.stationary @ vals)
     if abs(mean) > MEAN_ZERO_TOL:
         raise NotMeanZero(f"stationary mean {mean!r} exceeds 1e-12; center first")
     return Observable(values=_freeze(vals), norm_sq=_second_moment(chain.stationary, vals),
                       mean=mean)
+
+
+def _state_vector(chain: FiniteChain, values) -> np.ndarray:
+    vals = np.asarray(values, dtype=np.float64)
+    if vals.shape != (chain.n_states,):
+        raise DimensionMismatch(f"vector has shape {vals.shape}, expected ({chain.n_states},)")
+    _require_finite(vals, "observable")
+    return vals
 
 
 def _second_moment(pi: np.ndarray, vals: np.ndarray) -> float:

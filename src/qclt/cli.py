@@ -7,7 +7,7 @@ Subcommands: ``analyze`` (classification + spectral report), ``approx``
 
 Reports are structured text with stable key order; numeric fields carry 12
 significant digits.  Every run echoes its resolved configuration, seed
-included.  Exit codes: 0 success, 2 validation error, 3 suite failure.
+included.  Exit codes: 0 success, 2 invalid input or a failed write, 3 suite failure.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import gc
 import math
+import os
 import sys
 
 import numpy as np
@@ -25,6 +26,7 @@ from . import kernels
 from .chain import (
     center_observable,
     dump_document,
+    guarded_writes,
     load_document,
     open_output,
     read_json,
@@ -115,19 +117,17 @@ def _cmd_approx(args) -> int:
     from .martingale import poisson_solve, quenched_diagnostics
 
     chain, name, f = _load_observable(args)
-    horizons = _parse_int_list(args.n, "--n")
-    if not horizons or min(horizons) < 1:
-        raise QcltError(f"--n needs horizons >= 1, got {args.n!r}")
-    starts = ([chain.index_of(args.start)] if args.start is not None
-              else list(range(chain.n_states)))
-    scheme = poisson_solve(chain, f)
+    # the whole table is computed, and every horizon and start checked, before any output
+    starts = [args.start] if args.start is not None else range(chain.n_states)
+    rows = quenched_diagnostics(chain, poisson_solve(chain, f), starts,
+                                _parse_int_list(args.n, "--n"))
     _emit("config", [("command", "approx"), ("chain", args.chain),
                      ("observable", name), ("n", args.n),
                      ("start", "all" if args.start is None else str(args.start)),
                      ("tol", args.tol)])
     print("[diagnostics]")
     print("n,x,cond_mean,residual_msq,residual_over_n,asdl_sup")
-    for d in quenched_diagnostics(chain, scheme, starts, horizons):
+    for d in rows:
         print(",".join([str(d.n), chain.state_labels[d.start_state], _fmt(d.cond_mean),
                         _fmt(d.residual_msq), _fmt(d.residual_over_n), _fmt(d.asdl_sup)]))
     return 0
@@ -170,11 +170,7 @@ def _parse_step(text: str, moduli):
             prob = float(prob_text)
         except ValueError:
             raise QcltError(f"--step atom {part!r} is not element:probability") from None
-        if len(moduli) == 1 and len(comps) == 1:
-            key = comps[0]
-        else:
-            key = comps
-        atoms[key] = atoms.get(key, 0.0) + prob
+        atoms[comps] = atoms.get(comps, 0.0) + prob
     return atoms
 
 
@@ -353,7 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with guarded_writes("<stdout>"):    # a full device or a closed pipe
+            code = args.func(args)
+            sys.stdout.flush()
+        return code
     except QcltError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -364,10 +363,16 @@ def entry(argv=None) -> int:
 
     Objects frozen by :func:`gc.freeze` are skipped by the interpreter's
     final collection, so the process exits without walking the objects
-    that imports and the command made.  ``main`` itself changes no
-    process-wide state, so it stays safe to call in process.
+    that imports and the command made.  Output that stdout refused, which
+    ``main`` has reported, goes to the null device, so the interpreter's
+    last flush cannot fail again.  ``main`` itself changes no process-wide
+    state, so it stays safe to call in process.
     """
     code = main(argv)
+    try:
+        sys.stdout.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     gc.freeze()
     return code
 

@@ -159,8 +159,7 @@ def fourier_measure(walk: GroupWalk, f: Observable) -> SpectralMeasure:
     # clip roundoff excursions outside the closed disk
     mods = np.abs(locations)
     locations[mods > 1.0] /= mods[mods > 1.0]
-    return SpectralMeasure(locations=locations, masses=masses,
-                           total=float(np.sum(masses)))
+    return SpectralMeasure(locations=locations, masses=masses)
 
 
 @dataclass(frozen=True)
@@ -178,7 +177,6 @@ class ConditionReport:
     sr_sum: float
     g1_sum: float
     sn1_sum: float
-    symmetric: bool
     sr_spectral: float | None
 
 
@@ -198,8 +196,7 @@ def condition_sums(walk: GroupWalk, f: Observable) -> ConditionReport:
     if walk.symmetric:
         chain_measure = spectral_measure(walk.chain, f)
         sr_spectral = spectral_integral(chain_measure, "SR")
-    return ConditionReport(sr_sum=sr, g1_sum=g1, sn1_sum=sn1,
-                           symmetric=walk.symmetric, sr_spectral=sr_spectral)
+    return ConditionReport(sr_sum=sr, g1_sum=g1, sn1_sum=sn1, sr_spectral=sr_spectral)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .chain import FiniteChain, Observable, pair_law, partial_sums
+from ._kernels_py import dyadic_level
+from .chain import FiniteChain, Observable, pair_difference, pair_law, partial_sums
 from .errors import (
     BadIndexOrder,
     BadLength,
@@ -40,7 +41,8 @@ ENVELOPE_FLOOR = 1e-3
 class DyadicFamily:
     """Random variables ``T_0 .. T_{2^d}`` given by samples or a finite law.
 
-    ``table`` has one row per sample path or atom and ``2^d + 1`` columns.
+    ``table`` has one row per sample path or atom and ``2^d + 1`` columns,
+    which fix the level ``d``.
     ``probs`` holds the atom weights of an exact family and is None for a
     sampled one, whose paths weigh ``1/paths`` each.  With ``ar`` set the
     rows hold innovations ``z`` and ``T_0 = z_0``, ``T_k = z_k + ar T_{k-1}``
@@ -48,17 +50,19 @@ class DyadicFamily:
     checked.
     """
 
-    d: int
     table: np.ndarray
     probs: np.ndarray | None = None
     ar: float | None = None
+
+    @property
+    def d(self) -> int:
+        return dyadic_level(self.table.shape[1])
 
     def __post_init__(self):
         table = self.table
         if not isinstance(table, np.ndarray) or table.ndim != 2 or table.shape[0] == 0:
             raise BadLength("a dyadic family needs a 2-d table with at least one row")
-        if _level_for(table.shape[1]) != self.d:
-            raise BadLength(f"a table of {table.shape[1]} columns is not of level d={self.d}")
+        dyadic_level(table.shape[1])
         # the kernel's max/min and numpy's disagree on NaN, so none may reach
         # them; any NaN or infinity reaches the table's min or max, and
         # checking those two builds no table-sized mask
@@ -70,21 +74,18 @@ class DyadicFamily:
     @classmethod
     def from_samples(cls, samples) -> "DyadicFamily":
         """Sample paths, one per row of ``samples``."""
-        table = _as_table(samples)
-        return cls(d=_level_for(table.shape[1]), table=table)
+        return cls(table=np.ascontiguousarray(samples, dtype=np.float64))
 
     @classmethod
     def from_recursion(cls, innovations, ar: float) -> "DyadicFamily":
         """Sample paths ``T_0 = z_0``, ``T_k = z_k + ar T_{k-1}``, one per row
         ``z`` of ``innovations``."""
-        table = _as_table(innovations)
-        return cls(d=_level_for(table.shape[1]), table=table, ar=float(ar))
+        return cls(table=np.ascontiguousarray(innovations, dtype=np.float64), ar=float(ar))
 
     @classmethod
     def from_exact(cls, values, probs) -> "DyadicFamily":
-        values = _as_table(np.atleast_2d(values))
+        values = np.ascontiguousarray(np.atleast_2d(values), dtype=np.float64)
         probs = np.asarray(probs, dtype=np.float64)
-        d = _level_for(values.shape[1])
         if probs.shape != (values.shape[0],):
             raise BadLength("atom weights must be one per atom row")
         if not np.all(np.isfinite(probs)):
@@ -94,25 +95,11 @@ class DyadicFamily:
         total = probs.sum()
         if not total > 0:
             raise BadLength("atom weights must have a positive total")
-        return cls(d=d, table=values, probs=probs / total)
+        return cls(table=values, probs=probs / total)
 
     @classmethod
     def deterministic(cls, sequence) -> "DyadicFamily":
         return cls.from_exact(np.asarray(sequence, dtype=np.float64)[None, :], [1.0])
-
-
-def _as_table(rows) -> np.ndarray:
-    table = np.ascontiguousarray(rows, dtype=np.float64)
-    if table.ndim != 2:
-        raise BadLength(f"a dyadic family needs a 2-d table, got {table.ndim} dimensions")
-    return table
-
-
-def _level_for(count: int) -> int:
-    d = int(round(math.log2(count - 1))) if count > 1 else -1
-    if d < 0 or 2 ** d + 1 != count:
-        raise BadLength(f"a dyadic family needs 2^d + 1 entries, got {count}")
-    return d
 
 
 @dataclass(frozen=True)
@@ -197,7 +184,7 @@ def kernel_dyadic_sequence(chain: FiniteChain, f: Observable, M: int) -> ExactSe
     v, qv = partial_sums(chain, f.values, 2 ** (M + 1))
     ends = 2 ** np.arange(2, M + 2) - 1       # row n-1 of each sum is horizon n
     v, qv = v[ends], qv[ends]
-    vals = (v[:, None, :] - qv[:, :, None]).reshape(-1, chain.n_states ** 2)
+    vals = pair_difference(v, qv).reshape(-1, chain.n_states ** 2)
     pair_probs = pair_law(chain).reshape(-1)
     return ExactSequence(values=vals, probs=pair_probs)
 
@@ -213,24 +200,24 @@ class DominationReport:
     ok: bool
 
 
-def dyadic_domination_check(measure: SpectralMeasure, seq: ExactSequence,
-                            M: int | None = None) -> DominationReport:
+def dyadic_domination_check(measure: SpectralMeasure, seq: ExactSequence) -> DominationReport:
     """Verify domination of a sequence by a real spectral measure ``mu`` and
     the block weights ``g_n`` of :func:`builtin_block_weight`.
 
-    Checks, for every ``1 <= m < n <= M``, that ``E (W_n - W_m)^2`` is at
-    most ``int (g_{m+1} + ... + g_n)^2 dmu`` (raising :class:`CondViolated`
-    on the first failing pair), then evaluates the truncated weighted-series
-    integral, the dyadic block bounds, and the finite-scale maximal bound
+    Checks, for every ``1 <= m < n <= M = seq.m_max`` (at least 2), that
+    ``E (W_n - W_m)^2`` is at most ``int (g_{m+1} + ... + g_n)^2 dmu``
+    (raising :class:`CondViolated` on the first failing pair), then
+    evaluates the truncated weighted-series integral, the dyadic block
+    bounds, and the finite-scale maximal bound
     ``E max_{n<=M} W_n^2 <= 3 (E W_1^2 + increment bound + block bound)``.
     A complex measure raises :class:`NotReversible`: the weights live on
     ``[-1, 1]``.
     """
     if not measure.is_real:
         raise NotReversible("the block weights live on [-1, 1]")
-    M = seq.m_max if M is None else M
-    if M < 2 or M > seq.m_max:
-        raise BadIndexOrder(f"need 2 <= M <= {seq.m_max}, got {M}")
+    M = seq.m_max
+    if M < 2:
+        raise BadIndexOrder(f"need a sequence of at least 2 terms, got {M}")
     t, mass = measure.locations, measure.masses
     gs = np.array([builtin_block_weight(n, t) for n in range(1, M + 1)])
     g_cum = np.vstack([np.zeros_like(t), np.cumsum(gs, axis=0)])  # g_1+..+g_n rows

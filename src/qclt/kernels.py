@@ -102,6 +102,6 @@ def dyadic_moments(table, ar=None):
     """
     rows, width = table.shape
     out_sup = np.empty(rows)
-    out_acc = np.empty(((width - 1).bit_length(), rows))
+    out_acc = np.empty((_kernels_py.dyadic_level(width) + 1, rows))
     _impl.dyadic_moments(table, ar, out_sup, out_acc)
     return out_sup, out_acc

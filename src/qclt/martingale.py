@@ -3,9 +3,12 @@
 The Poisson equation ``(I - Q) g = f`` yields the martingale-difference
 kernel ``H(x, y) = g(y) - (Qg)(x)``; the martingale ``M_n`` built from it
 approximates ``S_n`` with the exact telescoping residual
-``S_n - M_n = (Qg)(xi_0) - (Qg)(xi_n)``.  On a finite state space every
-residual moment is a finite weighted sum, so the diagnostics below are exact
-(no simulation).
+``S_n - M_n = (Qg)(xi_0) - (Qg)(xi_n)``.  ``H`` is fixed by the two
+vectors ``g`` and ``Qg``, so a :class:`MartingaleScheme` stores only those
+and builds ``H`` when it is read, through :func:`qclt.chain.pair_difference`
+as every pair-space kernel here is.  On a finite state space every residual
+moment is a finite weighted sum, so the diagnostics below are exact (no
+simulation).
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from .chain import (
     FiniteChain,
     Observable,
     kernel_powers,
+    pair_difference,
     pair_law,
     partial_sums,
 )
@@ -46,9 +50,6 @@ class MartingaleScheme:
         Solution of ``(I - Q) g = f`` with stationary mean zero.
     qg : ndarray
         ``Q g``, the one-step conditional mean of ``g``.
-    diff_kernel : ndarray, shape (n, n)
-        ``H[x, y] = g(y) - (Qg)(x)``; conditionally centered in y under
-        every row of the kernel.
     sigma_sq : float
         ``sum_x pi(x) sum_y Q(x, y) H(x, y)^2``, the limit variance.
     rate : float
@@ -58,9 +59,14 @@ class MartingaleScheme:
 
     g: np.ndarray
     qg: np.ndarray
-    diff_kernel: np.ndarray
     sigma_sq: float
     rate: float
+
+    @property
+    def diff_kernel(self) -> np.ndarray:
+        """``H[x, y] = g(y) - (Qg)(x)``, built on each access; conditionally
+        centered in y under every row of the kernel."""
+        return pair_difference(self.g, self.qg)
 
 
 @dataclass(frozen=True)
@@ -71,8 +77,11 @@ class ApproximationDiagnostics:
     n: int
     cond_mean: float        # E^x(S_n)
     residual_msq: float     # E^x (S_n - M_n)^2
-    residual_over_n: float
     asdl_sup: float         # max over starts of |E^x(S_n)| / sqrt(n)
+
+    @property
+    def residual_over_n(self) -> float:
+        return self.residual_msq / self.n
 
 
 @dataclass(frozen=True)
@@ -111,10 +120,6 @@ def _mean_zero_eigenvalues(chain: FiniteChain) -> np.ndarray:
     return np.linalg.eigvals(deflated)
 
 
-def _spectral_radius(eigvals: np.ndarray) -> float:
-    return float(np.max(np.abs(eigvals), initial=0.0))
-
-
 def poisson_solve(chain: FiniteChain, f: Observable) -> MartingaleScheme:
     """Solve the Poisson equation and assemble the martingale scheme.
 
@@ -141,16 +146,16 @@ def poisson_solve(chain: FiniteChain, f: Observable) -> MartingaleScheme:
     scale = max(float(np.max(np.abs(f.values))), 1e-300)
     if residual > POISSON_RESIDUAL_RTOL * scale:
         raise NearSingular(f"Poisson residual {residual!r} exceeds 1e-10 relative")
-    h = g[None, :] - qg[:, None]
+    h = pair_difference(g, qg)
     # a NaN in g, which the residual test above lets through, reaches sigma_sq too
     with np.errstate(over="ignore"):
         sigma_sq = float(np.sum(pair_law(chain) * h * h))
     if not np.isfinite(sigma_sq):
         raise NonFiniteValue(f"limit variance {sigma_sq!r} is not finite")
-    for arr in (g, qg, h):
+    for arr in (g, qg):
         arr.flags.writeable = False
-    return MartingaleScheme(g=g, qg=qg, diff_kernel=h, sigma_sq=sigma_sq,
-                            rate=_spectral_radius(eigvals))
+    return MartingaleScheme(g=g, qg=qg, sigma_sq=sigma_sq,
+                            rate=float(np.max(np.abs(eigvals), initial=0.0)))
 
 
 def truncated_scheme(chain: FiniteChain, f: Observable, n: int):
@@ -164,7 +169,7 @@ def truncated_scheme(chain: FiniteChain, f: Observable, n: int):
     if n < 1:
         raise BadIndexOrder(f"need n >= 1, got n={n}")
     v, qv = partial_sums(chain, f.values, n)
-    return v[-1].copy(), v[-1][None, :] - qv[-1][:, None]
+    return v[-1].copy(), pair_difference(v[-1], qv[-1])
 
 
 def kernel_gap_msq_table(chain: FiniteChain, f: Observable, n_max: int) -> np.ndarray:
@@ -181,7 +186,7 @@ def kernel_gap_msq_table(chain: FiniteChain, f: Observable, n_max: int) -> np.nd
     if n_max < 2:
         raise BadIndexOrder(f"need n_max >= 2, got {n_max}")
     v, qv = partial_sums(chain, f.values, n_max)     # row n-1: V_n f, Q V_n f
-    flat = (v[:, None, :] - qv[:, :, None]).reshape(n_max, -1)
+    flat = pair_difference(v, qv).reshape(n_max, -1)
     pair_w = pair_law(chain).reshape(-1)
     gram = (flat * pair_w[None, :]) @ flat.T
     diag = np.diag(gram)
@@ -212,7 +217,7 @@ def tail_sup_deviation(chain: FiniteChain, scheme: MartingaleScheme, N: int) -> 
     m = N + 1
     while True:
         qm1g = q @ qmg         # Q^{m+1} g
-        gm = qm1g[:, None] - qmg[None, :]
+        gm = pair_difference(qmg, qm1g)     # -G_m: only its square is used
         np.maximum(per_pair, gm * gm, out=per_pair)
         envelope = 2.0 * float(np.max(np.abs(qm1g)))
         if envelope * envelope <= float(np.min(per_pair)) + 1e-14:
@@ -257,9 +262,7 @@ def quenched_diagnostics(chain: FiniteChain, scheme: MartingaleScheme,
         residual[:, xi] = kernel_powers(chain, jump * jump, top)[horizons, xi]
     return [ApproximationDiagnostics(
                 start_state=xi, n=n, cond_mean=float(cond_means[i, xi]),
-                residual_msq=float(residual[i, xi]),
-                residual_over_n=float(residual[i, xi]) / float(n),
-                asdl_sup=float(asdl_sup[i]))
+                residual_msq=float(residual[i, xi]), asdl_sup=float(asdl_sup[i]))
             for i, n in enumerate(horizons) for xi in xis]
 
 
@@ -271,10 +274,9 @@ def projection_series(chain: FiniteChain, f: Observable, K: int) -> SeriesReport
     against roundoff); the mixing series is ``||Q^j f|| / sqrt(j)``; the
     resolvent series follows the partial Poisson sums.
 
-    The projection and mixing terms decay geometrically at the mean-zero
-    rate; the resolvent terms decay only like ``(log log j)^2 / j^2`` (see
-    :class:`SeriesReport`), so their tails are checked by Cauchy block
-    bounds, not by a vanishing increment.
+    How each series decays is set out at :class:`SeriesReport`; the
+    resolvent tails are checked by Cauchy block bounds, not by a vanishing
+    increment.
     """
     if K < 1:
         raise BadIndexOrder(f"need K >= 1, got K={K}")

@@ -41,7 +41,6 @@ class SimulationReport:
     ks_distance: float          # against N(0, sigma_sq_used)
     residual_max: float | None  # max pathwise telescoping defect (None: no scheme)
     sigma_sq_used: float
-    backend: str
 
 
 def standard_normal_cdf(x):
@@ -96,8 +95,7 @@ def sample_report(sums: np.ndarray, start_state: int, n: int, seed: int,
     return SimulationReport(
         start_state=start_state, n=n, num_paths=len(scaled), seed=seed,
         sample_mean=mean, sample_var=var, ks_distance=kd,
-        residual_max=residual_max, sigma_sq_used=sigma_sq,
-        backend=kernels.BACKEND)
+        residual_max=residual_max, sigma_sq_used=sigma_sq)
 
 
 def cumulative_rows(chain: FiniteChain) -> np.ndarray:
@@ -119,14 +117,12 @@ def simulate_quenched(chain: FiniteChain, scheme: MartingaleScheme, x,
     """
     check_run(n, num_paths, scheme.sigma_sq)
     start = chain.index_of(x)
-    fvals = np.ascontiguousarray(scheme.g - scheme.qg)
-    hmat = np.ascontiguousarray(scheme.diff_kernel)
     # the dump file is opened before the run, so a bad path fails at once
     with (contextlib.nullcontext() if dump_path is None
           else open_output(dump_path)) as dump:
         sums, mart_sums, last = kernels.run_chain_paths(
-            cumulative_rows(chain), fvals, hmat, start, n, num_paths, seed,
-            workers=workers)
+            cumulative_rows(chain), scheme.g - scheme.qg, scheme.diff_kernel, start, n,
+            num_paths, seed, workers=workers)
         jump = scheme.qg[start] - scheme.qg[last]
         residual_max = float(np.max(np.abs(sums - mart_sums - jump)))
         if dump is not None:

@@ -39,13 +39,16 @@ class SpectralMeasure:
     """Atomic spectral measure: locations with nonnegative masses.
 
     Locations are real in [-1, 1] for reversible chains and complex in the
-    closed unit disk for group walks.  ``total`` is the sum of the masses,
-    which equals the squared L2(pi) norm of the observable.
+    closed unit disk for group walks.
     """
 
     locations: np.ndarray
     masses: np.ndarray
-    total: float
+
+    @property
+    def total(self) -> float:
+        """Sum of the masses: the squared L2(pi) norm of the observable."""
+        return float(np.sum(self.masses))
 
     @property
     def is_real(self) -> bool:
@@ -135,8 +138,8 @@ def spectral_measure(chain: FiniteChain, f: Observable) -> SpectralMeasure:
     eigvals, eigvecs = chain_spectrum(chain)
     weights = eigvecs.T @ (np.sqrt(chain.stationary) * f.values)
     locations = np.clip(eigvals, -1.0, 1.0)
-    locations, masses = drop_roundoff_atoms(*_merge_atoms(locations, weights * weights))
-    total = float(np.sum(masses))
+    measure = SpectralMeasure(*drop_roundoff_atoms(*_merge_atoms(locations, weights * weights)))
+    locations, masses, total = measure.locations, measure.masses, measure.total
     norm_sq = f.norm_sq
     # written so that a NaN anywhere fails the check instead of skipping it
     if norm_sq != 0.0 and not abs(total - norm_sq) <= TOTAL_MASS_RTOL * max(total, norm_sq):
@@ -150,11 +153,7 @@ def spectral_measure(chain: FiniteChain, f: Observable) -> SpectralMeasure:
                 "mean-zero observable carries mass at eigenvalue 1 on an "
                 "irreducible chain; input is inconsistent"
             )
-    return SpectralMeasure(locations=locations, masses=masses, total=total)
-
-
-def _weight_sr(t):
-    return 1.0 / (1.0 - t)
+    return measure
 
 
 def _weight_sr2(z):
@@ -164,14 +163,6 @@ def _weight_sr2(z):
     with np.errstate(divide="ignore"):
         log_plus = np.maximum(np.log(np.abs(np.log(gap))), 0.0)
     return log_plus ** 2 / gap
-
-
-def _weight_sigma_sq(t):
-    return (1.0 + t) / (1.0 - t)
-
-
-def _weight_sn(z):
-    return 1.0 / np.abs(1.0 - z)
 
 
 def _weight_sn1(z):
@@ -184,10 +175,10 @@ def _weight_sn1(z):
 # act on real spectra; SR2, SN and SN1 are functions of |1 - z| and accept
 # unit-disk locations, where SR2 is the Fourier G1 weight.
 WEIGHTS = {
-    "SR": (_weight_sr, True),
+    "SR": (lambda t: 1.0 / (1.0 - t), True),
     "SR2": (_weight_sr2, False),
-    "sigma_sq": (_weight_sigma_sq, True),
-    "SN": (_weight_sn, False),
+    "sigma_sq": (lambda t: (1.0 + t) / (1.0 - t), True),
+    "SN": (lambda z: 1.0 / np.abs(1.0 - z), False),
     "SN1": (_weight_sn1, False),
 }
 

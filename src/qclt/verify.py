@@ -183,8 +183,7 @@ def check_domination_violation(M: int = 5) -> CheckResult:
     chain = two_state_chain(0.25)
     f = sign_observable(chain)
     measure = spectral_measure(chain, f)
-    shrunk = SpectralMeasure(measure.locations, 0.5 * measure.masses,
-                             total=0.5 * measure.total)
+    shrunk = SpectralMeasure(measure.locations, 0.5 * measure.masses)
     seq = kernel_dyadic_sequence(chain, f, M)
     try:
         dyadic_domination_check(shrunk, seq)

@@ -221,7 +221,6 @@ def quenched_diagnostics_cell(chain, scheme, x, n: int) -> ApproximationDiagnost
         n=n,
         cond_mean=float(cond_means[xi]),
         residual_msq=residual_msq,
-        residual_over_n=residual_msq / float(n),
         asdl_sup=float(np.max(np.abs(cond_means))) / sqrt_n,
     )
 

@@ -13,7 +13,6 @@ from qclt.chain import (
     classify_chain,
     dump_document,
     inner_product,
-    load_chain,
     load_document,
     make_chain,
     open_output,
@@ -176,9 +175,9 @@ def test_document_roundtrip(tmp_path, two_state):
     np.testing.assert_array_equal(chain.kernel, two_state.kernel)
     np.testing.assert_array_equal(obs["f"], [1.0, -1.0])
     # also accepted as a raw JSON string and as a mapping
-    chain2 = load_chain(text)
+    chain2, _ = load_document(text)
     np.testing.assert_array_equal(chain2.kernel, two_state.kernel)
-    chain3 = load_chain(json.loads(text))
+    chain3, _ = load_document(json.loads(text))
     np.testing.assert_array_equal(chain3.kernel, two_state.kernel)
 
 
@@ -263,7 +262,8 @@ def test_load_document_file_errors(tmp_path):
     with pytest.raises(BadFile, match="cannot read"):
         read_json(tmp_path)                      # a directory
     with pytest.raises(BadFile, match="cannot write"):
-        open_output(tmp_path / "absent" / "out.csv")
+        with open_output(tmp_path / "absent" / "out.csv"):
+            pass
 
 
 # -- classification against the explicit graph search ------------------------------

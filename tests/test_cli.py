@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qclt.chain import dump_document, make_chain
+from qclt.group_walk import build_group_walk
 from qclt.cli import main
 
 
@@ -111,6 +112,14 @@ def test_group_document_pipes_into_analyze(capsys, tmp_path):
     code, out, _ = run(capsys, "analyze", str(out_path))
     assert code == 0
     assert "reversible = true" in out
+
+
+def test_group_single_modulus_steps_are_one_tuples(capsys):
+    # --step 1:0.5 reaches build_group_walk as the element (1,), which it
+    # reduces as it does the int 1
+    code, out, _ = run(capsys, "group", "--moduli", "5", "--step", "1:0.5,4:0.5")
+    assert code == 0
+    assert out == dump_document(build_group_walk([5], {1: 0.5, 4: 0.5}).chain, {}) + "\n"
 
 
 def test_group_document_to_stdout(capsys):
@@ -235,7 +244,8 @@ def test_torus_bad_threads_exit_2(capsys, threads):
 
 
 @pytest.mark.parametrize("argv", [("--n", "0"), ("--n", "1,x"), ("--n", "4,-2"),
-                                  ("--n", ","), ("--start", "9")])
+                                  ("--n", ","), ("--start", "9"),
+                                  ("--n", "1000000000000000")])  # a 14 PiB power table
 def test_approx_validates_before_printing(capsys, chain_file, argv):
     _assert_clean_exit_2(*run(capsys, "approx", chain_file, "--observable", "f", *argv))
 

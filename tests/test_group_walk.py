@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -17,6 +18,7 @@ from qclt.errors import (
 )
 from qclt.group_walk import (
     GOLDEN_ALPHA,
+    ConditionReport,
     build_group_walk,
     condition_sums,
     convergents,
@@ -112,7 +114,7 @@ def test_condition_sums_z5():
     rep = condition_sums(walk, harmonic(walk.chain, 1, 5))
     assert rep.sr_sum == pytest.approx(1.447213596, abs=1e-9)
     assert rep.g1_sum == 0.0  # |log|1 - nuhat|| < 1 for both atoms
-    assert rep.symmetric
+    assert walk.symmetric
     assert rep.sr_spectral == pytest.approx(rep.sr_sum, abs=1e-9)
 
 
@@ -307,3 +309,8 @@ def test_torus_identity_gap_memory_does_not_grow_with_the_limit():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_condition_report_leaves_symmetry_to_the_walk():
+    assert [f.name for f in dataclasses.fields(ConditionReport)] == [
+        "sr_sum", "g1_sum", "sn1_sum", "sr_spectral"]

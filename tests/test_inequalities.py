@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -217,7 +218,7 @@ def test_drawing_a_family_allocates_no_table_sized_temporary():
             fam = random_dyadic_family(rng, d, paths, out=workspace)
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
-            DyadicFamily(d=d, table=fam.table, ar=fam.ar)
+            DyadicFamily(table=fam.table, ar=fam.ar)
             check_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -291,15 +292,15 @@ def test_from_samples_rejects_bad_shapes():
 def test_constructor_validates_as_the_factories_do():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(NonFiniteValue):
-            DyadicFamily(d=1, table=np.array([[0.0, 1.0, bad]]))
+            DyadicFamily(table=np.array([[0.0, 1.0, bad]]))
     for big in (1e308, -1e308):
-        DyadicFamily(d=1, table=np.array([[0.0, big, -big]]))
+        DyadicFamily(table=np.array([[0.0, big, -big]]))
     with pytest.raises(NonFiniteValue):
-        DyadicFamily(d=1, table=np.zeros((2, 3)), ar=float("nan"))
+        DyadicFamily(table=np.zeros((2, 3)), ar=float("nan"))
     with pytest.raises(BadLength):
-        DyadicFamily(d=2, table=np.zeros((2, 3)))
+        DyadicFamily(table=np.zeros((2, 4)))
     with pytest.raises(BadLength):
-        DyadicFamily(d=1, table=[[0.0, 1.0, 2.0]])
+        DyadicFamily(table=[[0.0, 1.0, 2.0]])
 
 
 def test_from_exact_rejects_non_finite():
@@ -332,15 +333,14 @@ def test_domination_equality_two_state(two_state, sign):
 
 def test_domination_shrunken_measure_violates(two_state, sign):
     measure = spectral_measure(two_state, sign)
-    shrunk = SpectralMeasure(measure.locations, 0.5 * measure.masses,
-                             total=0.5 * measure.total)
+    shrunk = SpectralMeasure(measure.locations, 0.5 * measure.masses)
     seq = kernel_dyadic_sequence(two_state, sign, 5)
     with pytest.raises(CondViolated):
         dyadic_domination_check(shrunk, seq)
 
 
 def test_domination_zero_family_constant_sequence():
-    zero = SpectralMeasure(np.array([0.5]), np.array([0.0]), 0.0)
+    zero = SpectralMeasure(np.array([0.5]), np.array([0.0]))
     const = ExactSequence(values=np.zeros((4, 3)), probs=np.full(3, 1 / 3))
     rep = dyadic_domination_check(zero, const)
     assert rep.ok
@@ -349,7 +349,7 @@ def test_domination_zero_family_constant_sequence():
 
 
 def test_domination_rejects_a_complex_measure():
-    disk = SpectralMeasure(np.array([0.5j]), np.array([1.0]), 1.0)
+    disk = SpectralMeasure(np.array([0.5j]), np.array([1.0]))
     const = ExactSequence(values=np.zeros((4, 3)), probs=np.full(3, 1 / 3))
     with pytest.raises(NotReversible):
         dyadic_domination_check(disk, const)
@@ -412,3 +412,16 @@ def test_log_envelope_ratio():
     assert math.isfinite(neg)
     with pytest.raises(GridTouchesSingularity):
         log_envelope_ratio([1.0 - 1e-9], 24)
+
+
+def test_family_level_comes_from_the_table_width():
+    assert [f.name for f in dataclasses.fields(DyadicFamily)] == ["table", "probs", "ar"]
+    for d in range(6):
+        assert DyadicFamily.from_samples(np.zeros((2, 2 ** d + 1))).d == d
+        assert DyadicFamily.from_recursion(np.zeros((2, 2 ** d + 1)), 0.5).d == d
+        assert DyadicFamily.deterministic(np.zeros(2 ** d + 1)).d == d
+    for width in (0, 1, 4, 6, 10):
+        with pytest.raises(BadLength, match="2\\^d \\+ 1 columns"):
+            DyadicFamily.from_samples(np.zeros((2, width)))
+        with pytest.raises(BadLength):
+            _kernels_py.dyadic_moments(np.zeros((2, width)), None, np.empty(2), np.empty(8))

@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,8 @@ from qclt.errors import (
     RateNotContractive,
 )
 from qclt.martingale import (
+    ApproximationDiagnostics,
+    MartingaleScheme,
     poisson_solve,
     projection_series,
     quenched_diagnostics,
@@ -268,3 +273,39 @@ def test_poisson_solve_rejects_an_eigenvalue_near_one(kernel):
     assert chain.flags.irreducible
     with pytest.raises(NearSingular):
         poisson_solve(chain, center_observable(chain, np.arange(float(n))))
+
+
+def _hex(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def test_scheme_derives_its_difference_kernel(two_state, sign):
+    assert [f.name for f in dataclasses.fields(MartingaleScheme)] == ["g", "qg", "sigma_sq", "rate"]
+    rng = np.random.default_rng(31)
+    nonrev = make_chain([str(i) for i in range(5)], rng.dirichlet(np.ones(5), size=5))
+    for chain, f in [(two_state, sign), (random_reversible(rng, 7), None), (nonrev, None)]:
+        f = f or center_observable(chain, rng.normal(size=chain.n_states))
+        s = poisson_solve(chain, f)
+        assert _hex(s.diff_kernel) == _hex(s.g[None, :] - s.qg[:, None])
+
+
+def test_residual_over_n_is_derived(two_state, sign):
+    assert "residual_over_n" not in {f.name for f in dataclasses.fields(ApproximationDiagnostics)}
+    scheme = poisson_solve(two_state, sign)
+    for d in quenched_diagnostics(two_state, scheme, [0, 1], [1, 3, 7, 1000]):
+        assert d.residual_over_n.hex() == (d.residual_msq / float(d.n)).hex()
+
+
+def test_poisson_solve_retains_no_pair_table():
+    S = 300
+    chain = random_reversible(np.random.default_rng(8), S)
+    f = center_observable(chain, np.random.default_rng(9).normal(size=S))
+    poisson_solve(chain, f)         # caches the chain's spectrum, which the chain keeps
+    tracemalloc.start()
+    try:
+        scheme = poisson_solve(chain, f)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert scheme.g.shape == (S,)
+    assert retained < S * S * 8 // 2, retained

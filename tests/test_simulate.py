@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -11,6 +12,7 @@ from qclt.errors import DegenerateSigma, EmptySample
 from qclt.martingale import poisson_solve, quenched_diagnostics
 from qclt.rng import stream_keys
 from qclt.simulate import (
+    SimulationReport,
     cumulative_rows,
     ks_distance,
     sample_report,
@@ -213,3 +215,8 @@ def test_sample_path_matches_kernel_last_states_on_wide_chain(compiled_backend):
                                                       n, paths, seed, backend=backend)
         for i in range(paths):
             assert last[i] == sample_path(chain, "8", n, PathStream(seed, i))[-1]
+
+
+def test_report_does_not_carry_the_backend():
+    # the backend is a process-wide fact: kernels.BACKEND, echoed in the simulate config
+    assert "backend" not in {f.name for f in dataclasses.fields(SimulationReport)}

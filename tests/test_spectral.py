@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import pkgutil
 import warnings
@@ -42,7 +43,7 @@ from tests.test_chain import random_reversible
 def atoms(*pairs):
     locs = np.array([p[0] for p in pairs], dtype=np.float64)
     mass = np.array([p[1] for p in pairs], dtype=np.float64)
-    return SpectralMeasure(locations=locs, masses=mass, total=float(mass.sum()))
+    return SpectralMeasure(locations=locs, masses=mass)
 
 
 # -- eigensolver ---------------------------------------------------------------
@@ -283,7 +284,7 @@ def test_sr2_on_disk():
     # (log+ |log|1 - z||)^2 / |1 - z| at two conjugate atoms near 1 and one
     # at |1 - z| = 1, where log+ vanishes
     z = np.array([1.0 - 0.01 + 0.02j, 1.0 - 0.01 - 0.02j, 0j])
-    m = SpectralMeasure(locations=z, masses=np.array([0.25, 0.25, 0.5]), total=1.0)
+    m = SpectralMeasure(locations=z, masses=np.array([0.25, 0.25, 0.5]))
     gap = abs(0.01 - 0.02j)
     assert spectral_integral(m, "SR2") == pytest.approx(
         0.5 * np.log(abs(np.log(gap))) ** 2 / gap, rel=1e-14)
@@ -291,7 +292,7 @@ def test_sr2_on_disk():
 
 def test_sn_weights_on_disk():
     z = np.array([np.exp(2j * np.pi / 3)])
-    m = SpectralMeasure(locations=z, masses=np.array([1.0]), total=1.0)
+    m = SpectralMeasure(locations=z, masses=np.array([1.0]))
     assert spectral_integral(m, "SN") == pytest.approx(1 / np.sqrt(3), abs=1e-12)
     with pytest.raises(NotReversible):
         spectral_integral(m, "SR")
@@ -354,7 +355,7 @@ def test_gap_msq_spectral_table_matches_direct_table():
 def test_gap_msq_spectral_table_rejects_bad_input():
     with pytest.raises(BadIndexOrder):
         kernel_gap_msq_spectral_table(atoms((0.5, 1.0)), 1)
-    disk = SpectralMeasure(locations=np.array([0.5j]), masses=np.array([1.0]), total=1.0)
+    disk = SpectralMeasure(locations=np.array([0.5j]), masses=np.array([1.0]))
     with pytest.raises(NotReversible):
         kernel_gap_msq_spectral_table(disk, 4)
 
@@ -388,3 +389,11 @@ def test_variance_growth_tail_bound(two_state, sign):
     for n in (2 ** 6, 2 ** 10, 2 ** 14):
         gap = abs(variance_growth(two_state, sign, n) - sigma_sq)
         assert gap <= 4.0 * c / n + 1e-12
+
+
+def test_total_is_the_sum_of_the_masses():
+    assert [f.name for f in dataclasses.fields(SpectralMeasure)] == ["locations", "masses"]
+    rng = np.random.default_rng(41)
+    chain = random_reversible(rng, 9)
+    m = spectral_measure(chain, center_observable(chain, rng.normal(size=9)))
+    assert m.total.hex() == float(np.sum(m.masses)).hex()

@@ -5,7 +5,8 @@ command imports the rest itself, and the package re-exports its public
 names on first access.  The console entry point runs ``main`` and then
 freezes the garbage collector, so the tests below run the real
 ``python -m qclt.cli`` process and compare what it writes with an
-in-process ``main`` run.
+in-process ``main`` run.  A report that cannot be written, to a full
+device or a closed pipe, exits 2 with one error line and no traceback.
 """
 
 import json
@@ -26,16 +27,22 @@ WALK = ["group", "--moduli", "4,3", "--step",
         "0.0:0.5,1.0:0.125,3.0:0.125,0.1:0.125,0.2:0.125", "--harmonic", "1,1"]
 
 
-def python(*args, timeout=120):
-    env = dict(os.environ)
+def child_env():
+    # block-buffered stdout, as a shell gives it, so that a failed write
+    # also leaves output for the interpreter's last flush
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"),
                                                       env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
-                          text=True, timeout=timeout)
+    return env
 
 
-def cli(*argv):
-    return python("-m", "qclt.cli", *argv)
+def python(*args, timeout=120, stdout=subprocess.PIPE):
+    return subprocess.run([sys.executable, *args], env=child_env(), stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=timeout)
+
+
+def cli(*argv, stdout=subprocess.PIPE):
+    return python("-m", "qclt.cli", *argv, stdout=stdout)
 
 
 def in_process(capsys, *argv):
@@ -77,7 +84,7 @@ def test_exports_resolve_in_fresh_interpreter():
                         "getattr(qclt, n).__module__], n) for n in qclt.__all__}]))")
     assert proc.returncode == 0, proc.stderr
     listed, defining = json.loads(proc.stdout)
-    assert len(qclt.__all__) == 23
+    assert len(qclt.__all__) == 22
     assert set(qclt.__all__) <= set(listed)
     assert set(defining) == set(qclt.__all__) and all(defining.values())
     assert qclt.chain.make_chain is qclt.make_chain
@@ -88,6 +95,7 @@ def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         qclt.no_such_name
     assert not hasattr(qclt, "jacobi_eigh") and not hasattr(qclt, "sample_path")
+    assert not hasattr(qclt, "load_chain")
     with pytest.raises(ImportError):
         from qclt import no_such_name  # noqa: F401
 
@@ -141,3 +149,55 @@ def test_quick_verify_exits_0():
     proc = cli("verify", "--quick")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "result = 12/12 passed"
+
+
+# -- failed writes: a full device or a closed pipe exits 2 with one error line -------
+
+DEV_FULL = Path("/dev/full")
+needs_dev_full = pytest.mark.skipif(not DEV_FULL.exists(), reason="no /dev/full here")
+
+
+def assert_write_error(returncode, stderr, name):
+    assert returncode == 2, stderr
+    assert stderr.startswith(f"error: cannot write {name!r}: ") and stderr.count("\n") == 1
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr
+
+
+@pytest.fixture
+def walk_doc(tmp_path):
+    doc = tmp_path / "walk.json"
+    assert cli(*WALK, "--output", str(doc)).returncode == 0
+    return str(doc)
+
+
+@needs_dev_full
+@pytest.mark.parametrize("command", [
+    ["analyze", "DOC"], ["approx", "DOC", "--n", "1,4"],
+    ["simulate", "DOC", "--start", "0,0", "--n", "8", "--paths", "200"],
+    WALK[:-2], WALK + ["--output", "OUT"], ["torus", "--cutoff", "100"],
+    ["verify", "--quick"]], ids=lambda argv: argv[0] + ("-output" if "OUT" in argv else ""))
+def test_full_stdout_exits_2(tmp_path, walk_doc, command):
+    argv = [{"DOC": walk_doc, "OUT": str(tmp_path / "out.json")}.get(a, a) for a in command]
+    with open(DEV_FULL, "w") as full:
+        proc = cli(*argv, stdout=full)
+    assert_write_error(proc.returncode, proc.stderr, "<stdout>")
+
+
+@needs_dev_full
+@pytest.mark.parametrize("option", ["--dump", "--output"])
+def test_full_output_file_exits_2_before_the_report(walk_doc, option):
+    argv = (["simulate", walk_doc, "--start", "0,0", "--n", "8", "--paths", "200"]
+            if option == "--dump" else WALK)
+    proc = cli(*argv, option, str(DEV_FULL))
+    assert_write_error(proc.returncode, proc.stderr, str(DEV_FULL))
+    assert proc.stdout == ""
+
+
+def test_closed_stdout_pipe_exits_2_without_traceback():
+    # the document is larger than a pipe's buffer, so writing it must fail
+    proc = subprocess.Popen([sys.executable, "-m", "qclt.cli", "group", "--moduli", "200",
+                             "--step", "1:0.5,199:0.5"], env=child_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert_write_error(proc.wait(timeout=120), stderr, "<stdout>")
