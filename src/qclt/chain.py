@@ -154,7 +154,7 @@ def classify_chain(kernel: np.ndarray, stationary: np.ndarray,
     reversible = bool(np.max(np.abs(flux - flux.T)) <= tol)
     normal = reversible    # a reversible kernel is self-adjoint in L2(pi)
     if not reversible:
-        qstar = (pi[None, :] * q.T) / pi[:, None]
+        qstar = _adjoint(q, pi)
         normal = bool(np.max(np.abs(q @ qstar - qstar @ q)) <= tol)
     adj = q > 0.0
     dist = _bfs_levels(adj)
@@ -343,8 +343,11 @@ def adjoint_kernel(chain: FiniteChain) -> np.ndarray:
     ``Q*`` is row stochastic for the same ``pi``; for reversible chains it
     equals the kernel itself.
     """
-    pi = chain.stationary
-    return (pi[None, :] * chain.kernel.T) / pi[:, None]
+    return _adjoint(chain.kernel, chain.stationary)
+
+
+def _adjoint(q: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    return (pi[None, :] * q.T) / pi[:, None]
 
 
 def pair_law(chain: FiniteChain) -> np.ndarray:

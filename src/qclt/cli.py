@@ -13,6 +13,7 @@ included.  Exit codes: 0 success, 2 invalid input or a failed write, 3 suite fai
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import math
 import os
@@ -207,7 +208,7 @@ def _cmd_group(args) -> int:
                      ("step", args.step),
                      ("harmonic", args.harmonic or "none"),
                      ("output", args.output)])
-    _emit("walk", [("order", len(walk.elements)), ("symmetric", walk.symmetric),
+    _emit("walk", [("order", walk.chain.n_states), ("symmetric", walk.symmetric),
                    ("ergodic", walk.ergodic),
                    ("reversible", walk.chain.flags.reversible)])
     if f is not None and walk.ergodic:
@@ -354,7 +355,8 @@ def main(argv=None) -> int:
             sys.stdout.flush()
         return code
     except QcltError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        with contextlib.suppress(OSError):    # stderr on the same closed pipe
+            print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
@@ -363,18 +365,20 @@ def entry(argv=None) -> int:
 
     Objects frozen by :func:`gc.freeze` are skipped by the interpreter's
     final collection, so the process exits without walking the objects
-    that imports and the command made.  Output that stdout refused, which
-    ``main`` has reported, goes to the null device, so the interpreter's
-    last flush cannot fail again.  ``main`` itself changes no process-wide
-    state, so it stays safe to call in process.
+    that imports and the command made.  Output that stdout or stderr
+    refused goes to the null device, so the interpreter's last flush cannot
+    fail again and turn the exit code into 120.  ``main`` itself changes no
+    process-wide state, so it stays safe to call in process.
     """
-    code = main(argv)
     try:
-        sys.stdout.flush()
-    except OSError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    gc.freeze()
-    return code
+        return main(argv)
+    finally:    # argparse's exit too: its usage line may also be left in stderr's buffer
+        for stream in (sys.stdout, sys.stderr):
+            try:
+                stream.flush()
+            except OSError:
+                os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        gc.freeze()
 
 
 if __name__ == "__main__":

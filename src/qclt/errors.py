@@ -108,7 +108,7 @@ class NotErgodic(QcltError):
 
 
 class RationalAlpha(QcltError):
-    """The rotation step is (numerically) a ratio of small integers."""
+    """alpha is numerically a ratio of small integers, or n * alpha is an integer in float64."""
 
 
 # -- inequality verification -------------------------------------------------

@@ -7,8 +7,8 @@ sum becomes a finite Fourier sum.  ``nu`` is held as a dense grid of shape
 ``moduli``, so the multipliers and the observable's coefficients are each
 one FFT over the group.  The torus walk with irrational step is handled by
 direct floating-point simulation plus per-frequency series data;
-``{n alpha}`` quantities use the distance to the nearest integer, with the
-raw fractional part reported alongside.
+``{n alpha}`` quantities use the distance to the nearest integer, which is
+positive at every frequency a walk accepts.
 """
 
 from __future__ import annotations
@@ -61,10 +61,18 @@ class GroupWalk:
 
     moduli: tuple
     atoms: tuple                 # ((element tuple, probability), ...)
-    symmetric: bool
     ergodic: bool
     chain: FiniteChain
-    elements: tuple              # all group elements in chain-state order
+
+    @property
+    def elements(self) -> tuple:
+        """All group elements in chain-state order: C order over ``moduli``."""
+        return tuple(np.ndindex(*self.moduli))
+
+    @property
+    def symmetric(self) -> bool:
+        """Reflection symmetry of the step measure: reversibility of the chain."""
+        return self.chain.flags.reversible
 
 
 def _reduce(element, moduli) -> tuple:
@@ -90,9 +98,8 @@ def build_group_walk(moduli, atoms) -> GroupWalk:
 
     ``atoms`` maps group elements (ints for a single cyclic factor, tuples
     for products) to probabilities.  Duplicated elements are pooled after
-    reduction mod the moduli.  The walk is symmetric iff the step measure
-    equals its reflection, which is exactly reversibility of the chain; the
-    ergodicity flag checks that no non-identity character has multiplier 1.
+    reduction mod the moduli.  The ergodicity flag checks that no
+    non-identity character has multiplier 1.
     """
     moduli = tuple(int(m) for m in (moduli if hasattr(moduli, "__len__") else [moduli]))
     if any(m < 1 for m in moduli):
@@ -113,21 +120,16 @@ def build_group_walk(moduli, atoms) -> GroupWalk:
 
     n = nu.size
     coords = np.indices(moduli).reshape(len(moduli), n)
-    elements = tuple(map(tuple, coords.T.tolist()))
     # Q(x, x + z) = nu(z): one scatter per atom, each a permutation of columns
     kernel = np.zeros((n, n))
     for z, p in pooled:
         cols = np.ravel_multi_index([(c + s) % m for c, s, m in zip(coords, z, moduli)],
                                     moduli)
         kernel[np.arange(n), cols] = p
-    labels = [",".join(map(str, e)) for e in elements]
+    labels = [",".join(map(str, e)) for e in coords.T.tolist()]
     chain = make_chain(labels, kernel, stationary=np.full(n, 1.0 / n))
-
-    reflected = nu[np.ix_(*((-np.arange(m)) % m for m in moduli))]
-    symmetric = bool(np.all(np.abs(nu - reflected) <= PROB_TOL))
     ergodic = bool(np.all(np.abs(_multipliers(moduli, pooled)[1:] - 1.0) > ERGODIC_TOL))
-    return GroupWalk(moduli=moduli, atoms=pooled, symmetric=symmetric, ergodic=ergodic,
-                     chain=chain, elements=elements)
+    return GroupWalk(moduli=moduli, atoms=pooled, ergodic=ergodic, chain=chain)
 
 
 def walk_fourier(walk: GroupWalk, f: Observable):
@@ -138,10 +140,10 @@ def walk_fourier(walk: GroupWalk, f: Observable):
     is ``<f, chi_g>``, one FFT over the group; Parseval is validated to
     1e-9 relative.
     """
-    if f.values.shape != (len(walk.elements),):
+    if f.values.shape != (walk.chain.n_states,):
         raise DimensionMismatch("observable does not match the group order")
     nuhat = _multipliers(walk.moduli, walk.atoms)
-    fhat = np.fft.fftn(f.values.reshape(walk.moduli)).ravel() / len(walk.elements)
+    fhat = np.fft.fftn(f.values.reshape(walk.moduli)).ravel() / walk.chain.n_states
     mass = float(np.sum(np.abs(fhat) ** 2))
     if abs(mass - f.norm_sq) > 1e-9 * max(mass, f.norm_sq, 1e-30):
         raise BadProbabilities(
@@ -189,14 +191,11 @@ def condition_sums(walk: GroupWalk, f: Observable) -> ConditionReport:
     if not walk.ergodic:
         raise NotErgodic("a non-identity character has multiplier 1")
     measure = fourier_measure(walk, f)
-    sr = spectral_integral(measure, "SN")
-    g1 = spectral_integral(measure, "SR2")
-    sn1 = spectral_integral(measure, "SN1")
-    sr_spectral = None
-    if walk.symmetric:
-        chain_measure = spectral_measure(walk.chain, f)
-        sr_spectral = spectral_integral(chain_measure, "SR")
-    return ConditionReport(sr_sum=sr, g1_sum=g1, sn1_sum=sn1, sr_spectral=sr_spectral)
+    return ConditionReport(
+        sr_sum=spectral_integral(measure, "SN"), g1_sum=spectral_integral(measure, "SR2"),
+        sn1_sum=spectral_integral(measure, "SN1"),
+        sr_spectral=(spectral_integral(spectral_measure(walk.chain, f), "SR")
+                     if walk.symmetric else None))
 
 
 # ---------------------------------------------------------------------------
@@ -221,18 +220,16 @@ def convergents(alpha: float, q_cap: int):
     Floating-point expansion; terminates when the remainder is numerically
     exhausted or the denominator cap is passed.
     """
-    out = []
     h_prev, k_prev = 1, 0
-    a0 = math.floor(alpha)
-    h, k = int(a0), 1
-    out.append((h, k))
-    frac = alpha - a0
+    h, k = math.floor(alpha), 1
+    out = [(h, k)]
+    frac = alpha - h
     while frac > 1e-12:
         x = 1.0 / frac
         a = math.floor(x)
         frac = x - a
-        h, h_prev = int(a) * h + h_prev, h
-        k, k_prev = int(a) * k + k_prev, k
+        h, h_prev = a * h + h_prev, h
+        k, k_prev = a * k + k_prev, k
         if k > q_cap:
             break
         out.append((h, k))
@@ -247,10 +244,10 @@ def make_torus_walk(alpha: float, lazy: float = 0.0, fhat=None) -> TorusWalk:
     may list positive frequencies only, or both signs (then Hermitian
     symmetry is checked before folding); a squared norm
     ``sum_n 2 |fhat(n)|^2`` that overflows raises :class:`NonFiniteValue`.
+    A frequency whose ``n * alpha`` is an integer in float64, or that no
+    float holds, has multiplier exactly 1 and raises :class:`RationalAlpha`.
     """
     alpha = _finite(float(alpha), "alpha") % 1.0
-    if alpha == 0.0:
-        raise RationalAlpha("alpha reduces to 0 mod 1")
     if not 0.0 <= lazy < 1.0:
         raise BadProbabilities(f"lazy weight {lazy!r} must lie in [0, 1)")
     for p, q in convergents(alpha, RATIONAL_DENOMINATOR_CAP):
@@ -263,6 +260,10 @@ def make_torus_walk(alpha: float, lazy: float = 0.0, fhat=None) -> TorusWalk:
             raise DimensionMismatch("frequency 0 is not allowed (observables are centered)")
         c = _finite(complex(coeff), f"coefficient at frequency {nn}")
         key = abs(nn)
+        # alpha > 1e-14, so past 2^1023 (float(n) may overflow) n * alpha is an integer
+        if key > 2 ** 1023 or nearest_integer_distance(key, alpha) == 0.0:
+            raise RationalAlpha(f"frequency {nn}: n * alpha is an integer in float64, "
+                                "so the multiplier is exactly 1")
         want = c if nn > 0 else c.conjugate()
         if key in folded and abs(folded[key] - want) > 1e-12:
             raise DimensionMismatch(
@@ -295,11 +296,13 @@ class TorusRow:
     """Per-frequency diagnostics for the rotation walk."""
 
     n: int
-    frac: float                # raw fractional part of n * alpha
     dist: float                # nearest-integer distance of n * alpha
     one_minus_nuhat: float
-    ratio: float               # one_minus_nuhat / (2 pi^2 dist^2)
     partial_sum: float         # cumulative condition sum up to this frequency
+
+    @property
+    def ratio(self) -> float:
+        return self.one_minus_nuhat / (2.0 * math.pi ** 2 * self.dist * self.dist)
 
 
 @dataclass(frozen=True)
@@ -318,24 +321,18 @@ def torus_condition(walk: TorusWalk, cutoff: int) -> TorusConditionReport:
     per-frequency data needed to judge them, plus the continued-fraction
     convergents of alpha with denominators up to ``cutoff``.
     """
-    freqs = [n for n, _ in walk.fhat]
-    if freqs and cutoff < max(freqs):
-        raise DimensionMismatch(
-            f"cutoff {cutoff} is below the largest supported frequency {max(freqs)}"
-        )
+    if walk.fhat and cutoff < walk.fhat[-1][0]:      # fhat is sorted by frequency
+        raise DimensionMismatch(f"cutoff {cutoff} is below the largest supported "
+                                f"frequency {walk.fhat[-1][0]}")
     rows = []
     acc = 0.0
     for n, coeff in walk.fhat:
-        t = n * walk.alpha
-        frac = t - math.floor(t)
-        dist = min(frac, 1.0 - frac)
         gap = float(torus_multiplier_gap(walk, n))
-        ratio = gap / (2.0 * math.pi ** 2 * dist * dist) if dist > 0 else float("nan")
-        log_gap = abs(math.log(gap)) if gap > 0 else float("inf")
+        log_gap = abs(math.log(gap))
         logplus = math.log(log_gap) if log_gap > 1.0 else 0.0
         acc += 2.0 * abs(coeff) ** 2 * logplus ** 2 / gap
-        rows.append(TorusRow(n=n, frac=frac, dist=dist, one_minus_nuhat=gap,
-                             ratio=ratio, partial_sum=acc))
+        rows.append(TorusRow(n=n, dist=float(nearest_integer_distance(n, walk.alpha)),
+                             one_minus_nuhat=gap, partial_sum=acc))
     return TorusConditionReport(rows=tuple(rows),
                                 convergents=tuple(convergents(walk.alpha, cutoff)))
 
@@ -345,8 +342,7 @@ def torus_sigma_sq(walk: TorusWalk) -> float:
     acc = 0.0
     for n, coeff in walk.fhat:
         gap = float(torus_multiplier_gap(walk, n))
-        nuhat = 1.0 - gap
-        acc += 2.0 * abs(coeff) ** 2 * (1.0 + nuhat) / gap
+        acc += 2.0 * abs(coeff) ** 2 * (1.0 + (1.0 - gap)) / gap    # nuhat = 1 - gap
     return acc
 
 
@@ -366,10 +362,8 @@ def simulate_torus(walk: TorusWalk, x: float, n: int, num_paths: int,
     x0 = _finite(float(x), "torus start") % 1.0
     freqs = np.array([n_ for n_, _ in walk.fhat], dtype=np.float64)
     coeffs = np.array([c for _, c in walk.fhat], dtype=complex)
-    omegas = np.ascontiguousarray(2.0 * np.pi * freqs)
-    ccos = np.ascontiguousarray(2.0 * coeffs.real)
-    csin = np.ascontiguousarray(-2.0 * coeffs.imag)
-    sums, _ = kernels.run_torus_paths(walk.alpha, walk.lazy, omegas, ccos, csin,
-                                      x0, n, num_paths, seed,
-                                      workers=workers)
+    # each product is a fresh contiguous array, as the kernels require
+    sums, _ = kernels.run_torus_paths(walk.alpha, walk.lazy, 2.0 * np.pi * freqs,
+                                      2.0 * coeffs.real, -2.0 * coeffs.imag,
+                                      x0, n, num_paths, seed, workers=workers)
     return sample_report(sums, 0, n, seed, sigma_sq)

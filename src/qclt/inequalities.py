@@ -32,6 +32,7 @@ COND_RTOL = 1e-9
 EXACT_SLACK = 1e-12
 GRID_MARGIN = 1e-8
 ENVELOPE_FLOOR = 1e-3
+INCREMENT_FACTOR = math.pi ** 2 / 6.0    # sum_d 1/(d+1)^2
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +108,10 @@ class ChainingCheck:
     lhs: float        # || max_k |T_k - T_0| ||_2
     rhs: float        # dyadic sum of square-rooted increment moments
     slack: float
-    ok: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.lhs <= self.rhs + self.slack
 
 
 def chaining_maximal_check(family: DyadicFamily) -> ChainingCheck:
@@ -133,7 +137,7 @@ def chaining_maximal_check(family: DyadicFamily) -> ChainingCheck:
         slack = 3.0 * se_msq / (2.0 * lhs) if lhs > 0 else 0.0
     else:
         slack = EXACT_SLACK
-    return ChainingCheck(lhs=lhs, rhs=rhs, slack=slack, ok=lhs <= rhs + slack)
+    return ChainingCheck(lhs=lhs, rhs=rhs, slack=slack)
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +198,16 @@ class DominationReport:
     cond_worst_slack: float    # min over pairs of (integral bound - moment)
     cond2_value: float         # truncated (sum (log n) g_n)^2 integral
     dyadic_bound_sum: float    # sum_d (d+1)^2 int (block sum)^2 dmu
-    increment_bound: float     # (pi^2/6) * dyadic_bound_sum
     max_msq: float             # exact E[max_{n<=M} W_n^2]
     max_bound: float           # 3 (E W_1^2 + increment_bound + dyadic_bound_sum)
-    ok: bool
+
+    @property
+    def increment_bound(self) -> float:
+        return INCREMENT_FACTOR * self.dyadic_bound_sum
+
+    @property
+    def ok(self) -> bool:
+        return self.max_msq <= self.max_bound + COND_RTOL * (1.0 + self.max_bound)
 
 
 def dyadic_domination_check(measure: SpectralMeasure, seq: ExactSequence) -> DominationReport:
@@ -243,13 +253,10 @@ def dyadic_domination_check(measure: SpectralMeasure, seq: ExactSequence) -> Dom
         block = g_cum[2 ** (d + 1)] - g_cum[2 ** d]
         dyadic_sum += (d + 1) ** 2 * float(np.sum(block * block * mass))
         d += 1
-    increment_bound = (math.pi ** 2 / 6.0) * dyadic_sum
-    max_msq = seq.max_msq()
-    max_bound = 3.0 * (seq.msq(1) + increment_bound + dyadic_sum)
-    return DominationReport(
-        cond_worst_slack=worst, cond2_value=cond2, dyadic_bound_sum=dyadic_sum,
-        increment_bound=increment_bound, max_msq=max_msq, max_bound=max_bound,
-        ok=max_msq <= max_bound + COND_RTOL * (1.0 + max_bound))
+    max_bound = 3.0 * (seq.msq(1) + INCREMENT_FACTOR * dyadic_sum + dyadic_sum)
+    return DominationReport(cond_worst_slack=worst, cond2_value=cond2,
+                            dyadic_bound_sum=dyadic_sum, max_msq=seq.max_msq(),
+                            max_bound=max_bound)
 
 
 # ---------------------------------------------------------------------------

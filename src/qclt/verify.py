@@ -18,7 +18,6 @@ from .group_walk import (
     build_group_walk,
     condition_sums,
     convergents,
-    make_torus_walk,
     nearest_integer_distance,
     walk_fourier,
 )
@@ -315,8 +314,7 @@ def torus_identity_gap(n_limit: int) -> float:
 
 def check_torus_identities(n_limit: int) -> CheckResult:
     gap = torus_identity_gap(n_limit)
-    walk = make_torus_walk(GOLDEN_ALPHA, fhat={1: 0.5})
-    qs = [q for _, q in convergents(walk.alpha, n_limit)]
+    qs = [q for _, q in convergents(GOLDEN_ALPHA, n_limit)]
     fib = [1, 1]
     while fib[-1] + fib[-2] <= n_limit:
         fib.append(fib[-1] + fib[-2])

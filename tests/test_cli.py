@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ import pytest
 from qclt.chain import dump_document, make_chain
 from qclt.group_walk import build_group_walk
 from qclt.cli import main
+from tests.test_startup import child_env
 
 
 @pytest.fixture
@@ -142,6 +147,16 @@ def test_torus_rational_alpha_exits_2(capsys):
     code, _, err = run(capsys, "torus", "--alpha", "0.5", "--cutoff", "100")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("freq", [2 ** 60, 10 ** 380])
+def test_torus_unresolved_frequency_exits_2(capsys, tmp_path, freq):
+    # 2^60 * alpha is an integer in float64 and 10^380 has no float at all
+    path = tmp_path / "coeffs.json"
+    path.write_text(json.dumps({str(freq): 0.5}))
+    code, out, err = run(capsys, "torus", "--coeffs", str(path), "--cutoff", str(freq))
+    _assert_clean_exit_2(code, out, err)
+    assert "integer in float64" in err
 
 
 def test_verify_quick_exits_0(capsys):
@@ -340,3 +355,89 @@ def test_overflowing_observable_exits_2(capsys, tmp_path, argv):
     code, out, err = run(capsys, argv[0], str(path), *argv[1:])
     _assert_clean_exit_2(code, out, err)
     assert "overflows" in err
+
+
+# -- the exit contract: every command against every failure class ------------------
+#
+# Each case runs the real process.  A bad input or option and an unwritable
+# path print nothing on stdout; a full device or a closed pipe takes the
+# report itself.  Each exits 2 with one line of error on stderr (argparse's
+# usage line before it for an option), and never with a traceback.  verify
+# reads no input and writes no file, and only simulate and group write one,
+# so those cells are absent.
+
+DEV_FULL = Path("/dev/full")
+ARGV = {
+    "analyze": ["analyze", "DOC"],
+    "approx": ["approx", "DOC", "--n", "1,4"],
+    "simulate": ["simulate", "DOC", "--start", "0", "--n", "8", "--paths", "200"],
+    "group": ["group", "--moduli", "5", "--step", "1:0.5,4:0.5", "--harmonic", "1"],
+    "torus": ["torus", "--cutoff", "100"],
+    "verify": ["verify", "--quick"],
+}
+BAD_INPUT = {
+    "analyze": ["analyze", "BAD_DOC"],
+    "approx": ["approx", "BAD_DOC"],
+    "simulate": ["simulate", "BAD_DOC", "--start", "0"],
+    "group": ["group", "--moduli", "5", "--step", "1:x"],
+    "torus": ["torus", "--coeffs", "BAD_COEFFS"],
+}
+UNWRITABLE = {"simulate": "--dump", "group": "--output"}
+CANNOT_WRITE = "error: cannot write '<stdout>': "
+CASES = (
+    [(cmd, "bad-input", argv, "pipe", "error: ") for cmd, argv in BAD_INPUT.items()]
+    + [(cmd, "bad-option", argv + ["--bogus"], "pipe",
+        "qclt: error: unrecognized arguments: --bogus") for cmd, argv in ARGV.items()]
+    + [(cmd, "unwritable-path", ARGV[cmd] + [opt, "NO_DIR"], "pipe", "error: cannot write '")
+       for cmd, opt in UNWRITABLE.items()]
+    + [(cmd, "full-device", argv, "full", CANNOT_WRITE + "No space left on device")
+       for cmd, argv in ARGV.items()]
+    + [("group", "full-device-report", ARGV["group"] + ["--output", "OUT"], "full",
+        CANNOT_WRITE + "No space left on device")]
+    + [(cmd, "full-device-file", ARGV[cmd] + [opt, str(DEV_FULL)], "pipe",
+        f"error: cannot write '{DEV_FULL}': No space left on device")
+       for cmd, opt in UNWRITABLE.items()]
+    + [(cmd, "closed-pipe", argv, "closed", CANNOT_WRITE + "Broken pipe")
+       for cmd, argv in ARGV.items()]
+)
+
+
+def _run_child(argv, stdout):
+    cmd = [sys.executable, "-m", "qclt.cli", *argv]
+    if stdout == "full":
+        with open(DEV_FULL, "w") as full:
+            return subprocess.run(cmd, env=child_env(), stdout=full, stderr=subprocess.PIPE,
+                                  text=True, timeout=120)
+    if stdout == "closed":
+        # the read end is closed before the child starts, so its first write fails
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            return subprocess.run(cmd, env=child_env(), stdout=write_end,
+                                  stderr=subprocess.PIPE, text=True, timeout=120)
+        finally:
+            os.close(write_end)
+    return subprocess.run(cmd, env=child_env(), capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("command, failure, argv, stdout, error", CASES,
+                         ids=[f"{c[0]}-{c[1]}" for c in CASES])
+def test_exit_contract(chain_file, tmp_path, command, failure, argv, stdout, error):
+    if "full" in failure and not DEV_FULL.exists():
+        pytest.skip("no /dev/full here")
+    (tmp_path / "bad.json").write_text('{"Q": [[1, 0], [0')
+    (tmp_path / "coeffs.json").write_text('{"1": [0.5')
+    paths = {"DOC": chain_file, "BAD_DOC": str(tmp_path / "bad.json"),
+             "BAD_COEFFS": str(tmp_path / "coeffs.json"),
+             "NO_DIR": str(tmp_path / "no" / "such" / "out"), "OUT": str(tmp_path / "out")}
+    proc = _run_child([paths.get(a, a) for a in argv], stdout)
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert lines and lines[-1].startswith(error) and proc.stderr.endswith("\n")
+    if failure == "bad-option":
+        assert len(lines) == 2 and lines[0].startswith("usage: qclt ")
+    else:
+        assert len(lines) == 1
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    if stdout == "pipe":
+        assert proc.stdout == ""

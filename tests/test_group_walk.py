@@ -19,6 +19,8 @@ from qclt.errors import (
 from qclt.group_walk import (
     GOLDEN_ALPHA,
     ConditionReport,
+    GroupWalk,
+    TorusRow,
     build_group_walk,
     condition_sums,
     convergents,
@@ -31,8 +33,16 @@ from qclt.group_walk import (
     torus_sigma_sq,
     walk_fourier,
 )
-from qclt.spectral import spectral_integral, spectral_measure
-from qclt.verify import torus_identity_gap
+from qclt.inequalities import (
+    ChainingCheck,
+    DominationReport,
+    DyadicFamily,
+    chaining_maximal_check,
+    dyadic_domination_check,
+    kernel_dyadic_sequence,
+)
+from qclt.spectral import SpectralMeasure, spectral_integral, spectral_measure
+from qclt.verify import sign_observable, torus_identity_gap, two_state_chain
 from tests.oracles import jacobi_eigh
 
 
@@ -200,6 +210,23 @@ def test_convergents_golden_are_fibonacci():
     assert qs[-1] <= 1000 < qs[-1] + qs[-2]
 
 
+@pytest.mark.parametrize("freq", [2 ** 60, -(2 ** 60), 10 ** 380, 2 ** 1024, 102334155])
+def test_unresolved_frequency_rejected(freq):
+    # each n * alpha is an integer in float64, or float(n) overflows: the gap
+    # would be 0, and the torus condition and sigma^2 would divide by it
+    with pytest.raises(RationalAlpha, match="integer in float64"):
+        make_torus_walk(GOLDEN_ALPHA, fhat={3: 0.25, freq: 0.5})
+
+
+def test_smallest_resolved_gap_is_positive():
+    # F_38 * golden sits 1.1e-8 from an integer in float64; F_40 (above) rounds onto one
+    walk = make_torus_walk(GOLDEN_ALPHA, fhat={3: 0.25, 39088169: 0.5})
+    row = torus_condition(walk, cutoff=39088169).rows[-1]
+    assert 0.0 < row.dist < 2e-8 and 0.0 < row.one_minus_nuhat
+    assert row.ratio == pytest.approx(1.0, rel=1e-12)
+    assert math.isfinite(row.partial_sum) and math.isfinite(torus_sigma_sq(walk))
+
+
 def test_golden_distance_and_ratio():
     assert float(nearest_integer_distance(13, GOLDEN_ALPHA)) == pytest.approx(
         0.034442, abs=1e-6)
@@ -228,7 +255,8 @@ def test_torus_condition_report():
         gap_expected = 0.5 * 2.0 * math.sin(math.pi * row.dist) ** 2
         assert row.one_minus_nuhat == pytest.approx(gap_expected, abs=1e-15)
         assert 0.0 <= row.dist <= 0.5
-        assert row.frac == pytest.approx((row.n * GOLDEN_ALPHA) % 1.0, abs=1e-12)
+        frac = (row.n * GOLDEN_ALPHA) % 1.0
+        assert row.dist.hex() == min(frac, 1.0 - frac).hex()
     assert rep.rows[-1].partial_sum >= rep.rows[0].partial_sum >= 0.0
     assert all(q <= 100 for _, q in rep.convergents)
     with pytest.raises(DimensionMismatch):
@@ -314,3 +342,52 @@ def test_torus_identity_gap_memory_does_not_grow_with_the_limit():
 def test_condition_report_leaves_symmetry_to_the_walk():
     assert [f.name for f in dataclasses.fields(ConditionReport)] == [
         "sr_sum", "g1_sum", "sn1_sum", "sr_spectral"]
+
+
+def test_derived_record_values_match_their_expressions():
+    derived = {ChainingCheck: ["ok"], DominationReport: ["increment_bound", "ok"],
+               GroupWalk: ["elements", "symmetric"], TorusRow: ["ratio"]}
+    for record, names in derived.items():
+        fields = {f.name for f in dataclasses.fields(record)}
+        assert all(isinstance(vars(record)[name], property) for name in names)
+        assert not fields & set(names)
+    assert not hasattr(TorusRow, "frac") and "frac" not in {
+        f.name for f in dataclasses.fields(TorusRow)}
+
+    # each property against the expression it stands for, bit for bit
+    rng = np.random.default_rng(3)
+    for family in (DyadicFamily.deterministic([0.0, 1.0, 0.0]),
+                   DyadicFamily.from_samples(rng.normal(size=(300, 9))),
+                   DyadicFamily.from_recursion(rng.normal(size=(300, 5)), 0.5)):
+        check = chaining_maximal_check(family)
+        assert check.ok is (check.lhs <= check.rhs + check.slack)
+
+    chain = two_state_chain(0.25)
+    f = sign_observable(chain)
+    seq = kernel_dyadic_sequence(chain, f, 5)
+    for measure in (spectral_measure(chain, f),
+                    SpectralMeasure(np.array([0.5, -0.25]), np.array([2.0, 1.0]))):
+        rep = dyadic_domination_check(measure, seq)
+        increment = (math.pi ** 2 / 6.0) * rep.dyadic_bound_sum
+        assert rep.increment_bound.hex() == increment.hex()
+        bound = 3.0 * (seq.msq(1) + increment + rep.dyadic_bound_sum)
+        assert rep.max_bound.hex() == bound.hex()
+        assert rep.ok is (rep.max_msq <= bound + 1e-9 * (1.0 + bound))
+
+    for moduli, atoms in [((5,), {1: 0.5, 4: 0.5}), ((7,), {0: 0.5, 1: 0.3, 6: 0.2}),
+                          ((4, 3), {(1, 0): 0.25, (3, 0): 0.25, (0, 1): 0.25, (0, 2): 0.25}),
+                          ((11, 10), {(1, 0): 0.4, (0, 3): 0.35, (5, 7): 0.25})]:
+        walk = build_group_walk(moduli, atoms)
+        coords = np.indices(moduli).reshape(len(moduli), -1)
+        assert walk.elements == tuple(map(tuple, coords.T.tolist()))
+        nu = np.zeros(moduli)
+        for z, p in walk.atoms:
+            nu[z] = p
+        reflected = nu[np.ix_(*((-np.arange(m)) % m for m in moduli))]
+        assert walk.symmetric == bool(np.all(np.abs(nu - reflected) <= 1e-12))
+
+    for lazy in (0.0, 0.5, 0.9):
+        walk = make_torus_walk(GOLDEN_ALPHA, lazy=lazy, fhat={1: 0.5, 13: 0.25, 10946: 0.1})
+        for row in torus_condition(walk, cutoff=20000).rows:
+            old = row.one_minus_nuhat / (2.0 * math.pi ** 2 * row.dist * row.dist)
+            assert row.ratio.hex() == old.hex()

@@ -201,3 +201,20 @@ def test_closed_stdout_pipe_exits_2_without_traceback():
     proc.stdout.close()
     stderr = proc.stderr.read()
     assert_write_error(proc.wait(timeout=120), stderr, "<stdout>")
+
+
+@pytest.mark.parametrize("argv", [
+    ["group", "--moduli", "200", "--step", "1:0.5,199:0.5"],    # the report fails first
+    ["analyze", "no-such-document.json"],                       # only the error line
+    ["analyze", "--bogus"]], ids=["report", "bad-input", "bad-option"])
+def test_stdout_and_stderr_on_one_closed_pipe_exit_2(argv):
+    # as in `qclt ... 2>&1 | true`: the error line meets a closed stderr too,
+    # and no traceback can be shown, so the exit code alone tells
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "qclt.cli", *argv], env=child_env(),
+                              stdout=write_end, stderr=write_end, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
