@@ -18,6 +18,18 @@
  * pick that same state, and every path adds its terms in step order, so
  * the lanes change no bit of the output.
  *
+ * On x86-64 the path walks also come as AVX-512F/DQ lane kernels: 8 paths
+ * to a zmm register, the chain in two registers (16 paths) so that one
+ * register's table gathers overlap the other's, the torus in one.  Module
+ * exec picks them once, when the CPU reports both AVX-512F and AVX-512DQ,
+ * and names the choice in LANE_PATH ("avx512" or "scalar"); elsewhere the
+ * scalar walks run.  They are bit-for-bit the scalar walks: the draw's
+ * integer steps are exact, z >> 11 < 2^53 converts to double exactly and
+ * the scale by 2^-53 is exact; the halvings compare the same entries by
+ * the same <=; every table read is a gather of the entry the scalar lane
+ * loads; and each lane adds its terms in step order, with no fused
+ * multiply-add.
+ *
  * dyadic_moments: one pass over a row-major (rows, 2^d + 1) table of a
  * dyadic family.  Per row it builds T, as given or by T_0 = z_0,
  * T_k = z_k + a T_{k-1}, and writes sup_k |T_k - T_0| and, for each scale
@@ -55,6 +67,13 @@ static inline double next_uniform(uint64_t *ctr)
     z = (z ^ (z >> 27)) * MIX_B;
     z ^= z >> 31;
     return (double)(z >> 11) * TWO_NEG53;
+}
+
+/* x0 + d * alpha reduced to [0, 1): the torus point d lattice steps from x0 */
+static inline double lattice_point(double x0, double alpha, Py_ssize_t d)
+{
+    double x = x0 + (double)d * alpha;
+    return x - floor(x);
 }
 
 /* 1 if buffer format `f` is one 8-byte item of `type`: 'd' float64,
@@ -115,6 +134,218 @@ static void release_all(Py_buffer *b, int n)
         PyBuffer_Release(&b[i]);
 }
 
+/* One chain_paths call, checked: S * S * 8 fits a Py_ssize_t, so S < 2^30,
+ * and halves[t] is the bisection's t-th step over a row's first S - 1
+ * entries. */
+struct chain_job {
+    const double *cum, *fvals, *hmat;
+    const uint64_t *keys;
+    double *out_s, *out_m;
+    int64_t *out_last;
+    Py_ssize_t S, start, n_steps, npaths;
+    Py_ssize_t halves[64];
+    int depth;
+};
+
+static void chain_scalar(const struct chain_job *job)
+{
+    const double *cum = job->cum, *fvals = job->fvals, *hmat = job->hmat;
+    Py_ssize_t S = job->S, npaths = job->npaths;
+    for (Py_ssize_t i0 = 0; i0 < npaths; i0 += LANES) {
+        Py_ssize_t nl = npaths - i0 < LANES ? npaths - i0 : LANES;
+        uint64_t ctr[LANES];
+        Py_ssize_t state[LANES];
+        double s[LANES], m[LANES];
+        /* lanes past the last path walk a copy of its stream; their
+         * results are never written */
+        for (int l = 0; l < LANES; l++) {
+            ctr[l] = job->keys[i0 + (l < nl ? l : nl - 1)];
+            state[l] = job->start;
+            s[l] = m[l] = 0.0;
+        }
+        for (Py_ssize_t k = 0; k < job->n_steps; k++) {
+            double u[LANES];
+            const double *row[LANES], *base[LANES];
+            for (int l = 0; l < LANES; l++) {
+                u[l] = next_uniform(&ctr[l]);
+                row[l] = base[l] = cum + state[l] * S;
+            }
+            for (int t = 0; t < job->depth; t++) {
+                Py_ssize_t half = job->halves[t];
+                for (int l = 0; l < LANES; l++)
+                    base[l] = base[l][half] <= u[l] ? base[l] + half : base[l];
+            }
+            for (int l = 0; l < LANES; l++) {
+                Py_ssize_t nxt = base[l] - row[l];
+                if (S > 1)      /* else the only entry is the pinned 1.0 */
+                    nxt += base[l][0] <= u[l];
+                m[l] += hmat[state[l] * S + nxt];
+                s[l] += fvals[nxt];
+                state[l] = nxt;
+            }
+        }
+        for (int l = 0; l < nl; l++) {
+            job->out_s[i0 + l] = s[l];
+            job->out_m[i0 + l] = m[l];
+            job->out_last[i0 + l] = state[l];
+        }
+    }
+}
+
+/* One torus_paths call, checked, with its table of 2 n_steps + 1 values
+ * built; a path's step is stay if u < lazy, +1 if u < mid, else -1. */
+struct torus_job {
+    const double *table;
+    const uint64_t *keys;
+    double *out_s, *out_x;
+    double alpha, lazy, mid, x0;
+    Py_ssize_t n_steps, npaths;
+};
+
+static void torus_scalar(const struct torus_job *job)
+{
+    for (Py_ssize_t i = 0; i < job->npaths; i++) {
+        uint64_t ctr = job->keys[i];
+        Py_ssize_t j = job->n_steps;
+        double s = 0.0;
+        for (Py_ssize_t k = 0; k < job->n_steps; k++) {
+            double u = next_uniform(&ctr);
+            j += (u >= job->lazy) - 2 * (u >= job->mid);
+            s += job->table[j];
+        }
+        job->out_s[i] = s;
+        job->out_x[i] = lattice_point(job->x0, job->alpha, j - job->n_steps);
+    }
+}
+
+static void (*run_chain)(const struct chain_job *) = chain_scalar;
+static void (*run_torus)(const struct torus_job *) = torus_scalar;
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <immintrin.h>
+
+/* The AVX-512F/DQ walks; the header says why they match the scalar ones. */
+#define AVX512 __attribute__((target("avx512f,avx512dq")))
+#define VLANES 8
+/* chain paths in flight: two registers of lanes hide the gathers' latency */
+#define VPATHS (2 * VLANES)
+
+/* advance 8 streams a draw each: next_uniform, lane by lane */
+AVX512 static inline __m512d next_uniform8(__m512i *ctr)
+{
+    __m512i z = *ctr = _mm512_add_epi64(*ctr, _mm512_set1_epi64((long long)GOLDEN));
+    z = _mm512_xor_si512(z, _mm512_srli_epi64(z, 30));
+    z = _mm512_mullo_epi64(z, _mm512_set1_epi64((long long)MIX_A));
+    z = _mm512_xor_si512(z, _mm512_srli_epi64(z, 27));
+    z = _mm512_mullo_epi64(z, _mm512_set1_epi64((long long)MIX_B));
+    z = _mm512_xor_si512(z, _mm512_srli_epi64(z, 31));
+    return _mm512_mul_pd(_mm512_cvtepi64_pd(_mm512_srli_epi64(z, 11)),
+                         _mm512_set1_pd(TWO_NEG53));
+}
+
+AVX512 static void chain_avx512(const struct chain_job *job)
+{
+    const __m512i vS = _mm512_set1_epi64(job->S), one = _mm512_set1_epi64(1);
+    for (Py_ssize_t i0 = 0; i0 < job->npaths; i0 += VPATHS) {
+        Py_ssize_t nl = job->npaths - i0 < VPATHS ? job->npaths - i0 : VPATHS;
+        uint64_t key[VPATHS];
+        int64_t last[VPATHS];
+        double s_out[VPATHS], m_out[VPATHS];
+        __m512i ctr[2], state[2];
+        __m512d s[2], m[2];
+        /* as in chain_scalar, spare lanes walk a copy of the last stream */
+        for (int l = 0; l < VPATHS; l++)
+            key[l] = job->keys[i0 + (l < nl ? l : nl - 1)];
+        for (int g = 0; g < 2; g++) {
+            ctr[g] = _mm512_loadu_si512(key + g * VLANES);
+            state[g] = _mm512_set1_epi64(job->start);
+            s[g] = m[g] = _mm512_setzero_pd();
+        }
+        for (Py_ssize_t k = 0; k < job->n_steps; k++) {
+            __m512d u[2];
+            __m512i row[2], pos[2];
+            for (int g = 0; g < 2; g++) {
+                u[g] = next_uniform8(&ctr[g]);
+                /* state, S < 2^30: the 32-bit product is the whole of state * S */
+                row[g] = pos[g] = _mm512_mul_epu32(state[g], vS);
+            }
+            for (int t = 0; t < job->depth; t++) {
+                __m512i half = _mm512_set1_epi64(job->halves[t]);
+                for (int g = 0; g < 2; g++) {
+                    __m512d probe = _mm512_i64gather_pd(_mm512_add_epi64(pos[g], half),
+                                                        job->cum, 8);
+                    __mmask8 le = _mm512_cmp_pd_mask(probe, u[g], _CMP_LE_OQ);
+                    pos[g] = _mm512_mask_add_epi64(pos[g], le, pos[g], half);
+                }
+            }
+            for (int g = 0; g < 2; g++) {
+                if (job->S > 1) {
+                    __m512d probe = _mm512_i64gather_pd(pos[g], job->cum, 8);
+                    __mmask8 le = _mm512_cmp_pd_mask(probe, u[g], _CMP_LE_OQ);
+                    pos[g] = _mm512_mask_add_epi64(pos[g], le, pos[g], one);
+                }
+                m[g] = _mm512_add_pd(m[g], _mm512_i64gather_pd(pos[g], job->hmat, 8));
+                state[g] = _mm512_sub_epi64(pos[g], row[g]);
+                s[g] = _mm512_add_pd(s[g], _mm512_i64gather_pd(state[g], job->fvals, 8));
+            }
+        }
+        for (int g = 0; g < 2; g++) {
+            _mm512_storeu_pd(s_out + g * VLANES, s[g]);
+            _mm512_storeu_pd(m_out + g * VLANES, m[g]);
+            _mm512_storeu_si512(last + g * VLANES, state[g]);
+        }
+        for (int l = 0; l < nl; l++) {
+            job->out_s[i0 + l] = s_out[l];
+            job->out_m[i0 + l] = m_out[l];
+            job->out_last[i0 + l] = last[l];
+        }
+    }
+}
+
+AVX512 static void torus_avx512(const struct torus_job *job)
+{
+    const __m512d lazy = _mm512_set1_pd(job->lazy), mid = _mm512_set1_pd(job->mid);
+    const __m512i one = _mm512_set1_epi64(1), two = _mm512_set1_epi64(2);
+    for (Py_ssize_t i0 = 0; i0 < job->npaths; i0 += VLANES) {
+        Py_ssize_t nl = job->npaths - i0 < VLANES ? job->npaths - i0 : VLANES;
+        uint64_t key[VLANES];
+        int64_t j_out[VLANES];
+        double s_out[VLANES];
+        for (int l = 0; l < VLANES; l++)
+            key[l] = job->keys[i0 + (l < nl ? l : nl - 1)];
+        __m512i ctr = _mm512_loadu_si512(key), j = _mm512_set1_epi64(job->n_steps);
+        __m512d s = _mm512_setzero_pd();
+        for (Py_ssize_t k = 0; k < job->n_steps; k++) {
+            __m512d u = next_uniform8(&ctr);
+            j = _mm512_mask_add_epi64(j, _mm512_cmp_pd_mask(u, lazy, _CMP_GE_OQ), j, one);
+            j = _mm512_mask_sub_epi64(j, _mm512_cmp_pd_mask(u, mid, _CMP_GE_OQ), j, two);
+            s = _mm512_add_pd(s, _mm512_i64gather_pd(j, job->table, 8));
+        }
+        _mm512_storeu_pd(s_out, s);
+        _mm512_storeu_si512(j_out, j);
+        for (int l = 0; l < nl; l++) {
+            job->out_s[i0 + l] = s_out[l];
+            job->out_x[i0 + l] = lattice_point(job->x0, job->alpha, j_out[l] - job->n_steps);
+        }
+    }
+}
+
+/* the vector walks where the CPU has AVX-512F and DQ, else the scalar ones */
+static const char *pick_lane_path(void)
+{
+    if (!__builtin_cpu_supports("avx512f") || !__builtin_cpu_supports("avx512dq"))
+        return "scalar";
+    run_chain = chain_avx512;
+    run_torus = torus_avx512;
+    return "avx512";
+}
+#else
+static const char *pick_lane_path(void)
+{
+    return "scalar";
+}
+#endif
+
 static PyObject *chain_paths(PyObject *self, PyObject *args)
 {
     static const char *const names[] = {"cum_rows", "fvals", "hmat", "keys",
@@ -139,69 +370,21 @@ static PyObject *chain_paths(PyObject *self, PyObject *args)
         && check_len(&b[4], npaths, names[4]) == 0 && check_len(&b[5], npaths, names[5]) == 0
         && check_len(&b[6], npaths, names[6]) == 0 && check_steps(n_steps) == 0;
     if (ok) {
-        const double *cum = b[0].buf, *fvals = b[1].buf, *hmat = b[2].buf;
-        const uint64_t *keys = b[3].buf;
-        double *out_s = b[4].buf, *out_m = b[5].buf;
-        int64_t *out_last = b[6].buf;
-        /* halves[t]: the bisection's t-th step over the first S - 1 entries;
-         * S * S * 8 fits a Py_ssize_t, so there are fewer than 64 */
-        Py_ssize_t halves[64];
-        int depth = 0;
-        for (Py_ssize_t len = S - 1; len > 1; len -= halves[depth++])
-            halves[depth] = len / 2;
+        struct chain_job job = {.cum = b[0].buf, .fvals = b[1].buf, .hmat = b[2].buf,
+                                .keys = b[3].buf, .out_s = b[4].buf, .out_m = b[5].buf,
+                                .out_last = b[6].buf, .S = S, .start = start,
+                                .n_steps = n_steps, .npaths = npaths};
+        /* S * S * 8 fits a Py_ssize_t, so there are fewer than 64 halvings */
+        for (Py_ssize_t len = S - 1; len > 1; len -= job.halves[job.depth++])
+            job.halves[job.depth] = len / 2;
         Py_BEGIN_ALLOW_THREADS
-        for (Py_ssize_t i0 = 0; i0 < npaths; i0 += LANES) {
-            Py_ssize_t nl = npaths - i0 < LANES ? npaths - i0 : LANES;
-            uint64_t ctr[LANES];
-            Py_ssize_t state[LANES];
-            double s[LANES], m[LANES];
-            /* lanes past the last path walk a copy of its stream; their
-             * results are never written */
-            for (int l = 0; l < LANES; l++) {
-                ctr[l] = keys[i0 + (l < nl ? l : nl - 1)];
-                state[l] = start;
-                s[l] = m[l] = 0.0;
-            }
-            for (Py_ssize_t k = 0; k < n_steps; k++) {
-                double u[LANES];
-                const double *row[LANES], *base[LANES];
-                for (int l = 0; l < LANES; l++) {
-                    u[l] = next_uniform(&ctr[l]);
-                    row[l] = base[l] = cum + state[l] * S;
-                }
-                for (int t = 0; t < depth; t++) {
-                    Py_ssize_t half = halves[t];
-                    for (int l = 0; l < LANES; l++)
-                        base[l] = base[l][half] <= u[l] ? base[l] + half : base[l];
-                }
-                for (int l = 0; l < LANES; l++) {
-                    Py_ssize_t nxt = base[l] - row[l];
-                    if (S > 1)      /* else the only entry is the pinned 1.0 */
-                        nxt += base[l][0] <= u[l];
-                    m[l] += hmat[state[l] * S + nxt];
-                    s[l] += fvals[nxt];
-                    state[l] = nxt;
-                }
-            }
-            for (int l = 0; l < nl; l++) {
-                out_s[i0 + l] = s[l];
-                out_m[i0 + l] = m[l];
-                out_last[i0 + l] = state[l];
-            }
-        }
+        run_chain(&job);
         Py_END_ALLOW_THREADS
     }
     release_all(b, 7);
     if (!ok)
         return NULL;
     Py_RETURN_NONE;
-}
-
-/* x0 + d * alpha reduced to [0, 1): the torus point d lattice steps from x0 */
-static inline double lattice_point(double x0, double alpha, Py_ssize_t d)
-{
-    double x = x0 + (double)d * alpha;
-    return x - floor(x);
 }
 
 /* The table is built in _kernels_py's operation order, so both backends
@@ -238,9 +421,10 @@ static PyObject *torus_paths(PyObject *self, PyObject *args)
     }
     if (ok) {
         const double *omegas = b[0].buf, *ccos = b[1].buf, *csin = b[2].buf;
-        const uint64_t *keys = b[3].buf;
-        double *out_s = b[4].buf, *out_x = b[5].buf;
-        double mid = lazy + 0.5 * (1.0 - lazy);
+        struct torus_job job = {.table = table, .keys = b[3].buf, .out_s = b[4].buf,
+                                .out_x = b[5].buf, .alpha = alpha, .lazy = lazy,
+                                .mid = lazy + 0.5 * (1.0 - lazy), .x0 = x0,
+                                .n_steps = n_steps, .npaths = npaths};
         Py_BEGIN_ALLOW_THREADS
         for (Py_ssize_t j = 0; j <= 2 * n_steps; j++) {
             double x = lattice_point(x0, alpha, j - n_steps), fval = 0.0;
@@ -248,19 +432,7 @@ static PyObject *torus_paths(PyObject *self, PyObject *args)
                 fval += ccos[k] * cos(x * omegas[k]) + csin[k] * sin(x * omegas[k]);
             table[j] = fval;
         }
-        for (Py_ssize_t i = 0; i < npaths; i++) {
-            uint64_t ctr = keys[i];
-            Py_ssize_t j = n_steps;
-            double s = 0.0;
-            for (Py_ssize_t k = 0; k < n_steps; k++) {
-                double u = next_uniform(&ctr);
-                /* stay if u < lazy, +alpha if u < mid, else -alpha */
-                j += (u >= lazy) - 2 * (u >= mid);
-                s += table[j];
-            }
-            out_s[i] = s;
-            out_x[i] = lattice_point(x0, alpha, j - n_steps);
-        }
+        run_torus(&job);
         Py_END_ALLOW_THREADS
     }
     PyMem_RawFree(table);
@@ -390,7 +562,9 @@ static PyMethodDef methods[] = {
 
 static int exec_module(PyObject *module)
 {
-    return PyModule_AddStringConstant(module, "BACKEND_NAME", "compiled");
+    if (PyModule_AddStringConstant(module, "BACKEND_NAME", "compiled") < 0)
+        return -1;
+    return PyModule_AddStringConstant(module, "LANE_PATH", pick_lane_path());
 }
 
 static PyModuleDef_Slot slots[] = {

@@ -251,18 +251,7 @@ def load_document(source, tol: float = DEFAULT_CLASSIFY_TOL):
     Observables are returned as raw (uncentered) vectors keyed by name.
     """
     if isinstance(source, (str, Path)):
-        try:
-            is_file = Path(str(source)).exists()
-        except (OSError, ValueError):  # e.g. JSON text too long for a path
-            is_file = False
-        if is_file:
-            doc = read_json(source)
-        else:
-            try:
-                doc = json.loads(str(source))
-            except json.JSONDecodeError:
-                raise BadFile(f"{str(source)[:80]!r} is neither an existing file "
-                              "nor JSON text") from None
+        doc = read_json_source(source)
     else:
         doc = dict(source)
     if not isinstance(doc, dict):
@@ -300,6 +289,22 @@ def read_json(path):
         raise BadFile(f"cannot read {str(path)!r}: {exc.strerror or exc}") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise BadFile(f"{str(path)!r} is not valid JSON: {exc}") from None
+
+
+def read_json_source(source):
+    """Parse the JSON file at the path ``source`` or, where no such file
+    exists, ``source`` itself as JSON text; :class:`BadFile` if neither."""
+    try:
+        is_file = Path(str(source)).exists()
+    except (OSError, ValueError):  # e.g. JSON text too long for a path
+        is_file = False
+    if is_file:
+        return read_json(source)
+    try:
+        return json.loads(str(source))
+    except json.JSONDecodeError:
+        raise BadFile(f"{str(source)[:80]!r} is neither an existing file "
+                      "nor JSON text") from None
 
 
 @contextlib.contextmanager

@@ -30,7 +30,7 @@ from .chain import (
     guarded_writes,
     load_document,
     open_output,
-    read_json,
+    read_json_source,
 )
 from .errors import DivergentIntegral, QcltError
 
@@ -221,10 +221,10 @@ def _cmd_group(args) -> int:
     return 0
 
 
-def _load_coeffs(path):
-    if path is None:
+def _load_coeffs(source):
+    if source is None:
         return {1: 0.5}  # f(x) = cos(2 pi x)
-    data = read_json(path)
+    data = read_json_source(source)
     out = {}
     try:
         if isinstance(data, dict):
@@ -238,7 +238,7 @@ def _load_coeffs(path):
                 out[n] = complex(float(value[0]),
                                  float(value[1]) if len(value) > 1 else 0.0)
     except (TypeError, ValueError, IndexError):
-        raise QcltError(f"--coeffs {path!r} needs {{n: value}} or [[n, re, im], ...] "
+        raise QcltError(f"--coeffs {source!r} needs {{n: value}} or [[n, re, im], ...] "
                         "with integer frequencies and numeric values") from None
     return out
 
@@ -330,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("torus", help="rotation-walk series report")
     p.add_argument("--alpha", default="golden", help="step: 'golden' or a decimal")
     p.add_argument("--lazy", type=float, default=0.0, help="holding probability")
-    p.add_argument("--coeffs", help="JSON Fourier coefficients of the observable")
+    p.add_argument("--coeffs",
+                   help="Fourier coefficients of the observable: a JSON file or JSON text")
     p.add_argument("--cutoff", type=int, default=10_000,
                    help="cap for convergent denominators")
     p.add_argument("--paths", type=int, default=0,

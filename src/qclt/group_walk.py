@@ -319,8 +319,12 @@ def torus_condition(walk: TorusWalk, cutoff: int) -> TorusConditionReport:
     (the factor 2 accounts for the mirrored negative frequency).  The report
     never extrapolates an infinite tail; it returns partial sums and the
     per-frequency data needed to judge them, plus the continued-fraction
-    convergents of alpha with denominators up to ``cutoff``.
+    convergents of alpha with denominators up to ``cutoff``, which is at
+    least 1.
     """
+    if cutoff < 1:
+        raise DimensionMismatch(f"cutoff {cutoff} is below 1, the smallest convergent "
+                                "denominator")
     if walk.fhat and cutoff < walk.fhat[-1][0]:      # fhat is sorted by frequency
         raise DimensionMismatch(f"cutoff {cutoff} is below the largest supported "
                                 f"frequency {walk.fhat[-1][0]}")

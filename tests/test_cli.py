@@ -219,9 +219,24 @@ def test_torus_malformed_coeffs_exit_2(capsys, tmp_path, text):
 
 
 def test_torus_missing_coeffs_exit_2(capsys, tmp_path):
+    # a missing file is read as JSON text, as a chain document is
     code, out, err = run(capsys, "torus", "--coeffs", str(tmp_path / "absent.json"))
     _assert_clean_exit_2(code, out, err)
-    assert "cannot read" in err
+    assert "neither an existing file nor JSON text" in err
+
+
+def test_torus_coeffs_as_json_text_match_a_file(capsys, tmp_path):
+    text = '{"1": 0.5, "3": [0.25, -0.125]}'
+    path = tmp_path / "coeffs.json"
+    path.write_text(text)
+    argv = ["--cutoff", "100", "--paths", "200", "--n", "16"]
+    code, from_file, _ = run(capsys, "torus", "--coeffs", str(path), *argv)
+    assert code == 0
+    code, from_text, _ = run(capsys, "torus", "--coeffs", text, *argv)
+    assert code == 0
+    # the config echoes the --coeffs argument itself; every other line agrees
+    assert from_text.replace(text, str(path)) == from_file
+    assert "[series]" in from_file and "[report]" in from_file
 
 
 def test_simulate_bad_dump_path_fails_before_the_run(capsys, chain_file, tmp_path,
@@ -386,6 +401,8 @@ UNWRITABLE = {"simulate": "--dump", "group": "--output"}
 CANNOT_WRITE = "error: cannot write '<stdout>': "
 CASES = (
     [(cmd, "bad-input", argv, "pipe", "error: ") for cmd, argv in BAD_INPUT.items()]
+    + [("torus", "bad-cutoff", ["torus", "--coeffs", "{}", "--cutoff", "-5"], "pipe",
+        "error: cutoff -5 is below 1")]
     + [(cmd, "bad-option", argv + ["--bogus"], "pipe",
         "qclt: error: unrecognized arguments: --bogus") for cmd, argv in ARGV.items()]
     + [(cmd, "unwritable-path", ARGV[cmd] + [opt, "NO_DIR"], "pipe", "error: cannot write '")

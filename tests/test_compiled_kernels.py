@@ -6,6 +6,8 @@ directory (the ``compiled_kernels`` fixture), so these tests run wherever a
 C compiler exists, whether or not the package was installed.
 """
 
+import platform
+import sys
 import tracemalloc
 from concurrent.futures import Future
 
@@ -36,11 +38,17 @@ def _chain_case(S, rng, zero_cols=0):
     return _cum_rows(q), rng.standard_normal(S), rng.standard_normal((S, S))
 
 
-# the two-state chain is covered by test_simulate's backend-identity test
 CASES = {
+    "S1": lambda rng: _chain_case(1, rng),
+    "S2": lambda rng: _chain_case(2, rng),
+    "S3": lambda rng: _chain_case(3, rng),
     "S7": lambda rng: _chain_case(7, rng),
+    "S110": lambda rng: _chain_case(110, rng),
     "S110-zero-cols": lambda rng: _chain_case(110, rng, zero_cols=40),
 }
+# around the C kernels' lanes: 8 paths to a register, two registers per
+# chain block, and the tails of each; with 2 workers, of each chunk too
+LANE_EDGE_PATHS = [1, 7, 8, 9, 15, 16, 17, 33]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -49,12 +57,14 @@ def test_chain_bitwise_identical_to_numpy(compiled_backend, case, workers):
     rng = np.random.default_rng(sorted(CASES).index(case))
     cum, fvals, hmat = CASES[case](rng)
     S = len(fvals)
-    args = (cum, fvals, hmat, S // 2, 301, 257, 91)
-    ref = compiled_backend.run_chain_paths(*args, workers=1, backend="python")
-    got = compiled_backend.run_chain_paths(*args, workers=workers, backend="compiled")
-    for a, b in zip(ref, got):
-        assert np.array_equal(a, b)
-    assert got[2].dtype == np.int64 and 0 <= got[2].min() and got[2].max() < S
+    shapes = [(n_steps, num_paths) for n_steps in (0, 1, 5) for num_paths in LANE_EDGE_PATHS]
+    for n_steps, num_paths in shapes + [(301, 257)]:
+        args = (cum, fvals, hmat, S // 2, n_steps, num_paths, 91)
+        ref = compiled_backend.run_chain_paths(*args, workers=1, backend="python")
+        got = compiled_backend.run_chain_paths(*args, workers=workers, backend="compiled")
+        for a, b in zip(ref, got):
+            assert a.dtype == b.dtype and np.array_equal(a, b), (n_steps, num_paths)
+        assert 0 <= got[2].min() and got[2].max() < S
 
 
 def _oracle_case(S, rows, rng):
@@ -205,6 +215,15 @@ def test_torus_rejects_bad_buffers(compiled_kernels):
 
 def test_backend_name(compiled_kernels):
     assert compiled_kernels.BACKEND_NAME == "compiled"
+
+
+def test_lane_path_follows_the_cpu(compiled_kernels):
+    if not sys.platform.startswith("linux") or platform.machine() != "x86_64":
+        pytest.skip("the AVX-512 lanes are built for x86-64, and read here from /proc/cpuinfo")
+    with open("/proc/cpuinfo") as fh:
+        flags = next(line for line in fh if line.startswith("flags")).split(":", 1)[1].split()
+    want = "avx512" if {"avx512f", "avx512dq"} <= set(flags) else "scalar"
+    assert compiled_kernels.LANE_PATH == want
 
 
 def _torus_args(npaths=4):

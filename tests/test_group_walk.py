@@ -263,6 +263,16 @@ def test_torus_condition_report():
         torus_condition(walk, cutoff=5)
 
 
+@pytest.mark.parametrize("cutoff", [0, -5])
+def test_torus_cutoff_below_one_rejected(cutoff):
+    # with no coefficients, no frequency check stands in front of it; 0/1's
+    # denominator is above such a cutoff
+    walk = make_torus_walk(GOLDEN_ALPHA, fhat={})
+    with pytest.raises(DimensionMismatch, match="below 1"):
+        torus_condition(walk, cutoff=cutoff)
+    assert torus_condition(walk, cutoff=1).convergents == ((0, 1), (1, 1))
+
+
 def test_simulate_torus_zero_observable():
     # a zero sample has no KS distance to N(0, 0); finite chains refuse it too
     walk = make_torus_walk(GOLDEN_ALPHA, fhat={})

@@ -1,4 +1,5 @@
-"""The lattice-table torus kernel against the accumulating trig kernel.
+"""The lattice-table torus kernel against the accumulating trig kernel, and
+the two backends against each other at the edges of the C kernel's lanes.
 
 Both backends tabulate the observable at ``x0 + j alpha mod 1`` and walk an
 integer index; :func:`tests.oracles.torus_paths_accumulating` adds +-alpha
@@ -16,6 +17,7 @@ from qclt import _kernels_py
 from qclt.group_walk import GOLDEN_ALPHA
 from qclt.rng import stream_keys
 from tests.oracles import torus_paths_accumulating
+from tests.test_compiled_kernels import LANE_EDGE_PATHS
 
 ALPHAS = {"golden": GOLDEN_ALPHA, "sqrt2-1": math.sqrt(2.0) - 1.0}
 OBSERVABLES = {                 # name: (omegas, ccos, csin)
@@ -61,3 +63,16 @@ def test_lattice_kernel_matches_accumulating_oracle(compiled_kernels, alpha, laz
         for a, b in zip(outs["python"], outs["compiled"]):
             np.testing.assert_array_equal(a, b)
 
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("lazy", [0.0, 0.5])
+def test_lane_edges_bitwise_identical_to_numpy(compiled_backend, lazy, workers):
+    omegas, ccos, csin = (np.array(v, dtype=np.float64)
+                          for v in OBSERVABLES["three harmonics"])
+    for n_steps in (0, 1, 5):
+        for num_paths in LANE_EDGE_PATHS:
+            args = (GOLDEN_ALPHA, lazy, omegas, ccos, csin, 0.3125, n_steps, num_paths, 5)
+            ref = compiled_backend.run_torus_paths(*args, workers=1, backend="python")
+            got = compiled_backend.run_torus_paths(*args, workers=workers, backend="compiled")
+            for a, b in zip(ref, got):
+                assert np.array_equal(a, b), (n_steps, num_paths)
