@@ -5,8 +5,8 @@ command imports the rest itself, and the package re-exports its public
 names on first access.  The console entry point runs ``main`` and then
 freezes the garbage collector, so the tests below run the real
 ``python -m qclt.cli`` process and compare what it writes with an
-in-process ``main`` run.  A report that cannot be written while stderr is
-closed too still exits 2.
+in-process ``main`` run.  A report that cannot be written, to a full
+device or a closed pipe, exits 2 with one error line and no traceback.
 """
 
 import json
@@ -151,10 +151,56 @@ def test_quick_verify_exits_0():
     assert proc.stdout.splitlines()[-1] == "result = 12/12 passed"
 
 
-# -- failed writes ---------------------------------------------------------------
-#
-# A full device or a closed stdout pipe, for every command, is a case of
-# tests/test_cli.py::test_exit_contract.  Here stderr is closed too.
+# -- failed writes: a full device or a closed pipe exits 2 with one error line -------
+
+DEV_FULL = Path("/dev/full")
+needs_dev_full = pytest.mark.skipif(not DEV_FULL.exists(), reason="no /dev/full here")
+
+
+def assert_write_error(returncode, stderr, name):
+    assert returncode == 2, stderr
+    assert stderr.startswith(f"error: cannot write {name!r}: ") and stderr.count("\n") == 1
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr
+
+
+@pytest.fixture
+def walk_doc(tmp_path):
+    doc = tmp_path / "walk.json"
+    assert cli(*WALK, "--output", str(doc)).returncode == 0
+    return str(doc)
+
+
+@needs_dev_full
+@pytest.mark.parametrize("command", [
+    ["analyze", "DOC"], ["approx", "DOC", "--n", "1,4"],
+    ["simulate", "DOC", "--start", "0,0", "--n", "8", "--paths", "200"],
+    WALK[:-2], WALK + ["--output", "OUT"], ["torus", "--cutoff", "100"],
+    ["verify", "--quick"]], ids=lambda argv: argv[0] + ("-output" if "OUT" in argv else ""))
+def test_full_stdout_exits_2(tmp_path, walk_doc, command):
+    argv = [{"DOC": walk_doc, "OUT": str(tmp_path / "out.json")}.get(a, a) for a in command]
+    with open(DEV_FULL, "w") as full:
+        proc = cli(*argv, stdout=full)
+    assert_write_error(proc.returncode, proc.stderr, "<stdout>")
+
+
+@needs_dev_full
+@pytest.mark.parametrize("option", ["--dump", "--output"])
+def test_full_output_file_exits_2_before_the_report(walk_doc, option):
+    argv = (["simulate", walk_doc, "--start", "0,0", "--n", "8", "--paths", "200"]
+            if option == "--dump" else WALK)
+    proc = cli(*argv, option, str(DEV_FULL))
+    assert_write_error(proc.returncode, proc.stderr, str(DEV_FULL))
+    assert proc.stdout == ""
+
+
+def test_closed_stdout_pipe_exits_2_without_traceback():
+    # the document is larger than a pipe's buffer, so writing it must fail
+    proc = subprocess.Popen([sys.executable, "-m", "qclt.cli", "group", "--moduli", "200",
+                             "--step", "1:0.5,199:0.5"], env=child_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert_write_error(proc.wait(timeout=120), stderr, "<stdout>")
 
 
 @pytest.mark.parametrize("argv", [
