@@ -7,16 +7,19 @@
  * math.cos/math.sin do in the fallback.
  *
  * The chain kernel advances LANES paths in lockstep, each with its own
- * counter, state and sums.  A step's next state is the count of entries
- * <= u among the first S - 1 of the state's cumulative row, found by a
- * fixed number of branch-free halvings and one final compare.  Those
- * entries never decrease, so the count is the first j < S - 1 with
- * u < row[j], or S - 1 if there is none; u < 1.0 always, so that is the
- * first j with u < row[j] over the whole row, and the pinned 1.0 column
- * is never read.  The fallback's binary lifting, and the searchsorted
- * replay and per-path bisection that the tests keep as references, all
- * pick that same state, and every path adds its terms in step order, so
- * the lanes change no bit of the output.
+ * counter, state and sums.  Every backend, the numpy fallback included,
+ * finds a step's next state by this one search.  pos = row = state * S is
+ * the flat index of the state's cumulative row.  The halving table covers
+ * the row's first S - 1 entries: from len = S - 1, while len > 1, take
+ * half = len / 2 and len -= half.  At each halving pos += half where
+ * cum[pos + half] <= u; one final compare adds cum[pos] <= u (no entry is
+ * left to compare when S = 1).  Then m += hmat[pos], state = pos - row and
+ * s += fvals[state].  The entries never decrease, so the count is the first
+ * j < S - 1 with u < row[j], or S - 1 if there is none; u < 1.0 always, so
+ * that is the first j with u < row[j] over the whole row, and the pinned
+ * last column is never read.  The searchsorted replay and per-path
+ * bisection that the tests keep as references pick that same state, and
+ * every path adds its terms in step order, so no backend changes a bit.
  *
  * On x86-64 the path walks also come as AVX-512F/DQ lane kernels: 8 paths
  * to a zmm register, the chain in two registers (16 paths) so that one
@@ -25,10 +28,10 @@
  * and names the choice in LANE_PATH ("avx512" or "scalar"); elsewhere the
  * scalar walks run.  They are bit-for-bit the scalar walks: the draw's
  * integer steps are exact, z >> 11 < 2^53 converts to double exactly and
- * the scale by 2^-53 is exact; the halvings compare the same entries by
- * the same <=; every table read is a gather of the entry the scalar lane
- * loads; and each lane adds its terms in step order, with no fused
- * multiply-add.
+ * the scale by 2^-53 is exact; the search is the one above, comparing the
+ * same entries by the same <=; every table read is a gather of the entry
+ * the scalar lane loads; and each lane adds its terms in step order, with
+ * no fused multiply-add.
  *
  * dyadic_moments: one pass over a row-major (rows, 2^d + 1) table of a
  * dyadic family.  Per row it builds T, as given or by T_0 = z_0,
@@ -135,8 +138,7 @@ static void release_all(Py_buffer *b, int n)
 }
 
 /* One chain_paths call, checked: S * S * 8 fits a Py_ssize_t, so S < 2^30,
- * and halves[t] is the bisection's t-th step over a row's first S - 1
- * entries. */
+ * and halves[0..depth) is the search's halving table. */
 struct chain_job {
     const double *cum, *fvals, *hmat;
     const uint64_t *keys;
@@ -149,7 +151,7 @@ struct chain_job {
 
 static void chain_scalar(const struct chain_job *job)
 {
-    const double *cum = job->cum, *fvals = job->fvals, *hmat = job->hmat;
+    const double *cum = job->cum;
     Py_ssize_t S = job->S, npaths = job->npaths;
     for (Py_ssize_t i0 = 0; i0 < npaths; i0 += LANES) {
         Py_ssize_t nl = npaths - i0 < LANES ? npaths - i0 : LANES;
@@ -165,23 +167,22 @@ static void chain_scalar(const struct chain_job *job)
         }
         for (Py_ssize_t k = 0; k < job->n_steps; k++) {
             double u[LANES];
-            const double *row[LANES], *base[LANES];
+            Py_ssize_t row[LANES], pos[LANES];
             for (int l = 0; l < LANES; l++) {
                 u[l] = next_uniform(&ctr[l]);
-                row[l] = base[l] = cum + state[l] * S;
+                row[l] = pos[l] = state[l] * S;
             }
             for (int t = 0; t < job->depth; t++) {
                 Py_ssize_t half = job->halves[t];
                 for (int l = 0; l < LANES; l++)
-                    base[l] = base[l][half] <= u[l] ? base[l] + half : base[l];
+                    pos[l] = cum[pos[l] + half] <= u[l] ? pos[l] + half : pos[l];
             }
             for (int l = 0; l < LANES; l++) {
-                Py_ssize_t nxt = base[l] - row[l];
-                if (S > 1)      /* else the only entry is the pinned 1.0 */
-                    nxt += base[l][0] <= u[l];
-                m[l] += hmat[state[l] * S + nxt];
-                s[l] += fvals[nxt];
-                state[l] = nxt;
+                if (S > 1)
+                    pos[l] += cum[pos[l]] <= u[l];
+                m[l] += job->hmat[pos[l]];
+                state[l] = pos[l] - row[l];
+                s[l] += job->fvals[state[l]];
             }
         }
         for (int l = 0; l < nl; l++) {

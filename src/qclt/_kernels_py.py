@@ -6,11 +6,9 @@ mixes, table lookups and float additions; the torus table takes cos/sin
 from the C library through ``math``, as the compiled kernel does, and not
 from numpy's own vectorised trig.  Both path kernels advance every path at
 once through in-place ufuncs on buffers allocated once per call, drawing
-through :func:`_uniforms_into`.  :func:`chain_paths`'s next state is the
-count of entries ``<= u`` among the first ``S - 1`` of the flat cumulative
-row, found by ``ceil(log2(S - 1))`` binary-lifting probes and one final
-compare: the same fixed-depth search as the C lanes, so both pick the unique
-first ``j`` with ``u < row[j]``.
+through :func:`_uniforms_into`.  :func:`chain_paths` finds each next state
+by the search that the ``_kernels.c`` header describes, probe for probe as
+the C lanes do.
 :func:`dyadic_moments` reduces a dyadic family's table to per-row maxima
 and per-scale squared-increment sums, adding each row's increments in
 increasing order as the C loop does, one block of rows at a time.
@@ -56,9 +54,10 @@ def chain_paths(cum_rows, fvals, hmat, start, n_steps, keys,
                 out_s, out_m, out_last) -> None:
     """Walk ``len(keys)`` paths of ``n_steps`` transitions from ``start``.
 
-    ``cum_rows`` holds per-row cumulative kernel sums with the last column
-    pinned at 1.0.  Writes the additive functional sum, the martingale sum
-    and the final state for each path into the ``out_*`` slots.
+    ``cum_rows`` holds per-row cumulative kernel sums; the search never
+    reads their last column, which is pinned at 1.0.  Writes the additive
+    functional sum, the martingale sum and the final state for each path
+    into the ``out_*`` slots.
     """
     _check_steps(n_steps)
     S = fvals.shape[0]
@@ -70,27 +69,27 @@ def chain_paths(cum_rows, fvals, hmat, start, n_steps, keys,
     le = np.empty(npaths, dtype=bool)
     state = np.full(npaths, start, dtype=np.int64)
     row = state * S                              # flat index of each path's row
-    pos, idx, inc, end = (np.empty_like(row) for _ in range(4))
+    pos, idx = np.empty_like(row), np.empty_like(row)
     s = np.zeros(npaths)
     m = np.zeros(npaths)
-    # binary lifting over the first S - 1 entries, the largest step first;
-    # a probe past them reads the pinned 1.0, which no uniform reaches
-    steps = [1 << t for t in reversed(range(max(S - 2, 0).bit_length()))]
+    halves, width = [], S - 1                    # the C kernel's halving table
+    while width > 1:
+        halves.append(width // 2)
+        width -= halves[-1]
     for _ in range(n_steps):
         _uniforms_into(ctr, z, zt, u)
         np.copyto(pos, row)
-        np.add(row, S - 1, out=end)              # the pinned column
-        for b in steps:
-            np.add(pos, b - 1, out=idx)
-            np.minimum(idx, end, out=idx)
+        for half in halves:
+            np.add(pos, half, out=idx)
             cum.take(idx, out=vals)
             np.less_equal(vals, u, out=le)
-            np.multiply(le, b, out=inc)
-            pos += inc
-        cum.take(pos, out=vals)                  # final compare: count of entries <= u
-        np.less_equal(vals, u, out=le)
-        pos += le
-        m += hflat.take(pos, out=vals)           # hmat[state, nxt]
+            np.multiply(le, half, out=idx)
+            pos += idx
+        if S > 1:
+            cum.take(pos, out=vals)
+            np.less_equal(vals, u, out=le)
+            pos += le
+        m += hflat.take(pos, out=vals)           # hmat[state, next state]
         np.subtract(pos, row, out=state)
         s += fvals.take(state, out=vals)
         np.multiply(state, S, out=row)

@@ -109,11 +109,28 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _real_entries(value) -> bool:
+    # whether an array or nested lists hold real numbers only: numpy alone
+    # would read the strings and booleans of a document as numbers
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind in "iuf"
+    if not isinstance(value, (list, tuple)):
+        return False
+    if value and isinstance(value[0], (list, tuple, np.ndarray)):
+        return all(map(_real_entries, value))
+    return all(t is not bool and issubclass(t, (int, float, np.integer, np.floating))
+               for t in set(map(type, value)))
+
+
 def _float_array(value, what: str) -> np.ndarray:
-    try:
-        return np.array(value, dtype=np.float64)
-    except (TypeError, ValueError):   # ragged rows, strings, nested objects
-        raise DimensionMismatch(f"{what} is not a numeric array") from None
+    if _real_entries(value):
+        try:
+            return np.array(value, dtype=np.float64)
+        except ValueError:            # ragged rows
+            pass
+        except OverflowError:         # an integer beyond the float range
+            raise NonFiniteValue(f"{what} holds a number too large for a float") from None
+    raise DimensionMismatch(f"{what} is not a numeric array")
 
 
 def _require_finite(a: np.ndarray, what: str) -> None:

@@ -17,6 +17,7 @@ import contextlib
 import gc
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -159,7 +160,7 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _parse_step(text: str, moduli):
+def _parse_step(text: str):
     atoms = {}
     for part in text.split(","):
         part = part.strip()
@@ -187,7 +188,7 @@ def _cmd_group(args) -> int:
     from .group_walk import build_group_walk, condition_sums
 
     moduli = _parse_int_list(args.moduli, "--moduli")
-    walk = build_group_walk(moduli, _parse_step(args.step, moduli))
+    walk = build_group_walk(moduli, _parse_step(args.step))
     observables = {}
     f = None
     if args.harmonic is not None:
@@ -221,25 +222,37 @@ def _cmd_group(args) -> int:
     return 0
 
 
+# a frequency given as an object key must spell a JSON integer
+_JSON_INT = re.compile(r"-?(0|[1-9][0-9]*)")
+
+
 def _load_coeffs(source):
     if source is None:
         return {1: 0.5}  # f(x) = cos(2 pi x)
     data = read_json_source(source)
+
+    def malformed():
+        return QcltError(f"--coeffs {source!r} needs {{n: value}} or [[n, re, im], ...] "
+                         "with integer frequencies n and each value a number, [re] "
+                         "or [re, im]")
+
+    if isinstance(data, dict):
+        items = [(int(k) if _JSON_INT.fullmatch(k) else None, v) for k, v in data.items()]
+    elif isinstance(data, list) and all(isinstance(row, list) and row for row in data):
+        items = [(row[0], row[1:]) for row in data]
+    else:
+        raise malformed()
     out = {}
-    try:
-        if isinstance(data, dict):
-            items = [(int(k), v) for k, v in data.items()]
-        else:
-            items = [(int(row[0]), row[1:]) for row in data]
-        for n, value in items:
-            if isinstance(value, (int, float)):
-                out[n] = complex(value)
-            else:
-                out[n] = complex(float(value[0]),
-                                 float(value[1]) if len(value) > 1 else 0.0)
-    except (TypeError, ValueError, IndexError):
-        raise QcltError(f"--coeffs {source!r} needs {{n: value}} or [[n, re, im], ...] "
-                        "with integer frequencies and numeric values") from None
+    for n, value in items:
+        # json gives a number as an int or a float, and true/false as a bool
+        parts = value if isinstance(value, list) else [value]
+        if not (type(n) is int and 1 <= len(parts) <= 2
+                and all(type(x) in (int, float) for x in parts)):
+            raise malformed()
+        try:
+            out[n] = complex(*parts)
+        except OverflowError:       # an integer too large for a float
+            raise malformed() from None
     return out
 
 

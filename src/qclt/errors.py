@@ -57,7 +57,8 @@ class SpectralDefect(QcltError):
     """An eigendecomposition failed or does not reproduce the spectral mass.
 
     Raised when LAPACK does not converge on a chain's symmetrized kernel,
-    or when a spectral measure's total mass misses ``<f, f>_pi``.
+    or when a spectral measure's total mass, or the Parseval sum of a group
+    walk's Fourier coefficients, misses ``<f, f>_pi``.
     """
 
 

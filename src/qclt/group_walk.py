@@ -31,6 +31,7 @@ from .errors import (
 )
 from .spectral import (
     SpectralMeasure,
+    check_total_mass,
     drop_roundoff_atoms,
     spectral_integral,
     spectral_measure,
@@ -137,18 +138,14 @@ def walk_fourier(walk: GroupWalk, f: Observable):
 
     Returns ``(nuhat, fhat)`` indexed like ``walk.elements`` (the dual group
     of a finite abelian group is isomorphic to the group itself).  ``fhat``
-    is ``<f, chi_g>``, one FFT over the group; Parseval is validated to
-    1e-9 relative.
+    is ``<f, chi_g>``, one FFT over the group; Parseval is validated by
+    :func:`qclt.spectral.check_total_mass`.
     """
     if f.values.shape != (walk.chain.n_states,):
         raise DimensionMismatch("observable does not match the group order")
     nuhat = _multipliers(walk.moduli, walk.atoms)
     fhat = np.fft.fftn(f.values.reshape(walk.moduli)).ravel() / walk.chain.n_states
-    mass = float(np.sum(np.abs(fhat) ** 2))
-    if abs(mass - f.norm_sq) > 1e-9 * max(mass, f.norm_sq, 1e-30):
-        raise BadProbabilities(
-            f"Parseval check failed: {mass!r} vs <f,f> = {f.norm_sq!r}"
-        )
+    check_total_mass(float(np.sum(np.abs(fhat) ** 2)), f.norm_sq, "Parseval mass")
     return nuhat, fhat
 
 

@@ -59,37 +59,33 @@ def _run(fn, num_paths: int, workers: int, args_for_chunk) -> None:
             fut.result()
 
 
+def _run_paths(walk: str, lead, dtypes, num_paths, seed, workers, backend):
+    # one output array per dtype; each chunk runs the backend's `walk` on
+    # (*lead, keys, *outs), keys and outputs sliced to the chunk.  `walk` is
+    # looked up at call time, so a wrapped chunk function is the one that runs
+    impl = available_backends()[backend] if backend else _impl
+    keys = stream_keys(seed, num_paths)
+    outs = tuple(np.empty(num_paths, dtype=dt) for dt in dtypes)
+
+    def args(i0, i1):
+        return (*lead, keys[i0:i1], *(out[i0:i1] for out in outs))
+
+    _run(getattr(impl, walk), num_paths, workers, args)
+    return outs
+
+
 def run_chain_paths(cum_rows, fvals, hmat, start, n_steps, num_paths, seed,
                     workers: int = 1, backend=None):
     """Sample ``num_paths`` chain paths; returns ``(sums, mart_sums, last_states)``."""
-    impl = available_backends()[backend] if backend else _impl
-    keys = stream_keys(seed, num_paths)
-    out_s = np.empty(num_paths)
-    out_m = np.empty(num_paths)
-    out_last = np.empty(num_paths, dtype=np.int64)
-
-    def args(i0, i1):
-        return (cum_rows, fvals, hmat, start, n_steps, keys[i0:i1],
-                out_s[i0:i1], out_m[i0:i1], out_last[i0:i1])
-
-    _run(impl.chain_paths, num_paths, workers, args)
-    return out_s, out_m, out_last
+    return _run_paths("chain_paths", (cum_rows, fvals, hmat, start, n_steps),
+                      (np.float64, np.float64, np.int64), num_paths, seed, workers, backend)
 
 
 def run_torus_paths(alpha, lazy, omegas, ccos, csin, x0, n_steps, num_paths,
                     seed, workers: int = 1, backend=None):
     """Sample ``num_paths`` torus paths; returns ``(sums, last_positions)``."""
-    impl = available_backends()[backend] if backend else _impl
-    keys = stream_keys(seed, num_paths)
-    out_s = np.empty(num_paths)
-    out_x = np.empty(num_paths)
-
-    def args(i0, i1):
-        return (alpha, lazy, omegas, ccos, csin, x0, n_steps, keys[i0:i1],
-                out_s[i0:i1], out_x[i0:i1])
-
-    _run(impl.torus_paths, num_paths, workers, args)
-    return out_s, out_x
+    return _run_paths("torus_paths", (alpha, lazy, omegas, ccos, csin, x0, n_steps),
+                      (np.float64, np.float64), num_paths, seed, workers, backend)
 
 
 def dyadic_moments(table, ar=None):

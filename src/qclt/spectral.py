@@ -125,6 +125,14 @@ def drop_roundoff_atoms(locations: np.ndarray, masses: np.ndarray):
     return locations[keep], masses[keep]
 
 
+def check_total_mass(total: float, norm_sq: float, what: str) -> None:
+    """Raise :class:`SpectralDefect` unless ``total`` reproduces ``norm_sq``
+    to ``TOTAL_MASS_RTOL`` relative, or ``norm_sq`` is 0."""
+    # written so that a NaN anywhere fails the check instead of skipping it
+    if norm_sq != 0.0 and not abs(total - norm_sq) <= TOTAL_MASS_RTOL * max(total, norm_sq):
+        raise SpectralDefect(f"{what} {total!r} does not reproduce <f,f> = {norm_sq!r}")
+
+
 def spectral_measure(chain: FiniteChain, f: Observable) -> SpectralMeasure:
     """Spectral measure of ``f`` with respect to the kernel.
 
@@ -140,12 +148,7 @@ def spectral_measure(chain: FiniteChain, f: Observable) -> SpectralMeasure:
     locations = np.clip(eigvals, -1.0, 1.0)
     measure = SpectralMeasure(*drop_roundoff_atoms(*_merge_atoms(locations, weights * weights)))
     locations, masses, total = measure.locations, measure.masses, measure.total
-    norm_sq = f.norm_sq
-    # written so that a NaN anywhere fails the check instead of skipping it
-    if norm_sq != 0.0 and not abs(total - norm_sq) <= TOTAL_MASS_RTOL * max(total, norm_sq):
-        raise SpectralDefect(
-            f"spectral mass {total!r} does not reproduce <f,f> = {norm_sq!r}"
-        )
+    check_total_mass(total, f.norm_sq, "spectral mass")
     if chain.flags.irreducible and len(masses):
         at_one = masses[np.abs(locations - 1.0) <= LOCATION_SINGULARITY_TOL]
         if at_one.sum() > MASS_SINGULARITY_TOL:

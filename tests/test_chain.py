@@ -234,7 +234,11 @@ def test_duplicate_labels_rejected():
 
 
 @pytest.mark.parametrize("kernel", [[[0.5, 0.5], [1.0]], [["a", "b"], ["c", "d"]],
-                                    [[{}, 1.0], [0.5, 0.5]]])
+                                    [[{}, 1.0], [0.5, 0.5]],
+                                    # numpy reads these as numbers
+                                    [["0.5", "0.5"], ["0.5", "0.5"]],
+                                    [[True, False], [False, True]],
+                                    np.array([[True, False], [False, True]])])
 def test_non_numeric_kernel_rejected(kernel):
     with pytest.raises(DimensionMismatch, match="numeric"):
         make_chain("01", kernel)

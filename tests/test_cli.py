@@ -179,7 +179,14 @@ def _assert_clean_exit_2(code, out, err):
                                   '{"Q": [["a", "b"], ["c", "d"]]}',
                                   '{"Q": [[0.5, 0.5], [0.5, 0.5]], "states": 3}',
                                   '{"Q": [[0.5, 0.5], [0.5, 0.5]], "observables": [1]}',
-                                  '{"Q": 5}'])
+                                  '{"Q": 5}',
+                                  # strings and booleans are not numbers
+                                  '{"Q": [["0.75", "0.25"], ["0.25", "0.75"]], '
+                                  '"observables": {"f": [1, -1]}}',
+                                  '{"Q": [[0.75, 0.25], [0.25, 0.75]], "pi": ["0.5", 0.5], '
+                                  '"observables": {"f": [1, -1]}}',
+                                  '{"Q": [[0.75, 0.25], [0.25, 0.75]], '
+                                  '"observables": {"f": [true, false]}}'])
 def test_analyze_malformed_document_exits_2(capsys, tmp_path, text):
     path = tmp_path / "bad.json"
     path.write_text(text)
@@ -211,11 +218,26 @@ def test_analyze_non_reversible_exits_2_before_output(capsys, tmp_path):
     assert "reversible" in err
 
 
-@pytest.mark.parametrize("text", ['{"1": [0.5', '{"x": 1}', "[[1]]", "[3]"])
+@pytest.mark.parametrize("text", ['{"1": [0.5', '{"x": 1}', "[[1]]", "[3]",
+                                  # frequencies are JSON integers; a value is a
+                                  # number, [re] or [re, im]
+                                  '{"1": "05"}', '{"1": true}', '{"1": [0.5, 0.1, 99]}',
+                                  "[[1.7, 0.5]]", "[[true, 0.5]]", '{"01": 0.5}'])
 def test_torus_malformed_coeffs_exit_2(capsys, tmp_path, text):
     path = tmp_path / "coeffs.json"
     path.write_text(text)
     _assert_clean_exit_2(*run(capsys, "torus", "--coeffs", str(path), "--cutoff", "100"))
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["analyze"], '{"Q": [[0.75, 0.25], [0.25, 0.75]], "observables": {"f": [HUGE, -1]}}'),
+    (["torus", "--cutoff", "100", "--coeffs"], '{"1": HUGE}'),
+], ids=["analyze-observable", "torus-coeff"])
+def test_integer_beyond_float_range_exits_2(capsys, tmp_path, argv, text):
+    # json reads 10^400 as an int, which no float holds
+    path = tmp_path / "input.json"
+    path.write_text(text.replace("HUGE", "1" + "0" * 400))
+    _assert_clean_exit_2(*run(capsys, *argv, str(path)))
 
 
 def test_torus_missing_coeffs_exit_2(capsys, tmp_path):

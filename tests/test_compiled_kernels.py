@@ -116,6 +116,23 @@ def test_chain_kernels_match_oracles(compiled_kernels, compiled_backend, S, rows
                         assert np.array_equal(g, w), (name, start, npaths, workers)
 
 
+@pytest.mark.parametrize("S", [2, 3, 5, 6, 9, 17, 33, 110])
+def test_search_never_reads_the_pinned_column(compiled_backend, S):
+    # every backend searches a row's first S - 1 entries only, so the last
+    # column's value cannot change a path
+    cum, fvals, hmat = _chain_case(S, np.random.default_rng(S))
+    zeroed = cum.copy()
+    zeroed[:, -1] = 0.0
+    for backend in ("python", "compiled"):
+        for workers in (1, 2):
+            want = compiled_backend.run_chain_paths(cum, fvals, hmat, S // 2, 40, 37, S,
+                                                    workers=workers, backend=backend)
+            got = compiled_backend.run_chain_paths(zeroed, fvals, hmat, S // 2, 40, 37, S,
+                                                   workers=workers, backend=backend)
+            for a, b in zip(want, got):
+                assert np.array_equal(a, b), (backend, workers)
+
+
 def _unshift(z, k):
     # inverse of z ^ (z >> k) on 64 bits
     out, shift = z, k

@@ -4,6 +4,7 @@ Kernels, elements, labels and flags must match the loops exactly; the FFT
 multipliers and coefficients must match the direct sums to 1e-12.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qclt.chain import center_observable
+from qclt.errors import SpectralDefect
 from qclt.group_walk import build_group_walk, condition_sums, fourier_measure, walk_fourier
 from tests.oracles import group_walk_loop, walk_fourier_loop
 
@@ -120,3 +122,14 @@ def test_positive_g1_sum_matches_the_character_loop(moduli, atoms, seed):
     expect = g1_loop(moduli, dict(walk.atoms), f.values)
     assert expect > 1e-3
     assert condition_sums(walk, f).g1_sum == pytest.approx(expect, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("scale", [2.0, float("nan")], ids=["doubled", "nan"])
+def test_parseval_defect_is_a_spectral_defect(scale):
+    # a norm that the coefficients do not reproduce, NaN included, is a
+    # defect of the spectral data, not of the step measure
+    walk = build_group_walk([5], {1: 0.5, 4: 0.5})
+    f = center_observable(walk.chain, np.arange(5.0))
+    walk_fourier(walk, f)
+    with pytest.raises(SpectralDefect, match="Parseval"):
+        walk_fourier(walk, dataclasses.replace(f, norm_sq=scale * f.norm_sq))
