@@ -37,10 +37,33 @@
  * dyadic family.  Per row it builds T, as given or by T_0 = z_0,
  * T_k = z_k + a T_{k-1}, and writes sup_k |T_k - T_0| and, for each scale
  * r = 0..d, the sum over i of (T_{(i+1) 2^r} - T_{i 2^r})^2 added in
- * increasing i.
+ * increasing i.  The pass takes the rows in blocks held column-major, and
+ * one block reduction serves it and drawn_dyadic_moments.
+ *
+ * drawn_dyadic_moments: the same pass over a family that no table holds.
+ * Row i's 2^d + 1 values z_k are drawn from the counter stream keys[i], as
+ * the path kernels draw, straight into the block: in column order, after
+ * the factor law's two draws.  With u, u' a row's next two uniforms:
+ *   0 bell walk     z = scale ((u + u') - 1),    T the partial sums of z;
+ *   1 sign walk     z = +1 if u >= 1/2 else -1,  T the partial sums of z;
+ *   2 AR(1)         z = scale (2u - 1),          T_k = z_k + a T_{k-1};
+ *   3 factor        F = scale ((u + u') - 1) once per row,
+ *                   T_k = F profile[k] + 0.1 (2u - 1);
+ *   4 drifting sum  z = u u - drift,             T the partial sums of z.
+ * Only law 3 reads `profile`, of 2^d + 1 entries (none for the others).
+ * The partial sums are the recursion with a = 1.0: z_k + 1.0 T_{k-1} is
+ * z_k + T_{k-1} exactly.  The spec is checked before anything is drawn:
+ * 0 <= law < 5, 0 <= d <= 20, |a| <= 1, and scale, drift and the profile
+ * finite and at most 2^32 in magnitude, so no value, sum or square
+ * overflows and no NaN reaches the max/min, which numpy orders otherwise.
  *
  * Every kernel is bit-for-bit identical to the numpy fallback.  Build with
- * -ffp-contract=off so no fused multiply-add changes a rounding.
+ * -ffp-contract=off so no fused multiply-add changes a rounding.  The draws
+ * are bitwise for the reasons the vector walks are (above): exact integer
+ * steps, an exact conversion and scale, then only +, - and * of doubles in
+ * the fixed order written above, and no libm call.  (int)(2u) is 1 exactly
+ * when u >= 1/2, as the fallback's copysign(1, u - 1/2) is, u - 1/2 being
+ * exact.
  *
  * Arrays arrive through the buffer protocol and must be C-contiguous, of
  * float64 for values, uint64 for keys and int64 for last states; the out
@@ -457,12 +480,147 @@ static int dyadic_level(Py_ssize_t width)
     return d;
 }
 
-/* Rows per block of dyadic_moments: a block is transposed into a small
- * column-major buffer, so the loops below run across its rows, which are
- * independent, and not along one row's chain of dependent additions.  Each
- * row's values still meet the same operations in the same order. */
+/* Rows per block of a dyadic pass: a block is held column-major in a small
+ * buffer, so the loops below run across its rows, which are independent,
+ * and not along one row's chain of dependent additions.  Each row's values
+ * still meet the same operations in the same order. */
 #define DYADIC_BLOCK_ROWS 32
 #define DYADIC_BLOCK_ITEMS 4096
+
+/* the drawn families' laws; the header defines them */
+enum { LAW_BELL, LAW_SIGN, LAW_AR, LAW_FACTOR, LAW_DRIFT, LAW_COUNT };
+#define DRAWN_MAX_D 20
+/* no drawn value, sum or square can overflow below this parameter bound */
+#define PARAM_MAX 4294967296.0
+
+/* One dyadic pass, checked: rows of width 2^d + 1 taken from `table`, or
+ * drawn from `keys` by `law` when `table` is NULL, then T_k = z_k + a T_{k-1}
+ * when `recurse`; nb rows to a block. */
+struct dyadic_job {
+    const double *table, *profile;
+    const uint64_t *keys;
+    double *out_sup, *out_acc;
+    double a, scale, drift;
+    Py_ssize_t rows, width, nb;
+    int d, recurse, law;
+};
+
+/* t[k * nb + j] = z_k of row i0 + j, for the block's n rows */
+static void copy_block(const struct dyadic_job *job, double *t, Py_ssize_t i0, Py_ssize_t n)
+{
+    const double *z = job->table + i0 * job->width;
+    for (Py_ssize_t j = 0; j < n; j++)
+        for (Py_ssize_t k = 0; k < job->width; k++)
+            t[k * job->nb + j] = z[j * job->width + k];
+}
+
+/* the same slots, drawn: each row advances its own stream, the factor's two
+ * draws first, then each value's one or two draws in column order */
+static void draw_block(const struct dyadic_job *job, double *t, Py_ssize_t i0, Py_ssize_t n)
+{
+    uint64_t ctr[DYADIC_BLOCK_ROWS];
+    double factor[DYADIC_BLOCK_ROWS];
+    const double scale = job->scale, drift = job->drift;
+    for (Py_ssize_t j = 0; j < n; j++)
+        ctr[j] = job->keys[i0 + j];
+    if (job->law == LAW_FACTOR)
+        for (Py_ssize_t j = 0; j < n; j++) {
+            double u = next_uniform(&ctr[j]);
+            double v = next_uniform(&ctr[j]);
+            factor[j] = scale * ((u + v) - 1.0);
+        }
+    for (Py_ssize_t k = 0; k < job->width; k++) {
+        double *col = t + k * job->nb;
+        switch (job->law) {
+        case LAW_BELL:
+            for (Py_ssize_t j = 0; j < n; j++) {
+                double u = next_uniform(&ctr[j]);
+                double v = next_uniform(&ctr[j]);
+                col[j] = scale * ((u + v) - 1.0);
+            }
+            break;
+        case LAW_SIGN:      /* (int)(2u) is [u >= 1/2], with no branch to mispredict */
+            for (Py_ssize_t j = 0; j < n; j++)
+                col[j] = (double)(2 * (int)(2.0 * next_uniform(&ctr[j])) - 1);
+            break;
+        case LAW_AR:
+            for (Py_ssize_t j = 0; j < n; j++)
+                col[j] = scale * (2.0 * next_uniform(&ctr[j]) - 1.0);
+            break;
+        case LAW_FACTOR:
+            for (Py_ssize_t j = 0; j < n; j++)
+                col[j] = factor[j] * job->profile[k] + 0.1 * (2.0 * next_uniform(&ctr[j]) - 1.0);
+            break;
+        default:
+            for (Py_ssize_t j = 0; j < n; j++) {
+                double u = next_uniform(&ctr[j]);
+                col[j] = u * u - drift;
+            }
+        }
+    }
+}
+
+/* The block reduction of every dyadic pass: T from the block's z, then per
+ * row sup_k |T_k - T_0| and each scale's sum of squared increments. */
+static void reduce_block(const struct dyadic_job *job, double *t, Py_ssize_t i0, Py_ssize_t n)
+{
+    const Py_ssize_t nb = job->nb, width = job->width;
+    double hi[DYADIC_BLOCK_ROWS], lo[DYADIC_BLOCK_ROWS], acc[DYADIC_BLOCK_ROWS];
+    if (job->recurse)
+        for (Py_ssize_t k = 1; k < width; k++)
+            for (Py_ssize_t j = 0; j < n; j++)
+                t[k * nb + j] += job->a * t[(k - 1) * nb + j];
+    for (Py_ssize_t j = 0; j < n; j++)
+        hi[j] = lo[j] = t[nb + j];
+    for (Py_ssize_t k = 2; k < width; k++)
+        for (Py_ssize_t j = 0; j < n; j++) {
+            double v = t[k * nb + j];
+            hi[j] = v > hi[j] ? v : hi[j];
+            lo[j] = v < lo[j] ? v : lo[j];
+        }
+    /* rounded subtraction is monotone, so this is max_k |T_k - T_0| */
+    for (Py_ssize_t j = 0; j < n; j++) {
+        double up = hi[j] - t[j], down = t[j] - lo[j];
+        job->out_sup[i0 + j] = up >= down ? up : down;
+    }
+    for (int r = 0; r <= job->d; r++) {
+        Py_ssize_t step = (Py_ssize_t)1 << r;
+        for (Py_ssize_t j = 0; j < n; j++)
+            acc[j] = 0.0;
+        for (Py_ssize_t k = step; k < width; k += step)
+            for (Py_ssize_t j = 0; j < n; j++) {
+                double inc = t[k * nb + j] - t[(k - step) * nb + j];
+                acc[j] += inc * inc;
+            }
+        for (Py_ssize_t j = 0; j < n; j++)
+            job->out_acc[r * job->rows + i0 + j] = acc[j];
+    }
+}
+
+/* Run a checked job without the GIL; 0, or -1 with MemoryError set. */
+static int dyadic_pass(struct dyadic_job *job)
+{
+    /* at most DYADIC_BLOCK_ITEMS values per block, or one row if it is longer */
+    Py_ssize_t nb = DYADIC_BLOCK_ITEMS / job->width;
+    job->nb = nb < 1 ? 1 : nb > DYADIC_BLOCK_ROWS ? DYADIC_BLOCK_ROWS : nb;
+    double *t = PyMem_RawMalloc(job->width * job->nb * sizeof(double));
+    if (t == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    Py_BEGIN_ALLOW_THREADS
+    for (Py_ssize_t i0 = 0; i0 < job->rows; i0 += job->nb) {
+        Py_ssize_t n = job->rows - i0 < job->nb ? job->rows - i0 : job->nb;
+        if (job->table != NULL)
+            copy_block(job, t, i0, n);
+        else
+            draw_block(job, t, i0, n);
+        reduce_block(job, t, i0, n);
+    }
+    Py_END_ALLOW_THREADS
+    PyMem_RawFree(t);
+    return 0;
+}
 
 static PyObject *dyadic_moments(PyObject *self, PyObject *args)
 {
@@ -474,7 +632,6 @@ static PyObject *dyadic_moments(PyObject *self, PyObject *args)
         return NULL;
     if (ar != Py_None && (a = PyFloat_AsDouble(ar)) == -1.0 && PyErr_Occurred())
         return NULL;
-    int recurse = ar != Py_None;
     int ok = get_arrays(o, b, "ddd", names, 1, 3) == 0;
     if (ok && b[0].ndim != 2) {
         PyErr_Format(PyExc_ValueError, "table: need 2 dimensions, got %d", b[0].ndim);
@@ -484,59 +641,73 @@ static PyObject *dyadic_moments(PyObject *self, PyObject *args)
     int d = ok ? dyadic_level(width) : -1;
     ok = ok && d >= 0 && check_len(&b[1], rows, names[1]) == 0
         && check_len(&b[2], (d + 1) * rows, names[2]) == 0;
-    /* at most DYADIC_BLOCK_ITEMS values per block, or one row if it is longer */
-    Py_ssize_t nb = ok ? DYADIC_BLOCK_ITEMS / width : 0;
-    nb = nb < 1 ? 1 : nb > DYADIC_BLOCK_ROWS ? DYADIC_BLOCK_ROWS : nb;
-    double *t = NULL;       /* t[k * nb + j]: T_k of row j of the block */
-    if (ok && (t = PyMem_RawMalloc(width * nb * sizeof(double))) == NULL) {
-        PyErr_NoMemory();
+    if (ok) {
+        struct dyadic_job job = {.table = b[0].buf, .out_sup = b[1].buf, .out_acc = b[2].buf,
+                                 .a = a, .rows = rows, .width = width, .d = d,
+                                 .recurse = ar != Py_None};
+        ok = dyadic_pass(&job) == 0;
+    }
+    release_all(b, 3);
+    if (!ok)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+/* 0 if |value| <= bound (so not NaN), else set ValueError showing `arg`,
+ * the object that gave `value`, and the bound as `bound_text` */
+static int check_param(double value, double bound, PyObject *arg, const char *name,
+                       const char *bound_text)
+{
+    if (!(fabs(value) <= bound)) {
+        PyErr_Format(PyExc_ValueError, "%s %R is not finite with magnitude at most %s", name,
+                     arg, bound_text);
+        return -1;
+    }
+    return 0;
+}
+
+static PyObject *drawn_dyadic_moments(PyObject *self, PyObject *args)
+{
+    static const char *const names[] = {"profile", "keys", "out_sup", "out_acc"};
+    PyObject *o[4];
+    Py_buffer b[4] = {{0}};
+    int law, d;
+    double scale, a, drift;
+    if (!PyArg_ParseTuple(args, "iidddOOOO:drawn_dyadic_moments", &law, &d, &scale, &a,
+                          &drift, &o[0], &o[1], &o[2], &o[3]))
+        return NULL;
+    int ok = 1;
+    if (law < 0 || law >= LAW_COUNT) {
+        PyErr_Format(PyExc_ValueError, "law %d outside [0, %d)", law, LAW_COUNT);
         ok = 0;
     }
-    if (ok) {
-        const double *table = b[0].buf;
-        double *out_sup = b[1].buf, *out_acc = b[2].buf;
-        double hi[DYADIC_BLOCK_ROWS], lo[DYADIC_BLOCK_ROWS], acc[DYADIC_BLOCK_ROWS];
-        Py_BEGIN_ALLOW_THREADS
-        for (Py_ssize_t i0 = 0; i0 < rows; i0 += nb) {
-            Py_ssize_t n = rows - i0 < nb ? rows - i0 : nb;
-            const double *z = table + i0 * width;
-            for (Py_ssize_t j = 0; j < n; j++)
-                for (Py_ssize_t k = 0; k < width; k++)
-                    t[k * nb + j] = z[j * width + k];
-            if (recurse)
-                for (Py_ssize_t k = 1; k < width; k++)
-                    for (Py_ssize_t j = 0; j < n; j++)
-                        t[k * nb + j] += a * t[(k - 1) * nb + j];
-            for (Py_ssize_t j = 0; j < n; j++)
-                hi[j] = lo[j] = t[nb + j];
-            for (Py_ssize_t k = 2; k < width; k++)
-                for (Py_ssize_t j = 0; j < n; j++) {
-                    double v = t[k * nb + j];
-                    hi[j] = v > hi[j] ? v : hi[j];
-                    lo[j] = v < lo[j] ? v : lo[j];
-                }
-            /* rounded subtraction is monotone, so this is max_k |T_k - T_0| */
-            for (Py_ssize_t j = 0; j < n; j++) {
-                double up = hi[j] - t[j], down = t[j] - lo[j];
-                out_sup[i0 + j] = up >= down ? up : down;
-            }
-            for (int r = 0; r <= d; r++) {
-                Py_ssize_t step = (Py_ssize_t)1 << r;
-                for (Py_ssize_t j = 0; j < n; j++)
-                    acc[j] = 0.0;
-                for (Py_ssize_t k = step; k < width; k += step)
-                    for (Py_ssize_t j = 0; j < n; j++) {
-                        double inc = t[k * nb + j] - t[(k - step) * nb + j];
-                        acc[j] += inc * inc;
-                    }
-                for (Py_ssize_t j = 0; j < n; j++)
-                    out_acc[r * rows + i0 + j] = acc[j];
-            }
-        }
-        Py_END_ALLOW_THREADS
+    else if (d < 0 || d > DRAWN_MAX_D) {
+        PyErr_Format(PyExc_ValueError, "d %d outside [0, %d]", d, DRAWN_MAX_D);
+        ok = 0;
     }
-    PyMem_RawFree(t);
-    release_all(b, 3);
+    ok = ok && check_param(scale, PARAM_MAX, PyTuple_GET_ITEM(args, 2), "scale", "2^32") == 0
+        && check_param(a, 1.0, PyTuple_GET_ITEM(args, 3), "a", "1") == 0
+        && check_param(drift, PARAM_MAX, PyTuple_GET_ITEM(args, 4), "drift", "2^32") == 0
+        && get_arrays(o, b, "dQdd", names, 2, 4) == 0;
+    Py_ssize_t width = ok ? ((Py_ssize_t)1 << d) + 1 : 0, rows = b[1].len / 8;
+    ok = ok && check_len(&b[0], law == LAW_FACTOR ? width : 0, names[0]) == 0;
+    const double *profile = b[0].buf;
+    for (Py_ssize_t k = 0; ok && k < b[0].len / 8; k++)
+        if (!(fabs(profile[k]) <= PARAM_MAX)) {
+            PyErr_Format(PyExc_ValueError,
+                         "profile: entries must be finite with magnitude at most 2^32");
+            ok = 0;
+        }
+    ok = ok && check_len(&b[2], rows, names[2]) == 0
+        && check_len(&b[3], (d + 1) * rows, names[3]) == 0;
+    if (ok) {
+        struct dyadic_job job = {.profile = profile, .keys = b[1].buf, .out_sup = b[2].buf,
+                                 .out_acc = b[3].buf, .a = law == LAW_AR ? a : 1.0,
+                                 .scale = scale, .drift = drift, .rows = rows, .width = width,
+                                 .d = d, .recurse = law != LAW_FACTOR, .law = law};
+        ok = dyadic_pass(&job) == 0;
+    }
+    release_all(b, 4);
     if (!ok)
         return NULL;
     Py_RETURN_NONE;
@@ -558,6 +729,10 @@ static PyMethodDef methods[] = {
      "`table` is (rows, 2^d + 1); T is its rows if `ar` is None, else\n"
      "T_0 = z_0, T_k = z_k + ar T_{k-1} over the rows z.  out_acc[r * rows + i]\n"
      "gets sum_i' (T_{(i'+1) 2^r} - T_{i' 2^r})^2 of row i for r = 0..d."},
+    {"drawn_dyadic_moments", drawn_dyadic_moments, METH_VARARGS,
+     "drawn_dyadic_moments(law, d, scale, a, drift, profile, keys, out_sup, out_acc)\n"
+     "dyadic_moments of a family of len(keys) rows of 2^d + 1 values, each row\n"
+     "drawn by `law` from its own counter stream; no table of it exists."},
     {NULL, NULL, 0, NULL},
 };
 

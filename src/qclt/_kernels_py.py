@@ -12,11 +12,17 @@ the C lanes do.
 :func:`dyadic_moments` reduces a dyadic family's table to per-row maxima
 and per-scale squared-increment sums, adding each row's increments in
 increasing order as the C loop does, one block of rows at a time.
+:func:`drawn_dyadic_moments` gives the same reduction of a family drawn
+from counter streams by the laws that the ``_kernels.c`` header defines: it
+draws each block's values through :func:`_uniforms_into`, a few columns at
+a time, with the C draws' operations in their order, and reduces the block
+as :func:`dyadic_moments` does, so no table of the family exists.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 
 import numpy as np
@@ -30,6 +36,17 @@ BACKEND_NAME = "python"
 # max(ROW_BLOCK * width, BLOCK_ITEMS) values
 ROW_BLOCK = 1024
 BLOCK_ITEMS = 1 << 15
+
+# drawn_dyadic_moments draws about DRAW_ITEMS values per pass (at least one
+# column of a block), so its draw buffers stay small beside the block
+DRAW_ITEMS = 1 << 12
+
+# the drawn families' law ids; the _kernels.c header defines the laws
+LAW_BELL, LAW_SIGN, LAW_AR, LAW_FACTOR, LAW_DRIFT = range(5)
+LAW_COUNT = 5
+DRAWN_MAX_D = 20
+# no drawn value, sum or square can overflow below this parameter bound
+PARAM_MAX = 2.0 ** 32
 
 _G = np.uint64(GOLDEN)
 _S11 = np.uint64(11)
@@ -165,6 +182,37 @@ def _check_float_array(arr, name: str, writable: bool = False) -> None:
         raise ValueError(f"{name}: need a writable array")
 
 
+def _moments_block(cols, ar, sup, acc) -> None:
+    # one block of a dyadic family: cols[k] holds z_k of every row (T_k if
+    # ``ar`` is None) and is overwritten with T_k; writes the block's sup and
+    # acc[r].  Every operation is per row, so a block's rows get the values
+    # that a whole-table pass gives them.  Each row's terms are added in
+    # increasing k, as the C loops add them (np.add.reduce may sum pairwise)
+    if ar is not None:
+        for k in range(1, cols.shape[0]):
+            cols[k] += ar * cols[k - 1]
+    # rounded subtraction is monotone, so this is max_k |T_k - T_0| exactly
+    np.maximum(np.max(cols[1:], axis=0) - cols[0], cols[0] - np.min(cols[1:], axis=0),
+               out=sup)
+    for r in range(acc.shape[0]):
+        step = 2 ** r
+        inc = cols[step::step] - cols[:-step:step]
+        np.multiply(inc, inc, out=inc)
+        acc_r = acc[r]
+        acc_r[:] = inc[0]
+        for row in inc[1:]:
+            acc_r += row
+
+
+def _check_outputs(rows: int, d: int, out_sup, out_acc) -> None:
+    _check_float_array(out_sup, "out_sup", writable=True)
+    _check_float_array(out_acc, "out_acc", writable=True)
+    if out_sup.size != rows:
+        raise ValueError(f"out_sup: need {rows} items, got {out_sup.size}")
+    if out_acc.size != (d + 1) * rows:
+        raise ValueError(f"out_acc: need {(d + 1) * rows} items, got {out_acc.size}")
+
+
 def dyadic_moments(table, ar, out_sup, out_acc) -> None:
     """Per-row ``sup_k |T_k - T_0|`` and per-scale squared-increment sums.
 
@@ -175,33 +223,104 @@ def dyadic_moments(table, ar, out_sup, out_acc) -> None:
     T_{j 2^r})^2`` of row ``i``, added in increasing ``j``.
     """
     _check_float_array(table, "table")
-    _check_float_array(out_sup, "out_sup", writable=True)
-    _check_float_array(out_acc, "out_acc", writable=True)
     if table.ndim != 2:
         raise ValueError(f"table: need 2 dimensions, got {table.ndim}")
     rows, width = table.shape
     d = dyadic_level(width)
-    if out_sup.size != rows:
-        raise ValueError(f"out_sup: need {rows} items, got {out_sup.size}")
-    if out_acc.size != (d + 1) * rows:
-        raise ValueError(f"out_acc: need {(d + 1) * rows} items, got {out_acc.size}")
+    _check_outputs(rows, d, out_sup, out_acc)
     sup, acc = out_sup.reshape(rows), out_acc.reshape(d + 1, rows)
-    # every operation is per row, so a block's rows get the values that a
-    # whole-table pass gives them
     per_block = max(ROW_BLOCK, BLOCK_ITEMS // width)
     for i0 in range(0, rows, per_block):
         block = slice(i0, i0 + per_block)
-        cols = np.array(table[block].T, order="C")    # a copy; cols[k] is T_k (z_k) of every row
-        if ar is not None:
-            for k in range(1, width):
-                cols[k] += ar * cols[k - 1]
-        # rounded subtraction is monotone, so this is max_k |T_k - T_0| exactly
-        np.maximum(np.max(cols[1:], axis=0) - cols[0], cols[0] - np.min(cols[1:], axis=0),
-                   out=sup[block])
-        for r in range(d + 1):
-            step = 2 ** r
-            inc = cols[step::step] - cols[:-step:step]
-            acc_r = acc[r, block]
-            acc_r[:] = inc[0] * inc[0]
-            for row in inc[1:]:
-                acc_r += row * row
+        cols = np.array(table[block].T, order="C")    # a copy; cols[k] is z_k of every row
+        _moments_block(cols, ar, sup[block], acc[:, block])
+
+
+def _check_spec(law, d, scale, a, drift, profile) -> tuple:
+    # a drawn family's law, level and parameters, as the C kernel checks
+    # them; returns (law, d) as Python ints
+    law, d = operator.index(law), operator.index(d)
+    if not 0 <= law < LAW_COUNT:
+        raise ValueError(f"law {law} outside [0, {LAW_COUNT})")
+    if not 0 <= d <= DRAWN_MAX_D:
+        raise ValueError(f"d {d} outside [0, {DRAWN_MAX_D}]")
+    for name, value, bound, text in (("scale", scale, PARAM_MAX, "2^32"), ("a", a, 1.0, "1"),
+                                     ("drift", drift, PARAM_MAX, "2^32")):
+        if not abs(value) <= bound:
+            raise ValueError(f"{name} {value!r} is not finite with magnitude at most {text}")
+    _check_float_array(profile, "profile")
+    need = 2 ** d + 1 if law == LAW_FACTOR else 0
+    if profile.size != need:
+        raise ValueError(f"profile: need {need} items, got {profile.size}")
+    if need and not np.max(np.abs(profile)) <= PARAM_MAX:
+        raise ValueError("profile: entries must be finite with magnitude at most 2^32")
+    return law, d
+
+
+def drawn_dyadic_moments(law, d, scale, a, drift, profile, keys, out_sup, out_acc) -> None:
+    """:func:`dyadic_moments` of a family whose rows are drawn here, one
+    counter stream per row from ``keys``, by the laws that the ``_kernels.c``
+    header defines; no table of the family exists.
+
+    Rows are reduced in the blocks of :func:`dyadic_moments`.  A block's
+    values are drawn a few columns at a time: one counter per draw of each
+    row, all advanced together through :func:`_uniforms_into`.
+    """
+    law, d = _check_spec(law, d, scale, a, drift, profile)
+    if not isinstance(keys, np.ndarray) or keys.dtype != np.uint64 or keys.ndim != 1:
+        raise ValueError("keys: need a 1-d uint64 array")
+    rows, width = keys.shape[0], 2 ** d + 1
+    _check_outputs(rows, d, out_sup, out_acc)
+    sup, acc = out_sup.reshape(rows), out_acc.reshape(d + 1, rows)
+    per_value = 2 if law == LAW_BELL else 1
+    lead = 2 if law == LAW_FACTOR else 0             # a row's factor takes its first draws
+    per_block = max(ROW_BLOCK, BLOCK_ITEMS // width)
+    n_max = min(rows, per_block)
+    span = max(1, DRAW_ITEMS // (per_value * max(n_max, 1)))     # columns drawn at once
+    # row k: draw k of every stream, whose counter is key + k GOLDEN before it advances
+    offsets = (np.arange(lead + per_value * width, dtype=np.uint64) * _G)[:, None]
+    draw_rows = max(lead, per_value * min(span, width))
+    ctr_buf, zt_buf = (np.empty((draw_rows, n_max), dtype=np.uint64) for _ in range(2))
+    u_buf, cols_buf = np.empty((draw_rows, n_max)), np.empty((width, n_max))
+    # the recursion that builds T from the drawn values: the walks' partial
+    # sums, the AR(1) coefficient, or none for the factor law
+    ar = a if law == LAW_AR else None if law == LAW_FACTOR else 1.0
+
+    def uniforms(block_keys, k0, k1):
+        # draws k0..k1 of the streams block_keys, one row of the result each
+        m, n = k1 - k0, block_keys.shape[0]
+        ctr, u = ctr_buf[:m, :n], u_buf[:m, :n]
+        np.add(offsets[k0:k1], block_keys, out=ctr)
+        _uniforms_into(ctr, ctr, zt_buf[:m, :n], u)
+        return u
+
+    for i0 in range(0, rows, per_block):
+        block = slice(i0, i0 + per_block)
+        block_keys = keys[block]
+        cols = cols_buf[:, :block_keys.shape[0]]
+        if law == LAW_FACTOR:                        # F = scale ((u + u') - 1)
+            u = uniforms(block_keys, 0, 2)
+            factor = u[0] + u[1]
+            factor -= 1.0
+            factor *= scale
+        for c0 in range(0, width, span):
+            c1 = min(c0 + span, width)
+            u = uniforms(block_keys, lead + per_value * c0, lead + per_value * c1)
+            out = cols[c0:c1]
+            if law == LAW_BELL:                      # scale ((u + u') - 1)
+                np.add(u[0::2], u[1::2], out=out)
+                out -= 1.0
+                out *= scale
+            elif law == LAW_SIGN:                    # +1 where u >= 1/2, else -1
+                np.subtract(u, 0.5, out=out)         # exact, and +0.0 at u = 1/2
+                np.copysign(1.0, out, out=out)
+            elif law == LAW_DRIFT:                   # u u - drift
+                np.multiply(u, u, out=out)
+                out -= drift
+            else:                                    # scale (2u - 1), or the factor's noise
+                np.multiply(u, 2.0, out=out)
+                out -= 1.0
+                out *= 0.1 if law == LAW_FACTOR else scale
+            if law == LAW_FACTOR:                    # F profile[k] + 0.1 (2u - 1)
+                out += np.multiply.outer(profile[c0:c1], factor, out=u)
+        _moments_block(cols, ar, sup[block], acc[:, block])

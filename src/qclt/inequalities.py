@@ -122,10 +122,18 @@ def chaining_maximal_check(family: DyadicFamily) -> ChainingCheck:
     ``2^r``.  The inequality is unconditional for L2 variables; sampled
     families get a 3-standard-error slack, exact families 1e-12.
     """
-    rows = family.table.shape[0]
-    sampled = family.probs is None
-    weights = np.full(rows, 1.0 / rows) if sampled else family.probs
     sup, acc = kernels.dyadic_moments(family.table, family.ar)
+    return chaining_verdict(sup, acc, family.probs)
+
+
+def chaining_verdict(sup, acc, probs=None) -> ChainingCheck:
+    """The chaining check from a family's per-row ``sup`` and per-scale
+    ``acc`` (see :func:`qclt.kernels.dyadic_moments`): rows weigh ``probs``
+    (an exact family, slack 1e-12) or ``1/rows`` each (a sampled one, with
+    a 3-standard-error slack)."""
+    rows = sup.shape[0]
+    sampled = probs is None
+    weights = np.full(rows, 1.0 / rows) if sampled else probs
     sup_sq = sup * sup
     # one reduction for both sides, so the d = 0 equality lhs == rhs is exact
     lhs = math.sqrt(float(sup_sq @ weights))

@@ -101,3 +101,14 @@ def dyadic_moments(table, ar=None):
     out_acc = np.empty((_kernels_py.dyadic_level(width) + 1, rows))
     _impl.dyadic_moments(table, ar, out_sup, out_acc)
     return out_sup, out_acc
+
+
+def drawn_dyadic_moments(law, d, scale, a, drift, profile, keys):
+    """:func:`dyadic_moments` of a family drawn inside the kernel, one row per
+    stream of the uint64 ``keys``, by ``law`` with its parameters; see
+    ``_kernels_py.drawn_dyadic_moments``.  ``profile`` is float64."""
+    rows = keys.shape[0]
+    out_sup = np.empty(rows)
+    out_acc = np.empty((d + 1, rows))
+    _impl.drawn_dyadic_moments(law, d, scale, a, drift, profile, keys, out_sup, out_acc)
+    return out_sup, out_acc

@@ -4,7 +4,8 @@ Each path owns a stream keyed by ``(seed, path_index)``; draw ``k`` of a
 stream is ``mix64(key + (k + 1) * GOLDEN)`` where ``mix64`` is the standard
 splitmix64 finalizer.  Outputs depend only on ``(seed, path_index, k)``, so
 any scheduling of paths over workers replays identically.  Uniform doubles
-are ``(z >> 11) * 2^-53`` in [0, 1).
+are ``(z >> 11) * 2^-53`` in [0, 1).  :class:`Stream` draws one such stream
+on Python integers, for the few values a caller needs one at a time.
 """
 
 from __future__ import annotations
@@ -24,6 +25,39 @@ def mix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * MIX_A) & MASK64
     z = ((z ^ (z >> 27)) * MIX_B) & MASK64
     return z ^ (z >> 31)
+
+
+def stream_key(seed: int, index: int) -> int:
+    """Starting counter of stream ``index`` under ``seed``: item ``index`` of
+    :func:`stream_keys`, on Python integers."""
+    return mix64(mix64(seed + GOLDEN) ^ mix64((index + 1) * GOLDEN))
+
+
+class Stream:
+    """Stream ``index`` under ``seed``, drawn one value at a time as the
+    kernels draw it: draw ``k`` is ``mix64(key + (k + 1) * GOLDEN)``."""
+
+    def __init__(self, seed: int, index: int = 0):
+        self.counter = stream_key(seed, index)
+
+    def bits(self) -> int:
+        """The next draw, a 64-bit integer."""
+        self.counter = (self.counter + GOLDEN) & MASK64
+        return mix64(self.counter)
+
+    def uniform(self, lo: float, hi: float) -> float:
+        """``lo + (hi - lo) u`` for the next draw's uniform ``u`` in [0, 1)."""
+        return lo + (hi - lo) * ((self.bits() >> 11) * TWO_NEG53)
+
+    def uniforms(self, lo: float, hi: float, shape) -> np.ndarray:
+        """An array of ``shape`` filled by :meth:`uniform` in C order."""
+        size = int(np.prod(shape))
+        return np.array([self.uniform(lo, hi) for _ in range(size)]).reshape(shape)
+
+    def integer(self, lo: int, hi: int) -> int:
+        """An integer in ``[lo, hi)``: the high 64 bits of ``(hi - lo)`` times
+        the next draw, added to ``lo``."""
+        return lo + (((hi - lo) * self.bits()) >> 64)
 
 
 def stream_keys(seed: int, num_paths: int) -> np.ndarray:

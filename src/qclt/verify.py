@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
+from ._kernels_py import LAW_COUNT, LAW_FACTOR
 from .chain import FiniteChain, center_observable, make_chain
 from .errors import CondViolated
 from .group_walk import (
@@ -22,14 +24,17 @@ from .group_walk import (
     walk_fourier,
 )
 from .inequalities import (
+    ChainingCheck,
     DyadicFamily,
     chaining_maximal_check,
+    chaining_verdict,
     dyadic_block_maxsum,
     dyadic_domination_check,
     kernel_dyadic_sequence,
     log_envelope_ratio,
 )
 from .martingale import kernel_gap_msq_table, poisson_solve
+from .rng import Stream, stream_keys
 from .simulate import simulate_quenched
 from .spectral import (
     SpectralMeasure,
@@ -49,6 +54,18 @@ class CheckResult:
     detail: str
 
 
+# A quantity that is 0 in exact arithmetic prints as "<1e-13" below this
+# floor: its digits there are roundoff, which moves with the BLAS kernels and
+# the vectorised trig a machine picks.  Every such check's tolerance (1e-12
+# or 1e-9) is above the floor, and the roundoff seen is below 2e-15.
+ROUNDOFF_FLOOR = 1e-13
+
+
+def _roundoff(label: str, value: float) -> str:
+    # "label<1e-13" below the floor, else "label=value"
+    return f"{label}<{ROUNDOFF_FLOOR:.0e}" if value < ROUNDOFF_FLOOR else f"{label}={value:.3e}"
+
+
 # -- fixtures ----------------------------------------------------------------
 
 def two_state_chain(p: float = 0.25) -> FiniteChain:
@@ -63,18 +80,18 @@ def flip_chain() -> FiniteChain:
     return make_chain(["0", "1"], [[0.0, 1.0], [1.0, 0.0]])
 
 
-def random_reversible_chain(rng: np.random.Generator, size: int) -> FiniteChain:
+def random_reversible_chain(draw: Stream, size: int) -> FiniteChain:
     # random walk on a weighted complete graph: symmetric weights give
     # detailed balance with pi proportional to the row sums (make_chain
     # solves for it)
-    w = rng.uniform(0.1, 1.0, size=(size, size))
+    w = draw.uniforms(0.1, 1.0, (size, size))
     w = 0.5 * (w + w.T)
     kernel = w / w.sum(axis=1, keepdims=True)
     return make_chain([str(i) for i in range(size)], kernel)
 
 
-def random_observable(rng: np.random.Generator, chain: FiniteChain):
-    return center_observable(chain, rng.uniform(-1.0, 1.0, size=chain.n_states))
+def random_observable(draw: Stream, chain: FiniteChain):
+    return center_observable(chain, draw.uniforms(-1.0, 1.0, chain.n_states))
 
 
 def sign_observable(chain: FiniteChain):
@@ -85,57 +102,51 @@ def sign_observable(chain: FiniteChain):
 # -- chaining ----------------------------------------------------------------
 
 CHAINING_MAX_D = 5
-_SIGN_BLOCK_ROWS = 1024
 
 
-def random_dyadic_family(rng: np.random.Generator, d: int, paths: int,
-                         out: np.ndarray | None = None) -> DyadicFamily:
-    """A varied zoo of L2 sequences: iid walks, AR(1), shared factors, and
-    non-martingale drifts; the chaining bound is unconditional over all.
+@dataclass(frozen=True)
+class RandomFamily:
+    """One family of the randomized chaining check, drawn inside the kernel.
 
-    The draws fill the first ``paths * (2^d + 1)`` items of ``out``, a
-    float64 workspace reused across families, or a new array if ``out`` is
-    None; a family drawn into ``out`` holds until the next draw into it.
-    Walks keep their increments and AR(1) its noise, and the check builds
-    the sequence from them.  The ``out=`` draws consume the generator as
-    ``normal(0, s, size)``, ``choice([-1, 1], size)`` and
-    ``exponential(1, size)`` do and give the same values: ``s * N``,
-    ``2 i - 1`` for ``i`` of ``integers(0, 2, size)``, and ``E``.
+    ``law`` and the parameters it reads (``scale``, ``a``, ``drift`` and,
+    for the factor law only, ``profile``) are defined in the ``_kernels.c``
+    header.  Drawn with ``paths`` rows, row ``i`` is stream ``i`` under
+    ``row_seed``, so no table of the family is ever stored.
     """
-    count = 2 ** d + 1
-    buf = np.empty(paths * count) if out is None else out[:paths * count]
-    z = buf.reshape(paths, count)
-    shape = rng.integers(0, 5)
-    if shape == 0:       # random walk with scaled gaussian increments
-        scale = rng.uniform(0.2, 2.0)
-        rng.standard_normal(out=z)
-        z *= scale
-        return DyadicFamily.from_recursion(z, 1.0)
-    if shape == 1:       # +-1 martingale random walk: the draws of choice([-1, 1])
-        # the int64 draws go in row blocks, so none is table-sized; numpy keeps
-        # the spare half of a 64-bit output in the bit generator, so blocks
-        # give the values and the generator state of one whole-table call
-        for lo in range(0, paths, _SIGN_BLOCK_ROWS):
-            block = z[lo:lo + _SIGN_BLOCK_ROWS]
-            np.multiply(rng.integers(0, 2, size=block.shape), 2.0, out=block)
-        z -= 1.0
-        return DyadicFamily.from_recursion(z, 1.0)
-    if shape == 2:       # AR(1) with random coefficient
-        a = rng.uniform(-0.9, 0.9)
-        rng.standard_normal(out=z)
-        return DyadicFamily.from_recursion(z, a)
-    if shape == 3:       # shared factor times deterministic profile
-        factor = rng.standard_normal(paths)
-        profile = rng.uniform(-1.0, 1.0, size=count)
-        rng.standard_normal(out=z)
-        z *= 0.1
-        for k in range(count):      # one column at a time: no (paths, count) temporary
-            z[:, k] += factor * profile[k]
-        return DyadicFamily.from_samples(z)
-    # drifting exponential sums (not a martingale)
-    rng.standard_exponential(out=z)
-    z -= rng.uniform(0.0, 2.0)
-    return DyadicFamily.from_recursion(z, 1.0)
+
+    law: int
+    d: int
+    scale: float
+    a: float
+    drift: float
+    profile: np.ndarray
+    row_seed: int
+
+    def check(self, paths: int) -> ChainingCheck:
+        sup, acc = kernels.drawn_dyadic_moments(self.law, self.d, self.scale, self.a,
+                                                self.drift, self.profile,
+                                                stream_keys(self.row_seed, paths))
+        return chaining_verdict(sup, acc)
+
+
+def random_dyadic_family(seed: int, index: int) -> RandomFamily:
+    """Family ``index`` under ``seed``: a varied zoo of L2 sequences (iid
+    and +-1 walks, AR(1), a shared factor times a profile, and drifting
+    sums, which are not martingales); the chaining bound holds for all.
+
+    Its law, ``d`` in ``1..CHAINING_MAX_D`` and parameters are the draws of
+    :class:`qclt.rng.Stream` ``(seed, index)``, in that order: the law, ``d``,
+    ``scale`` in [0.2, 2), ``a`` in [-0.9, 0.9), ``drift`` in [0, 2/3), the
+    factor law's ``2^d + 1`` profile entries in [-1, 1), and ``row_seed``.
+    """
+    draw = Stream(seed, index)
+    law = draw.integer(0, LAW_COUNT)
+    d = draw.integer(1, CHAINING_MAX_D + 1)
+    scale = draw.uniform(0.2, 2.0)
+    a = draw.uniform(-0.9, 0.9)
+    drift = draw.uniform(0.0, 2.0 / 3.0)
+    profile = draw.uniforms(-1.0, 1.0, 2 ** d + 1 if law == LAW_FACTOR else 0)
+    return RandomFamily(law, d, scale, a, drift, profile, draw.bits())
 
 
 def check_chaining_deterministic() -> CheckResult:
@@ -149,14 +160,10 @@ def check_chaining_deterministic() -> CheckResult:
 
 
 def check_chaining_randomized(families: int, paths: int, seed: int = 2024) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    workspace = np.empty(paths * (2 ** CHAINING_MAX_D + 1))
     violations = 0
     worst = math.inf
-    for _ in range(families):
-        d = int(rng.integers(1, CHAINING_MAX_D + 1))
-        fam = random_dyadic_family(rng, d, paths, out=workspace)
-        res = chaining_maximal_check(fam)
+    for index in range(families):
+        res = random_dyadic_family(seed, index).check(paths)
         worst = min(worst, res.rhs + res.slack - res.lhs)
         violations += 0 if res.ok else 1
     return CheckResult(f"chaining over {families} random families",
@@ -174,7 +181,7 @@ def check_domination_equality(M: int = 5) -> CheckResult:
     # the hypothesis is an identity here: the worst slack must be ~0
     ok = rep.ok and abs(rep.cond_worst_slack) <= 1e-9
     return CheckResult("domination bound holds with equality", ok,
-                       f"worst slack={rep.cond_worst_slack:.3e} "
+                       f"{_roundoff('|worst slack|', abs(rep.cond_worst_slack))} "
                        f"max_msq={rep.max_msq:.6g} bound={rep.max_bound:.6g}")
 
 
@@ -193,9 +200,9 @@ def check_domination_violation(M: int = 5) -> CheckResult:
 
 
 def check_dyadic_block_bound(D: int, seed: int = 5) -> CheckResult:
-    rng = np.random.default_rng(seed)
+    draw = Stream(seed)
     chains = [two_state_chain(0.25), iid_chain(), flip_chain()]
-    chains += [random_reversible_chain(rng, int(rng.integers(3, 8))) for _ in range(3)]
+    chains += [random_reversible_chain(draw, draw.integer(3, 8)) for _ in range(3)]
     worst = -math.inf
     for chain in chains:
         f = sign_observable(chain)
@@ -219,28 +226,28 @@ def check_log_envelope(n_max: int = 24) -> CheckResult:
 # -- cross-module identities ---------------------------------------------------
 
 def check_gap_equivalence(chains: int, n_max: int, seed: int = 7) -> CheckResult:
-    rng = np.random.default_rng(seed)
+    draw = Stream(seed)
     worst = 0.0
     for _ in range(chains):
-        chain = random_reversible_chain(rng, int(rng.integers(3, 13)))
-        f = random_observable(rng, chain)
+        chain = random_reversible_chain(draw, draw.integer(3, 13))
+        f = random_observable(draw, chain)
         direct = kernel_gap_msq_table(chain, f, n_max)
         spectral = kernel_gap_msq_spectral_table(spectral_measure(chain, f), n_max)
         # both tables are zero off the upper triangle 1 <= m < n <= n_max
         gap = np.abs(direct - spectral) / (1.0 + np.abs(direct))
         worst = max(worst, float(np.max(gap)))
     return CheckResult(f"horizon-gap moments agree ({chains} chains)",
-                       worst <= 1e-9, f"worst rel gap={worst:.3e}")
+                       worst <= 1e-9, _roundoff("worst rel gap", worst))
 
 
 def check_sigma_triangulation(n: int, seed: int = 11) -> CheckResult:
-    rng = np.random.default_rng(seed)
+    draw = Stream(seed)
     cases = [two_state_chain(0.25), iid_chain(),
-             random_reversible_chain(rng, 5), random_reversible_chain(rng, 9)]
+             random_reversible_chain(draw, 5), random_reversible_chain(draw, 9)]
     worst_pair = 0.0
     ok = True
     for chain in cases:
-        f = random_observable(rng, chain)
+        f = random_observable(draw, chain)
         measure = spectral_measure(chain, f)
         s_spec = spectral_integral(measure, "sigma_sq")
         s_scheme = poisson_solve(chain, f).sigma_sq
@@ -251,20 +258,20 @@ def check_sigma_triangulation(n: int, seed: int = 11) -> CheckResult:
         ok = ok and abs(growth - s_spec) <= 4.0 * variance_tail_constant(measure) / n + 1e-12
     ok = ok and worst_pair <= 1e-9
     return CheckResult("sigma^2 triangulation", ok,
-                       f"worst scheme/spectral gap={worst_pair:.3e}")
+                       _roundoff("worst scheme/spectral gap", worst_pair))
 
 
 def check_martingale_property(seed: int = 13) -> CheckResult:
-    rng = np.random.default_rng(seed)
+    draw = Stream(seed)
     worst = 0.0
     for chain in [two_state_chain(0.25), iid_chain(),
-                  random_reversible_chain(rng, 6), random_reversible_chain(rng, 11)]:
-        f = random_observable(rng, chain)
+                  random_reversible_chain(draw, 6), random_reversible_chain(draw, 11)]:
+        f = random_observable(draw, chain)
         scheme = poisson_solve(chain, f)
         cond = np.abs(np.sum(chain.kernel * scheme.diff_kernel, axis=1))
         worst = max(worst, float(np.max(cond)))
     return CheckResult("conditional centering of the difference kernel",
-                       worst <= 1e-12, f"max |E[H|x]|={worst:.3e}")
+                       worst <= 1e-12, _roundoff("max |E[H|x]|", worst))
 
 
 def check_telescoping(paths: int = 1000, seed: int = 17) -> CheckResult:
@@ -275,7 +282,7 @@ def check_telescoping(paths: int = 1000, seed: int = 17) -> CheckResult:
         rep = simulate_quenched(chain, scheme, 0, 256, max(paths, 100), seed=seed)
         worst = max(worst, rep.residual_max)
     return CheckResult("pathwise telescoping residual", worst <= 1e-9,
-                       f"max residual={worst:.3e}")
+                       _roundoff("max residual", worst))
 
 
 def check_group_identities() -> CheckResult:
@@ -290,7 +297,7 @@ def check_group_identities() -> CheckResult:
     gap_sr = abs(rep.sr_sum - rep.sr_spectral)
     ok = gap_eigs <= 1e-9 and gap_sr <= 1e-9
     return CheckResult("group walk Fourier/eigensolver identities", ok,
-                       f"eig gap={gap_eigs:.3e} SR gap={gap_sr:.3e}")
+                       f"{_roundoff('eig gap', gap_eigs)} {_roundoff('SR gap', gap_sr)}")
 
 
 _TORUS_CHUNK = 1 << 14
@@ -320,7 +327,7 @@ def check_torus_identities(n_limit: int) -> CheckResult:
         fib.append(fib[-1] + fib[-2])
     ok = gap <= 1e-12 and qs == fib[: len(qs)] and len(qs) >= 5
     return CheckResult("torus trig identity and golden convergents", ok,
-                       f"max identity gap={gap:.3e} denominators={qs[:8]}")
+                       f"{_roundoff('max identity gap', gap)} denominators={qs[:8]}")
 
 
 def run_suite(quick: bool = False):

@@ -19,12 +19,11 @@ The tests check the library against these slower, simpler forms:
   fixed-depth search;
 * the torus path kernel that accumulated the position and evaluated the
   observable's trig at every step, before the lattice-index table;
-* the chaining families drawn as fresh ``(paths, 2^d + 1)`` tables with
-  ``cumsum``, and the chaining check that transposed them and took each
-  scale's moment with ``einsum``, before the reused workspace and the
-  one-pass ``dyadic_moments`` kernel;
-* the +-1 increments drawn as one whole-table int64 array, before the
-  draws went into the workspace in row blocks;
+* the chaining families drawn value by value into whole ``(paths, 2^d + 1)``
+  tables on Python integers, the per-row loop that reduces a table, and the
+  chaining check that transposed a table and took each scale's moment with
+  ``einsum``, before the kernels drew each family block by block inside the
+  one-pass reduction;
 * the fixed-start diagnostics computed one (start, horizon) cell at a
   time, each with its own power tables, before the one-pass table of
   :func:`qclt.martingale.quenched_diagnostics`;
@@ -43,6 +42,7 @@ import numpy as np
 
 from qclt.chain import ChainFlags, kernel_powers, make_chain
 from qclt.errors import BadIndexOrder, NotReversible, SpectralDefect
+from qclt.inequalities import DyadicFamily
 from qclt.martingale import ApproximationDiagnostics
 from qclt.rng import GOLDEN, MASK64, MIX_A, MIX_B, TWO_NEG53, mix64
 from qclt.simulate import cumulative_rows
@@ -492,42 +492,87 @@ def torus_paths_accumulating(alpha, lazy, omegas, ccos, csin, x0, n_steps, keys)
     return s, x
 
 
-# -- chaining families and check on whole (paths, 2^d + 1) tables ---------------------
+# -- chaining families drawn as whole tables on Python integers -----------------------
 
-def random_dyadic_table(rng, d: int, paths: int) -> np.ndarray:
-    """The ``T`` table of one random chaining family: the same generator calls,
-    in the same order and shapes, as ``qclt.verify.random_dyadic_family``."""
-    count = 2 ** d + 1
-    shape = rng.integers(0, 5)
-    if shape == 0:       # random walk with scaled gaussian increments
-        inc = rng.normal(0.0, rng.uniform(0.2, 2.0), size=(paths, count))
-        t = np.cumsum(inc, axis=1)
-    elif shape == 1:     # +-1 martingale random walk
-        inc = rng.choice([-1.0, 1.0], size=(paths, count))
-        t = np.cumsum(inc, axis=1)
-    elif shape == 2:     # AR(1) with random coefficient
-        a = rng.uniform(-0.9, 0.9)
-        cols = np.ascontiguousarray(rng.normal(size=(paths, count)).T)
-        for k in range(1, count):
-            cols[k] += a * cols[k - 1]
-        t = cols.T
-    elif shape == 3:     # shared factor times deterministic profile
-        z = rng.normal(size=(paths, 1))
-        profile = rng.uniform(-1.0, 1.0, size=count)
-        t = z * profile[None, :] + 0.1 * rng.normal(size=(paths, count))
-    else:                # drifting exponential sums (not a martingale)
-        inc = rng.exponential(1.0, size=(paths, count)) - rng.uniform(0.0, 2.0)
-        t = np.cumsum(inc, axis=1)
-    return t
+def _uniforms_of(draws):
+    """The uniform ``(z >> 11) 2^-53`` of each 64-bit draw ``z``."""
+    return ((z >> 11) * TWO_NEG53 for z in draws)
 
 
-def sign_increments_whole(rng, paths: int, count: int) -> np.ndarray:
-    """The +-1 increments of a chaining family drawn in one call: a
-    ``(paths, count)`` int64 table of ``integers(0, 2)``, mapped to ``2 i - 1``."""
-    z = np.empty((paths, count))
-    np.multiply(rng.integers(0, 2, size=z.shape), 2.0, out=z)
-    z -= 1.0
-    return z
+def _draws(key: int):
+    """The 64-bit draws of the counter stream that starts at ``key``."""
+    while True:
+        key = (key + GOLDEN) & MASK64
+        yield mix64(key)
+
+
+def drawn_family(law, d, scale, a, drift, profile, keys):
+    """The ``DyadicFamily`` whose moments ``drawn_dyadic_moments`` returns:
+    every row's values drawn one at a time in Python floats, as the
+    ``_kernels.c`` header defines the five laws."""
+    width = 2 ** d + 1
+    rows = []
+    for key in keys.tolist():
+        u = _uniforms_of(_draws(key))
+        if law == 3:
+            factor = scale * ((next(u) + next(u)) - 1.0)
+        row = []
+        for k in range(width):
+            if law == 0:
+                row.append(scale * ((next(u) + next(u)) - 1.0))
+            elif law == 1:
+                row.append(1.0 if next(u) >= 0.5 else -1.0)
+            elif law == 2:
+                row.append(scale * (2.0 * next(u) - 1.0))
+            elif law == 3:
+                row.append(factor * float(profile[k]) + 0.1 * (2.0 * next(u) - 1.0))
+            else:
+                v = next(u)
+                row.append(v * v - drift)
+        rows.append(row)
+    table = np.array(rows, dtype=np.float64).reshape(len(rows), width)
+    if law == 3:
+        return DyadicFamily.from_samples(table)
+    return DyadicFamily.from_recursion(table, a if law == 2 else 1.0)
+
+
+def random_family_params(seed: int, index: int) -> dict:
+    """The law, ``d``, parameters and row seed of ``qclt.verify``'s chaining
+    family ``index`` under ``seed``: the draws of stream ``index`` in order."""
+    draws = _draws(stream_key(seed, index))
+    u = _uniforms_of(draws)
+
+    def uniform(lo, hi):
+        return lo + (hi - lo) * next(u)
+
+    law = (5 * next(draws)) >> 64
+    d = 1 + ((5 * next(draws)) >> 64)
+    out = {"law": law, "d": d, "scale": uniform(0.2, 2.0), "a": uniform(-0.9, 0.9),
+           "drift": uniform(0.0, 2.0 / 3.0)}
+    out["profile"] = [uniform(-1.0, 1.0) for _ in range(2 ** d + 1 if law == 3 else 0)]
+    out["row_seed"] = next(draws)
+    return out
+
+
+def dyadic_moments_rows(table, ar):
+    """``(sup, acc)`` of ``dyadic_moments`` row by row in plain Python floats."""
+    rows, width = table.shape
+    d = (width - 1).bit_length() - 1
+    sup, acc = np.empty(rows), np.empty((d + 1, rows))
+    for i, z in enumerate(table.tolist()):
+        t = list(z)
+        if ar is not None:
+            for k in range(1, width):
+                t[k] = z[k] + ar * t[k - 1]
+        sup[i] = max(abs(tk - t[0]) for tk in t[1:])
+        for r in range(d + 1):
+            step = 2 ** r
+            s = 0.0
+            for k in range(step, width, step):
+                inc = t[k] - t[k - step]
+                s += inc * inc
+            acc[r, i] = s
+    return sup, acc
 
 
 def dyadic_table(family) -> np.ndarray:
@@ -564,17 +609,6 @@ def chaining_check_einsum(table, probs=None):
     else:
         slack = 1e-12
     return lhs, rhs, slack, lhs <= rhs + slack
-
-
-def chaining_randomized_results(families: int, paths: int, seed: int = 2024):
-    """Every family's ``(lhs, rhs, slack, ok)`` in the draw order of
-    ``qclt.verify.check_chaining_randomized``, and the generator after the loop."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(families):
-        table = random_dyadic_table(rng, int(rng.integers(1, 6)), paths)
-        out.append(chaining_check_einsum(table))
-    return out, rng
 
 
 # -- variance growth ----------------------------------------------------------------

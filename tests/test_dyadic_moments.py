@@ -1,14 +1,20 @@
-"""The ``dyadic_moments`` kernel: compiled against numpy, both against a
-per-row loop, and the argument checks of both backends.
+"""The ``dyadic_moments`` kernels, on a table and on a family drawn inside
+the kernel: compiled against numpy, both against per-row Python loops, and
+the argument checks of both backends.
 
 The extension is built from this checkout (the ``compiled_kernels``
 fixture), so the compiled cases run wherever a C compiler exists.
 """
 
+import functools
+import math
+
 import numpy as np
 import pytest
 
 from qclt import _kernels_py
+from qclt.rng import stream_keys
+from tests import oracles
 
 RECURSIONS = [None, 1.0, -0.9, 0.37]
 
@@ -24,27 +30,6 @@ def _run(impl, table, ar):
     out_acc = np.full(((width - 1).bit_length(), rows), np.nan)
     impl.dyadic_moments(table, ar, out_sup, out_acc)
     return out_sup, out_acc
-
-
-def _row_loop(table, ar):
-    """``(sup, acc)`` row by row in plain Python floats."""
-    rows, width = table.shape
-    d = (width - 1).bit_length() - 1
-    sup, acc = np.empty(rows), np.empty((d + 1, rows))
-    for i, z in enumerate(table.tolist()):
-        t = list(z)
-        if ar is not None:
-            for k in range(1, width):
-                t[k] = z[k] + ar * t[k - 1]
-        sup[i] = max(abs(tk - t[0]) for tk in t[1:])
-        for r in range(d + 1):
-            step = 2 ** r
-            s = 0.0
-            for k in range(step, width, step):
-                inc = t[k] - t[k - step]
-                s += inc * inc
-            acc[r, i] = s
-    return sup, acc
 
 
 def _assert_backends_agree(backends, d, rows, ar):
@@ -79,7 +64,7 @@ def test_matches_row_loop(backends, backend, ar):
     for d in (0, 1, 3, 5):
         table = rng.standard_normal((33, 2 ** d + 1))
         sup, acc = _run(backends[backend], table, ar)
-        want_sup, want_acc = _row_loop(table, ar)
+        want_sup, want_acc = oracles.dyadic_moments_rows(table, ar)
         assert np.array_equal(sup, want_sup) and np.array_equal(acc, want_acc)
 
 
@@ -131,3 +116,85 @@ def test_rejects_bad_buffers_before_writing(backends, backend, bad):
         backends[backend].dyadic_moments(*args.values())
     for out in outs:
         assert (out == -7).all()
+
+
+# -- families drawn inside the kernel --------------------------------------------
+
+LAW_PARAMS = dict(scale=1.37, a=-0.61, drift=0.29)
+ORACLE_ROWS = 1025
+
+
+def _profile(law, d):
+    return np.linspace(-1.0, 0.75, 2 ** d + 1) if law == _kernels_py.LAW_FACTOR else np.empty(0)
+
+
+def _drawn(impl, law, d, keys, **params):
+    params = {**LAW_PARAMS, **params}
+    out_sup = np.full(keys.shape[0], np.nan)
+    out_acc = np.full((d + 1, keys.shape[0]), np.nan)
+    impl.drawn_dyadic_moments(law, d, params["scale"], params["a"], params["drift"],
+                              _profile(law, d), keys, out_sup, out_acc)
+    return out_sup, out_acc
+
+
+@functools.cache
+def _oracle(law, d):
+    # row i depends only on key i, and stream_keys(seed, n) is a prefix of
+    # stream_keys(seed, m) for n <= m, so one table serves every row count
+    fam = oracles.drawn_family(law, d, **LAW_PARAMS, profile=_profile(law, d),
+                               keys=stream_keys(7 * law + d, ORACLE_ROWS))
+    return oracles.dyadic_moments_rows(fam.table, fam.ar)
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+@pytest.mark.parametrize("rows", [1, 31, 32, 33, ORACLE_ROWS])
+@pytest.mark.parametrize("d", range(6))
+@pytest.mark.parametrize("law", range(_kernels_py.LAW_COUNT))
+def test_drawn_moments_match_the_whole_table_oracle(backends, monkeypatch, law, d, rows, blocks):
+    # the compiled pass takes up to 32 rows a block, so 33 rows take two;
+    # the fallback's blocks are set here to hold ceil(rows / blocks) rows,
+    # and with two it draws each block one column at a time
+    if blocks == 2:
+        monkeypatch.setattr(_kernels_py, "ROW_BLOCK", math.ceil(rows / 2))
+        monkeypatch.setattr(_kernels_py, "BLOCK_ITEMS", 1)
+        monkeypatch.setattr(_kernels_py, "DRAW_ITEMS", 1)
+    keys = stream_keys(7 * law + d, rows)
+    want_sup, want_acc = (w[..., :rows] for w in _oracle(law, d))
+    for impl in backends.values():
+        sup, acc = _drawn(impl, law, d, keys)
+        assert np.array_equal(sup, want_sup) and np.array_equal(acc, want_acc), impl
+
+
+BAD_SPECS = {                         # case: the spec's changed items
+    "law -1": dict(law=-1),
+    "law 5": dict(law=5),
+    "d -1": dict(d=-1),
+    "d 21": dict(d=21),
+    "short keys": dict(keys=np.zeros(4, dtype=np.uint64)),
+    "long keys": dict(keys=np.zeros(6, dtype=np.uint64)),
+    "int64 keys": dict(keys=np.zeros(5, dtype=np.int64)),
+    "nan scale": dict(scale=math.nan),
+    "inf scale": dict(scale=math.inf),
+    "huge scale": dict(scale=2.0 ** 33),
+    "nan a": dict(a=math.nan),
+    "a above 1": dict(a=1.5),
+    "-inf drift": dict(drift=-math.inf),
+    "nan profile": dict(profile=np.array([0.5, math.nan, 0.0, 1.0, 2.0])),
+    "short profile": dict(profile=np.zeros(4)),
+    "profile for a walk": dict(law=0, profile=np.zeros(5)),
+    "short out_acc": dict(out_acc=np.empty(14)),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_SPECS))
+@pytest.mark.parametrize("backend", ["python", "compiled"])
+def test_drawn_rejects_bad_spec_before_writing(backends, backend, bad):
+    args = dict(law=_kernels_py.LAW_FACTOR, d=2, scale=1.0, a=0.5, drift=0.1,
+                profile=np.zeros(5), keys=stream_keys(1, 5), out_sup=np.empty(5),
+                out_acc=np.empty(15))
+    args.update(BAD_SPECS[bad])
+    for out in (args["out_sup"], args["out_acc"]):
+        out[...] = -7
+    with pytest.raises(ValueError):
+        backends[backend].drawn_dyadic_moments(*args.values())
+    assert (args["out_sup"] == -7).all() and (args["out_acc"] == -7).all()

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qclt import _kernels_py, verify
+from qclt import _kernels_py, kernels, verify
 from qclt.chain import center_observable
 from qclt.errors import (
     BadLength,
@@ -24,6 +24,7 @@ from qclt.inequalities import (
     kernel_dyadic_sequence,
     log_envelope_ratio,
 )
+from qclt.rng import stream_keys
 from qclt.spectral import SpectralMeasure, spectral_measure
 from qclt.verify import check_chaining_randomized, random_dyadic_family
 from tests import oracles
@@ -65,10 +66,8 @@ def test_chaining_random_walk_margin():
 
 
 def test_chaining_random_families_never_violate():
-    rng = np.random.default_rng(77)
-    for _ in range(60):
-        res = chaining_maximal_check(random_dyadic_family(rng, int(rng.integers(1, 6)), 2000))
-        assert res.ok
+    for index in range(60):
+        assert random_dyadic_family(77, index).check(2000).ok
 
 
 # -- the whole-array chaining check and AR(1) generator against their
@@ -97,32 +96,6 @@ def _reference_chaining(family):
     return lhs, rhs, slack, lhs <= rhs + slack
 
 
-def _reference_dyadic_family(rng, d, paths):
-    count = 2 ** d + 1
-    shape = rng.integers(0, 5)
-    if shape == 0:
-        inc = rng.normal(0.0, rng.uniform(0.2, 2.0), size=(paths, count))
-        t = np.cumsum(inc, axis=1)
-    elif shape == 1:
-        inc = rng.choice([-1.0, 1.0], size=(paths, count))
-        t = np.cumsum(inc, axis=1)
-    elif shape == 2:
-        a = rng.uniform(-0.9, 0.9)
-        noise = rng.normal(size=(paths, count))
-        t = np.empty_like(noise)
-        t[:, 0] = noise[:, 0]
-        for k in range(1, count):
-            t[:, k] = a * t[:, k - 1] + noise[:, k]
-    elif shape == 3:
-        z = rng.normal(size=(paths, 1))
-        profile = rng.uniform(-1.0, 1.0, size=count)
-        t = z * profile[None, :] + 0.1 * rng.normal(size=(paths, count))
-    else:
-        inc = rng.exponential(1.0, size=(paths, count)) - rng.uniform(0.0, 2.0)
-        t = np.cumsum(inc, axis=1)
-    return int(shape), t
-
-
 def _assert_matches_reference(family):
     res = chaining_maximal_check(family)
     got = (res.lhs, res.rhs, res.slack, res.ok)
@@ -135,11 +108,16 @@ def _assert_matches_reference(family):
     assert res.ok == ok
 
 
+def _oracle_family(fam, paths):
+    # the table of a drawn family, as a DyadicFamily of samples or recursion
+    return oracles.drawn_family(fam.law, fam.d, fam.scale, fam.a, fam.drift, fam.profile,
+                                stream_keys(fam.row_seed, paths))
+
+
 def test_chaining_matches_reference_on_sampled_families():
-    rng = np.random.default_rng(2024)
-    for _ in range(40):
-        d = int(rng.integers(0, 6))
-        _assert_matches_reference(random_dyadic_family(rng, d, int(rng.integers(1, 500))))
+    for index in range(40):
+        fam = random_dyadic_family(2024, index)
+        _assert_matches_reference(_oracle_family(fam, 1 + index * 13))
 
 
 def test_chaining_matches_reference_on_exact_families():
@@ -158,72 +136,72 @@ def test_chaining_matches_reference_on_deterministic_cases():
         _assert_matches_reference(DyadicFamily.deterministic(seq))
 
 
-def test_random_dyadic_family_bit_identical_to_reference():
-    shapes = set()
-    workspace = np.full(257 * 65, np.nan)     # one workspace serves every d, as in verify
-    for seed in range(50):
-        d = seed % 6
-        ref_rng = np.random.default_rng(seed)
-        shape, ref = _reference_dyadic_family(ref_rng, d, 257)
-        shapes.add(shape)
-        for out in (None, workspace):
-            rng = np.random.default_rng(seed)
-            fam = random_dyadic_family(rng, d, 257, out=out)
-            assert np.array_equal(oracles.dyadic_table(fam), ref)
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
-        assert np.shares_memory(fam.table, workspace)
-    assert shapes == {0, 1, 2, 3, 4}
-
-
-def _seed_per_shape():
-    # the first seed whose family takes each shape: the shape is the first draw
-    seeds = {}
-    for seed in range(100):
-        seeds.setdefault(int(np.random.default_rng(seed).integers(0, 5)), seed)
-    assert sorted(seeds) == [0, 1, 2, 3, 4]
-    return seeds
+def test_random_dyadic_family_bit_identical_to_reference(compiled_backend):
+    # the law and parameters from Python-int draws, and each family's check
+    # on both backends against the check of its oracle table, bit for bit
+    laws = set()
+    for index in range(50):
+        fam = random_dyadic_family(2024, index)
+        want = oracles.random_family_params(2024, index)
+        assert want == {**dataclasses.asdict(fam), "profile": fam.profile.tolist()}
+        assert fam.profile.dtype == np.float64
+        laws.add(fam.law)
+        table = oracles.dyadic_table(_oracle_family(fam, 257))
+        for impl in compiled_backend.available_backends().values():
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(compiled_backend, "_impl", impl)
+                res = fam.check(257)
+            assert (res.lhs, res.rhs, res.slack, res.ok) == oracles.chaining_check_einsum(table)
+    assert laws == {0, 1, 2, 3, 4}
 
 
 @pytest.mark.parametrize("block", [7, 1024])
 @pytest.mark.parametrize("paths", [1, 999, 1025, 10 ** 4])
-def test_row_block_draws_match_the_whole_table_draws(monkeypatch, paths, block):
-    # 7-row blocks hold an odd number of draws at every d, so the generator
-    # carries a spare 32-bit half from one block into the next
-    monkeypatch.setattr(verify, "_SIGN_BLOCK_ROWS", block)
-    workspace = np.full(paths * (2 ** 5 + 1), np.nan)
-    for shape, seed in sorted(_seed_per_shape().items()):
+def test_row_block_draws_match_the_whole_table_draws(compiled_kernels, monkeypatch, paths, block):
+    # the fallback drawing and reducing `block` rows at a time against the
+    # compiled kernel's 32-row blocks, bit for bit; the whole-table oracle
+    # fixes both at small sizes (tests/test_dyadic_moments.py)
+    keys = stream_keys(paths, paths)
+    monkeypatch.setattr(_kernels_py, "ROW_BLOCK", block)
+    monkeypatch.setattr(_kernels_py, "BLOCK_ITEMS", 1)
+    for law in range(_kernels_py.LAW_COUNT):
         for d in range(1, 6):
-            ref_rng = np.random.default_rng(seed)
-            ref = oracles.random_dyadic_table(ref_rng, d, paths)
-            rng = np.random.default_rng(seed)
-            fam = random_dyadic_family(rng, d, paths, out=workspace)
-            assert np.array_equal(oracles.dyadic_table(fam), ref)
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
-            if shape == 1:
-                ref_rng = np.random.default_rng(seed)
-                ref_rng.integers(0, 5)
-                want = oracles.sign_increments_whole(ref_rng, paths, 2 ** d + 1)
-                assert np.array_equal(fam.table, want)
-                assert rng.bit_generator.state == ref_rng.bit_generator.state
+            profile = np.linspace(-1.0, 1.0, 2 ** d + 1) if law == 3 else np.empty(0)
+            got = []
+            for impl in (_kernels_py, compiled_kernels):
+                out_sup, out_acc = np.empty(paths), np.empty((d + 1) * paths)
+                impl.drawn_dyadic_moments(law, d, 0.8, 0.45, 0.3, profile, keys,
+                                          out_sup, out_acc)
+                got.append((out_sup, out_acc))
+            assert all(np.array_equal(p, c) for p, c in zip(*got)), (law, d)
 
 
-def test_drawing_a_family_allocates_no_table_sized_temporary():
-    # a d = 5 family of 10^4 paths is a 2.6 MB table; the workspace holds it
+def test_drawing_a_family_allocates_no_table_sized_temporary(compiled_kernels):
+    # a d = 5 family of 10^4 paths would be a 2.6 MB table: neither backend
+    # draws one, and a DyadicFamily checks a table that size for NaN and
+    # infinities without a mask of it
     paths, d = 10 ** 4, 5
-    workspace = np.empty(paths * (2 ** d + 1))
-    for shape, seed in sorted(_seed_per_shape().items()):
-        rng = np.random.default_rng(seed)
-        tracemalloc.start()
-        try:
-            fam = random_dyadic_family(rng, d, paths, out=workspace)
-            peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
-            DyadicFamily(table=fam.table, ar=fam.ar)
-            check_peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20, (shape, peak)
-        assert check_peak < 1 << 16, (shape, check_peak)    # no mask of the table
+    keys = stream_keys(3, paths)
+    out_sup, out_acc = np.empty(paths), np.empty((d + 1) * paths)
+    table = np.random.default_rng(4).standard_normal((paths, 2 ** d + 1))
+    for impl in (_kernels_py, compiled_kernels):
+        for law in range(_kernels_py.LAW_COUNT):
+            profile = np.linspace(-1.0, 1.0, 2 ** d + 1) if law == 3 else np.empty(0)
+            tracemalloc.start()
+            try:
+                impl.drawn_dyadic_moments(law, d, 1.0, 0.5, 0.25, profile, keys,
+                                          out_sup, out_acc)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, (impl, law, peak)
+    tracemalloc.start()
+    try:
+        DyadicFamily(table=table, ar=0.5)
+        check_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert check_peak < 1 << 16, check_peak
 
 
 @pytest.mark.parametrize("ar", [None, 0.3])
@@ -243,32 +221,50 @@ def test_fallback_chaining_moments_allocate_no_table_sized_temporary(ar):
 
 def test_chaining_randomized_matches_the_einsum_oracle():
     # a reduced size of verify's seed-2024 check: every family's (lhs, rhs,
-    # slack, ok) and the generator state after the loop, bit for bit
+    # slack, ok) against the einsum check of its Python-int oracle table,
+    # with numpy's generators out of reach
     families, paths = 60, 300
-    want, ref_rng = oracles.chaining_randomized_results(families, paths)
+    want = []
+    for index in range(families):
+        params = oracles.random_family_params(2024, index)
+        keys = stream_keys(params.pop("row_seed"), paths)
+        table = oracles.dyadic_table(oracles.drawn_family(**params, keys=keys))
+        want.append(oracles.chaining_check_einsum(table))
     got = []
-    real_check = chaining_maximal_check
+    real_verdict = verify.chaining_verdict
 
-    def recording_check(family):
-        res = real_check(family)
+    def recording_verdict(sup, acc):
+        res = real_verdict(sup, acc)
         got.append((res.lhs, res.rhs, res.slack, res.ok))
         return res
 
-    real_rng = np.random.default_rng
-    made = []
-
-    def recording_rng(seed):
-        made.append(real_rng(seed))
-        return made[-1]
+    def no_generator(*args, **kwargs):
+        raise AssertionError("verify drew from a numpy generator")
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("qclt.verify.chaining_maximal_check", recording_check)
-        mp.setattr("qclt.verify.np.random.default_rng", recording_rng)
+        mp.setattr(verify, "chaining_verdict", recording_verdict)
+        mp.setattr(np.random, "default_rng", no_generator)
+        mp.setattr(np.random, "Generator", no_generator)
         result = check_chaining_randomized(families, paths)
     assert got == want
-    assert made[0].bit_generator.state == ref_rng.bit_generator.state
     worst = min(rhs + slack - lhs for lhs, rhs, slack, _ in want)
     assert result.detail == f"violations=0 min margin={worst:.3e}" and result.ok
+
+
+def test_chaining_randomized_catches_a_bound_without_its_finest_scale(monkeypatch):
+    # the right side with its r = 0 term dropped is no bound at all: at the
+    # quick size the check must report violations
+    real = kernels.drawn_dyadic_moments
+
+    def finest_scale_dropped(*args):
+        sup, acc = real(*args)
+        acc[0] = 0.0
+        return sup, acc
+
+    monkeypatch.setattr(kernels, "drawn_dyadic_moments", finest_scale_dropped)
+    result = check_chaining_randomized(100, 2000)
+    violations = int(result.detail.split()[0].removeprefix("violations="))
+    assert not result.ok and violations > 0, result.detail
 
 
 def test_from_samples_rejects_non_finite():
