@@ -14,6 +14,7 @@ import os
 import numpy as np
 
 from . import _kernels_py
+from ._kernels_py import LAW_AR, LAW_BELL, LAW_COUNT, LAW_DRIFT, LAW_FACTOR, LAW_SIGN
 from .rng import stream_keys
 
 try:
@@ -105,7 +106,8 @@ def dyadic_moments(table, ar=None):
 
 def drawn_dyadic_moments(law, d, scale, a, drift, profile, keys):
     """:func:`dyadic_moments` of a family drawn inside the kernel, one row per
-    stream of the uint64 ``keys``, by ``law`` with its parameters; see
+    stream of the uint64 ``keys``, by ``law`` (one of the ``LAW_*`` ids,
+    ``0 <= law < LAW_COUNT``) with its parameters; see
     ``_kernels_py.drawn_dyadic_moments``.  ``profile`` is float64."""
     rows = keys.shape[0]
     out_sup = np.empty(rows)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from ._kernels_py import LAW_COUNT, LAW_FACTOR
 from .chain import FiniteChain, center_observable, make_chain
 from .errors import CondViolated
 from .group_walk import (
@@ -140,12 +139,12 @@ def random_dyadic_family(seed: int, index: int) -> RandomFamily:
     factor law's ``2^d + 1`` profile entries in [-1, 1), and ``row_seed``.
     """
     draw = Stream(seed, index)
-    law = draw.integer(0, LAW_COUNT)
+    law = draw.integer(0, kernels.LAW_COUNT)
     d = draw.integer(1, CHAINING_MAX_D + 1)
     scale = draw.uniform(0.2, 2.0)
     a = draw.uniform(-0.9, 0.9)
     drift = draw.uniform(0.0, 2.0 / 3.0)
-    profile = draw.uniforms(-1.0, 1.0, 2 ** d + 1 if law == LAW_FACTOR else 0)
+    profile = draw.uniforms(-1.0, 1.0, 2 ** d + 1 if law == kernels.LAW_FACTOR else 0)
     return RandomFamily(law, d, scale, a, drift, profile, draw.bits())
 
 

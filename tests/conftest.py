@@ -8,17 +8,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qclt import kernels
+from qclt import _kernels_py, kernels
 from qclt.chain import center_observable, make_chain
 
 REPO = Path(__file__).resolve().parents[1]
+
+
+def _c_compiler() -> str:
+    return (sysconfig.get_config_var("CC") or "cc").split()[0]
 
 
 @pytest.fixture(scope="session")
 def compiled_kernels(tmp_path_factory):
     """The C path kernels built from this checkout into a temporary directory
     and loaded from there; skips only where no C compiler is found."""
-    cc = (sysconfig.get_config_var("CC") or "cc").split()[0]
+    cc = _c_compiler()
     if shutil.which(cc) is None:
         pytest.skip(f"no C compiler ({cc}) to build the compiled kernels")
     out = tmp_path_factory.mktemp("kernels_build")
@@ -38,6 +42,16 @@ def compiled_backend(compiled_kernels, monkeypatch):
     """``kernels`` with the freshly built extension as its ``compiled`` backend."""
     monkeypatch.setattr(kernels, "_compiled", compiled_kernels)
     return kernels
+
+
+@pytest.fixture
+def kernel_modules(request):
+    """The numpy fallback, and the extension built from this checkout where a
+    C compiler is found: a test of both never skips its fallback half."""
+    modules = {"python": _kernels_py}
+    if shutil.which(_c_compiler()) is not None:
+        modules["compiled"] = request.getfixturevalue("compiled_kernels")
+    return modules
 
 
 @pytest.fixture

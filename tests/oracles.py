@@ -43,6 +43,7 @@ import numpy as np
 from qclt.chain import ChainFlags, kernel_powers, make_chain
 from qclt.errors import BadIndexOrder, NotReversible, SpectralDefect
 from qclt.inequalities import DyadicFamily
+from qclt.kernels import LAW_AR, LAW_BELL, LAW_COUNT, LAW_FACTOR, LAW_SIGN
 from qclt.martingale import ApproximationDiagnostics
 from qclt.rng import GOLDEN, MASK64, MIX_A, MIX_B, TWO_NEG53, mix64
 from qclt.simulate import cumulative_rows
@@ -514,26 +515,26 @@ def drawn_family(law, d, scale, a, drift, profile, keys):
     rows = []
     for key in keys.tolist():
         u = _uniforms_of(_draws(key))
-        if law == 3:
+        if law == LAW_FACTOR:
             factor = scale * ((next(u) + next(u)) - 1.0)
         row = []
         for k in range(width):
-            if law == 0:
+            if law == LAW_BELL:
                 row.append(scale * ((next(u) + next(u)) - 1.0))
-            elif law == 1:
+            elif law == LAW_SIGN:
                 row.append(1.0 if next(u) >= 0.5 else -1.0)
-            elif law == 2:
+            elif law == LAW_AR:
                 row.append(scale * (2.0 * next(u) - 1.0))
-            elif law == 3:
+            elif law == LAW_FACTOR:
                 row.append(factor * float(profile[k]) + 0.1 * (2.0 * next(u) - 1.0))
             else:
                 v = next(u)
                 row.append(v * v - drift)
         rows.append(row)
     table = np.array(rows, dtype=np.float64).reshape(len(rows), width)
-    if law == 3:
+    if law == LAW_FACTOR:
         return DyadicFamily.from_samples(table)
-    return DyadicFamily.from_recursion(table, a if law == 2 else 1.0)
+    return DyadicFamily.from_recursion(table, a if law == LAW_AR else 1.0)
 
 
 def random_family_params(seed: int, index: int) -> dict:
@@ -545,11 +546,11 @@ def random_family_params(seed: int, index: int) -> dict:
     def uniform(lo, hi):
         return lo + (hi - lo) * next(u)
 
-    law = (5 * next(draws)) >> 64
+    law = (LAW_COUNT * next(draws)) >> 64
     d = 1 + ((5 * next(draws)) >> 64)
     out = {"law": law, "d": d, "scale": uniform(0.2, 2.0), "a": uniform(-0.9, 0.9),
            "drift": uniform(0.0, 2.0 / 3.0)}
-    out["profile"] = [uniform(-1.0, 1.0) for _ in range(2 ** d + 1 if law == 3 else 0)]
+    out["profile"] = [uniform(-1.0, 1.0) for _ in range(2 ** d + 1 if law == LAW_FACTOR else 0)]
     out["row_seed"] = next(draws)
     return out
 

@@ -3,7 +3,9 @@ the kernel: compiled against numpy, both against per-row Python loops, and
 the argument checks of both backends.
 
 The extension is built from this checkout (the ``compiled_kernels``
-fixture), so the compiled cases run wherever a C compiler exists.
+fixture), so the compiled cases run wherever a C compiler exists; the
+drawn-family tests (the ``kernel_modules`` fixture) run their fallback half
+even where none does.
 """
 
 import functools
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 from qclt import _kernels_py
+from qclt.kernels import LAW_BELL, LAW_COUNT, LAW_FACTOR
 from qclt.rng import stream_keys
 from tests import oracles
 
@@ -125,7 +128,7 @@ ORACLE_ROWS = 1025
 
 
 def _profile(law, d):
-    return np.linspace(-1.0, 0.75, 2 ** d + 1) if law == _kernels_py.LAW_FACTOR else np.empty(0)
+    return np.linspace(-1.0, 0.75, 2 ** d + 1) if law == LAW_FACTOR else np.empty(0)
 
 
 def _drawn(impl, law, d, keys, **params):
@@ -149,8 +152,9 @@ def _oracle(law, d):
 @pytest.mark.parametrize("blocks", [1, 2])
 @pytest.mark.parametrize("rows", [1, 31, 32, 33, ORACLE_ROWS])
 @pytest.mark.parametrize("d", range(6))
-@pytest.mark.parametrize("law", range(_kernels_py.LAW_COUNT))
-def test_drawn_moments_match_the_whole_table_oracle(backends, monkeypatch, law, d, rows, blocks):
+@pytest.mark.parametrize("law", range(LAW_COUNT))
+def test_drawn_moments_match_the_whole_table_oracle(kernel_modules, monkeypatch, law, d, rows,
+                                                    blocks):
     # the compiled pass takes up to 32 rows a block, so 33 rows take two;
     # the fallback's blocks are set here to hold ceil(rows / blocks) rows,
     # and with two it draws each block one column at a time
@@ -160,14 +164,14 @@ def test_drawn_moments_match_the_whole_table_oracle(backends, monkeypatch, law, 
         monkeypatch.setattr(_kernels_py, "DRAW_ITEMS", 1)
     keys = stream_keys(7 * law + d, rows)
     want_sup, want_acc = (w[..., :rows] for w in _oracle(law, d))
-    for impl in backends.values():
+    for impl in kernel_modules.values():
         sup, acc = _drawn(impl, law, d, keys)
         assert np.array_equal(sup, want_sup) and np.array_equal(acc, want_acc), impl
 
 
 BAD_SPECS = {                         # case: the spec's changed items
     "law -1": dict(law=-1),
-    "law 5": dict(law=5),
+    "law past the last": dict(law=LAW_COUNT),
     "d -1": dict(d=-1),
     "d 21": dict(d=21),
     "short keys": dict(keys=np.zeros(4, dtype=np.uint64)),
@@ -181,20 +185,22 @@ BAD_SPECS = {                         # case: the spec's changed items
     "-inf drift": dict(drift=-math.inf),
     "nan profile": dict(profile=np.array([0.5, math.nan, 0.0, 1.0, 2.0])),
     "short profile": dict(profile=np.zeros(4)),
-    "profile for a walk": dict(law=0, profile=np.zeros(5)),
+    "profile for a walk": dict(law=LAW_BELL, profile=np.zeros(5)),
     "short out_acc": dict(out_acc=np.empty(14)),
 }
 
 
 @pytest.mark.parametrize("bad", sorted(BAD_SPECS))
 @pytest.mark.parametrize("backend", ["python", "compiled"])
-def test_drawn_rejects_bad_spec_before_writing(backends, backend, bad):
-    args = dict(law=_kernels_py.LAW_FACTOR, d=2, scale=1.0, a=0.5, drift=0.1,
+def test_drawn_rejects_bad_spec_before_writing(kernel_modules, backend, bad):
+    if backend not in kernel_modules:
+        pytest.skip("no C compiler to build the compiled kernels")
+    args = dict(law=LAW_FACTOR, d=2, scale=1.0, a=0.5, drift=0.1,
                 profile=np.zeros(5), keys=stream_keys(1, 5), out_sup=np.empty(5),
                 out_acc=np.empty(15))
     args.update(BAD_SPECS[bad])
     for out in (args["out_sup"], args["out_acc"]):
         out[...] = -7
     with pytest.raises(ValueError):
-        backends[backend].drawn_dyadic_moments(*args.values())
+        kernel_modules[backend].drawn_dyadic_moments(*args.values())
     assert (args["out_sup"] == -7).all() and (args["out_acc"] == -7).all()

@@ -24,6 +24,7 @@ from qclt.inequalities import (
     kernel_dyadic_sequence,
     log_envelope_ratio,
 )
+from qclt.kernels import LAW_COUNT, LAW_FACTOR
 from qclt.rng import stream_keys
 from qclt.spectral import SpectralMeasure, spectral_measure
 from qclt.verify import check_chaining_randomized, random_dyadic_family
@@ -108,16 +109,29 @@ def _assert_matches_reference(family):
     assert res.ok == ok
 
 
-def _oracle_family(fam, paths):
-    # the table of a drawn family, as a DyadicFamily of samples or recursion
-    return oracles.drawn_family(fam.law, fam.d, fam.scale, fam.a, fam.drift, fam.profile,
-                                stream_keys(fam.row_seed, paths))
+def _oracle_family(fam, paths, d=None):
+    # the table of a drawn family, as a DyadicFamily of samples or recursion;
+    # at another level d, the factor law takes a fixed profile of 2^d + 1 entries
+    profile = fam.profile
+    if d is not None and d != fam.d:
+        profile = np.linspace(-1.0, 1.0, 2 ** d + 1) if fam.law == LAW_FACTOR else np.empty(0)
+    return oracles.drawn_family(fam.law, fam.d if d is None else d, fam.scale, fam.a, fam.drift,
+                                profile, stream_keys(fam.row_seed, paths))
 
 
 def test_chaining_matches_reference_on_sampled_families():
+    # d = 0..5, so a sixth of the families are at d = 0, where the sampled
+    # verdict has one scale and lhs == rhs exactly; every law also at d = 0
+    d_zero_laws = set()
     for index in range(40):
         fam = random_dyadic_family(2024, index)
-        _assert_matches_reference(_oracle_family(fam, 1 + index * 13))
+        d = index % 6
+        if d == 0:
+            d_zero_laws.add(fam.law)
+        _assert_matches_reference(_oracle_family(fam, 1 + index * 13, d))
+    for law in sorted(set(range(LAW_COUNT)) - d_zero_laws):
+        fam = dataclasses.replace(random_dyadic_family(2024, law), law=law)
+        _assert_matches_reference(_oracle_family(fam, 257, 0))
 
 
 def test_chaining_matches_reference_on_exact_families():
@@ -136,9 +150,9 @@ def test_chaining_matches_reference_on_deterministic_cases():
         _assert_matches_reference(DyadicFamily.deterministic(seq))
 
 
-def test_random_dyadic_family_bit_identical_to_reference(compiled_backend):
+def test_random_dyadic_family_bit_identical_to_reference(kernel_modules, monkeypatch):
     # the law and parameters from Python-int draws, and each family's check
-    # on both backends against the check of its oracle table, bit for bit
+    # on every backend against the check of its oracle table, bit for bit
     laws = set()
     for index in range(50):
         fam = random_dyadic_family(2024, index)
@@ -147,46 +161,55 @@ def test_random_dyadic_family_bit_identical_to_reference(compiled_backend):
         assert fam.profile.dtype == np.float64
         laws.add(fam.law)
         table = oracles.dyadic_table(_oracle_family(fam, 257))
-        for impl in compiled_backend.available_backends().values():
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(compiled_backend, "_impl", impl)
-                res = fam.check(257)
+        for impl in kernel_modules.values():
+            monkeypatch.setattr(kernels, "_impl", impl)
+            res = fam.check(257)
             assert (res.lhs, res.rhs, res.slack, res.ok) == oracles.chaining_check_einsum(table)
-    assert laws == {0, 1, 2, 3, 4}
+    assert laws == set(range(LAW_COUNT))
+
+
+def _drawn(impl, law, d, keys):
+    profile = np.linspace(-1.0, 1.0, 2 ** d + 1) if law == LAW_FACTOR else np.empty(0)
+    out_sup, out_acc = np.empty(keys.shape[0]), np.empty((d + 1) * keys.shape[0])
+    impl.drawn_dyadic_moments(law, d, 0.8, 0.45, 0.3, profile, keys, out_sup, out_acc)
+    return out_sup, out_acc
 
 
 @pytest.mark.parametrize("block", [7, 1024])
 @pytest.mark.parametrize("paths", [1, 999, 1025, 10 ** 4])
-def test_row_block_draws_match_the_whole_table_draws(compiled_kernels, monkeypatch, paths, block):
+def test_row_block_draws_match_the_whole_table_draws(kernel_modules, monkeypatch, paths, block):
     # the fallback drawing and reducing `block` rows at a time against the
-    # compiled kernel's 32-row blocks, bit for bit; the whole-table oracle
-    # fixes both at small sizes (tests/test_dyadic_moments.py)
+    # fallback drawing every value of the table at once and reducing it in
+    # one block, and against the compiled kernel's 32-row blocks, bit for
+    # bit; the whole-table oracle fixes all three at small sizes
+    # (tests/test_dyadic_moments.py)
     keys = stream_keys(paths, paths)
-    monkeypatch.setattr(_kernels_py, "ROW_BLOCK", block)
-    monkeypatch.setattr(_kernels_py, "BLOCK_ITEMS", 1)
-    for law in range(_kernels_py.LAW_COUNT):
+    for law in range(LAW_COUNT):
         for d in range(1, 6):
-            profile = np.linspace(-1.0, 1.0, 2 ** d + 1) if law == 3 else np.empty(0)
-            got = []
-            for impl in (_kernels_py, compiled_kernels):
-                out_sup, out_acc = np.empty(paths), np.empty((d + 1) * paths)
-                impl.drawn_dyadic_moments(law, d, 0.8, 0.45, 0.3, profile, keys,
-                                          out_sup, out_acc)
-                got.append((out_sup, out_acc))
-            assert all(np.array_equal(p, c) for p, c in zip(*got)), (law, d)
+            with monkeypatch.context() as mp:
+                mp.setattr(_kernels_py, "ROW_BLOCK", paths)
+                mp.setattr(_kernels_py, "BLOCK_ITEMS", 1)
+                mp.setattr(_kernels_py, "DRAW_ITEMS", 1 << 30)
+                want = _drawn(_kernels_py, law, d, keys)
+            with monkeypatch.context() as mp:
+                mp.setattr(_kernels_py, "ROW_BLOCK", block)
+                mp.setattr(_kernels_py, "BLOCK_ITEMS", 1)
+                for impl in kernel_modules.values():
+                    got = _drawn(impl, law, d, keys)
+                    assert all(map(np.array_equal, got, want)), (impl, law, d)
 
 
-def test_drawing_a_family_allocates_no_table_sized_temporary(compiled_kernels):
-    # a d = 5 family of 10^4 paths would be a 2.6 MB table: neither backend
-    # draws one, and a DyadicFamily checks a table that size for NaN and
-    # infinities without a mask of it
+def test_drawing_a_family_allocates_no_table_sized_temporary(kernel_modules):
+    # a d = 5 family of 10^4 paths would be a 2.6 MB table: no backend draws
+    # one, and a DyadicFamily checks a table that size for NaN and infinities
+    # without a mask of it
     paths, d = 10 ** 4, 5
     keys = stream_keys(3, paths)
     out_sup, out_acc = np.empty(paths), np.empty((d + 1) * paths)
     table = np.random.default_rng(4).standard_normal((paths, 2 ** d + 1))
-    for impl in (_kernels_py, compiled_kernels):
-        for law in range(_kernels_py.LAW_COUNT):
-            profile = np.linspace(-1.0, 1.0, 2 ** d + 1) if law == 3 else np.empty(0)
+    for impl in kernel_modules.values():
+        for law in range(LAW_COUNT):
+            profile = np.linspace(-1.0, 1.0, 2 ** d + 1) if law == LAW_FACTOR else np.empty(0)
             tracemalloc.start()
             try:
                 impl.drawn_dyadic_moments(law, d, 1.0, 0.5, 0.25, profile, keys,
