@@ -34,11 +34,11 @@
  * no fused multiply-add.
  *
  * dyadic_moments: one pass over a row-major (rows, 2^d + 1) table of a
- * dyadic family.  Per row it builds T, as given or by T_0 = z_0,
- * T_k = z_k + a T_{k-1}, and writes sup_k |T_k - T_0| and, for each scale
- * r = 0..d, the sum over i of (T_{(i+1) 2^r} - T_{i 2^r})^2 added in
- * increasing i.  The pass takes the rows in blocks held column-major, and
- * one block reduction serves it and drawn_dyadic_moments.
+ * dyadic family, row i the values T_0 .. T_{2^d} of one path.  Per row it
+ * writes sup_k |T_k - T_0| and, for each scale r = 0..d, the sum over i of
+ * (T_{(i+1) 2^r} - T_{i 2^r})^2 added in increasing i.  The pass takes the
+ * rows in blocks held column-major, and one block reduction serves it and
+ * drawn_dyadic_moments.
  *
  * drawn_dyadic_moments: the same pass over a family that no table holds.
  * Row i's 2^d + 1 values z_k are drawn from the counter stream keys[i], as
@@ -493,8 +493,8 @@ enum { LAW_BELL, LAW_SIGN, LAW_AR, LAW_FACTOR, LAW_DRIFT, LAW_COUNT };
 /* no drawn value, sum or square can overflow below this parameter bound */
 #define PARAM_MAX 4294967296.0
 
-/* One dyadic pass, checked: rows of width 2^d + 1 taken from `table`, or
- * drawn from `keys` by `law` when `table` is NULL, then T_k = z_k + a T_{k-1}
+/* One dyadic pass, checked: rows T of width 2^d + 1 taken from `table`, or
+ * z drawn from `keys` by `law` when `table` is NULL, then T_k = z_k + a T_{k-1}
  * when `recurse`; nb rows to a block. */
 struct dyadic_job {
     const double *table, *profile;
@@ -505,7 +505,7 @@ struct dyadic_job {
     int d, recurse, law;
 };
 
-/* t[k * nb + j] = z_k of row i0 + j, for the block's n rows */
+/* t[k * nb + j] = T_k of row i0 + j, for the block's n rows */
 static void copy_block(const struct dyadic_job *job, double *t, Py_ssize_t i0, Py_ssize_t n)
 {
     const double *z = job->table + i0 * job->width;
@@ -560,8 +560,8 @@ static void draw_block(const struct dyadic_job *job, double *t, Py_ssize_t i0, P
     }
 }
 
-/* The block reduction of every dyadic pass: T from the block's z, then per
- * row sup_k |T_k - T_0| and each scale's sum of squared increments. */
+/* The block reduction of every dyadic pass: T from the block's z if `recurse`,
+ * then per row sup_k |T_k - T_0| and each scale's sum of squared increments. */
 static void reduce_block(const struct dyadic_job *job, double *t, Py_ssize_t i0, Py_ssize_t n)
 {
     const Py_ssize_t nb = job->nb, width = job->width;
@@ -625,12 +625,9 @@ static int dyadic_pass(struct dyadic_job *job)
 static PyObject *dyadic_moments(PyObject *self, PyObject *args)
 {
     static const char *const names[] = {"table", "out_sup", "out_acc"};
-    PyObject *o[3], *ar;
+    PyObject *o[3];
     Py_buffer b[3] = {{0}};
-    double a = 0.0;
-    if (!PyArg_ParseTuple(args, "OOOO:dyadic_moments", &o[0], &ar, &o[1], &o[2]))
-        return NULL;
-    if (ar != Py_None && (a = PyFloat_AsDouble(ar)) == -1.0 && PyErr_Occurred())
+    if (!PyArg_ParseTuple(args, "OOO:dyadic_moments", &o[0], &o[1], &o[2]))
         return NULL;
     int ok = get_arrays(o, b, "ddd", names, 1, 3) == 0;
     if (ok && b[0].ndim != 2) {
@@ -643,8 +640,7 @@ static PyObject *dyadic_moments(PyObject *self, PyObject *args)
         && check_len(&b[2], (d + 1) * rows, names[2]) == 0;
     if (ok) {
         struct dyadic_job job = {.table = b[0].buf, .out_sup = b[1].buf, .out_acc = b[2].buf,
-                                 .a = a, .rows = rows, .width = width, .d = d,
-                                 .recurse = ar != Py_None};
+                                 .rows = rows, .width = width, .d = d};
         ok = dyadic_pass(&job) == 0;
     }
     release_all(b, 3);
@@ -724,11 +720,11 @@ static PyMethodDef methods[] = {
      "(2 n_steps + 1) * 8-byte table per call, then walks the lattice index j\n"
      "from n_steps by lazy +-1 steps, adding table[j] per step."},
     {"dyadic_moments", dyadic_moments, METH_VARARGS,
-     "dyadic_moments(table, ar, out_sup, out_acc)\n"
+     "dyadic_moments(table, out_sup, out_acc)\n"
      "Per-row sup_k |T_k - T_0| and per-scale squared-increment sums.\n\n"
-     "`table` is (rows, 2^d + 1); T is its rows if `ar` is None, else\n"
-     "T_0 = z_0, T_k = z_k + ar T_{k-1} over the rows z.  out_acc[r * rows + i]\n"
-     "gets sum_i' (T_{(i'+1) 2^r} - T_{i' 2^r})^2 of row i for r = 0..d."},
+     "`table` is (rows, 2^d + 1), row i the values T of one path.\n"
+     "out_acc[r * rows + i] gets sum_i' (T_{(i'+1) 2^r} - T_{i' 2^r})^2 of\n"
+     "row i for r = 0..d."},
     {"drawn_dyadic_moments", drawn_dyadic_moments, METH_VARARGS,
      "drawn_dyadic_moments(law, d, scale, a, drift, profile, keys, out_sup, out_acc)\n"
      "dyadic_moments of a family of len(keys) rows of 2^d + 1 values, each row\n"

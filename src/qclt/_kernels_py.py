@@ -48,6 +48,10 @@ DRAWN_MAX_D = 20
 # no drawn value, sum or square can overflow below this parameter bound
 PARAM_MAX = 2.0 ** 32
 
+# the most steps of a path walk: the torus table of 2 n + 1 float64 values
+# must have a byte size below sys.maxsize
+MAX_STEPS = (sys.maxsize // 8 - 1) // 2
+
 _G = np.uint64(GOLDEN)
 _S11 = np.uint64(11)
 
@@ -132,7 +136,7 @@ def torus_paths(alpha, lazy, omegas, ccos, csin, x0, n_steps, keys,
     ``n_steps`` by lazy +-1 steps and adds ``table[j]`` per step.
     """
     _check_steps(n_steps)
-    if n_steps > (sys.maxsize // 8 - 1) // 2:
+    if n_steps > MAX_STEPS:
         raise ValueError(f"n_steps: a table of 2 * {n_steps} + 1 values is too large")
     if not 0.0 <= lazy < 1.0:
         raise ValueError(f"lazy {lazy!r} outside [0, 1)")
@@ -183,11 +187,11 @@ def _check_float_array(arr, name: str, writable: bool = False) -> None:
 
 
 def _moments_block(cols, ar, sup, acc) -> None:
-    # one block of a dyadic family: cols[k] holds z_k of every row (T_k if
-    # ``ar`` is None) and is overwritten with T_k; writes the block's sup and
-    # acc[r].  Every operation is per row, so a block's rows get the values
-    # that a whole-table pass gives them.  Each row's terms are added in
-    # increasing k, as the C loops add them (np.add.reduce may sum pairwise)
+    # one block of a dyadic family: cols[k] holds T_k of every row, or z_k of a
+    # drawn family with ``ar`` set, overwritten with T_k = z_k + ar T_{k-1}; writes
+    # the block's sup and acc[r].  Every operation is per row, so a block's rows
+    # get the values that a whole-table pass gives them.  Each row's terms are
+    # added in increasing k, as the C loops add them (np.add.reduce may sum pairwise)
     if ar is not None:
         for k in range(1, cols.shape[0]):
             cols[k] += ar * cols[k - 1]
@@ -213,13 +217,12 @@ def _check_outputs(rows: int, d: int, out_sup, out_acc) -> None:
         raise ValueError(f"out_acc: need {(d + 1) * rows} items, got {out_acc.size}")
 
 
-def dyadic_moments(table, ar, out_sup, out_acc) -> None:
+def dyadic_moments(table, out_sup, out_acc) -> None:
     """Per-row ``sup_k |T_k - T_0|`` and per-scale squared-increment sums.
 
-    ``table`` is ``(rows, 2^d + 1)``.  ``T`` is its rows if ``ar`` is None,
-    else ``T_0 = z_0``, ``T_k = z_k + ar T_{k-1}`` over the rows ``z``
-    (partial sums for ``ar = 1``).  Writes ``out_sup[i]`` and, for each
-    scale ``r = 0..d``, ``out_acc[r * rows + i] = sum_j (T_{(j+1) 2^r} -
+    ``table`` is ``(rows, 2^d + 1)``, row ``i`` the values ``T_0 ..
+    T_{2^d}`` of one path.  Writes ``out_sup[i]`` and, for each scale
+    ``r = 0..d``, ``out_acc[r * rows + i] = sum_j (T_{(j+1) 2^r} -
     T_{j 2^r})^2`` of row ``i``, added in increasing ``j``.
     """
     _check_float_array(table, "table")
@@ -232,8 +235,8 @@ def dyadic_moments(table, ar, out_sup, out_acc) -> None:
     per_block = max(ROW_BLOCK, BLOCK_ITEMS // width)
     for i0 in range(0, rows, per_block):
         block = slice(i0, i0 + per_block)
-        cols = np.array(table[block].T, order="C")    # a copy; cols[k] is z_k of every row
-        _moments_block(cols, ar, sup[block], acc[:, block])
+        cols = np.array(table[block].T, order="C")    # a copy; cols[k] is T_k of every row
+        _moments_block(cols, None, sup[block], acc[:, block])
 
 
 def _check_spec(law, d, scale, a, drift, profile) -> tuple:

@@ -277,9 +277,9 @@ def load_document(source, tol: float = DEFAULT_CLASSIFY_TOL):
         raise DimensionMismatch("document is missing the kernel field 'Q'")
     if not isinstance(doc["Q"], list):
         raise DimensionMismatch("the kernel field 'Q' must be a list of rows")
-    states = doc.get("states") or [str(i) for i in range(len(doc["Q"]))]
-    if not isinstance(states, list):
-        raise DimensionMismatch("the field 'states' must be a list of labels")
+    states = doc.get("states", [str(i) for i in range(len(doc["Q"]))])
+    if not (isinstance(states, list) and all(isinstance(s, str) for s in states)):
+        raise DimensionMismatch("the field 'states' must be a list of string labels")
     chain = make_chain(states, doc["Q"], stationary=doc.get("pi"), tol=tol)
     named = doc.get("observables") or {}
     if not isinstance(named, dict):

@@ -42,18 +42,14 @@ INCREMENT_FACTOR = math.pi ** 2 / 6.0    # sum_d 1/(d+1)^2
 class DyadicFamily:
     """Random variables ``T_0 .. T_{2^d}`` given by samples or a finite law.
 
-    ``table`` has one row per sample path or atom and ``2^d + 1`` columns,
-    which fix the level ``d``.
+    ``table`` holds the values ``T_k``: one row per sample path or atom and
+    ``2^d + 1`` columns, which fix the level ``d``.
     ``probs`` holds the atom weights of an exact family and is None for a
-    sampled one, whose paths weigh ``1/paths`` each.  With ``ar`` set the
-    rows hold innovations ``z`` and ``T_0 = z_0``, ``T_k = z_k + ar T_{k-1}``
-    (partial sums for ``ar = 1``), built row by row when the family is
-    checked.
+    sampled one, whose paths weigh ``1/paths`` each.
     """
 
     table: np.ndarray
     probs: np.ndarray | None = None
-    ar: float | None = None
 
     @property
     def d(self) -> int:
@@ -69,19 +65,11 @@ class DyadicFamily:
         # checking those two builds no table-sized mask
         if not (math.isfinite(table.min()) and math.isfinite(table.max())):
             raise NonFiniteValue("a dyadic family's table contains NaN or infinite entries")
-        if self.ar is not None and not math.isfinite(self.ar):
-            raise NonFiniteValue(f"recursion coefficient must be finite, got {self.ar!r}")
 
     @classmethod
     def from_samples(cls, samples) -> "DyadicFamily":
         """Sample paths, one per row of ``samples``."""
         return cls(table=np.ascontiguousarray(samples, dtype=np.float64))
-
-    @classmethod
-    def from_recursion(cls, innovations, ar: float) -> "DyadicFamily":
-        """Sample paths ``T_0 = z_0``, ``T_k = z_k + ar T_{k-1}``, one per row
-        ``z`` of ``innovations``."""
-        return cls(table=np.ascontiguousarray(innovations, dtype=np.float64), ar=float(ar))
 
     @classmethod
     def from_exact(cls, values, probs) -> "DyadicFamily":
@@ -122,7 +110,7 @@ def chaining_maximal_check(family: DyadicFamily) -> ChainingCheck:
     ``2^r``.  The inequality is unconditional for L2 variables; sampled
     families get a 3-standard-error slack, exact families 1e-12.
     """
-    sup, acc = kernels.dyadic_moments(family.table, family.ar)
+    sup, acc = kernels.dyadic_moments(family.table)
     return chaining_verdict(sup, acc, family.probs)
 
 

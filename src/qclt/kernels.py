@@ -14,7 +14,8 @@ import os
 import numpy as np
 
 from . import _kernels_py
-from ._kernels_py import LAW_AR, LAW_BELL, LAW_COUNT, LAW_DRIFT, LAW_FACTOR, LAW_SIGN
+from ._kernels_py import LAW_AR, LAW_BELL, LAW_COUNT, LAW_DRIFT, LAW_FACTOR, LAW_SIGN, MAX_STEPS
+from .errors import QcltError
 from .rng import stream_keys
 
 try:
@@ -65,8 +66,11 @@ def _run_paths(walk: str, lead, dtypes, num_paths, seed, workers, backend):
     # (*lead, keys, *outs), keys and outputs sliced to the chunk.  `walk` is
     # looked up at call time, so a wrapped chunk function is the one that runs
     impl = available_backends()[backend] if backend else _impl
-    keys = stream_keys(seed, num_paths)
-    outs = tuple(np.empty(num_paths, dtype=dt) for dt in dtypes)
+    try:
+        keys = stream_keys(seed, num_paths)
+        outs = tuple(np.empty(num_paths, dtype=dt) for dt in dtypes)
+    except (MemoryError, ValueError):     # ValueError: more items than numpy can index
+        raise QcltError(f"no room for {num_paths} paths") from None
 
     def args(i0, i1):
         return (*lead, keys[i0:i1], *(out[i0:i1] for out in outs))
@@ -89,18 +93,18 @@ def run_torus_paths(alpha, lazy, omegas, ccos, csin, x0, n_steps, num_paths,
                       (np.float64, np.float64), num_paths, seed, workers, backend)
 
 
-def dyadic_moments(table, ar=None):
+def dyadic_moments(table):
     """Per-row sup and per-scale squared-increment sums of a dyadic table.
 
-    ``table`` is ``(rows, 2^d + 1)`` float64, C-contiguous; see
-    ``_kernels_py.dyadic_moments`` for ``ar``.  Returns ``(sup, acc)``:
+    ``table`` is ``(rows, 2^d + 1)`` float64, C-contiguous, row ``i`` the
+    values ``T_0 .. T_{2^d}`` of one path or atom.  Returns ``(sup, acc)``:
     ``sup[i] = max_k |T_k - T_0|`` of row ``i`` and ``acc[r, i]`` the sum of
     its squared increments at scale ``2^r``, ``acc`` of shape ``(d + 1, rows)``.
     """
     rows, width = table.shape
     out_sup = np.empty(rows)
     out_acc = np.empty((_kernels_py.dyadic_level(width) + 1, rows))
-    _impl.dyadic_moments(table, ar, out_sup, out_acc)
+    _impl.dyadic_moments(table, out_sup, out_acc)
     return out_sup, out_acc
 
 

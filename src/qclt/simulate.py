@@ -68,12 +68,15 @@ def ks_distance(sample, cdf) -> float:
 
 def check_run(n: int, num_paths: int, sigma_sq: float) -> None:
     """Refuse a fixed-start run, before its kernel, with fewer than ``MIN_PATHS``
-    paths, ``n < 1``, or a limit variance that is not finite or is at most
-    ``SIGMA_FLOOR`` (the scaled sums collapse; a KS comparison is meaningless)."""
+    paths, ``n`` outside ``[1, kernels.MAX_STEPS]``, or a limit variance that
+    is not finite or is at most ``SIGMA_FLOOR`` (the scaled sums collapse; a
+    KS comparison is meaningless)."""
     if num_paths < MIN_PATHS:
         raise EmptySample(f"need at least {MIN_PATHS} paths, got {num_paths}")
     if n < 1:
         raise BadIndexOrder(f"need n >= 1, got n={n}")
+    if n > kernels.MAX_STEPS:
+        raise BadIndexOrder(f"need n <= {kernels.MAX_STEPS}, got n={n}")
     if not math.isfinite(sigma_sq):
         raise NonFiniteValue(f"limit variance {sigma_sq!r} is not finite")
     if sigma_sq <= SIGMA_FLOOR:

@@ -507,10 +507,23 @@ def _draws(key: int):
         yield mix64(key)
 
 
+def recursion_rows(table, a):
+    """The rows ``T_0 = z_0``, ``T_k = z_k + a T_{k-1}`` of the rows ``z``
+    of ``table``, in Python floats: the operation the drawn kernels run."""
+    rows = []
+    for z in table.tolist():
+        t = [z[0]]
+        for zk in z[1:]:
+            t.append(zk + a * t[-1])
+        rows.append(t)
+    return np.array(rows, dtype=np.float64).reshape(table.shape)
+
+
 def drawn_family(law, d, scale, a, drift, profile, keys):
     """The ``DyadicFamily`` whose moments ``drawn_dyadic_moments`` returns:
     every row's values drawn one at a time in Python floats, as the
-    ``_kernels.c`` header defines the five laws."""
+    ``_kernels.c`` header defines the five laws, and its ``T`` built by
+    :func:`recursion_rows` (the walks with ``a = 1.0``)."""
     width = 2 ** d + 1
     rows = []
     for key in keys.tolist():
@@ -532,9 +545,9 @@ def drawn_family(law, d, scale, a, drift, profile, keys):
                 row.append(v * v - drift)
         rows.append(row)
     table = np.array(rows, dtype=np.float64).reshape(len(rows), width)
-    if law == LAW_FACTOR:
-        return DyadicFamily.from_samples(table)
-    return DyadicFamily.from_recursion(table, a if law == LAW_AR else 1.0)
+    if law != LAW_FACTOR:
+        table = recursion_rows(table, a if law == LAW_AR else 1.0)
+    return DyadicFamily.from_samples(table)
 
 
 def random_family_params(seed: int, index: int) -> dict:
@@ -555,16 +568,12 @@ def random_family_params(seed: int, index: int) -> dict:
     return out
 
 
-def dyadic_moments_rows(table, ar):
+def dyadic_moments_rows(table):
     """``(sup, acc)`` of ``dyadic_moments`` row by row in plain Python floats."""
     rows, width = table.shape
     d = (width - 1).bit_length() - 1
     sup, acc = np.empty(rows), np.empty((d + 1, rows))
-    for i, z in enumerate(table.tolist()):
-        t = list(z)
-        if ar is not None:
-            for k in range(1, width):
-                t[k] = z[k] + ar * t[k - 1]
+    for i, t in enumerate(table.tolist()):
         sup[i] = max(abs(tk - t[0]) for tk in t[1:])
         for r in range(d + 1):
             step = 2 ** r
@@ -574,16 +583,6 @@ def dyadic_moments_rows(table, ar):
                 s += inc * inc
             acc[r, i] = s
     return sup, acc
-
-
-def dyadic_table(family) -> np.ndarray:
-    """The ``T`` table of a ``DyadicFamily``, its recursion run column by column."""
-    if family.ar is None:
-        return family.table
-    t = np.array(family.table)
-    for k in range(1, t.shape[1]):
-        t[:, k] = t[:, k] + family.ar * t[:, k - 1]
-    return t
 
 
 def chaining_check_einsum(table, probs=None):

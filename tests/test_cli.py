@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qclt import kernels
 from qclt.chain import dump_document, make_chain
 from qclt.group_walk import build_group_walk
 from qclt.cli import main
@@ -186,7 +187,12 @@ def _assert_clean_exit_2(code, out, err):
                                   '{"Q": [[0.75, 0.25], [0.25, 0.75]], "pi": ["0.5", 0.5], '
                                   '"observables": {"f": [1, -1]}}',
                                   '{"Q": [[0.75, 0.25], [0.25, 0.75]], '
-                                  '"observables": {"f": [true, false]}}'])
+                                  '"observables": {"f": [true, false]}}',
+                                  # labels only where the key is absent, and only strings
+                                  *(f'{{"Q": [[0.75, 0.25], [0.25, 0.75]], "states": {states}, '
+                                    '"observables": {"f": [1, -1]}}'
+                                    for states in ("[]", "false", "0", "[true, null]",
+                                                   '[["a"], "b"]'))])
 def test_analyze_malformed_document_exits_2(capsys, tmp_path, text):
     path = tmp_path / "bad.json"
     path.write_text(text)
@@ -362,6 +368,26 @@ def test_torus_too_few_paths_exits_2(capsys):
     code, out, err = run(capsys, "torus", "--paths", "50", "--n", "8")
     _assert_clean_exit_2(code, out, err)
     assert "100 paths" in err
+
+
+@pytest.mark.parametrize("size, message", [(("--paths", str(2 ** 62), "--n", "4"), "no room"),
+                                           (("--paths", "100", "--n", str(2 ** 61)), "need n <="),
+                                           (("--paths", "100", "--n", str(2 ** 63)), "need n <=")],
+                         ids=["2^62 paths", "2^61 steps", "2^63 steps"])
+@pytest.mark.parametrize("walk", ["simulate", "torus"])
+def test_oversized_run_exits_2_before_the_kernel(capsys, chain_file, monkeypatch, walk, size,
+                                                 message):
+    # sizes beyond the address space, so nothing is allocated
+    def no_kernel(*args):
+        raise AssertionError("a path kernel ran")
+    for module in kernels.available_backends().values():
+        monkeypatch.setattr(module, "chain_paths", no_kernel)
+        monkeypatch.setattr(module, "torus_paths", no_kernel)
+    lead = ([walk, chain_file, "--observable", "f", "--start", "0"] if walk == "simulate"
+            else [walk, "--cutoff", "100"])
+    code, out, err = run(capsys, *lead, *size)
+    _assert_clean_exit_2(code, out, err)
+    assert message in err
 
 
 def test_torus_zero_observable_exits_2(capsys, tmp_path):

@@ -1,11 +1,10 @@
 """The ``dyadic_moments`` kernels, on a table and on a family drawn inside
-the kernel: compiled against numpy, both against per-row Python loops, and
-the argument checks of both backends.
+the kernel: each backend against per-row Python loops, and the argument
+checks of both backends.
 
-The extension is built from this checkout (the ``compiled_kernels``
-fixture), so the compiled cases run wherever a C compiler exists; the
-drawn-family tests (the ``kernel_modules`` fixture) run their fallback half
-even where none does.
+Every test takes its backends from the ``kernel_modules`` fixture: the numpy
+fallback always, and the extension built from this checkout wherever a C
+compiler exists, so no test skips its fallback half.
 """
 
 import functools
@@ -19,70 +18,81 @@ from qclt.kernels import LAW_BELL, LAW_COUNT, LAW_FACTOR
 from qclt.rng import stream_keys
 from tests import oracles
 
+# the shape of a table's rows: raw normals (None), or the output of the
+# oracle recursion T_k = z_k + a T_{k-1} over them (a walk for a = 1.0)
 RECURSIONS = [None, 1.0, -0.9, 0.37]
 
 
-@pytest.fixture
-def backends(compiled_kernels):
-    return {"python": _kernels_py, "compiled": compiled_kernels}
+def _module(kernel_modules, backend):
+    if backend not in kernel_modules:
+        pytest.skip("no C compiler to build the compiled kernels")
+    return kernel_modules[backend]
 
 
-def _run(impl, table, ar):
+def _table(rng, shape, ar):
+    z = rng.standard_normal(shape)
+    return z if ar is None else oracles.recursion_rows(z, ar)
+
+
+def _run(impl, table):
     rows, width = table.shape
     out_sup = np.full(rows, np.nan)
     out_acc = np.full(((width - 1).bit_length(), rows), np.nan)
-    impl.dyadic_moments(table, ar, out_sup, out_acc)
+    impl.dyadic_moments(table, out_sup, out_acc)
     return out_sup, out_acc
 
 
-def _assert_backends_agree(backends, d, rows, ar):
+def _assert_matches_oracle(kernel_modules, table):
+    want_sup, want_acc = oracles.dyadic_moments_rows(table)
+    for impl in kernel_modules.values():
+        sup, acc = _run(impl, table)
+        assert np.array_equal(sup, want_sup) and np.array_equal(acc, want_acc), impl
+
+
+def _assert_backends_agree(kernel_modules, d, rows, ar):
+    # each backend equal to the row loop, so the two equal bit for bit
     rng = np.random.default_rng([d, rows])
-    table = rng.standard_normal((rows, 2 ** d + 1)) * rng.uniform(0.1, 10.0)
-    py_sup, py_acc = _run(backends["python"], table, ar)
-    c_sup, c_acc = _run(backends["compiled"], table, ar)
-    assert np.array_equal(py_sup, c_sup) and np.array_equal(py_acc, c_acc)
-    assert py_sup.shape == (rows,) and py_acc.shape == (d + 1, rows)
+    table = _table(rng, (rows, 2 ** d + 1), ar) * rng.uniform(0.1, 10.0)
+    _assert_matches_oracle(kernel_modules, table)
 
 
 @pytest.mark.parametrize("ar", RECURSIONS)
 @pytest.mark.parametrize("rows", [0, 1, 257])
 @pytest.mark.parametrize("d", range(7))
-def test_backends_bitwise_identical(backends, d, rows, ar):
-    _assert_backends_agree(backends, d, rows, ar)
+def test_backends_bitwise_identical(kernel_modules, d, rows, ar):
+    _assert_backends_agree(kernel_modules, d, rows, ar)
 
 
 @pytest.mark.parametrize("ar", RECURSIONS)
 @pytest.mark.parametrize("d", range(7))
-def test_backends_bitwise_identical_across_row_blocks(backends, d, ar):
+def test_backends_bitwise_identical_across_row_blocks(kernel_modules, d, ar):
     # the fallback walks the table in blocks of this many rows
     block = max(_kernels_py.ROW_BLOCK, _kernels_py.BLOCK_ITEMS // (2 ** d + 1))
     for rows in (block - 1, block, block + 1, 2 * block + 7):
-        _assert_backends_agree(backends, d, rows, ar)
+        _assert_backends_agree(kernel_modules, d, rows, ar)
 
 
 @pytest.mark.parametrize("ar", RECURSIONS)
 @pytest.mark.parametrize("backend", ["python", "compiled"])
-def test_matches_row_loop(backends, backend, ar):
+def test_matches_row_loop(kernel_modules, backend, ar):
+    impl = _module(kernel_modules, backend)
     rng = np.random.default_rng(5)
     for d in (0, 1, 3, 5):
-        table = rng.standard_normal((33, 2 ** d + 1))
-        sup, acc = _run(backends[backend], table, ar)
-        want_sup, want_acc = oracles.dyadic_moments_rows(table, ar)
-        assert np.array_equal(sup, want_sup) and np.array_equal(acc, want_acc)
+        _assert_matches_oracle({backend: impl}, _table(rng, (33, 2 ** d + 1), ar))
 
 
 @pytest.mark.parametrize("rows", [1, 40])
 @pytest.mark.parametrize("backend", ["python", "compiled"])
-def test_table_is_not_modified(backends, backend, rows):
+def test_table_is_not_modified(kernel_modules, backend, rows):
     table = np.random.default_rng(2).standard_normal((rows, 17))
     before = table.copy()
-    _run(backends[backend], table, 0.5)
+    _run(_module(kernel_modules, backend), table)
     assert np.array_equal(table, before)
 
 
 def _args(rows=5, d=2):
     table = np.random.default_rng(0).standard_normal((rows, 2 ** d + 1))
-    return dict(table=table, ar=1.0, out_sup=np.empty(rows), out_acc=np.empty((d + 1) * rows))
+    return dict(table=table, out_sup=np.empty(rows), out_acc=np.empty((d + 1) * rows))
 
 
 BAD_ARGS = {                          # case: (argument, how to spoil it)
@@ -108,7 +118,8 @@ BAD_ARGS = {                          # case: (argument, how to spoil it)
 
 @pytest.mark.parametrize("bad", sorted(BAD_ARGS))
 @pytest.mark.parametrize("backend", ["python", "compiled"])
-def test_rejects_bad_buffers_before_writing(backends, backend, bad):
+def test_rejects_bad_buffers_before_writing(kernel_modules, backend, bad):
+    impl = _module(kernel_modules, backend)
     args = _args()
     name, spoil = BAD_ARGS[bad]
     args[name] = spoil(args[name])
@@ -116,7 +127,7 @@ def test_rejects_bad_buffers_before_writing(backends, backend, bad):
     for out in outs:
         out[...] = -7
     with pytest.raises(ValueError):
-        backends[backend].dyadic_moments(*args.values())
+        impl.dyadic_moments(*args.values())
     for out in outs:
         assert (out == -7).all()
 
@@ -146,7 +157,7 @@ def _oracle(law, d):
     # stream_keys(seed, m) for n <= m, so one table serves every row count
     fam = oracles.drawn_family(law, d, **LAW_PARAMS, profile=_profile(law, d),
                                keys=stream_keys(7 * law + d, ORACLE_ROWS))
-    return oracles.dyadic_moments_rows(fam.table, fam.ar)
+    return oracles.dyadic_moments_rows(fam.table)
 
 
 @pytest.mark.parametrize("blocks", [1, 2])
@@ -193,8 +204,7 @@ BAD_SPECS = {                         # case: the spec's changed items
 @pytest.mark.parametrize("bad", sorted(BAD_SPECS))
 @pytest.mark.parametrize("backend", ["python", "compiled"])
 def test_drawn_rejects_bad_spec_before_writing(kernel_modules, backend, bad):
-    if backend not in kernel_modules:
-        pytest.skip("no C compiler to build the compiled kernels")
+    impl = _module(kernel_modules, backend)
     args = dict(law=LAW_FACTOR, d=2, scale=1.0, a=0.5, drift=0.1,
                 profile=np.zeros(5), keys=stream_keys(1, 5), out_sup=np.empty(5),
                 out_acc=np.empty(15))
@@ -202,5 +212,5 @@ def test_drawn_rejects_bad_spec_before_writing(kernel_modules, backend, bad):
     for out in (args["out_sup"], args["out_acc"]):
         out[...] = -7
     with pytest.raises(ValueError):
-        kernel_modules[backend].drawn_dyadic_moments(*args.values())
+        impl.drawn_dyadic_moments(*args.values())
     assert (args["out_sup"] == -7).all() and (args["out_acc"] == -7).all()

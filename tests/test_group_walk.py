@@ -43,7 +43,7 @@ from qclt.inequalities import (
 )
 from qclt.spectral import SpectralMeasure, spectral_integral, spectral_measure
 from qclt.verify import sign_observable, torus_identity_gap, two_state_chain
-from tests.oracles import jacobi_eigh
+from tests.oracles import jacobi_eigh, recursion_rows
 
 
 def harmonic(chain, k, n):
@@ -368,7 +368,7 @@ def test_derived_record_values_match_their_expressions():
     rng = np.random.default_rng(3)
     for family in (DyadicFamily.deterministic([0.0, 1.0, 0.0]),
                    DyadicFamily.from_samples(rng.normal(size=(300, 9))),
-                   DyadicFamily.from_recursion(rng.normal(size=(300, 5)), 0.5)):
+                   DyadicFamily.from_samples(recursion_rows(rng.normal(size=(300, 5)), 0.5))):
         check = chaining_maximal_check(family)
         assert check.ok is (check.lhs <= check.rhs + check.slack)
 

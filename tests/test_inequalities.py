@@ -75,7 +75,7 @@ def test_chaining_random_families_never_violate():
 # -- earlier loop-based forms, kept here as references
 
 def _reference_chaining(family):
-    tbl = oracles.dyadic_table(family)
+    tbl = family.table
     if family.probs is None:
         weights = np.full(tbl.shape[0], 1.0 / tbl.shape[0])
         sampled = True
@@ -101,7 +101,7 @@ def _assert_matches_reference(family):
     res = chaining_maximal_check(family)
     got = (res.lhs, res.rhs, res.slack, res.ok)
     # the einsum check runs the same arithmetic in the same order: exact
-    assert got == oracles.chaining_check_einsum(oracles.dyadic_table(family), family.probs)
+    assert got == oracles.chaining_check_einsum(family.table, family.probs)
     # the loop form sums in another order (np.sum, weights * sup * sup)
     lhs, rhs, slack, ok = _reference_chaining(family)
     np.testing.assert_allclose([res.lhs, res.rhs, res.slack], [lhs, rhs, slack],
@@ -110,7 +110,7 @@ def _assert_matches_reference(family):
 
 
 def _oracle_family(fam, paths, d=None):
-    # the table of a drawn family, as a DyadicFamily of samples or recursion;
+    # the T table of a drawn family, as a DyadicFamily of samples;
     # at another level d, the factor law takes a fixed profile of 2^d + 1 entries
     profile = fam.profile
     if d is not None and d != fam.d:
@@ -160,7 +160,7 @@ def test_random_dyadic_family_bit_identical_to_reference(kernel_modules, monkeyp
         assert want == {**dataclasses.asdict(fam), "profile": fam.profile.tolist()}
         assert fam.profile.dtype == np.float64
         laws.add(fam.law)
-        table = oracles.dyadic_table(_oracle_family(fam, 257))
+        table = _oracle_family(fam, 257).table
         for impl in kernel_modules.values():
             monkeypatch.setattr(kernels, "_impl", impl)
             res = fam.check(257)
@@ -220,7 +220,7 @@ def test_drawing_a_family_allocates_no_table_sized_temporary(kernel_modules):
             assert peak < 1 << 20, (impl, law, peak)
     tracemalloc.start()
     try:
-        DyadicFamily(table=table, ar=0.5)
+        DyadicFamily(table=table)
         check_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -229,13 +229,16 @@ def test_drawing_a_family_allocates_no_table_sized_temporary(kernel_modules):
 
 @pytest.mark.parametrize("ar", [None, 0.3])
 def test_fallback_chaining_moments_allocate_no_table_sized_temporary(ar):
-    # the numpy dyadic_moments walks this 2.6 MB table in row blocks
+    # the numpy dyadic_moments walks this 2.6 MB table in row blocks: raw
+    # normals, or the oracle recursion's output over them
     paths, d = 10 ** 4, 5
     table = np.random.default_rng(4).standard_normal((paths, 2 ** d + 1))
+    if ar is not None:
+        table = oracles.recursion_rows(table, ar)
     out_sup, out_acc = np.empty(paths), np.empty((d + 1) * paths)
     tracemalloc.start()
     try:
-        _kernels_py.dyadic_moments(table, ar, out_sup, out_acc)
+        _kernels_py.dyadic_moments(table, out_sup, out_acc)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -251,7 +254,7 @@ def test_chaining_randomized_matches_the_einsum_oracle():
     for index in range(families):
         params = oracles.random_family_params(2024, index)
         keys = stream_keys(params.pop("row_seed"), paths)
-        table = oracles.dyadic_table(oracles.drawn_family(**params, keys=keys))
+        table = oracles.drawn_family(**params, keys=keys).table
         want.append(oracles.chaining_check_einsum(table))
     got = []
     real_verdict = verify.chaining_verdict
@@ -296,10 +299,8 @@ def test_from_samples_rejects_non_finite():
         table[2, 1] = bad
         with pytest.raises(NonFiniteValue):
             DyadicFamily.from_samples(table)
-        with pytest.raises(NonFiniteValue):
-            DyadicFamily.from_recursion(table, 1.0)
-        with pytest.raises(NonFiniteValue):
-            DyadicFamily.from_recursion(np.zeros((4, 3)), bad)
+    # a family's table holds T: no factory runs a recursion to build it
+    assert not hasattr(DyadicFamily, "from_recursion")
 
 
 def test_from_samples_rejects_bad_shapes():
@@ -314,7 +315,7 @@ def test_constructor_validates_as_the_factories_do():
             DyadicFamily(table=np.array([[0.0, 1.0, bad]]))
     for big in (1e308, -1e308):
         DyadicFamily(table=np.array([[0.0, big, -big]]))
-    with pytest.raises(NonFiniteValue):
+    with pytest.raises(TypeError, match="'ar'"):       # the recursion field is gone
         DyadicFamily(table=np.zeros((2, 3)), ar=float("nan"))
     with pytest.raises(BadLength):
         DyadicFamily(table=np.zeros((2, 4)))
@@ -434,13 +435,12 @@ def test_log_envelope_ratio():
 
 
 def test_family_level_comes_from_the_table_width():
-    assert [f.name for f in dataclasses.fields(DyadicFamily)] == ["table", "probs", "ar"]
+    assert [f.name for f in dataclasses.fields(DyadicFamily)] == ["table", "probs"]
     for d in range(6):
         assert DyadicFamily.from_samples(np.zeros((2, 2 ** d + 1))).d == d
-        assert DyadicFamily.from_recursion(np.zeros((2, 2 ** d + 1)), 0.5).d == d
         assert DyadicFamily.deterministic(np.zeros(2 ** d + 1)).d == d
     for width in (0, 1, 4, 6, 10):
         with pytest.raises(BadLength, match="2\\^d \\+ 1 columns"):
             DyadicFamily.from_samples(np.zeros((2, width)))
         with pytest.raises(BadLength):
-            _kernels_py.dyadic_moments(np.zeros((2, width)), None, np.empty(2), np.empty(8))
+            _kernels_py.dyadic_moments(np.zeros((2, width)), np.empty(2), np.empty(8))
