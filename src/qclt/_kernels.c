@@ -33,17 +33,16 @@
  * the scalar lane loads; and each lane adds its terms in step order, with
  * no fused multiply-add.
  *
- * dyadic_moments: one pass over a row-major (rows, 2^d + 1) table of a
- * dyadic family, row i the values T_0 .. T_{2^d} of one path.  Per row it
- * writes sup_k |T_k - T_0| and, for each scale r = 0..d, the sum over i of
- * (T_{(i+1) 2^r} - T_{i 2^r})^2 added in increasing i.  The pass takes the
- * rows in blocks held column-major, and one block reduction serves it and
- * drawn_dyadic_moments.
- *
- * drawn_dyadic_moments: the same pass over a family that no table holds.
- * Row i's 2^d + 1 values z_k are drawn from the counter stream keys[i], as
- * the path kernels draw, straight into the block: in column order, after
- * the factor law's two draws.  With u, u' a row's next two uniforms:
+ * drawn_dyadic_moments: one pass over a dyadic family that no table holds,
+ * row i the values T_0 .. T_{2^d} of one path.  Per row it writes
+ * sup_k |T_k - T_0| and, for each scale r = 0..d, the sum over i of
+ * (T_{(i+1) 2^r} - T_{i 2^r})^2 added in increasing i, as the fallback's
+ * table reduction dyadic_moments does (which has no C twin: no workload
+ * reduces a table large enough to need one).  The pass takes the rows in
+ * blocks held column-major.  Row i's 2^d + 1 values z_k are drawn from the
+ * counter stream keys[i], as the path kernels draw, straight into the block:
+ * in column order, after the factor law's two draws.  With u, u' a row's
+ * next two uniforms:
  *   0 bell walk     z = scale ((u + u') - 1),    T the partial sums of z;
  *   1 sign walk     z = +1 if u >= 1/2 else -1,  T the partial sums of z;
  *   2 AR(1)         z = scale (2u - 1),          T_k = z_k + a T_{k-1};
@@ -216,10 +215,11 @@ static void chain_scalar(const struct chain_job *job)
     }
 }
 
-/* One torus_paths call, checked, with its table of 2 n_steps + 1 values
- * built; a path's step is stay if u < lazy, +1 if u < mid, else -1. */
+/* One torus_paths call, checked, with ftable, its table of f at the
+ * 2 n_steps + 1 lattice points, built; a path's step is stay if u < lazy,
+ * +1 if u < mid, else -1. */
 struct torus_job {
-    const double *table;
+    const double *ftable;
     const uint64_t *keys;
     double *out_s, *out_x;
     double alpha, lazy, mid, x0;
@@ -235,7 +235,7 @@ static void torus_scalar(const struct torus_job *job)
         for (Py_ssize_t k = 0; k < job->n_steps; k++) {
             double u = next_uniform(&ctr);
             j += (u >= job->lazy) - 2 * (u >= job->mid);
-            s += job->table[j];
+            s += job->ftable[j];
         }
         job->out_s[i] = s;
         job->out_x[i] = lattice_point(job->x0, job->alpha, j - job->n_steps);
@@ -343,7 +343,7 @@ AVX512 static void torus_avx512(const struct torus_job *job)
             __m512d u = next_uniform8(&ctr);
             j = _mm512_mask_add_epi64(j, _mm512_cmp_pd_mask(u, lazy, _CMP_GE_OQ), j, one);
             j = _mm512_mask_sub_epi64(j, _mm512_cmp_pd_mask(u, mid, _CMP_GE_OQ), j, two);
-            s = _mm512_add_pd(s, _mm512_i64gather_pd(j, job->table, 8));
+            s = _mm512_add_pd(s, _mm512_i64gather_pd(j, job->ftable, 8));
         }
         _mm512_storeu_pd(s_out, s);
         _mm512_storeu_si512(j_out, j);
@@ -445,7 +445,7 @@ static PyObject *torus_paths(PyObject *self, PyObject *args)
     }
     if (ok) {
         const double *omegas = b[0].buf, *ccos = b[1].buf, *csin = b[2].buf;
-        struct torus_job job = {.table = table, .keys = b[3].buf, .out_s = b[4].buf,
+        struct torus_job job = {.ftable = table, .keys = b[3].buf, .out_s = b[4].buf,
                                 .out_x = b[5].buf, .alpha = alpha, .lazy = lazy,
                                 .mid = lazy + 0.5 * (1.0 - lazy), .x0 = x0,
                                 .n_steps = n_steps, .npaths = npaths};
@@ -466,20 +466,6 @@ static PyObject *torus_paths(PyObject *self, PyObject *args)
     Py_RETURN_NONE;
 }
 
-/* Width 2^d + 1 of a dyadic table row: d, or -1 with ValueError set. */
-static int dyadic_level(Py_ssize_t width)
-{
-    Py_ssize_t span = width - 1;
-    if (span < 1 || (span & (span - 1)) != 0) {
-        PyErr_Format(PyExc_ValueError, "table: need 2^d + 1 columns, got %zd", width);
-        return -1;
-    }
-    int d = 0;
-    while (((Py_ssize_t)1 << d) < span)
-        d++;
-    return d;
-}
-
 /* Rows per block of a dyadic pass: a block is held column-major in a small
  * buffer, so the loops below run across its rows, which are independent,
  * and not along one row's chain of dependent additions.  Each row's values
@@ -493,11 +479,10 @@ enum { LAW_BELL, LAW_SIGN, LAW_AR, LAW_FACTOR, LAW_DRIFT, LAW_COUNT };
 /* no drawn value, sum or square can overflow below this parameter bound */
 #define PARAM_MAX 4294967296.0
 
-/* One dyadic pass, checked: rows T of width 2^d + 1 taken from `table`, or
- * z drawn from `keys` by `law` when `table` is NULL, then T_k = z_k + a T_{k-1}
- * when `recurse`; nb rows to a block. */
+/* One dyadic pass, checked: rows z of width 2^d + 1 drawn from `keys` by
+ * `law`, then T_k = z_k + a T_{k-1} when `recurse`; nb rows to a block. */
 struct dyadic_job {
-    const double *table, *profile;
+    const double *profile;
     const uint64_t *keys;
     double *out_sup, *out_acc;
     double a, scale, drift;
@@ -505,17 +490,9 @@ struct dyadic_job {
     int d, recurse, law;
 };
 
-/* t[k * nb + j] = T_k of row i0 + j, for the block's n rows */
-static void copy_block(const struct dyadic_job *job, double *t, Py_ssize_t i0, Py_ssize_t n)
-{
-    const double *z = job->table + i0 * job->width;
-    for (Py_ssize_t j = 0; j < n; j++)
-        for (Py_ssize_t k = 0; k < job->width; k++)
-            t[k * job->nb + j] = z[j * job->width + k];
-}
-
-/* the same slots, drawn: each row advances its own stream, the factor's two
- * draws first, then each value's one or two draws in column order */
+/* t[k * nb + j] = z_k of row i0 + j, for the block's n rows: each row
+ * advances its own stream, the factor's two draws first, then each value's
+ * one or two draws in column order */
 static void draw_block(const struct dyadic_job *job, double *t, Py_ssize_t i0, Py_ssize_t n)
 {
     uint64_t ctr[DYADIC_BLOCK_ROWS];
@@ -560,7 +537,7 @@ static void draw_block(const struct dyadic_job *job, double *t, Py_ssize_t i0, P
     }
 }
 
-/* The block reduction of every dyadic pass: T from the block's z if `recurse`,
+/* The block reduction of the dyadic pass: T from the block's z if `recurse`,
  * then per row sup_k |T_k - T_0| and each scale's sum of squared increments. */
 static void reduce_block(const struct dyadic_job *job, double *t, Py_ssize_t i0, Py_ssize_t n)
 {
@@ -611,42 +588,12 @@ static int dyadic_pass(struct dyadic_job *job)
     Py_BEGIN_ALLOW_THREADS
     for (Py_ssize_t i0 = 0; i0 < job->rows; i0 += job->nb) {
         Py_ssize_t n = job->rows - i0 < job->nb ? job->rows - i0 : job->nb;
-        if (job->table != NULL)
-            copy_block(job, t, i0, n);
-        else
-            draw_block(job, t, i0, n);
+        draw_block(job, t, i0, n);
         reduce_block(job, t, i0, n);
     }
     Py_END_ALLOW_THREADS
     PyMem_RawFree(t);
     return 0;
-}
-
-static PyObject *dyadic_moments(PyObject *self, PyObject *args)
-{
-    static const char *const names[] = {"table", "out_sup", "out_acc"};
-    PyObject *o[3];
-    Py_buffer b[3] = {{0}};
-    if (!PyArg_ParseTuple(args, "OOO:dyadic_moments", &o[0], &o[1], &o[2]))
-        return NULL;
-    int ok = get_arrays(o, b, "ddd", names, 1, 3) == 0;
-    if (ok && b[0].ndim != 2) {
-        PyErr_Format(PyExc_ValueError, "table: need 2 dimensions, got %d", b[0].ndim);
-        ok = 0;
-    }
-    Py_ssize_t rows = ok ? b[0].shape[0] : 0, width = ok ? b[0].shape[1] : 0;
-    int d = ok ? dyadic_level(width) : -1;
-    ok = ok && d >= 0 && check_len(&b[1], rows, names[1]) == 0
-        && check_len(&b[2], (d + 1) * rows, names[2]) == 0;
-    if (ok) {
-        struct dyadic_job job = {.table = b[0].buf, .out_sup = b[1].buf, .out_acc = b[2].buf,
-                                 .rows = rows, .width = width, .d = d};
-        ok = dyadic_pass(&job) == 0;
-    }
-    release_all(b, 3);
-    if (!ok)
-        return NULL;
-    Py_RETURN_NONE;
 }
 
 /* 0 if |value| <= bound (so not NaN), else set ValueError showing `arg`,
@@ -719,12 +666,6 @@ static PyMethodDef methods[] = {
      "Tabulates f at x0 + (j - n_steps) alpha mod 1 for j = 0..2 n_steps, a\n"
      "(2 n_steps + 1) * 8-byte table per call, then walks the lattice index j\n"
      "from n_steps by lazy +-1 steps, adding table[j] per step."},
-    {"dyadic_moments", dyadic_moments, METH_VARARGS,
-     "dyadic_moments(table, out_sup, out_acc)\n"
-     "Per-row sup_k |T_k - T_0| and per-scale squared-increment sums.\n\n"
-     "`table` is (rows, 2^d + 1), row i the values T of one path.\n"
-     "out_acc[r * rows + i] gets sum_i' (T_{(i'+1) 2^r} - T_{i' 2^r})^2 of\n"
-     "row i for r = 0..d."},
     {"drawn_dyadic_moments", drawn_dyadic_moments, METH_VARARGS,
      "drawn_dyadic_moments(law, d, scale, a, drift, profile, keys, out_sup, out_acc)\n"
      "dyadic_moments of a family of len(keys) rows of 2^d + 1 values, each row\n"

@@ -1,4 +1,5 @@
-"""Pure numpy kernels; drop-in fallback for the compiled extension.
+"""Pure numpy kernels; drop-in fallback for the compiled extension, and the
+one table reduction of every backend.
 
 Both backends run the same arithmetic in the same order, so every kernel is
 bit-for-bit reproducible across backends.  The path kernels are integer
@@ -11,7 +12,8 @@ by the search that the ``_kernels.c`` header describes, probe for probe as
 the C lanes do.
 :func:`dyadic_moments` reduces a dyadic family's table to per-row maxima
 and per-scale squared-increment sums, adding each row's increments in
-increasing order as the C loop does, one block of rows at a time.
+increasing order as the C drawn pass does, one block of rows at a time; it
+has no C twin, so it serves the compiled backend too.
 :func:`drawn_dyadic_moments` gives the same reduction of a family drawn
 from counter streams by the laws that the ``_kernels.c`` header defines: it
 draws each block's values through :func:`_uniforms_into`, a few columns at

@@ -281,7 +281,7 @@ def load_document(source, tol: float = DEFAULT_CLASSIFY_TOL):
     if not (isinstance(states, list) and all(isinstance(s, str) for s in states)):
         raise DimensionMismatch("the field 'states' must be a list of string labels")
     chain = make_chain(states, doc["Q"], stationary=doc.get("pi"), tol=tol)
-    named = doc.get("observables") or {}
+    named = doc.get("observables", {})
     if not isinstance(named, dict):
         raise DimensionMismatch("the field 'observables' must map names to vectors")
     observables = {}

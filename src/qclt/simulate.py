@@ -9,7 +9,6 @@ pathwise on every run.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -17,7 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import kernels
-from .chain import FiniteChain, open_output
+from .chain import FiniteChain, guarded_writes, open_output
 from .errors import BadIndexOrder, DegenerateSigma, EmptySample, NonFiniteValue
 
 if TYPE_CHECKING:
@@ -120,15 +119,18 @@ def simulate_quenched(chain: FiniteChain, scheme: MartingaleScheme, x,
     """
     check_run(n, num_paths, scheme.sigma_sq)
     start = chain.index_of(x)
-    # the dump file is opened before the run, so a bad path fails at once
-    with (contextlib.nullcontext() if dump_path is None
-          else open_output(dump_path)) as dump:
-        sums, mart_sums, last = kernels.run_chain_paths(
-            cumulative_rows(chain), scheme.g - scheme.qg, scheme.diff_kernel, start, n,
-            num_paths, seed, workers=workers)
-        jump = scheme.qg[start] - scheme.qg[last]
-        residual_max = float(np.max(np.abs(sums - mart_sums - jump)))
-        if dump is not None:
+    if dump_path is not None:
+        # a bad path fails before the run; appending truncates nothing, so a
+        # refused run leaves an earlier dump as it was
+        with guarded_writes(dump_path), open(dump_path, "a"):
+            pass
+    sums, mart_sums, last = kernels.run_chain_paths(
+        cumulative_rows(chain), scheme.g - scheme.qg, scheme.diff_kernel, start, n,
+        num_paths, seed, workers=workers)
+    jump = scheme.qg[start] - scheme.qg[last]
+    residual_max = float(np.max(np.abs(sums - mart_sums - jump)))
+    if dump_path is not None:
+        with open_output(dump_path) as dump:
             _dump_samples(dump, sums / math.sqrt(n), mart_sums / math.sqrt(n))
     return sample_report(sums, start, n, seed, scheme.sigma_sq, residual_max)
 

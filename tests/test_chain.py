@@ -252,6 +252,14 @@ def test_load_document_structure_errors():
             load_document(json.dumps(doc))
 
 
+@pytest.mark.parametrize("named", [False, 0, "", [], None])
+def test_load_document_reads_no_observables_only_from_an_absent_key(named):
+    q = [[0.5, 0.5], [0.5, 0.5]]
+    assert load_document({"Q": q})[1] == {}
+    with pytest.raises(DimensionMismatch, match="'observables' must map names to vectors"):
+        load_document({"Q": q, "observables": named})
+
+
 def test_load_document_file_errors(tmp_path):
     with pytest.raises(BadFile, match="neither an existing file"):
         load_document(str(tmp_path / "absent.json"))

@@ -175,6 +175,10 @@ def _assert_clean_exit_2(code, out, err):
     assert out == ""
 
 
+NOT_A_MAPPING = [f'{{"Q": [[0.75, 0.25], [0.25, 0.75]], "observables": {named}}}'
+                 for named in ("false", "0", '""', "[]")]
+
+
 @pytest.mark.parametrize("text", ['{"Q": [[1, 0], [0', "[1, 2]",
                                   '{"Q": [[0.5, 0.5], [1]]}',
                                   '{"Q": [["a", "b"], ["c", "d"]]}',
@@ -192,11 +196,16 @@ def _assert_clean_exit_2(code, out, err):
                                   *(f'{{"Q": [[0.75, 0.25], [0.25, 0.75]], "states": {states}, '
                                     '"observables": {"f": [1, -1]}}'
                                     for states in ("[]", "false", "0", "[true, null]",
-                                                   '[["a"], "b"]'))])
+                                                   '[["a"], "b"]')),
+                                  # no observables only where the key is absent
+                                  *NOT_A_MAPPING])
 def test_analyze_malformed_document_exits_2(capsys, tmp_path, text):
     path = tmp_path / "bad.json"
     path.write_text(text)
-    _assert_clean_exit_2(*run(capsys, "analyze", str(path)))
+    code, out, err = run(capsys, "analyze", str(path))
+    _assert_clean_exit_2(code, out, err)
+    if text in NOT_A_MAPPING:
+        assert "the field 'observables' must map names to vectors" in err
 
 
 def test_analyze_missing_file_exits_2(capsys, tmp_path):
@@ -277,6 +286,20 @@ def test_simulate_bad_dump_path_fails_before_the_run(capsys, chain_file, tmp_pat
                          "--start", "0", "--paths", "500", "--dump", str(dump))
     _assert_clean_exit_2(code, out, err)
     assert "cannot write" in err
+
+
+def test_refused_simulate_run_keeps_an_earlier_dump(capsys, chain_file, tmp_path):
+    dump = tmp_path / "x.csv"
+    sim = ["simulate", chain_file, "--observable", "f", "--start", "0", "--n", "4",
+           "--dump", str(dump)]
+    code, _, _ = run(capsys, *sim, "--paths", "200")
+    assert code == 0
+    before = dump.read_bytes()
+    assert before.startswith(b"path_index,s_scaled,m_scaled\n")
+    code, out, err = run(capsys, *sim, "--paths", str(2 ** 62))
+    _assert_clean_exit_2(code, out, err)
+    assert "no room for" in err
+    assert dump.read_bytes() == before
 
 
 def test_group_bad_output_path_exits_2(capsys, tmp_path):

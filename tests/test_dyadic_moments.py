@@ -1,8 +1,10 @@
 """The ``dyadic_moments`` kernels, on a table and on a family drawn inside
-the kernel: each backend against per-row Python loops, and the argument
-checks of both backends.
+the kernel: each against per-row Python loops, and their argument checks.
 
-Every test takes its backends from the ``kernel_modules`` fixture: the numpy
+A stored table has one reduction, the numpy ``_kernels_py.dyadic_moments``,
+which ``kernels.dyadic_moments`` runs on every backend; the extension has no
+table kernel.  A drawn family is reduced by each backend's own pass.  Every
+test takes its backends from the ``kernel_modules`` fixture: the numpy
 fallback always, and the extension built from this checkout wherever a C
 compiler exists, so no test skips its fallback half.
 """
@@ -13,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from qclt import _kernels_py
+from qclt import _kernels_py, kernels
 from qclt.kernels import LAW_BELL, LAW_COUNT, LAW_FACTOR
 from qclt.rng import stream_keys
 from tests import oracles
@@ -29,64 +31,66 @@ def _module(kernel_modules, backend):
     return kernel_modules[backend]
 
 
+def _table_kernel(kernel_modules, monkeypatch, backend):
+    # the table kernel that `kernels` reaches with `backend` in use: the
+    # numpy one, since no backend brings its own
+    impl = _module(kernel_modules, backend)
+    assert impl is _kernels_py or not hasattr(impl, "dyadic_moments")
+    monkeypatch.setattr(kernels, "_impl", impl)
+    return _kernels_py.dyadic_moments
+
+
 def _table(rng, shape, ar):
     z = rng.standard_normal(shape)
     return z if ar is None else oracles.recursion_rows(z, ar)
 
 
-def _run(impl, table):
-    rows, width = table.shape
-    out_sup = np.full(rows, np.nan)
-    out_acc = np.full(((width - 1).bit_length(), rows), np.nan)
-    impl.dyadic_moments(table, out_sup, out_acc)
-    return out_sup, out_acc
-
-
-def _assert_matches_oracle(kernel_modules, table):
+def _assert_matches_oracle(table):
     want_sup, want_acc = oracles.dyadic_moments_rows(table)
-    for impl in kernel_modules.values():
-        sup, acc = _run(impl, table)
-        assert np.array_equal(sup, want_sup) and np.array_equal(acc, want_acc), impl
+    sup, acc = kernels.dyadic_moments(table)
+    assert np.array_equal(sup, want_sup) and np.array_equal(acc, want_acc)
 
 
-def _assert_backends_agree(kernel_modules, d, rows, ar):
-    # each backend equal to the row loop, so the two equal bit for bit
+def _assert_backends_agree(d, rows, ar):
+    # the one table kernel equal to the row loop, so every backend's table
+    # route equals it bit for bit
     rng = np.random.default_rng([d, rows])
     table = _table(rng, (rows, 2 ** d + 1), ar) * rng.uniform(0.1, 10.0)
-    _assert_matches_oracle(kernel_modules, table)
+    _assert_matches_oracle(table)
 
 
 @pytest.mark.parametrize("ar", RECURSIONS)
 @pytest.mark.parametrize("rows", [0, 1, 257])
 @pytest.mark.parametrize("d", range(7))
-def test_backends_bitwise_identical(kernel_modules, d, rows, ar):
-    _assert_backends_agree(kernel_modules, d, rows, ar)
+def test_backends_bitwise_identical(d, rows, ar):
+    _assert_backends_agree(d, rows, ar)
 
 
 @pytest.mark.parametrize("ar", RECURSIONS)
 @pytest.mark.parametrize("d", range(7))
-def test_backends_bitwise_identical_across_row_blocks(kernel_modules, d, ar):
-    # the fallback walks the table in blocks of this many rows
+def test_backends_bitwise_identical_across_row_blocks(d, ar):
+    # the numpy kernel walks the table in blocks of this many rows
     block = max(_kernels_py.ROW_BLOCK, _kernels_py.BLOCK_ITEMS // (2 ** d + 1))
     for rows in (block - 1, block, block + 1, 2 * block + 7):
-        _assert_backends_agree(kernel_modules, d, rows, ar)
+        _assert_backends_agree(d, rows, ar)
 
 
 @pytest.mark.parametrize("ar", RECURSIONS)
 @pytest.mark.parametrize("backend", ["python", "compiled"])
-def test_matches_row_loop(kernel_modules, backend, ar):
-    impl = _module(kernel_modules, backend)
+def test_matches_row_loop(kernel_modules, monkeypatch, backend, ar):
+    _table_kernel(kernel_modules, monkeypatch, backend)
     rng = np.random.default_rng(5)
     for d in (0, 1, 3, 5):
-        _assert_matches_oracle({backend: impl}, _table(rng, (33, 2 ** d + 1), ar))
+        _assert_matches_oracle(_table(rng, (33, 2 ** d + 1), ar))
 
 
 @pytest.mark.parametrize("rows", [1, 40])
 @pytest.mark.parametrize("backend", ["python", "compiled"])
-def test_table_is_not_modified(kernel_modules, backend, rows):
+def test_table_is_not_modified(kernel_modules, monkeypatch, backend, rows):
+    _table_kernel(kernel_modules, monkeypatch, backend)
     table = np.random.default_rng(2).standard_normal((rows, 17))
     before = table.copy()
-    _run(_module(kernel_modules, backend), table)
+    kernels.dyadic_moments(table)
     assert np.array_equal(table, before)
 
 
@@ -118,8 +122,8 @@ BAD_ARGS = {                          # case: (argument, how to spoil it)
 
 @pytest.mark.parametrize("bad", sorted(BAD_ARGS))
 @pytest.mark.parametrize("backend", ["python", "compiled"])
-def test_rejects_bad_buffers_before_writing(kernel_modules, backend, bad):
-    impl = _module(kernel_modules, backend)
+def test_rejects_bad_buffers_before_writing(kernel_modules, monkeypatch, backend, bad):
+    table_kernel = _table_kernel(kernel_modules, monkeypatch, backend)
     args = _args()
     name, spoil = BAD_ARGS[bad]
     args[name] = spoil(args[name])
@@ -127,7 +131,7 @@ def test_rejects_bad_buffers_before_writing(kernel_modules, backend, bad):
     for out in outs:
         out[...] = -7
     with pytest.raises(ValueError):
-        impl.dyadic_moments(*args.values())
+        table_kernel(*args.values())
     for out in outs:
         assert (out == -7).all()
 
@@ -175,6 +179,25 @@ def test_drawn_moments_match_the_whole_table_oracle(kernel_modules, monkeypatch,
         monkeypatch.setattr(_kernels_py, "DRAW_ITEMS", 1)
     keys = stream_keys(7 * law + d, rows)
     want_sup, want_acc = (w[..., :rows] for w in _oracle(law, d))
+    for impl in kernel_modules.values():
+        sup, acc = _drawn(impl, law, d, keys)
+        assert np.array_equal(sup, want_sup) and np.array_equal(acc, want_acc), impl
+
+
+# the compiled pass holds 4096 // (2^d + 1) rows to a block, at least one:
+# 31 at d = 7, 7 at d = 9 and 1 at d = 12
+WIDE_BLOCK_ROWS = {7: 31, 9: 7, 12: 1}
+
+
+@pytest.mark.parametrize("d", sorted(WIDE_BLOCK_ROWS))
+@pytest.mark.parametrize("law", range(LAW_COUNT))
+def test_drawn_moments_match_the_oracle_with_fewer_than_32_rows_to_a_block(kernel_modules,
+                                                                           law, d):
+    # one row more than a compiled block holds, so the last block has one row
+    rows = WIDE_BLOCK_ROWS[d] + 1
+    keys = stream_keys(11 * law + d, rows)
+    fam = oracles.drawn_family(law, d, **LAW_PARAMS, profile=_profile(law, d), keys=keys)
+    want_sup, want_acc = oracles.dyadic_moments_rows(fam.table)
     for impl in kernel_modules.values():
         sup, acc = _drawn(impl, law, d, keys)
         assert np.array_equal(sup, want_sup) and np.array_equal(acc, want_acc), impl

@@ -183,26 +183,6 @@ def test_full_stdout_exits_2(tmp_path, walk_doc, command):
     assert_write_error(proc.returncode, proc.stderr, "<stdout>")
 
 
-@needs_dev_full
-@pytest.mark.parametrize("option", ["--dump", "--output"])
-def test_full_output_file_exits_2_before_the_report(walk_doc, option):
-    argv = (["simulate", walk_doc, "--start", "0,0", "--n", "8", "--paths", "200"]
-            if option == "--dump" else WALK)
-    proc = cli(*argv, option, str(DEV_FULL))
-    assert_write_error(proc.returncode, proc.stderr, str(DEV_FULL))
-    assert proc.stdout == ""
-
-
-def test_closed_stdout_pipe_exits_2_without_traceback():
-    # the document is larger than a pipe's buffer, so writing it must fail
-    proc = subprocess.Popen([sys.executable, "-m", "qclt.cli", "group", "--moduli", "200",
-                             "--step", "1:0.5,199:0.5"], env=child_env(),
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-    proc.stdout.close()
-    stderr = proc.stderr.read()
-    assert_write_error(proc.wait(timeout=120), stderr, "<stdout>")
-
-
 @pytest.mark.parametrize("argv", [
     ["group", "--moduli", "200", "--step", "1:0.5,199:0.5"],    # the report fails first
     ["analyze", "no-such-document.json"],                       # only the error line
