@@ -56,6 +56,22 @@
  * finite and at most 2^32 in magnitude, so no value, sum or square
  * overflows and no NaN reaches the max/min, which numpy orders otherwise.
  *
+ * The drawn pass comes in both lane sets too, from one source: draw_block
+ * and reduce_block are always-inline bodies, compiled once in block_scalar
+ * and once in block_avx512 under the AVX-512F/DQ target, where the compiler
+ * widens their loops across a block's rows to 8 rows a zmm register.
+ * Module exec picks block_avx512 with the vector walks.  The two match bit
+ * for bit: every loop runs across rows, nothing crosses between rows, and
+ * each row's values meet the same integer steps and the same +, - and * in
+ * the same order, with no fused multiply-add; a max or min that the
+ * compiler turns into (v)maxpd/(v)minpd keeps v > hi ? v : hi exactly.
+ * drawn_dyadic_moments_scalar runs the scalar pass through the same checks
+ * on any CPU, so the tests compare both lane sets on an AVX-512 host.
+ *
+ * stream_keys fills an array with the path streams' starting counters,
+ * mix64(mix64(seed + GOLDEN) ^ mix64((i + 1) GOLDEN)) as rng.stream_keys
+ * computes them, from the caller's mix64(seed + GOLDEN).
+ *
  * Every kernel is bit-for-bit identical to the numpy fallback.  Build with
  * -ffp-contract=off so no fused multiply-add changes a rounding.  The draws
  * are bitwise for the reasons the vector walks are (above): exact integer
@@ -84,14 +100,26 @@
  * dependent step chains (draw, row loads, compare, next state) */
 #define LANES 8
 
-/* advance one stream a draw and return its uniform in [0, 1) */
-static inline double next_uniform(uint64_t *ctr)
+/* inlined into every caller, so a body compiled under a target attribute
+ * gets that target's instructions */
+#if defined(__GNUC__) || defined(__clang__)
+#define ALWAYS_INLINE static inline __attribute__((always_inline))
+#else
+#define ALWAYS_INLINE static inline
+#endif
+
+/* the splitmix64 finalizer */
+ALWAYS_INLINE uint64_t mix64(uint64_t z)
 {
-    uint64_t z = (*ctr += GOLDEN);
     z = (z ^ (z >> 30)) * MIX_A;
     z = (z ^ (z >> 27)) * MIX_B;
-    z ^= z >> 31;
-    return (double)(z >> 11) * TWO_NEG53;
+    return z ^ (z >> 31);
+}
+
+/* advance one stream a draw and return its uniform in [0, 1) */
+ALWAYS_INLINE double next_uniform(uint64_t *ctr)
+{
+    return (double)(mix64(*ctr += GOLDEN) >> 11) * TWO_NEG53;
 }
 
 /* x0 + d * alpha reduced to [0, 1): the torus point d lattice steps from x0 */
@@ -242,8 +270,129 @@ static void torus_scalar(const struct torus_job *job)
     }
 }
 
+/* Rows per block of a dyadic pass: a block is held column-major in a small
+ * buffer, so the loops below run across its rows, which are independent,
+ * and not along one row's chain of dependent additions.  Each row's values
+ * still meet the same operations in the same order. */
+#define DYADIC_BLOCK_ROWS 32
+#define DYADIC_BLOCK_ITEMS 4096
+
+/* the drawn families' laws; the header defines them */
+enum { LAW_BELL, LAW_SIGN, LAW_AR, LAW_FACTOR, LAW_DRIFT, LAW_COUNT };
+#define DRAWN_MAX_D 20
+/* no drawn value, sum or square can overflow below this parameter bound */
+#define PARAM_MAX 4294967296.0
+
+/* One dyadic pass, checked: rows z of width 2^d + 1 drawn from `keys` by
+ * `law`, then T_k = z_k + a T_{k-1} when `recurse`; nb rows to a block. */
+struct dyadic_job {
+    const double *profile;
+    const uint64_t *keys;
+    double *out_sup, *out_acc;
+    double a, scale, drift;
+    Py_ssize_t rows, width, nb;
+    int d, recurse, law;
+};
+
+/* t[k * nb + j] = z_k of row i0 + j, for the block's n rows: each row
+ * advances its own stream, the factor's two draws first, then each value's
+ * one or two draws in column order */
+ALWAYS_INLINE void draw_block(const struct dyadic_job *job, double *t, Py_ssize_t i0,
+                              Py_ssize_t n)
+{
+    uint64_t ctr[DYADIC_BLOCK_ROWS];
+    double factor[DYADIC_BLOCK_ROWS];
+    const double scale = job->scale, drift = job->drift;
+    for (Py_ssize_t j = 0; j < n; j++)
+        ctr[j] = job->keys[i0 + j];
+    if (job->law == LAW_FACTOR)
+        for (Py_ssize_t j = 0; j < n; j++) {
+            double u = next_uniform(&ctr[j]);
+            double v = next_uniform(&ctr[j]);
+            factor[j] = scale * ((u + v) - 1.0);
+        }
+    for (Py_ssize_t k = 0; k < job->width; k++) {
+        double *col = t + k * job->nb;
+        switch (job->law) {
+        case LAW_BELL:
+            for (Py_ssize_t j = 0; j < n; j++) {
+                double u = next_uniform(&ctr[j]);
+                double v = next_uniform(&ctr[j]);
+                col[j] = scale * ((u + v) - 1.0);
+            }
+            break;
+        case LAW_SIGN:      /* (int)(2u) is [u >= 1/2], with no branch to mispredict */
+            for (Py_ssize_t j = 0; j < n; j++)
+                col[j] = (double)(2 * (int)(2.0 * next_uniform(&ctr[j])) - 1);
+            break;
+        case LAW_AR:
+            for (Py_ssize_t j = 0; j < n; j++)
+                col[j] = scale * (2.0 * next_uniform(&ctr[j]) - 1.0);
+            break;
+        case LAW_FACTOR:
+            for (Py_ssize_t j = 0; j < n; j++)
+                col[j] = factor[j] * job->profile[k] + 0.1 * (2.0 * next_uniform(&ctr[j]) - 1.0);
+            break;
+        default:
+            for (Py_ssize_t j = 0; j < n; j++) {
+                double u = next_uniform(&ctr[j]);
+                col[j] = u * u - drift;
+            }
+        }
+    }
+}
+
+/* The block reduction of the dyadic pass: T from the block's z if `recurse`,
+ * then per row sup_k |T_k - T_0| and each scale's sum of squared increments. */
+ALWAYS_INLINE void reduce_block(const struct dyadic_job *job, double *t, Py_ssize_t i0,
+                                Py_ssize_t n)
+{
+    const Py_ssize_t nb = job->nb, width = job->width;
+    double hi[DYADIC_BLOCK_ROWS], lo[DYADIC_BLOCK_ROWS], acc[DYADIC_BLOCK_ROWS];
+    if (job->recurse)
+        for (Py_ssize_t k = 1; k < width; k++)
+            for (Py_ssize_t j = 0; j < n; j++)
+                t[k * nb + j] += job->a * t[(k - 1) * nb + j];
+    for (Py_ssize_t j = 0; j < n; j++)
+        hi[j] = lo[j] = t[nb + j];
+    for (Py_ssize_t k = 2; k < width; k++)
+        for (Py_ssize_t j = 0; j < n; j++) {
+            double v = t[k * nb + j];
+            hi[j] = v > hi[j] ? v : hi[j];
+            lo[j] = v < lo[j] ? v : lo[j];
+        }
+    /* rounded subtraction is monotone, so this is max_k |T_k - T_0| */
+    for (Py_ssize_t j = 0; j < n; j++) {
+        double up = hi[j] - t[j], down = t[j] - lo[j];
+        job->out_sup[i0 + j] = up >= down ? up : down;
+    }
+    for (int r = 0; r <= job->d; r++) {
+        Py_ssize_t step = (Py_ssize_t)1 << r;
+        for (Py_ssize_t j = 0; j < n; j++)
+            acc[j] = 0.0;
+        for (Py_ssize_t k = step; k < width; k += step)
+            for (Py_ssize_t j = 0; j < n; j++) {
+                double inc = t[k * nb + j] - t[(k - step) * nb + j];
+                acc[j] += inc * inc;
+            }
+        for (Py_ssize_t j = 0; j < n; j++)
+            job->out_acc[r * job->rows + i0 + j] = acc[j];
+    }
+}
+
+/* One block of a dyadic pass: its draws, then its reduction.  The bodies
+ * are inlined, so block_avx512 below is the same code widened to zmm. */
+typedef void (*block_fn)(const struct dyadic_job *, double *, Py_ssize_t, Py_ssize_t);
+
+static void block_scalar(const struct dyadic_job *job, double *t, Py_ssize_t i0, Py_ssize_t n)
+{
+    draw_block(job, t, i0, n);
+    reduce_block(job, t, i0, n);
+}
+
 static void (*run_chain)(const struct chain_job *) = chain_scalar;
 static void (*run_torus)(const struct torus_job *) = torus_scalar;
+static block_fn run_block = block_scalar;
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #include <immintrin.h>
@@ -354,13 +503,23 @@ AVX512 static void torus_avx512(const struct torus_job *job)
     }
 }
 
-/* the vector walks where the CPU has AVX-512F and DQ, else the scalar ones */
+/* block_scalar's body compiled for AVX-512F/DQ: its row loops widen to
+ * 8 rows a zmm register (vpmullq draws, 8-wide reductions) */
+AVX512 static void block_avx512(const struct dyadic_job *job, double *t, Py_ssize_t i0,
+                                Py_ssize_t n)
+{
+    draw_block(job, t, i0, n);
+    reduce_block(job, t, i0, n);
+}
+
+/* the vector kernels where the CPU has AVX-512F and DQ, else the scalar ones */
 static const char *pick_lane_path(void)
 {
     if (!__builtin_cpu_supports("avx512f") || !__builtin_cpu_supports("avx512dq"))
         return "scalar";
     run_chain = chain_avx512;
     run_torus = torus_avx512;
+    run_block = block_avx512;
     return "avx512";
 }
 #else
@@ -466,116 +625,9 @@ static PyObject *torus_paths(PyObject *self, PyObject *args)
     Py_RETURN_NONE;
 }
 
-/* Rows per block of a dyadic pass: a block is held column-major in a small
- * buffer, so the loops below run across its rows, which are independent,
- * and not along one row's chain of dependent additions.  Each row's values
- * still meet the same operations in the same order. */
-#define DYADIC_BLOCK_ROWS 32
-#define DYADIC_BLOCK_ITEMS 4096
-
-/* the drawn families' laws; the header defines them */
-enum { LAW_BELL, LAW_SIGN, LAW_AR, LAW_FACTOR, LAW_DRIFT, LAW_COUNT };
-#define DRAWN_MAX_D 20
-/* no drawn value, sum or square can overflow below this parameter bound */
-#define PARAM_MAX 4294967296.0
-
-/* One dyadic pass, checked: rows z of width 2^d + 1 drawn from `keys` by
- * `law`, then T_k = z_k + a T_{k-1} when `recurse`; nb rows to a block. */
-struct dyadic_job {
-    const double *profile;
-    const uint64_t *keys;
-    double *out_sup, *out_acc;
-    double a, scale, drift;
-    Py_ssize_t rows, width, nb;
-    int d, recurse, law;
-};
-
-/* t[k * nb + j] = z_k of row i0 + j, for the block's n rows: each row
- * advances its own stream, the factor's two draws first, then each value's
- * one or two draws in column order */
-static void draw_block(const struct dyadic_job *job, double *t, Py_ssize_t i0, Py_ssize_t n)
-{
-    uint64_t ctr[DYADIC_BLOCK_ROWS];
-    double factor[DYADIC_BLOCK_ROWS];
-    const double scale = job->scale, drift = job->drift;
-    for (Py_ssize_t j = 0; j < n; j++)
-        ctr[j] = job->keys[i0 + j];
-    if (job->law == LAW_FACTOR)
-        for (Py_ssize_t j = 0; j < n; j++) {
-            double u = next_uniform(&ctr[j]);
-            double v = next_uniform(&ctr[j]);
-            factor[j] = scale * ((u + v) - 1.0);
-        }
-    for (Py_ssize_t k = 0; k < job->width; k++) {
-        double *col = t + k * job->nb;
-        switch (job->law) {
-        case LAW_BELL:
-            for (Py_ssize_t j = 0; j < n; j++) {
-                double u = next_uniform(&ctr[j]);
-                double v = next_uniform(&ctr[j]);
-                col[j] = scale * ((u + v) - 1.0);
-            }
-            break;
-        case LAW_SIGN:      /* (int)(2u) is [u >= 1/2], with no branch to mispredict */
-            for (Py_ssize_t j = 0; j < n; j++)
-                col[j] = (double)(2 * (int)(2.0 * next_uniform(&ctr[j])) - 1);
-            break;
-        case LAW_AR:
-            for (Py_ssize_t j = 0; j < n; j++)
-                col[j] = scale * (2.0 * next_uniform(&ctr[j]) - 1.0);
-            break;
-        case LAW_FACTOR:
-            for (Py_ssize_t j = 0; j < n; j++)
-                col[j] = factor[j] * job->profile[k] + 0.1 * (2.0 * next_uniform(&ctr[j]) - 1.0);
-            break;
-        default:
-            for (Py_ssize_t j = 0; j < n; j++) {
-                double u = next_uniform(&ctr[j]);
-                col[j] = u * u - drift;
-            }
-        }
-    }
-}
-
-/* The block reduction of the dyadic pass: T from the block's z if `recurse`,
- * then per row sup_k |T_k - T_0| and each scale's sum of squared increments. */
-static void reduce_block(const struct dyadic_job *job, double *t, Py_ssize_t i0, Py_ssize_t n)
-{
-    const Py_ssize_t nb = job->nb, width = job->width;
-    double hi[DYADIC_BLOCK_ROWS], lo[DYADIC_BLOCK_ROWS], acc[DYADIC_BLOCK_ROWS];
-    if (job->recurse)
-        for (Py_ssize_t k = 1; k < width; k++)
-            for (Py_ssize_t j = 0; j < n; j++)
-                t[k * nb + j] += job->a * t[(k - 1) * nb + j];
-    for (Py_ssize_t j = 0; j < n; j++)
-        hi[j] = lo[j] = t[nb + j];
-    for (Py_ssize_t k = 2; k < width; k++)
-        for (Py_ssize_t j = 0; j < n; j++) {
-            double v = t[k * nb + j];
-            hi[j] = v > hi[j] ? v : hi[j];
-            lo[j] = v < lo[j] ? v : lo[j];
-        }
-    /* rounded subtraction is monotone, so this is max_k |T_k - T_0| */
-    for (Py_ssize_t j = 0; j < n; j++) {
-        double up = hi[j] - t[j], down = t[j] - lo[j];
-        job->out_sup[i0 + j] = up >= down ? up : down;
-    }
-    for (int r = 0; r <= job->d; r++) {
-        Py_ssize_t step = (Py_ssize_t)1 << r;
-        for (Py_ssize_t j = 0; j < n; j++)
-            acc[j] = 0.0;
-        for (Py_ssize_t k = step; k < width; k += step)
-            for (Py_ssize_t j = 0; j < n; j++) {
-                double inc = t[k * nb + j] - t[(k - step) * nb + j];
-                acc[j] += inc * inc;
-            }
-        for (Py_ssize_t j = 0; j < n; j++)
-            job->out_acc[r * job->rows + i0 + j] = acc[j];
-    }
-}
-
-/* Run a checked job without the GIL; 0, or -1 with MemoryError set. */
-static int dyadic_pass(struct dyadic_job *job)
+/* Run a checked job without the GIL, each block by `block`; 0, or -1 with
+ * MemoryError set. */
+static int dyadic_pass(struct dyadic_job *job, block_fn block)
 {
     /* at most DYADIC_BLOCK_ITEMS values per block, or one row if it is longer */
     Py_ssize_t nb = DYADIC_BLOCK_ITEMS / job->width;
@@ -588,8 +640,7 @@ static int dyadic_pass(struct dyadic_job *job)
     Py_BEGIN_ALLOW_THREADS
     for (Py_ssize_t i0 = 0; i0 < job->rows; i0 += job->nb) {
         Py_ssize_t n = job->rows - i0 < job->nb ? job->rows - i0 : job->nb;
-        draw_block(job, t, i0, n);
-        reduce_block(job, t, i0, n);
+        block(job, t, i0, n);
     }
     Py_END_ALLOW_THREADS
     PyMem_RawFree(t);
@@ -609,15 +660,17 @@ static int check_param(double value, double bound, PyObject *arg, const char *na
     return 0;
 }
 
-static PyObject *drawn_dyadic_moments(PyObject *self, PyObject *args)
+/* A drawn_dyadic_moments call parsed by `format`, checked and run with
+ * `block` for each block; None, or NULL with an exception set. */
+static PyObject *drawn_pass(PyObject *args, const char *format, block_fn block)
 {
     static const char *const names[] = {"profile", "keys", "out_sup", "out_acc"};
     PyObject *o[4];
     Py_buffer b[4] = {{0}};
     int law, d;
     double scale, a, drift;
-    if (!PyArg_ParseTuple(args, "iidddOOOO:drawn_dyadic_moments", &law, &d, &scale, &a,
-                          &drift, &o[0], &o[1], &o[2], &o[3]))
+    if (!PyArg_ParseTuple(args, format, &law, &d, &scale, &a, &drift, &o[0], &o[1], &o[2],
+                          &o[3]))
         return NULL;
     int ok = 1;
     if (law < 0 || law >= LAW_COUNT) {
@@ -648,9 +701,42 @@ static PyObject *drawn_dyadic_moments(PyObject *self, PyObject *args)
                                  .out_acc = b[3].buf, .a = law == LAW_AR ? a : 1.0,
                                  .scale = scale, .drift = drift, .rows = rows, .width = width,
                                  .d = d, .recurse = law != LAW_FACTOR, .law = law};
-        ok = dyadic_pass(&job) == 0;
+        ok = dyadic_pass(&job, block) == 0;
     }
     release_all(b, 4);
+    if (!ok)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *drawn_dyadic_moments(PyObject *self, PyObject *args)
+{
+    return drawn_pass(args, "iidddOOOO:drawn_dyadic_moments", run_block);
+}
+
+static PyObject *drawn_dyadic_moments_scalar(PyObject *self, PyObject *args)
+{
+    return drawn_pass(args, "iidddOOOO:drawn_dyadic_moments_scalar", block_scalar);
+}
+
+static PyObject *stream_keys(PyObject *self, PyObject *args)
+{
+    static const char *const names[] = {"out"};
+    unsigned long long seed_mix;
+    PyObject *o[1];
+    Py_buffer b[1] = {{0}};
+    if (!PyArg_ParseTuple(args, "KO:stream_keys", &seed_mix, &o[0]))
+        return NULL;
+    int ok = get_arrays(o, b, "Q", names, 0, 1) == 0;
+    if (ok) {
+        uint64_t *keys = b[0].buf;
+        Py_ssize_t n = b[0].len / 8;
+        Py_BEGIN_ALLOW_THREADS
+        for (Py_ssize_t i = 0; i < n; i++)
+            keys[i] = mix64(seed_mix ^ mix64((uint64_t)(i + 1) * GOLDEN));
+        Py_END_ALLOW_THREADS
+    }
+    release_all(b, 1);
     if (!ok)
         return NULL;
     Py_RETURN_NONE;
@@ -670,6 +756,13 @@ static PyMethodDef methods[] = {
      "drawn_dyadic_moments(law, d, scale, a, drift, profile, keys, out_sup, out_acc)\n"
      "dyadic_moments of a family of len(keys) rows of 2^d + 1 values, each row\n"
      "drawn by `law` from its own counter stream; no table of it exists."},
+    {"drawn_dyadic_moments_scalar", drawn_dyadic_moments_scalar, METH_VARARGS,
+     "drawn_dyadic_moments_scalar(law, d, scale, a, drift, profile, keys, out_sup, out_acc)\n"
+     "drawn_dyadic_moments on the scalar lanes, whichever lanes the CPU has."},
+    {"stream_keys", stream_keys, METH_VARARGS,
+     "stream_keys(seed_mix, out)\n"
+     "Fill the uint64 array `out` with the starting counters of streams 0..len(out)-1:\n"
+     "out[i] = mix64(seed_mix ^ mix64((i + 1) * GOLDEN)), seed_mix = mix64(seed + GOLDEN)."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -1,12 +1,12 @@
 """Backend selection and deterministic parallel dispatch for the kernels.
 
-The compiled extension runs the path walks and the drawn dyadic pass when
-it imports, the numpy fallback otherwise; ``backend=`` picks one of
-:func:`available_backends` for a single path-kernel call.  A stored dyadic
-table is reduced in numpy on every backend.  Worker threads split the path
-range into contiguous chunks writing disjoint output slots, so results are
-identical for every worker count (each path's stream depends only on
-``(seed, path_index)``).
+The compiled extension runs the path walks, the drawn dyadic pass and the
+stream-key fill when it imports, the numpy fallback otherwise; ``backend=``
+picks one of :func:`available_backends` for a single path-kernel call.  A
+stored dyadic table is reduced in numpy on every backend.  Worker threads
+split the path range into contiguous chunks writing disjoint output slots,
+so results are identical for every worker count (each path's stream depends
+only on ``(seed, path_index)``).
 """
 
 from __future__ import annotations
@@ -15,10 +15,9 @@ import os
 
 import numpy as np
 
-from . import _kernels_py
+from . import _kernels_py, rng
 from ._kernels_py import LAW_AR, LAW_BELL, LAW_COUNT, LAW_DRIFT, LAW_FACTOR, LAW_SIGN, MAX_STEPS
 from .errors import QcltError
-from .rng import stream_keys
 
 try:
     from . import _kernels as _compiled
@@ -36,6 +35,16 @@ def available_backends() -> dict:
     if _compiled is not None:
         out["compiled"] = _compiled
     return out
+
+
+def stream_keys(seed: int, num_paths: int) -> np.ndarray:
+    """:func:`qclt.rng.stream_keys`, filled by the extension where it is
+    built; the numpy one, which stays the reference, otherwise."""
+    if _compiled is None:
+        return rng.stream_keys(seed, num_paths)
+    keys = np.empty(num_paths, dtype=np.uint64)
+    _compiled.stream_keys(rng.mix64(seed + rng.GOLDEN), keys)
+    return keys
 
 
 def _chunks(num_paths: int, workers: int):

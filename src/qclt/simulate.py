@@ -9,7 +9,9 @@ pathwise on every run.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -119,14 +121,27 @@ def simulate_quenched(chain: FiniteChain, scheme: MartingaleScheme, x,
     """
     check_run(n, num_paths, scheme.sigma_sq)
     start = chain.index_of(x)
+    created = False
     if dump_path is not None:
-        # a bad path fails before the run; appending truncates nothing, so a
-        # refused run leaves an earlier dump as it was
-        with guarded_writes(dump_path), open(dump_path, "a"):
-            pass
-    sums, mart_sums, last = kernels.run_chain_paths(
-        cumulative_rows(chain), scheme.g - scheme.qg, scheme.diff_kernel, start, n,
-        num_paths, seed, workers=workers)
+        # a bad path fails before the run.  Appending truncates nothing, so a
+        # refused run leaves an earlier dump as it was; a file that did not
+        # exist ("x" creates it) is removed again if the run fails
+        with guarded_writes(dump_path):
+            try:
+                with open(dump_path, "x"):
+                    created = True
+            except FileExistsError:
+                with open(dump_path, "a"):
+                    pass
+    try:
+        sums, mart_sums, last = kernels.run_chain_paths(
+            cumulative_rows(chain), scheme.g - scheme.qg, scheme.diff_kernel, start, n,
+            num_paths, seed, workers=workers)
+    except BaseException:
+        if created:
+            with contextlib.suppress(OSError):
+                os.remove(dump_path)
+        raise
     jump = scheme.qg[start] - scheme.qg[last]
     residual_max = float(np.max(np.abs(sums - mart_sums - jump)))
     if dump_path is not None:

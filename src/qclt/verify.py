@@ -33,7 +33,7 @@ from .inequalities import (
     log_envelope_ratio,
 )
 from .martingale import kernel_gap_msq_table, poisson_solve
-from .rng import Stream, stream_keys
+from .rng import Stream
 from .simulate import simulate_quenched
 from .spectral import (
     SpectralMeasure,
@@ -124,7 +124,7 @@ class RandomFamily:
     def check(self, paths: int) -> ChainingCheck:
         sup, acc = kernels.drawn_dyadic_moments(self.law, self.d, self.scale, self.a,
                                                 self.drift, self.profile,
-                                                stream_keys(self.row_seed, paths))
+                                                kernels.stream_keys(self.row_seed, paths))
         return chaining_verdict(sup, acc)
 
 

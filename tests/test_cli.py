@@ -302,6 +302,15 @@ def test_refused_simulate_run_keeps_an_earlier_dump(capsys, chain_file, tmp_path
     assert dump.read_bytes() == before
 
 
+def test_refused_simulate_run_leaves_no_new_dump(capsys, chain_file, tmp_path):
+    dump = tmp_path / "fresh.csv"
+    code, out, err = run(capsys, "simulate", chain_file, "--observable", "f", "--start", "0",
+                         "--n", "4", "--paths", str(2 ** 62), "--dump", str(dump))
+    _assert_clean_exit_2(code, out, err)
+    assert "no room for" in err
+    assert not dump.exists()
+
+
 def test_group_bad_output_path_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "group", "--moduli", "5", "--step", "1:0.5,4:0.5",
                          "--output", str(tmp_path / "no" / "z5.json"))

@@ -230,6 +230,28 @@ def test_torus_rejects_bad_buffers(compiled_kernels):
                                      keys, out_s, out_x)
 
 
+@pytest.mark.parametrize("n", [0, 1, 17, 10_000])
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 63, 2 ** 64 - 1])
+def test_stream_key_fill_matches_rng(compiled_backend, monkeypatch, seed, n):
+    want = stream_keys(seed, n)
+    keys = kernels.stream_keys(seed, n)
+    assert keys.dtype == np.uint64 and keys.tobytes() == want.tobytes()
+    monkeypatch.setattr(kernels, "_compiled", None)    # the numpy fallback
+    assert kernels.stream_keys(seed, n).tobytes() == want.tobytes()
+
+
+def test_stream_key_fill_rejects_bad_buffers(compiled_kernels):
+    with pytest.raises(ValueError, match="out"):
+        compiled_kernels.stream_keys(0, np.zeros(3, dtype=np.int64))
+    with pytest.raises(ValueError):
+        compiled_kernels.stream_keys(0, np.zeros(6, dtype=np.uint64)[::2])
+    read_only = np.zeros(3, dtype=np.uint64)
+    read_only.flags.writeable = False
+    with pytest.raises(ValueError):
+        compiled_kernels.stream_keys(0, read_only)
+    assert not read_only.any()
+
+
 def test_backend_name(compiled_kernels):
     assert compiled_kernels.BACKEND_NAME == "compiled"
 

@@ -3,10 +3,12 @@ the kernel: each against per-row Python loops, and their argument checks.
 
 A stored table has one reduction, the numpy ``_kernels_py.dyadic_moments``,
 which ``kernels.dyadic_moments`` runs on every backend; the extension has no
-table kernel.  A drawn family is reduced by each backend's own pass.  Every
-test takes its backends from the ``kernel_modules`` fixture: the numpy
-fallback always, and the extension built from this checkout wherever a C
-compiler exists, so no test skips its fallback half.
+table kernel.  A drawn family is reduced by each backend's own pass, and the
+extension's scalar pass (``drawn_dyadic_moments_scalar``) is tested beside
+the pass its CPU picks, so an AVX-512 host runs both lane sets.  Every test
+takes its backends from the ``kernel_modules`` fixture: the numpy fallback
+always, and the extension built from this checkout wherever a C compiler
+exists, so no test skips its fallback half.
 """
 
 import functools
@@ -15,7 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from qclt import _kernels_py, kernels
+from qclt import _kernels_py, kernels, verify
 from qclt.kernels import LAW_BELL, LAW_COUNT, LAW_FACTOR
 from qclt.rng import stream_keys
 from tests import oracles
@@ -146,12 +148,20 @@ def _profile(law, d):
     return np.linspace(-1.0, 0.75, 2 ** d + 1) if law == LAW_FACTOR else np.empty(0)
 
 
-def _drawn(impl, law, d, keys, **params):
+def _drawn_passes(kernel_modules):
+    # each backend's drawn pass by name, and the extension's scalar pass
+    passes = {name: impl.drawn_dyadic_moments for name, impl in kernel_modules.items()}
+    if "compiled" in kernel_modules:
+        passes["compiled-scalar"] = kernel_modules["compiled"].drawn_dyadic_moments_scalar
+    return passes
+
+
+def _drawn(drawn_pass, law, d, keys, **params):
     params = {**LAW_PARAMS, **params}
     out_sup = np.full(keys.shape[0], np.nan)
     out_acc = np.full((d + 1, keys.shape[0]), np.nan)
-    impl.drawn_dyadic_moments(law, d, params["scale"], params["a"], params["drift"],
-                              _profile(law, d), keys, out_sup, out_acc)
+    drawn_pass(law, d, params["scale"], params["a"], params["drift"], _profile(law, d), keys,
+               out_sup, out_acc)
     return out_sup, out_acc
 
 
@@ -179,9 +189,9 @@ def test_drawn_moments_match_the_whole_table_oracle(kernel_modules, monkeypatch,
         monkeypatch.setattr(_kernels_py, "DRAW_ITEMS", 1)
     keys = stream_keys(7 * law + d, rows)
     want_sup, want_acc = (w[..., :rows] for w in _oracle(law, d))
-    for impl in kernel_modules.values():
-        sup, acc = _drawn(impl, law, d, keys)
-        assert np.array_equal(sup, want_sup) and np.array_equal(acc, want_acc), impl
+    for name, drawn_pass in _drawn_passes(kernel_modules).items():
+        sup, acc = _drawn(drawn_pass, law, d, keys)
+        assert np.array_equal(sup, want_sup) and np.array_equal(acc, want_acc), name
 
 
 # the compiled pass holds 4096 // (2^d + 1) rows to a block, at least one:
@@ -198,9 +208,25 @@ def test_drawn_moments_match_the_oracle_with_fewer_than_32_rows_to_a_block(kerne
     keys = stream_keys(11 * law + d, rows)
     fam = oracles.drawn_family(law, d, **LAW_PARAMS, profile=_profile(law, d), keys=keys)
     want_sup, want_acc = oracles.dyadic_moments_rows(fam.table)
-    for impl in kernel_modules.values():
-        sup, acc = _drawn(impl, law, d, keys)
-        assert np.array_equal(sup, want_sup) and np.array_equal(acc, want_acc), impl
+    for name, drawn_pass in _drawn_passes(kernel_modules).items():
+        sup, acc = _drawn(drawn_pass, law, d, keys)
+        assert np.array_equal(sup, want_sup) and np.array_equal(acc, want_acc), name
+
+
+def test_scalar_drawn_pass_matches_the_picked_one_on_verify_families(compiled_kernels):
+    # the first 100 of verify's families at its 10^4 paths, byte for byte
+    # (on a CPU without AVX-512F/DQ both entries run the scalar pass)
+    for index in range(100):
+        fam = verify.random_dyadic_family(2024, index)
+        keys = stream_keys(fam.row_seed, 10_000)
+        outs = []
+        for drawn_pass in (compiled_kernels.drawn_dyadic_moments,
+                           compiled_kernels.drawn_dyadic_moments_scalar):
+            out_sup, out_acc = np.empty(10_000), np.empty((fam.d + 1, 10_000))
+            drawn_pass(fam.law, fam.d, fam.scale, fam.a, fam.drift, fam.profile, keys,
+                       out_sup, out_acc)
+            outs.append(out_sup.tobytes() + out_acc.tobytes())
+        assert outs[0] == outs[1], index
 
 
 BAD_SPECS = {                         # case: the spec's changed items
@@ -225,9 +251,12 @@ BAD_SPECS = {                         # case: the spec's changed items
 
 
 @pytest.mark.parametrize("bad", sorted(BAD_SPECS))
-@pytest.mark.parametrize("backend", ["python", "compiled"])
+@pytest.mark.parametrize("backend", ["python", "compiled", "compiled-scalar"])
 def test_drawn_rejects_bad_spec_before_writing(kernel_modules, backend, bad):
-    impl = _module(kernel_modules, backend)
+    passes = _drawn_passes(kernel_modules)
+    if backend not in passes:
+        pytest.skip("no C compiler to build the compiled kernels")
+    drawn_pass = passes[backend]
     args = dict(law=LAW_FACTOR, d=2, scale=1.0, a=0.5, drift=0.1,
                 profile=np.zeros(5), keys=stream_keys(1, 5), out_sup=np.empty(5),
                 out_acc=np.empty(15))
@@ -235,5 +264,5 @@ def test_drawn_rejects_bad_spec_before_writing(kernel_modules, backend, bad):
     for out in (args["out_sup"], args["out_acc"]):
         out[...] = -7
     with pytest.raises(ValueError):
-        impl.drawn_dyadic_moments(*args.values())
+        drawn_pass(*args.values())
     assert (args["out_sup"] == -7).all() and (args["out_acc"] == -7).all()
