@@ -65,8 +65,12 @@
  * each row's values meet the same integer steps and the same +, - and * in
  * the same order, with no fused multiply-add; a max or min that the
  * compiler turns into (v)maxpd/(v)minpd keeps v > hi ? v : hi exactly.
- * drawn_dyadic_moments_scalar runs the scalar pass through the same checks
- * on any CPU, so the tests compare both lane sets on an AVX-512 host.
+ *
+ * The lanes are picked by __builtin_cpu_supports alone, so a build with
+ * -D'__builtin_cpu_supports(x)=0' takes the scalar lanes on any CPU; the
+ * tests build that copy beside the plain one, and so run both lane sets of
+ * all three kernels on an AVX-512 host.  SOURCE_DIGEST, the sha256 of this
+ * file that setup.py passes in, names the source a build came from.
  *
  * stream_keys fills an array with the path streams' starting counters,
  * mix64(mix64(seed + GOLDEN) ^ mix64((i + 1) GOLDEN)) as rng.stream_keys
@@ -382,8 +386,6 @@ ALWAYS_INLINE void reduce_block(const struct dyadic_job *job, double *t, Py_ssiz
 
 /* One block of a dyadic pass: its draws, then its reduction.  The bodies
  * are inlined, so block_avx512 below is the same code widened to zmm. */
-typedef void (*block_fn)(const struct dyadic_job *, double *, Py_ssize_t, Py_ssize_t);
-
 static void block_scalar(const struct dyadic_job *job, double *t, Py_ssize_t i0, Py_ssize_t n)
 {
     draw_block(job, t, i0, n);
@@ -392,7 +394,8 @@ static void block_scalar(const struct dyadic_job *job, double *t, Py_ssize_t i0,
 
 static void (*run_chain)(const struct chain_job *) = chain_scalar;
 static void (*run_torus)(const struct torus_job *) = torus_scalar;
-static block_fn run_block = block_scalar;
+static void (*run_block)(const struct dyadic_job *, double *, Py_ssize_t,
+                          Py_ssize_t) = block_scalar;
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #include <immintrin.h>
@@ -625,9 +628,9 @@ static PyObject *torus_paths(PyObject *self, PyObject *args)
     Py_RETURN_NONE;
 }
 
-/* Run a checked job without the GIL, each block by `block`; 0, or -1 with
+/* Run a checked job without the GIL, block by block; 0, or -1 with
  * MemoryError set. */
-static int dyadic_pass(struct dyadic_job *job, block_fn block)
+static int dyadic_pass(struct dyadic_job *job)
 {
     /* at most DYADIC_BLOCK_ITEMS values per block, or one row if it is longer */
     Py_ssize_t nb = DYADIC_BLOCK_ITEMS / job->width;
@@ -640,7 +643,7 @@ static int dyadic_pass(struct dyadic_job *job, block_fn block)
     Py_BEGIN_ALLOW_THREADS
     for (Py_ssize_t i0 = 0; i0 < job->rows; i0 += job->nb) {
         Py_ssize_t n = job->rows - i0 < job->nb ? job->rows - i0 : job->nb;
-        block(job, t, i0, n);
+        run_block(job, t, i0, n);
     }
     Py_END_ALLOW_THREADS
     PyMem_RawFree(t);
@@ -660,17 +663,15 @@ static int check_param(double value, double bound, PyObject *arg, const char *na
     return 0;
 }
 
-/* A drawn_dyadic_moments call parsed by `format`, checked and run with
- * `block` for each block; None, or NULL with an exception set. */
-static PyObject *drawn_pass(PyObject *args, const char *format, block_fn block)
+static PyObject *drawn_dyadic_moments(PyObject *self, PyObject *args)
 {
     static const char *const names[] = {"profile", "keys", "out_sup", "out_acc"};
     PyObject *o[4];
     Py_buffer b[4] = {{0}};
     int law, d;
     double scale, a, drift;
-    if (!PyArg_ParseTuple(args, format, &law, &d, &scale, &a, &drift, &o[0], &o[1], &o[2],
-                          &o[3]))
+    if (!PyArg_ParseTuple(args, "iidddOOOO:drawn_dyadic_moments", &law, &d, &scale, &a,
+                          &drift, &o[0], &o[1], &o[2], &o[3]))
         return NULL;
     int ok = 1;
     if (law < 0 || law >= LAW_COUNT) {
@@ -701,22 +702,12 @@ static PyObject *drawn_pass(PyObject *args, const char *format, block_fn block)
                                  .out_acc = b[3].buf, .a = law == LAW_AR ? a : 1.0,
                                  .scale = scale, .drift = drift, .rows = rows, .width = width,
                                  .d = d, .recurse = law != LAW_FACTOR, .law = law};
-        ok = dyadic_pass(&job, block) == 0;
+        ok = dyadic_pass(&job) == 0;
     }
     release_all(b, 4);
     if (!ok)
         return NULL;
     Py_RETURN_NONE;
-}
-
-static PyObject *drawn_dyadic_moments(PyObject *self, PyObject *args)
-{
-    return drawn_pass(args, "iidddOOOO:drawn_dyadic_moments", run_block);
-}
-
-static PyObject *drawn_dyadic_moments_scalar(PyObject *self, PyObject *args)
-{
-    return drawn_pass(args, "iidddOOOO:drawn_dyadic_moments_scalar", block_scalar);
 }
 
 static PyObject *stream_keys(PyObject *self, PyObject *args)
@@ -756,9 +747,6 @@ static PyMethodDef methods[] = {
      "drawn_dyadic_moments(law, d, scale, a, drift, profile, keys, out_sup, out_acc)\n"
      "dyadic_moments of a family of len(keys) rows of 2^d + 1 values, each row\n"
      "drawn by `law` from its own counter stream; no table of it exists."},
-    {"drawn_dyadic_moments_scalar", drawn_dyadic_moments_scalar, METH_VARARGS,
-     "drawn_dyadic_moments_scalar(law, d, scale, a, drift, profile, keys, out_sup, out_acc)\n"
-     "drawn_dyadic_moments on the scalar lanes, whichever lanes the CPU has."},
     {"stream_keys", stream_keys, METH_VARARGS,
      "stream_keys(seed_mix, out)\n"
      "Fill the uint64 array `out` with the starting counters of streams 0..len(out)-1:\n"
@@ -768,7 +756,8 @@ static PyMethodDef methods[] = {
 
 static int exec_module(PyObject *module)
 {
-    if (PyModule_AddStringConstant(module, "BACKEND_NAME", "compiled") < 0)
+    if (PyModule_AddStringConstant(module, "BACKEND_NAME", "compiled") < 0
+        || PyModule_AddStringConstant(module, "SOURCE_DIGEST", SOURCE_DIGEST) < 0)
         return -1;
     return PyModule_AddStringConstant(module, "LANE_PATH", pick_lane_path());
 }

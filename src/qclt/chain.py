@@ -109,7 +109,12 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _real_entries(value) -> bool:
+# lists nested deeper than this are no field's array; the bound keeps the
+# check's recursion far below Python's limit
+MAX_NESTING = 32
+
+
+def _real_entries(value, depth: int = 0) -> bool:
     # whether an array or nested lists hold real numbers only: numpy alone
     # would read the strings and booleans of a document as numbers
     if isinstance(value, np.ndarray):
@@ -117,7 +122,7 @@ def _real_entries(value) -> bool:
     if not isinstance(value, (list, tuple)):
         return False
     if value and isinstance(value[0], (list, tuple, np.ndarray)):
-        return all(map(_real_entries, value))
+        return depth < MAX_NESTING and all(_real_entries(v, depth + 1) for v in value)
     return all(t is not bool and issubclass(t, (int, float, np.integer, np.floating))
                for t in set(map(type, value)))
 
@@ -235,7 +240,8 @@ def make_chain(state_labels, kernel, stationary=None,
     if np.min(q) < 0.0:
         x, y = np.unravel_index(np.argmin(q), q.shape)
         raise NegativeEntry(f"kernel[{x}][{y}] = {q[x, y]} is negative")
-    row_sums = q.sum(axis=1)
+    with np.errstate(over="ignore"):    # a sum past the float range is a bad row too
+        row_sums = q.sum(axis=1)
     bad = np.abs(row_sums - 1.0) > ROW_SUM_LOAD_TOL
     if np.any(bad):
         x = int(np.nonzero(bad)[0][0])
@@ -306,6 +312,8 @@ def read_json(path):
         raise BadFile(f"cannot read {str(path)!r}: {exc.strerror or exc}") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise BadFile(f"{str(path)!r} is not valid JSON: {exc}") from None
+    except RecursionError:      # the decoder recurses once per nesting level
+        raise BadFile(f"{str(path)!r} nests its JSON too deeply to parse") from None
 
 
 def read_json_source(source):
@@ -322,6 +330,8 @@ def read_json_source(source):
     except json.JSONDecodeError:
         raise BadFile(f"{str(source)[:80]!r} is neither an existing file "
                       "nor JSON text") from None
+    except RecursionError:
+        raise BadFile(f"{str(source)[:80]!r} nests its JSON too deeply to parse") from None
 
 
 @contextlib.contextmanager

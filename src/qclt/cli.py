@@ -195,7 +195,11 @@ def _cmd_group(args) -> int:
         freqs = _parse_int_list(args.harmonic, "--harmonic")
         if len(freqs) != len(moduli):
             raise QcltError(f"--harmonic needs {len(moduli)} components")
-        raw = _harmonic_vector(walk.moduli, freqs)
+        try:
+            raw = _harmonic_vector(walk.moduli, freqs)
+        except OverflowError:       # a frequency too large for a float
+            raise QcltError(f"--harmonic {args.harmonic!r} holds a frequency too large "
+                            "for a float") from None
         name = "harmonic" + "_".join(str(k) for k in freqs)
         observables[name] = raw
         f = center_observable(walk.chain, raw)

@@ -104,6 +104,10 @@ class EmptySupport(QcltError):
     """The step measure has no atoms."""
 
 
+class GroupTooLarge(QcltError):
+    """A group has more elements or cyclic factors than a walk is built for."""
+
+
 class NotErgodic(QcltError):
     """The walk's support generates a proper subgroup; condition sums diverge."""
 

@@ -25,6 +25,7 @@ from .errors import (
     BadProbabilities,
     DimensionMismatch,
     EmptySupport,
+    GroupTooLarge,
     NonFiniteValue,
     NotErgodic,
     RationalAlpha,
@@ -45,6 +46,10 @@ PROB_TOL = 1e-12
 ERGODIC_TOL = 1e-12
 RATIONAL_DENOMINATOR_CAP = 10 ** 6
 RATIONAL_GAP_TOL = 1e-14
+# a walk's kernel is a dense order x order float64 array, 128 MiB at this
+# order; the bound is checked before anything of the group's size is made
+MAX_GROUP_ORDER = 4096
+MAX_FACTORS = 32
 
 
 def _finite(value, what: str):
@@ -105,6 +110,9 @@ def build_group_walk(moduli, atoms) -> GroupWalk:
     moduli = tuple(int(m) for m in (moduli if hasattr(moduli, "__len__") else [moduli]))
     if any(m < 1 for m in moduli):
         raise BadProbabilities(f"moduli must be positive, got {moduli}")
+    if len(moduli) > MAX_FACTORS or math.prod(moduli) > MAX_GROUP_ORDER:
+        raise GroupTooLarge(f"a group walk takes at most {MAX_FACTORS} moduli and "
+                            f"{MAX_GROUP_ORDER} elements, the product of the moduli")
     items = atoms.items() if hasattr(atoms, "items") else list(atoms)
     nu = np.zeros(moduli)        # pooled step measure; C order is element order
     for element, prob in items:

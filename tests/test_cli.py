@@ -1,15 +1,20 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qclt import kernels
 from qclt.chain import dump_document, make_chain
-from qclt.group_walk import build_group_walk
+from qclt.group_walk import MAX_GROUP_ORDER, build_group_walk
 from qclt.cli import main
 from tests.test_startup import child_env
 
@@ -206,6 +211,37 @@ def test_analyze_malformed_document_exits_2(capsys, tmp_path, text):
     _assert_clean_exit_2(code, out, err)
     if text in NOT_A_MAPPING:
         assert "the field 'observables' must map names to vectors" in err
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["torus", "--cutoff", "100", "--coeffs"]],
+                         ids=["analyze", "torus-coeffs"])
+@pytest.mark.parametrize("source", ["file", "text"])
+def test_deeply_nested_json_exits_2(capsys, tmp_path, argv, source):
+    # json's decoder recurses once per level: 10^5 levels pass Python's limit
+    text = "[" * 10 ** 5 + "]" * 10 ** 5
+    if source == "file":
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        text = str(path)
+    code, out, err = run(capsys, *argv, text)
+    _assert_clean_exit_2(code, out, err)
+    assert "nests its JSON too deeply" in err
+
+
+@pytest.mark.parametrize("moduli", ["1000000", "4097", "64,65", "1," * 32 + "1"],
+                         ids=["order 10^6", "order 4097", "order 4160", "33 factors"])
+def test_group_beyond_its_order_bound_exits_2_before_any_allocation(capsys, moduli):
+    # refused before the step grid or the kernel exists: a 10^6-element
+    # group's kernel alone would be 7.3 TiB
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "group", "--moduli", moduli, "--step", "1:1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _assert_clean_exit_2(code, out, err)
+    assert f"{MAX_GROUP_ORDER} elements" in err
+    assert peak < 1 << 20
 
 
 def test_analyze_missing_file_exits_2(capsys, tmp_path):
@@ -538,3 +574,116 @@ def test_exit_contract(chain_file, tmp_path, command, failure, argv, stdout, err
     assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
     if stdout == "pipe":
         assert proc.stdout == ""
+
+
+# -- hostile input: argv drawn from a grammar of bad tokens -----------------------
+#
+# Every command, in process, on argv drawn from tokens that are non-finite,
+# huge, negative, empty, nested, wrong-typed or not UTF-8 ("\udcff" is how
+# Python hands over the byte 0xff of an argv), mixed with good ones so that
+# some runs get far.  Each must exit 0 or 2, print one error line exactly
+# when it exits 2, and raise nothing.  A size is drawn only where it is
+# refused before any work or is small, and no case asks for many threads.
+# A token "@name" is the file or directory "name" in the test's directory.
+
+BAD = ["nan", "inf", "-inf", "1e400", "-1", "0", "", " ", "x", "\udcff", str(10 ** 400),
+       "9" * 4000]
+DEEP = "[" * 10 ** 4 + "]" * 10 ** 4
+HOSTILE_FILES = {               # token: the bytes of the file it names
+    "@doc": json.dumps({"Q": [[0.75, 0.25], [0.25, 0.75]],
+                        "observables": {"f": [1.0, -1.0], "g": [1e200, -1e200]}}).encode(),
+    "@nonrev": json.dumps({"Q": [[0.2, 0.5, 0.3], [0.1, 0.3, 0.6], [0.5, 0.2, 0.3]],
+                           "observables": {"f": [1, -1, 0.5]}}).encode(),
+    "@deep": DEEP.encode(),
+    "@nested": ('{"Q": ' + "[" * 40 + "]" * 40 + ', "observables": {"f": [[[1]]]}}').encode(),
+    "@typed": b'{"Q": [[true, "0.5"], [null, {}]], "states": [1, 2], "observables": []}',
+    "@dup": b'{"Q": [[1, 0], [0, 1]], "Q": [[0.5, 0.5], [0.5, 0.5]], '
+            b'"observables": {"f": [1, -1], "f": [NaN, 1]}}',
+    "@huge": ('{"Q": [[1e308, 1e308], [0.5, 0.5]], "pi": [Infinity, 0.5], '
+              '"observables": {"f": [1' + "0" * 400 + ", -1]}}").encode(),
+    "@empty": b"",
+    "@bytes": b'\xff\xfe{"Q": [[1]]}',
+}
+BAD_DOCS = [*HOSTILE_FILES, "@missing", "@dir", "{}", "[]", "1", DEEP, "\udcff",
+            '{"Q": [[1]], "observables": {"f": [0]}}']
+BAD_OUTS = ["@dir", "@missing/x", ""]
+BAD_COEFFS = ['{"1": NaN}', '{"1": 1e400}', '{"-3": 0.5}', '{"99999999999999999999": 0.5}',
+              '{"1": [[0.5]]}', "[[]]", *BAD_DOCS]
+
+
+def _pick(good, bad):
+    return st.one_of(st.sampled_from(good), st.sampled_from(bad))
+
+
+def _opt(name, good, bad=BAD):
+    # the option with a good or a bad value, or no option
+    return st.one_of(st.just([]), _pick(good, bad).map(lambda v: [name, v]))
+
+
+def _sized(name, good, refused):
+    # always given, so no default size runs: a small one or one refused before any work
+    return _pick(good, refused + BAD).map(lambda v: [name, v])
+
+
+def _argv(command, *parts):
+    return st.tuples(*parts).map(lambda ps: [command] + [tok for p in ps for tok in p])
+
+
+_common = (_pick(["@doc", "@nonrev"], BAD_DOCS).map(lambda d: [d]),
+           _opt("--observable", ["f", "g"], ["h", "", "\udcff"]), _opt("--tol", ["1e-10", "0.5"]))
+_seed = _opt("--seed", ["0", "7"], BAD + [str(2 ** 64)])
+_threads = _opt("--threads", ["1", "2"], ["0", "-3", "x", "", "nan"])
+HOSTILE_ARGV = st.one_of(
+    _argv("analyze", *_common),
+    _argv("approx", *_common, _opt("--n", ["1,4", "4,1,4"], ["1,,2", ",", str(10 ** 15)] + BAD),
+          _opt("--start", ["0", "1"], ["9", "", "\udcff"])),
+    _argv("simulate", *_common,
+          _pick(["0", "1"], ["9", "", "\udcff"]).map(lambda v: ["--start", v]),
+          _sized("--n", ["1", "8"], [str(2 ** 61), str(2 ** 63)]),
+          _sized("--paths", ["200", "100"], ["50", str(2 ** 62), str(2 ** 64)]),
+          _seed, _threads, _opt("--dump", ["@out", "@\udcff"], BAD_OUTS)),
+    _argv("group",
+          _opt("--moduli", ["5", "4,3", "2,3,2", "1," * 20 + "1"],
+               ["1," * 40 + "1", "6,6,6,6,6", "1000000", "0,5", "-5", "9" * 4000 + ",9"]
+               + BAD),
+          _opt("--step", ["1:1", "1:0.5,4:0.5", "1.1:1", "1:0.5,1:0.5"],
+               ["1.0.2:1", "1:nan", "1:inf", "1:-1", "1:1e400", f"{10 ** 400}:1", "1", ":",
+                "x:1", "\udcff:1", ""]),
+          _opt("--harmonic", ["1", "1,1", "1,0,1", "-1"]),
+          _opt("--output", ["@out", "@\udcff"], BAD_OUTS)),
+    _argv("torus", _opt("--alpha", ["golden", "0.3"], ["0.5", "1e-300"] + BAD),
+          _opt("--lazy", ["0", "0.5", "0.999"]),
+          _opt("--coeffs", ['{"1": 0.5}', "[[1, 0.5, 0.1]]", '{"1": 0.5, "1": [0.25, 0.5]}'],
+               ["{}", *BAD_COEFFS]),
+          _sized("--cutoff", ["1", "100"], [str(2 ** 64)]),
+          _sized("--paths", ["0", "200"], ["50", str(2 ** 62)]),
+          _sized("--n", ["8"], [str(2 ** 61)]), _opt("--start", ["0.3", "1e308"]),
+          _seed, _threads),
+    # verify reads no input: always a bad option, so the suite itself never runs
+    _argv("verify", st.sampled_from([[], ["--quick"]]),
+          st.sampled_from(["--bogus", "x", "\udcff", "--quick=1"]).map(lambda v: [v])),
+)
+
+
+@pytest.fixture(scope="module")
+def hostile_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("hostile")
+    for token, data in HOSTILE_FILES.items():
+        (root / token[1:]).write_bytes(data)
+    (root / "dir").mkdir()
+    return root
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(argv=HOSTILE_ARGV)
+def test_hostile_argv_exits_0_or_2_with_one_error_line(hostile_dir, argv):
+    argv = [str(hostile_dir / tok[1:]) if tok.startswith("@") else tok for tok in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:       # argparse refused an option
+            code = exc.code
+    errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+    assert code in (0, 2), (argv, err.getvalue())
+    assert len(errors) == (code == 2), (argv, err.getvalue())

@@ -3,13 +3,18 @@ argument checks, and the thread pool that runs them.
 
 The extension is built from this checkout's ``setup.py`` into a temporary
 directory (the ``compiled_kernels`` fixture), so these tests run wherever a
-C compiler exists, whether or not the package was installed.
+C compiler exists, whether or not the package was installed.  A second
+build (``compiled_scalar_kernels``) takes the scalar C lanes on any CPU, and
+every bitwise test runs it as the backend ``"compiled-scalar"``, so an
+AVX-512 host tests both lane sets.
 """
 
+import hashlib
 import platform
 import sys
 import tracemalloc
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,10 +66,11 @@ def test_chain_bitwise_identical_to_numpy(compiled_backend, case, workers):
     for n_steps, num_paths in shapes + [(301, 257)]:
         args = (cum, fvals, hmat, S // 2, n_steps, num_paths, 91)
         ref = compiled_backend.run_chain_paths(*args, workers=1, backend="python")
-        got = compiled_backend.run_chain_paths(*args, workers=workers, backend="compiled")
-        for a, b in zip(ref, got):
-            assert a.dtype == b.dtype and np.array_equal(a, b), (n_steps, num_paths)
-        assert 0 <= got[2].min() and got[2].max() < S
+        for backend in compiled_backend.available_backends():
+            got = compiled_backend.run_chain_paths(*args, workers=workers, backend=backend)
+            for a, b in zip(ref, got):
+                assert a.dtype == b.dtype and np.array_equal(a, b), (backend, n_steps, num_paths)
+        assert 0 <= ref[2].min() and ref[2].max() < S
 
 
 def _oracle_case(S, rows, rng):
@@ -87,11 +93,11 @@ LANE_PATH_COUNTS = [0, 1, 7, 8, 9, 37]     # around the C kernel's 8 lanes
 
 @pytest.mark.parametrize("rows", ["plain", "repeats", "overshoot"])
 @pytest.mark.parametrize("S", [1, 2, 3, 7, 8, 9, 17, 33, 110])
-def test_chain_kernels_match_oracles(compiled_kernels, compiled_backend, S, rows):
+def test_chain_kernels_match_oracles(compiled_backend, S, rows):
     rng = np.random.default_rng(S)
     cum, fvals, hmat = _oracle_case(S, rows, rng)
     n_steps, pad = 24, 16
-    impls = {"python": _kernels_py, "compiled": compiled_kernels}
+    impls = compiled_backend.available_backends()
     for start in sorted({0, S - 1}):
         for npaths in LANE_PATH_COUNTS:
             seed = 1000 * S + npaths
@@ -123,7 +129,7 @@ def test_search_never_reads_the_pinned_column(compiled_backend, S):
     cum, fvals, hmat = _chain_case(S, np.random.default_rng(S))
     zeroed = cum.copy()
     zeroed[:, -1] = 0.0
-    for backend in ("python", "compiled"):
+    for backend in compiled_backend.available_backends():
         for workers in (1, 2):
             want = compiled_backend.run_chain_paths(cum, fvals, hmat, S // 2, 40, 37, S,
                                                     workers=workers, backend=backend)
@@ -156,16 +162,16 @@ def _key_for_uniform(u):
 
 @pytest.mark.parametrize("u, expected", [(0.0, 1), (0.25, 3), (0.5, 3), (0.75, 4),
                                          (1 - 2 ** -53, 4)])
-def test_chain_ties_pick_first_state_above_u(compiled_kernels, u, expected):
+def test_chain_ties_pick_first_state_above_u(kernel_modules, u, expected):
     # zero-probability columns 0 and 2 repeat cumulative values; a uniform
     # equal to one of them must move past it, as the linear scan does
     cum = np.array([[0.0, 0.25, 0.25, 0.75, 1.0]] * 5)
     fvals, hmat = np.arange(5.0), np.zeros((5, 5))
-    for impl in (compiled_kernels, _kernels_py):
+    for name, impl in kernel_modules.items():
         keys = np.array([_key_for_uniform(u)], dtype=np.uint64)
         out_s, out_m, out_last = np.empty(1), np.empty(1), np.empty(1, dtype=np.int64)
         impl.chain_paths(cum, fvals, hmat, 0, 1, keys, out_s, out_m, out_last)
-        assert out_last[0] == expected
+        assert out_last[0] == expected, name
 
 
 def _chain_args(S=3, npaths=8):
@@ -256,7 +262,19 @@ def test_backend_name(compiled_kernels):
     assert compiled_kernels.BACKEND_NAME == "compiled"
 
 
-def test_lane_path_follows_the_cpu(compiled_kernels):
+def test_in_place_build_matches_the_source():
+    # a build left from an older _kernels.c (or one from before the digest)
+    # fails here rather than being tested and timed as the current one
+    source = Path(__file__).resolve().parents[1] / "src" / "qclt" / "_kernels.c"
+    if kernels._compiled is None or not source.is_file():
+        pytest.skip("no compiled extension in use, or no C source beside the tests")
+    want = hashlib.sha256(source.read_bytes()).hexdigest()
+    assert getattr(kernels._compiled, "SOURCE_DIGEST", None) == want, kernels._compiled.__file__
+
+
+def test_lane_path_follows_the_cpu(compiled_kernels, compiled_scalar_kernels):
+    # the second build's CPU has no feature, whatever this CPU has
+    assert compiled_scalar_kernels.LANE_PATH == "scalar"
     if not sys.platform.startswith("linux") or platform.machine() != "x86_64":
         pytest.skip("the AVX-512 lanes are built for x86-64, and read here from /proc/cpuinfo")
     with open("/proc/cpuinfo") as fh:

@@ -3,12 +3,12 @@ the kernel: each against per-row Python loops, and their argument checks.
 
 A stored table has one reduction, the numpy ``_kernels_py.dyadic_moments``,
 which ``kernels.dyadic_moments`` runs on every backend; the extension has no
-table kernel.  A drawn family is reduced by each backend's own pass, and the
-extension's scalar pass (``drawn_dyadic_moments_scalar``) is tested beside
-the pass its CPU picks, so an AVX-512 host runs both lane sets.  Every test
-takes its backends from the ``kernel_modules`` fixture: the numpy fallback
-always, and the extension built from this checkout wherever a C compiler
-exists, so no test skips its fallback half.
+table kernel.  A drawn family is reduced by each backend's own pass.  Every
+test takes its backends from the ``kernel_modules`` fixture: the numpy
+fallback always, and wherever a C compiler exists two builds of the
+extension from this checkout, ``"compiled"`` on the lanes its CPU picks and
+``"compiled-scalar"`` on the scalar lanes whatever the CPU, so an AVX-512
+host runs both lane sets and no test skips its fallback half.
 """
 
 import functools
@@ -149,11 +149,8 @@ def _profile(law, d):
 
 
 def _drawn_passes(kernel_modules):
-    # each backend's drawn pass by name, and the extension's scalar pass
-    passes = {name: impl.drawn_dyadic_moments for name, impl in kernel_modules.items()}
-    if "compiled" in kernel_modules:
-        passes["compiled-scalar"] = kernel_modules["compiled"].drawn_dyadic_moments_scalar
-    return passes
+    # each backend's drawn pass by name
+    return {name: impl.drawn_dyadic_moments for name, impl in kernel_modules.items()}
 
 
 def _drawn(drawn_pass, law, d, keys, **params):
@@ -213,15 +210,16 @@ def test_drawn_moments_match_the_oracle_with_fewer_than_32_rows_to_a_block(kerne
         assert np.array_equal(sup, want_sup) and np.array_equal(acc, want_acc), name
 
 
-def test_scalar_drawn_pass_matches_the_picked_one_on_verify_families(compiled_kernels):
+def test_scalar_drawn_pass_matches_the_picked_one_on_verify_families(compiled_kernels,
+                                                                    compiled_scalar_kernels):
     # the first 100 of verify's families at its 10^4 paths, byte for byte
-    # (on a CPU without AVX-512F/DQ both entries run the scalar pass)
+    # (on a CPU without AVX-512F/DQ both builds run the scalar pass)
     for index in range(100):
         fam = verify.random_dyadic_family(2024, index)
         keys = stream_keys(fam.row_seed, 10_000)
         outs = []
         for drawn_pass in (compiled_kernels.drawn_dyadic_moments,
-                           compiled_kernels.drawn_dyadic_moments_scalar):
+                           compiled_scalar_kernels.drawn_dyadic_moments):
             out_sup, out_acc = np.empty(10_000), np.empty((fam.d + 1, 10_000))
             drawn_pass(fam.law, fam.d, fam.scale, fam.a, fam.drift, fam.profile, keys,
                        out_sup, out_acc)

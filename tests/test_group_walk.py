@@ -322,12 +322,13 @@ def test_torus_backends_agree(compiled_backend, workers):
     ccos = np.array([0.7, 0.2])
     csin = np.array([0.1, -0.3])
     out = {}
-    for name in ("python", "compiled"):
+    for name in compiled_backend.available_backends():
         out[name] = compiled_backend.run_torus_paths(GOLDEN_ALPHA, 0.25, omegas, ccos, csin,
                                                      0.125, 300, 400, 11, workers=workers,
                                                      backend=name)
-    np.testing.assert_array_equal(out["python"][1], out["compiled"][1])  # positions
-    np.testing.assert_array_equal(out["python"][0], out["compiled"][0])  # sums
+    for name, (sums, positions) in out.items():
+        np.testing.assert_array_equal(out["python"][1], positions, err_msg=name)
+        np.testing.assert_array_equal(out["python"][0], sums, err_msg=name)
 
 
 def test_torus_identity_gap_chunked_equals_one_shot():

@@ -68,11 +68,12 @@ def test_backends_bitwise_identical_on_chain(two_state, sign, compiled_backend, 
     args = (cumulative_rows(two_state), sign.values,
             np.ascontiguousarray(scheme.diff_kernel), 0, 257, 512, 77)
     out = {name: compiled_backend.run_chain_paths(*args, workers=workers, backend=name)
-           for name in ("python", "compiled")}
-    a, b = out["python"], out["compiled"]
-    np.testing.assert_array_equal(a[0], b[0])
-    np.testing.assert_array_equal(a[1], b[1])
-    np.testing.assert_array_equal(a[2], b[2])
+           for name in compiled_backend.available_backends()}
+    a = out["python"]
+    for name, b in out.items():
+        np.testing.assert_array_equal(a[0], b[0], err_msg=name)
+        np.testing.assert_array_equal(a[1], b[1], err_msg=name)
+        np.testing.assert_array_equal(a[2], b[2], err_msg=name)
 
 
 def test_ks_distance_values():
@@ -210,7 +211,7 @@ def test_sample_path_matches_kernel_last_states_on_wide_chain(compiled_backend):
     chain = make_chain([str(i) for i in range(9)], q)
     fvals, hmat = rng.standard_normal(9), rng.standard_normal((9, 9))
     n, paths, seed = 40, 11, 31
-    for backend in ("python", "compiled"):
+    for backend in compiled_backend.available_backends():
         _, _, last = compiled_backend.run_chain_paths(cumulative_rows(chain), fvals, hmat, 8,
                                                       n, paths, seed, backend=backend)
         for i in range(paths):

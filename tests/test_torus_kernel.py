@@ -1,5 +1,6 @@
 """The lattice-table torus kernel against the accumulating trig kernel, and
-the two backends against each other at the edges of the C kernel's lanes.
+the backends against each other at the edges of the C kernel's lanes: the
+numpy fallback and both C builds, so both C lane sets run on any CPU.
 
 Both backends tabulate the observable at ``x0 + j alpha mod 1`` and walk an
 integer index; :func:`tests.oracles.torus_paths_accumulating` adds +-alpha
@@ -13,7 +14,6 @@ import math
 import numpy as np
 import pytest
 
-from qclt import _kernels_py
 from qclt.group_walk import GOLDEN_ALPHA
 from qclt.rng import stream_keys
 from tests.oracles import torus_paths_accumulating
@@ -48,20 +48,21 @@ def _run(impl, alpha, lazy, observable, x0, n_steps):
 @pytest.mark.parametrize("n_steps", [0, 1, 7, 300])
 @pytest.mark.parametrize("lazy", [0.0, 0.25, 0.5])
 @pytest.mark.parametrize("alpha", sorted(ALPHAS))
-def test_lattice_kernel_matches_accumulating_oracle(compiled_kernels, alpha, lazy, n_steps):
+def test_lattice_kernel_matches_accumulating_oracle(kernel_modules, alpha, lazy, n_steps):
     x0 = 0.3125
     for name, observable in OBSERVABLES.items():
         outs = {}
-        for impl in (_kernels_py, compiled_kernels):
+        for backend, impl in kernel_modules.items():
             (sums, pos), (ref_sums, ref_pos) = _run(impl, ALPHAS[alpha], lazy,
                                                     observable, x0, n_steps)
-            assert np.max(_circular_gap(pos, ref_pos)) <= 1e-12, (impl, name)
-            assert np.max(np.abs(sums - ref_sums)) <= 1e-9, (impl, name)
+            assert np.max(_circular_gap(pos, ref_pos)) <= 1e-12, (backend, name)
+            assert np.max(np.abs(sums - ref_sums)) <= 1e-9, (backend, name)
             if n_steps == 0:
                 assert np.all(sums == 0.0) and np.all(pos == x0)
-            outs[impl.BACKEND_NAME] = sums, pos
-        for a, b in zip(outs["python"], outs["compiled"]):
-            np.testing.assert_array_equal(a, b)
+            outs[backend] = sums, pos
+        for backend, out in outs.items():
+            for a, b in zip(outs["python"], out):
+                np.testing.assert_array_equal(a, b, err_msg=backend)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -73,6 +74,7 @@ def test_lane_edges_bitwise_identical_to_numpy(compiled_backend, lazy, workers):
         for num_paths in LANE_EDGE_PATHS:
             args = (GOLDEN_ALPHA, lazy, omegas, ccos, csin, 0.3125, n_steps, num_paths, 5)
             ref = compiled_backend.run_torus_paths(*args, workers=1, backend="python")
-            got = compiled_backend.run_torus_paths(*args, workers=workers, backend="compiled")
-            for a, b in zip(ref, got):
-                assert np.array_equal(a, b), (n_steps, num_paths)
+            for backend in compiled_backend.available_backends():
+                got = compiled_backend.run_torus_paths(*args, workers=workers, backend=backend)
+                for a, b in zip(ref, got):
+                    assert np.array_equal(a, b), (backend, n_steps, num_paths)
