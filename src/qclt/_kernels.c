@@ -6,7 +6,7 @@
  * observable.  The torus table takes its cos/sin from the C library, as
  * math.cos/math.sin do in the fallback.
  *
- * The chain kernel advances LANES paths in lockstep, each with its own
+ * The walks advance a block of paths in lockstep, each with its own
  * counter, state and sums.  Every backend, the numpy fallback included,
  * finds a step's next state by this one search.  pos = row = state * S is
  * the flat index of the state's cumulative row.  The halving table covers
@@ -20,18 +20,6 @@
  * last column is never read.  The searchsorted replay and per-path
  * bisection that the tests keep as references pick that same state, and
  * every path adds its terms in step order, so no backend changes a bit.
- *
- * On x86-64 the path walks also come as AVX-512F/DQ lane kernels: 8 paths
- * to a zmm register, the chain in two registers (16 paths) so that one
- * register's table gathers overlap the other's, the torus in one.  Module
- * exec picks them once, when the CPU reports both AVX-512F and AVX-512DQ,
- * and names the choice in LANE_PATH ("avx512" or "scalar"); elsewhere the
- * scalar walks run.  They are bit-for-bit the scalar walks: the draw's
- * integer steps are exact, z >> 11 < 2^53 converts to double exactly and
- * the scale by 2^-53 is exact; the search is the one above, comparing the
- * same entries by the same <=; every table read is a gather of the entry
- * the scalar lane loads; and each lane adds its terms in step order, with
- * no fused multiply-add.
  *
  * drawn_dyadic_moments: one pass over a dyadic family that no table holds,
  * row i the values T_0 .. T_{2^d} of one path.  Per row it writes
@@ -56,15 +44,22 @@
  * finite and at most 2^32 in magnitude, so no value, sum or square
  * overflows and no NaN reaches the max/min, which numpy orders otherwise.
  *
- * The drawn pass comes in both lane sets too, from one source: draw_block
- * and reduce_block are always-inline bodies, compiled once in block_scalar
- * and once in block_avx512 under the AVX-512F/DQ target, where the compiler
- * widens their loops across a block's rows to 8 rows a zmm register.
- * Module exec picks block_avx512 with the vector walks.  The two match bit
- * for bit: every loop runs across rows, nothing crosses between rows, and
- * each row's values meet the same integer steps and the same +, - and * in
- * the same order, with no fused multiply-add; a max or min that the
- * compiler turns into (v)maxpd/(v)minpd keeps v > hi ? v : hi exactly.
+ * The two walks and the drawn pass come in two lane sets from one source.
+ * Their bodies, chain_lanes, torus_lanes, draw_block and reduce_block, are
+ * always inlined, and their loops run across independent lanes: a block's
+ * paths or rows.  Each is compiled twice, plainly and under the
+ * AVX-512F/DQ target, where the compiler widens the lane loops to 8 lanes a
+ * zmm register and reads the walks' tables by gathers.  A walk's block is
+ * LANES = 8 paths in the plain build and WIDE_LANES = 32 under AVX-512.
+ * Module exec picks the AVX-512 set once, when the CPU reports both
+ * AVX-512F and AVX-512DQ, and names the choice in LANE_PATH ("avx512" or
+ * "scalar"); elsewhere the plain set runs.  The two match bit for bit
+ * however the compiler shapes the loops: nothing crosses between lanes, a
+ * spare lane's results are never written, and each lane's values meet the
+ * same integer steps, compares and +, - and * in the same order, with no
+ * fused multiply-add.  The draw is exact in both: z >> 11 < 2^53 converts
+ * to double exactly and the scale by 2^-53 is exact.  A max or min that
+ * the compiler turns into (v)maxpd/(v)minpd keeps v > hi ? v : hi exactly.
  *
  * The lanes are picked by __builtin_cpu_supports alone, so a build with
  * -D'__builtin_cpu_supports(x)=0' takes the scalar lanes on any CPU; the
@@ -78,7 +73,7 @@
  *
  * Every kernel is bit-for-bit identical to the numpy fallback.  Build with
  * -ffp-contract=off so no fused multiply-add changes a rounding.  The draws
- * are bitwise for the reasons the vector walks are (above): exact integer
+ * are bitwise for the reasons the two lane sets match (above): exact integer
  * steps, an exact conversion and scale, then only +, - and * of doubles in
  * the fixed order written above, and no libm call.  (int)(2u) is 1 exactly
  * when u >= 1/2, as the fallback's copysign(1, u - 1/2) is, u - 1/2 being
@@ -100,9 +95,13 @@
 #define MIX_B 0x94D049BB133111EBULL
 #define TWO_NEG53 (1.0 / 9007199254740992.0)
 
-/* chain paths advanced in lockstep: independent lanes overlap their
- * dependent step chains (draw, row loads, compare, next state) */
+/* Paths a walk advances in lockstep, in the plain build and under
+ * AVX-512: independent lanes overlap their dependent step chains (draw,
+ * table loads, compare, next state).  At 32, four zmm registers of lanes,
+ * gcc's loop vectorizer rather than its SLP pass takes the lane loops, and
+ * only the loop vectorizer emits gathers. */
 #define LANES 8
+#define WIDE_LANES 32
 
 /* inlined into every caller, so a body compiled under a target attribute
  * gets that target's instructions */
@@ -203,40 +202,44 @@ struct chain_job {
     int depth;
 };
 
-static void chain_scalar(const struct chain_job *job)
+/* Advance the job's paths nb at a time, in lockstep: each of a block's
+ * lanes has its own counter, state and sums, and every loop of a step runs
+ * across the lanes, so the compiler can widen it.  Lanes past the last path
+ * walk a copy of its stream and their results are never written, so each
+ * lane loop has the constant trip count nb. */
+ALWAYS_INLINE void chain_lanes(const struct chain_job *job, const int nb)
 {
-    const double *cum = job->cum;
-    Py_ssize_t S = job->S, npaths = job->npaths;
-    for (Py_ssize_t i0 = 0; i0 < npaths; i0 += LANES) {
-        Py_ssize_t nl = npaths - i0 < LANES ? npaths - i0 : LANES;
-        uint64_t ctr[LANES];
-        Py_ssize_t state[LANES];
-        double s[LANES], m[LANES];
-        /* lanes past the last path walk a copy of its stream; their
-         * results are never written */
-        for (int l = 0; l < LANES; l++) {
+    const double *cum = job->cum, *fvals = job->fvals, *hmat = job->hmat;
+    const Py_ssize_t S = job->S;
+    for (Py_ssize_t i0 = 0; i0 < job->npaths; i0 += nb) {
+        Py_ssize_t nl = job->npaths - i0 < nb ? job->npaths - i0 : nb;
+        uint64_t ctr[WIDE_LANES];
+        Py_ssize_t state[WIDE_LANES];
+        double s[WIDE_LANES], m[WIDE_LANES];
+        for (int l = 0; l < nb; l++) {
             ctr[l] = job->keys[i0 + (l < nl ? l : nl - 1)];
             state[l] = job->start;
             s[l] = m[l] = 0.0;
         }
         for (Py_ssize_t k = 0; k < job->n_steps; k++) {
-            double u[LANES];
-            Py_ssize_t row[LANES], pos[LANES];
-            for (int l = 0; l < LANES; l++) {
+            double u[WIDE_LANES];
+            Py_ssize_t row[WIDE_LANES], pos[WIDE_LANES];
+            for (int l = 0; l < nb; l++) {
                 u[l] = next_uniform(&ctr[l]);
                 row[l] = pos[l] = state[l] * S;
             }
             for (int t = 0; t < job->depth; t++) {
                 Py_ssize_t half = job->halves[t];
-                for (int l = 0; l < LANES; l++)
+                for (int l = 0; l < nb; l++)
                     pos[l] = cum[pos[l] + half] <= u[l] ? pos[l] + half : pos[l];
             }
-            for (int l = 0; l < LANES; l++) {
-                if (S > 1)
+            if (S > 1)
+                for (int l = 0; l < nb; l++)
                     pos[l] += cum[pos[l]] <= u[l];
-                m[l] += job->hmat[pos[l]];
+            for (int l = 0; l < nb; l++) {
+                m[l] += hmat[pos[l]];
                 state[l] = pos[l] - row[l];
-                s[l] += job->fvals[state[l]];
+                s[l] += fvals[state[l]];
             }
         }
         for (int l = 0; l < nl; l++) {
@@ -258,19 +261,38 @@ struct torus_job {
     Py_ssize_t n_steps, npaths;
 };
 
-static void torus_scalar(const struct torus_job *job)
+/* Advance the job's paths nb at a time, in lockstep, as chain_lanes does. */
+ALWAYS_INLINE void torus_lanes(const struct torus_job *job, const int nb)
 {
-    for (Py_ssize_t i = 0; i < job->npaths; i++) {
-        uint64_t ctr = job->keys[i];
-        Py_ssize_t j = job->n_steps;
-        double s = 0.0;
-        for (Py_ssize_t k = 0; k < job->n_steps; k++) {
-            double u = next_uniform(&ctr);
-            j += (u >= job->lazy) - 2 * (u >= job->mid);
-            s += job->ftable[j];
+    const double *ftable = job->ftable, lazy = job->lazy, mid = job->mid;
+    for (Py_ssize_t i0 = 0; i0 < job->npaths; i0 += nb) {
+        Py_ssize_t nl = job->npaths - i0 < nb ? job->npaths - i0 : nb;
+        uint64_t ctr[WIDE_LANES];
+        Py_ssize_t j[WIDE_LANES];
+        double s[WIDE_LANES];
+        for (int l = 0; l < nb; l++) {
+            ctr[l] = job->keys[i0 + (l < nl ? l : nl - 1)];
+            j[l] = job->n_steps;
+            s[l] = 0.0;
         }
-        job->out_s[i] = s;
-        job->out_x[i] = lattice_point(job->x0, job->alpha, j - job->n_steps);
+        for (Py_ssize_t k = 0; k < job->n_steps; k++) {
+            /* draws, then j += [u >= lazy] - 2 [u >= mid] as two selects,
+             * which gcc makes masked adds: as one loop with one int
+             * expression, whose compares gcc widened through 32-bit lanes,
+             * the AVX-512 walk ran about 15 % slower */
+            double u[WIDE_LANES];
+            for (int l = 0; l < nb; l++)
+                u[l] = next_uniform(&ctr[l]);
+            for (int l = 0; l < nb; l++) {
+                j[l] = u[l] >= lazy ? j[l] + 1 : j[l];
+                j[l] = u[l] >= mid ? j[l] - 2 : j[l];
+                s[l] += ftable[j[l]];
+            }
+        }
+        for (int l = 0; l < nl; l++) {
+            job->out_s[i0 + l] = s[l];
+            job->out_x[i0 + l] = lattice_point(job->x0, job->alpha, j[l] - job->n_steps);
+        }
     }
 }
 
@@ -384,8 +406,10 @@ ALWAYS_INLINE void reduce_block(const struct dyadic_job *job, double *t, Py_ssiz
     }
 }
 
-/* One block of a dyadic pass: its draws, then its reduction.  The bodies
- * are inlined, so block_avx512 below is the same code widened to zmm. */
+/* Each kernel on the plain lanes.  The bodies are inlined, so each
+ * *_avx512 below is the same code compiled for AVX-512F/DQ. */
+static void chain_scalar(const struct chain_job *job) { chain_lanes(job, LANES); }
+static void torus_scalar(const struct torus_job *job) { torus_lanes(job, LANES); }
 static void block_scalar(const struct dyadic_job *job, double *t, Py_ssize_t i0, Py_ssize_t n)
 {
     draw_block(job, t, i0, n);
@@ -398,113 +422,20 @@ static void (*run_block)(const struct dyadic_job *, double *, Py_ssize_t,
                           Py_ssize_t) = block_scalar;
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#include <immintrin.h>
-
-/* The AVX-512F/DQ walks; the header says why they match the scalar ones. */
 #define AVX512 __attribute__((target("avx512f,avx512dq")))
-#define VLANES 8
-/* chain paths in flight: two registers of lanes hide the gathers' latency */
-#define VPATHS (2 * VLANES)
+/* The walks' target, WALK512, adds tune=intel: under gcc's generic tuning
+ * its vectorizer emits no gathers for their table reads, and the chain at
+ * S = 2 took 2.4-2.8 ns a step against 1.1-1.8.  The drawn pass keeps the
+ * generic tuning, under which it ran about 5 % faster.  clang names its
+ * tunings otherwise, so it gets the plain target. */
+#if defined(__clang__)
+#define WALK512 AVX512
+#else
+#define WALK512 __attribute__((target("avx512f,avx512dq,tune=intel")))
+#endif
 
-/* advance 8 streams a draw each: next_uniform, lane by lane */
-AVX512 static inline __m512d next_uniform8(__m512i *ctr)
-{
-    __m512i z = *ctr = _mm512_add_epi64(*ctr, _mm512_set1_epi64((long long)GOLDEN));
-    z = _mm512_xor_si512(z, _mm512_srli_epi64(z, 30));
-    z = _mm512_mullo_epi64(z, _mm512_set1_epi64((long long)MIX_A));
-    z = _mm512_xor_si512(z, _mm512_srli_epi64(z, 27));
-    z = _mm512_mullo_epi64(z, _mm512_set1_epi64((long long)MIX_B));
-    z = _mm512_xor_si512(z, _mm512_srli_epi64(z, 31));
-    return _mm512_mul_pd(_mm512_cvtepi64_pd(_mm512_srli_epi64(z, 11)),
-                         _mm512_set1_pd(TWO_NEG53));
-}
-
-AVX512 static void chain_avx512(const struct chain_job *job)
-{
-    const __m512i vS = _mm512_set1_epi64(job->S), one = _mm512_set1_epi64(1);
-    for (Py_ssize_t i0 = 0; i0 < job->npaths; i0 += VPATHS) {
-        Py_ssize_t nl = job->npaths - i0 < VPATHS ? job->npaths - i0 : VPATHS;
-        uint64_t key[VPATHS];
-        int64_t last[VPATHS];
-        double s_out[VPATHS], m_out[VPATHS];
-        __m512i ctr[2], state[2];
-        __m512d s[2], m[2];
-        /* as in chain_scalar, spare lanes walk a copy of the last stream */
-        for (int l = 0; l < VPATHS; l++)
-            key[l] = job->keys[i0 + (l < nl ? l : nl - 1)];
-        for (int g = 0; g < 2; g++) {
-            ctr[g] = _mm512_loadu_si512(key + g * VLANES);
-            state[g] = _mm512_set1_epi64(job->start);
-            s[g] = m[g] = _mm512_setzero_pd();
-        }
-        for (Py_ssize_t k = 0; k < job->n_steps; k++) {
-            __m512d u[2];
-            __m512i row[2], pos[2];
-            for (int g = 0; g < 2; g++) {
-                u[g] = next_uniform8(&ctr[g]);
-                /* state, S < 2^30: the 32-bit product is the whole of state * S */
-                row[g] = pos[g] = _mm512_mul_epu32(state[g], vS);
-            }
-            for (int t = 0; t < job->depth; t++) {
-                __m512i half = _mm512_set1_epi64(job->halves[t]);
-                for (int g = 0; g < 2; g++) {
-                    __m512d probe = _mm512_i64gather_pd(_mm512_add_epi64(pos[g], half),
-                                                        job->cum, 8);
-                    __mmask8 le = _mm512_cmp_pd_mask(probe, u[g], _CMP_LE_OQ);
-                    pos[g] = _mm512_mask_add_epi64(pos[g], le, pos[g], half);
-                }
-            }
-            for (int g = 0; g < 2; g++) {
-                if (job->S > 1) {
-                    __m512d probe = _mm512_i64gather_pd(pos[g], job->cum, 8);
-                    __mmask8 le = _mm512_cmp_pd_mask(probe, u[g], _CMP_LE_OQ);
-                    pos[g] = _mm512_mask_add_epi64(pos[g], le, pos[g], one);
-                }
-                m[g] = _mm512_add_pd(m[g], _mm512_i64gather_pd(pos[g], job->hmat, 8));
-                state[g] = _mm512_sub_epi64(pos[g], row[g]);
-                s[g] = _mm512_add_pd(s[g], _mm512_i64gather_pd(state[g], job->fvals, 8));
-            }
-        }
-        for (int g = 0; g < 2; g++) {
-            _mm512_storeu_pd(s_out + g * VLANES, s[g]);
-            _mm512_storeu_pd(m_out + g * VLANES, m[g]);
-            _mm512_storeu_si512(last + g * VLANES, state[g]);
-        }
-        for (int l = 0; l < nl; l++) {
-            job->out_s[i0 + l] = s_out[l];
-            job->out_m[i0 + l] = m_out[l];
-            job->out_last[i0 + l] = last[l];
-        }
-    }
-}
-
-AVX512 static void torus_avx512(const struct torus_job *job)
-{
-    const __m512d lazy = _mm512_set1_pd(job->lazy), mid = _mm512_set1_pd(job->mid);
-    const __m512i one = _mm512_set1_epi64(1), two = _mm512_set1_epi64(2);
-    for (Py_ssize_t i0 = 0; i0 < job->npaths; i0 += VLANES) {
-        Py_ssize_t nl = job->npaths - i0 < VLANES ? job->npaths - i0 : VLANES;
-        uint64_t key[VLANES];
-        int64_t j_out[VLANES];
-        double s_out[VLANES];
-        for (int l = 0; l < VLANES; l++)
-            key[l] = job->keys[i0 + (l < nl ? l : nl - 1)];
-        __m512i ctr = _mm512_loadu_si512(key), j = _mm512_set1_epi64(job->n_steps);
-        __m512d s = _mm512_setzero_pd();
-        for (Py_ssize_t k = 0; k < job->n_steps; k++) {
-            __m512d u = next_uniform8(&ctr);
-            j = _mm512_mask_add_epi64(j, _mm512_cmp_pd_mask(u, lazy, _CMP_GE_OQ), j, one);
-            j = _mm512_mask_sub_epi64(j, _mm512_cmp_pd_mask(u, mid, _CMP_GE_OQ), j, two);
-            s = _mm512_add_pd(s, _mm512_i64gather_pd(j, job->ftable, 8));
-        }
-        _mm512_storeu_pd(s_out, s);
-        _mm512_storeu_si512(j_out, j);
-        for (int l = 0; l < nl; l++) {
-            job->out_s[i0 + l] = s_out[l];
-            job->out_x[i0 + l] = lattice_point(job->x0, job->alpha, j_out[l] - job->n_steps);
-        }
-    }
-}
+WALK512 static void chain_avx512(const struct chain_job *job) { chain_lanes(job, WIDE_LANES); }
+WALK512 static void torus_avx512(const struct torus_job *job) { torus_lanes(job, WIDE_LANES); }
 
 /* block_scalar's body compiled for AVX-512F/DQ: its row loops widen to
  * 8 rows a zmm register (vpmullq draws, 8-wide reductions) */

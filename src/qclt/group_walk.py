@@ -22,6 +22,7 @@ import numpy as np
 from . import kernels
 from .chain import FiniteChain, Observable, make_chain
 from .errors import (
+    BadIndexOrder,
     BadProbabilities,
     DimensionMismatch,
     EmptySupport,
@@ -50,6 +51,9 @@ RATIONAL_GAP_TOL = 1e-14
 # order; the bound is checked before anything of the group's size is made
 MAX_GROUP_ORDER = 4096
 MAX_FACTORS = 32
+# a torus run tabulates f at 2 n + 1 lattice points in each worker chunk,
+# 1 GiB of float64 at this n; the bound is checked before any table exists
+TORUS_MAX_STEPS = 1 << 26
 
 
 def _finite(value, what: str):
@@ -362,12 +366,16 @@ def simulate_torus(walk: TorusWalk, x: float, n: int, num_paths: int,
     The run policy and the report are those of finite chains
     (:func:`qclt.simulate.check_run`, :func:`qclt.simulate.sample_report`),
     so a zero observable raises :class:`qclt.errors.DegenerateSigma` too.
+    ``n`` above ``TORUS_MAX_STEPS`` raises :class:`qclt.errors.BadIndexOrder`.
     """
     # imported here: group walks alone need neither simulate nor martingale
     from .simulate import check_run, sample_report
 
     sigma_sq = torus_sigma_sq(walk)
     check_run(n, num_paths, sigma_sq)
+    if n > TORUS_MAX_STEPS:
+        raise BadIndexOrder(f"need n <= {TORUS_MAX_STEPS} for a torus walk, whose table "
+                            f"holds 2 n + 1 values; got n={n}")
     x0 = _finite(float(x), "torus start") % 1.0
     freqs = np.array([n_ for n_, _ in walk.fhat], dtype=np.float64)
     coeffs = np.array([c for _, c in walk.fhat], dtype=complex)

@@ -19,7 +19,9 @@ from .group_walk import (
     build_group_walk,
     condition_sums,
     convergents,
+    make_torus_walk,
     nearest_integer_distance,
+    torus_multiplier_gap,
     walk_fourier,
 )
 from .inequalities import (
@@ -303,18 +305,21 @@ _TORUS_CHUNK = 1 << 14
 
 
 def torus_identity_gap(n_limit: int) -> float:
-    """``max |(1 - cos 2 pi d) - 2 sin^2(pi d)|`` over ``d`` the distance of
-    ``n * GOLDEN_ALPHA`` to the nearest integer, ``1 <= n <= n_limit``.
+    """``max |(1 - cos 2 pi d) - (1 - nuhat(n))|`` over ``1 <= n <= n_limit``,
+    ``d`` the distance of ``n * GOLDEN_ALPHA`` to the nearest integer and
+    ``1 - nuhat(n)`` the multiplier gap that
+    :func:`qclt.group_walk.torus_multiplier_gap` gives the golden walk.
 
     Evaluated ``_TORUS_CHUNK`` frequencies at a time, so no temporary grows
     with ``n_limit``; every element is computed as in one pass.
     """
+    walk = make_torus_walk(GOLDEN_ALPHA)
     gap = 0.0
     for lo in range(1, n_limit + 1, _TORUS_CHUNK):
-        dist = nearest_integer_distance(np.arange(lo, min(lo + _TORUS_CHUNK, n_limit + 1)),
-                                        GOLDEN_ALPHA)
+        ns = np.arange(lo, min(lo + _TORUS_CHUNK, n_limit + 1))
+        dist = nearest_integer_distance(ns, walk.alpha)
         gap = max(gap, float(np.max(np.abs((1.0 - np.cos(2.0 * np.pi * dist))
-                                           - 2.0 * np.sin(np.pi * dist) ** 2))))
+                                           - torus_multiplier_gap(walk, ns)))))
     return gap
 
 

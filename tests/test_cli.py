@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from qclt import kernels
 from qclt.chain import dump_document, make_chain
-from qclt.group_walk import MAX_GROUP_ORDER, build_group_walk
+from qclt.group_walk import MAX_GROUP_ORDER, TORUS_MAX_STEPS, build_group_walk
 from qclt.cli import main
 from tests.test_startup import child_env
 
@@ -458,6 +458,23 @@ def test_oversized_run_exits_2_before_the_kernel(capsys, chain_file, monkeypatch
     assert message in err
 
 
+def test_torus_beyond_its_table_bound_exits_2_before_any_allocation(capsys, monkeypatch):
+    # n within MAX_STEPS, but each chunk's table of 2 n + 1 values would be 14.6 TiB
+    argv = ["torus", "--paths", "100", "--n", str(10 ** 12)]
+    for module in kernels.available_backends().values():
+        monkeypatch.setattr(kernels, "_impl", module)
+        run(capsys, *argv)          # imports what the command needs, untraced
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        _assert_clean_exit_2(code, out, err)
+        assert f"need n <= {TORUS_MAX_STEPS}" in err
+        assert peak < 1 << 20, module.BACKEND_NAME
+
+
 def test_torus_zero_observable_exits_2(capsys, tmp_path):
     path = tmp_path / "zero.json"
     path.write_text("{}")
@@ -657,7 +674,8 @@ HOSTILE_ARGV = st.one_of(
                ["{}", *BAD_COEFFS]),
           _sized("--cutoff", ["1", "100"], [str(2 ** 64)]),
           _sized("--paths", ["0", "200"], ["50", str(2 ** 62)]),
-          _sized("--n", ["8"], [str(2 ** 61)]), _opt("--start", ["0.3", "1e308"]),
+          _sized("--n", ["8"], [str(2 ** 61), str(10 ** 12)]),
+          _opt("--start", ["0.3", "1e308"]),
           _seed, _threads),
     # verify reads no input: always a bad option, so the suite itself never runs
     _argv("verify", st.sampled_from([[], ["--quick"]]),

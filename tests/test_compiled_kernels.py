@@ -51,9 +51,10 @@ CASES = {
     "S110": lambda rng: _chain_case(110, rng),
     "S110-zero-cols": lambda rng: _chain_case(110, rng, zero_cols=40),
 }
-# around the C kernels' lanes: 8 paths to a register, two registers per
-# chain block, and the tails of each; with 2 workers, of each chunk too
-LANE_EDGE_PATHS = [1, 7, 8, 9, 15, 16, 17, 33]
+# around the C walks' blocks, 8 paths on the scalar lanes and 32 on the
+# AVX-512 ones, one or two blocks and the tails of each; with 2 workers, of
+# each chunk too
+LANE_EDGE_PATHS = [1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -88,7 +89,8 @@ def _oracle_case(S, rows, rng):
     return cum, rng.standard_normal(S), rng.standard_normal((S, S))
 
 
-LANE_PATH_COUNTS = [0, 1, 7, 8, 9, 37]     # around the C kernel's 8 lanes
+# around the C chain walk's blocks of 8 (scalar) and 32 (AVX-512) paths
+LANE_PATH_COUNTS = [0, 1, 7, 8, 9, 31, 32, 33, 37, 63, 64, 65]
 
 
 @pytest.mark.parametrize("rows", ["plain", "repeats", "overshoot"])
