@@ -44,12 +44,13 @@
  * finite and at most 2^32 in magnitude, so no value, sum or square
  * overflows and no NaN reaches the max/min, which numpy orders otherwise.
  *
- * The two walks and the drawn pass come in two lane sets from one source.
- * Their bodies, chain_lanes, torus_lanes, draw_block and reduce_block, are
- * always inlined, and their loops run across independent lanes: a block's
- * paths or rows.  Each is compiled twice, plainly and under the
- * AVX-512F/DQ target, where the compiler widens the lane loops to 8 lanes a
- * zmm register and reads the walks' tables by gathers.  A walk's block is
+ * The two walks, the drawn pass and the key fill come in two lane sets from
+ * one source.  Their bodies, chain_lanes, torus_lanes, draw_block,
+ * reduce_block and fill_keys, are always inlined, and their loops run
+ * across independent lanes: a block's paths or rows, or the keys.  Each is
+ * compiled twice, plainly and under the AVX-512F/DQ target, where the
+ * compiler widens the lane loops to 8 lanes a zmm register and reads the
+ * walks' tables by gathers.  A walk's block is
  * LANES = 8 paths in the plain build and WIDE_LANES = 32 under AVX-512.
  * Module exec picks the AVX-512 set once, when the CPU reports both
  * AVX-512F and AVX-512DQ, and names the choice in LANE_PATH ("avx512" or
@@ -64,7 +65,7 @@
  * The lanes are picked by __builtin_cpu_supports alone, so a build with
  * -D'__builtin_cpu_supports(x)=0' takes the scalar lanes on any CPU; the
  * tests build that copy beside the plain one, and so run both lane sets of
- * all three kernels on an AVX-512 host.  SOURCE_DIGEST, the sha256 of this
+ * all four kernels on an AVX-512 host.  SOURCE_DIGEST, the sha256 of this
  * file that setup.py passes in, names the source a build came from.
  *
  * stream_keys fills an array with the path streams' starting counters,
@@ -406,6 +407,14 @@ ALWAYS_INLINE void reduce_block(const struct dyadic_job *job, double *t, Py_ssiz
     }
 }
 
+/* keys[i] = mix64(seed_mix ^ mix64((i + 1) GOLDEN)) for i < n: each key is
+ * one lane */
+ALWAYS_INLINE void fill_keys(uint64_t seed_mix, uint64_t *keys, Py_ssize_t n)
+{
+    for (Py_ssize_t i = 0; i < n; i++)
+        keys[i] = mix64(seed_mix ^ mix64((uint64_t)(i + 1) * GOLDEN));
+}
+
 /* Each kernel on the plain lanes.  The bodies are inlined, so each
  * *_avx512 below is the same code compiled for AVX-512F/DQ. */
 static void chain_scalar(const struct chain_job *job) { chain_lanes(job, LANES); }
@@ -415,11 +424,16 @@ static void block_scalar(const struct dyadic_job *job, double *t, Py_ssize_t i0,
     draw_block(job, t, i0, n);
     reduce_block(job, t, i0, n);
 }
+static void keys_scalar(uint64_t seed_mix, uint64_t *keys, Py_ssize_t n)
+{
+    fill_keys(seed_mix, keys, n);
+}
 
 static void (*run_chain)(const struct chain_job *) = chain_scalar;
 static void (*run_torus)(const struct torus_job *) = torus_scalar;
 static void (*run_block)(const struct dyadic_job *, double *, Py_ssize_t,
                           Py_ssize_t) = block_scalar;
+static void (*run_keys)(uint64_t, uint64_t *, Py_ssize_t) = keys_scalar;
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define AVX512 __attribute__((target("avx512f,avx512dq")))
@@ -446,6 +460,12 @@ AVX512 static void block_avx512(const struct dyadic_job *job, double *t, Py_ssiz
     reduce_block(job, t, i0, n);
 }
 
+/* keys_scalar's body compiled for AVX-512F/DQ: 8 keys a zmm register */
+AVX512 static void keys_avx512(uint64_t seed_mix, uint64_t *keys, Py_ssize_t n)
+{
+    fill_keys(seed_mix, keys, n);
+}
+
 /* the vector kernels where the CPU has AVX-512F and DQ, else the scalar ones */
 static const char *pick_lane_path(void)
 {
@@ -454,6 +474,7 @@ static const char *pick_lane_path(void)
     run_chain = chain_avx512;
     run_torus = torus_avx512;
     run_block = block_avx512;
+    run_keys = keys_avx512;
     return "avx512";
 }
 #else
@@ -651,11 +672,8 @@ static PyObject *stream_keys(PyObject *self, PyObject *args)
         return NULL;
     int ok = get_arrays(o, b, "Q", names, 0, 1) == 0;
     if (ok) {
-        uint64_t *keys = b[0].buf;
-        Py_ssize_t n = b[0].len / 8;
         Py_BEGIN_ALLOW_THREADS
-        for (Py_ssize_t i = 0; i < n; i++)
-            keys[i] = mix64(seed_mix ^ mix64((uint64_t)(i + 1) * GOLDEN));
+        run_keys(seed_mix, b[0].buf, b[0].len / 8);
         Py_END_ALLOW_THREADS
     }
     release_all(b, 1);

@@ -50,6 +50,10 @@ DRAWN_MAX_D = 20
 # no drawn value, sum or square can overflow below this parameter bound
 PARAM_MAX = 2.0 ** 32
 
+# torus_paths tabulates its observable this many lattice points at a time,
+# so the Python floats of a chunk stay small beside the 8-byte table entries
+TORUS_CHUNK = 1 << 12
+
 # the most steps of a path walk: the torus table of 2 n + 1 float64 values
 # must have a byte size below sys.maxsize
 MAX_STEPS = (sys.maxsize // 8 - 1) // 2
@@ -121,6 +125,29 @@ def chain_paths(cum_rows, fvals, hmat, start, n_steps, keys,
     out_last[:] = state
 
 
+def _lattice_points(x0, alpha, d):
+    # x0 + d alpha reduced to [0, 1), for the integer array d
+    x = x0 + d * alpha
+    x -= np.floor(x)
+    return x
+
+
+def _torus_table(alpha, omegas, ccos, csin, x0, n_steps) -> np.ndarray:
+    # the observable at lattice points j = 0..2 n_steps, TORUS_CHUNK points
+    # at a time; each value adds its frequencies' terms in order from 0.0
+    width = 2 * n_steps + 1
+    table = np.zeros(width)
+    for lo in range(0, width, TORUS_CHUNK):
+        hi = min(lo + TORUS_CHUNK, width)
+        x = _lattice_points(x0, alpha, np.arange(lo - n_steps, hi - n_steps))
+        fval = table[lo:hi]
+        for om, cc, cs in zip(omegas.tolist(), ccos.tolist(), csin.tolist()):
+            phase = (x * om).tolist()
+            fval += (cc * np.fromiter(map(math.cos, phase), np.float64, hi - lo)
+                     + cs * np.fromiter(map(math.sin, phase), np.float64, hi - lo))
+    return table
+
+
 def torus_paths(alpha, lazy, omegas, ccos, csin, x0, n_steps, keys,
                 out_s, out_x) -> None:
     """Lazy +-alpha rotation walk on [0, 1) accumulating the observable sum.
@@ -134,7 +161,8 @@ def torus_paths(alpha, lazy, omegas, ccos, csin, x0, n_steps, keys,
     After ``k <= n_steps`` steps a path sits at ``x0 + (j - n_steps) alpha
     mod 1`` for an integer lattice index ``j`` in ``[0, 2 n_steps]``.  So
     ``f`` is tabulated once per call at those ``2 n_steps + 1`` points (a
-    ``(2 n_steps + 1) * 8``-byte table), and each path moves ``j`` from
+    ``(2 n_steps + 1) * 8``-byte table, filled ``TORUS_CHUNK`` points at a
+    time), and each path moves ``j`` from
     ``n_steps`` by lazy +-1 steps and adds ``table[j]`` per step.
     """
     _check_steps(n_steps)
@@ -142,13 +170,7 @@ def torus_paths(alpha, lazy, omegas, ccos, csin, x0, n_steps, keys,
         raise ValueError(f"n_steps: a table of 2 * {n_steps} + 1 values is too large")
     if not 0.0 <= lazy < 1.0:
         raise ValueError(f"lazy {lazy!r} outside [0, 1)")
-    x = x0 + np.arange(-n_steps, n_steps + 1) * alpha     # x[j]: lattice point j
-    x -= np.floor(x)
-    table = np.zeros_like(x)
-    for om, cc, cs in zip(omegas.tolist(), ccos.tolist(), csin.tolist()):
-        phase = (x * om).tolist()
-        table += (cc * np.array(list(map(math.cos, phase)))
-                  + cs * np.array(list(map(math.sin, phase))))
+    table = _torus_table(alpha, omegas, ccos, csin, x0, n_steps)
     npaths = keys.shape[0]
     ctr = keys.astype(np.uint64)                 # a copy: the streams advance in place
     z, zt = np.empty_like(ctr), np.empty_like(ctr)
@@ -167,7 +189,7 @@ def torus_paths(alpha, lazy, omegas, ccos, csin, x0, n_steps, keys,
         j -= ge
         s += table.take(j, out=vals)
     out_s[:] = s
-    out_x[:] = x[j]
+    out_x[:] = _lattice_points(x0, alpha, j - n_steps)
 
 
 def dyadic_level(width: int) -> int:

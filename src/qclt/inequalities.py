@@ -10,6 +10,7 @@ slack.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -114,6 +115,14 @@ def chaining_maximal_check(family: DyadicFamily) -> ChainingCheck:
     return chaining_verdict(sup, acc, family.probs)
 
 
+@functools.lru_cache(maxsize=8)
+def _uniform_weights(rows: int) -> np.ndarray:
+    # the weights of a sampled family's rows, built once per row count
+    weights = np.full(rows, 1.0 / rows)
+    weights.flags.writeable = False
+    return weights
+
+
 def chaining_verdict(sup, acc, probs=None) -> ChainingCheck:
     """The chaining check from a family's per-row ``sup`` and per-scale
     ``acc`` (see :func:`qclt.kernels.dyadic_moments`): rows weigh ``probs``
@@ -121,7 +130,7 @@ def chaining_verdict(sup, acc, probs=None) -> ChainingCheck:
     a 3-standard-error slack)."""
     rows = sup.shape[0]
     sampled = probs is None
-    weights = np.full(rows, 1.0 / rows) if sampled else probs
+    weights = _uniform_weights(rows) if sampled else probs
     sup_sq = sup * sup
     # one reduction for both sides, so the d = 0 equality lhs == rhs is exact
     lhs = math.sqrt(float(sup_sq @ weights))
@@ -129,7 +138,10 @@ def chaining_verdict(sup, acc, probs=None) -> ChainingCheck:
     for scale in acc:
         rhs += math.sqrt(float(scale @ weights))
     if sampled:
-        se_msq = float(np.std(sup_sq)) / math.sqrt(rows)
+        # np.std(sup_sq), step for step as numpy takes it, without its dispatch
+        dev = sup_sq - np.add.reduce(sup_sq) / rows
+        np.square(dev, out=dev)
+        se_msq = math.sqrt(float(np.add.reduce(dev)) / rows) / math.sqrt(rows)
         slack = 3.0 * se_msq / (2.0 * lhs) if lhs > 0 else 0.0
     else:
         slack = EXACT_SLACK

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import FiniteChain, Observable, kernel_powers
+from .chain import FiniteChain, Observable
 from .errors import (
     BadIndexOrder,
     DivergentIntegral,
@@ -270,19 +270,47 @@ def kernel_gap_msq_spectral_table(measure: SpectralMeasure, n_max: int) -> np.nd
 def variance_growth(chain: FiniteChain, f: Observable, n: int) -> float:
     """Exact ``var(S_n)/n`` for the stationary partial sum of ``f``.
 
-    Computed as ``(1/n) [n <f,f> + 2 sum_{k=1}^{n-1} (n-k) <f, Q^k f>]``
-    from the ``n x S`` rows of :func:`qclt.chain.kernel_powers`, adding the
-    terms in increasing ``k``; no simulation involved.
+    This is ``(1/n) [n <f,f> + 2 sum_{k=1}^{n-1} (n-k) <f, Q^k f>]``; no
+    simulation is involved.  The sum is taken over the deflated kernel
+    ``P = Q - 1 pi^T``, whose powers ``P^k = Q^k - 1 pi^T`` (``k >= 1``) give
+    the same overlaps on a mean-zero ``f`` and leave out the unit eigenvalue.
+    With ``a_m = sum_{k=1}^m P^k f`` and ``b_m = sum_{k=1}^m (m-k+1) P^k f``
+    the horizon doubles by binary powering,
+
+        a_{2m} = a_m + P^m a_m,
+        b_{2m} = b_m + m a_m + P^m b_m,
+        P^{2m} = (P^m)^2,
+
+    and each set bit of ``n - 1`` below the leading one adds one step,
+    ``a_{m+1} = P (f + a_m)``, ``b_{m+1} = b_m + a_{m+1}``,
+    ``P^{m+1} = P^m P``.  Then ``sum_{k=1}^{n-1} (n-k) P^k f = b_{n-1}``,
+    in at most ``4 log2 n`` products of ``S``-sized arrays.  The powers of
+    ``P`` decay as ``rho^k``, ``rho`` the largest eigenvalue modulus below
+    1, so the entries of ``b`` stay ``O(n / (1 - rho))`` rather than the
+    ``O(n^2)`` that the undeflated unit eigenvalue would add.
     """
     if n < 1:
         raise BadIndexOrder(f"need n >= 1, got n={n}")
-    terms = kernel_powers(chain, f.values, n - 1)[1:]
-    terms *= chain.stationary * f.values    # pi * f * Q^k f rounds as (pi * f) * Q^k f
-    overlaps = np.add.reduce(terms, axis=1)
-    acc = float(n) * f.norm_sq
-    for k, overlap in enumerate(overlaps.tolist(), start=1):
-        acc += 2.0 * float(n - k) * overlap
-    return acc / float(n)
+    if n == 1:
+        return f.norm_sq
+    p = chain.kernel - chain.stationary[None, :]
+    fv = f.values
+    pf = p @ fv
+    ab = np.stack([pf, pf], axis=1)     # columns a_m, b_m, from m = 1
+    pm, m = p, 1
+    for bit in bin(n - 1)[3:]:
+        nxt = pm @ ab
+        ab[:, 1] += m * ab[:, 0]
+        ab += nxt
+        pm = pm @ pm
+        m *= 2
+        if bit == "1":
+            ab[:, 0] = p @ (fv + ab[:, 0])
+            ab[:, 1] += ab[:, 0]
+            pm = pm @ p
+            m += 1
+    overlap = float(np.dot(chain.stationary * fv, ab[:, 1]))
+    return (float(n) * f.norm_sq + 2.0 * overlap) / float(n)
 
 
 def variance_tail_constant(measure: SpectralMeasure) -> float:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import kernels, rng
 from .chain import FiniteChain, center_observable, make_chain
 from .errors import CondViolated
 from .group_walk import (
@@ -130,24 +130,53 @@ class RandomFamily:
         return chaining_verdict(sup, acc)
 
 
-def random_dyadic_family(seed: int, index: int) -> RandomFamily:
-    """Family ``index`` under ``seed``: a varied zoo of L2 sequences (iid
-    and +-1 walks, AR(1), a shared factor times a profile, and drifting
+# a family's draws: law, d, scale, a, drift, up to 2^CHAINING_MAX_D + 1
+# profile entries, then row_seed right after the profile
+_FAMILY_DRAWS = 5 + (2 ** CHAINING_MAX_D + 1) + 1
+
+
+def _integer_thresholds(count: int) -> np.ndarray:
+    # z >= ceil(k 2^64 / count) exactly when (count z) >> 64 >= k, so the
+    # number of these thresholds at or below z is that high word
+    return np.array([-(-(k << 64) // count) for k in range(1, count)], dtype=np.uint64)
+
+
+def random_dyadic_families(seed: int, indices) -> list[RandomFamily]:
+    """Families ``indices`` under ``seed``: a varied zoo of L2 sequences
+    (iid and +-1 walks, AR(1), a shared factor times a profile, and drifting
     sums, which are not martingales); the chaining bound holds for all.
 
-    Its law, ``d`` in ``1..CHAINING_MAX_D`` and parameters are the draws of
-    :class:`qclt.rng.Stream` ``(seed, index)``, in that order: the law, ``d``,
-    ``scale`` in [0.2, 2), ``a`` in [-0.9, 0.9), ``drift`` in [0, 2/3), the
-    factor law's ``2^d + 1`` profile entries in [-1, 1), and ``row_seed``.
+    Family ``i`` takes its law, ``d`` in ``1..CHAINING_MAX_D`` and
+    parameters from the draws of counter stream ``i`` under ``seed`` (see
+    :mod:`qclt.rng`), in that order: the law, ``d``, ``scale`` in [0.2, 2),
+    ``a`` in [-0.9, 0.9), ``drift`` in [0, 2/3), the factor law's
+    ``2^d + 1`` profile entries in [-1, 1), and ``row_seed``.  An integer in
+    ``[0, count)`` is the high word of ``count`` times its draw and a value
+    in ``[lo, hi)`` is ``lo + (hi - lo) u``, as :class:`qclt.rng.Stream`
+    draws them.  Every family's draws are made in one numpy pass.
     """
-    draw = Stream(seed, index)
-    law = draw.integer(0, kernels.LAW_COUNT)
-    d = draw.integer(1, CHAINING_MAX_D + 1)
-    scale = draw.uniform(0.2, 2.0)
-    a = draw.uniform(-0.9, 0.9)
-    drift = draw.uniform(0.0, 2.0 / 3.0)
-    profile = draw.uniforms(-1.0, 1.0, 2 ** d + 1 if law == kernels.LAW_FACTOR else 0)
-    return RandomFamily(law, d, scale, a, drift, profile, draw.bits())
+    idx = np.asarray(indices, dtype=np.int64).reshape(-1)
+    if idx.size == 0:
+        return []
+    keys = rng.stream_keys(seed, int(idx.max()) + 1)[idx]
+    # draw j of a stream is mix64(key + (j + 1) GOLDEN), wrapping in uint64 arrays
+    z = keys[:, None] + np.arange(1, _FAMILY_DRAWS + 1, dtype=np.uint64) * np.uint64(rng.GOLDEN)
+    rng.mix64_into(z, np.empty_like(z))
+    u = (z >> np.uint64(11)) * rng.TWO_NEG53
+
+    def uniform(col, lo, hi):
+        return lo + (hi - lo) * u[:, col]
+
+    laws = np.searchsorted(_integer_thresholds(kernels.LAW_COUNT), z[:, 0], side="right")
+    ds = 1 + np.searchsorted(_integer_thresholds(CHAINING_MAX_D), z[:, 1], side="right")
+    columns = (uniform(2, 0.2, 2.0), uniform(3, -0.9, 0.9), uniform(4, 0.0, 2.0 / 3.0))
+    profiles = uniform(slice(5, None), -1.0, 1.0)
+    widths = np.where(laws == kernels.LAW_FACTOR, 2 ** ds + 1, 0)
+    row_seeds = z[np.arange(idx.size), 5 + widths]
+    return [RandomFamily(law, d, scale, a, drift, profiles[i, :width].copy(), row_seed)
+            for i, (law, d, scale, a, drift, width, row_seed) in enumerate(zip(
+                laws.tolist(), ds.tolist(), *(c.tolist() for c in columns),
+                widths.tolist(), row_seeds.tolist()))]
 
 
 def check_chaining_deterministic() -> CheckResult:
@@ -163,8 +192,8 @@ def check_chaining_deterministic() -> CheckResult:
 def check_chaining_randomized(families: int, paths: int, seed: int = 2024) -> CheckResult:
     violations = 0
     worst = math.inf
-    for index in range(families):
-        res = random_dyadic_family(seed, index).check(paths)
+    for family in random_dyadic_families(seed, range(families)):
+        res = family.check(paths)
         worst = min(worst, res.rhs + res.slack - res.lhs)
         violations += 0 if res.ok else 1
     return CheckResult(f"chaining over {families} random families",

@@ -29,7 +29,8 @@ The tests check the library against these slower, simpler forms:
   :func:`qclt.martingale.quenched_diagnostics`;
 * the scalar stream and the per-step path replay by ``searchsorted`` that
   the batch path kernels are checked against;
-* the ``variance_growth`` loop that formed ``pi * f * Q^k f`` per step;
+* the ``variance_growth`` loop that formed ``pi * f * Q^k f`` per step,
+  before binary powering;
 * the writers that pretty-printed a chain document with ``indent=2`` and
   wrote a simulation dump one row at a time.
 """

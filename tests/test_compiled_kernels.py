@@ -238,12 +238,18 @@ def test_torus_rejects_bad_buffers(compiled_kernels):
                                      keys, out_s, out_x)
 
 
-@pytest.mark.parametrize("n", [0, 1, 17, 10_000])
+# counts at and around the edges of the 8-key zmm lanes
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 17, 31, 32, 33, 10_000])
 @pytest.mark.parametrize("seed", [0, 1, 2 ** 63, 2 ** 64 - 1])
-def test_stream_key_fill_matches_rng(compiled_backend, monkeypatch, seed, n):
+def test_stream_key_fill_matches_rng(compiled_backend, kernel_modules, monkeypatch, seed, n):
     want = stream_keys(seed, n)
     keys = kernels.stream_keys(seed, n)
     assert keys.dtype == np.uint64 and keys.tobytes() == want.tobytes()
+    # both builds, so an AVX-512 host checks the key fill's two lane sets
+    for name in ("compiled", "compiled-scalar"):
+        out = np.zeros(n, dtype=np.uint64)
+        kernel_modules[name].stream_keys(mix64(seed + GOLDEN), out)
+        assert out.tobytes() == want.tobytes(), name
     monkeypatch.setattr(kernels, "_compiled", None)    # the numpy fallback
     assert kernels.stream_keys(seed, n).tobytes() == want.tobytes()
 

@@ -214,8 +214,7 @@ def test_scalar_drawn_pass_matches_the_picked_one_on_verify_families(compiled_ke
                                                                     compiled_scalar_kernels):
     # the first 100 of verify's families at its 10^4 paths, byte for byte
     # (on a CPU without AVX-512F/DQ both builds run the scalar pass)
-    for index in range(100):
-        fam = verify.random_dyadic_family(2024, index)
+    for index, fam in enumerate(verify.random_dyadic_families(2024, range(100))):
         keys = stream_keys(fam.row_seed, 10_000)
         outs = []
         for drawn_pass in (compiled_kernels.drawn_dyadic_moments,

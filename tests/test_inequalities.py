@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from qclt.inequalities import (
 from qclt.kernels import LAW_COUNT, LAW_FACTOR
 from qclt.rng import stream_keys
 from qclt.spectral import SpectralMeasure, spectral_measure
-from qclt.verify import check_chaining_randomized, random_dyadic_family
+from qclt.verify import CHAINING_MAX_D, check_chaining_randomized, random_dyadic_families
 from tests import oracles
 from tests.conftest import sign_of
 from tests.test_chain import random_reversible
@@ -67,8 +68,8 @@ def test_chaining_random_walk_margin():
 
 
 def test_chaining_random_families_never_violate():
-    for index in range(60):
-        assert random_dyadic_family(77, index).check(2000).ok
+    for fam in random_dyadic_families(77, range(60)):
+        assert fam.check(2000).ok
 
 
 # -- the whole-array chaining check and AR(1) generator against their
@@ -123,14 +124,13 @@ def test_chaining_matches_reference_on_sampled_families():
     # d = 0..5, so a sixth of the families are at d = 0, where the sampled
     # verdict has one scale and lhs == rhs exactly; every law also at d = 0
     d_zero_laws = set()
-    for index in range(40):
-        fam = random_dyadic_family(2024, index)
+    for index, fam in enumerate(random_dyadic_families(2024, range(40))):
         d = index % 6
         if d == 0:
             d_zero_laws.add(fam.law)
         _assert_matches_reference(_oracle_family(fam, 1 + index * 13, d))
     for law in sorted(set(range(LAW_COUNT)) - d_zero_laws):
-        fam = dataclasses.replace(random_dyadic_family(2024, law), law=law)
+        fam = dataclasses.replace(random_dyadic_families(2024, [law])[0], law=law)
         _assert_matches_reference(_oracle_family(fam, 257, 0))
 
 
@@ -150,14 +150,17 @@ def test_chaining_matches_reference_on_deterministic_cases():
         _assert_matches_reference(DyadicFamily.deterministic(seq))
 
 
+def _family_params(fam):
+    return {**dataclasses.asdict(fam), "profile": fam.profile.tolist()}
+
+
 def test_random_dyadic_family_bit_identical_to_reference(kernel_modules, monkeypatch):
     # the law and parameters from Python-int draws, and each family's check
     # on every backend against the check of its oracle table, bit for bit
     laws = set()
-    for index in range(50):
-        fam = random_dyadic_family(2024, index)
+    for index, fam in enumerate(random_dyadic_families(2024, range(50))):
         want = oracles.random_family_params(2024, index)
-        assert want == {**dataclasses.asdict(fam), "profile": fam.profile.tolist()}
+        assert want == _family_params(fam)
         assert fam.profile.dtype == np.float64
         laws.add(fam.law)
         table = _oracle_family(fam, 257).table
@@ -166,6 +169,41 @@ def test_random_dyadic_family_bit_identical_to_reference(kernel_modules, monkeyp
             res = fam.check(257)
             assert (res.lhs, res.rhs, res.slack, res.ok) == oracles.chaining_check_einsum(table)
     assert laws == set(range(LAW_COUNT))
+
+
+@pytest.mark.parametrize("seed, count", [(2024, 1000), (77, 200), (909, 200)])
+def test_random_dyadic_families_equal_the_python_int_draws(seed, count):
+    # verify's one-pass drawer against each family's Python-int draws: every
+    # law and every d turn up, and each profile is float64
+    families = random_dyadic_families(seed, range(count))
+    assert len(families) == count
+    for index, fam in enumerate(families):
+        assert _family_params(fam) == oracles.random_family_params(seed, index), index
+        assert fam.profile.dtype == np.float64
+    assert {fam.law for fam in families} == set(range(LAW_COUNT))
+    assert {fam.d for fam in families} == set(range(1, CHAINING_MAX_D + 1))
+
+
+def test_random_dyadic_families_of_none_and_one():
+    assert random_dyadic_families(2024, []) == []
+    assert random_dyadic_families(2024, range(0)) == []
+    for index in (0, 1, 999):
+        (fam,) = random_dyadic_families(2024, [index])
+        assert _family_params(fam) == oracles.random_family_params(2024, index)
+    # a family does not depend on which others are drawn beside it
+    picked = random_dyadic_families(2024, [7, 3])
+    assert [_family_params(f) for f in picked] == [
+        oracles.random_family_params(2024, i) for i in (7, 3)]
+
+
+def test_random_dyadic_families_raise_no_warning():
+    # the counters wrap mod 2^64; a numpy scalar overflow would warn, and a
+    # warning on stderr breaks the CLI's one-error-line contract
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in (0, 2024, 2 ** 64 - 1):
+            random_dyadic_families(seed, range(1000))
+        assert check_chaining_randomized(20, 100).ok
 
 
 def _drawn(impl, law, d, keys):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qclt
+from qclt import verify
 from qclt.chain import as_observable, center_observable, make_chain
 from qclt.cli import main
 from qclt.errors import (
@@ -377,9 +378,38 @@ def test_variance_growth_equals_the_loop_oracle(two_state, iid, flip, sign):
     for size in (3, 5, 9, 14):
         chain = random_reversible(rng, size)
         cases.append((chain, center_observable(chain, rng.normal(size=size))))
+    # binary powering sums in another order than the loop: they agree to
+    # roundoff, not bit for bit.  n - 1 = 1022, 1023 and 1024 in binary are
+    # nine ones and a zero, ten ones, and a one and ten zeros, so each branch
+    # of the doubling runs alone and mixed; 2^14 is verify's horizon
     for chain, f in cases:
-        for n in (1, 2, 17, 300):
-            assert variance_growth(chain, f, n) == variance_growth_loop(chain, f, n)
+        for n in (1, 2, 3, 17, 300, 1023, 1024, 1025, 2 ** 14):
+            got, want = variance_growth(chain, f, n), variance_growth_loop(chain, f, n)
+            assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (n, got, want)
+
+
+def _growth_without_the_m_a_term(chain, f, n):
+    # variance_growth's doubling with b_{2m} = b_m + P^m b_m, the m a_m term
+    # dropped: a wrong sum for every n > 2
+    p = chain.kernel - chain.stationary[None, :]
+    pf = p @ f.values
+    a, b, pm = pf, pf, p
+    for bit in bin(n - 1)[3:]:
+        a, b, pm = a + pm @ a, b + pm @ b, pm @ pm
+        if bit == "1":
+            a = p @ (f.values + a)
+            b, pm = b + a, pm @ p
+    return (n * f.norm_sq + 2.0 * float(np.dot(chain.stationary * f.values, b))) / n
+
+
+@pytest.mark.parametrize("mutant", [
+    _growth_without_the_m_a_term,
+    lambda chain, f, n: variance_growth(chain, f, n) + 1e-3,
+], ids=["m-a-term-dropped", "offset-1e-3"])
+def test_sigma_triangulation_fails_on_a_wrong_variance_growth(monkeypatch, mutant):
+    assert verify.check_sigma_triangulation(2 ** 14).ok
+    monkeypatch.setattr(verify, "variance_growth", mutant)
+    assert not verify.check_sigma_triangulation(2 ** 14).ok
 
 
 def test_variance_growth_tail_bound(two_state, sign):

@@ -10,10 +10,12 @@ and the sums to the accumulated roundoff of the old position.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qclt import _kernels_py
 from qclt.group_walk import GOLDEN_ALPHA
 from qclt.rng import stream_keys
 from tests.oracles import torus_paths_accumulating
@@ -78,3 +80,29 @@ def test_lane_edges_bitwise_identical_to_numpy(compiled_backend, lazy, workers):
                 got = compiled_backend.run_torus_paths(*args, workers=workers, backend=backend)
                 for a, b in zip(ref, got):
                     assert np.array_equal(a, b), (backend, n_steps, num_paths)
+
+
+
+
+def test_fallback_table_peak_under_16_bytes_an_entry(compiled_kernels):
+    # n = 2^16 steps: a table of 2^17 + 1 entries, which the fallback fills
+    # in chunks, so its peak stays under 16 bytes an entry (the C table
+    # takes 8); the walk over it is the C kernel's, bit for bit.  Only the
+    # fill is traced: tracing slows the 2^16-step numpy walk fivefold
+    n_steps, paths = 2 ** 16, 8
+    omegas, ccos, csin = (np.array(v, dtype=np.float64) for v in OBSERVABLES["one harmonic"])
+    tracemalloc.start()
+    try:
+        _kernels_py._torus_table(GOLDEN_ALPHA, omegas, ccos, csin, 0.3125, n_steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * (2 * n_steps + 1), peak
+    keys = stream_keys(23, paths)
+    outs = []
+    for impl in (_kernels_py, compiled_kernels):
+        out_s, out_x = np.empty(paths), np.empty(paths)
+        impl.torus_paths(GOLDEN_ALPHA, 0.25, omegas, ccos, csin, 0.3125, n_steps, keys,
+                         out_s, out_x)
+        outs.append(out_s.tobytes() + out_x.tobytes())
+    assert outs[0] == outs[1]
