@@ -18,7 +18,9 @@ has no C twin, so it serves the compiled backend too.
 from counter streams by the laws that the ``_kernels.c`` header defines: it
 draws each block's values through :func:`_uniforms_into`, a few columns at
 a time, with the C draws' operations in their order, and reduces the block
-as :func:`dyadic_moments` does, so no table of the family exists.
+as :func:`dyadic_moments` does, so no table of the family exists.  It
+returns the family's moment sums, added in the C pass's lane order (see
+:func:`moment_sums`), not its per-row sums.
 """
 
 from __future__ import annotations
@@ -42,6 +44,12 @@ BLOCK_ITEMS = 1 << 15
 # drawn_dyadic_moments draws about DRAW_ITEMS values per pass (at least one
 # column of a block), so its draw buffers stay small beside the block
 DRAW_ITEMS = 1 << 12
+
+# the compiled drawn pass holds min(SUM_LANES, SUM_LANE_ITEMS // width) rows
+# to a block, at least one, and adds row i into lane i mod that count of
+# each moment sum; the sums here take the same lanes
+SUM_LANES = 32
+SUM_LANE_ITEMS = 4096
 
 # the drawn families' law ids; the _kernels.c header defines the laws
 LAW_BELL, LAW_SIGN, LAW_AR, LAW_FACTOR, LAW_DRIFT = range(5)
@@ -232,13 +240,13 @@ def _moments_block(cols, ar, sup, acc) -> None:
             acc_r += row
 
 
-def _check_outputs(rows: int, d: int, out_sup, out_acc) -> None:
+def _check_outputs(rows: int, acc_items: int, out_sup, out_acc) -> None:
     _check_float_array(out_sup, "out_sup", writable=True)
     _check_float_array(out_acc, "out_acc", writable=True)
     if out_sup.size != rows:
         raise ValueError(f"out_sup: need {rows} items, got {out_sup.size}")
-    if out_acc.size != (d + 1) * rows:
-        raise ValueError(f"out_acc: need {(d + 1) * rows} items, got {out_acc.size}")
+    if out_acc.size != acc_items:
+        raise ValueError(f"out_acc: need {acc_items} items, got {out_acc.size}")
 
 
 def dyadic_moments(table, out_sup, out_acc) -> None:
@@ -254,13 +262,75 @@ def dyadic_moments(table, out_sup, out_acc) -> None:
         raise ValueError(f"table: need 2 dimensions, got {table.ndim}")
     rows, width = table.shape
     d = dyadic_level(width)
-    _check_outputs(rows, d, out_sup, out_acc)
+    _check_outputs(rows, (d + 1) * rows, out_sup, out_acc)
     sup, acc = out_sup.reshape(rows), out_acc.reshape(d + 1, rows)
     per_block = max(ROW_BLOCK, BLOCK_ITEMS // width)
     for i0 in range(0, rows, per_block):
         block = slice(i0, i0 + per_block)
         cols = np.array(table[block].T, order="C")    # a copy; cols[k] is T_k of every row
         _moments_block(cols, None, sup[block], acc[:, block])
+
+
+def sum_lanes(width: int) -> int:
+    """The lanes of the moment sums of a family ``width`` values wide: the
+    rows of a compiled drawn pass's block, ``min(32, 4096 // width)`` and at
+    least 1."""
+    return min(SUM_LANES, max(1, SUM_LANE_ITEMS // width))
+
+
+def _add_to_lanes(lanes, terms, i0: int) -> None:
+    # add terms[:, j], the terms of row i0 + j, into lanes[:, (i0 + j) % nb]
+    # in increasing row order, as the C pass adds its blocks into its lanes.
+    # The lanes and the zero-padded terms are laid out as 1 + blocks rows of
+    # nb and added down the rows (+0.0 added to a sum of squares changes no
+    # bit).  np.add.reduce adds down the rows in sequence while nb > 1; with
+    # one lane the terms are contiguous and it would add them pairwise, so
+    # np.add.accumulate, which adds in sequence by definition, takes them
+    k, nb = lanes.shape
+    n = terms.shape[1]
+    off = i0 % nb
+    blocks = -(-(off + n) // nb)
+    buf = np.zeros((k, (1 + blocks) * nb))
+    buf[:, :nb] = lanes
+    buf[:, nb + off:nb + off + n] = terms
+    rows = buf.reshape(k, 1 + blocks, nb)
+    lanes[:] = np.add.reduce(rows, axis=1) if nb > 1 else np.add.accumulate(rows, axis=1)[:, -1]
+
+
+def _lane_total(lanes) -> float:
+    # a sum's lanes added in order from 0.0, as the C pass adds them
+    total = 0.0
+    for lane in lanes.tolist():
+        total += lane
+    return total
+
+
+def _finish_sums(sup, lanes, per_block: int) -> list:
+    # lanes holds the d + 3 sums' lanes, all but the last one filled: add
+    # (sup^2 - mean)^2 into the last, per_block rows at a time, and return
+    # every sum
+    rows = sup.shape[0]
+    mean = _lane_total(lanes[-2]) / rows if rows else 0.0
+    for i0 in range(0, rows, per_block):
+        dev = np.multiply(sup[i0:i0 + per_block], sup[i0:i0 + per_block])
+        dev -= mean
+        np.multiply(dev, dev, out=dev)
+        _add_to_lanes(lanes[-1:], dev[None, :], i0)
+    return [_lane_total(row) for row in lanes]
+
+
+def moment_sums(sup, acc) -> list:
+    """The ``d + 3`` moment sums of a family from its per-row ``sup`` and
+    ``acc`` (see :func:`dyadic_moments`), as the drawn pass takes them: each
+    scale's ``sum_i acc[r, i]``, then ``sum_i sup_i^2`` and
+    ``sum_i (sup_i^2 - mean)^2`` with ``mean`` the second sum over the rows.
+    Row ``i`` adds into lane ``i mod`` :func:`sum_lanes` of each sum, and
+    the lanes are then added in order, so a table of a drawn family gets
+    the drawn pass's sums bit for bit."""
+    d = acc.shape[0] - 1
+    lanes = np.zeros((d + 3, sum_lanes(2 ** d + 1)))
+    _add_to_lanes(lanes[:-1], np.vstack([acc, sup * sup]), 0)
+    return _finish_sums(sup, lanes, max(sup.shape[0], 1))
 
 
 def _check_spec(law, d, scale, a, drift, profile) -> tuple:
@@ -285,20 +355,23 @@ def _check_spec(law, d, scale, a, drift, profile) -> tuple:
 
 
 def drawn_dyadic_moments(law, d, scale, a, drift, profile, keys, out_sup, out_acc) -> None:
-    """:func:`dyadic_moments` of a family whose rows are drawn here, one
-    counter stream per row from ``keys``, by the laws that the ``_kernels.c``
-    header defines; no table of the family exists.
+    """The per-row sups and the :func:`moment_sums` of a family whose rows
+    are drawn here, one counter stream per row from ``keys``, by the laws
+    that the ``_kernels.c`` header defines; no table of the family exists.
+    Writes the sups to ``out_sup`` and the ``d + 3`` sums to ``out_acc``.
 
-    Rows are reduced in the blocks of :func:`dyadic_moments`.  A block's
-    values are drawn a few columns at a time: one counter per draw of each
-    row, all advanced together through :func:`_uniforms_into`.
+    Rows are reduced in the blocks of :func:`dyadic_moments`, each block's
+    terms added into the sums' lanes before the next block is drawn.  A
+    block's values are drawn a few columns at a time: one counter per draw
+    of each row, all advanced together through :func:`_uniforms_into`.
     """
     law, d = _check_spec(law, d, scale, a, drift, profile)
     if not isinstance(keys, np.ndarray) or keys.dtype != np.uint64 or keys.ndim != 1:
         raise ValueError("keys: need a 1-d uint64 array")
     rows, width = keys.shape[0], 2 ** d + 1
-    _check_outputs(rows, d, out_sup, out_acc)
-    sup, acc = out_sup.reshape(rows), out_acc.reshape(d + 1, rows)
+    _check_outputs(rows, d + 3, out_sup, out_acc)
+    sup = out_sup.reshape(rows)
+    lanes = np.zeros((d + 3, sum_lanes(width)))
     per_value = 2 if law == LAW_BELL else 1
     lead = 2 if law == LAW_FACTOR else 0             # a row's factor takes its first draws
     per_block = max(ROW_BLOCK, BLOCK_ITEMS // width)
@@ -309,6 +382,7 @@ def drawn_dyadic_moments(law, d, scale, a, drift, profile, keys, out_sup, out_ac
     draw_rows = max(lead, per_value * min(span, width))
     ctr_buf, zt_buf = (np.empty((draw_rows, n_max), dtype=np.uint64) for _ in range(2))
     u_buf, cols_buf = np.empty((draw_rows, n_max)), np.empty((width, n_max))
+    terms_buf = np.empty((d + 2, n_max))            # a block's acc rows, then its sup^2
     # the recursion that builds T from the drawn values: the walks' partial
     # sums, the AR(1) coefficient, or none for the factor law
     ar = a if law == LAW_AR else None if law == LAW_FACTOR else 1.0
@@ -350,4 +424,8 @@ def drawn_dyadic_moments(law, d, scale, a, drift, profile, keys, out_sup, out_ac
                 out *= 0.1 if law == LAW_FACTOR else scale
             if law == LAW_FACTOR:                    # F profile[k] + 0.1 (2u - 1)
                 out += np.multiply.outer(profile[c0:c1], factor, out=u)
-        _moments_block(cols, ar, sup[block], acc[:, block])
+        terms = terms_buf[:, :block_keys.shape[0]]
+        _moments_block(cols, ar, sup[block], terms[:-1])
+        np.multiply(sup[block], sup[block], out=terms[-1])
+        _add_to_lanes(lanes[:-1], terms, i0)
+    out_acc.reshape(d + 3)[:] = _finish_sums(sup, lanes, per_block)

@@ -395,15 +395,21 @@ def pair_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., None, :] - b[..., :, None]
 
 
-def kernel_powers(chain: FiniteChain, v: np.ndarray, n: int) -> np.ndarray:
-    """Rows ``Q^k v`` for ``k = 0..n``, stacked into shape ``(n + 1, S)``;
-    row ``k`` is ``chain.kernel @ row[k - 1]``, written in place."""
-    q = chain.kernel
+def _power_rows(chain: FiniteChain, v: np.ndarray, n: int) -> np.ndarray:
+    # an (n + 1, S) table with row 0 set to v, or QcltError where none fits
     try:
         rows = np.empty((n + 1, chain.n_states))
     except (MemoryError, ValueError):     # ValueError: more items than numpy can index
         raise QcltError(f"horizon {n}: no room for {n + 1} x {chain.n_states} values") from None
     rows[0] = v
+    return rows
+
+
+def kernel_powers(chain: FiniteChain, v: np.ndarray, n: int) -> np.ndarray:
+    """Rows ``Q^k v`` for ``k = 0..n``, stacked into shape ``(n + 1, S)``;
+    row ``k`` is ``chain.kernel @ row[k - 1]``, written in place."""
+    q = chain.kernel
+    rows = _power_rows(chain, v, n)
     for k in range(1, n + 1):
         np.dot(q, rows[k - 1], out=rows[k])
     return rows
@@ -412,8 +418,27 @@ def kernel_powers(chain: FiniteChain, v: np.ndarray, n: int) -> np.ndarray:
 def partial_sums(chain: FiniteChain, v: np.ndarray, n: int):
     """Partial Poisson sums ``(V, QV)`` of shape ``(n, S)``: row ``k - 1``
     holds ``V_k v = v + ... + Q^{k-1} v`` and ``Q V_k v = Qv + ... + Q^k v``,
-    prefix sums of :func:`kernel_powers` added in sequence."""
-    powers = kernel_powers(chain, v, n)
+    prefix sums of the powers ``Q^k v``, ``k = 0..n``, added in sequence.
+
+    Where ``S ceil(log2(n + 1)) <= n`` the powers come by binary powering,
+    ``Q^{m+j} v = Q^m Q^j v``: rows ``m .. 2m - 1`` are rows ``0 .. m - 1``
+    times ``(Q^m)^T`` and ``Q^{2m} = (Q^m)^2``, about ``log2 n`` matrix
+    products in place of ``n`` matrix-vector ones, at the last bits'
+    expense.  Elsewhere, a wide chain at a short horizon, the ``S^3`` cost
+    of the squarings is not won back, and the powers are those of
+    :func:`kernel_powers` bit for bit.
+    """
+    if chain.n_states * n.bit_length() > n:       # bit_length is ceil(log2(n + 1))
+        powers = kernel_powers(chain, v, n)
+    else:
+        powers = _power_rows(chain, v, n)
+        qm, m = chain.kernel, 1                   # rows 0 .. m - 1 are done
+        while m <= n:
+            count = min(m, n + 1 - m)
+            np.matmul(powers[:count], qm.T, out=powers[m:m + count])
+            m *= 2
+            if m <= n:
+                qm = qm @ qm
     return np.cumsum(powers[:-1], axis=0), np.cumsum(powers[1:], axis=0)
 
 

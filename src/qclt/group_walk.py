@@ -296,7 +296,11 @@ def nearest_integer_distance(ns, alpha: float) -> np.ndarray:
 def torus_multiplier_gap(walk: TorusWalk, ns) -> np.ndarray:
     """``1 - nuhat(n) = (1 - lazy) * 2 sin^2(pi n alpha)`` evaluated through
     the nearest-integer reduction of ``n alpha``."""
-    dist = nearest_integer_distance(ns, walk.alpha)
+    return _multiplier_gap_at(walk, nearest_integer_distance(ns, walk.alpha))
+
+
+def _multiplier_gap_at(walk: TorusWalk, dist) -> np.ndarray:
+    # torus_multiplier_gap from the nearest-integer distances `dist` of n alpha
     return (1.0 - walk.lazy) * 2.0 * np.sin(np.pi * dist) ** 2
 
 

@@ -10,14 +10,13 @@ slack.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from ._kernels_py import dyadic_level
+from ._kernels_py import dyadic_level, moment_sums
 from .chain import FiniteChain, Observable, pair_difference, pair_law, partial_sums
 from .errors import (
     BadIndexOrder,
@@ -109,42 +108,44 @@ def chaining_maximal_check(family: DyadicFamily) -> ChainingCheck:
     The right side sums, over dyadic scales ``r = 0..d``, the square roots
     of the summed second moments of the ``2^{d-r}`` increments at scale
     ``2^r``.  The inequality is unconditional for L2 variables; sampled
-    families get a 3-standard-error slack, exact families 1e-12.
+    families get a 3-standard-error slack, exact families 1e-12.  A sampled
+    family's sums are :func:`qclt._kernels_py.moment_sums`, so its table
+    gets the verdict of the same family drawn by
+    :func:`qclt.kernels.drawn_dyadic_moments` bit for bit.
     """
     sup, acc = kernels.dyadic_moments(family.table)
-    return chaining_verdict(sup, acc, family.probs)
+    if family.probs is None:
+        return chaining_verdict(moment_sums(sup, acc), sup.shape[0])
+    # one weighted sum for both sides, so the d = 0 equality lhs == rhs is exact
+    probs = family.probs
+    return chaining_verdict([float(scale @ probs) for scale in acc] + [float((sup * sup) @ probs)])
 
 
-@functools.lru_cache(maxsize=8)
-def _uniform_weights(rows: int) -> np.ndarray:
-    # the weights of a sampled family's rows, built once per row count
-    weights = np.full(rows, 1.0 / rows)
-    weights.flags.writeable = False
-    return weights
+def chaining_verdict(sums, rows: int | None = None) -> ChainingCheck:
+    """The chaining check from a family's moment sums.
 
-
-def chaining_verdict(sup, acc, probs=None) -> ChainingCheck:
-    """The chaining check from a family's per-row ``sup`` and per-scale
-    ``acc`` (see :func:`qclt.kernels.dyadic_moments`): rows weigh ``probs``
-    (an exact family, slack 1e-12) or ``1/rows`` each (a sampled one, with
-    a 3-standard-error slack)."""
-    rows = sup.shape[0]
-    sampled = probs is None
-    weights = _uniform_weights(rows) if sampled else probs
-    sup_sq = sup * sup
-    # one reduction for both sides, so the d = 0 equality lhs == rhs is exact
-    lhs = math.sqrt(float(sup_sq @ weights))
-    rhs = 0.0
-    for scale in acc:
-        rhs += math.sqrt(float(scale @ weights))
-    if sampled:
-        # np.std(sup_sq), step for step as numpy takes it, without its dispatch
-        dev = sup_sq - np.add.reduce(sup_sq) / rows
-        np.square(dev, out=dev)
-        se_msq = math.sqrt(float(np.add.reduce(dev)) / rows) / math.sqrt(rows)
-        slack = 3.0 * se_msq / (2.0 * lhs) if lhs > 0 else 0.0
+    ``sums`` holds, for each scale ``r = 0..d``, the sum over rows of the
+    squared increments at scale ``2^r``, then the sum of the squared sups
+    ``max_k |T_k - T_0|^2``.  A sampled family gives its ``rows``, which
+    weigh ``1/rows`` each, and one more sum, of ``(sup^2 - mean)^2``, for
+    its 3-standard-error slack: the ``d + 3`` sums of
+    :func:`qclt.kernels.drawn_dyadic_moments`.  An exact family's sums are
+    weighted by its atom probabilities, and its slack is 1e-12.
+    """
+    if rows is None:
+        *scales, sup_msq = sums
     else:
+        *scales, sup_msq, dev_msq = (s / rows for s in sums)
+    lhs = math.sqrt(sup_msq)
+    rhs = 0.0
+    for scale in scales:
+        rhs += math.sqrt(scale)
+    if rows is None:
         slack = EXACT_SLACK
+    else:
+        # np.std(sup^2) / sqrt(rows), the standard error of the mean square
+        se_msq = math.sqrt(dev_msq) / math.sqrt(rows)
+        slack = 3.0 * se_msq / (2.0 * lhs) if lhs > 0 else 0.0
     return ChainingCheck(lhs=lhs, rhs=rhs, slack=slack)
 
 

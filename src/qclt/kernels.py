@@ -124,12 +124,15 @@ def dyadic_moments(table):
 
 
 def drawn_dyadic_moments(law, d, scale, a, drift, profile, keys):
-    """:func:`dyadic_moments` of a family drawn inside the kernel, one row per
-    stream of the uint64 ``keys``, by ``law`` (one of the ``LAW_*`` ids,
-    ``0 <= law < LAW_COUNT``) with its parameters; see
-    ``_kernels_py.drawn_dyadic_moments``.  ``profile`` is float64."""
-    rows = keys.shape[0]
-    out_sup = np.empty(rows)
-    out_acc = np.empty((d + 1, rows))
-    _impl.drawn_dyadic_moments(law, d, scale, a, drift, profile, keys, out_sup, out_acc)
-    return out_sup, out_acc
+    """Per-row sup and moment sums of a family drawn inside the kernel, one
+    row per stream of the uint64 ``keys``, by ``law`` (one of the ``LAW_*``
+    ids, ``0 <= law < LAW_COUNT``) with its parameters; see
+    ``_kernels_py.drawn_dyadic_moments``.  ``profile`` is float64.
+
+    Returns ``(sup, sums)``: ``sup`` as :func:`dyadic_moments` gives it, and
+    ``sums`` the ``d + 3`` sums of ``_kernels_py.moment_sums``, the same
+    bits on every backend."""
+    out_sup = np.empty(keys.shape[0])
+    out_sums = np.empty(d + 3)
+    _impl.drawn_dyadic_moments(law, d, scale, a, drift, profile, keys, out_sup, out_sums)
+    return out_sup, out_sums

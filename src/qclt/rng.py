@@ -50,9 +50,15 @@ class Stream:
         return lo + (hi - lo) * ((self.bits() >> 11) * TWO_NEG53)
 
     def uniforms(self, lo: float, hi: float, shape) -> np.ndarray:
-        """An array of ``shape`` filled by :meth:`uniform` in C order."""
+        """An array of ``shape`` filled by :meth:`uniform` in C order: the
+        next ``size`` draws, made in one pass over uint64 arrays, whose
+        counters wrap as the Python integers' do."""
         size = int(np.prod(shape))
-        return np.array([self.uniform(lo, hi) for _ in range(size)]).reshape(shape)
+        z = np.arange(1, size + 1, dtype=np.uint64) * np.uint64(GOLDEN)
+        z += np.uint64(self.counter)
+        mix64_into(z, np.empty_like(z))
+        self.counter = (self.counter + size * GOLDEN) & MASK64
+        return (lo + (hi - lo) * ((z >> np.uint64(11)) * TWO_NEG53)).reshape(shape)
 
     def integer(self, lo: int, hi: int) -> int:
         """An integer in ``[lo, hi)``: the high 64 bits of ``(hi - lo)`` times

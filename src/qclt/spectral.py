@@ -262,7 +262,12 @@ def kernel_gap_msq_spectral_table(measure: SpectralMeasure, n_max: int) -> np.nd
     span = np.arange(n_max + 1)
     table = np.zeros((n_max + 1, n_max + 1))
     for t, mass in zip(measure.locations, measure.masses):
-        block = _power_block_sum(t, span[:, None], span[None, :])
+        # _power_block_sum(t, m, n) for every pair (m, n), each power t^k taken once
+        if abs(1.0 - t) < 1e-12:
+            block = span[None, :] - span[:, None]
+        else:
+            powers = t ** span
+            block = (powers[:, None] - powers[None, :]) / (1.0 - t)
         table += (1.0 - t * t) * block * block * mass
     return np.triu(table[1:, 1:], k=1)
 

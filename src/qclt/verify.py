@@ -16,12 +16,12 @@ from .chain import FiniteChain, center_observable, make_chain
 from .errors import CondViolated
 from .group_walk import (
     GOLDEN_ALPHA,
+    _multiplier_gap_at,
     build_group_walk,
     condition_sums,
     convergents,
     make_torus_walk,
     nearest_integer_distance,
-    torus_multiplier_gap,
     walk_fourier,
 )
 from .inequalities import (
@@ -124,10 +124,10 @@ class RandomFamily:
     row_seed: int
 
     def check(self, paths: int) -> ChainingCheck:
-        sup, acc = kernels.drawn_dyadic_moments(self.law, self.d, self.scale, self.a,
-                                                self.drift, self.profile,
-                                                kernels.stream_keys(self.row_seed, paths))
-        return chaining_verdict(sup, acc)
+        _, sums = kernels.drawn_dyadic_moments(self.law, self.d, self.scale, self.a,
+                                               self.drift, self.profile,
+                                               kernels.stream_keys(self.row_seed, paths))
+        return chaining_verdict(sums.tolist(), paths)
 
 
 # a family's draws: law, d, scale, a, drift, up to 2^CHAINING_MAX_D + 1
@@ -340,7 +340,8 @@ def torus_identity_gap(n_limit: int) -> float:
     :func:`qclt.group_walk.torus_multiplier_gap` gives the golden walk.
 
     Evaluated ``_TORUS_CHUNK`` frequencies at a time, so no temporary grows
-    with ``n_limit``; every element is computed as in one pass.
+    with ``n_limit``; every element is computed as in one pass, and each
+    chunk's distances are taken once, for both sides.
     """
     walk = make_torus_walk(GOLDEN_ALPHA)
     gap = 0.0
@@ -348,7 +349,7 @@ def torus_identity_gap(n_limit: int) -> float:
         ns = np.arange(lo, min(lo + _TORUS_CHUNK, n_limit + 1))
         dist = nearest_integer_distance(ns, walk.alpha)
         gap = max(gap, float(np.max(np.abs((1.0 - np.cos(2.0 * np.pi * dist))
-                                           - torus_multiplier_gap(walk, ns)))))
+                                           - _multiplier_gap_at(walk, dist)))))
     return gap
 
 

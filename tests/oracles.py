@@ -4,11 +4,13 @@ The tests check the library against these slower, simpler forms:
 
 * :func:`jacobi_eigh`, a cyclic Jacobi eigensolver, against LAPACK;
 * the scalar horizon-gap moments :func:`kernel_gap_msq` (pair space) and
-  :func:`kernel_gap_msq_spectral` (spectral measure), against the tables;
+  :func:`kernel_gap_msq_spectral` (spectral measure), against the tables,
+  and the spectral table as it was before each power was taken once;
 * the explicit ``q @ v`` loops that the partial-sum routines ran before
   they were built on :func:`qclt.chain.kernel_powers` and
-  :func:`qclt.chain.partial_sums`, and the ``row @ q`` loop that took the
-  quenched residual from a row of ``Q^n``;
+  :func:`qclt.chain.partial_sums`, the one power at a time that
+  ``partial_sums`` took before binary powering, and the ``row @ q`` loop
+  that took the quenched residual from a row of ``Q^n``;
 * the graph walks that classified chains before the whole-array
   breadth-first search;
 * the element-tuple loops that built group walks and their Fourier
@@ -23,7 +25,8 @@ The tests check the library against these slower, simpler forms:
   tables on Python integers, the per-row loop that reduces a table, and the
   chaining check that transposed a table and took each scale's moment with
   ``einsum``, before the kernels drew each family block by block inside the
-  one-pass reduction;
+  one-pass reduction; and the drawn pass's moment sums, lane by lane in
+  Python floats;
 * the fixed-start diagnostics computed one (start, horizon) cell at a
   time, each with its own power tables, before the one-pass table of
   :func:`qclt.martingale.quenched_diagnostics`;
@@ -145,6 +148,18 @@ def kernel_gap_msq_spectral(measure, m: int, n: int) -> float:
     return float(np.sum((1.0 - t * t) * block * block * measure.masses))
 
 
+def kernel_gap_msq_spectral_table_blocks(measure, n_max: int) -> np.ndarray:
+    """The spectral horizon-gap table with every atom's block sums
+    ``_power_block_sum(t, m, n)`` broadcast over all pairs ``(m, n)``: two
+    ``**`` per pair, where the library takes each power ``t^k`` once."""
+    span = np.arange(n_max + 1)
+    table = np.zeros((n_max + 1, n_max + 1))
+    for t, mass in zip(measure.locations, measure.masses):
+        block = _power_block_sum(t, span[:, None], span[None, :])
+        table += (1.0 - t * t) * block * block * mass
+    return np.triu(table[1:, 1:], k=1)
+
+
 # -- explicit power loops -------------------------------------------------------------
 
 def truncated_scheme_loop(chain, f, n: int):
@@ -235,6 +250,20 @@ def kernel_dyadic_sequence_loop(chain, f, M: int) -> np.ndarray:
         _, hmat = truncated_scheme_loop(chain, f, 2 ** (i + 2))
         vals[i] = hmat.reshape(-1)
     return vals
+
+
+def partial_sums_loop(chain, v, n: int):
+    """``(V, QV)`` of :func:`qclt.chain.partial_sums` with one ``q @ v``
+    per power, each row the one before plus the next power."""
+    q, size = chain.kernel, chain.n_states
+    rows_v, rows_qv = np.empty((n, size)), np.empty((n, size))
+    qkv, v_k, qv_k = np.array(v, dtype=np.float64), np.zeros(size), np.zeros(size)
+    for k in range(n):
+        v_k = v_k + qkv
+        qkv = q @ qkv
+        qv_k = qv_k + qkv
+        rows_v[k], rows_qv[k] = v_k, qv_k
+    return rows_v, rows_qv
 
 
 def dyadic_block_maxsum_loop(chain, f, D: int) -> float:
@@ -584,6 +613,32 @@ def dyadic_moments_rows(table):
                 s += inc * inc
             acc[r, i] = s
     return sup, acc
+
+
+def moment_sums_rows(sup, acc):
+    """The ``d + 3`` moment sums of the drawn pass from per-row ``sup`` and
+    ``acc`` (as :func:`dyadic_moments_rows` gives them), in plain Python
+    floats: each scale's ``acc``, then ``sup^2``, then ``(sup^2 - mean)^2``
+    with ``mean`` the ``sup^2`` sum over the rows.  Row ``i`` adds into lane
+    ``i mod nb``, ``nb = min(32, max(1, 4096 // (2^d + 1)))``, and the lanes
+    are then added in order from 0.0."""
+    d = acc.shape[0] - 1
+    nb = min(32, max(1, 4096 // (2 ** d + 1)))
+
+    def lane_sum(terms):
+        lanes = [0.0] * nb
+        for i, term in enumerate(terms):
+            lanes[i % nb] += term
+        total = 0.0
+        for lane in lanes:
+            total += lane
+        return total
+
+    sup_sq = [s * s for s in sup.tolist()]
+    sums = [lane_sum(row) for row in acc.tolist()] + [lane_sum(sup_sq)]
+    mean = sums[-1] / len(sup_sq) if sup_sq else 0.0
+    sums.append(lane_sum([(s - mean) * (s - mean) for s in sup_sq]))
+    return sums
 
 
 def chaining_check_einsum(table, probs=None):

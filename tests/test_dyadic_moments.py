@@ -3,7 +3,9 @@ the kernel: each against per-row Python loops, and their argument checks.
 
 A stored table has one reduction, the numpy ``_kernels_py.dyadic_moments``,
 which ``kernels.dyadic_moments`` runs on every backend; the extension has no
-table kernel.  A drawn family is reduced by each backend's own pass.  Every
+table kernel.  A drawn family is reduced by each backend's own pass, which
+returns its per-row sups and its moment sums, checked against the row loop
+and the sums' Python lane loop (``oracles.moment_sums_rows``).  Every
 test takes its backends from the ``kernel_modules`` fixture: the numpy
 fallback always, and wherever a C compiler exists two builds of the
 extension from this checkout, ``"compiled"`` on the lanes its CPU picks and
@@ -154,12 +156,22 @@ def _drawn_passes(kernel_modules):
 
 
 def _drawn(drawn_pass, law, d, keys, **params):
+    # the pass's (sup, sums), the d + 3 sums as a list of floats
     params = {**LAW_PARAMS, **params}
     out_sup = np.full(keys.shape[0], np.nan)
-    out_acc = np.full((d + 1, keys.shape[0]), np.nan)
+    out_sums = np.full(d + 3, np.nan)
     drawn_pass(law, d, params["scale"], params["a"], params["drift"], _profile(law, d), keys,
-               out_sup, out_acc)
-    return out_sup, out_acc
+               out_sup, out_sums)
+    return out_sup, out_sums.tolist()
+
+
+def _assert_drawn_matches(drawn_pass, law, d, keys, want_sup, want_acc, name):
+    # the pass's sups equal the row loop's and its sums the lane loop's, bit
+    # for bit (float.hex tells -0.0 from 0.0)
+    sup, sums = _drawn(drawn_pass, law, d, keys)
+    want_sums = oracles.moment_sums_rows(want_sup, want_acc)
+    assert np.array_equal(sup, want_sup), name
+    assert list(map(float.hex, sums)) == list(map(float.hex, want_sums)), name
 
 
 @functools.cache
@@ -187,13 +199,12 @@ def test_drawn_moments_match_the_whole_table_oracle(kernel_modules, monkeypatch,
     keys = stream_keys(7 * law + d, rows)
     want_sup, want_acc = (w[..., :rows] for w in _oracle(law, d))
     for name, drawn_pass in _drawn_passes(kernel_modules).items():
-        sup, acc = _drawn(drawn_pass, law, d, keys)
-        assert np.array_equal(sup, want_sup) and np.array_equal(acc, want_acc), name
+        _assert_drawn_matches(drawn_pass, law, d, keys, want_sup, want_acc, name)
 
 
 # the compiled pass holds 4096 // (2^d + 1) rows to a block, at least one:
-# 31 at d = 7, 7 at d = 9 and 1 at d = 12
-WIDE_BLOCK_ROWS = {7: 31, 9: 7, 12: 1}
+# 31 at d = 7, 7 at d = 9 and 1 at d = 12 and 13, where each sum has one lane
+WIDE_BLOCK_ROWS = {7: 31, 9: 7, 12: 1, 13: 1}
 
 
 @pytest.mark.parametrize("d", sorted(WIDE_BLOCK_ROWS))
@@ -206,8 +217,34 @@ def test_drawn_moments_match_the_oracle_with_fewer_than_32_rows_to_a_block(kerne
     fam = oracles.drawn_family(law, d, **LAW_PARAMS, profile=_profile(law, d), keys=keys)
     want_sup, want_acc = oracles.dyadic_moments_rows(fam.table)
     for name, drawn_pass in _drawn_passes(kernel_modules).items():
-        sup, acc = _drawn(drawn_pass, law, d, keys)
-        assert np.array_equal(sup, want_sup) and np.array_equal(acc, want_acc), name
+        _assert_drawn_matches(drawn_pass, law, d, keys, want_sup, want_acc, name)
+
+
+# (rows, d, fallback rows to a block).  A row at d = 13 is 8193 values: on
+# the fallback 10^4 rows take about 2 s a law, and 999 rows in 7-row blocks
+# about 3 s, so those two run at d <= 5 only
+SUM_CASES = [(rows, d, block) for rows in (1, 31, 32, 33, 999, 10 ** 4)
+             for d in (*range(6), 13) for block in (7, 1024)
+             if d < 13 or rows <= (999 if block == 1024 else 33)]
+
+
+@pytest.mark.parametrize("rows, d, block", SUM_CASES)
+def test_drawn_sums_are_bitwise_equal_on_every_module(kernel_modules, monkeypatch, rows, d,
+                                                      block):
+    # the sums that make the chaining verdict, and the sups, byte for byte on
+    # the fallback with `block` rows to its blocks and on both C lane sets,
+    # whose blocks of min(32, 4096 // (2^d + 1)) rows fix the sums' lanes:
+    # 32 of them at d <= 5 and one at d = 13
+    monkeypatch.setattr(_kernels_py, "ROW_BLOCK", block)
+    monkeypatch.setattr(_kernels_py, "BLOCK_ITEMS", 1)
+    for law in range(LAW_COUNT):
+        keys = stream_keys(rows + 5 * law + d, rows)
+        outs = {name: _drawn(drawn_pass, law, d, keys)
+                for name, drawn_pass in _drawn_passes(kernel_modules).items()}
+        want_sup, want_sums = outs["python"]
+        for name, (sup, sums) in outs.items():
+            assert sup.tobytes() == want_sup.tobytes(), (name, law)
+            assert list(map(float.hex, sums)) == list(map(float.hex, want_sums)), (name, law)
 
 
 def test_scalar_drawn_pass_matches_the_picked_one_on_verify_families(compiled_kernels,
@@ -219,10 +256,10 @@ def test_scalar_drawn_pass_matches_the_picked_one_on_verify_families(compiled_ke
         outs = []
         for drawn_pass in (compiled_kernels.drawn_dyadic_moments,
                            compiled_scalar_kernels.drawn_dyadic_moments):
-            out_sup, out_acc = np.empty(10_000), np.empty((fam.d + 1, 10_000))
+            out_sup, out_sums = np.empty(10_000), np.empty(fam.d + 3)
             drawn_pass(fam.law, fam.d, fam.scale, fam.a, fam.drift, fam.profile, keys,
-                       out_sup, out_acc)
-            outs.append(out_sup.tobytes() + out_acc.tobytes())
+                       out_sup, out_sums)
+            outs.append(out_sup.tobytes() + out_sums.tobytes())
         assert outs[0] == outs[1], index
 
 
@@ -243,7 +280,7 @@ BAD_SPECS = {                         # case: the spec's changed items
     "nan profile": dict(profile=np.array([0.5, math.nan, 0.0, 1.0, 2.0])),
     "short profile": dict(profile=np.zeros(4)),
     "profile for a walk": dict(law=LAW_BELL, profile=np.zeros(5)),
-    "short out_acc": dict(out_acc=np.empty(14)),
+    "short out_acc": dict(out_acc=np.empty(4)),
 }
 
 
@@ -256,7 +293,7 @@ def test_drawn_rejects_bad_spec_before_writing(kernel_modules, backend, bad):
     drawn_pass = passes[backend]
     args = dict(law=LAW_FACTOR, d=2, scale=1.0, a=0.5, drift=0.1,
                 profile=np.zeros(5), keys=stream_keys(1, 5), out_sup=np.empty(5),
-                out_acc=np.empty(15))
+                out_acc=np.empty(5))
     args.update(BAD_SPECS[bad])
     for out in (args["out_sup"], args["out_acc"]):
         out[...] = -7

@@ -98,11 +98,27 @@ def _reference_chaining(family):
     return lhs, rhs, slack, lhs <= rhs + slack
 
 
+def _lane_verdict(table):
+    # the sampled verdict from the Python lane loop's sums of the row loop's
+    # sup and acc: the drawn pass's arithmetic in its order
+    sums = oracles.moment_sums_rows(*oracles.dyadic_moments_rows(table))
+    res = verify.chaining_verdict(sums, table.shape[0])
+    return res.lhs, res.rhs, res.slack, res.ok
+
+
 def _assert_matches_reference(family):
     res = chaining_maximal_check(family)
     got = (res.lhs, res.rhs, res.slack, res.ok)
-    # the einsum check runs the same arithmetic in the same order: exact
-    assert got == oracles.chaining_check_einsum(family.table, family.probs)
+    einsum = oracles.chaining_check_einsum(family.table, family.probs)
+    if family.probs is None:
+        # a sampled family's sums are added lane by lane, as the drawn pass
+        # adds them, and the einsum check's by weighted dot products
+        assert got == _lane_verdict(family.table)
+        np.testing.assert_allclose(got[:3], einsum[:3], rtol=1e-12, atol=0.0)
+        assert got[3] == einsum[3]
+    else:
+        # the einsum check runs the same arithmetic in the same order: exact
+        assert got == einsum
     # the loop form sums in another order (np.sum, weights * sup * sup)
     lhs, rhs, slack, ok = _reference_chaining(family)
     np.testing.assert_allclose([res.lhs, res.rhs, res.slack], [lhs, rhs, slack],
@@ -126,12 +142,18 @@ def test_chaining_matches_reference_on_sampled_families():
     d_zero_laws = set()
     for index, fam in enumerate(random_dyadic_families(2024, range(40))):
         d = index % 6
+        family = _oracle_family(fam, 1 + index * 13, d)
+        _assert_matches_reference(family)
         if d == 0:
             d_zero_laws.add(fam.law)
-        _assert_matches_reference(_oracle_family(fam, 1 + index * 13, d))
+            res = chaining_maximal_check(family)
+            assert res.lhs == res.rhs, index
     for law in sorted(set(range(LAW_COUNT)) - d_zero_laws):
         fam = dataclasses.replace(random_dyadic_families(2024, [law])[0], law=law)
-        _assert_matches_reference(_oracle_family(fam, 257, 0))
+        family = _oracle_family(fam, 257, 0)
+        _assert_matches_reference(family)
+        res = chaining_maximal_check(family)
+        assert res.lhs == res.rhs, law
 
 
 def test_chaining_matches_reference_on_exact_families():
@@ -163,11 +185,11 @@ def test_random_dyadic_family_bit_identical_to_reference(kernel_modules, monkeyp
         assert want == _family_params(fam)
         assert fam.profile.dtype == np.float64
         laws.add(fam.law)
-        table = _oracle_family(fam, 257).table
+        want = _lane_verdict(_oracle_family(fam, 257).table)
         for impl in kernel_modules.values():
             monkeypatch.setattr(kernels, "_impl", impl)
             res = fam.check(257)
-            assert (res.lhs, res.rhs, res.slack, res.ok) == oracles.chaining_check_einsum(table)
+            assert (res.lhs, res.rhs, res.slack, res.ok) == want
     assert laws == set(range(LAW_COUNT))
 
 
@@ -208,9 +230,9 @@ def test_random_dyadic_families_raise_no_warning():
 
 def _drawn(impl, law, d, keys):
     profile = np.linspace(-1.0, 1.0, 2 ** d + 1) if law == LAW_FACTOR else np.empty(0)
-    out_sup, out_acc = np.empty(keys.shape[0]), np.empty((d + 1) * keys.shape[0])
-    impl.drawn_dyadic_moments(law, d, 0.8, 0.45, 0.3, profile, keys, out_sup, out_acc)
-    return out_sup, out_acc
+    out_sup, out_sums = np.empty(keys.shape[0]), np.empty(d + 3)
+    impl.drawn_dyadic_moments(law, d, 0.8, 0.45, 0.3, profile, keys, out_sup, out_sums)
+    return out_sup, out_sums
 
 
 @pytest.mark.parametrize("block", [7, 1024])
@@ -243,7 +265,7 @@ def test_drawing_a_family_allocates_no_table_sized_temporary(kernel_modules):
     # without a mask of it
     paths, d = 10 ** 4, 5
     keys = stream_keys(3, paths)
-    out_sup, out_acc = np.empty(paths), np.empty((d + 1) * paths)
+    out_sup, out_sums = np.empty(paths), np.empty(d + 3)
     table = np.random.default_rng(4).standard_normal((paths, 2 ** d + 1))
     for impl in kernel_modules.values():
         for law in range(LAW_COUNT):
@@ -251,7 +273,7 @@ def test_drawing_a_family_allocates_no_table_sized_temporary(kernel_modules):
             tracemalloc.start()
             try:
                 impl.drawn_dyadic_moments(law, d, 1.0, 0.5, 0.25, profile, keys,
-                                          out_sup, out_acc)
+                                          out_sup, out_sums)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -285,20 +307,23 @@ def test_fallback_chaining_moments_allocate_no_table_sized_temporary(ar):
 
 def test_chaining_randomized_matches_the_einsum_oracle():
     # a reduced size of verify's seed-2024 check: every family's (lhs, rhs,
-    # slack, ok) against the einsum check of its Python-int oracle table,
-    # with numpy's generators out of reach
+    # slack, ok) against the verdict of its Python-int oracle table's lane
+    # sums bit for bit, and against the table's einsum check to rounding
+    # (the einsum check adds by weighted dot products), with numpy's
+    # generators out of reach
     families, paths = 60, 300
-    want = []
+    want, einsum = [], []
     for index in range(families):
         params = oracles.random_family_params(2024, index)
         keys = stream_keys(params.pop("row_seed"), paths)
         table = oracles.drawn_family(**params, keys=keys).table
-        want.append(oracles.chaining_check_einsum(table))
+        want.append(_lane_verdict(table))
+        einsum.append(oracles.chaining_check_einsum(table))
     got = []
     real_verdict = verify.chaining_verdict
 
-    def recording_verdict(sup, acc):
-        res = real_verdict(sup, acc)
+    def recording_verdict(sums, rows):
+        res = real_verdict(sums, rows)
         got.append((res.lhs, res.rhs, res.slack, res.ok))
         return res
 
@@ -311,7 +336,9 @@ def test_chaining_randomized_matches_the_einsum_oracle():
         mp.setattr(np.random, "Generator", no_generator)
         result = check_chaining_randomized(families, paths)
     assert got == want
-    worst = min(rhs + slack - lhs for lhs, rhs, slack, _ in want)
+    np.testing.assert_allclose([g[:3] for g in got], [e[:3] for e in einsum], rtol=1e-12, atol=0)
+    assert [g[3] for g in got] == [e[3] for e in einsum]
+    worst = min(rhs + slack - lhs for lhs, rhs, slack, _ in einsum)
     assert result.detail == f"violations=0 min margin={worst:.3e}" and result.ok
 
 
@@ -321,9 +348,9 @@ def test_chaining_randomized_catches_a_bound_without_its_finest_scale(monkeypatc
     real = kernels.drawn_dyadic_moments
 
     def finest_scale_dropped(*args):
-        sup, acc = real(*args)
-        acc[0] = 0.0
-        return sup, acc
+        sup, sums = real(*args)
+        sums[0] = 0.0
+        return sup, sums
 
     monkeypatch.setattr(kernels, "drawn_dyadic_moments", finest_scale_dropped)
     result = check_chaining_randomized(100, 2000)

@@ -1,6 +1,7 @@
 """The partial-sum routines built on ``kernel_powers`` against the explicit
 ``q @ v`` loops they replaced (kept in ``tests/oracles.py``)."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,7 @@ from tests.oracles import (
     dyadic_block_maxsum_loop,
     kernel_dyadic_sequence_loop,
     kernel_gap_msq_table_loop,
+    partial_sums_loop,
     projection_series_loop,
     quenched_diagnostics_cell,
     quenched_residual_loop,
@@ -71,9 +73,15 @@ def test_kernel_powers_lives_in_chain_and_imports_from_martingale():
     assert martingale.kernel_powers is chain_module.kernel_powers
 
 
+def _powers_by_products(size: int, n: int) -> bool:
+    # partial_sums' rule: binary powering where S ceil(log2(n + 1)) <= n
+    return size * math.ceil(math.log2(n + 1)) <= n
+
+
 @pytest.mark.parametrize("size", SIZES)
 def test_partial_sums_match_loop(size):
-    # row k-1: V_k v and Q V_k v, each added in increasing power
+    # row k-1: V_k v and Q V_k v, each added in increasing power; at S = 2 the
+    # horizon 9 takes binary powering, whose products round otherwise
     for chain, f in cases(size):
         v, qv = partial_sums(chain, f.values, 9)
         assert v.shape == qv.shape == (9, size)
@@ -82,8 +90,49 @@ def test_partial_sums_match_loop(size):
             v_k = v_k + qkf
             qkf = chain.kernel @ qkf
             qv_k = qv_k + qkf
-            assert np.array_equal(v[k], v_k)
-            assert np.array_equal(qv[k], qv_k)
+            if _powers_by_products(size, 9):
+                assert_close(v[k], v_k)
+                assert_close(qv[k], qv_k)
+            else:
+                assert np.array_equal(v[k], v_k)
+                assert np.array_equal(qv[k], qv_k)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 4095, 4096, 4097])
+@pytest.mark.parametrize("size", [2, 3, 7, 13, 40])
+def test_partial_sums_match_the_loop_oracle(size, n):
+    # binary powering to rtol 1e-12, and bit for bit where the rule keeps
+    # one product per power
+    for chain, f in cases(size):
+        v, qv = partial_sums(chain, f.values, n)
+        v_loop, qv_loop = partial_sums_loop(chain, f.values, n)
+        assert v.shape == qv.shape == (n, size)
+        if _powers_by_products(size, n):
+            assert_close(v, v_loop)
+            assert_close(qv, qv_loop)
+        else:
+            assert np.array_equal(v, v_loop) and np.array_equal(qv, qv_loop)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 4095, 4096, 4097])
+def test_partial_sums_exact_on_the_flip_chain(flip, n):
+    # a permutation kernel: every product is exact, so both routes agree bit
+    # for bit, the verify block check's lhs == rhs case among them
+    f = center_observable(flip, [1.0, -1.0])
+    got, want = partial_sums(flip, f.values, n), partial_sums_loop(flip, f.values, n)
+    assert all(map(np.array_equal, got, want))
+
+
+@pytest.mark.parametrize("n", [5, 64])
+def test_partial_sums_keep_the_loop_on_a_wide_chain(n):
+    # S = 1000 at a short horizon: S^3 squarings would not pay, so the
+    # powers are kernel_powers' one product per power, bit for bit
+    rng = np.random.default_rng(8)
+    chain = random_nonreversible(rng, 1000)
+    f = center_observable(chain, rng.normal(size=1000))
+    assert not _powers_by_products(1000, n)
+    got, want = partial_sums(chain, f.values, n), partial_sums_loop(chain, f.values, n)
+    assert all(map(np.array_equal, got, want))
 
 
 def test_kernel_powers_zero_power_is_v(two_state, sign):

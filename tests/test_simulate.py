@@ -10,7 +10,7 @@ from qclt import kernels
 from qclt.chain import center_observable, make_chain
 from qclt.errors import DegenerateSigma, EmptySample
 from qclt.martingale import poisson_solve, quenched_diagnostics
-from qclt.rng import stream_keys
+from qclt.rng import GOLDEN, MASK64, Stream, stream_keys
 from qclt.simulate import (
     SimulationReport,
     cumulative_rows,
@@ -26,6 +26,23 @@ from tests.oracles import PathStream, dump_samples_loop, sample_path, stream_key
 def test_stream_keys_match_scalar():
     keys = stream_keys(99, 8)
     assert [int(k) for k in keys] == [stream_key(99, i) for i in range(8)]
+
+
+@pytest.mark.parametrize("shape", [0, 1, 7, (3, 4), (2, 0, 3)])
+@pytest.mark.parametrize("counter", [None, (-3 * GOLDEN) % 2 ** 64, MASK64])
+def test_stream_uniforms_equal_the_per_draw_uniforms(shape, counter):
+    # the one-pass array against `uniform` draw by draw, bit for bit, and the
+    # counter left where the draws leave it, so an `integer` draw after them
+    # agrees too; from 2^64 - 3 GOLDEN the third draw's counter wraps to 0
+    batch, single = Stream(2024, 5), Stream(2024, 5)
+    if counter is not None:
+        batch.counter = single.counter = counter
+    got = batch.uniforms(-0.5, 2.0, shape)
+    want = np.array([single.uniform(-0.5, 2.0) for _ in range(int(np.prod(shape)))])
+    assert got.shape == np.empty(shape).shape and got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+    assert batch.counter == single.counter
+    assert batch.integer(3, 13) == single.integer(3, 13)
 
 
 def test_sample_path_identity_and_flip(flip):

@@ -36,6 +36,7 @@ from tests.oracles import (
     jacobi_eigh,
     kernel_gap_msq,
     kernel_gap_msq_spectral,
+    kernel_gap_msq_spectral_table_blocks,
     variance_growth_loop,
 )
 from tests.test_chain import random_reversible
@@ -341,6 +342,22 @@ def test_gap_msq_spectral_table_matches_scalar():
         assert np.all(np.isfinite(table))
         np.testing.assert_allclose(table, expect, rtol=1e-13, atol=1e-15)
         assert not np.any(np.tril(table))    # lower triangle and diagonal
+
+
+def test_gap_msq_spectral_table_equals_the_broadcast_block_sums_bitwise():
+    # each power t^k taken once gives the bits of the pairwise block sums:
+    # ** of the same base and exponent rounds the same, and so do the
+    # difference and division that follow
+    rng = np.random.default_rng(45)
+    measures = [spectral_measure(chain, center_observable(chain, rng.normal(size=size)))
+                for size in (3, 7, 12) for chain in [random_reversible(rng, size)]]
+    measures.append(atoms((-1.0, 0.5), (0.0, 0.25), (1.0 - 1e-13, 0.125),
+                          (1.0, 0.125), (0.3, 0.0625), (-0.999, 0.5)))
+    for measure in measures:
+        for n_max in (2, 16, 64, 200):
+            table = kernel_gap_msq_spectral_table(measure, n_max)
+            assert table.tobytes() == kernel_gap_msq_spectral_table_blocks(measure,
+                                                                           n_max).tobytes()
 
 
 def test_gap_msq_spectral_table_matches_direct_table():
