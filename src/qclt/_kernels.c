@@ -32,10 +32,13 @@
  * second sweep over the written sups.  Each sum has nb lanes, nb the rows
  * of a block: row i adds into lane i mod nb, block after block, and the
  * lanes are then added in order from 0.0.  The pass takes the rows in
- * blocks held column-major.  Row i's 2^d + 1 values z_k are drawn from the
- * counter stream keys[i], as the path kernels draw, straight into the block:
- * in column order, after the factor law's two draws.  With u, u' a row's
- * next two uniforms:
+ * blocks held column-major.  Row i's 2^d + 1 values z_k are drawn from
+ * counter stream i under the family's row_seed, as the path kernels draw,
+ * straight into the block: in column order, after the factor law's two
+ * draws.  A block forms its rows' starting counters in its lanes,
+ * mix64(mix64(row_seed + GOLDEN) ^ mix64((i + 1) GOLDEN)) as
+ * rng.stream_keys(row_seed, rows) gives them, so no array of keys exists.
+ * With u, u' a row's next two uniforms:
  *   0 bell walk     z = scale ((u + u') - 1),    T the partial sums of z;
  *   1 sign walk     z = +1 if u >= 1/2 else -1,  T the partial sums of z;
  *   2 AR(1)         z = scale (2u - 1),          T_k = z_k + a T_{k-1};
@@ -45,14 +48,15 @@
  * Only law 3 reads `profile`, of 2^d + 1 entries (none for the others).
  * The partial sums are the recursion with a = 1.0: z_k + 1.0 T_{k-1} is
  * z_k + T_{k-1} exactly.  The spec is checked before anything is drawn:
- * 0 <= law < 5, 0 <= d <= 20, |a| <= 1, and scale, drift and the profile
- * finite and at most 2^32 in magnitude, so no value, sum or square
- * overflows and no NaN reaches the max/min, which numpy orders otherwise.
+ * row_seed an integer (any, taken mod 2^64), 0 <= law < 5, 0 <= d <= 20,
+ * |a| <= 1, and scale, drift and the profile finite and at most 2^32 in
+ * magnitude, so no value, sum or square overflows and no NaN reaches the
+ * max/min, which numpy orders otherwise.
  *
- * The two walks, the drawn pass and the key fill come in two lane sets from
- * one source.  Their bodies, chain_lanes, torus_lanes, dyadic_lanes (with
- * draw_block and reduce_block) and fill_keys, are always inlined, and their
- * loops run across independent lanes: a block's paths or rows, or the keys.
+ * The two walks and the drawn pass come in two lane sets from one source.
+ * Their bodies, chain_lanes, torus_lanes and dyadic_lanes (with draw_block
+ * and reduce_block), are always inlined, and their loops run across
+ * independent lanes: a block's paths or rows.
  * Each is compiled twice, plainly and under the AVX-512F/DQ target, where
  * the compiler widens the lane loops to 8 lanes a zmm register and reads
  * the walks' tables by gathers.  A walk's block is LANES = 8 paths in the
@@ -70,12 +74,8 @@
  * The lanes are picked by __builtin_cpu_supports alone, so a build with
  * -D'__builtin_cpu_supports(x)=0' takes the scalar lanes on any CPU; the
  * tests build that copy beside the plain one, and so run both lane sets of
- * all four kernels on an AVX-512 host.  SOURCE_DIGEST, the sha256 of this
+ * all three kernels on an AVX-512 host.  SOURCE_DIGEST, the sha256 of this
  * file that setup.py passes in, names the source a build came from.
- *
- * stream_keys fills an array with the path streams' starting counters,
- * mix64(mix64(seed + GOLDEN) ^ mix64((i + 1) GOLDEN)) as rng.stream_keys
- * computes them, from the caller's mix64(seed + GOLDEN).
  *
  * Every kernel is bit-for-bit identical to the numpy fallback.  Build with
  * -ffp-contract=off so no fused multiply-add changes a rounding.  The draws
@@ -87,8 +87,8 @@
  *
  * Arrays arrive through the buffer protocol and must be C-contiguous, of
  * float64 for values, uint64 for keys and int64 for last states; the out
- * slots must be writable.  Every type, length and the start state are
- * checked before the loops run, so a rejected call writes no output slot,
+ * slots must be writable.  Every type, length, the start state and the row
+ * seed are checked before the loops run, so a rejected call writes no slot,
  * and the loops run without the GIL so worker threads scale.
  */
 #define PY_SSIZE_T_CLEAN
@@ -315,30 +315,32 @@ enum { LAW_BELL, LAW_SIGN, LAW_AR, LAW_FACTOR, LAW_DRIFT, LAW_COUNT };
 /* no drawn value, sum or square can overflow below this parameter bound */
 #define PARAM_MAX 4294967296.0
 
-/* One dyadic pass, checked: rows z of width 2^d + 1 drawn from `keys` by
- * `law`, then T_k = z_k + a T_{k-1} when `recurse`; nb rows to a block.
- * lanes[k * nb + j] is lane j of sum k, for the d + 3 sums the header
- * lists. */
+/* One dyadic pass, checked: rows z of width 2^d + 1 drawn from the streams
+ * under `row_seed` by `law`, then T_k = z_k + a T_{k-1} when `recurse`; nb
+ * rows to a block.  lanes[k * nb + j] is lane j of sum k, for the d + 3
+ * sums the header lists. */
 struct dyadic_job {
     const double *profile;
-    const uint64_t *keys;
     double *out_sup, *lanes;
+    uint64_t row_seed;
     double a, scale, drift;
     Py_ssize_t rows, width, nb;
     int d, recurse, law;
 };
 
 /* t[k * nb + j] = z_k of row i0 + j, for the block's n <= nb rows: each
- * row advances its own stream, the factor's two draws first, then each
- * value's one or two draws in column order */
+ * row starts its own stream, the header's counter of row i0 + j, and
+ * advances it, the factor's two draws first, then each value's one or two
+ * draws in column order */
 ALWAYS_INLINE void draw_block(const struct dyadic_job *job, double *t, Py_ssize_t i0,
                               const Py_ssize_t nb, const Py_ssize_t n)
 {
     uint64_t ctr[DYADIC_BLOCK_ROWS];
     double factor[DYADIC_BLOCK_ROWS];
     const double scale = job->scale, drift = job->drift;
+    const uint64_t seed_mix = mix64(job->row_seed + GOLDEN);
     for (Py_ssize_t j = 0; j < n; j++)
-        ctr[j] = job->keys[i0 + j];
+        ctr[j] = mix64(seed_mix ^ mix64((uint64_t)(i0 + j + 1) * GOLDEN));
     if (job->law == LAW_FACTOR)
         for (Py_ssize_t j = 0; j < n; j++) {
             double u = next_uniform(&ctr[j]);
@@ -453,28 +455,15 @@ ALWAYS_INLINE void dyadic_lanes(const struct dyadic_job *job, double *t)
     }
 }
 
-/* keys[i] = mix64(seed_mix ^ mix64((i + 1) GOLDEN)) for i < n: each key is
- * one lane */
-ALWAYS_INLINE void fill_keys(uint64_t seed_mix, uint64_t *keys, Py_ssize_t n)
-{
-    for (Py_ssize_t i = 0; i < n; i++)
-        keys[i] = mix64(seed_mix ^ mix64((uint64_t)(i + 1) * GOLDEN));
-}
-
 /* Each kernel on the plain lanes.  The bodies are inlined, so each
  * *_avx512 below is the same code compiled for AVX-512F/DQ. */
 static void chain_scalar(const struct chain_job *job) { chain_lanes(job, LANES); }
 static void torus_scalar(const struct torus_job *job) { torus_lanes(job, LANES); }
 static void dyadic_scalar(const struct dyadic_job *job, double *t) { dyadic_lanes(job, t); }
-static void keys_scalar(uint64_t seed_mix, uint64_t *keys, Py_ssize_t n)
-{
-    fill_keys(seed_mix, keys, n);
-}
 
 static void (*run_chain)(const struct chain_job *) = chain_scalar;
 static void (*run_torus)(const struct torus_job *) = torus_scalar;
 static void (*run_dyadic)(const struct dyadic_job *, double *) = dyadic_scalar;
-static void (*run_keys)(uint64_t, uint64_t *, Py_ssize_t) = keys_scalar;
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define AVX512 __attribute__((target("avx512f,avx512dq")))
@@ -493,16 +482,10 @@ WALK512 static void chain_avx512(const struct chain_job *job) { chain_lanes(job,
 WALK512 static void torus_avx512(const struct torus_job *job) { torus_lanes(job, WIDE_LANES); }
 
 /* dyadic_scalar's body compiled for AVX-512F/DQ: its row loops widen to
- * 8 rows a zmm register (vpmullq draws, 8-wide reductions) */
+ * 8 rows a zmm register (vpmullq counters and draws, 8-wide reductions) */
 AVX512 static void dyadic_avx512(const struct dyadic_job *job, double *t)
 {
     dyadic_lanes(job, t);
-}
-
-/* keys_scalar's body compiled for AVX-512F/DQ: 8 keys a zmm register */
-AVX512 static void keys_avx512(uint64_t seed_mix, uint64_t *keys, Py_ssize_t n)
-{
-    fill_keys(seed_mix, keys, n);
 }
 
 /* the vector kernels where the CPU has AVX-512F and DQ, else the scalar ones */
@@ -513,7 +496,6 @@ static const char *pick_lane_path(void)
     run_chain = chain_avx512;
     run_torus = torus_avx512;
     run_dyadic = dyadic_avx512;
-    run_keys = keys_avx512;
     return "avx512";
 }
 #else
@@ -664,14 +646,19 @@ static int check_param(double value, double bound, PyObject *arg, const char *na
 
 static PyObject *drawn_dyadic_moments(PyObject *self, PyObject *args)
 {
-    static const char *const names[] = {"profile", "keys", "out_sup", "out_acc"};
-    PyObject *o[4];
-    Py_buffer b[4] = {{0}};
+    static const char *const names[] = {"profile", "out_sup", "out_acc"};
+    PyObject *o[3], *seed;
+    Py_buffer b[3] = {{0}};
     int law, d;
     double scale, a, drift;
     if (!PyArg_ParseTuple(args, "iidddOOOO:drawn_dyadic_moments", &law, &d, &scale, &a,
-                          &drift, &o[0], &o[1], &o[2], &o[3]))
+                          &drift, &o[0], &seed, &o[1], &o[2]))
         return NULL;
+    /* any integer, reduced mod 2^64 as rng.stream_keys reduces it */
+    if ((seed = PyNumber_Index(seed)) == NULL)
+        return NULL;
+    uint64_t row_seed = PyLong_AsUnsignedLongLongMask(seed);
+    Py_DECREF(seed);
     int ok = 1;
     if (law < 0 || law >= LAW_COUNT) {
         PyErr_Format(PyExc_ValueError, "law %d outside [0, %d)", law, LAW_COUNT);
@@ -684,7 +671,7 @@ static PyObject *drawn_dyadic_moments(PyObject *self, PyObject *args)
     ok = ok && check_param(scale, PARAM_MAX, PyTuple_GET_ITEM(args, 2), "scale", "2^32") == 0
         && check_param(a, 1.0, PyTuple_GET_ITEM(args, 3), "a", "1") == 0
         && check_param(drift, PARAM_MAX, PyTuple_GET_ITEM(args, 4), "drift", "2^32") == 0
-        && get_arrays(o, b, "dQdd", names, 2, 4) == 0;
+        && get_arrays(o, b, "ddd", names, 1, 3) == 0;
     Py_ssize_t width = ok ? ((Py_ssize_t)1 << d) + 1 : 0, rows = b[1].len / 8;
     ok = ok && check_len(&b[0], law == LAW_FACTOR ? width : 0, names[0]) == 0;
     const double *profile = b[0].buf;
@@ -694,35 +681,15 @@ static PyObject *drawn_dyadic_moments(PyObject *self, PyObject *args)
                          "profile: entries must be finite with magnitude at most 2^32");
             ok = 0;
         }
-    ok = ok && check_len(&b[2], rows, names[2]) == 0 && check_len(&b[3], d + 3, names[3]) == 0;
+    ok = ok && check_len(&b[2], d + 3, names[2]) == 0;
     if (ok) {
-        struct dyadic_job job = {.profile = profile, .keys = b[1].buf, .out_sup = b[2].buf,
+        struct dyadic_job job = {.profile = profile, .row_seed = row_seed, .out_sup = b[1].buf,
                                  .a = law == LAW_AR ? a : 1.0, .scale = scale, .drift = drift,
                                  .rows = rows, .width = width, .d = d,
                                  .recurse = law != LAW_FACTOR, .law = law};
-        ok = dyadic_pass(&job, b[3].buf) == 0;
+        ok = dyadic_pass(&job, b[2].buf) == 0;
     }
-    release_all(b, 4);
-    if (!ok)
-        return NULL;
-    Py_RETURN_NONE;
-}
-
-static PyObject *stream_keys(PyObject *self, PyObject *args)
-{
-    static const char *const names[] = {"out"};
-    unsigned long long seed_mix;
-    PyObject *o[1];
-    Py_buffer b[1] = {{0}};
-    if (!PyArg_ParseTuple(args, "KO:stream_keys", &seed_mix, &o[0]))
-        return NULL;
-    int ok = get_arrays(o, b, "Q", names, 0, 1) == 0;
-    if (ok) {
-        Py_BEGIN_ALLOW_THREADS
-        run_keys(seed_mix, b[0].buf, b[0].len / 8);
-        Py_END_ALLOW_THREADS
-    }
-    release_all(b, 1);
+    release_all(b, 3);
     if (!ok)
         return NULL;
     Py_RETURN_NONE;
@@ -739,14 +706,10 @@ static PyMethodDef methods[] = {
      "(2 n_steps + 1) * 8-byte table per call, then walks the lattice index j\n"
      "from n_steps by lazy +-1 steps, adding table[j] per step."},
     {"drawn_dyadic_moments", drawn_dyadic_moments, METH_VARARGS,
-     "drawn_dyadic_moments(law, d, scale, a, drift, profile, keys, out_sup, out_acc)\n"
-     "The per-row sups of a family of len(keys) rows of 2^d + 1 values, each row\n"
-     "drawn by `law` from its own counter stream, and in out_acc its d + 3 moment\n"
-     "sums; no table of it exists."},
-    {"stream_keys", stream_keys, METH_VARARGS,
-     "stream_keys(seed_mix, out)\n"
-     "Fill the uint64 array `out` with the starting counters of streams 0..len(out)-1:\n"
-     "out[i] = mix64(seed_mix ^ mix64((i + 1) * GOLDEN)), seed_mix = mix64(seed + GOLDEN)."},
+     "drawn_dyadic_moments(law, d, scale, a, drift, profile, row_seed, out_sup, out_acc)\n"
+     "The per-row sups of a family of len(out_sup) rows of 2^d + 1 values, row i\n"
+     "drawn by `law` from counter stream i under row_seed, and in out_acc its d + 3\n"
+     "moment sums; no table of it exists."},
     {NULL, NULL, 0, NULL},
 };
 

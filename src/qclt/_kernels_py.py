@@ -15,12 +15,14 @@ and per-scale squared-increment sums, adding each row's increments in
 increasing order as the C drawn pass does, one block of rows at a time; it
 has no C twin, so it serves the compiled backend too.
 :func:`drawn_dyadic_moments` gives the same reduction of a family drawn
-from counter streams by the laws that the ``_kernels.c`` header defines: it
-draws each block's values through :func:`_uniforms_into`, a few columns at
-a time, with the C draws' operations in their order, and reduces the block
-as :func:`dyadic_moments` does, so no table of the family exists.  It
-returns the family's moment sums, added in the C pass's lane order (see
-:func:`moment_sums`), not its per-row sums.
+from the counter streams under a row seed by the laws that the
+``_kernels.c`` header defines: it takes each block's keys from
+:func:`qclt.rng.stream_keys`, draws the block's values through
+:func:`_uniforms_into`, a few columns at a time, with the C draws'
+operations in their order, and reduces the block as :func:`dyadic_moments`
+does, so no table of the family exists.  It returns the family's moment
+sums, added in the C pass's lane order (see :func:`moment_sums`), not its
+per-row sums.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import sys
 import numpy as np
 
 from .errors import BadLength
-from .rng import GOLDEN, TWO_NEG53, mix64_into
+from .rng import GOLDEN, TWO_NEG53, mix64_into, stream_keys
 
 BACKEND_NAME = "python"
 # dyadic_moments takes max(ROW_BLOCK, BLOCK_ITEMS // width) rows per pass:
@@ -354,21 +356,23 @@ def _check_spec(law, d, scale, a, drift, profile) -> tuple:
     return law, d
 
 
-def drawn_dyadic_moments(law, d, scale, a, drift, profile, keys, out_sup, out_acc) -> None:
-    """The per-row sups and the :func:`moment_sums` of a family whose rows
-    are drawn here, one counter stream per row from ``keys``, by the laws
-    that the ``_kernels.c`` header defines; no table of the family exists.
-    Writes the sups to ``out_sup`` and the ``d + 3`` sums to ``out_acc``.
+def drawn_dyadic_moments(law, d, scale, a, drift, profile, row_seed, out_sup, out_acc) -> None:
+    """The per-row sups and the :func:`moment_sums` of a family of
+    ``out_sup.size`` rows drawn here, row ``i`` from counter stream ``i``
+    under the integer ``row_seed``, by the laws that the ``_kernels.c``
+    header defines; no table of the family exists.  Writes the sups to
+    ``out_sup`` and the ``d + 3`` sums to ``out_acc``.
 
     Rows are reduced in the blocks of :func:`dyadic_moments`, each block's
     terms added into the sums' lanes before the next block is drawn.  A
-    block's values are drawn a few columns at a time: one counter per draw
-    of each row, all advanced together through :func:`_uniforms_into`.
+    block's keys are :func:`qclt.rng.stream_keys` of its rows alone, and its
+    values are drawn a few columns at a time: one counter per draw of each
+    row, all advanced together through :func:`_uniforms_into`.
     """
+    row_seed = operator.index(row_seed)
     law, d = _check_spec(law, d, scale, a, drift, profile)
-    if not isinstance(keys, np.ndarray) or keys.dtype != np.uint64 or keys.ndim != 1:
-        raise ValueError("keys: need a 1-d uint64 array")
-    rows, width = keys.shape[0], 2 ** d + 1
+    _check_float_array(out_sup, "out_sup", writable=True)
+    rows, width = out_sup.size, 2 ** d + 1
     _check_outputs(rows, d + 3, out_sup, out_acc)
     sup = out_sup.reshape(rows)
     lanes = np.zeros((d + 3, sum_lanes(width)))
@@ -397,7 +401,7 @@ def drawn_dyadic_moments(law, d, scale, a, drift, profile, keys, out_sup, out_ac
 
     for i0 in range(0, rows, per_block):
         block = slice(i0, i0 + per_block)
-        block_keys = keys[block]
+        block_keys = stream_keys(row_seed, min(per_block, rows - i0), i0)
         cols = cols_buf[:, :block_keys.shape[0]]
         if law == LAW_FACTOR:                        # F = scale ((u + u') - 1)
             u = uniforms(block_keys, 0, 2)

@@ -333,7 +333,8 @@ def torus_condition(walk: TorusWalk, cutoff: int) -> TorusConditionReport:
     never extrapolates an infinite tail; it returns partial sums and the
     per-frequency data needed to judge them, plus the continued-fraction
     convergents of alpha with denominators up to ``cutoff``, which is at
-    least 1.
+    least 1.  A partial sum that is not finite raises
+    :class:`qclt.errors.NonFiniteValue`, as a spectral sum does.
     """
     if cutoff < 1:
         raise DimensionMismatch(f"cutoff {cutoff} is below 1, the smallest convergent "
@@ -348,6 +349,9 @@ def torus_condition(walk: TorusWalk, cutoff: int) -> TorusConditionReport:
         log_gap = abs(math.log(gap))
         logplus = math.log(log_gap) if log_gap > 1.0 else 0.0
         acc += 2.0 * abs(coeff) ** 2 * logplus ** 2 / gap
+        if not math.isfinite(acc):
+            raise NonFiniteValue(f"the condition series' partial sum at frequency {n} "
+                                 f"is not finite ({acc!r})")
         rows.append(TorusRow(n=n, dist=float(nearest_integer_distance(n, walk.alpha)),
                              one_minus_nuhat=gap, partial_sum=acc))
     return TorusConditionReport(rows=tuple(rows),

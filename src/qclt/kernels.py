@@ -1,12 +1,14 @@
 """Backend selection and deterministic parallel dispatch for the kernels.
 
-The compiled extension runs the path walks, the drawn dyadic pass and the
-stream-key fill when it imports, the numpy fallback otherwise; ``backend=``
-picks one of :func:`available_backends` for a single path-kernel call.  A
-stored dyadic table is reduced in numpy on every backend.  Worker threads
-split the path range into contiguous chunks writing disjoint output slots,
-so results are identical for every worker count (each path's stream depends
-only on ``(seed, path_index)``).
+The compiled extension runs the path walks and the drawn dyadic pass when
+it imports, the numpy fallback otherwise; ``backend=`` picks one of
+:func:`available_backends` for a single path-kernel call.  The path walks
+take their streams' keys from :func:`qclt.rng.stream_keys` on every
+backend, and the drawn pass takes a row seed and forms its rows' keys
+itself.  A stored dyadic table is reduced in numpy on every backend.
+Worker threads split the path range into contiguous chunks writing
+disjoint output slots, so results are identical for every worker count
+(each path's stream depends only on ``(seed, path_index)``).
 """
 
 from __future__ import annotations
@@ -35,16 +37,6 @@ def available_backends() -> dict:
     if _compiled is not None:
         out["compiled"] = _compiled
     return out
-
-
-def stream_keys(seed: int, num_paths: int) -> np.ndarray:
-    """:func:`qclt.rng.stream_keys`, filled by the extension where it is
-    built; the numpy one, which stays the reference, otherwise."""
-    if _compiled is None:
-        return rng.stream_keys(seed, num_paths)
-    keys = np.empty(num_paths, dtype=np.uint64)
-    _compiled.stream_keys(rng.mix64(seed + rng.GOLDEN), keys)
-    return keys
 
 
 def _chunks(num_paths: int, workers: int):
@@ -78,7 +70,7 @@ def _run_paths(walk: str, lead, dtypes, num_paths, seed, workers, backend):
     # looked up at call time, so a wrapped chunk function is the one that runs
     impl = available_backends()[backend] if backend else _impl
     try:
-        keys = stream_keys(seed, num_paths)
+        keys = rng.stream_keys(seed, num_paths)
         outs = tuple(np.empty(num_paths, dtype=dt) for dt in dtypes)
     except (MemoryError, ValueError):     # ValueError: more items than numpy can index
         raise QcltError(f"no room for {num_paths} paths") from None
@@ -123,16 +115,17 @@ def dyadic_moments(table):
     return out_sup, out_acc
 
 
-def drawn_dyadic_moments(law, d, scale, a, drift, profile, keys):
-    """Per-row sup and moment sums of a family drawn inside the kernel, one
-    row per stream of the uint64 ``keys``, by ``law`` (one of the ``LAW_*``
-    ids, ``0 <= law < LAW_COUNT``) with its parameters; see
+def drawn_dyadic_moments(law, d, scale, a, drift, profile, row_seed, rows):
+    """Per-row sup and moment sums of a family of ``rows`` rows drawn inside
+    the kernel, row ``i`` from stream ``i`` under the integer ``row_seed``
+    (the key ``rng.stream_keys(row_seed, rows)[i]``), by ``law`` (one of the
+    ``LAW_*`` ids, ``0 <= law < LAW_COUNT``) with its parameters; see
     ``_kernels_py.drawn_dyadic_moments``.  ``profile`` is float64.
 
     Returns ``(sup, sums)``: ``sup`` as :func:`dyadic_moments` gives it, and
     ``sums`` the ``d + 3`` sums of ``_kernels_py.moment_sums``, the same
     bits on every backend."""
-    out_sup = np.empty(keys.shape[0])
+    out_sup = np.empty(rows)
     out_sums = np.empty(d + 3)
-    _impl.drawn_dyadic_moments(law, d, scale, a, drift, profile, keys, out_sup, out_sums)
+    _impl.drawn_dyadic_moments(law, d, scale, a, drift, profile, row_seed, out_sup, out_sums)
     return out_sup, out_sums

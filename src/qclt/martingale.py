@@ -212,7 +212,12 @@ def tail_sup_deviation(chain: FiniteChain, scheme: MartingaleScheme, N: int) -> 
             "the tail supremum does not vanish"
         )
     q = chain.kernel
-    qmg = kernel_powers(chain, scheme.g, N + 1)[-1]    # Q^{N+1} g
+    # Q^{N+1} g, advanced between two rows by kernel_powers' np.dot, so it is
+    # that table's last row bit for bit without the table
+    qmg, spare = np.array(scheme.g, dtype=np.float64), np.empty(chain.n_states)
+    for _ in range(N + 1):
+        np.dot(q, qmg, out=spare)
+        qmg, spare = spare, qmg
     per_pair = np.zeros((chain.n_states, chain.n_states))
     m = N + 1
     while True:

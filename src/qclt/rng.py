@@ -10,6 +10,8 @@ on Python integers, for the few values a caller needs one at a time.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 MASK64 = (1 << 64) - 1
@@ -66,12 +68,14 @@ class Stream:
         return lo + (((hi - lo) * self.bits()) >> 64)
 
 
-def stream_keys(seed: int, num_paths: int) -> np.ndarray:
-    """Starting counters of the streams for path indices ``0..num_paths-1``:
-    ``mix64(mix64(seed + GOLDEN) ^ mix64((path_index + 1) * GOLDEN))``."""
-    idx = np.arange(num_paths, dtype=np.uint64)
-    seed_mix = np.uint64(mix64(seed + GOLDEN))
-    keys = (idx + np.uint64(1)) * np.uint64(GOLDEN)
+def stream_keys(seed: int, count: int, first: int = 0) -> np.ndarray:
+    """Starting counters of the ``count`` streams ``first, first + 1, ...``:
+    ``mix64(mix64(seed + GOLDEN) ^ mix64((index + 1) * GOLDEN))``, so a
+    range of rows or paths gets its keys without the ones before it.  Any
+    integer ``seed``, a numpy one too, is taken mod 2^64."""
+    seed_mix = np.uint64(mix64(operator.index(seed) + GOLDEN))
+    keys = np.arange(first + 1, first + count + 1, dtype=np.uint64)
+    keys *= np.uint64(GOLDEN)
     scratch = np.empty_like(keys)
     mix64_into(keys, scratch)
     keys ^= seed_mix

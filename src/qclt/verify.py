@@ -125,8 +125,7 @@ class RandomFamily:
 
     def check(self, paths: int) -> ChainingCheck:
         _, sums = kernels.drawn_dyadic_moments(self.law, self.d, self.scale, self.a,
-                                               self.drift, self.profile,
-                                               kernels.stream_keys(self.row_seed, paths))
+                                               self.drift, self.profile, self.row_seed, paths)
         return chaining_verdict(sums.tolist(), paths)
 
 

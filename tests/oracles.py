@@ -30,6 +30,8 @@ The tests check the library against these slower, simpler forms:
 * the fixed-start diagnostics computed one (start, horizon) cell at a
   time, each with its own power tables, before the one-pass table of
   :func:`qclt.martingale.quenched_diagnostics`;
+* the tail supremum that took ``Q^{N+1} g`` as the last row of a whole
+  ``kernel_powers`` table;
 * the scalar stream and the per-step path replay by ``searchsorted`` that
   the batch path kernels are checked against;
 * the ``variance_growth`` loop that formed ``pi * f * Q^k f`` per step,
@@ -44,7 +46,7 @@ import math
 
 import numpy as np
 
-from qclt.chain import ChainFlags, kernel_powers, make_chain
+from qclt.chain import ChainFlags, kernel_powers, make_chain, pair_difference, pair_law
 from qclt.errors import BadIndexOrder, NotReversible, SpectralDefect
 from qclt.inequalities import DyadicFamily
 from qclt.kernels import LAW_AR, LAW_BELL, LAW_COUNT, LAW_FACTOR, LAW_SIGN
@@ -240,6 +242,23 @@ def quenched_diagnostics_cell(chain, scheme, x, n: int) -> ApproximationDiagnost
         residual_msq=residual_msq,
         asdl_sup=float(np.max(np.abs(cond_means))) / sqrt_n,
     )
+
+
+def tail_sup_deviation_table(chain, scheme, N: int) -> float:
+    """``qclt.martingale.tail_sup_deviation`` for ``N >= 0`` and a contractive
+    scheme, its enumeration starting from row ``N + 1`` of an
+    ``(N + 2, S)`` :func:`qclt.chain.kernel_powers` table."""
+    q = chain.kernel
+    qmg = kernel_powers(chain, scheme.g, N + 1)[-1]
+    per_pair = np.zeros((chain.n_states, chain.n_states))
+    while True:
+        qm1g = q @ qmg
+        gm = pair_difference(qmg, qm1g)
+        np.maximum(per_pair, gm * gm, out=per_pair)
+        envelope = 2.0 * float(np.max(np.abs(qm1g)))
+        if envelope * envelope <= float(np.min(per_pair)) + 1e-14:
+            return float(np.sum(pair_law(chain) * per_pair))
+        qmg = qm1g
 
 
 def kernel_dyadic_sequence_loop(chain, f, M: int) -> np.ndarray:

@@ -432,6 +432,14 @@ def test_non_finite_sigma_sq_exits_2(capsys, tmp_path, argv):
     assert "not finite" in err
 
 
+def test_torus_series_that_is_not_finite_exits_2(capsys):
+    # the series is computed before the first line is printed
+    code, out, err = run(capsys, "torus", "--coeffs", '{"1": 1e153, "2": 1e153}',
+                         "--lazy", "0.9999999", "--cutoff", "10")
+    _assert_clean_exit_2(code, out, err)
+    assert "not finite" in err
+
+
 def test_torus_too_few_paths_exits_2(capsys):
     code, out, err = run(capsys, "torus", "--paths", "50", "--n", "8")
     _assert_clean_exit_2(code, out, err)

@@ -238,32 +238,68 @@ def test_torus_rejects_bad_buffers(compiled_kernels):
                                      keys, out_s, out_x)
 
 
-# counts at and around the edges of the 8-key zmm lanes
+def _drawn_squares(module, row_seed, rows):
+    # the drawn pass's sups and sums of a d = 0 drifting sum with drift 0:
+    # row i draws u, u' from its stream, and its sup is ((u u + u' u') - u u)
+    out_sup, out_sums = np.full(rows, np.nan), np.full(3, np.nan)
+    module.drawn_dyadic_moments(_kernels_py.LAW_DRIFT, 0, 1.0, 1.0, 0.0, np.empty(0), row_seed,
+                                out_sup, out_sums)
+    return out_sup.tobytes() + out_sums.tobytes()
+
+
+# row counts at and around the edges of the drawn pass's 8-row zmm lanes
+# and 32-row blocks
 @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 17, 31, 32, 33, 10_000])
 @pytest.mark.parametrize("seed", [0, 1, 2 ** 63, 2 ** 64 - 1])
 def test_stream_key_fill_matches_rng(compiled_backend, kernel_modules, monkeypatch, seed, n):
-    want = stream_keys(seed, n)
-    keys = kernels.stream_keys(seed, n)
-    assert keys.dtype == np.uint64 and keys.tobytes() == want.tobytes()
-    # both builds, so an AVX-512 host checks the key fill's two lane sets
-    for name in ("compiled", "compiled-scalar"):
-        out = np.zeros(n, dtype=np.uint64)
-        kernel_modules[name].stream_keys(mix64(seed + GOLDEN), out)
-        assert out.tobytes() == want.tobytes(), name
-    monkeypatch.setattr(kernels, "_compiled", None)    # the numpy fallback
-    assert kernels.stream_keys(seed, n).tobytes() == want.tobytes()
+    # the drawn pass forms row i's key as rng.stream_keys(seed, n)[i]: on
+    # both C builds, so an AVX-512 host checks both lane sets, and on the
+    # fallback, whose 7-row blocks take rng.stream_keys of their own rows
+    monkeypatch.setattr(_kernels_py, "ROW_BLOCK", 7)
+    monkeypatch.setattr(_kernels_py, "BLOCK_ITEMS", 1)
+    keys = stream_keys(seed, n)
+    uniforms = [[(mix64(key + j * GOLDEN) >> 11) * 2.0 ** -53 for j in (1, 2)]
+                for key in keys.tolist()]
+    want = _drawn_squares(_kernels_py, seed, n)
+    sups = [(u * u + v * v) - u * u for u, v in uniforms]
+    assert want[:8 * n] == np.array(sups, dtype=np.float64).tobytes()
+    for name, module in kernel_modules.items():
+        assert _drawn_squares(module, seed, n) == want, name
+    # the path walks take rng.stream_keys(seed, n) on every backend
+    alpha, lazy, x0, n_steps = 0.3, 0.25, 0.1, 9
+    omegas, ccos, csin = np.array([2 * np.pi]), np.array([0.5]), np.array([0.25])
+    for name, module in kernel_modules.items():
+        out_s, out_x = np.empty(n), np.empty(n)
+        module.torus_paths(alpha, lazy, omegas, ccos, csin, x0, n_steps, keys, out_s, out_x)
+        got = compiled_backend.run_torus_paths(alpha, lazy, omegas, ccos, csin, x0, n_steps, n,
+                                               seed, backend=name)
+        assert got[0].tobytes() == out_s.tobytes() and got[1].tobytes() == out_x.tobytes()
 
 
-def test_stream_key_fill_rejects_bad_buffers(compiled_kernels):
-    with pytest.raises(ValueError, match="out"):
-        compiled_kernels.stream_keys(0, np.zeros(3, dtype=np.int64))
-    with pytest.raises(ValueError):
-        compiled_kernels.stream_keys(0, np.zeros(6, dtype=np.uint64)[::2])
-    read_only = np.zeros(3, dtype=np.uint64)
-    read_only.flags.writeable = False
-    with pytest.raises(ValueError):
-        compiled_kernels.stream_keys(0, read_only)
-    assert not read_only.any()
+def test_stream_key_fill_rejects_bad_buffers(compiled_kernels, compiled_scalar_kernels):
+    # the drawn pass forms its keys from an integer row seed and refuses any
+    # other before a slot is written, on both C builds; an integer outside
+    # [0, 2^64) is taken mod 2^64, as rng.stream_keys takes it
+    for module in (compiled_kernels, compiled_scalar_kernels):
+        for seed in (1.0, np.float64(2.0), "3", None, np.ones(2, dtype=np.uint64)):
+            out_sup, out_sums = np.full(4, -7.0), np.full(3, -7.0)
+            with pytest.raises(TypeError):
+                module.drawn_dyadic_moments(_kernels_py.LAW_DRIFT, 0, 1.0, 1.0, 0.0,
+                                            np.empty(0), seed, out_sup, out_sums)
+            assert (out_sup == -7.0).all() and (out_sums == -7.0).all(), seed
+        for seed, same in ((-1, 2 ** 64 - 1), (2 ** 64 + 5, 5), (np.uint64(2 ** 63), 2 ** 63),
+                           (np.int64(-1), 2 ** 64 - 1)):
+            assert _drawn_squares(module, seed, 40) == _drawn_squares(module, same, 40)
+            assert _drawn_squares(_kernels_py, seed, 40) == _drawn_squares(module, same, 40)
+            assert stream_keys(seed, 40).tobytes() == stream_keys(same, 40).tobytes()
+
+
+def test_the_extension_exports_only_the_kernels_the_library_calls(compiled_kernels):
+    # the table reduction and the path streams' keys stay in numpy: nothing
+    # that only tests call is compiled
+    exported = {name for name in dir(compiled_kernels)
+                if callable(getattr(compiled_kernels, name))}
+    assert exported == {"chain_paths", "torus_paths", "drawn_dyadic_moments"}
 
 
 def test_backend_name(compiled_kernels):

@@ -155,20 +155,21 @@ def _drawn_passes(kernel_modules):
     return {name: impl.drawn_dyadic_moments for name, impl in kernel_modules.items()}
 
 
-def _drawn(drawn_pass, law, d, keys, **params):
-    # the pass's (sup, sums), the d + 3 sums as a list of floats
+def _drawn(drawn_pass, law, d, row_seed, rows, **params):
+    # the pass's (sup, sums) of `rows` rows under `row_seed`, the d + 3 sums
+    # as a list of floats
     params = {**LAW_PARAMS, **params}
-    out_sup = np.full(keys.shape[0], np.nan)
+    out_sup = np.full(rows, np.nan)
     out_sums = np.full(d + 3, np.nan)
-    drawn_pass(law, d, params["scale"], params["a"], params["drift"], _profile(law, d), keys,
+    drawn_pass(law, d, params["scale"], params["a"], params["drift"], _profile(law, d), row_seed,
                out_sup, out_sums)
     return out_sup, out_sums.tolist()
 
 
-def _assert_drawn_matches(drawn_pass, law, d, keys, want_sup, want_acc, name):
+def _assert_drawn_matches(drawn_pass, law, d, row_seed, want_sup, want_acc, name):
     # the pass's sups equal the row loop's and its sums the lane loop's, bit
     # for bit (float.hex tells -0.0 from 0.0)
-    sup, sums = _drawn(drawn_pass, law, d, keys)
+    sup, sums = _drawn(drawn_pass, law, d, row_seed, want_sup.shape[0])
     want_sums = oracles.moment_sums_rows(want_sup, want_acc)
     assert np.array_equal(sup, want_sup), name
     assert list(map(float.hex, sums)) == list(map(float.hex, want_sums)), name
@@ -196,10 +197,9 @@ def test_drawn_moments_match_the_whole_table_oracle(kernel_modules, monkeypatch,
         monkeypatch.setattr(_kernels_py, "ROW_BLOCK", math.ceil(rows / 2))
         monkeypatch.setattr(_kernels_py, "BLOCK_ITEMS", 1)
         monkeypatch.setattr(_kernels_py, "DRAW_ITEMS", 1)
-    keys = stream_keys(7 * law + d, rows)
     want_sup, want_acc = (w[..., :rows] for w in _oracle(law, d))
     for name, drawn_pass in _drawn_passes(kernel_modules).items():
-        _assert_drawn_matches(drawn_pass, law, d, keys, want_sup, want_acc, name)
+        _assert_drawn_matches(drawn_pass, law, d, 7 * law + d, want_sup, want_acc, name)
 
 
 # the compiled pass holds 4096 // (2^d + 1) rows to a block, at least one:
@@ -212,12 +212,12 @@ WIDE_BLOCK_ROWS = {7: 31, 9: 7, 12: 1, 13: 1}
 def test_drawn_moments_match_the_oracle_with_fewer_than_32_rows_to_a_block(kernel_modules,
                                                                            law, d):
     # one row more than a compiled block holds, so the last block has one row
-    rows = WIDE_BLOCK_ROWS[d] + 1
-    keys = stream_keys(11 * law + d, rows)
-    fam = oracles.drawn_family(law, d, **LAW_PARAMS, profile=_profile(law, d), keys=keys)
+    rows, row_seed = WIDE_BLOCK_ROWS[d] + 1, 11 * law + d
+    fam = oracles.drawn_family(law, d, **LAW_PARAMS, profile=_profile(law, d),
+                               keys=stream_keys(row_seed, rows))
     want_sup, want_acc = oracles.dyadic_moments_rows(fam.table)
     for name, drawn_pass in _drawn_passes(kernel_modules).items():
-        _assert_drawn_matches(drawn_pass, law, d, keys, want_sup, want_acc, name)
+        _assert_drawn_matches(drawn_pass, law, d, row_seed, want_sup, want_acc, name)
 
 
 # (rows, d, fallback rows to a block).  A row at d = 13 is 8193 values: on
@@ -238,8 +238,7 @@ def test_drawn_sums_are_bitwise_equal_on_every_module(kernel_modules, monkeypatc
     monkeypatch.setattr(_kernels_py, "ROW_BLOCK", block)
     monkeypatch.setattr(_kernels_py, "BLOCK_ITEMS", 1)
     for law in range(LAW_COUNT):
-        keys = stream_keys(rows + 5 * law + d, rows)
-        outs = {name: _drawn(drawn_pass, law, d, keys)
+        outs = {name: _drawn(drawn_pass, law, d, rows + 5 * law + d, rows)
                 for name, drawn_pass in _drawn_passes(kernel_modules).items()}
         want_sup, want_sums = outs["python"]
         for name, (sup, sums) in outs.items():
@@ -252,12 +251,11 @@ def test_scalar_drawn_pass_matches_the_picked_one_on_verify_families(compiled_ke
     # the first 100 of verify's families at its 10^4 paths, byte for byte
     # (on a CPU without AVX-512F/DQ both builds run the scalar pass)
     for index, fam in enumerate(verify.random_dyadic_families(2024, range(100))):
-        keys = stream_keys(fam.row_seed, 10_000)
         outs = []
         for drawn_pass in (compiled_kernels.drawn_dyadic_moments,
                            compiled_scalar_kernels.drawn_dyadic_moments):
             out_sup, out_sums = np.empty(10_000), np.empty(fam.d + 3)
-            drawn_pass(fam.law, fam.d, fam.scale, fam.a, fam.drift, fam.profile, keys,
+            drawn_pass(fam.law, fam.d, fam.scale, fam.a, fam.drift, fam.profile, fam.row_seed,
                        out_sup, out_sums)
             outs.append(out_sup.tobytes() + out_sums.tobytes())
         assert outs[0] == outs[1], index
@@ -268,9 +266,9 @@ BAD_SPECS = {                         # case: the spec's changed items
     "law past the last": dict(law=LAW_COUNT),
     "d -1": dict(d=-1),
     "d 21": dict(d=21),
-    "short keys": dict(keys=np.zeros(4, dtype=np.uint64)),
-    "long keys": dict(keys=np.zeros(6, dtype=np.uint64)),
-    "int64 keys": dict(keys=np.zeros(5, dtype=np.int64)),
+    "float row seed": dict(row_seed=1.0),
+    "array row seed": dict(row_seed=np.ones(5, dtype=np.uint64)),
+    "no row seed": dict(row_seed=None),
     "nan scale": dict(scale=math.nan),
     "inf scale": dict(scale=math.inf),
     "huge scale": dict(scale=2.0 ** 33),
@@ -292,11 +290,12 @@ def test_drawn_rejects_bad_spec_before_writing(kernel_modules, backend, bad):
         pytest.skip("no C compiler to build the compiled kernels")
     drawn_pass = passes[backend]
     args = dict(law=LAW_FACTOR, d=2, scale=1.0, a=0.5, drift=0.1,
-                profile=np.zeros(5), keys=stream_keys(1, 5), out_sup=np.empty(5),
+                profile=np.zeros(5), row_seed=1, out_sup=np.empty(5),
                 out_acc=np.empty(5))
     args.update(BAD_SPECS[bad])
     for out in (args["out_sup"], args["out_acc"]):
         out[...] = -7
-    with pytest.raises(ValueError):
+    # a row seed that is not an integer is the wrong type, as for operator.index
+    with pytest.raises(TypeError if "row seed" in bad else ValueError):
         drawn_pass(*args.values())
     assert (args["out_sup"] == -7).all() and (args["out_acc"] == -7).all()

@@ -263,6 +263,18 @@ def test_torus_condition_report():
         torus_condition(walk, cutoff=5)
 
 
+def test_torus_condition_refuses_a_partial_sum_that_is_not_finite():
+    # the coefficients pass the walk's norm check, but each term divides by a
+    # gap of about 1e-7 and overflows
+    walk = make_torus_walk(GOLDEN_ALPHA, lazy=0.9999999, fhat={1: 1e153, 2: 1e153})
+    with pytest.raises(NonFiniteValue, match="frequency 1 is not finite"):
+        torus_condition(walk, cutoff=10)
+    # one term below the overflow is reported as it is
+    row, = torus_condition(make_torus_walk(GOLDEN_ALPHA, lazy=0.9999999, fhat={1: 1e150}),
+                           cutoff=10).rows
+    assert math.isfinite(row.partial_sum) and row.partial_sum > 1e307
+
+
 @pytest.mark.parametrize("cutoff", [0, -5])
 def test_torus_cutoff_below_one_rejected(cutoff):
     # with no coefficients, no frequency check stands in front of it; 0/1's

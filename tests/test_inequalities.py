@@ -228,10 +228,10 @@ def test_random_dyadic_families_raise_no_warning():
         assert check_chaining_randomized(20, 100).ok
 
 
-def _drawn(impl, law, d, keys):
+def _drawn(impl, law, d, row_seed, rows):
     profile = np.linspace(-1.0, 1.0, 2 ** d + 1) if law == LAW_FACTOR else np.empty(0)
-    out_sup, out_sums = np.empty(keys.shape[0]), np.empty(d + 3)
-    impl.drawn_dyadic_moments(law, d, 0.8, 0.45, 0.3, profile, keys, out_sup, out_sums)
+    out_sup, out_sums = np.empty(rows), np.empty(d + 3)
+    impl.drawn_dyadic_moments(law, d, 0.8, 0.45, 0.3, profile, row_seed, out_sup, out_sums)
     return out_sup, out_sums
 
 
@@ -243,19 +243,18 @@ def test_row_block_draws_match_the_whole_table_draws(kernel_modules, monkeypatch
     # one block, and against the compiled kernel's 32-row blocks, bit for
     # bit; the whole-table oracle fixes all three at small sizes
     # (tests/test_dyadic_moments.py)
-    keys = stream_keys(paths, paths)
     for law in range(LAW_COUNT):
         for d in range(1, 6):
             with monkeypatch.context() as mp:
                 mp.setattr(_kernels_py, "ROW_BLOCK", paths)
                 mp.setattr(_kernels_py, "BLOCK_ITEMS", 1)
                 mp.setattr(_kernels_py, "DRAW_ITEMS", 1 << 30)
-                want = _drawn(_kernels_py, law, d, keys)
+                want = _drawn(_kernels_py, law, d, paths, paths)
             with monkeypatch.context() as mp:
                 mp.setattr(_kernels_py, "ROW_BLOCK", block)
                 mp.setattr(_kernels_py, "BLOCK_ITEMS", 1)
                 for impl in kernel_modules.values():
-                    got = _drawn(impl, law, d, keys)
+                    got = _drawn(impl, law, d, paths, paths)
                     assert all(map(np.array_equal, got, want)), (impl, law, d)
 
 
@@ -264,7 +263,6 @@ def test_drawing_a_family_allocates_no_table_sized_temporary(kernel_modules):
     # one, and a DyadicFamily checks a table that size for NaN and infinities
     # without a mask of it
     paths, d = 10 ** 4, 5
-    keys = stream_keys(3, paths)
     out_sup, out_sums = np.empty(paths), np.empty(d + 3)
     table = np.random.default_rng(4).standard_normal((paths, 2 ** d + 1))
     for impl in kernel_modules.values():
@@ -272,7 +270,7 @@ def test_drawing_a_family_allocates_no_table_sized_temporary(kernel_modules):
             profile = np.linspace(-1.0, 1.0, 2 ** d + 1) if law == LAW_FACTOR else np.empty(0)
             tracemalloc.start()
             try:
-                impl.drawn_dyadic_moments(law, d, 1.0, 0.5, 0.25, profile, keys,
+                impl.drawn_dyadic_moments(law, d, 1.0, 0.5, 0.25, profile, 3,
                                           out_sup, out_sums)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:

@@ -24,7 +24,7 @@ from qclt.martingale import (
 )
 from qclt.spectral import spectral_integral, spectral_measure
 from tests.conftest import sign_of
-from tests.oracles import kernel_gap_msq
+from tests.oracles import kernel_gap_msq, tail_sup_deviation_table
 from tests.test_chain import random_reversible
 from tests.test_spectral import jacobi_spectrum, wide_walk
 
@@ -129,6 +129,30 @@ def test_tail_sup_deviation(two_state, iid, flip, sign):
     ff = center_observable(flip, [1.0, -1.0])
     with pytest.raises(RateNotContractive):
         tail_sup_deviation(flip, poisson_solve(flip, ff), 1)
+
+
+@pytest.mark.parametrize("S", [2, 3, 7, 40])
+def test_tail_sup_deviation_equals_the_table_form_bitwise(S):
+    chain = random_reversible(np.random.default_rng(S), S)
+    f = center_observable(chain, np.random.default_rng(S + 1).standard_normal(S))
+    scheme = poisson_solve(chain, f)
+    for N in (0, 1, 2, 7, 64, 300):
+        got = tail_sup_deviation(chain, scheme, N)
+        assert got.hex() == tail_sup_deviation_table(chain, scheme, N).hex(), N
+
+
+def test_tail_sup_deviation_peak_does_not_grow_with_n(two_state, sign):
+    # the table form held N + 2 rows: 3.2 MB at S = 2 and N = 2 * 10^5
+    scheme = poisson_solve(two_state, sign)
+    peaks = []
+    for N in (10, 2 * 10 ** 5):
+        tracemalloc.start()
+        try:
+            tail_sup_deviation(two_state, scheme, N)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 1024, peaks
 
 
 def test_quenched_diagnostics_fixture(two_state, sign):
