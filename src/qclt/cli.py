@@ -26,6 +26,7 @@ import numpy as np
 # process pays only for what its command uses.
 from . import kernels
 from .chain import (
+    DEFAULT_CLASSIFY_TOL,
     center_observable,
     dump_document,
     guarded_writes,
@@ -312,8 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("chain", help="chain document (JSON)")
         p.add_argument("--observable", help="observable name from the document")
-        p.add_argument("--tol", type=float, default=1e-10,
-                       help="classification tolerance (default 1e-10)")
+        p.add_argument("--tol", type=float, default=DEFAULT_CLASSIFY_TOL,
+                       help=f"classification tolerance (default {DEFAULT_CLASSIFY_TOL:g})")
 
     p = sub.add_parser("analyze", help="classification and spectral report")
     common(p)

@@ -213,10 +213,13 @@ def tail_sup_deviation(chain: FiniteChain, scheme: MartingaleScheme, N: int) -> 
         )
     q = chain.kernel
     # Q^{N+1} g, advanced between two rows by kernel_powers' np.dot, so it is
-    # that table's last row bit for bit without the table
+    # that table's last row bit for bit without the table; once a product
+    # returns its input's bits, every later power has them too
     qmg, spare = np.array(scheme.g, dtype=np.float64), np.empty(chain.n_states)
     for _ in range(N + 1):
         np.dot(q, qmg, out=spare)
+        if spare.tobytes() == qmg.tobytes():
+            break
         qmg, spare = spare, qmg
     per_pair = np.zeros((chain.n_states, chain.n_states))
     m = N + 1

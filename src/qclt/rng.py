@@ -31,7 +31,9 @@ def mix64(z: int) -> int:
 
 def stream_key(seed: int, index: int) -> int:
     """Starting counter of stream ``index`` under ``seed``: item ``index`` of
-    :func:`stream_keys`, on Python integers."""
+    :func:`stream_keys`, on Python integers, so a numpy integer ``seed`` or
+    ``index`` gives what the same Python integer gives."""
+    seed, index = operator.index(seed), operator.index(index)
     return mix64(mix64(seed + GOLDEN) ^ mix64((index + 1) * GOLDEN))
 
 

@@ -188,10 +188,10 @@ def check_chaining_deterministic() -> CheckResult:
                        f"lhs={spike.lhs:.6g} rhs={spike.rhs:.6g}")
 
 
-def check_chaining_randomized(families: int, paths: int, seed: int = 2024) -> CheckResult:
+def check_chaining_randomized(families: int, paths: int) -> CheckResult:
     violations = 0
     worst = math.inf
-    for family in random_dyadic_families(seed, range(families)):
+    for family in random_dyadic_families(2024, range(families)):
         res = family.check(paths)
         worst = min(worst, res.rhs + res.slack - res.lhs)
         violations += 0 if res.ok else 1
@@ -202,10 +202,10 @@ def check_chaining_randomized(families: int, paths: int, seed: int = 2024) -> Ch
 
 # -- domination --------------------------------------------------------------
 
-def check_domination_equality(M: int = 5) -> CheckResult:
+def check_domination_equality() -> CheckResult:
     chain = two_state_chain(0.25)
     f = sign_observable(chain)
-    seq = kernel_dyadic_sequence(chain, f, M)
+    seq = kernel_dyadic_sequence(chain, f, 5)
     rep = dyadic_domination_check(spectral_measure(chain, f), seq)
     # the hypothesis is an identity here: the worst slack must be ~0
     ok = rep.ok and abs(rep.cond_worst_slack) <= 1e-9
@@ -214,12 +214,12 @@ def check_domination_equality(M: int = 5) -> CheckResult:
                        f"max_msq={rep.max_msq:.6g} bound={rep.max_bound:.6g}")
 
 
-def check_domination_violation(M: int = 5) -> CheckResult:
+def check_domination_violation() -> CheckResult:
     chain = two_state_chain(0.25)
     f = sign_observable(chain)
     measure = spectral_measure(chain, f)
     shrunk = SpectralMeasure(measure.locations, 0.5 * measure.masses)
-    seq = kernel_dyadic_sequence(chain, f, M)
+    seq = kernel_dyadic_sequence(chain, f, 5)
     try:
         dyadic_domination_check(shrunk, seq)
     except CondViolated as exc:
@@ -228,8 +228,8 @@ def check_domination_violation(M: int = 5) -> CheckResult:
                        "no violation reported")
 
 
-def check_dyadic_block_bound(D: int, seed: int = 5) -> CheckResult:
-    draw = Stream(seed)
+def check_dyadic_block_bound(D: int) -> CheckResult:
+    draw = Stream(5)
     chains = [two_state_chain(0.25), iid_chain(), flip_chain()]
     chains += [random_reversible_chain(draw, draw.integer(3, 8)) for _ in range(3)]
     worst = -math.inf
@@ -241,7 +241,8 @@ def check_dyadic_block_bound(D: int, seed: int = 5) -> CheckResult:
                        f"max(lhs - rhs)={worst:.3e}")
 
 
-def check_log_envelope(n_max: int = 24) -> CheckResult:
+def check_log_envelope() -> CheckResult:
+    n_max = 24
     grid = np.array([-0.99, -0.9, -0.5, 0.0, 0.3, 0.7, 0.9, 0.99, 0.999999])
     grid = grid[np.abs(grid) <= 1 - 1e-8]
     r1, loc1 = log_envelope_ratio(grid, n_max)
@@ -254,8 +255,8 @@ def check_log_envelope(n_max: int = 24) -> CheckResult:
 
 # -- cross-module identities ---------------------------------------------------
 
-def check_gap_equivalence(chains: int, n_max: int, seed: int = 7) -> CheckResult:
-    draw = Stream(seed)
+def check_gap_equivalence(chains: int, n_max: int) -> CheckResult:
+    draw = Stream(7)
     worst = 0.0
     for _ in range(chains):
         chain = random_reversible_chain(draw, draw.integer(3, 13))
@@ -269,8 +270,8 @@ def check_gap_equivalence(chains: int, n_max: int, seed: int = 7) -> CheckResult
                        worst <= 1e-9, _roundoff("worst rel gap", worst))
 
 
-def check_sigma_triangulation(n: int, seed: int = 11) -> CheckResult:
-    draw = Stream(seed)
+def check_sigma_triangulation(n: int) -> CheckResult:
+    draw = Stream(11)
     cases = [two_state_chain(0.25), iid_chain(),
              random_reversible_chain(draw, 5), random_reversible_chain(draw, 9)]
     worst_pair = 0.0
@@ -290,8 +291,8 @@ def check_sigma_triangulation(n: int, seed: int = 11) -> CheckResult:
                        _roundoff("worst scheme/spectral gap", worst_pair))
 
 
-def check_martingale_property(seed: int = 13) -> CheckResult:
-    draw = Stream(seed)
+def check_martingale_property() -> CheckResult:
+    draw = Stream(13)
     worst = 0.0
     for chain in [two_state_chain(0.25), iid_chain(),
                   random_reversible_chain(draw, 6), random_reversible_chain(draw, 11)]:
@@ -303,12 +304,12 @@ def check_martingale_property(seed: int = 13) -> CheckResult:
                        worst <= 1e-12, _roundoff("max |E[H|x]|", worst))
 
 
-def check_telescoping(paths: int = 1000, seed: int = 17) -> CheckResult:
+def check_telescoping() -> CheckResult:
     worst = 0.0
     for chain in [two_state_chain(0.25), iid_chain()]:
         f = sign_observable(chain)
         scheme = poisson_solve(chain, f)
-        rep = simulate_quenched(chain, scheme, 0, 256, max(paths, 100), seed=seed)
+        rep = simulate_quenched(chain, scheme, 0, 256, 1000, seed=17)
         worst = max(worst, rep.residual_max)
     return CheckResult("pathwise telescoping residual", worst <= 1e-9,
                        _roundoff("max residual", worst))

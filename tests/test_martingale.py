@@ -1,4 +1,5 @@
 import dataclasses
+import time
 import tracemalloc
 
 import numpy as np
@@ -139,6 +140,17 @@ def test_tail_sup_deviation_equals_the_table_form_bitwise(S):
     for N in (0, 1, 2, 7, 64, 300):
         got = tail_sup_deviation(chain, scheme, N)
         assert got.hex() == tail_sup_deviation_table(chain, scheme, N).hex(), N
+
+
+def test_tail_sup_deviation_stops_at_the_exact_fixed_point():
+    # Q^k g is fixed bit for bit from about k = 59 on this chain, so every
+    # N past it gives the same bits, and N = 10^12 needs no 10^12 products
+    chain = make_chain("abc", [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]])
+    scheme = poisson_solve(chain, center_observable(chain, [1.0, -1.0, 0.5]))
+    start = time.perf_counter()
+    huge = tail_sup_deviation(chain, scheme, 10 ** 12)
+    assert time.perf_counter() - start < 1.0
+    assert huge.hex() == tail_sup_deviation(chain, scheme, 10 ** 4).hex()
 
 
 def test_tail_sup_deviation_peak_does_not_grow_with_n(two_state, sign):

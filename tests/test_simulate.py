@@ -1,12 +1,13 @@
 import dataclasses
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from qclt import kernels
+from qclt import kernels, rng
 from qclt.chain import center_observable, make_chain
 from qclt.errors import DegenerateSigma, EmptySample
 from qclt.martingale import poisson_solve, quenched_diagnostics
@@ -43,6 +44,18 @@ def test_stream_uniforms_equal_the_per_draw_uniforms(shape, counter):
     assert got.tobytes() == want.tobytes()
     assert batch.counter == single.counter
     assert batch.integer(3, 13) == single.integer(3, 13)
+
+
+def test_numpy_integer_seeds_draw_as_python_integers():
+    # a seed is taken mod 2^64 as a Python integer, never added to in
+    # numpy's fixed width, where it would overflow or warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draws = [Stream(seed).uniforms(0.0, 1.0, 4).tobytes()
+                 for seed in (np.int64(-1), -1, 2 ** 64 - 1)]
+        assert draws[0] == draws[1] == draws[2]
+        assert rng.stream_key(np.uint64(2 ** 63), np.int64(3)) == rng.stream_key(2 ** 63, 3)
+        assert Stream(np.uint64(2 ** 63)).bits() == Stream(2 ** 63).bits()
 
 
 def test_sample_path_identity_and_flip(flip):
