@@ -466,20 +466,18 @@ static void (*run_torus)(const struct torus_job *) = torus_scalar;
 static void (*run_dyadic)(const struct dyadic_job *, double *) = dyadic_scalar;
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define AVX512 __attribute__((target("avx512f,avx512dq")))
-/* The walks' target, WALK512, adds tune=intel: under gcc's generic tuning
- * its vectorizer emits no gathers for their table reads, and the chain at
- * S = 2 took 2.4-2.8 ns a step against 1.1-1.8.  The drawn pass keeps the
- * generic tuning, under which it ran about 5 % faster.  clang names its
- * tunings otherwise, so it gets the plain target. */
+/* tune=intel: under gcc's generic tuning the vectorizer emits no gathers
+ * for the walks' table reads, and the chain at S = 2 took 2.4-2.8 ns a step
+ * against 1.1-1.8.  clang names its tunings otherwise, so it gets the plain
+ * target. */
 #if defined(__clang__)
-#define WALK512 AVX512
+#define AVX512 __attribute__((target("avx512f,avx512dq")))
 #else
-#define WALK512 __attribute__((target("avx512f,avx512dq,tune=intel")))
+#define AVX512 __attribute__((target("avx512f,avx512dq,tune=intel")))
 #endif
 
-WALK512 static void chain_avx512(const struct chain_job *job) { chain_lanes(job, WIDE_LANES); }
-WALK512 static void torus_avx512(const struct torus_job *job) { torus_lanes(job, WIDE_LANES); }
+AVX512 static void chain_avx512(const struct chain_job *job) { chain_lanes(job, WIDE_LANES); }
+AVX512 static void torus_avx512(const struct torus_job *job) { torus_lanes(job, WIDE_LANES); }
 
 /* dyadic_scalar's body compiled for AVX-512F/DQ: its row loops widen to
  * 8 rows a zmm register (vpmullq counters and draws, 8-wide reductions) */

@@ -39,6 +39,11 @@ ROW_SUM_LOAD_TOL = 1e-9      # reject rows whose sum deviates more than this
 STATIONARY_TOL = 1e-12
 DEFAULT_CLASSIFY_TOL = 1e-10
 MEAN_ZERO_TOL = 1e-12
+# A quantity that is 0 in exact arithmetic prints as 0 (a report) or "<1e-13"
+# (verify) below this floor: its digits there are roundoff, which moves with
+# the BLAS kernels and the vectorised trig a machine picks.  Every tolerance
+# on such a quantity (1e-12 or 1e-9) is above the floor.
+ROUNDOFF_FLOOR = 1e-13
 
 
 @dataclass(frozen=True)

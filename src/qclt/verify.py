@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, rng
-from .chain import FiniteChain, center_observable, make_chain
+from .chain import ROUNDOFF_FLOOR, FiniteChain, center_observable, make_chain
 from .errors import CondViolated
 from .group_walk import (
     GOLDEN_ALPHA,
@@ -53,13 +53,6 @@ class CheckResult:
     name: str
     ok: bool
     detail: str
-
-
-# A quantity that is 0 in exact arithmetic prints as "<1e-13" below this
-# floor: its digits there are roundoff, which moves with the BLAS kernels and
-# the vectorised trig a machine picks.  Every such check's tolerance (1e-12
-# or 1e-9) is above the floor, and the roundoff seen is below 2e-15.
-ROUNDOFF_FLOOR = 1e-13
 
 
 def _roundoff(label: str, value: float) -> str:

@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qclt import kernels
+from qclt import cli, kernels
 from qclt.chain import dump_document, make_chain
 from qclt.group_walk import MAX_GROUP_ORDER, TORUS_MAX_STEPS, build_group_walk
 from qclt.cli import main
+from qclt.simulate import SimulationReport
 from tests.test_startup import child_env
 
 
@@ -110,6 +111,22 @@ def test_simulate_threads_do_not_change_numbers(capsys, chain_file):
                          "--seed", "7", "--threads", threads)
         outs[threads] = text[text.index("[report]"):]
     assert outs["1"] == outs["3"]
+
+
+# below verify's 1e-13 roundoff floor the telescoping defect's digits follow
+# the BLAS kernels, so the report prints 0 there; torus reports have no line
+@pytest.mark.parametrize("residual, line", [(9.99e-14, "residual_max = 0"),
+                                            (1e-13, "residual_max = 1e-13"),
+                                            (3.25e-12, "residual_max = 3.25e-12"),
+                                            (None, None)],
+                         ids=["below-floor", "at-floor", "above-floor", "no-scheme"])
+def test_report_prints_residual_max_as_0_below_the_roundoff_floor(capsys, residual, line):
+    report = SimulationReport(start_state=0, n=4, num_paths=100, seed=1, sample_mean=0.5,
+                              sample_var=2.0, ks_distance=0.25, residual_max=residual,
+                              sigma_sq_used=3.0)
+    cli._emit_report(("start_state", 0), report)
+    lines = [x for x in capsys.readouterr().out.splitlines() if x.startswith("residual_max")]
+    assert lines == ([line] if line else [])
 
 
 def test_group_document_pipes_into_analyze(capsys, tmp_path):
