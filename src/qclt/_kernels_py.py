@@ -10,10 +10,11 @@ once through in-place ufuncs on buffers allocated once per call, drawing
 through :func:`_uniforms_into`.  :func:`chain_paths` finds each next state
 by the search that the ``_kernels.c`` header describes, probe for probe as
 the C lanes do.
-:func:`dyadic_moments` reduces a dyadic family's table to per-row maxima
+:func:`dyadic_moments` reduces a stored dyadic table to per-row maxima
 and per-scale squared-increment sums, adding each row's increments in
-increasing order as the C drawn pass does, one block of rows at a time; it
-has no C twin, so it serves the compiled backend too.
+increasing order as the C drawn pass does, one block of rows at a time.  It
+has no C twin: the stored tables that reach it are small (verify's
+deterministic families are one row), so it serves the compiled backend too.
 :func:`drawn_dyadic_moments` gives the same reduction of a family drawn
 from the counter streams under a row seed by the laws that the
 ``_kernels.c`` header defines: it takes each block's keys from
@@ -251,26 +252,24 @@ def _check_outputs(rows: int, acc_items: int, out_sup, out_acc) -> None:
         raise ValueError(f"out_acc: need {acc_items} items, got {out_acc.size}")
 
 
-def dyadic_moments(table, out_sup, out_acc) -> None:
+def dyadic_moments(table):
     """Per-row ``sup_k |T_k - T_0|`` and per-scale squared-increment sums.
 
-    ``table`` is ``(rows, 2^d + 1)``, row ``i`` the values ``T_0 ..
-    T_{2^d}`` of one path.  Writes ``out_sup[i]`` and, for each scale
-    ``r = 0..d``, ``out_acc[r * rows + i] = sum_j (T_{(j+1) 2^r} -
-    T_{j 2^r})^2`` of row ``i``, added in increasing ``j``.
+    ``table`` is a ``(rows, 2^d + 1)`` float64 array of any layout, row
+    ``i`` the values ``T_0 .. T_{2^d}`` of one path or atom.  Returns
+    ``(sup, acc)``: ``sup[i]`` of row ``i`` and, for each scale ``r =
+    0..d``, ``acc[r, i] = sum_j (T_{(j+1) 2^r} - T_{j 2^r})^2`` of row
+    ``i``, added in increasing ``j``.  Each block of rows is copied to C
+    order first, so every layout gives the same bits.
     """
-    _check_float_array(table, "table")
-    if table.ndim != 2:
-        raise ValueError(f"table: need 2 dimensions, got {table.ndim}")
     rows, width = table.shape
-    d = dyadic_level(width)
-    _check_outputs(rows, (d + 1) * rows, out_sup, out_acc)
-    sup, acc = out_sup.reshape(rows), out_acc.reshape(d + 1, rows)
+    sup, acc = np.empty(rows), np.empty((dyadic_level(width) + 1, rows))
     per_block = max(ROW_BLOCK, BLOCK_ITEMS // width)
     for i0 in range(0, rows, per_block):
         block = slice(i0, i0 + per_block)
         cols = np.array(table[block].T, order="C")    # a copy; cols[k] is T_k of every row
         _moments_block(cols, None, sup[block], acc[:, block])
+    return sup, acc
 
 
 def sum_lanes(width: int) -> int:

@@ -119,7 +119,9 @@ class RationalAlpha(QcltError):
 # -- inequality verification -------------------------------------------------
 
 class BadLength(QcltError):
-    """A dyadic family does not have 2^d + 1 entries."""
+    """A dyadic family is malformed: its table is not 2-d float64 with rows
+    and 2^d + 1 columns, or its atom weights are not one nonnegative weight
+    per row with a positive total."""
 
 
 class CondViolated(QcltError):

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
-from ._kernels_py import dyadic_level, moment_sums
+from ._kernels_py import dyadic_level, dyadic_moments, moment_sums
 from .chain import FiniteChain, Observable, pair_difference, pair_law, partial_sums
 from .errors import (
     BadIndexOrder,
@@ -42,8 +41,9 @@ INCREMENT_FACTOR = math.pi ** 2 / 6.0    # sum_d 1/(d+1)^2
 class DyadicFamily:
     """Random variables ``T_0 .. T_{2^d}`` given by samples or a finite law.
 
-    ``table`` holds the values ``T_k``: one row per sample path or atom and
-    ``2^d + 1`` columns, which fix the level ``d``.
+    ``table`` holds the values ``T_k`` as float64, in any layout: one row
+    per sample path or atom and ``2^d + 1`` columns, which fix the level
+    ``d``.
     ``probs`` holds the atom weights of an exact family and is None for a
     sampled one, whose paths weigh ``1/paths`` each.
     """
@@ -57,8 +57,9 @@ class DyadicFamily:
 
     def __post_init__(self):
         table = self.table
-        if not isinstance(table, np.ndarray) or table.ndim != 2 or table.shape[0] == 0:
-            raise BadLength("a dyadic family needs a 2-d table with at least one row")
+        if (not isinstance(table, np.ndarray) or table.dtype != np.float64 or table.ndim != 2
+                or table.shape[0] == 0):
+            raise BadLength("a dyadic family needs a 2-d float64 table with at least one row")
         dyadic_level(table.shape[1])
         # the kernel's max/min and numpy's disagree on NaN, so none may reach
         # them; any NaN or infinity reaches the table's min or max, and
@@ -113,7 +114,7 @@ def chaining_maximal_check(family: DyadicFamily) -> ChainingCheck:
     gets the verdict of the same family drawn by
     :func:`qclt.kernels.drawn_dyadic_moments` bit for bit.
     """
-    sup, acc = kernels.dyadic_moments(family.table)
+    sup, acc = dyadic_moments(family.table)
     if family.probs is None:
         return chaining_verdict(moment_sums(sup, acc), sup.shape[0])
     # one weighted sum for both sides, so the d = 0 equality lhs == rhs is exact

@@ -5,7 +5,8 @@ it imports, the numpy fallback otherwise; ``backend=`` picks one of
 :func:`available_backends` for a single path-kernel call.  The path walks
 take their streams' keys from :func:`qclt.rng.stream_keys` on every
 backend, and the drawn pass takes a row seed and forms its rows' keys
-itself.  A stored dyadic table is reduced in numpy on every backend.
+itself.  A stored dyadic table has no kernel here: the numpy
+``_kernels_py.dyadic_moments`` reduces it on every backend.
 Worker threads split the path range into contiguous chunks writing
 disjoint output slots, so results are identical for every worker count
 (each path's stream depends only on ``(seed, path_index)``).
@@ -96,25 +97,6 @@ def run_torus_paths(alpha, lazy, omegas, ccos, csin, x0, n_steps, num_paths,
                       (np.float64, np.float64), num_paths, seed, workers, backend)
 
 
-def dyadic_moments(table):
-    """Per-row sup and per-scale squared-increment sums of a dyadic table.
-
-    ``table`` is ``(rows, 2^d + 1)`` float64, C-contiguous, row ``i`` the
-    values ``T_0 .. T_{2^d}`` of one path or atom.  Returns ``(sup, acc)``:
-    ``sup[i] = max_k |T_k - T_0|`` of row ``i`` and ``acc[r, i]`` the sum of
-    its squared increments at scale ``2^r``, ``acc`` of shape ``(d + 1, rows)``.
-
-    The numpy reduction runs on every backend.  It has no compiled twin: the
-    stored tables that reach it are small (verify's deterministic families
-    are one row), and a 10^4 x 33 table takes a few milliseconds in numpy.
-    """
-    rows, width = table.shape
-    out_sup = np.empty(rows)
-    out_acc = np.empty((_kernels_py.dyadic_level(width) + 1, rows))
-    _kernels_py.dyadic_moments(table, out_sup, out_acc)
-    return out_sup, out_acc
-
-
 def drawn_dyadic_moments(law, d, scale, a, drift, profile, row_seed, rows):
     """Per-row sup and moment sums of a family of ``rows`` rows drawn inside
     the kernel, row ``i`` from stream ``i`` under the integer ``row_seed``
@@ -122,9 +104,9 @@ def drawn_dyadic_moments(law, d, scale, a, drift, profile, row_seed, rows):
     ``LAW_*`` ids, ``0 <= law < LAW_COUNT``) with its parameters; see
     ``_kernels_py.drawn_dyadic_moments``.  ``profile`` is float64.
 
-    Returns ``(sup, sums)``: ``sup`` as :func:`dyadic_moments` gives it, and
-    ``sums`` the ``d + 3`` sums of ``_kernels_py.moment_sums``, the same
-    bits on every backend."""
+    Returns ``(sup, sums)``: ``sup`` as ``_kernels_py.dyadic_moments``
+    gives it for the family's table, and ``sums`` the ``d + 3`` sums of
+    ``_kernels_py.moment_sums``, the same bits on every backend."""
     out_sup = np.empty(rows)
     out_sums = np.empty(d + 3)
     _impl.drawn_dyadic_moments(law, d, scale, a, drift, profile, row_seed, out_sup, out_sums)

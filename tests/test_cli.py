@@ -182,12 +182,6 @@ def test_torus_unresolved_frequency_exits_2(capsys, tmp_path, freq):
     assert "integer in float64" in err
 
 
-def test_verify_quick_exits_0(capsys):
-    code, out, _ = run(capsys, "verify", "--quick")
-    assert code == 0
-    assert "result = 12/12 passed" in out
-
-
 # -- malformed input exits 2 before anything is printed ------------------------
 
 def _assert_clean_exit_2(code, out, err):

@@ -276,17 +276,11 @@ def test_stream_key_fill_matches_rng(compiled_backend, kernel_modules, monkeypat
         assert got[0].tobytes() == out_s.tobytes() and got[1].tobytes() == out_x.tobytes()
 
 
-def test_stream_key_fill_rejects_bad_buffers(compiled_kernels, compiled_scalar_kernels):
-    # the drawn pass forms its keys from an integer row seed and refuses any
-    # other before a slot is written, on both C builds; an integer outside
-    # [0, 2^64) is taken mod 2^64, as rng.stream_keys takes it
+def test_row_seed_is_any_integer_mod_2_64(compiled_kernels, compiled_scalar_kernels):
+    # the drawn pass takes an integer outside [0, 2^64) mod 2^64, as
+    # rng.stream_keys takes it, on both C builds and the fallback; a seed
+    # that is not an integer is refused by test_drawn_rejects_bad_spec_before_writing
     for module in (compiled_kernels, compiled_scalar_kernels):
-        for seed in (1.0, np.float64(2.0), "3", None, np.ones(2, dtype=np.uint64)):
-            out_sup, out_sums = np.full(4, -7.0), np.full(3, -7.0)
-            with pytest.raises(TypeError):
-                module.drawn_dyadic_moments(_kernels_py.LAW_DRIFT, 0, 1.0, 1.0, 0.0,
-                                            np.empty(0), seed, out_sup, out_sums)
-            assert (out_sup == -7.0).all() and (out_sums == -7.0).all(), seed
         for seed, same in ((-1, 2 ** 64 - 1), (2 ** 64 + 5, 5), (np.uint64(2 ** 63), 2 ** 63),
                            (np.int64(-1), 2 ** 64 - 1)):
             assert _drawn_squares(module, seed, 40) == _drawn_squares(module, same, 40)

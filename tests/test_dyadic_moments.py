@@ -1,14 +1,18 @@
-"""The ``dyadic_moments`` kernels, on a table and on a family drawn inside
-the kernel: each against per-row Python loops, and their argument checks.
+"""The dyadic moment reductions, of a stored table and of a family drawn
+inside the kernel, each against per-row Python loops, and the drawn pass's
+argument checks.
 
 A stored table has one reduction, the numpy ``_kernels_py.dyadic_moments``,
-which ``kernels.dyadic_moments`` runs on every backend; the extension has no
-table kernel.  A drawn family is reduced by each backend's own pass, which
-returns its per-row sups and its moment sums, checked against the row loop
-and the sums' Python lane loop (``oracles.moment_sums_rows``).  Every
-test takes its backends from the ``kernel_modules`` fixture: the numpy
-fallback always, and wherever a C compiler exists two builds of the
-extension from this checkout, ``"compiled"`` on the lanes its CPU picks and
+on every backend: the extension has no table kernel, so the table tests take
+no backend (``test_backends_bitwise_identical`` keeps its name from when the
+extension had one).  A table's layout and dtype are checked where a
+``DyadicFamily`` is made (``tests/test_inequalities.py``).  A drawn family
+is reduced by each backend's own pass, which returns its per-row sups and
+its moment sums, checked against the row loop and the sums' Python lane
+loop (``oracles.moment_sums_rows``).  The drawn tests take their backends
+from the ``kernel_modules`` fixture: the numpy fallback always, and
+wherever a C compiler exists two builds of the extension from this
+checkout, ``"compiled"`` on the lanes its CPU picks and
 ``"compiled-scalar"`` on the scalar lanes whatever the CPU, so an AVX-512
 host runs both lane sets and no test skips its fallback half.
 """
@@ -19,7 +23,7 @@ import math
 import numpy as np
 import pytest
 
-from qclt import _kernels_py, kernels, verify
+from qclt import _kernels_py, verify
 from qclt.kernels import LAW_BELL, LAW_COUNT, LAW_FACTOR
 from qclt.rng import stream_keys
 from tests import oracles
@@ -29,21 +33,6 @@ from tests import oracles
 RECURSIONS = [None, 1.0, -0.9, 0.37]
 
 
-def _module(kernel_modules, backend):
-    if backend not in kernel_modules:
-        pytest.skip("no C compiler to build the compiled kernels")
-    return kernel_modules[backend]
-
-
-def _table_kernel(kernel_modules, monkeypatch, backend):
-    # the table kernel that `kernels` reaches with `backend` in use: the
-    # numpy one, since no backend brings its own
-    impl = _module(kernel_modules, backend)
-    assert impl is _kernels_py or not hasattr(impl, "dyadic_moments")
-    monkeypatch.setattr(kernels, "_impl", impl)
-    return _kernels_py.dyadic_moments
-
-
 def _table(rng, shape, ar):
     z = rng.standard_normal(shape)
     return z if ar is None else oracles.recursion_rows(z, ar)
@@ -51,13 +40,11 @@ def _table(rng, shape, ar):
 
 def _assert_matches_oracle(table):
     want_sup, want_acc = oracles.dyadic_moments_rows(table)
-    sup, acc = kernels.dyadic_moments(table)
+    sup, acc = _kernels_py.dyadic_moments(table)
     assert np.array_equal(sup, want_sup) and np.array_equal(acc, want_acc)
 
 
-def _assert_backends_agree(d, rows, ar):
-    # the one table kernel equal to the row loop, so every backend's table
-    # route equals it bit for bit
+def _assert_scaled_table_matches(d, rows, ar):
     rng = np.random.default_rng([d, rows])
     table = _table(rng, (rows, 2 ** d + 1), ar) * rng.uniform(0.1, 10.0)
     _assert_matches_oracle(table)
@@ -67,7 +54,7 @@ def _assert_backends_agree(d, rows, ar):
 @pytest.mark.parametrize("rows", [0, 1, 257])
 @pytest.mark.parametrize("d", range(7))
 def test_backends_bitwise_identical(d, rows, ar):
-    _assert_backends_agree(d, rows, ar)
+    _assert_scaled_table_matches(d, rows, ar)
 
 
 @pytest.mark.parametrize("ar", RECURSIONS)
@@ -76,68 +63,22 @@ def test_backends_bitwise_identical_across_row_blocks(d, ar):
     # the numpy kernel walks the table in blocks of this many rows
     block = max(_kernels_py.ROW_BLOCK, _kernels_py.BLOCK_ITEMS // (2 ** d + 1))
     for rows in (block - 1, block, block + 1, 2 * block + 7):
-        _assert_backends_agree(d, rows, ar)
+        _assert_scaled_table_matches(d, rows, ar)
 
 
 @pytest.mark.parametrize("ar", RECURSIONS)
-@pytest.mark.parametrize("backend", ["python", "compiled"])
-def test_matches_row_loop(kernel_modules, monkeypatch, backend, ar):
-    _table_kernel(kernel_modules, monkeypatch, backend)
+def test_matches_row_loop(ar):
     rng = np.random.default_rng(5)
     for d in (0, 1, 3, 5):
         _assert_matches_oracle(_table(rng, (33, 2 ** d + 1), ar))
 
 
 @pytest.mark.parametrize("rows", [1, 40])
-@pytest.mark.parametrize("backend", ["python", "compiled"])
-def test_table_is_not_modified(kernel_modules, monkeypatch, backend, rows):
-    _table_kernel(kernel_modules, monkeypatch, backend)
+def test_table_is_not_modified(rows):
     table = np.random.default_rng(2).standard_normal((rows, 17))
     before = table.copy()
-    kernels.dyadic_moments(table)
+    _kernels_py.dyadic_moments(table)
     assert np.array_equal(table, before)
-
-
-def _args(rows=5, d=2):
-    table = np.random.default_rng(0).standard_normal((rows, 2 ** d + 1))
-    return dict(table=table, out_sup=np.empty(rows), out_acc=np.empty((d + 1) * rows))
-
-
-BAD_ARGS = {                          # case: (argument, how to spoil it)
-    "float32 table": ("table", lambda v: v.astype(np.float32)),
-    "int64 table": ("table", lambda v: v.astype(np.int64)),
-    "big-endian table": ("table", lambda v: v.astype(">f8")),
-    "float32 out_sup": ("out_sup", lambda v: v.astype(np.float32)),
-    "int64 out_acc": ("out_acc", lambda v: v.astype(np.int64)),
-    "fortran table": ("table", np.asfortranarray),
-    "strided table": ("table", lambda v: np.repeat(v, 2, axis=0)[::2]),
-    "1-d table": ("table", lambda v: v.ravel()),
-    "width 4": ("table", lambda v: np.ascontiguousarray(v[:, :4])),
-    "width 1": ("table", lambda v: np.ascontiguousarray(v[:, :1])),
-    "width 0": ("table", lambda v: np.ascontiguousarray(v[:, :0])),
-    "short out_sup": ("out_sup", lambda v: v[:-1]),
-    "long out_sup": ("out_sup", lambda v: np.empty(v.size + 1)),
-    "short out_acc": ("out_acc", lambda v: v[:-1]),
-    "long out_acc": ("out_acc", lambda v: np.empty(v.size + 1)),
-    "read-only out_acc": ("out_acc", lambda v: np.frombuffer(v.tobytes())),
-    "strided out_sup": ("out_sup", lambda v: np.empty(2 * v.size)[::2]),
-}
-
-
-@pytest.mark.parametrize("bad", sorted(BAD_ARGS))
-@pytest.mark.parametrize("backend", ["python", "compiled"])
-def test_rejects_bad_buffers_before_writing(kernel_modules, monkeypatch, backend, bad):
-    table_kernel = _table_kernel(kernel_modules, monkeypatch, backend)
-    args = _args()
-    name, spoil = BAD_ARGS[bad]
-    args[name] = spoil(args[name])
-    outs = [args[k] for k in ("out_sup", "out_acc") if args[k].flags.writeable]
-    for out in outs:
-        out[...] = -7
-    with pytest.raises(ValueError):
-        table_kernel(*args.values())
-    for out in outs:
-        assert (out == -7).all()
 
 
 # -- families drawn inside the kernel --------------------------------------------
@@ -269,6 +210,8 @@ BAD_SPECS = {                         # case: the spec's changed items
     "float row seed": dict(row_seed=1.0),
     "array row seed": dict(row_seed=np.ones(5, dtype=np.uint64)),
     "no row seed": dict(row_seed=None),
+    "numpy float row seed": dict(row_seed=np.float64(2.0)),
+    "string row seed": dict(row_seed="3"),
     "nan scale": dict(scale=math.nan),
     "inf scale": dict(scale=math.inf),
     "huge scale": dict(scale=2.0 ** 33),
