@@ -32,7 +32,8 @@ class SingularStationary(QcltError):
 
 
 class DimensionMismatch(QcltError):
-    """Vector or matrix sizes do not match the chain's state space."""
+    """Vector or matrix sizes do not match the chain's state space, or a
+    spectral measure's locations do not match its masses."""
 
 
 class DuplicateLabel(QcltError):
@@ -119,9 +120,10 @@ class RationalAlpha(QcltError):
 # -- inequality verification -------------------------------------------------
 
 class BadLength(QcltError):
-    """A dyadic family is malformed: its table is not 2-d float64 with rows
-    and 2^d + 1 columns, or its atom weights are not one nonnegative weight
-    per row with a positive total."""
+    """A dyadic family or exact sequence is malformed: a table that is not
+    2-d float64 with rows and 2^d + 1 columns, or atom weights that are not
+    a 1-d float64 array of one nonnegative weight per atom with a total
+    within 1e-12 of 1."""
 
 
 class CondViolated(QcltError):

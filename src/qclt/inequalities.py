@@ -34,6 +34,20 @@ ENVELOPE_FLOOR = 1e-3
 INCREMENT_FACTOR = math.pi ** 2 / 6.0    # sum_d 1/(d+1)^2
 
 
+def _check_weights(probs, atoms: int) -> None:
+    # the one rule for the atom weights of a finite law: a 1-d float64 array
+    # of `atoms` finite, nonnegative weights with a total within 1e-12 of 1
+    if not (isinstance(probs, np.ndarray) and probs.dtype == np.float64
+            and probs.shape == (atoms,)):
+        raise BadLength(f"atom weights must be a 1-d float64 array of one per atom ({atoms})")
+    if not np.all(np.isfinite(probs)):
+        raise NonFiniteValue("atom weights contain NaN or infinite entries")
+    if np.any(probs < 0):
+        raise BadLength("atom weights must be nonnegative")
+    if not abs(probs.sum() - 1.0) <= 1e-12:
+        raise BadLength("atom weights must have a total within 1e-12 of 1")
+
+
 # ---------------------------------------------------------------------------
 # chaining maximal inequality
 
@@ -44,8 +58,10 @@ class DyadicFamily:
     ``table`` holds the values ``T_k`` as float64, in any layout: one row
     per sample path or atom and ``2^d + 1`` columns, which fix the level
     ``d``.
-    ``probs`` holds the atom weights of an exact family and is None for a
-    sampled one, whose paths weigh ``1/paths`` each.
+    ``probs`` holds the atom weights of an exact family: a 1-d float64
+    array of one finite, nonnegative weight per row, with a total within
+    1e-12 of 1 (:meth:`from_exact` normalises them).  It is None for a
+    sampled family, whose paths weigh ``1/paths`` each.
     """
 
     table: np.ndarray
@@ -66,6 +82,8 @@ class DyadicFamily:
         # checking those two builds no table-sized mask
         if not (math.isfinite(table.min()) and math.isfinite(table.max())):
             raise NonFiniteValue("a dyadic family's table contains NaN or infinite entries")
+        if self.probs is not None:
+            _check_weights(self.probs, table.shape[0])
 
     @classmethod
     def from_samples(cls, samples) -> "DyadicFamily":
@@ -74,18 +92,12 @@ class DyadicFamily:
 
     @classmethod
     def from_exact(cls, values, probs) -> "DyadicFamily":
+        """A finite law: atom rows ``values`` with ``probs`` divided by their
+        total where it is positive and finite."""
         values = np.ascontiguousarray(np.atleast_2d(values), dtype=np.float64)
         probs = np.asarray(probs, dtype=np.float64)
-        if probs.shape != (values.shape[0],):
-            raise BadLength("atom weights must be one per atom row")
-        if not np.all(np.isfinite(probs)):
-            raise NonFiniteValue("atom weights contain NaN or infinite entries")
-        if np.any(probs < 0):
-            raise BadLength("atom weights must be nonnegative")
         total = probs.sum()
-        if not total > 0:
-            raise BadLength("atom weights must have a positive total")
-        return cls(table=values, probs=probs / total)
+        return cls(table=values, probs=probs / total if 0 < total < math.inf else probs)
 
     @classmethod
     def deterministic(cls, sequence) -> "DyadicFamily":
@@ -165,10 +177,15 @@ class ExactSequence:
 
     ``values[n-1, k]`` is the value of ``W_n`` at atom ``k`` with weight
     ``probs[k]``; every joint moment of the sequence is a finite sum.
+    ``probs`` is a 1-d float64 array of one finite, nonnegative weight per
+    column of ``values``, with a total within 1e-12 of 1.
     """
 
     values: np.ndarray
     probs: np.ndarray
+
+    def __post_init__(self):
+        _check_weights(self.probs, self.values.shape[-1])
 
     @property
     def m_max(self) -> int:

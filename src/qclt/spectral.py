@@ -22,6 +22,7 @@ import numpy as np
 from .chain import FiniteChain, Observable
 from .errors import (
     BadIndexOrder,
+    DimensionMismatch,
     DivergentIntegral,
     NonFiniteValue,
     NotReversible,
@@ -38,8 +39,10 @@ TOTAL_MASS_RTOL = 1e-9
 class SpectralMeasure:
     """Atomic spectral measure: locations with nonnegative masses.
 
-    Locations are real in [-1, 1] for reversible chains and complex in the
-    closed unit disk for group walks.
+    ``locations`` and ``masses`` are 1-d arrays of one length, one atom per
+    entry; a mismatch raises :class:`DimensionMismatch`.  Locations are real
+    in [-1, 1] for reversible chains and complex in the closed unit disk
+    for group walks.
     """
 
     locations: np.ndarray
@@ -55,6 +58,9 @@ class SpectralMeasure:
         return not np.iscomplexobj(self.locations)
 
     def __post_init__(self):
+        if not (isinstance(self.locations, np.ndarray) and isinstance(self.masses, np.ndarray)
+                and self.locations.ndim == 1 and self.locations.shape == self.masses.shape):
+            raise DimensionMismatch("locations and masses must be 1-d arrays of one length")
         if np.min(self.masses, initial=0.0) < 0.0:
             raise ValueError("spectral masses must be nonnegative")
         if np.max(np.abs(self.locations), initial=0.0) > 1.0 + 1e-12:

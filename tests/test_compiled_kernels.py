@@ -251,7 +251,8 @@ def _drawn_squares(module, row_seed, rows):
 # and 32-row blocks
 @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 17, 31, 32, 33, 10_000])
 @pytest.mark.parametrize("seed", [0, 1, 2 ** 63, 2 ** 64 - 1])
-def test_stream_key_fill_matches_rng(compiled_backend, kernel_modules, monkeypatch, seed, n):
+def test_drawn_rows_and_path_walks_take_rng_stream_keys(compiled_backend, kernel_modules,
+                                                        monkeypatch, seed, n):
     # the drawn pass forms row i's key as rng.stream_keys(seed, n)[i]: on
     # both C builds, so an AVX-512 host checks both lane sets, and on the
     # fallback, whose 7-row blocks take rng.stream_keys of their own rows

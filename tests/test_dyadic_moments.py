@@ -3,13 +3,12 @@ inside the kernel, each against per-row Python loops, and the drawn pass's
 argument checks.
 
 A stored table has one reduction, the numpy ``_kernels_py.dyadic_moments``,
-on every backend: the extension has no table kernel, so the table tests take
-no backend (``test_backends_bitwise_identical`` keeps its name from when the
-extension had one).  A table's layout and dtype are checked where a
-``DyadicFamily`` is made (``tests/test_inequalities.py``).  A drawn family
-is reduced by each backend's own pass, which returns its per-row sups and
-its moment sums, checked against the row loop and the sums' Python lane
-loop (``oracles.moment_sums_rows``).  The drawn tests take their backends
+on every backend, so the table tests take no backend.  A table's layout and
+dtype are checked where a ``DyadicFamily`` is made
+(``tests/test_inequalities.py``).  A drawn family is reduced by each
+backend's own pass, which returns its per-row sups and its moment sums,
+checked against the row loop and the sums' Python lane loop
+(``oracles.moment_sums_rows``).  The drawn tests take their backends
 from the ``kernel_modules`` fixture: the numpy fallback always, and
 wherever a C compiler exists two builds of the extension from this
 checkout, ``"compiled"`` on the lanes its CPU picks and
@@ -38,39 +37,38 @@ def _table(rng, shape, ar):
     return z if ar is None else oracles.recursion_rows(z, ar)
 
 
-def _assert_matches_oracle(table):
+def _scaled_table(d, rows, ar):
+    rng = np.random.default_rng([d, rows])
+    return _table(rng, (rows, 2 ** d + 1), ar) * rng.uniform(0.1, 10.0)
+
+
+def _seed_5_table(d, ar):
+    # the table at d of 33-row tables drawn from one default_rng(5) at d = 0, 1, 3, 5 in turn
+    rng = np.random.default_rng(5)
+    return {k: _table(rng, (33, 2 ** k + 1), ar) for k in (0, 1, 3, 5)}[d]
+
+
+def _scaled_rows(d):
+    # 0, 1 and 257 rows; one row under, at and over one of the row blocks
+    # that the numpy kernel walks a table in; and two blocks and 7 rows
+    block = max(_kernels_py.ROW_BLOCK, _kernels_py.BLOCK_ITEMS // (2 ** d + 1))
+    return (0, 1, 257, block - 1, block, block + 1, 2 * block + 7)
+
+
+# one id per table
+TABLES = ([pytest.param(functools.partial(_scaled_table, d, rows), id=f"d{d}-rows{rows}")
+           for d in range(7) for rows in _scaled_rows(d)]
+          + [pytest.param(functools.partial(_seed_5_table, d), id=f"seed5-d{d}-rows33")
+             for d in (0, 1, 3, 5)])
+
+
+@pytest.mark.parametrize("ar", RECURSIONS)
+@pytest.mark.parametrize("make", TABLES)
+def test_stored_table_moments_match_the_row_loop(make, ar):
+    table = make(ar)
     want_sup, want_acc = oracles.dyadic_moments_rows(table)
     sup, acc = _kernels_py.dyadic_moments(table)
     assert np.array_equal(sup, want_sup) and np.array_equal(acc, want_acc)
-
-
-def _assert_scaled_table_matches(d, rows, ar):
-    rng = np.random.default_rng([d, rows])
-    table = _table(rng, (rows, 2 ** d + 1), ar) * rng.uniform(0.1, 10.0)
-    _assert_matches_oracle(table)
-
-
-@pytest.mark.parametrize("ar", RECURSIONS)
-@pytest.mark.parametrize("rows", [0, 1, 257])
-@pytest.mark.parametrize("d", range(7))
-def test_backends_bitwise_identical(d, rows, ar):
-    _assert_scaled_table_matches(d, rows, ar)
-
-
-@pytest.mark.parametrize("ar", RECURSIONS)
-@pytest.mark.parametrize("d", range(7))
-def test_backends_bitwise_identical_across_row_blocks(d, ar):
-    # the numpy kernel walks the table in blocks of this many rows
-    block = max(_kernels_py.ROW_BLOCK, _kernels_py.BLOCK_ITEMS // (2 ** d + 1))
-    for rows in (block - 1, block, block + 1, 2 * block + 7):
-        _assert_scaled_table_matches(d, rows, ar)
-
-
-@pytest.mark.parametrize("ar", RECURSIONS)
-def test_matches_row_loop(ar):
-    rng = np.random.default_rng(5)
-    for d in (0, 1, 3, 5):
-        _assert_matches_oracle(_table(rng, (33, 2 ** d + 1), ar))
 
 
 @pytest.mark.parametrize("rows", [1, 40])
@@ -189,9 +187,9 @@ def test_drawn_sums_are_bitwise_equal_on_every_module(kernel_modules, monkeypatc
 
 def test_scalar_drawn_pass_matches_the_picked_one_on_verify_families(compiled_kernels,
                                                                     compiled_scalar_kernels):
-    # the first 100 of verify's families at its 10^4 paths, byte for byte
-    # (on a CPU without AVX-512F/DQ both builds run the scalar pass)
-    for index, fam in enumerate(verify.random_dyadic_families(2024, range(100))):
+    # all 1000 of verify's families at its 10^4 paths, byte for byte (on a
+    # CPU without AVX-512F/DQ both builds run the scalar pass)
+    for index, fam in enumerate(verify.random_dyadic_families(2024, range(1000))):
         outs = []
         for drawn_pass in (compiled_kernels.drawn_dyadic_moments,
                            compiled_scalar_kernels.drawn_dyadic_moments):

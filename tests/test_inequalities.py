@@ -432,6 +432,38 @@ def test_from_exact_rejects_zero_total_weight():
         DyadicFamily.from_exact(np.zeros((2, 3)), [0.5, -0.5])
 
 
+# atom weights that break the rule for a two-atom law, with the error each raises
+BAD_WEIGHTS = {
+    "negative": (np.array([-1.0, 2.0]), BadLength),
+    "total_6": (np.array([3.0, 3.0]), BadLength),
+    "total_1+2e-12": (np.array([0.5, 0.5 + 2e-12]), BadLength),
+    "nan": (np.array([np.nan, 1.0]), NonFiniteValue),
+    "inf": (np.array([np.inf, 1.0]), NonFiniteValue),
+    "one_for_two_atoms": (np.array([1.0]), BadLength),
+    "2-d": (np.array([[0.5, 0.5]]), BadLength),
+    "float32": (np.array([0.5, 0.5], dtype=np.float32), BadLength),
+    "list": ([0.5, 0.5], BadLength),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_WEIGHTS))
+def test_constructors_refuse_weights_that_are_not_a_probability_vector(bad):
+    probs, error = BAD_WEIGHTS[bad]
+    with pytest.raises(error):
+        DyadicFamily(np.array([[0.0, 1.0, 0.5], [0.0, -1.0, 2.0]]), probs)
+    with pytest.raises(error):
+        ExactSequence(values=np.zeros((3, 2)), probs=probs)
+
+
+def test_weights_may_miss_a_total_of_1_by_1e_12():
+    table = np.array([[0.0, 1.0, 0.5], [0.0, -1.0, 2.0]])
+    near = np.array([0.25, 0.75 + 5e-13])
+    assert chaining_maximal_check(DyadicFamily(table, near)).ok
+    assert ExactSequence(values=np.zeros((3, 2)), probs=near).msq(1) == 0.0
+    # from_exact divides a positive total out before the rule is applied
+    assert np.array_equal(DyadicFamily.from_exact(table, [3.0, 3.0]).probs, [0.5, 0.5])
+
+
 def test_domination_equality_two_state(two_state, sign):
     seq = kernel_dyadic_sequence(two_state, sign, 5)
     rep = dyadic_domination_check(spectral_measure(two_state, sign), seq)

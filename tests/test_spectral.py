@@ -14,6 +14,7 @@ from qclt.chain import as_observable, center_observable, make_chain
 from qclt.cli import main
 from qclt.errors import (
     BadIndexOrder,
+    DimensionMismatch,
     DivergentIntegral,
     NonFiniteValue,
     NotReversible,
@@ -190,6 +191,17 @@ def test_zero_observable_measure(two_state):
     m = spectral_measure(two_state, center_observable(two_state, [0.0, 0.0]))
     assert len(m.masses) == 0
     assert m.total == 0.0
+
+
+@pytest.mark.parametrize("locations, masses", [
+    (np.array([0.5, 0.2]), np.array([1.0])),
+    (np.array([[0.5, 0.2]]), np.array([[1.0, 1.0]])),
+    (np.array(0.5), np.array(1.0)),
+    ([0.5, 0.2], [1.0, 1.0]),
+], ids=["two_locations_one_mass", "2-d", "0-d", "lists"])
+def test_spectral_measure_needs_two_1d_arrays_of_one_length(locations, masses):
+    with pytest.raises(DimensionMismatch):
+        SpectralMeasure(locations, masses)
 
 
 def test_not_reversible_rejected():
