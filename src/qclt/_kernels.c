@@ -23,21 +23,20 @@
  *
  * drawn_dyadic_moments: one pass over a dyadic family that no table holds,
  * row i the values T_0 .. T_{2^d} of one path.  Per row it takes
- * sup = sup_k |T_k - T_0|, which it writes, and, for each scale r = 0..d,
- * acc_r = the sum over i of (T_{(i+1) 2^r} - T_{i 2^r})^2 added in
- * increasing i, as the fallback's table reduction dyadic_moments does
- * (which has no C twin: no workload reduces a table large enough to need
- * one).  It returns d + 3 sums over the rows: each scale's acc_r, then
- * sup^2, then (sup^2 - mean)^2 with mean the sup^2 sum / rows, taken in a
- * second sweep over the written sups.  Each sum has nb lanes, nb the rows
- * of a block: row i adds into lane i mod nb, block after block, and the
- * lanes are then added in order from 0.0.  The pass takes the rows in
- * blocks held column-major.  Row i's 2^d + 1 values z_k are drawn from
- * counter stream i under the family's row_seed, as the path kernels draw,
- * straight into the block: in column order, after the factor law's two
- * draws.  A block forms its rows' starting counters in its lanes,
- * mix64(mix64(row_seed + GOLDEN) ^ mix64((i + 1) GOLDEN)) as
- * rng.stream_keys(row_seed, rows) gives them, so no array of keys exists.
+ * sup = sup_k |T_k - T_0| and, for each scale r = 0..d, acc_r = the sum
+ * over i of (T_{(i+1) 2^r} - T_{i 2^r})^2 added in increasing i, as the
+ * fallback's table reduction dyadic_moments does (which has no C twin: no
+ * workload reduces a table large enough to need one).  It returns only
+ * d + 2 sums over the rows, each scale's acc_r and then sup^2, and no
+ * per-row sup.  Each sum has nb lanes, nb the rows of a block: row i adds
+ * into lane i mod nb, block after block, and the lanes are then added in
+ * order from 0.0.  The pass takes the rows in blocks held column-major.
+ * Row i's 2^d + 1 values z_k are drawn from counter stream i under the
+ * family's row_seed, as the path kernels draw, straight into the block: in
+ * column order, after the factor law's two draws.  A block forms its rows'
+ * starting counters in its lanes, mix64(mix64(row_seed + GOLDEN) ^
+ * mix64((i + 1) GOLDEN)) as rng.stream_keys(row_seed, rows) gives them, so
+ * no array of keys exists.
  * With u, u' a row's next two uniforms:
  *   0 bell walk     z = scale ((u + u') - 1),    T the partial sums of z;
  *   1 sign walk     z = +1 if u >= 1/2 else -1,  T the partial sums of z;
@@ -48,10 +47,10 @@
  * Only law 3 reads `profile`, of 2^d + 1 entries (none for the others).
  * The partial sums are the recursion with a = 1.0: z_k + 1.0 T_{k-1} is
  * z_k + T_{k-1} exactly.  The spec is checked before anything is drawn:
- * row_seed an integer (any, taken mod 2^64), 0 <= law < 5, 0 <= d <= 20,
- * |a| <= 1, and scale, drift and the profile finite and at most 2^32 in
- * magnitude, so no value, sum or square overflows and no NaN reaches the
- * max/min, which numpy orders otherwise.
+ * row_seed an integer (any, taken mod 2^64), rows >= 0, 0 <= law < 5,
+ * 0 <= d <= 20, |a| <= 1, and scale, drift and the profile finite and at
+ * most 2^32 in magnitude, so no value, sum or square overflows and no NaN
+ * reaches the max/min, which numpy orders otherwise.
  *
  * The two walks and the drawn pass come in two lane sets from one source.
  * Their bodies, chain_lanes, torus_lanes and dyadic_lanes (with draw_block
@@ -87,9 +86,10 @@
  *
  * Arrays arrive through the buffer protocol and must be C-contiguous, of
  * float64 for values, uint64 for keys and int64 for last states; the out
- * slots must be writable.  Every type, length, the start state and the row
- * seed are checked before the loops run, so a rejected call writes no slot,
- * and the loops run without the GIL so worker threads scale.
+ * slots must be writable.  Every type, length, the start state, the row
+ * seed and the row count are checked before the loops run, so a rejected
+ * call writes no slot, and the loops run without the GIL so worker threads
+ * scale.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -317,11 +317,11 @@ enum { LAW_BELL, LAW_SIGN, LAW_AR, LAW_FACTOR, LAW_DRIFT, LAW_COUNT };
 
 /* One dyadic pass, checked: rows z of width 2^d + 1 drawn from the streams
  * under `row_seed` by `law`, then T_k = z_k + a T_{k-1} when `recurse`; nb
- * rows to a block.  lanes[k * nb + j] is lane j of sum k, for the d + 3
+ * rows to a block.  lanes[k * nb + j] is lane j of sum k, for the d + 2
  * sums the header lists. */
 struct dyadic_job {
     const double *profile;
-    double *out_sup, *lanes;
+    double *lanes;
     uint64_t row_seed;
     double a, scale, drift;
     Py_ssize_t rows, width, nb;
@@ -379,10 +379,10 @@ ALWAYS_INLINE void draw_block(const struct dyadic_job *job, double *t, Py_ssize_
 }
 
 /* The block reduction of the dyadic pass: T from the block's z if `recurse`,
- * then per row sup_k |T_k - T_0|, written, and each scale's sum of squared
+ * then per row sup_k |T_k - T_0| squared and each scale's sum of squared
  * increments; row j of the block adds these into lane j of their sums. */
-ALWAYS_INLINE void reduce_block(const struct dyadic_job *job, double *t, Py_ssize_t i0,
-                                const Py_ssize_t nb, const Py_ssize_t n)
+ALWAYS_INLINE void reduce_block(const struct dyadic_job *job, double *t, const Py_ssize_t nb,
+                                const Py_ssize_t n)
 {
     const Py_ssize_t width = job->width;
     double hi[DYADIC_BLOCK_ROWS], lo[DYADIC_BLOCK_ROWS], acc[DYADIC_BLOCK_ROWS];
@@ -403,7 +403,6 @@ ALWAYS_INLINE void reduce_block(const struct dyadic_job *job, double *t, Py_ssiz
     for (Py_ssize_t j = 0; j < n; j++) {
         double up = hi[j] - t[j], down = t[j] - lo[j];
         double sup = up >= down ? up : down;
-        job->out_sup[i0 + j] = sup;
         sup_lanes[j] += sup * sup;
     }
     for (int r = 0; r <= job->d; r++) {
@@ -420,37 +419,23 @@ ALWAYS_INLINE void reduce_block(const struct dyadic_job *job, double *t, Py_ssiz
     }
 }
 
-/* The whole dyadic pass: the blocks drawn and reduced in row order, then
- * the sweep over the written sups that adds (sup^2 - mean)^2 into the last
- * sum's lanes, once the sup^2 lanes give the mean.  A full block of
- * DYADIC_BLOCK_ROWS rows, every block but the last at d <= 6, runs the
- * block bodies with nb = n = 32 known to the compiler, which then drops
+/* The whole dyadic pass: the blocks drawn and reduced in row order.  A full
+ * block of DYADIC_BLOCK_ROWS rows, every block but the last at d <= 6, runs
+ * the block bodies with nb = n = 32 known to the compiler, which then drops
  * their remainder loops: on an AVX-512 Xeon under gcc 12.2, verify's
  * families ran 10-18 % faster so. */
 ALWAYS_INLINE void dyadic_lanes(const struct dyadic_job *job, double *t)
 {
     const Py_ssize_t nb = job->nb, rows = job->rows;
-    double *sup_lanes = job->lanes + (job->d + 1) * nb, *dev_lanes = sup_lanes + nb;
     for (Py_ssize_t i0 = 0; i0 < rows; i0 += nb) {
         Py_ssize_t n = rows - i0 < nb ? rows - i0 : nb;
         if (n == DYADIC_BLOCK_ROWS) {
             draw_block(job, t, i0, DYADIC_BLOCK_ROWS, DYADIC_BLOCK_ROWS);
-            reduce_block(job, t, i0, DYADIC_BLOCK_ROWS, DYADIC_BLOCK_ROWS);
+            reduce_block(job, t, DYADIC_BLOCK_ROWS, DYADIC_BLOCK_ROWS);
         }
         else {
             draw_block(job, t, i0, nb, n);
-            reduce_block(job, t, i0, nb, n);
-        }
-    }
-    double sup_sq = 0.0;
-    for (Py_ssize_t j = 0; j < nb; j++)
-        sup_sq += sup_lanes[j];
-    const double mean = rows > 0 ? sup_sq / (double)rows : 0.0;
-    for (Py_ssize_t i0 = 0; i0 < rows; i0 += nb) {
-        Py_ssize_t n = rows - i0 < nb ? rows - i0 : nb;
-        for (Py_ssize_t j = 0; j < n; j++) {
-            double s = job->out_sup[i0 + j], x = s * s - mean;
-            dev_lanes[j] += x * x;
+            reduce_block(job, t, nb, n);
         }
     }
 }
@@ -599,14 +584,14 @@ static PyObject *torus_paths(PyObject *self, PyObject *args)
     Py_RETURN_NONE;
 }
 
-/* Run a checked job without the GIL and write its d + 3 sums to `sums`,
+/* Run a checked job without the GIL and write its d + 2 sums to `sums`,
  * each sum's lanes added in order; 0, or -1 with MemoryError set. */
 static int dyadic_pass(struct dyadic_job *job, double *sums)
 {
     /* at most DYADIC_BLOCK_ITEMS values per block, or one row if it is longer */
     Py_ssize_t nb = DYADIC_BLOCK_ITEMS / job->width;
     job->nb = nb = nb < 1 ? 1 : nb > DYADIC_BLOCK_ROWS ? DYADIC_BLOCK_ROWS : nb;
-    const int nsums = job->d + 3;
+    const int nsums = job->d + 2;
     double *t = PyMem_RawMalloc(job->width * nb * sizeof(double));
     double *lanes = PyMem_RawCalloc(nsums * nb, sizeof(double));
     if (t == NULL || lanes == NULL) {
@@ -644,13 +629,14 @@ static int check_param(double value, double bound, PyObject *arg, const char *na
 
 static PyObject *drawn_dyadic_moments(PyObject *self, PyObject *args)
 {
-    static const char *const names[] = {"profile", "out_sup", "out_acc"};
-    PyObject *o[3], *seed;
-    Py_buffer b[3] = {{0}};
+    static const char *const names[] = {"profile", "out_acc"};
+    PyObject *o[2], *seed;
+    Py_buffer b[2] = {{0}};
     int law, d;
     double scale, a, drift;
-    if (!PyArg_ParseTuple(args, "iidddOOOO:drawn_dyadic_moments", &law, &d, &scale, &a,
-                          &drift, &o[0], &seed, &o[1], &o[2]))
+    Py_ssize_t rows;
+    if (!PyArg_ParseTuple(args, "iidddOOnO:drawn_dyadic_moments", &law, &d, &scale, &a,
+                          &drift, &o[0], &seed, &rows, &o[1]))
         return NULL;
     /* any integer, reduced mod 2^64 as rng.stream_keys reduces it */
     if ((seed = PyNumber_Index(seed)) == NULL)
@@ -666,11 +652,15 @@ static PyObject *drawn_dyadic_moments(PyObject *self, PyObject *args)
         PyErr_Format(PyExc_ValueError, "d %d outside [0, %d]", d, DRAWN_MAX_D);
         ok = 0;
     }
+    else if (rows < 0) {
+        PyErr_Format(PyExc_ValueError, "rows %zd is negative", rows);
+        ok = 0;
+    }
     ok = ok && check_param(scale, PARAM_MAX, PyTuple_GET_ITEM(args, 2), "scale", "2^32") == 0
         && check_param(a, 1.0, PyTuple_GET_ITEM(args, 3), "a", "1") == 0
         && check_param(drift, PARAM_MAX, PyTuple_GET_ITEM(args, 4), "drift", "2^32") == 0
-        && get_arrays(o, b, "ddd", names, 1, 3) == 0;
-    Py_ssize_t width = ok ? ((Py_ssize_t)1 << d) + 1 : 0, rows = b[1].len / 8;
+        && get_arrays(o, b, "dd", names, 1, 2) == 0;
+    Py_ssize_t width = ok ? ((Py_ssize_t)1 << d) + 1 : 0;
     ok = ok && check_len(&b[0], law == LAW_FACTOR ? width : 0, names[0]) == 0;
     const double *profile = b[0].buf;
     for (Py_ssize_t k = 0; ok && k < b[0].len / 8; k++)
@@ -679,15 +669,14 @@ static PyObject *drawn_dyadic_moments(PyObject *self, PyObject *args)
                          "profile: entries must be finite with magnitude at most 2^32");
             ok = 0;
         }
-    ok = ok && check_len(&b[2], d + 3, names[2]) == 0;
+    ok = ok && check_len(&b[1], d + 2, names[1]) == 0;
     if (ok) {
-        struct dyadic_job job = {.profile = profile, .row_seed = row_seed, .out_sup = b[1].buf,
-                                 .a = law == LAW_AR ? a : 1.0, .scale = scale, .drift = drift,
+        struct dyadic_job job = {.profile = profile, .row_seed = row_seed, .a = law == LAW_AR ? a : 1.0, .scale = scale, .drift = drift,
                                  .rows = rows, .width = width, .d = d,
                                  .recurse = law != LAW_FACTOR, .law = law};
-        ok = dyadic_pass(&job, b[2].buf) == 0;
+        ok = dyadic_pass(&job, b[1].buf) == 0;
     }
-    release_all(b, 3);
+    release_all(b, 2);
     if (!ok)
         return NULL;
     Py_RETURN_NONE;
@@ -704,10 +693,10 @@ static PyMethodDef methods[] = {
      "(2 n_steps + 1) * 8-byte table per call, then walks the lattice index j\n"
      "from n_steps by lazy +-1 steps, adding table[j] per step."},
     {"drawn_dyadic_moments", drawn_dyadic_moments, METH_VARARGS,
-     "drawn_dyadic_moments(law, d, scale, a, drift, profile, row_seed, out_sup, out_acc)\n"
-     "The per-row sups of a family of len(out_sup) rows of 2^d + 1 values, row i\n"
-     "drawn by `law` from counter stream i under row_seed, and in out_acc its d + 3\n"
-     "moment sums; no table of it exists."},
+     "drawn_dyadic_moments(law, d, scale, a, drift, profile, row_seed, rows, out_acc)\n"
+     "Write to out_acc the d + 2 moment sums of a family of `rows` rows of 2^d + 1\n"
+     "values, row i drawn by `law` from counter stream i under row_seed; no table\n"
+     "of it exists."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -14,16 +14,16 @@ the C lanes do.
 and per-scale squared-increment sums, adding each row's increments in
 increasing order as the C drawn pass does, one block of rows at a time.  It
 has no C twin: the stored tables that reach it are small (verify's
-deterministic families are one row), so it serves the compiled backend too.
-:func:`drawn_dyadic_moments` gives the same reduction of a family drawn
-from the counter streams under a row seed by the laws that the
+deterministic families are a few rows), so it serves the compiled backend
+too.  :func:`drawn_dyadic_moments` gives the same reduction of a family
+drawn from the counter streams under a row seed by the laws that the
 ``_kernels.c`` header defines: it takes each block's keys from
 :func:`qclt.rng.stream_keys`, draws the block's values through
 :func:`_uniforms_into`, a few columns at a time, with the C draws'
 operations in their order, and reduces the block as :func:`dyadic_moments`
-does, so no table of the family exists.  It returns the family's moment
-sums, added in the C pass's lane order (see :func:`moment_sums`), not its
-per-row sums.
+does, so no table of the family exists.  It returns only the family's
+``d + 2`` moment sums, added in the C pass's lane order (see
+:func:`moment_sums`): no per-row sup or sum leaves the pass.
 """
 
 from __future__ import annotations
@@ -243,15 +243,6 @@ def _moments_block(cols, ar, sup, acc) -> None:
             acc_r += row
 
 
-def _check_outputs(rows: int, acc_items: int, out_sup, out_acc) -> None:
-    _check_float_array(out_sup, "out_sup", writable=True)
-    _check_float_array(out_acc, "out_acc", writable=True)
-    if out_sup.size != rows:
-        raise ValueError(f"out_sup: need {rows} items, got {out_sup.size}")
-    if out_acc.size != acc_items:
-        raise ValueError(f"out_acc: need {acc_items} items, got {out_acc.size}")
-
-
 def dyadic_moments(table):
     """Per-row ``sup_k |T_k - T_0|`` and per-scale squared-increment sums.
 
@@ -306,32 +297,17 @@ def _lane_total(lanes) -> float:
     return total
 
 
-def _finish_sums(sup, lanes, per_block: int) -> list:
-    # lanes holds the d + 3 sums' lanes, all but the last one filled: add
-    # (sup^2 - mean)^2 into the last, per_block rows at a time, and return
-    # every sum
-    rows = sup.shape[0]
-    mean = _lane_total(lanes[-2]) / rows if rows else 0.0
-    for i0 in range(0, rows, per_block):
-        dev = np.multiply(sup[i0:i0 + per_block], sup[i0:i0 + per_block])
-        dev -= mean
-        np.multiply(dev, dev, out=dev)
-        _add_to_lanes(lanes[-1:], dev[None, :], i0)
-    return [_lane_total(row) for row in lanes]
-
-
 def moment_sums(sup, acc) -> list:
-    """The ``d + 3`` moment sums of a family from its per-row ``sup`` and
+    """The ``d + 2`` moment sums of a family from its per-row ``sup`` and
     ``acc`` (see :func:`dyadic_moments`), as the drawn pass takes them: each
-    scale's ``sum_i acc[r, i]``, then ``sum_i sup_i^2`` and
-    ``sum_i (sup_i^2 - mean)^2`` with ``mean`` the second sum over the rows.
-    Row ``i`` adds into lane ``i mod`` :func:`sum_lanes` of each sum, and
-    the lanes are then added in order, so a table of a drawn family gets
-    the drawn pass's sums bit for bit."""
+    scale's ``sum_i acc[r, i]``, then ``sum_i sup_i^2``.  Row ``i`` adds
+    into lane ``i mod`` :func:`sum_lanes` of each sum, and the lanes are
+    then added in order, so a table of a drawn family gets the drawn pass's
+    sums bit for bit."""
     d = acc.shape[0] - 1
-    lanes = np.zeros((d + 3, sum_lanes(2 ** d + 1)))
-    _add_to_lanes(lanes[:-1], np.vstack([acc, sup * sup]), 0)
-    return _finish_sums(sup, lanes, max(sup.shape[0], 1))
+    lanes = np.zeros((d + 2, sum_lanes(2 ** d + 1)))
+    _add_to_lanes(lanes, np.vstack([acc, sup * sup]), 0)
+    return [_lane_total(row) for row in lanes]
 
 
 def _check_spec(law, d, scale, a, drift, profile) -> tuple:
@@ -355,12 +331,11 @@ def _check_spec(law, d, scale, a, drift, profile) -> tuple:
     return law, d
 
 
-def drawn_dyadic_moments(law, d, scale, a, drift, profile, row_seed, out_sup, out_acc) -> None:
-    """The per-row sups and the :func:`moment_sums` of a family of
-    ``out_sup.size`` rows drawn here, row ``i`` from counter stream ``i``
-    under the integer ``row_seed``, by the laws that the ``_kernels.c``
-    header defines; no table of the family exists.  Writes the sups to
-    ``out_sup`` and the ``d + 3`` sums to ``out_acc``.
+def drawn_dyadic_moments(law, d, scale, a, drift, profile, row_seed, rows, out_acc) -> None:
+    """The :func:`moment_sums` of a family of ``rows`` rows drawn here, row
+    ``i`` from counter stream ``i`` under the integer ``row_seed``, by the
+    laws that the ``_kernels.c`` header defines; no table of the family
+    exists.  Writes the ``d + 2`` sums to ``out_acc``.
 
     Rows are reduced in the blocks of :func:`dyadic_moments`, each block's
     terms added into the sums' lanes before the next block is drawn.  A
@@ -368,13 +343,15 @@ def drawn_dyadic_moments(law, d, scale, a, drift, profile, row_seed, out_sup, ou
     values are drawn a few columns at a time: one counter per draw of each
     row, all advanced together through :func:`_uniforms_into`.
     """
-    row_seed = operator.index(row_seed)
+    row_seed, rows = operator.index(row_seed), operator.index(rows)
     law, d = _check_spec(law, d, scale, a, drift, profile)
-    _check_float_array(out_sup, "out_sup", writable=True)
-    rows, width = out_sup.size, 2 ** d + 1
-    _check_outputs(rows, d + 3, out_sup, out_acc)
-    sup = out_sup.reshape(rows)
-    lanes = np.zeros((d + 3, sum_lanes(width)))
+    if rows < 0:
+        raise ValueError(f"rows {rows} is negative")
+    _check_float_array(out_acc, "out_acc", writable=True)
+    if out_acc.size != d + 2:
+        raise ValueError(f"out_acc: need {d + 2} items, got {out_acc.size}")
+    width = 2 ** d + 1
+    lanes = np.zeros((d + 2, sum_lanes(width)))
     per_value = 2 if law == LAW_BELL else 1
     lead = 2 if law == LAW_FACTOR else 0             # a row's factor takes its first draws
     per_block = max(ROW_BLOCK, BLOCK_ITEMS // width)
@@ -386,6 +363,7 @@ def drawn_dyadic_moments(law, d, scale, a, drift, profile, row_seed, out_sup, ou
     ctr_buf, zt_buf = (np.empty((draw_rows, n_max), dtype=np.uint64) for _ in range(2))
     u_buf, cols_buf = np.empty((draw_rows, n_max)), np.empty((width, n_max))
     terms_buf = np.empty((d + 2, n_max))            # a block's acc rows, then its sup^2
+    sup_buf = np.empty(n_max)
     # the recursion that builds T from the drawn values: the walks' partial
     # sums, the AR(1) coefficient, or none for the factor law
     ar = a if law == LAW_AR else None if law == LAW_FACTOR else 1.0
@@ -399,9 +377,9 @@ def drawn_dyadic_moments(law, d, scale, a, drift, profile, row_seed, out_sup, ou
         return u
 
     for i0 in range(0, rows, per_block):
-        block = slice(i0, i0 + per_block)
         block_keys = stream_keys(row_seed, min(per_block, rows - i0), i0)
-        cols = cols_buf[:, :block_keys.shape[0]]
+        n = block_keys.shape[0]
+        cols, terms, sup = cols_buf[:, :n], terms_buf[:, :n], sup_buf[:n]
         if law == LAW_FACTOR:                        # F = scale ((u + u') - 1)
             u = uniforms(block_keys, 0, 2)
             factor = u[0] + u[1]
@@ -427,8 +405,7 @@ def drawn_dyadic_moments(law, d, scale, a, drift, profile, row_seed, out_sup, ou
                 out *= 0.1 if law == LAW_FACTOR else scale
             if law == LAW_FACTOR:                    # F profile[k] + 0.1 (2u - 1)
                 out += np.multiply.outer(profile[c0:c1], factor, out=u)
-        terms = terms_buf[:, :block_keys.shape[0]]
-        _moments_block(cols, ar, sup[block], terms[:-1])
-        np.multiply(sup[block], sup[block], out=terms[-1])
-        _add_to_lanes(lanes[:-1], terms, i0)
-    out_acc.reshape(d + 3)[:] = _finish_sums(sup, lanes, per_block)
+        _moments_block(cols, ar, sup, terms[:-1])
+        np.multiply(sup, sup, out=terms[-1])
+        _add_to_lanes(lanes, terms, i0)
+    out_acc.reshape(d + 2)[:] = [_lane_total(row) for row in lanes]

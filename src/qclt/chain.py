@@ -90,8 +90,11 @@ class FiniteChain:
         try:
             return self.state_labels.index(str(label))
         except ValueError:
+            # the first few labels only, so the error stays one short line
+            labels = self.state_labels
             raise DimensionMismatch(
-                f"unknown state {label!r}; labels are {list(self.state_labels)}"
+                f"unknown state {label!r}; the chain's {len(labels)} labels begin "
+                f"{list(labels[:LABELS_SHOWN])}"
             ) from None
 
 
@@ -113,6 +116,9 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
 
+
+# an unknown state's error names this many of the chain's labels
+LABELS_SHOWN = 5
 
 # lists nested deeper than this are no field's array; the bound keeps the
 # check's recursion far below Python's limit

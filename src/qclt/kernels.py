@@ -98,16 +98,14 @@ def run_torus_paths(alpha, lazy, omegas, ccos, csin, x0, n_steps, num_paths,
 
 
 def drawn_dyadic_moments(law, d, scale, a, drift, profile, row_seed, rows):
-    """Per-row sup and moment sums of a family of ``rows`` rows drawn inside
-    the kernel, row ``i`` from stream ``i`` under the integer ``row_seed``
-    (the key ``rng.stream_keys(row_seed, rows)[i]``), by ``law`` (one of the
+    """The moment sums of a family of ``rows`` rows drawn inside the kernel,
+    row ``i`` from stream ``i`` under the integer ``row_seed`` (the key
+    ``rng.stream_keys(row_seed, rows)[i]``), by ``law`` (one of the
     ``LAW_*`` ids, ``0 <= law < LAW_COUNT``) with its parameters; see
     ``_kernels_py.drawn_dyadic_moments``.  ``profile`` is float64.
 
-    Returns ``(sup, sums)``: ``sup`` as ``_kernels_py.dyadic_moments``
-    gives it for the family's table, and ``sums`` the ``d + 3`` sums of
-    ``_kernels_py.moment_sums``, the same bits on every backend."""
-    out_sup = np.empty(rows)
-    out_sums = np.empty(d + 3)
-    _impl.drawn_dyadic_moments(law, d, scale, a, drift, profile, row_seed, out_sup, out_sums)
-    return out_sup, out_sums
+    Returns the ``d + 2`` sums of ``_kernels_py.moment_sums``, the same bits
+    on every backend; no per-row sup leaves the kernel."""
+    out_sums = np.empty(d + 2)
+    _impl.drawn_dyadic_moments(law, d, scale, a, drift, profile, row_seed, rows, out_sums)
+    return out_sums

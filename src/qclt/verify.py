@@ -117,8 +117,8 @@ class RandomFamily:
     row_seed: int
 
     def check(self, paths: int) -> ChainingCheck:
-        _, sums = kernels.drawn_dyadic_moments(self.law, self.d, self.scale, self.a,
-                                               self.drift, self.profile, self.row_seed, paths)
+        sums = kernels.drawn_dyadic_moments(self.law, self.d, self.scale, self.a, self.drift,
+                                            self.profile, self.row_seed, paths)
         return chaining_verdict(sums.tolist(), paths)
 
 
@@ -171,14 +171,35 @@ def random_dyadic_families(seed: int, indices) -> list[RandomFamily]:
                 widths.tolist(), row_seeds.tolist()))]
 
 
+# d = 0 rows: one increment, whose square is the sup's square, so lhs == rhs
+_TIGHT_ROWS = np.array([[0.0, 1.0], [0.5, -2.0], [-1.25, 3.0]])
+
+
+def tight_chaining_checks() -> list[ChainingCheck]:
+    """Checks of d = 0 families, where the bound is an equality and lhs ==
+    rhs bit for bit: a three-atom law, the same rows as samples, and a
+    drawn family of each law.  A reduction off by a factor ``1 +- 1e-9`` on
+    either side breaks the equality."""
+    checks = [chaining_maximal_check(DyadicFamily.from_exact(_TIGHT_ROWS, [0.5, 0.25, 0.25])),
+              chaining_maximal_check(DyadicFamily.from_samples(_TIGHT_ROWS))]
+    for law in range(kernels.LAW_COUNT):
+        profile = np.array([1.0, -0.5]) if law == kernels.LAW_FACTOR else np.empty(0)
+        sums = kernels.drawn_dyadic_moments(law, 0, 1.5, 0.5, 0.25, profile, law, 1000)
+        checks.append(chaining_verdict(sums.tolist(), 1000))
+    return checks
+
+
 def check_chaining_deterministic() -> CheckResult:
     spike = chaining_maximal_check(DyadicFamily.deterministic([0.0, 1.0, 0.0]))
     flat = chaining_maximal_check(DyadicFamily.deterministic([2.0] * 5))
+    tight = tight_chaining_checks()
+    equal = sum(res.ok and res.lhs == res.rhs for res in tight)
     ok = (spike.ok and abs(spike.lhs - 1.0) <= 1e-12
           and abs(spike.rhs - math.sqrt(2.0)) <= 1e-12
-          and flat.ok and flat.lhs == 0.0 and flat.rhs == 0.0)
+          and flat.ok and flat.lhs == 0.0 and flat.rhs == 0.0 and equal == len(tight))
     return CheckResult("chaining deterministic cases", ok,
-                       f"lhs={spike.lhs:.6g} rhs={spike.rhs:.6g}")
+                       f"lhs={spike.lhs:.6g} rhs={spike.rhs:.6g} "
+                       f"d=0 lhs==rhs {equal}/{len(tight)}")
 
 
 def check_chaining_randomized(families: int, paths: int) -> CheckResult:
@@ -186,7 +207,7 @@ def check_chaining_randomized(families: int, paths: int) -> CheckResult:
     worst = math.inf
     for family in random_dyadic_families(2024, range(families)):
         res = family.check(paths)
-        worst = min(worst, res.rhs + res.slack - res.lhs)
+        worst = min(worst, res.rhs - res.lhs)
         violations += 0 if res.ok else 1
     return CheckResult(f"chaining over {families} random families",
                        violations == 0,

@@ -635,10 +635,9 @@ def dyadic_moments_rows(table):
 
 
 def moment_sums_rows(sup, acc):
-    """The ``d + 3`` moment sums of the drawn pass from per-row ``sup`` and
+    """The ``d + 2`` moment sums of the drawn pass from per-row ``sup`` and
     ``acc`` (as :func:`dyadic_moments_rows` gives them), in plain Python
-    floats: each scale's ``acc``, then ``sup^2``, then ``(sup^2 - mean)^2``
-    with ``mean`` the ``sup^2`` sum over the rows.  Row ``i`` adds into lane
+    floats: each scale's ``acc``, then ``sup^2``.  Row ``i`` adds into lane
     ``i mod nb``, ``nb = min(32, max(1, 4096 // (2^d + 1)))``, and the lanes
     are then added in order from 0.0."""
     d = acc.shape[0] - 1
@@ -653,19 +652,14 @@ def moment_sums_rows(sup, acc):
             total += lane
         return total
 
-    sup_sq = [s * s for s in sup.tolist()]
-    sums = [lane_sum(row) for row in acc.tolist()] + [lane_sum(sup_sq)]
-    mean = sums[-1] / len(sup_sq) if sup_sq else 0.0
-    sums.append(lane_sum([(s - mean) * (s - mean) for s in sup_sq]))
-    return sums
+    return [lane_sum(row) for row in acc.tolist()] + [lane_sum(s * s for s in sup.tolist())]
 
 
 def chaining_check_einsum(table, probs=None):
-    """``(lhs, rhs, slack, ok)`` of the chaining check on a ``T`` table, with
-    row weights ``probs`` (an exact family) or ``1/rows`` (a sampled one)."""
+    """``(lhs, rhs, ok)`` of the chaining check on a ``T`` table, with row
+    weights ``probs`` (an exact family) or ``1/rows`` (a sampled one)."""
     d = (table.shape[1] - 1).bit_length() - 1
-    sampled = probs is None
-    weights = np.full(table.shape[0], 1.0 / table.shape[0]) if sampled else probs
+    weights = np.full(table.shape[0], 1.0 / table.shape[0]) if probs is None else probs
     cols = np.ascontiguousarray(table.T)          # (2^d + 1, paths)
     sup = np.maximum(np.max(cols[1:], axis=0) - cols[0],
                      cols[0] - np.min(cols[1:], axis=0))
@@ -678,12 +672,7 @@ def chaining_check_einsum(table, probs=None):
     for r in range(d + 1):
         step = 2 ** r
         rhs += math.sqrt(moment(cols[step::step] - cols[:-step:step]))
-    if sampled:
-        se_msq = float(np.std(sup * sup)) / math.sqrt(cols.shape[1])
-        slack = 3.0 * se_msq / (2.0 * lhs) if lhs > 0 else 0.0
-    else:
-        slack = 1e-12
-    return lhs, rhs, slack, lhs <= rhs + slack
+    return lhs, rhs, lhs <= rhs * (1.0 + 1e-12)
 
 
 # -- variance growth ----------------------------------------------------------------

@@ -408,6 +408,17 @@ def test_group_non_finite_probability_exits_2(capsys, tmp_path):
     assert not out_path.exists()
 
 
+def test_unknown_start_on_a_1600_state_walk_is_one_short_line(capsys, tmp_path):
+    # the error names the label count and the first labels, not all 1600
+    doc = str(tmp_path / "z40x40.json")
+    assert run(capsys, "group", "--moduli", "40,40", "--step",
+               "1.0:0.25,39.0:0.25,0.1:0.25,0.39:0.25", "--harmonic", "1,0", "--output", doc)[0] == 0
+    for command in ("approx", "simulate"):
+        code, out, err = run(capsys, command, doc, "--start", "nope")
+        _assert_clean_exit_2(code, out, err)
+        assert "1600 labels" in err and len(err) < 200, (command, len(err))
+
+
 @pytest.mark.parametrize("argv", [["--alpha", "nan"], ["--alpha", "inf"],
                                   ["--coeffs", "NAN_COEFFS", "--paths", "200", "--n", "8"],
                                   ["--start", "nan", "--paths", "200", "--n", "8"],

@@ -21,7 +21,7 @@ import pytest
 
 from qclt import _kernels_py, kernels
 from qclt.rng import GOLDEN, MASK64, MIX_A, MIX_B, mix64, stream_keys
-from tests.oracles import chain_paths_bisect, chain_paths_scan
+from tests.oracles import chain_paths_bisect, chain_paths_scan, moment_sums_rows
 
 
 def _cum_rows(q):
@@ -239,12 +239,13 @@ def test_torus_rejects_bad_buffers(compiled_kernels):
 
 
 def _drawn_squares(module, row_seed, rows):
-    # the drawn pass's sups and sums of a d = 0 drifting sum with drift 0:
-    # row i draws u, u' from its stream, and its sup is ((u u + u' u') - u u)
-    out_sup, out_sums = np.full(rows, np.nan), np.full(3, np.nan)
+    # the drawn pass's sums of a d = 0 drifting sum with drift 0: row i draws
+    # u, u' from its stream, and its one increment and its sup are both
+    # ((u u + u' u') - u u)
+    out_sums = np.full(2, np.nan)
     module.drawn_dyadic_moments(_kernels_py.LAW_DRIFT, 0, 1.0, 1.0, 0.0, np.empty(0), row_seed,
-                                out_sup, out_sums)
-    return out_sup.tobytes() + out_sums.tobytes()
+                                rows, out_sums)
+    return out_sums.tobytes()
 
 
 # row counts at and around the edges of the drawn pass's 8-row zmm lanes
@@ -262,8 +263,8 @@ def test_drawn_rows_and_path_walks_take_rng_stream_keys(compiled_backend, kernel
     uniforms = [[(mix64(key + j * GOLDEN) >> 11) * 2.0 ** -53 for j in (1, 2)]
                 for key in keys.tolist()]
     want = _drawn_squares(_kernels_py, seed, n)
-    sups = [(u * u + v * v) - u * u for u, v in uniforms]
-    assert want[:8 * n] == np.array(sups, dtype=np.float64).tobytes()
+    sups = np.array([(u * u + v * v) - u * u for u, v in uniforms], dtype=np.float64)
+    assert want == np.array(moment_sums_rows(sups, (sups * sups)[None, :])).tobytes()
     for name, module in kernel_modules.items():
         assert _drawn_squares(module, seed, n) == want, name
     # the path walks take rng.stream_keys(seed, n) on every backend

@@ -6,9 +6,9 @@ A stored table has one reduction, the numpy ``_kernels_py.dyadic_moments``,
 on every backend, so the table tests take no backend.  A table's layout and
 dtype are checked where a ``DyadicFamily`` is made
 (``tests/test_inequalities.py``).  A drawn family is reduced by each
-backend's own pass, which returns its per-row sups and its moment sums,
-checked against the row loop and the sums' Python lane loop
-(``oracles.moment_sums_rows``).  The drawn tests take their backends
+backend's own pass, which returns only its moment sums, checked against
+the Python lane loop (``oracles.moment_sums_rows``) over the row loop's
+sups and increments.  The drawn tests take their backends
 from the ``kernel_modules`` fixture: the numpy fallback always, and
 wherever a C compiler exists two builds of the extension from this
 checkout, ``"compiled"`` on the lanes its CPU picks and
@@ -94,24 +94,21 @@ def _drawn_passes(kernel_modules):
     return {name: impl.drawn_dyadic_moments for name, impl in kernel_modules.items()}
 
 
-def _drawn(drawn_pass, law, d, row_seed, rows, **params):
-    # the pass's (sup, sums) of `rows` rows under `row_seed`, the d + 3 sums
-    # as a list of floats
-    params = {**LAW_PARAMS, **params}
-    out_sup = np.full(rows, np.nan)
-    out_sums = np.full(d + 3, np.nan)
-    drawn_pass(law, d, params["scale"], params["a"], params["drift"], _profile(law, d), row_seed,
-               out_sup, out_sums)
-    return out_sup, out_sums.tolist()
+def _drawn(drawn_pass, law, d, row_seed, rows):
+    # the pass's d + 2 sums of `rows` rows under `row_seed`, as hex strings
+    # (float.hex tells -0.0 from 0.0)
+    out_sums = np.full(d + 2, np.nan)
+    drawn_pass(law, d, LAW_PARAMS["scale"], LAW_PARAMS["a"], LAW_PARAMS["drift"],
+               _profile(law, d), row_seed, rows, out_sums)
+    return list(map(float.hex, out_sums.tolist()))
 
 
 def _assert_drawn_matches(drawn_pass, law, d, row_seed, want_sup, want_acc, name):
-    # the pass's sups equal the row loop's and its sums the lane loop's, bit
-    # for bit (float.hex tells -0.0 from 0.0)
-    sup, sums = _drawn(drawn_pass, law, d, row_seed, want_sup.shape[0])
+    # the pass's sums equal the lane loop's over the row loop's sups and
+    # increments, bit for bit
     want_sums = oracles.moment_sums_rows(want_sup, want_acc)
-    assert np.array_equal(sup, want_sup), name
-    assert list(map(float.hex, sums)) == list(map(float.hex, want_sums)), name
+    assert _drawn(drawn_pass, law, d, row_seed, want_sup.shape[0]) == list(
+        map(float.hex, want_sums)), name
 
 
 @functools.cache
@@ -162,7 +159,7 @@ def test_drawn_moments_match_the_oracle_with_fewer_than_32_rows_to_a_block(kerne
 # (rows, d, fallback rows to a block).  A row at d = 13 is 8193 values: on
 # the fallback 10^4 rows take about 2 s a law, and 999 rows in 7-row blocks
 # about 3 s, so those two run at d <= 5 only
-SUM_CASES = [(rows, d, block) for rows in (1, 31, 32, 33, 999, 10 ** 4)
+SUM_CASES = [(rows, d, block) for rows in (1, 31, 32, 33, 999, 1025, 10 ** 4)
              for d in (*range(6), 13) for block in (7, 1024)
              if d < 13 or rows <= (999 if block == 1024 else 33)]
 
@@ -170,19 +167,17 @@ SUM_CASES = [(rows, d, block) for rows in (1, 31, 32, 33, 999, 10 ** 4)
 @pytest.mark.parametrize("rows, d, block", SUM_CASES)
 def test_drawn_sums_are_bitwise_equal_on_every_module(kernel_modules, monkeypatch, rows, d,
                                                       block):
-    # the sums that make the chaining verdict, and the sups, byte for byte on
-    # the fallback with `block` rows to its blocks and on both C lane sets,
-    # whose blocks of min(32, 4096 // (2^d + 1)) rows fix the sums' lanes:
-    # 32 of them at d <= 5 and one at d = 13
+    # the sums that make the chaining verdict, byte for byte on the fallback
+    # with `block` rows to its blocks and on both C lane sets, whose blocks of
+    # min(32, 4096 // (2^d + 1)) rows fix the sums' lanes: 32 of them at
+    # d <= 5 and one at d = 13
     monkeypatch.setattr(_kernels_py, "ROW_BLOCK", block)
     monkeypatch.setattr(_kernels_py, "BLOCK_ITEMS", 1)
     for law in range(LAW_COUNT):
         outs = {name: _drawn(drawn_pass, law, d, rows + 5 * law + d, rows)
                 for name, drawn_pass in _drawn_passes(kernel_modules).items()}
-        want_sup, want_sums = outs["python"]
-        for name, (sup, sums) in outs.items():
-            assert sup.tobytes() == want_sup.tobytes(), (name, law)
-            assert list(map(float.hex, sums)) == list(map(float.hex, want_sums)), (name, law)
+        for name, sums in outs.items():
+            assert sums == outs["python"], (name, law)
 
 
 def test_scalar_drawn_pass_matches_the_picked_one_on_verify_families(compiled_kernels,
@@ -193,10 +188,10 @@ def test_scalar_drawn_pass_matches_the_picked_one_on_verify_families(compiled_ke
         outs = []
         for drawn_pass in (compiled_kernels.drawn_dyadic_moments,
                            compiled_scalar_kernels.drawn_dyadic_moments):
-            out_sup, out_sums = np.empty(10_000), np.empty(fam.d + 3)
+            out_sums = np.empty(fam.d + 2)
             drawn_pass(fam.law, fam.d, fam.scale, fam.a, fam.drift, fam.profile, fam.row_seed,
-                       out_sup, out_sums)
-            outs.append(out_sup.tobytes() + out_sums.tobytes())
+                       10_000, out_sums)
+            outs.append(out_sums.tobytes())
         assert outs[0] == outs[1], index
 
 
@@ -219,7 +214,9 @@ BAD_SPECS = {                         # case: the spec's changed items
     "nan profile": dict(profile=np.array([0.5, math.nan, 0.0, 1.0, 2.0])),
     "short profile": dict(profile=np.zeros(4)),
     "profile for a walk": dict(law=LAW_BELL, profile=np.zeros(5)),
-    "short out_acc": dict(out_acc=np.empty(4)),
+    "negative rows": dict(rows=-1),
+    "float rows": dict(rows=5.0),
+    "short out_acc": dict(out_acc=np.empty(3)),
 }
 
 
@@ -231,12 +228,10 @@ def test_drawn_rejects_bad_spec_before_writing(kernel_modules, backend, bad):
         pytest.skip("no C compiler to build the compiled kernels")
     drawn_pass = passes[backend]
     args = dict(law=LAW_FACTOR, d=2, scale=1.0, a=0.5, drift=0.1,
-                profile=np.zeros(5), row_seed=1, out_sup=np.empty(5),
-                out_acc=np.empty(5))
+                profile=np.zeros(5), row_seed=1, rows=5, out_acc=np.empty(4))
     args.update(BAD_SPECS[bad])
-    for out in (args["out_sup"], args["out_acc"]):
-        out[...] = -7
-    # a row seed that is not an integer is the wrong type, as for operator.index
-    with pytest.raises(TypeError if "row seed" in bad else ValueError):
+    args["out_acc"][...] = -7
+    # a row seed or count that is not an integer is the wrong type, as for operator.index
+    with pytest.raises(TypeError if "row seed" in bad or bad == "float rows" else ValueError):
         drawn_pass(*args.values())
-    assert (args["out_sup"] == -7).all() and (args["out_acc"] == -7).all()
+    assert (args["out_acc"] == -7).all()

@@ -280,12 +280,13 @@ def test_default_reports_are_pinned(capsys, tmp_path):
 
 # generated by ``qclt verify --quick`` and ``qclt verify`` on the release whose
 # chaining families are drawn inside the kernels from qclt's own counter
-# streams, and whose roundoff-level diagnostics print to a 1e-13 floor; the
-# same bytes come from every OpenBLAS core type (Haswell, Zen, Prescott, ...)
+# streams and whose chaining margins are rhs - lhs with no statistical slack,
+# and whose roundoff-level diagnostics print to a 1e-13 floor; the same bytes
+# come from every OpenBLAS core type (Haswell, Zen, Prescott, ...)
 VERIFY_QUICK = (
     '[verify]\n'
-    'PASS chaining deterministic cases -- lhs=1 rhs=1.41421\n'
-    'PASS chaining over 100 random families -- violations=0 min margin=1.928e-01\n'
+    'PASS chaining deterministic cases -- lhs=1 rhs=1.41421 d=0 lhs==rhs 7/7\n'
+    'PASS chaining over 100 random families -- violations=0 min margin=1.865e-01\n'
     'PASS domination bound holds with equality -- |worst slack|<1e-13 max_msq=3 bound=7.99334\n'
     'PASS domination detects a shrunken measure -- pair (m=1, n=2): moment 0.0102996826171875 exceeds bound 0.00514984130859375\n'
     'PASS dyadic block maxima bounded (D=6) -- max(lhs - rhs)=0.000e+00\n'
@@ -300,8 +301,8 @@ VERIFY_QUICK = (
 )
 VERIFY_FULL = (
     '[verify]\n'
-    'PASS chaining deterministic cases -- lhs=1 rhs=1.41421\n'
-    'PASS chaining over 1000 random families -- violations=0 min margin=1.003e-01\n'
+    'PASS chaining deterministic cases -- lhs=1 rhs=1.41421 d=0 lhs==rhs 7/7\n'
+    'PASS chaining over 1000 random families -- violations=0 min margin=9.885e-02\n'
     'PASS domination bound holds with equality -- |worst slack|<1e-13 max_msq=3 bound=7.99334\n'
     'PASS domination detects a shrunken measure -- pair (m=1, n=2): moment 0.0102996826171875 exceeds bound 0.00514984130859375\n'
     'PASS dyadic block maxima bounded (D=10) -- max(lhs - rhs)=0.000e+00\n'

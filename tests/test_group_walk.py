@@ -383,7 +383,7 @@ def test_derived_record_values_match_their_expressions():
                    DyadicFamily.from_samples(rng.normal(size=(300, 9))),
                    DyadicFamily.from_samples(recursion_rows(rng.normal(size=(300, 5)), 0.5))):
         check = chaining_maximal_check(family)
-        assert check.ok is (check.lhs <= check.rhs + check.slack)
+        assert check.ok is (check.lhs <= check.rhs * (1.0 + 1e-12))
 
     chain = two_state_chain(0.25)
     f = sign_observable(chain)

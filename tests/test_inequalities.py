@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qclt import _kernels_py, kernels, verify
+from qclt import _kernels_py, inequalities, kernels, verify
 from qclt.chain import center_observable
 from qclt.errors import (
     BadLength,
@@ -16,6 +16,7 @@ from qclt.errors import (
     NotReversible,
 )
 from qclt.inequalities import (
+    ChainingCheck,
     DyadicFamily,
     ExactSequence,
     builtin_block_weight,
@@ -77,11 +78,7 @@ def test_chaining_random_families_never_violate():
 
 def _reference_chaining(family):
     tbl = family.table
-    if family.probs is None:
-        weights = np.full(tbl.shape[0], 1.0 / tbl.shape[0])
-        sampled = True
-    else:
-        weights, sampled = family.probs, False
+    weights = np.full(tbl.shape[0], 1.0 / tbl.shape[0]) if family.probs is None else family.probs
     dev = tbl - tbl[:, :1]
     sup = np.max(np.abs(dev[:, 1:]), axis=1)
     lhs = math.sqrt(float(np.sum(weights * sup * sup)))
@@ -90,12 +87,7 @@ def _reference_chaining(family):
         idx = np.arange(0, 2 ** family.d + 1, 2 ** r)
         inc = tbl[:, idx[1:]] - tbl[:, idx[:-1]]
         rhs += math.sqrt(float(np.sum(weights[:, None] * inc * inc)))
-    if sampled:
-        se_msq = float(np.std(sup * sup)) / math.sqrt(tbl.shape[0])
-        slack = 3.0 * se_msq / (2.0 * lhs) if lhs > 0 else 0.0
-    else:
-        slack = 1e-12
-    return lhs, rhs, slack, lhs <= rhs + slack
+    return lhs, rhs, lhs <= rhs * (1.0 + 1e-12)
 
 
 def _lane_verdict(table):
@@ -103,26 +95,25 @@ def _lane_verdict(table):
     # sup and acc: the drawn pass's arithmetic in its order
     sums = oracles.moment_sums_rows(*oracles.dyadic_moments_rows(table))
     res = verify.chaining_verdict(sums, table.shape[0])
-    return res.lhs, res.rhs, res.slack, res.ok
+    return res.lhs, res.rhs, res.ok
 
 
 def _assert_matches_reference(family):
     res = chaining_maximal_check(family)
-    got = (res.lhs, res.rhs, res.slack, res.ok)
+    got = (res.lhs, res.rhs, res.ok)
     einsum = oracles.chaining_check_einsum(family.table, family.probs)
     if family.probs is None:
         # a sampled family's sums are added lane by lane, as the drawn pass
         # adds them, and the einsum check's by weighted dot products
         assert got == _lane_verdict(family.table)
-        np.testing.assert_allclose(got[:3], einsum[:3], rtol=1e-12, atol=0.0)
-        assert got[3] == einsum[3]
+        np.testing.assert_allclose(got[:2], einsum[:2], rtol=1e-12, atol=0.0)
+        assert got[2] == einsum[2]
     else:
         # the einsum check runs the same arithmetic in the same order: exact
         assert got == einsum
     # the loop form sums in another order (np.sum, weights * sup * sup)
-    lhs, rhs, slack, ok = _reference_chaining(family)
-    np.testing.assert_allclose([res.lhs, res.rhs, res.slack], [lhs, rhs, slack],
-                               rtol=1e-12, atol=0.0)
+    lhs, rhs, ok = _reference_chaining(family)
+    np.testing.assert_allclose([res.lhs, res.rhs], [lhs, rhs], rtol=1e-12, atol=0.0)
     assert res.ok == ok
 
 
@@ -137,23 +128,9 @@ def _oracle_family(fam, paths, d=None):
 
 
 def test_chaining_matches_reference_on_sampled_families():
-    # d = 0..5, so a sixth of the families are at d = 0, where the sampled
-    # verdict has one scale and lhs == rhs exactly; every law also at d = 0
-    d_zero_laws = set()
+    # d = 0..5; test_tight_chaining_families holds lhs == rhs at d = 0
     for index, fam in enumerate(random_dyadic_families(2024, range(40))):
-        d = index % 6
-        family = _oracle_family(fam, 1 + index * 13, d)
-        _assert_matches_reference(family)
-        if d == 0:
-            d_zero_laws.add(fam.law)
-            res = chaining_maximal_check(family)
-            assert res.lhs == res.rhs, index
-    for law in sorted(set(range(LAW_COUNT)) - d_zero_laws):
-        fam = dataclasses.replace(random_dyadic_families(2024, [law])[0], law=law)
-        family = _oracle_family(fam, 257, 0)
-        _assert_matches_reference(family)
-        res = chaining_maximal_check(family)
-        assert res.lhs == res.rhs, law
+        _assert_matches_reference(_oracle_family(fam, 1 + index * 13, index % 6))
 
 
 def test_chaining_matches_reference_on_exact_families():
@@ -189,7 +166,7 @@ def test_random_dyadic_family_bit_identical_to_reference(kernel_modules, monkeyp
         for impl in kernel_modules.values():
             monkeypatch.setattr(kernels, "_impl", impl)
             res = fam.check(257)
-            assert (res.lhs, res.rhs, res.slack, res.ok) == want
+            assert (res.lhs, res.rhs, res.ok) == want
     assert laws == set(range(LAW_COUNT))
 
 
@@ -228,50 +205,19 @@ def test_random_dyadic_families_raise_no_warning():
         assert check_chaining_randomized(20, 100).ok
 
 
-def _drawn(impl, law, d, row_seed, rows):
-    profile = np.linspace(-1.0, 1.0, 2 ** d + 1) if law == LAW_FACTOR else np.empty(0)
-    out_sup, out_sums = np.empty(rows), np.empty(d + 3)
-    impl.drawn_dyadic_moments(law, d, 0.8, 0.45, 0.3, profile, row_seed, out_sup, out_sums)
-    return out_sup, out_sums
-
-
-@pytest.mark.parametrize("block", [7, 1024])
-@pytest.mark.parametrize("paths", [1, 999, 1025, 10 ** 4])
-def test_row_block_draws_match_the_whole_table_draws(kernel_modules, monkeypatch, paths, block):
-    # the fallback drawing and reducing `block` rows at a time against the
-    # fallback drawing every value of the table at once and reducing it in
-    # one block, and against the compiled kernel's 32-row blocks, bit for
-    # bit; the whole-table oracle fixes all three at small sizes
-    # (tests/test_dyadic_moments.py)
-    for law in range(LAW_COUNT):
-        for d in range(1, 6):
-            with monkeypatch.context() as mp:
-                mp.setattr(_kernels_py, "ROW_BLOCK", paths)
-                mp.setattr(_kernels_py, "BLOCK_ITEMS", 1)
-                mp.setattr(_kernels_py, "DRAW_ITEMS", 1 << 30)
-                want = _drawn(_kernels_py, law, d, paths, paths)
-            with monkeypatch.context() as mp:
-                mp.setattr(_kernels_py, "ROW_BLOCK", block)
-                mp.setattr(_kernels_py, "BLOCK_ITEMS", 1)
-                for impl in kernel_modules.values():
-                    got = _drawn(impl, law, d, paths, paths)
-                    assert all(map(np.array_equal, got, want)), (impl, law, d)
-
-
 def test_drawing_a_family_allocates_no_table_sized_temporary(kernel_modules):
     # a d = 5 family of 10^4 paths would be a 2.6 MB table: no backend draws
     # one, and a DyadicFamily checks a table that size for NaN and infinities
     # without a mask of it
     paths, d = 10 ** 4, 5
-    out_sup, out_sums = np.empty(paths), np.empty(d + 3)
+    out_sums = np.empty(d + 2)
     table = np.random.default_rng(4).standard_normal((paths, 2 ** d + 1))
     for impl in kernel_modules.values():
         for law in range(LAW_COUNT):
             profile = np.linspace(-1.0, 1.0, 2 ** d + 1) if law == LAW_FACTOR else np.empty(0)
             tracemalloc.start()
             try:
-                impl.drawn_dyadic_moments(law, d, 1.0, 0.5, 0.25, profile, 3,
-                                          out_sup, out_sums)
+                impl.drawn_dyadic_moments(law, d, 1.0, 0.5, 0.25, profile, 3, paths, out_sums)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -305,7 +251,7 @@ def test_fallback_chaining_moments_allocate_no_table_sized_temporary(ar):
 
 def test_chaining_randomized_matches_the_einsum_oracle():
     # a reduced size of verify's seed-2024 check: every family's (lhs, rhs,
-    # slack, ok) against the verdict of its Python-int oracle table's lane
+    # ok) against the verdict of its Python-int oracle table's lane
     # sums bit for bit, and against the table's einsum check to rounding
     # (the einsum check adds by weighted dot products), with numpy's
     # generators out of reach
@@ -322,7 +268,7 @@ def test_chaining_randomized_matches_the_einsum_oracle():
 
     def recording_verdict(sums, rows):
         res = real_verdict(sums, rows)
-        got.append((res.lhs, res.rhs, res.slack, res.ok))
+        got.append((res.lhs, res.rhs, res.ok))
         return res
 
     def no_generator(*args, **kwargs):
@@ -334,9 +280,9 @@ def test_chaining_randomized_matches_the_einsum_oracle():
         mp.setattr(np.random, "Generator", no_generator)
         result = check_chaining_randomized(families, paths)
     assert got == want
-    np.testing.assert_allclose([g[:3] for g in got], [e[:3] for e in einsum], rtol=1e-12, atol=0)
-    assert [g[3] for g in got] == [e[3] for e in einsum]
-    worst = min(rhs + slack - lhs for lhs, rhs, slack, _ in einsum)
+    np.testing.assert_allclose([g[:2] for g in got], [e[:2] for e in einsum], rtol=1e-12, atol=0)
+    assert [g[2] for g in got] == [e[2] for e in einsum]
+    worst = min(rhs - lhs for lhs, rhs, _ in einsum)
     assert result.detail == f"violations=0 min margin={worst:.3e}" and result.ok
 
 
@@ -346,14 +292,72 @@ def test_chaining_randomized_catches_a_bound_without_its_finest_scale(monkeypatc
     real = kernels.drawn_dyadic_moments
 
     def finest_scale_dropped(*args):
-        sup, sums = real(*args)
+        sums = real(*args)
         sums[0] = 0.0
-        return sup, sums
+        return sums
 
     monkeypatch.setattr(kernels, "drawn_dyadic_moments", finest_scale_dropped)
     result = check_chaining_randomized(100, 2000)
     violations = int(result.detail.split()[0].removeprefix("violations="))
     assert not result.ok and violations > 0, result.detail
+
+
+def _off_by(reduction, side, factor):
+    # one reduction with one side of its verdicts scaled by `factor`: the
+    # drawn pass's scale sums or sup^2 sum, or a stored table's acc or sup
+    real_drawn, real_table = kernels.drawn_dyadic_moments, inequalities.dyadic_moments
+
+    def drawn(*args):
+        sums = real_drawn(*args)
+        sums[slice(None, -1) if side == "rhs" else slice(-1, None)] *= factor
+        return sums
+
+    def table(t):
+        sup, acc = real_table(t)
+        return (sup, acc * factor) if side == "rhs" else (sup * factor, acc)
+    return {"drawn": (kernels, "drawn_dyadic_moments", drawn),
+            "table": (inequalities, "dyadic_moments", table)}[reduction]
+
+
+@pytest.mark.parametrize("case", ["every module", "scaled by 2^+-40"] + [
+    f"{reduction} {side} x{factor!r}" for reduction in ("drawn", "table")
+    for side in ("lhs", "rhs") for factor in (1 - 1e-9, 1 + 1e-9)])
+def test_tight_chaining_families(kernel_modules, monkeypatch, case):
+    # the d = 0 families of verify's deterministic check, where lhs == rhs
+    tight = 2 + LAW_COUNT
+    if case == "every module":
+        # a drawn family of each law too, on the fallback and both C lane sets
+        for name, impl in kernel_modules.items():
+            monkeypatch.setattr(kernels, "_impl", impl)
+            checks = verify.tight_chaining_checks()
+            assert len(checks) == tight and all(c.ok and c.lhs == c.rhs for c in checks), name
+    elif case == "scaled by 2^+-40":
+        # a sampled and a tight family: both sides scale exactly, and the
+        # relative rule keeps every verdict, a failing one included
+        walk = np.cumsum(np.random.default_rng(8).choice([-1.0, 1.0], size=(500, 17)), axis=1)
+        for table, probs in ((walk, None), (verify._TIGHT_ROWS, np.array([0.5, 0.25, 0.25]))):
+            base = chaining_maximal_check(DyadicFamily(table, probs))
+            for scale in (2.0 ** 40, 2.0 ** -40):
+                res = chaining_maximal_check(DyadicFamily(table * scale, probs))
+                assert (res.lhs, res.rhs, res.ok) == (base.lhs * scale, base.rhs * scale, base.ok)
+        for over, ok in ((0.5e-12, True), (2e-12, False)):
+            for scale in (1.0, 2.0 ** 40, 2.0 ** -40):
+                assert ChainingCheck(lhs=scale * (1.0 + over), rhs=scale).ok is ok
+    else:
+        # a reduction off by 1 +- 1e-9 on either side fails verify
+        reduction, side, factor = case.split()
+        monkeypatch.setattr(*_off_by(reduction, side, float(factor[1:])))
+        result = verify.check_chaining_deterministic()
+        equal = 2 if reduction == "drawn" else LAW_COUNT
+        assert not result.ok and result.detail.endswith(f" {equal}/{tight}"), result.detail
+
+
+@pytest.mark.parametrize("values", [np.array([1.0, 2.0, 3.0]), np.zeros((2, 3, 1)),
+                                    np.zeros((2, 3), dtype=np.float32), [[0.0] * 3] * 2],
+                         ids=["1-d", "3-d", "float32", "list"])
+def test_exact_sequence_refuses_values_that_are_not_a_2d_float64_table(values):
+    with pytest.raises(BadLength):
+        ExactSequence(values=values, probs=np.full(3, 1 / 3))
 
 
 def test_from_samples_rejects_non_finite():
